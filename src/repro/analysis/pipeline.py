@@ -17,6 +17,14 @@ on-disk layer (enabled by the parallel runner under its existing cache
 directory) lets freshly started worker processes skip the pipeline for
 programs any earlier run already analysed.
 
+A disk entry is one file in two parts.  The *static* part holds the
+program, jump profile, CFGs, spawn analysis and the committed-trace
+length; the *trace* part holds the trace with its memoized decode and
+block table, which is most of the bytes.  A disk hit reads only the
+static part, so static results (Figure 5's spawn-point counts, the
+scheduler's cost estimates) never unpickle a trace; the trace part is
+read the first time something touches :attr:`ProgramAnalyses.trace`.
+
 The pipeline's repro-internal imports are deferred into the compute
 path: :mod:`repro.spawn` and :mod:`repro.cfg` themselves import
 :mod:`repro.analysis`, and this module is re-exported from the package
@@ -25,15 +33,18 @@ path: :mod:`repro.spawn` and :mod:`repro.cfg` themselves import
 
 import functools
 import hashlib
+import io
 import os
 import pickle
+import struct
 import tempfile
 
 #: Bump to invalidate persisted analysis entries (e.g. when an analysis
 #: gains fields or changes meaning in ways the digest cannot see).
 #: v2: analyses now carry the trace's compiled block table (see
 #: :mod:`repro.sim.blocks`), so warm workers inherit it from disk.
-ANALYSIS_FORMAT_VERSION = 2
+#: v3: an entry is a static part plus a trace part read on demand.
+ANALYSIS_FORMAT_VERSION = 3
 
 
 @functools.lru_cache(maxsize=512)
@@ -58,6 +69,10 @@ class ProgramAnalyses:
     :class:`~repro.spawn.policies.SpawnAnalysis` holding the classified
     spawn points.  Spawn profiles are memoized per profiling distance.
 
+    Analyses loaded from the disk layer start without their trace:
+    ``load_trace(analyses)`` supplies it on first access of
+    :attr:`trace`, and ``trace_length`` is known without it.
+
     The large members (``program``, ``trace``, ``cfgs``,
     ``spawn_analysis``) are shared, not copied — callers must treat
     them as immutable.  The point accessors return fresh lists, so
@@ -67,21 +82,44 @@ class ProgramAnalyses:
     __slots__ = (
         "digest",
         "program",
-        "trace",
         "jump_profile",
         "cfgs",
         "spawn_analysis",
+        "trace_length",
+        "_trace",
+        "_load_trace",
         "_profiles",
     )
 
-    def __init__(self, digest, program, trace, jump_profile, cfgs, spawn_analysis):
+    def __init__(
+        self,
+        digest,
+        program,
+        trace,
+        jump_profile,
+        cfgs,
+        spawn_analysis,
+        trace_length=None,
+        load_trace=None,
+    ):
         self.digest = digest
         self.program = program
-        self.trace = trace
         self.jump_profile = jump_profile
         self.cfgs = cfgs
         self.spawn_analysis = spawn_analysis
+        #: Committed instructions in the trace (the scheduler's cost unit).
+        self.trace_length = len(trace) if trace is not None else trace_length
+        self._trace = trace
+        self._load_trace = load_trace
         self._profiles = {}
+
+    @property
+    def trace(self):
+        """The committed-path :class:`~repro.sim.trace.Trace` (loaded on
+        first use when these analyses came from disk)."""
+        if self._trace is None:
+            self._trace = self._load_trace(self)
+        return self._trace
 
     def postdominator_points(self):
         """Fresh list of the control-equivalent (ipdom) spawn points."""
@@ -108,7 +146,7 @@ class ProgramAnalyses:
 
     def __repr__(self):
         return "ProgramAnalyses(digest={}, dynamic={}, procedures={})".format(
-            self.digest[:12], len(self.trace), len(self.cfgs)
+            self.digest[:12], self.trace_length, len(self.cfgs)
         )
 
 
@@ -134,6 +172,61 @@ def compute_analyses(source, digest=None):
     return ProgramAnalyses(digest, program, trace, jump_profile, cfgs, spawn_analysis)
 
 
+def _compile_blocks(trace, program):
+    """Compile the block tables before persisting: they memoize
+    themselves onto the trace/program, so the entry carries them and
+    warm workers load pre-compiled blocks instead of re-segmenting."""
+    from repro.sim.blocks import block_table_for, program_blocks_for
+
+    block_table_for(trace)
+    program_blocks_for(program)
+
+
+# -- the trace part ---------------------------------------------------------------
+#
+# Trace records point at the program's Instruction objects, which hash
+# by identity, so a loaded trace must reference the *loaded* program's
+# instructions.  The trace part is pickled with the pickler's memo
+# pre-seeded with the program's instructions at slots 0..n-1, so every
+# record refers to its instruction by memo slot.  A primer written in
+# front of the pickle fills those slots on load: ``n`` persistent ids the
+# loader resolves against the program already in memory.  (Assigning a
+# dict to ``Unpickler.memo`` leaves the C unpickler's memo empty, so the
+# slots must be filled by unpickling.)  Nothing is called per record on
+# either side, so this costs no more than one plain pickle.
+
+_PRIMER_STEP = struct.Struct("<i")
+
+
+def _instruction_primer(count):
+    """Pickle opcodes putting persistent id ``i`` into memo slot ``i``."""
+    load_one = pickle.BINPERSID + pickle.MEMOIZE + pickle.POP
+    steps = b"".join(
+        pickle.BININT + _PRIMER_STEP.pack(index) + load_one for index in range(count)
+    )
+    return pickle.PROTO + b"\x04" + steps + pickle.NONE + pickle.STOP
+
+
+def _dump_trace_part(digest, trace, instructions):
+    buffer = io.BytesIO()
+    buffer.write(_instruction_primer(len(instructions)))
+    pickler = pickle.Pickler(buffer)
+    pickler.memo = {id(inst): (index, inst) for index, inst in enumerate(instructions)}
+    pickler.dump({"digest": digest, "trace_length": len(trace), "trace": trace})
+    return buffer.getbuffer()
+
+
+class _TraceUnpickler(pickle.Unpickler):
+    """Resolves the primer's persistent ids to the loaded instructions."""
+
+    def __init__(self, stream, instructions):
+        super().__init__(stream)
+        self._instructions = instructions
+
+    def persistent_load(self, pid):
+        return self._instructions[pid]
+
+
 class AnalysisCache:
     """Content-keyed store of :class:`ProgramAnalyses`.
 
@@ -141,8 +234,19 @@ class AnalysisCache:
     trace predecode and spawn-profile memos are shared by every
     simulation of the program), and an optional pickle directory
     shared between processes.  Disk entries are written atomically
-    (temp file + :func:`os.replace`) and any unreadable or
-    version-mismatched entry is treated as a miss and overwritten.
+    (temp file + :func:`os.replace`); a hit reads the static part only
+    and the trace part on first use (see the module docs).
+
+    ``misses`` counts pipeline runs.  Lookups tell a *clean* miss (no
+    entry on disk) from a *corrupt* one (present but unreadable, or of
+    another format version or program), which is also counted in
+    ``corrupt``; either way the pipeline runs and the entry is
+    rewritten.  A trace part that is missing, truncated, fails its
+    checksum or does not match its static part is never served: the
+    trace is recomputed by re-running the loaded program (the trace is
+    a pure function of it, and re-running keeps every record's
+    instruction the program's own), counted in ``corrupt``, and the
+    entry rewritten.  ``trace_loads`` counts trace parts read.
     """
 
     def __init__(self, disk_root=None):
@@ -151,6 +255,8 @@ class AnalysisCache:
         self.hits = 0
         self.disk_hits = 0
         self.misses = 0
+        self.corrupt = 0
+        self.trace_loads = 0
 
     def analyses_for(self, source):
         """The :class:`ProgramAnalyses` of ``source`` (computing at most
@@ -164,15 +270,9 @@ class AnalysisCache:
         if analyses is None:
             self.misses += 1
             analyses = compute_analyses(source, digest)
-            # Compile the block tables before persisting: they memoize
-            # themselves onto the trace/program, so the pickle carries
-            # them and warm workers load pre-compiled blocks instead of
-            # re-segmenting.
-            from repro.sim.blocks import block_table_for, program_blocks_for
-
-            block_table_for(analyses.trace)
-            program_blocks_for(analyses.program)
-            self._disk_store(digest, analyses)
+            _compile_blocks(analyses.trace, analyses.program)
+            if self.disk_root is not None:
+                self._disk_store(self._path(digest), analyses, analyses.trace)
         else:
             self.disk_hits += 1
         self._memory[digest] = analyses
@@ -182,18 +282,19 @@ class AnalysisCache:
         """Committed-trace length of ``source``.
 
         The grid scheduler's cost unit: simulation time is linear in
-        committed instructions, and the trace is already materialized
-        by the pipeline, so the estimate is exact and free for any
+        committed instructions, and the length is part of every cached
+        entry's static part, so the estimate is exact and free for any
         program this cache (memory or disk layer) has seen.
         """
-        return len(self.analyses_for(source).trace)
+        return self.analyses_for(source).trace_length
 
     def peek_trace_length(self, source):
         """Committed-trace length if already cached, else None.
 
         Consults the memory and disk layers only — a miss returns None
-        instead of running the pipeline.  The grid scheduler's cost
-        model peeks first and falls back to the closed-form estimator
+        instead of running the pipeline, and a disk hit reads the
+        static part, not the trace.  The grid scheduler's cost model
+        peeks first and falls back to the closed-form estimator
         (:func:`repro.analysis.estimate.estimated_trace_length`) on a
         miss, so costing a cold synthesized grid no longer prepares
         every cell in the parent.
@@ -202,13 +303,13 @@ class AnalysisCache:
         analyses = self._memory.get(digest)
         if analyses is not None:
             self.hits += 1
-            return len(analyses.trace)
+            return analyses.trace_length
         analyses = self._disk_load(digest)
         if analyses is None:
             return None
         self.disk_hits += 1
         self._memory[digest] = analyses
-        return len(analyses.trace)
+        return analyses.trace_length
 
     def clear(self):
         """Drop the in-memory layer (disk entries are left in place)."""
@@ -223,21 +324,66 @@ class AnalysisCache:
         return os.path.join(self.disk_root, digest[:2], digest + ".pkl")
 
     def _disk_load(self, digest):
+        """The static part of ``digest``'s entry as trace-less analyses,
+        or None on a clean or corrupt miss."""
         if self.disk_root is None:
+            return None
+        path = self._path(digest)
+        try:
+            handle = open(path, "rb")
+        except FileNotFoundError:
             return None
         try:
-            with open(self._path(digest), "rb") as handle:
+            with handle:
                 entry = pickle.load(handle)
-            if entry["version"] != ANALYSIS_FORMAT_VERSION:
-                return None
-            return entry["analyses"]
+                offset = handle.tell()
+            if entry["version"] != ANALYSIS_FORMAT_VERSION or entry["digest"] != digest:
+                raise ValueError("analysis entry of another format or program")
+            program, jump_profile, cfgs, spawn_analysis = entry["analyses"]
+            part = (path, offset, entry["trace_bytes"], entry["trace_sha256"])
+            trace_length = entry["trace_length"]
         except Exception:
+            self.corrupt += 1
             return None
+        return ProgramAnalyses(
+            digest,
+            program,
+            None,
+            jump_profile,
+            cfgs,
+            spawn_analysis,
+            trace_length=trace_length,
+            load_trace=functools.partial(self._load_trace, part),
+        )
 
-    def _disk_store(self, digest, analyses):
-        if self.disk_root is None:
-            return
-        path = self._path(digest)
+    def _load_trace(self, part, analyses):
+        """The trace of disk-loaded ``analyses`` (see the class docs)."""
+        path, offset, size, checksum = part
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                data = handle.read()
+            if len(data) != size or hashlib.sha256(data).hexdigest() != checksum:
+                raise ValueError("trace part is damaged")
+            unpickler = _TraceUnpickler(io.BytesIO(data), analyses.program.instructions)
+            unpickler.load()
+            entry = unpickler.load()
+            trace = entry["trace"]
+            if entry["digest"] != analyses.digest or len(trace) != analyses.trace_length:
+                raise ValueError("trace part does not match its static part")
+        except Exception:
+            self.corrupt += 1
+            from repro.sim import run_program
+
+            trace = run_program(analyses.program)
+            analyses.trace_length = len(trace)
+            _compile_blocks(trace, analyses.program)
+            self._disk_store(path, analyses, trace)
+            return trace
+        self.trace_loads += 1
+        return trace
+
+    def _disk_store(self, path, analyses, trace):
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             handle, temp_path = tempfile.mkstemp(
@@ -247,10 +393,25 @@ class AnalysisCache:
             return
         try:
             with os.fdopen(handle, "wb") as stream:
+                program = analyses.program
+                part = _dump_trace_part(analyses.digest, trace, program.instructions)
                 pickle.dump(
-                    {"version": ANALYSIS_FORMAT_VERSION, "analyses": analyses},
+                    {
+                        "version": ANALYSIS_FORMAT_VERSION,
+                        "digest": analyses.digest,
+                        "trace_length": len(trace),
+                        "trace_bytes": len(part),
+                        "trace_sha256": hashlib.sha256(part).hexdigest(),
+                        "analyses": (
+                            program,
+                            analyses.jump_profile,
+                            analyses.cfgs,
+                            analyses.spawn_analysis,
+                        ),
+                    },
                     stream,
                 )
+                stream.write(part)
             os.replace(temp_path, path)
         except Exception:
             try:

@@ -364,11 +364,14 @@ def _init_worker(analysis_dir, warmup):
 
     Enables the on-disk analysis layer and pre-materializes the
     analyses/predecode arenas — and the block engine's compiled tables
-    — of every workload the first grid needs.  Under a fork start the
-    parent prepared them while estimating costs, so this is a memo hit;
-    under spawn it loads them from disk.  A workload that fails to
-    prepare is left for its chunk to report — an initializer exception
-    would break the whole pool.
+    — of every workload the first grid needs.  Costing the grid in the
+    parent reads only the static part of each analysis entry, so under
+    a fork start ``prepare_workload`` is a memo hit but
+    ``block_table_for(prepared.trace)`` reads the trace part from disk
+    here, once per worker (a program the parent computed itself is
+    inherited with its trace); under spawn both come from disk.  A
+    workload that fails to prepare is left for its chunk to report —
+    an initializer exception would break the whole pool.
     """
     if analysis_dir is not None:
         configure_disk_cache(analysis_dir)

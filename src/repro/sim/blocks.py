@@ -314,9 +314,9 @@ def block_table_for(trace):
     """The (memoized) :class:`BlockTable` of ``trace``.
 
     The memo lives on the trace object itself, so every core built on
-    the same trace — and every process unpickling the same
-    :class:`~repro.analysis.pipeline.ProgramAnalyses` from the analysis
-    cache's disk layer — shares one compiled table.
+    the same trace — and every process reading the same trace part of
+    a :class:`~repro.analysis.pipeline.ProgramAnalyses` from the
+    analysis cache's disk layer — shares one compiled table.
     """
     table = getattr(trace, "_block_table", None)
     if table is not None and table.version == BLOCK_FORMAT_VERSION:

@@ -63,15 +63,22 @@ class PreparedWorkload:
     themselves are shared through the content-keyed analysis cache, so
     every policy and every machine configuration simulating the same
     program reuses one trace, one CFG set, and one spawn analysis.
+    ``trace`` passes through to the analyses, so analyses loaded from
+    the cache's disk layer read their trace only when something uses
+    it; static results and ``dynamic_instructions`` never do.
     """
 
     def __init__(self, name, analyses):
         self.name = name
         self.analyses = analyses
         self.program = analyses.program
-        self.trace = analyses.trace
         self.cfgs = analyses.cfgs
         self.spawn_analysis = analyses.spawn_analysis
+
+    @property
+    def trace(self):
+        """The committed trace (loaded on first use, see above)."""
+        return self.analyses.trace
 
     def spawn_profile(self, max_spawn_distance):
         """The workload's spawn profile at one profiling distance
@@ -81,11 +88,11 @@ class PreparedWorkload:
     @property
     def dynamic_instructions(self):
         """Committed instructions in the trace."""
-        return len(self.trace)
+        return self.analyses.trace_length
 
     def __repr__(self):
         return "PreparedWorkload(name={!r}, dynamic={}, procedures={})".format(
-            self.name, len(self.trace), len(self.cfgs)
+            self.name, self.dynamic_instructions, len(self.cfgs)
         )
 
 

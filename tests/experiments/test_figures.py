@@ -57,6 +57,31 @@ def test_figure5_result(runner):
     assert "twolf" in rendered
 
 
+def test_warm_figure5_reads_no_trace(tmp_path):
+    """Figure 5 is a static result: on a filled analysis cache it loads
+    each program's static part from disk and no trace part."""
+    from repro.analysis.pipeline import configure_disk_cache, shared_cache
+    from repro.experiments import ParallelExperimentRunner
+
+    def figure5_render():
+        clear_cache()
+        runner = ParallelExperimentRunner(
+            scale=_SCALE, workload_names=_NAMES, jobs=1, cache_dir=str(tmp_path)
+        )
+        return figure5(runner).render()
+
+    cache = shared_cache()
+    try:
+        expected = figure5_render()
+        disk_hits, trace_loads = cache.disk_hits, cache.trace_loads
+        assert figure5_render() == expected
+        assert cache.disk_hits - disk_hits == len(_NAMES)
+        assert cache.trace_loads == trace_loads
+    finally:
+        configure_disk_cache(None)
+        clear_cache()
+
+
 def test_figure8_table():
     rendered = figure8()
     assert "512 entries" in rendered

@@ -7,10 +7,13 @@ and nothing a caller does to a returned structure may leak back into
 later lookups.
 """
 
+import hashlib
 import os
+import pickle
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from tests.helpers import examples
 from tests.strategies import synth_sources
 
 from repro.analysis.pipeline import (
+    ANALYSIS_FORMAT_VERSION,
     AnalysisCache,
     compute_analyses,
     source_digest,
@@ -30,12 +34,28 @@ _SETTINGS = dict(max_examples=examples(15), deadline=None)
 small_loop_sources = synth_sources
 
 
+def _trace_values(trace):
+    """Every field of every record, by value, plus the halt flag."""
+    return trace.halted, tuple(
+        (
+            record.seq,
+            record.inst.pc,
+            record.next_pc,
+            record.taken,
+            record.mem_keys,
+            record.mem_dep,
+            record.reg_deps,
+        )
+        for record in trace.records
+    )
+
+
 def _fingerprint(analyses):
     """Value snapshot of everything the cache is trusted to preserve."""
     return (
         analyses.digest,
-        tuple(record.inst.pc for record in analyses.trace.records),
-        tuple(record.next_pc for record in analyses.trace.records),
+        analyses.trace_length,
+        _trace_values(analyses.trace),
         len(analyses.cfgs),
         tuple(
             (point.trigger_pc, point.spawn_pc, point.category)
@@ -114,84 +134,265 @@ def test_spawn_profile_memo_is_transparent(source, distance):
 @given(source=small_loop_sources())
 def test_disk_layer_round_trips_by_value(source):
     """A fresh cache reloading from disk sees the same values the
-    computing cache produced, and flags a disk hit, not a miss."""
+    computing cache produced, and flags a disk hit, not a miss.  The
+    hit reads the static part only; the trace part is read once, on
+    first use, and every record points at the loaded program's own
+    instruction object."""
     root = tempfile.mkdtemp(prefix="analysis-cache-prop-")
     try:
         writer = AnalysisCache(disk_root=root)
         computed = writer.analyses_for(source)
         assert writer.misses == 1
+        computed.trace
+        assert writer.trace_loads == 0
 
         reader = AnalysisCache(disk_root=root)
         reloaded = reader.analyses_for(source)
         assert reader.disk_hits == 1 and reader.misses == 0
         assert reloaded is not computed
+        assert reloaded.trace_length == computed.trace_length
+        assert reader.trace_loads == 0
+        assert _trace_values(reloaded.trace) == _trace_values(computed.trace)
+        assert reader.trace_loads == 1 and reader.corrupt == 0
         assert _fingerprint(reloaded) == _fingerprint(computed)
+        assert reader.trace_loads == 1
+        program = reloaded.program
+        assert all(
+            record.inst is program.fetch(record.inst.pc)
+            for record in reloaded.trace.records
+        )
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
+_LOOP_SOURCE = """
+    .text
+    main:
+        li   r1, 4
+    loop:
+        addi r1, r1, -1
+        bne  r1, r0, loop
+        halt
+"""
+
+_COUNTED_SOURCE = """
+    .text
+    main:
+        li   r10, 4
+    loop:
+        addi r3, r3, 1
+        addi r10, r10, -1
+        bgtz r10, loop
+        halt
+"""
+
+
 def test_disk_layer_carries_compiled_block_tables():
     """Analyses persisted to disk include the compiled block table: a
-    fresh process loading the entry gets a table hit, not a recompile."""
+    fresh process loading the entry gets a table hit, not a recompile,
+    when its trace part is read on first use."""
     from repro.sim.blocks import block_table_for, cache_counters, counters_delta
 
-    source = """
-        .text
-        main:
-            li   r1, 4
-        loop:
-            addi r1, r1, -1
-            bne  r1, r0, loop
-            halt
-    """
     root = tempfile.mkdtemp(prefix="analysis-cache-blocks-")
     try:
         writer = AnalysisCache(disk_root=root)
-        computed = writer.analyses_for(source)
+        computed = writer.analyses_for(_LOOP_SOURCE)
         assert getattr(computed.trace, "_block_table", None) is not None
 
         reader = AnalysisCache(disk_root=root)
-        reloaded = reader.analyses_for(source)
-        assert reader.disk_hits == 1
+        reloaded = reader.analyses_for(_LOOP_SOURCE)
+        assert reader.disk_hits == 1 and reader.trace_loads == 0
         before = cache_counters()
         table = block_table_for(reloaded.trace)
         delta = counters_delta(before)
+        assert reader.trace_loads == 1
         assert delta["table_hits"] == 1 and delta["table_misses"] == 0
         assert table.batch_end == block_table_for(computed.trace).batch_end
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
+def test_peeking_a_disk_entry_reads_no_trace():
+    """The trace length comes from the static part: peeking, and the
+    lookups the scheduler costs with, never read a trace part."""
+    root = tempfile.mkdtemp(prefix="analysis-cache-peek-")
+    try:
+        expected = AnalysisCache(disk_root=root).trace_length_for(_LOOP_SOURCE)
+
+        reader = AnalysisCache(disk_root=root)
+        assert reader.peek_trace_length(_LOOP_SOURCE) == expected
+        assert reader.disk_hits == 1
+        assert reader.trace_length_for(_LOOP_SOURCE) == expected
+        assert reader.peek_trace_length(_LOOP_SOURCE) == expected
+        analyses = reader.analyses_for(_LOOP_SOURCE)
+        assert "dynamic={}".format(expected) in repr(analyses)
+        assert reader.trace_loads == 0 and analyses._trace is None
+
+        assert AnalysisCache(disk_root=root).peek_trace_length("halt") is None
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def test_disk_hits_hold_no_open_files():
+    """A loaded entry keeps a path and offset, not a file handle."""
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip("needs /proc")
+    root = tempfile.mkdtemp(prefix="analysis-cache-fds-")
+    try:
+        AnalysisCache(disk_root=root).analyses_for(_LOOP_SOURCE)
+        before = len(os.listdir(fd_dir))
+        reader = AnalysisCache(disk_root=root)
+        analyses = reader.analyses_for(_LOOP_SOURCE)
+        assert len(os.listdir(fd_dir)) == before
+        analyses.trace
+        assert len(os.listdir(fd_dir)) == before
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
 def test_corrupt_disk_entry_is_a_miss_and_is_overwritten():
     """Truncated or garbage entries never propagate: the cache
-    recomputes and replaces them."""
-    source = """
-        .text
-        main:
-            li   r10, 4
-        loop:
-            addi r3, r3, 1
-            addi r10, r10, -1
-            bgtz r10, loop
-            halt
-    """
+    recomputes and replaces them, and counts them as corrupt."""
     root = tempfile.mkdtemp(prefix="analysis-cache-corrupt-")
     try:
         cache = AnalysisCache(disk_root=root)
-        computed = cache.analyses_for(source)
-        digest = source_digest(source)
+        computed = cache.analyses_for(_COUNTED_SOURCE)
+        assert cache.corrupt == 0
+        digest = source_digest(_COUNTED_SOURCE)
         path = cache._path(digest)
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
 
         fresh = AnalysisCache(disk_root=root)
-        recomputed = fresh.analyses_for(source)
-        assert fresh.misses == 1 and fresh.disk_hits == 0
+        recomputed = fresh.analyses_for(_COUNTED_SOURCE)
+        assert fresh.misses == 1 and fresh.disk_hits == 0 and fresh.corrupt == 1
         assert _fingerprint(recomputed) == _fingerprint(computed)
         assert os.path.getsize(path) > len(b"not a pickle")
 
         reader = AnalysisCache(disk_root=root)
-        reader.analyses_for(source)
-        assert reader.disk_hits == 1
+        reader.analyses_for(_COUNTED_SOURCE)
+        assert reader.disk_hits == 1 and reader.corrupt == 0
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def test_version_skewed_entry_is_corrupt_and_rewritten():
+    """An entry of another format version (or keyed to another program)
+    is a corrupt miss, never served."""
+    root = tempfile.mkdtemp(prefix="analysis-cache-skew-")
+    try:
+        cache = AnalysisCache(disk_root=root)
+        computed = cache.analyses_for(_COUNTED_SOURCE)
+        path = cache._path(computed.digest)
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {"version": ANALYSIS_FORMAT_VERSION - 1, "analyses": None}, handle
+            )
+        assert AnalysisCache(disk_root=root).peek_trace_length(_COUNTED_SOURCE) is None
+
+        fresh = AnalysisCache(disk_root=root)
+        assert _fingerprint(fresh.analyses_for(_COUNTED_SOURCE)) == _fingerprint(
+            computed
+        )
+        assert fresh.corrupt == 1 and fresh.misses == 1
+
+        other = source_digest(_LOOP_SOURCE)
+        os.makedirs(os.path.dirname(cache._path(other)), exist_ok=True)
+        shutil.copyfile(path, cache._path(other))
+        skewed = AnalysisCache(disk_root=root)
+        assert skewed.analyses_for(_LOOP_SOURCE).digest == other
+        assert skewed.corrupt == 1 and skewed.misses == 1
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def _split_entry(path):
+    """``(static entry dict, static bytes, trace part bytes)`` of a file."""
+    with open(path, "rb") as handle:
+        static = pickle.load(handle)
+        offset = handle.tell()
+        handle.seek(0)
+        data = handle.read()
+    return static, data[:offset], data[offset:]
+
+
+def _write_with_part(path, static, part):
+    """Rewrite an entry around ``part`` with a matching static checksum,
+    so only the trace part's own checks can catch it."""
+    static = dict(static, trace_bytes=len(part))
+    static["trace_sha256"] = hashlib.sha256(part).hexdigest()
+    with open(path, "wb") as handle:
+        pickle.dump(static, handle)
+        handle.write(part)
+
+
+def _damage(mode, path):
+    from repro.analysis.pipeline import _dump_trace_part
+
+    static, head, part = _split_entry(path)
+    if mode == "missing":
+        damaged = head
+    elif mode == "truncated":
+        damaged = head + part[: len(part) // 2]
+    elif mode == "garbage":
+        damaged = head + bytes(byte ^ 0xFF for byte in part)
+    elif mode == "unpicklable":
+        _write_with_part(path, static, b"not a pickle")
+        return
+    elif mode == "wrong-digest":
+        reference = compute_analyses(_COUNTED_SOURCE)
+        _write_with_part(
+            path,
+            static,
+            _dump_trace_part("0" * 64, reference.trace, reference.program.instructions),
+        )
+        return
+    elif mode == "wrong-length":
+        reference = compute_analyses(_COUNTED_SOURCE)
+        short = reference.trace.slice_after(1)
+        _write_with_part(
+            path,
+            static,
+            _dump_trace_part(static["digest"], short, reference.program.instructions),
+        )
+        return
+    with open(path, "wb") as handle:
+        handle.write(damaged)
+
+
+@pytest.mark.parametrize(
+    "mode",
+    ["missing", "truncated", "garbage", "unpicklable", "wrong-digest", "wrong-length"],
+)
+def test_damaged_trace_part_is_recomputed_and_counted(mode):
+    """A trace part that is missing, truncated, damaged, unpicklable or
+    does not match its static part is never served: the trace is
+    recomputed, counted as corrupt, and the entry rewritten."""
+    root = tempfile.mkdtemp(prefix="analysis-cache-trace-")
+    try:
+        writer = AnalysisCache(disk_root=root)
+        computed = writer.analyses_for(_COUNTED_SOURCE)
+        path = writer._path(computed.digest)
+        _damage(mode, path)
+
+        reader = AnalysisCache(disk_root=root)
+        reloaded = reader.analyses_for(_COUNTED_SOURCE)
+        assert reader.disk_hits == 1 and reader.corrupt == 0
+        trace = reloaded.trace
+        assert reader.corrupt == 1 and reader.trace_loads == 0
+        assert reloaded.trace is trace
+        assert _fingerprint(reloaded) == _fingerprint(computed)
+        assert all(
+            record.inst is reloaded.program.fetch(record.inst.pc)
+            for record in trace.records
+        )
+        assert getattr(trace, "_block_table", None) is not None
+
+        healed = AnalysisCache(disk_root=root)
+        assert _trace_values(healed.analyses_for(_COUNTED_SOURCE).trace) == (
+            _trace_values(computed.trace)
+        )
+        assert healed.trace_loads == 1 and healed.corrupt == 0
     finally:
         shutil.rmtree(root, ignore_errors=True)
