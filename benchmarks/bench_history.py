@@ -33,7 +33,11 @@ import sys
 
 #: Channels whose normalized aggregate throughput is tracked, in
 #: render order.  Older history lines simply lack the newer channels.
-CHANNELS = ("serial", "blocks", "event_kernel")
+#: From schema 7 on ``serial`` times the event kernel; lines of older
+#: schemas timed a since-deleted fused loop there (and carried
+#: ``blocks``/``event_kernel`` engine channels), so the series steps up
+#: where the ``schema`` field changes.
+CHANNELS = ("serial",)
 
 
 def history_entry(report, sha=None):

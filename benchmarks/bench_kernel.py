@@ -2,12 +2,11 @@
 """Timing-kernel throughput benchmark and regression gate.
 
 Measures committed-instructions/sec of the PolyFlow cycle-level kernel
-on the gzip/mcf/vortex trio — serially with the block engine off (the
-PR3 fast-path baseline), serially with the block engine on (the
-``blocks`` channel), with the event-calendar time-skip kernel on top of
-the block engine (the ``event_kernel`` channel), end-to-end under a
-``--jobs 4`` grid-scheduler fan-out, and on the fully warm result-cache
-replay path — and emits the results as ``BENCH_polyflow.json``.  The
+on the gzip/mcf/vortex trio — serially on the default engine (the
+``serial`` channel: the event-calendar kernel every plain run takes),
+end-to-end under a ``--jobs 4`` grid-scheduler fan-out, and on the
+fully warm result-cache replay path — and emits the results as
+``BENCH_polyflow.json``.  The
 checked-in copy of that file at the repository root is the performance
 baseline: CI re-runs this harness with ``--check BENCH_polyflow.json``
 and fails when throughput regresses more than the gate tolerance
@@ -19,26 +18,9 @@ The gates run under ``--check``:
   the current schema produces; a baseline regenerated under an older
   schema fails with a message naming the missing channel rather than a
   ``KeyError`` deep inside a comparison;
-* the **throughput gate** — normalized serial/blocks/event-kernel/
-  jobs4/cache-hit throughput must not trail the reference by more than
-  ``--tolerance``;
-* the **block-engine gate** — the ``blocks`` channel's per-workload
-  speedup over the serial (engine-off) channel must not fall below its
-  *per-workload* floor (see ``DEFAULT_BLOCKS_FLOORS``).  The floors
-  are set to what the cycle-exact kernel actually achieves per
-  workload, not the ISSUE's aspirational 2x or a one-size 0.85:
-  block-at-a-time batching removes scheduler bookkeeping but every
-  instruction still retires through the exact per-cycle model, and how
-  much bookkeeping there is to remove varies by workload — mcf's
-  pointer-chasing spends its cycles in the memory hierarchy, which the
-  block path cannot elide, so its honest floor sits below gzip's and
-  far below vortex's (see EXPERIMENTS.md);
-* the **event-kernel gate** — same shape for the ``event_kernel``
-  channel against ``DEFAULT_EVENT_KERNEL_FLOORS`` (per-workload floors
-  below the ISSUE's 2x target: >85% of simulated cycles have a
-  calendar event due, so there is little idle time for the calendar to
-  skip, and on some machines the calendar's heap overhead makes the
-  channel a small net loss on gzip/mcf);
+* the **throughput gate** — normalized serial/jobs4/cache-hit/
+  gridbatch/fabric throughput must not trail the reference by more
+  than ``--tolerance``;
 * the **grid-batch gate** — ``gridbatch.run_batch`` must produce
   byte-identical stats to the per-cell path on a 50-cell synth grid,
   and its cells/sec must stay within ``DEFAULT_GRIDBATCH_FLOOR`` of
@@ -116,7 +98,11 @@ import time
 #: byte-identity check.  The speedup floor applies in multi-core mode
 #: only (two worker processes timesharing one core cannot beat serial);
 #: identity is gated in every mode.
-SCHEMA = 6
+#: v7: the core has one fast engine (the event kernel) and no engine
+#: switches, so ``serial`` measures that engine's absolute throughput
+#: and the ``blocks``/``event_kernel`` channels, which compared engine
+#: variants against each other, are gone with their speedup floors.
+SCHEMA = 7
 
 #: The benchmark trio (chosen in the ISSUE: one branchy compressor, one
 #: pointer-chasing workload with violation squashes, one call-heavy OO
@@ -136,30 +122,6 @@ DEFAULT_EFFICIENCY_FLOOR = 1.2
 #: On a single core the pool is short-circuited; jobs4 overhead over
 #: the serial kernel must stay within this factor.
 SINGLE_CORE_EFFICIENCY_FLOOR = 0.8
-#: Per-workload floors for the blocks/serial speedup.  Measured across
-#: two machines (best-of-9, scale 0.5): gzip 1.06-1.07x, mcf
-#: 0.88-1.01x (pointer-chasing keeps it per-cycle-bound: the cycles go
-#: to memory-hierarchy latency lookups and squash replay, which
-#: block-at-a-time batching cannot elide), vortex 1.13-1.24x.  Each
-#: floor sits ~0.08 of noise headroom below that workload's worst
-#: measurement; the gate exists to catch the block path *losing* to
-#: per-instruction, not to certify a speedup the cycle-exact kernel
-#: cannot reach (the ISSUE's 2x target assumed scheduler bookkeeping
-#: dominated; it does not — see EXPERIMENTS.md).  Env
-#: ``BENCH_BLOCKS_FLOOR`` overrides all three with one uniform floor.
-DEFAULT_BLOCKS_FLOORS = {"gzip": 0.95, "mcf": 0.80, "vortex": 1.00}
-#: Per-workload floors for the event-kernel/serial speedup.  Measured
-#: across two machines (best-of-9, scale 0.5): gzip 0.90-1.15x, mcf
-#: 0.90-0.99x, vortex 0.97-1.22x.  The calendar's headline 2x target
-#: assumed skippable idle cycles; instrumentation shows the paper trio
-#: has a calendar event due on >85% of cycles (gzip: 7300 of 7324), so
-#: the kernel's wins come from batched plain-run issue and leaner
-#: queue rescans, not time skips — and on machines where heap
-#: operations are comparatively expensive the channel is a small net
-#: loss on gzip/mcf (see EXPERIMENTS.md).  Same ~0.08 noise headroom
-#: below each workload's worst measurement.  Env
-#: ``BENCH_EVENT_KERNEL_FLOOR`` overrides with one uniform floor.
-DEFAULT_EVENT_KERNEL_FLOORS = {"gzip": 0.82, "mcf": 0.82, "vortex": 0.88}
 
 #: Grid-batch channel: the measured grid is the shape real sweeps
 #: produce — each sampled scenario crossed with the sweep's spec
@@ -210,12 +172,6 @@ DEFAULT_FABRIC_FLOOR = 1.5
 _CALIBRATION_N = 2_000_000
 
 
-def _env_float(variable):
-    """``float(os.environ[variable])`` or ``None`` when unset/empty."""
-    value = os.environ.get(variable)
-    return float(value) if value else None
-
-
 def machine_index(repeats=3):
     """Operations/sec of a fixed pure-Python loop (best of ``repeats``).
 
@@ -233,18 +189,13 @@ def machine_index(repeats=3):
     return _CALIBRATION_N / best
 
 
-def measure_kernel(scale, repeats, block_engine, event_kernel=False):
-    """Best-of-``repeats`` kernel throughput per workload, in-process.
+def measure_serial(scale, repeats):
+    """The ``serial`` channel: best-of-``repeats`` kernel throughput per
+    workload, in-process, on the default engine.
 
-    Workload preparation (functional execution + static analyses) is
-    warmed outside the timed region: the benchmark isolates the
-    cycle-level timing kernel.  ``block_engine`` and ``event_kernel``
-    select the measured path explicitly — ``(False, False)`` is the PR3
-    per-instruction fast path (the ``serial`` channel), ``(True,
-    False)`` the block-at-a-time engine (the ``blocks`` channel), and
-    ``(True, True)`` the event-calendar kernel (the ``event_kernel``
-    channel) — so no channel depends on the ``REPRO_BLOCK_ENGINE`` or
-    ``REPRO_EVENT_KERNEL`` process defaults.
+    Workload preparation (functional execution + static analyses) and
+    core construction are outside the timed region: the benchmark
+    isolates the cycle-level timing kernel.
     """
     from repro.experiments.runner import build_core
     from repro.polyflow import PAPER_CONFIG
@@ -256,14 +207,7 @@ def measure_kernel(scale, repeats, block_engine, event_kernel=False):
         instructions = len(prepared.trace)
         best = float("inf")
         for _ in range(repeats):
-            core = build_core(
-                name,
-                POLICY,
-                scale,
-                PAPER_CONFIG,
-                block_engine=block_engine,
-                event_kernel=event_kernel,
-            )
+            core = build_core(name, POLICY, scale, PAPER_CONFIG)
             started = time.perf_counter()
             stats = core.run()
             elapsed = time.perf_counter() - started
@@ -287,44 +231,6 @@ def measure_kernel(scale, repeats, block_engine, event_kernel=False):
         "seconds": total_seconds,
         "aggregate_ips": total_instructions / total_seconds,
     }
-
-
-def measure_serial(scale, repeats):
-    """The ``serial`` channel: block engine off (PR3 fast path)."""
-    return measure_kernel(scale, repeats, block_engine=False)
-
-
-def _attach_speedups(measured, serial):
-    """Annotate ``measured`` with per-workload/aggregate speedups over
-    the ``serial`` channel.  Both channels are timed in the same
-    process on the same machine, so the ratios are immune to the
-    machine index."""
-    speedups = {}
-    for name, entry in measured["per_workload"].items():
-        baseline = serial["per_workload"][name]
-        entry["speedup_vs_serial"] = entry["ips"] / baseline["ips"]
-        speedups[name] = entry["speedup_vs_serial"]
-    measured["speedup_vs_serial"] = speedups
-    measured["aggregate_speedup_vs_serial"] = (
-        measured["aggregate_ips"] / serial["aggregate_ips"]
-    )
-    return measured
-
-
-def measure_blocks(scale, repeats, serial):
-    """The ``blocks`` channel: block engine on, with speedups vs serial."""
-    return _attach_speedups(
-        measure_kernel(scale, repeats, block_engine=True), serial
-    )
-
-
-def measure_event_kernel(scale, repeats, serial):
-    """The ``event_kernel`` channel: event-calendar kernel over the
-    block engine, with speedups vs serial."""
-    return _attach_speedups(
-        measure_kernel(scale, repeats, block_engine=True, event_kernel=True),
-        serial,
-    )
 
 
 def measure_jobs(scale, jobs, repeats):
@@ -651,9 +557,9 @@ def measure_fabric(
 def run_benchmark(
     scale, repeats, jobs, jobs_repeats=3, skip_jobs=False, skip_cache=False
 ):
-    """One full measurement: calibration, serial trio (engine off),
-    blocks trio (engine on), jobs fan-out, warm-cache replay, and the
-    derived parallel-efficiency ratio."""
+    """One full measurement: calibration, serial trio, grid-batch,
+    estimator and fabric channels, jobs fan-out, warm-cache replay, and
+    the derived parallel-efficiency ratio."""
     report = {
         "schema": SCHEMA,
         "workloads": list(WORKLOADS),
@@ -664,10 +570,6 @@ def run_benchmark(
         "machine_index": machine_index(),
         "serial": measure_serial(scale, repeats),
     }
-    report["blocks"] = measure_blocks(scale, repeats, report["serial"])
-    report["event_kernel"] = measure_event_kernel(
-        scale, repeats, report["serial"]
-    )
     report["gridbatch"] = measure_gridbatch(scale)
     report["estimator"] = measure_estimator(scale)
     report["fabric"] = measure_fabric(scale, jobs_repeats)
@@ -693,18 +595,6 @@ def speedup_vs_baseline(report, baseline):
         / baseline["serial"]["aggregate_ips"]
         / ratio
     )
-    if "blocks" in report and "blocks" in baseline:
-        speedups["blocks"] = (
-            report["blocks"]["aggregate_ips"]
-            / baseline["blocks"]["aggregate_ips"]
-            / ratio
-        )
-    if "event_kernel" in report and "event_kernel" in baseline:
-        speedups["event_kernel"] = (
-            report["event_kernel"]["aggregate_ips"]
-            / baseline["event_kernel"]["aggregate_ips"]
-            / ratio
-        )
     if "jobs4" in report and "jobs4" in baseline:
         speedups["jobs4"] = (
             report["jobs4"]["ips"] / baseline["jobs4"]["ips"] / ratio
@@ -743,14 +633,7 @@ def check_schema(report, reference, reference_path):
     """
     failures = []
     reference_schema = reference.get("schema", 0)
-    for channel in (
-        "serial",
-        "blocks",
-        "event_kernel",
-        "gridbatch",
-        "estimator",
-        "fabric",
-    ):
+    for channel in ("serial", "gridbatch", "estimator", "fabric"):
         if channel in report and channel not in reference:
             failures.append(
                 "baseline {} (schema {}) predates schema {}: it has no "
@@ -779,22 +662,6 @@ def check_regression(report, reference, tolerance):
             reference["serial"]["aggregate_ips"],
         )
     ]
-    if "blocks" in report and "blocks" in reference:
-        checks.append(
-            (
-                "blocks",
-                report["blocks"]["aggregate_ips"],
-                reference["blocks"]["aggregate_ips"],
-            )
-        )
-    if "event_kernel" in report and "event_kernel" in reference:
-        checks.append(
-            (
-                "event_kernel",
-                report["event_kernel"]["aggregate_ips"],
-                reference["event_kernel"]["aggregate_ips"],
-            )
-        )
     if "jobs4" in report and "jobs4" in reference:
         checks.append(("jobs4", report["jobs4"]["ips"], reference["jobs4"]["ips"]))
     if "cache_hit" in report and "cache_hit" in reference:
@@ -874,56 +741,6 @@ def check_efficiency(
             )
         ]
     return []
-
-
-def floor_for(floors, name):
-    """The floor applying to ``name``: per-workload dict or uniform.
-
-    A workload missing from a per-workload dict (e.g. a future trio
-    change whose honest floor has not been measured yet) falls back to
-    the laxest listed floor rather than silently passing.
-    """
-    if isinstance(floors, dict):
-        return floors.get(name, min(floors.values()))
-    return floors
-
-
-def check_channel_speedups(report, channel, floors):
-    """Per-workload speedup-vs-serial gate for one engine channel.
-
-    Every workload's ``channel``/serial speedup must be at least its
-    floor — ``floors`` is either one uniform number (the env-override
-    path) or a per-workload dict of honest measured floors.  Both
-    channels are measured in the same process on the same machine, so
-    the ratio needs no machine-index normalization.  Returns failure
-    strings (empty = pass).
-    """
-    measured = report.get(channel)
-    if measured is None:
-        return []
-    failures = []
-    for name, speedup in measured.get("speedup_vs_serial", {}).items():
-        floor = floor_for(floors, name)
-        if speedup < floor:
-            failures.append(
-                "{}: {} speedup {:.2f}x < floor {:.2f}x "
-                "vs the per-instruction serial channel".format(
-                    channel, name, speedup, floor
-                )
-            )
-    return failures
-
-
-def check_blocks(report, floor=None):
-    """Block-engine gate (see :func:`check_channel_speedups`)."""
-    floors = DEFAULT_BLOCKS_FLOORS if floor is None else floor
-    return check_channel_speedups(report, "blocks", floors)
-
-
-def check_event_kernel(report, floor=None):
-    """Event-kernel gate (see :func:`check_channel_speedups`)."""
-    floors = DEFAULT_EVENT_KERNEL_FLOORS if floor is None else floor
-    return check_channel_speedups(report, "event_kernel", floors)
 
 
 def check_gridbatch(report, floor=None):
@@ -1038,32 +855,6 @@ def render(report):
             report["serial"]["aggregate_ips"],
         )
     )
-    for channel, label in (("blocks", "block engine"), ("event_kernel", "event kernel")):
-        if channel not in report:
-            continue
-        measured = report[channel]
-        for name, entry in measured["per_workload"].items():
-            lines.append(
-                "  {:>8}  {:>8} instr  {:>7.3f}s  {:>9.0f} ips "
-                "({:.2f}x serial, {})".format(
-                    name,
-                    entry["instructions"],
-                    entry["seconds"],
-                    entry["ips"],
-                    entry["speedup_vs_serial"],
-                    label,
-                )
-            )
-        lines.append(
-            "  {:>8}  {:>8} instr  {:>7.3f}s  {:>9.0f} ips "
-            "({:.2f}x serial aggregate)".format(
-                channel,
-                measured["instructions"],
-                measured["seconds"],
-                measured["aggregate_ips"],
-                measured["aggregate_speedup_vs_serial"],
-            )
-        )
     if "jobs4" in report:
         jobs = report["jobs4"]
         lines.append(
@@ -1163,27 +954,11 @@ def render_markdown_summary(report):
         "",
         "| metric | raw | normalized (ips / machine index) |",
         "|---|---:|---:|",
-        "| serial throughput (block engine off) | {:.0f} ips | {:.6f} |".format(
+        "| serial throughput (event kernel) | {:.0f} ips | {:.6f} |".format(
             report["serial"]["aggregate_ips"],
             report["serial"]["aggregate_ips"] / index,
         ),
     ]
-    for channel, label in (("blocks", "block-engine"), ("event_kernel", "event-kernel")):
-        if channel not in report:
-            continue
-        measured = report[channel]
-        lines.append(
-            "| {} throughput ({:.2f}x serial) | {:.0f} ips | {:.6f} |".format(
-                label,
-                measured["aggregate_speedup_vs_serial"],
-                measured["aggregate_ips"],
-                measured["aggregate_ips"] / index,
-            )
-        )
-        for name, speedup in sorted(measured.get("speedup_vs_serial", {}).items()):
-            lines.append(
-                "| {} speedup: {} | {:.2f}x | — |".format(label, name, speedup)
-            )
     if "jobs4" in report:
         jobs = report["jobs4"]
         lines.append(
@@ -1301,24 +1076,6 @@ def main(argv=None):
         "overrides)",
     )
     parser.add_argument(
-        "--blocks-floor",
-        type=float,
-        default=_env_float("BENCH_BLOCKS_FLOOR"),
-        help="uniform blocks/serial speedup floor for --check; default "
-        "is the per-workload dict {} (env BENCH_BLOCKS_FLOOR "
-        "overrides)".format(DEFAULT_BLOCKS_FLOORS),
-    )
-    parser.add_argument(
-        "--event-kernel-floor",
-        type=float,
-        default=_env_float("BENCH_EVENT_KERNEL_FLOOR"),
-        help="uniform event-kernel/serial speedup floor for --check; "
-        "default is the per-workload dict {} (env "
-        "BENCH_EVENT_KERNEL_FLOOR overrides)".format(
-            DEFAULT_EVENT_KERNEL_FLOORS
-        ),
-    )
-    parser.add_argument(
         "--gridbatch-floor",
         type=float,
         default=float(
@@ -1396,10 +1153,6 @@ def main(argv=None):
         if not failures:
             failures = check_regression(report, reference, arguments.tolerance)
             failures.extend(check_efficiency(report, arguments.efficiency_floor))
-            failures.extend(check_blocks(report, arguments.blocks_floor))
-            failures.extend(
-                check_event_kernel(report, arguments.event_kernel_floor)
-            )
             failures.extend(check_gridbatch(report, arguments.gridbatch_floor))
             failures.extend(
                 check_estimator(report, arguments.estimator_mae_ceiling)
@@ -1411,17 +1164,10 @@ def main(argv=None):
             return 1
         print(
             "gates passed (tolerance {:.0%}, efficiency floor {:.2f}x, "
-            "blocks floors {}, event-kernel floors {}, gridbatch floor "
-            "{:.2f}x, estimator ceiling {:.1f}, fabric floor {:.2f}x "
-            "vs {})".format(
+            "gridbatch floor {:.2f}x, estimator ceiling {:.1f}, fabric "
+            "floor {:.2f}x vs {})".format(
                 arguments.tolerance,
                 arguments.efficiency_floor,
-                arguments.blocks_floor
-                if arguments.blocks_floor is not None
-                else DEFAULT_BLOCKS_FLOORS,
-                arguments.event_kernel_floor
-                if arguments.event_kernel_floor is not None
-                else DEFAULT_EVENT_KERNEL_FLOORS,
                 arguments.gridbatch_floor,
                 arguments.estimator_mae_ceiling,
                 arguments.fabric_floor,

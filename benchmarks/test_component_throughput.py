@@ -19,6 +19,15 @@ from repro.spawn import profile_spawn_points
 from repro.workloads import prepare_workload, workload_source
 
 
+def _print_rate(benchmark, instructions, label):
+    """Print instructions/second over the mean round, when timing is on
+    (``--benchmark-disable`` runs each test once and keeps no stats)."""
+    if benchmark.stats is None:
+        return
+    rate = instructions / benchmark.stats.stats.mean
+    print("\n{}: {:,.0f} instructions/second".format(label, rate))
+
+
 @pytest.fixture(scope="module")
 def gzip_workload():
     return prepare_workload("gzip", scale=0.25)
@@ -38,8 +47,7 @@ def test_functional_simulator_throughput(benchmark, gzip_workload):
 
     trace = benchmark(run)
     assert trace.halted
-    rate = len(trace) / benchmark.stats.stats.mean
-    print("\nfunctional simulation: {:,.0f} instructions/second".format(rate))
+    _print_rate(benchmark, len(trace), "functional simulation")
 
 
 def test_cycle_simulator_throughput(benchmark, gzip_workload):
@@ -53,8 +61,7 @@ def test_cycle_simulator_throughput(benchmark, gzip_workload):
 
     stats = benchmark(run)
     assert stats.retired_instructions == len(trace)
-    rate = len(trace) / benchmark.stats.stats.mean
-    print("\ncycle-level simulation: {:,.0f} instructions/second".format(rate))
+    _print_rate(benchmark, len(trace), "cycle-level simulation")
 
 
 def test_cycle_simulator_with_no_sink_bus(benchmark, gzip_workload):
@@ -76,8 +83,7 @@ def test_cycle_simulator_with_no_sink_bus(benchmark, gzip_workload):
 
     stats = benchmark(run)
     assert stats.retired_instructions == len(trace)
-    rate = len(trace) / benchmark.stats.stats.mean
-    print("\nno-sink event bus: {:,.0f} instructions/second".format(rate))
+    _print_rate(benchmark, len(trace), "no-sink event bus")
 
 
 def test_cycle_simulator_with_verbose_sink(benchmark, gzip_workload):
@@ -97,8 +103,7 @@ def test_cycle_simulator_with_verbose_sink(benchmark, gzip_workload):
 
     stats = benchmark(run)
     assert stats.retired_instructions == len(trace)
-    rate = len(trace) / benchmark.stats.stats.mean
-    print("\nverbose-sink event bus: {:,.0f} instructions/second".format(rate))
+    _print_rate(benchmark, len(trace), "verbose-sink event bus")
 
 
 def test_postdominator_analysis_throughput(benchmark):

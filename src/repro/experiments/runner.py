@@ -53,16 +53,7 @@ def clear_profile_cache():
     clear_cache()
 
 
-def build_core(
-    name,
-    spec,
-    scale,
-    config,
-    profile_distance=None,
-    bus=None,
-    block_engine=None,
-    event_kernel=None,
-):
+def build_core(name, spec, scale, config, profile_distance=None, bus=None):
     """Construct the :class:`PolyFlowCore` for one (workload, policy) job.
 
     This is the single place the experiment harness turns a picklable
@@ -86,47 +77,24 @@ def build_core(
             the profile fixed; this keeps those runs reproducible.
         bus: Optional :class:`~repro.obs.EventBus` carrying trace or
             metrics sinks.
-        block_engine: Block-at-a-time engine override (None keeps the
-            :mod:`repro.sim.blocks` process default).
-        event_kernel: Event-calendar kernel override (None keeps the
-            :mod:`repro.polyflow.event_kernel` process default).
     """
     spec = canonical_spec(spec)
     prepared = prepare_workload(name, scale)
     if spec == SUPERSCALAR_SPEC:
         return PolyFlowCore(
-            prepared.trace,
-            superscalar_config(config),
-            HintTable(),
-            bus=bus,
-            block_engine=block_engine,
-            event_kernel=event_kernel,
+            prepared.trace, superscalar_config(config), HintTable(), bus=bus
         )
     if spec == REC_PRED_SPEC:
         from repro.reconvergence import build_reconvergence_spawner
 
-        core = PolyFlowCore(
-            prepared.trace,
-            config,
-            HintTable(),
-            bus=bus,
-            block_engine=block_engine,
-            event_kernel=event_kernel,
-        )
+        core = PolyFlowCore(prepared.trace, config, HintTable(), bus=bus)
         core.spawn_unit = build_reconvergence_spawner(prepared, config)
         return core
     if profile_distance is None:
         profile_distance = config.max_spawn_distance
     profile = spawn_profile(name, scale, profile_distance)
     policy = prepared.spawn_analysis.policy(spec)
-    return PolyFlowCore(
-        prepared.trace,
-        config,
-        profile.hint_table(policy),
-        bus=bus,
-        block_engine=block_engine,
-        event_kernel=event_kernel,
-    )
+    return PolyFlowCore(prepared.trace, config, profile.hint_table(policy), bus=bus)
 
 
 def simulate_job(name, spec, scale, config, profile_distance=None):

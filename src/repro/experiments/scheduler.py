@@ -363,7 +363,7 @@ def _init_worker(analysis_dir, warmup):
     """Pool initializer: arenas once per worker, not once per job.
 
     Enables the on-disk analysis layer and pre-materializes the
-    analyses/predecode arenas — and the block engine's compiled tables
+    analyses/predecode arenas — and the event kernel's compiled tables
     — of every workload the first grid needs.  Costing the grid in the
     parent reads only the static part of each analysis entry, so under
     a fork start ``prepare_workload`` is a memo hit but

@@ -11,7 +11,7 @@ attached, so event dispatch is effectively free on untraced runs.
 
 ``bus.verbose`` also selects the timing engine: verbose emission
 timestamps every per-instruction event with the cycle it happened in,
-so a verbose bus pins the core to a cycle-exact engine (every cycle
+so a verbose bus pins the core to the staged engine (every cycle
 visited), while a non-verbose bus permits the event-calendar kernel
 (:mod:`repro.polyflow.event_kernel`) to jump the clock over frozen
 cycles.  Lifecycle events carry cycle timestamps too, and the engine
@@ -34,8 +34,8 @@ class EventBus:
         self._sinks = []
         #: True when at least one verbose sink is attached.  The core
         #: reads this to guard high-frequency event construction and to
-        #: auto-select a cycle-exact engine (the time-skip kernel never
-        #: runs under a verbose bus; see the module docstring).
+        #: select the staged engine (the time-skip kernel never runs
+        #: under a verbose bus; see the module docstring).
         self.verbose = False
 
     def attach(self, sink, verbose=True):

@@ -60,12 +60,8 @@ from repro.polyflow.dependences import StoreSetPredictor
 from repro.polyflow.spawn_unit import SpawnUnit
 from repro.polyflow.stats import SimStats
 from repro.polyflow.task import Task
-from repro.polyflow.event_kernel import (
-    event_kernel_steps,
-    kernel_enabled_default,
-    run_event_kernel,
-)
-from repro.sim.blocks import block_table_for, engine_enabled_default
+from repro.polyflow.event_kernel import event_kernel_steps, run_event_kernel
+from repro.sim.blocks import block_table_for
 from repro.sim.predecode import (
     KIND_CALL_DIRECT,
     KIND_CALL_INDIRECT,
@@ -90,12 +86,6 @@ _RETIRED = 6
 # Event kinds.
 _EV_COMPLETE = 0
 _EV_READY = 1
-# Batched ready: ``(kind, start, end)`` covers a whole fetched run with
-# one bucket entry.  Carries no generation — positions that left _READY
-# are filtered by the state check, and a squashed-then-refetched
-# position pushed early is deferred by the issue stage's earliest-cycle
-# guard until its true ready cycle.
-_EV_READY_RUN = 2
 
 #: ROB entries only the head task may use.
 _HEAD_ROB_RESERVE = 32
@@ -104,7 +94,8 @@ _HEAD_SCHED_RESERVE = 8
 
 #: The pipeline-stage methods that make up the staged reference engine.
 #: A subclass overriding any of them (tests use this to probe per-cycle
-#: invariants) opts the instance out of the fused fast loop.
+#: invariants) opts the instance out of the event kernel, which inlines
+#: every stage, so its overrides actually run.
 _STAGE_HOOKS = (
     "_process_events",
     "_resolve_waiting_branch",
@@ -128,24 +119,9 @@ class PolyFlowCore:
         hint_table=None,
         max_cycles=None,
         bus=None,
-        block_engine=None,
-        event_kernel=None,
     ):
         self.trace = trace
         self.config = config
-        # Block-at-a-time engine toggle (see repro.sim.blocks).  Not a
-        # MachineConfig field: the engine is observably identical to the
-        # per-instruction path, so it must not move config_fingerprint.
-        self.block_engine = (
-            engine_enabled_default() if block_engine is None else bool(block_engine)
-        )
-        # Event-calendar kernel toggle (see repro.polyflow.event_kernel;
-        # same contract as block_engine: observably identical, so never
-        # part of config_fingerprint).  run() additionally requires the
-        # block tables and a non-verbose bus before selecting it.
-        self.event_kernel = (
-            kernel_enabled_default() if event_kernel is None else bool(event_kernel)
-        )
         self.hint_table = hint_table if hint_table is not None else HintTable()
         self.stats = SimStats()
         #: The event bus.  Task-lifecycle events always flow (SimStats
@@ -200,16 +176,16 @@ class PolyFlowCore:
         self._retire_ptr = 0
         self._next_task_id = 0
         self._cycle = 0
-        # Block engine tables.  Compiled eagerly (construction is off
-        # the benchmarked path), and recompiled by run() if the spawn
-        # unit was swapped after construction — the run_end overlay
-        # depends on its resolved targets.
+        # Block tables of the event kernel.  Compiled eagerly
+        # (construction is off the benchmarked path), and recompiled by
+        # run() if the spawn unit was swapped after construction — the
+        # run_end overlay depends on its resolved targets.
         self._reg_consumers = None
         self._batch_deps = None
         self._plain_end = None
         self._run_end = None
         self._compiled_for = None
-        if self.block_engine and not config.nested_spawns:
+        if not config.nested_spawns:
             self._compile_blocks()
 
     # -- public API ------------------------------------------------------------
@@ -217,21 +193,17 @@ class PolyFlowCore:
     def run(self):
         """Simulate the whole trace; returns the :class:`SimStats`.
 
-        Three observably identical engines back this method: the staged
-        reference loop (:meth:`_run_staged`, one method per stage), the
-        fused fast loop (:meth:`_run_fast`, all five pipeline stages
-        inlined over the flat decoded arrays), and the event-calendar
-        kernel (:func:`~repro.polyflow.event_kernel.run_event_kernel`,
-        which additionally jumps the clock over provably frozen
-        cycles).  Instances whose class overrides a stage hook — or
-        whose spawn unit overrides
-        :meth:`~repro.polyflow.spawn_unit.SpawnUnit.spawn_target` —
-        run staged; the event kernel is selected only with the block
-        tables compiled, ``nested_spawns`` off and no verbose sink
-        attached (verbose emission needs every cycle visited);
-        everything else takes the fast path.  The engine-equivalence
-        tests pin that all three produce identical event streams and
-        statistics.
+        Two observably identical engines back this method: the staged
+        reference loop (:meth:`_run_staged`, one method per stage) is
+        the readable specification, and the event-calendar kernel
+        (:func:`~repro.polyflow.event_kernel.run_event_kernel`) is its
+        fast transcription, which inlines every stage over the flat
+        decoded arrays and jumps the clock over provably frozen cycles.
+        The kernel runs whenever it is exact (see :meth:`_uses_kernel`);
+        verbose buses, ``nested_spawns`` and stage-hook or
+        ``spawn_target`` overrides run staged.  The engine-equivalence
+        tests pin that both produce identical statistics and lifecycle
+        event streams.
         """
         for _ in self.run_incremental(stride=0):
             pass  # pragma: no cover - stride 0 never yields
@@ -265,9 +237,9 @@ class PolyFlowCore:
         Advances the simulation and yields the retire pointer every
         ``stride`` event-calendar steps, so a driver can advance many
         independent cells in lockstep (round-robin ``next()``).  Only
-        the event-calendar kernel is resumable; runs that select the
-        staged or fused engines (or an empty trace) complete during the
-        first ``next()`` without intermediate yields.  A ``stride`` of
+        the event-calendar kernel is resumable; runs that take the
+        staged engine (or an empty trace) complete during the first
+        ``next()`` without intermediate yields.  A ``stride`` of
         0 (or ``None``) never yields — :meth:`run` drains exactly that.
         Statistics and event streams are identical for every stride;
         after exhaustion ``self.stats`` is final.
@@ -280,31 +252,15 @@ class PolyFlowCore:
         initial = self._new_task(0)
         self._tasks.append(initial)
         self.bus.emit(TaskStarted(0, initial.task_id, 0, self._pcs[0], None))
-        if self._stage_hooks_overridden():
-            self._run_staged()
-        else:
-            if (
-                self.block_engine
-                and not self.config.nested_spawns
-                and self._compiled_for is not self.spawn_unit
-            ):
+        if self._uses_kernel():
+            if self._compiled_for is not self.spawn_unit:
                 self._compile_blocks()
-            if (
-                self.event_kernel
-                and self._run_end is not None
-                and not self.config.nested_spawns
-                and not self.bus.verbose
-            ):
-                # Next-event calendar: exact for non-verbose runs on
-                # the compiled block tables.  Verbose buses (and the
-                # stage-hook/nested cases above) keep a cycle-exact
-                # engine — the same auto-fallback as the staged split.
-                if stride and stride > 0:
-                    yield from event_kernel_steps(self, stride)
-                else:
-                    run_event_kernel(self)
+            if stride and stride > 0:
+                yield from event_kernel_steps(self, stride)
             else:
-                self._run_fast()
+                run_event_kernel(self)
+        else:
+            self._run_staged()
         count = len(self.trace)
         while self._tasks:
             # The tail task (and only it) is never popped by retire;
@@ -315,7 +271,7 @@ class PolyFlowCore:
         self.stats.cache_stats = self.hierarchy.statistics()
 
     def _compile_blocks(self):
-        """Bind the block engine's tables for the fast loop.
+        """Bind the block tables the event kernel runs on.
 
         The per-trace :class:`~repro.sim.blocks.BlockTable` is memoized
         across cores; the ``run_end`` overlay additionally cuts every
@@ -348,8 +304,25 @@ class PolyFlowCore:
             self._run_end = run_end
         self._compiled_for = spawn_unit
 
+    def _uses_kernel(self):
+        """Whether :meth:`run` takes the event kernel (else the staged
+        engine).
+
+        The kernel is exact only without a verbose sink (verbose runs
+        emit per-instruction events during cycles the kernel skips),
+        without ``nested_spawns`` (its spawn path handles the tail task
+        alone) and without stage-hook or ``spawn_target`` overrides
+        (it inlines every stage and reads resolved spawn targets).
+        """
+        return not (
+            self.bus.verbose
+            or self.config.nested_spawns
+            or self._stage_hooks_overridden()
+        )
+
     def _stage_hooks_overridden(self):
-        """Whether this instance must run the staged reference engine."""
+        """Whether this instance overrides a stage hook or the spawn
+        unit's ``spawn_target``."""
         unit = type(self.spawn_unit)
         if unit.spawn_target is not SpawnUnit.spawn_target:
             return True
@@ -364,10 +337,11 @@ class PolyFlowCore:
     def _run_staged(self):
         """The staged reference engine: one method call per stage.
 
-        This is the readable specification of the cycle loop; the fast
-        engine (:meth:`_run_fast`) is a fused transcription of exactly
-        these stages.  Keep the two in lockstep — the equivalence suite
-        compares their event streams byte for byte.
+        This is the readable specification of the cycle loop; the event
+        kernel (:mod:`repro.polyflow.event_kernel`) is a fused, time-
+        skipping transcription of exactly these stages.  Keep the two
+        in lockstep — the equivalence suites compare their statistics
+        and lifecycle event streams byte for byte.
         """
         count = len(self.trace)
         while self._retire_ptr < count:
@@ -384,1057 +358,6 @@ class PolyFlowCore:
             self._issue()
             self._fetch()
             self.stats.task_occupancy_sum += len(self._tasks)
-
-    def _run_fast(self):
-        """The fused fast loop: all pipeline stages inlined.
-
-        Every hot structure is bound to a local once per run and the
-        per-cycle stage bodies run back to back without method
-        dispatch; rare paths (violations, spawns, verbose emission)
-        call back into the shared helper methods after syncing the
-        mutable scalars they read.  Observable behaviour must match
-        :meth:`_run_staged` exactly.
-        """
-        config = self.config
-        bus = self.bus
-        stats = self.stats
-        state = self._state
-        gen = self._gen
-        wait_count = self._wait_count
-        earliest = self._earliest
-        fetch_cycle = self._fetch_cycle
-        owner = self._owner
-        sched_used = self._sched_used
-        dependents = self._dependents
-        divert_producer_map = self._divert_producers
-        unsafe_mem = self._unsafe_mem
-        tasks = self._tasks
-        events = self._events
-        heap = self._ready_heap
-        fifo = self._divert_fifo
-        pcs = self._pcs
-        kinds = self._kinds
-        lats = self._lats
-        takens = self._takens
-        next_pcs = self._next_pcs
-        fall_throughs = self._fall_throughs
-        lines = self._lines
-        mem_addrs = self._mem_addrs
-        mem_deps = self._mem_deps
-        dep0 = self._dep0
-        dep1 = self._dep1
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        fetch_latency = self.hierarchy.fetch_latency
-        data_latency = self.hierarchy.data_latency
-        gshare_update = self.gshare.predict_and_update
-        indirect_update = self.indirect_predictor.predict_and_update
-        predicts_dependence = self.store_sets.predicts_dependence
-        spawn_unit = self.spawn_unit
-        spawn_target_of = spawn_unit.spawn_target
-        record_task_instructions = spawn_unit.record_task_instructions
-        spawn_targets = spawn_unit.resolved_targets()
-        suppressed = spawn_unit.suppressed_triggers_live()
-
-        width = config.width
-        units = config.functional_units
-        mul_latency = config.mul_latency
-        mispredict_penalty = config.mispredict_penalty
-        frontend_latency = config.frontend_latency
-        quota = config.scheduler_per_task_quota
-        max_tasks = config.max_tasks
-        nested = config.nested_spawns
-        fetch_ports = config.fetch_tasks_per_cycle
-        rob_entries = config.rob_entries
-        sched_entries = config.scheduler_entries
-        divert_entries = config.divert_queue_entries
-        shared_rob_cap = rob_entries - _HEAD_ROB_RESERVE
-        shared_sched_cap = sched_entries - _HEAD_SCHED_RESERVE
-        release_state = _WAIT if config.divert_release == "dispatch" else _DONE
-
-        count = len(pcs)
-
-        # Block engine tables, compiled in __init__ (see there for the
-        # overlay rationale).
-        run_end = self._run_end
-        reg_consumers = self._reg_consumers
-        batch_deps = self._batch_deps
-        use_blocks = run_end is not None
-        # Fetch-arbitration wake: no task can become fetch-eligible
-        # before this cycle (computed whenever arbitration comes up
-        # empty; reset by branch resolution and violations).
-        fetch_wake = 0
-        # Divert-queue dirty flag: the drain scan only runs on cycles
-        # after something that could unblock or add an entry (fetch,
-        # issue, retire, violation, a completion when release waits for
-        # _DONE, or drain progress itself).
-        fifo_dirty = True
-        completions_dirty = release_state == _DONE
-        # Tasks stalled on an unresolved transfer, keyed by the trace
-        # index they wait on (the staged engine scans the task deque
-        # instead; at most one live waiter exists per index, and stale
-        # entries are filtered by the waiting_branch_index re-check).
-        waiting_branches = {}
-        # Byte runs for the batched retire's slice compare/assign.
-        done_runs = [bytes([_DONE]) * size for size in range(width + 1)]
-        retired_runs = [bytes([_RETIRED]) * size for size in range(width + 1)]
-        max_cycles = self.max_cycles
-        cycle = self._cycle
-        retire_ptr = self._retire_ptr
-        rob_occupancy = self._rob_occupancy
-        sched_occupancy = self._sched_occupancy
-        divert_occupancy = self._divert_occupancy
-
-        # Stage counters flushed to SimStats when the loop exits.
-        retired_total = 0
-        fetched_total = 0
-        diverted_total = 0
-        occupancy_sum = 0
-        icache_stalls = 0
-        cond_branches = 0
-        branch_misses = 0
-        indirect_misses = 0
-        return_misses = 0
-
-        def enter_scheduler(index):
-            # Inlined transcription of _enter_scheduler; mirrors the
-            # rs-then-rt (duplicates included) producer registration.
-            # With the block engine, register producers are woken
-            # through the static reg_consumers adjacency instead of the
-            # dependents dict (the dict keeps memory dependences, whose
-            # producers the store-set predictor resolves at runtime).
-            nonlocal sched_occupancy
-            generation = gen[index]
-            pending = 0
-            producer = dep0[index]
-            if producer >= 0 and state[producer] < _DONE:
-                if not use_blocks:
-                    bucket = dependents.get(producer)
-                    if bucket is None:
-                        dependents[producer] = [(index, generation)]
-                    else:
-                        bucket.append((index, generation))
-                pending += 1
-            producer = dep1[index]
-            if producer >= 0 and state[producer] < _DONE:
-                if not use_blocks:
-                    bucket = dependents.get(producer)
-                    if bucket is None:
-                        dependents[producer] = [(index, generation)]
-                    else:
-                        bucket.append((index, generation))
-                pending += 1
-            if lats[index] == LAT_LOAD:
-                producer = mem_deps[index]
-                if (
-                    producer >= 0
-                    and index not in unsafe_mem
-                    and state[producer] < _DONE
-                ):
-                    bucket = dependents.get(producer)
-                    if bucket is None:
-                        dependents[producer] = [(index, generation)]
-                    else:
-                        bucket.append((index, generation))
-                    pending += 1
-            sched_occupancy += 1
-            task_owner = owner[index]
-            sched_used[task_owner] = sched_used.get(task_owner, 0) + 1
-            wait_count[index] = pending
-            if pending:
-                state[index] = _WAIT
-            else:
-                state[index] = _READY
-                ready_at = earliest[index]
-                if ready_at <= cycle:
-                    ready_at = cycle + 1
-                entry = (_EV_READY, index, generation)
-                bucket = events.get(ready_at)
-                if bucket is None:
-                    events[ready_at] = [entry]
-                else:
-                    bucket.append(entry)
-
-        try:
-            while retire_ptr < count:
-                cycle += 1
-                self._cycle = cycle
-                if cycle > max_cycles:
-                    raise SimulationError(
-                        "no forward progress after {} cycles (retired {}/{})".format(
-                            max_cycles, retire_ptr, count
-                        )
-                    )
-                verbose = bus.verbose
-                # Verbose cycles emit per-instruction fetch events, so
-                # the batched fetch stands down for the cycle.
-                batch_ok = use_blocks and not verbose
-                # Divert/issue/violation activity this cycle; consulted
-                # (with the fetch watermark) by the quiet-cycle skip.
-                active = False
-                fetch_mark = fetched_total
-
-                # ---- process events ------------------------------------
-                bucket = events.pop(cycle, None)
-                if bucket is not None:
-                    if completions_dirty:
-                        # A completion may unblock a diverted consumer
-                        # when releases wait for _DONE producers.
-                        fifo_dirty = True
-                    for kind, index, generation in bucket:
-                        if kind:
-                            if kind == _EV_READY:
-                                if (
-                                    gen[index] == generation
-                                    and state[index] == _READY
-                                ):
-                                    heappush(heap, index)
-                            else:
-                                # _EV_READY_RUN: (start, end) of a
-                                # batched run; see the constant's note
-                                # for why no generation is needed.
-                                for run_index in range(index, generation):
-                                    if state[run_index] == _READY:
-                                        heappush(heap, run_index)
-                            continue
-                        # Completion.
-                        if gen[index] != generation:
-                            continue
-                        if state[index] != _EXEC:
-                            continue
-                        state[index] = _DONE
-                        if use_blocks:
-                            # O(1) waiter lookup; squashes leave stale
-                            # entries, hence the re-check.  Register
-                            # consumers wake through the static
-                            # adjacency: a consumer sitting in _WAIT
-                            # has counted this producer exactly once
-                            # per dependence slot (a squash of the
-                            # producer always squashes the consumer,
-                            # so no consumer outlives its count).
-                            if waiting_branches:
-                                waiter = waiting_branches.pop(index, None)
-                                if (
-                                    waiter is not None
-                                    and waiter.waiting_branch_index == index
-                                ):
-                                    resume = fetch_cycle[index] + mispredict_penalty
-                                    if resume < cycle + 1:
-                                        resume = cycle + 1
-                                    waiter.waiting_branch_index = None
-                                    waiter.fetch_stall_until = resume
-                                    fetch_wake = 0
-                            for consumer in reg_consumers[index]:
-                                if state[consumer] != _WAIT:
-                                    continue
-                                pending = wait_count[consumer] - 1
-                                wait_count[consumer] = pending
-                                if pending == 0:
-                                    state[consumer] = _READY
-                                    ready_at = earliest[consumer]
-                                    if ready_at <= cycle:
-                                        ready_at = cycle + 1
-                                    entry = (_EV_READY, consumer, gen[consumer])
-                                    ready_bucket = events.get(ready_at)
-                                    if ready_bucket is None:
-                                        events[ready_at] = [entry]
-                                    else:
-                                        ready_bucket.append(entry)
-                            # Only memory dependences live in the dict
-                            # here, and their producers are stores.
-                            if lats[index] != LAT_STORE:
-                                continue
-                        else:
-                            for task in tasks:
-                                if task.waiting_branch_index == index:
-                                    resume = fetch_cycle[index] + mispredict_penalty
-                                    if resume < cycle + 1:
-                                        resume = cycle + 1
-                                    task.waiting_branch_index = None
-                                    task.fetch_stall_until = resume
-                                    break
-                        consumers = dependents.pop(index, None)
-                        if not consumers:
-                            continue
-                        for consumer, consumer_gen in consumers:
-                            if (
-                                gen[consumer] != consumer_gen
-                                or state[consumer] != _WAIT
-                            ):
-                                continue
-                            pending = wait_count[consumer] - 1
-                            wait_count[consumer] = pending
-                            if pending == 0:
-                                state[consumer] = _READY
-                                ready_at = earliest[consumer]
-                                if ready_at <= cycle:
-                                    ready_at = cycle + 1
-                                entry = (_EV_READY, consumer, consumer_gen)
-                                ready_bucket = events.get(ready_at)
-                                if ready_bucket is None:
-                                    events[ready_at] = [entry]
-                                else:
-                                    ready_bucket.append(entry)
-
-                # ---- retire --------------------------------------------
-                if state[retire_ptr] == _DONE:
-                    if verbose or not use_blocks:
-                        retired = 0
-                        while retired < width and retire_ptr < count:
-                            index = retire_ptr
-                            if state[index] != _DONE:
-                                break
-                            state[index] = _RETIRED
-                            rob_occupancy -= 1
-                            retire_ptr = index + 1
-                            retired += 1
-                            head = tasks[0]
-                            head.in_flight -= 1
-                            if verbose:
-                                point = head.spawn_point
-                                bus.emit(
-                                    InstructionCommitted(
-                                        cycle,
-                                        head.task_id,
-                                        index,
-                                        pcs[index],
-                                        point.trigger_pc if point is not None else None,
-                                    )
-                                )
-                            head_end = head.end_index
-                            if head_end is not None and retire_ptr >= head_end:
-                                tasks.popleft()
-                                self._emit_task_commit(head, head_end)
-                        retired_total += retired
-                        if retired:
-                            fifo_dirty = True
-                    else:
-                        # Batched retire: commit whole _DONE byte runs
-                        # with slice compare/assign instead of walking
-                        # the window one state at a time.
-                        retired = 0
-                        while retired < width and retire_ptr < count:
-                            head = tasks[0]
-                            head_end = head.end_index
-                            limit = retire_ptr + width - retired
-                            if limit > count:
-                                limit = count
-                            if head_end is not None and head_end < limit:
-                                limit = head_end
-                            span = limit - retire_ptr
-                            probe = state[retire_ptr:limit]
-                            if probe == done_runs[span]:
-                                committed = span
-                            else:
-                                committed = 0
-                                for value in probe:
-                                    if value != _DONE:
-                                        break
-                                    committed += 1
-                                if committed == 0:
-                                    break
-                            state[retire_ptr : retire_ptr + committed] = retired_runs[
-                                committed
-                            ]
-                            rob_occupancy -= committed
-                            retire_ptr += committed
-                            retired += committed
-                            head.in_flight -= committed
-                            if head_end is not None and retire_ptr >= head_end:
-                                tasks.popleft()
-                                self._emit_task_commit(head, head_end)
-                            if committed < span:
-                                break
-                        retired_total += retired
-                        if retired:
-                            fifo_dirty = True
-
-                # ---- drain divert queue --------------------------------
-                if fifo and (fifo_dirty or not use_blocks):
-                    oldest = retire_ptr
-                    if state[oldest] == _DIVERT:
-                        blocked = False
-                        for producer in divert_producer_map[oldest]:
-                            if state[producer] < _WAIT:
-                                blocked = True
-                                break
-                        if not blocked:
-                            oldest_gen = gen[oldest]
-                            for position, entry in enumerate(fifo):
-                                if entry[0] == oldest and entry[1] == oldest_gen:
-                                    del fifo[position]
-                                    break
-                            del divert_producer_map[oldest]
-                            divert_occupancy -= 1
-                            enter_scheduler(oldest)
-                            active = True
-                    if fifo:
-                        moved = 0
-                        scanned = 0
-                        head = tasks[0] if tasks else None
-                        head_end = head.end_index if head is not None else None
-                        index_in_fifo = 0
-                        while index_in_fifo < len(fifo) and scanned < 64:
-                            entry_index, entry_gen = fifo[index_in_fifo]
-                            scanned += 1
-                            if (
-                                gen[entry_index] != entry_gen
-                                or state[entry_index] != _DIVERT
-                            ):
-                                # Squashed entry: lazily delete.
-                                del fifo[index_in_fifo]
-                                continue
-                            blocked = False
-                            for producer in divert_producer_map[entry_index]:
-                                if state[producer] < release_state:
-                                    blocked = True
-                                    break
-                            if blocked:
-                                index_in_fifo += 1
-                                continue
-                            owned_by_head = head is not None and (
-                                head_end is None or entry_index < head_end
-                            )
-                            cap = sched_entries if owned_by_head else shared_sched_cap
-                            if sched_occupancy >= cap:
-                                index_in_fifo += 1
-                                continue
-                            if not owned_by_head and (
-                                sched_used.get(owner[entry_index], 0) >= quota
-                            ):
-                                index_in_fifo += 1
-                                continue
-                            del fifo[index_in_fifo]
-                            del divert_producer_map[entry_index]
-                            divert_occupancy -= 1
-                            enter_scheduler(entry_index)
-                            moved += 1
-                            if moved >= width:
-                                break
-                        if moved:
-                            active = True
-                    if use_blocks:
-                        # Any release this cycle can unblock further
-                        # entries next cycle; otherwise the scan found
-                        # nothing and nothing has changed since.
-                        fifo_dirty = active
-
-                # ---- issue ---------------------------------------------
-                if heap:
-                    issued = 0
-                    deferred = None
-                    while heap and issued < units:
-                        index = heappop(heap)
-                        if state[index] != _READY:
-                            continue
-                        if earliest[index] > cycle:
-                            if deferred is None:
-                                deferred = [index]
-                            else:
-                                deferred.append(index)
-                            continue
-                        lat = lats[index]
-                        if lat == LAT_LOAD:
-                            unsafe_producer = unsafe_mem.get(index)
-                            if (
-                                unsafe_producer is not None
-                                and state[unsafe_producer] < _DONE
-                            ):
-                                self._rob_occupancy = rob_occupancy
-                                self._sched_occupancy = sched_occupancy
-                                self._divert_occupancy = divert_occupancy
-                                self._handle_violation(index, unsafe_producer)
-                                rob_occupancy = self._rob_occupancy
-                                sched_occupancy = self._sched_occupancy
-                                divert_occupancy = self._divert_occupancy
-                                active = True
-                                fifo_dirty = True
-                                fetch_wake = 0
-                                # The violator (and the heap contents
-                                # from younger tasks) were squashed;
-                                # issue no more this cycle.
-                                break
-                            latency = data_latency(mem_addrs[index])
-                        elif lat == LAT_STORE:
-                            data_latency(mem_addrs[index])
-                            latency = 1
-                        elif lat == LAT_MUL:
-                            latency = mul_latency
-                        else:
-                            latency = 1
-                        state[index] = _EXEC
-                        sched_occupancy -= 1
-                        sched_used[owner[index]] -= 1
-                        complete_at = cycle + latency
-                        entry = (_EV_COMPLETE, index, gen[index])
-                        complete_bucket = events.get(complete_at)
-                        if complete_bucket is None:
-                            events[complete_at] = [entry]
-                        else:
-                            complete_bucket.append(entry)
-                        issued += 1
-                    if issued:
-                        active = True
-                        fifo_dirty = True
-                    if deferred is not None:
-                        for index in deferred:
-                            heappush(heap, index)
-
-                # ---- fetch ---------------------------------------------
-                # Biased-ICount arbitration, inlined for the standard
-                # one- and two-port configurations: the oldest
-                # fetch-ready task takes the first port, the lowest
-                # (in_flight, age) candidate among the rest the second.
-                if use_blocks and cycle < fetch_wake:
-                    # No task can pass the candidate predicate before
-                    # fetch_wake: the only ways in are a stall timer
-                    # expiring (bounded below by the minimum recorded
-                    # when arbitration last came up empty) or a branch
-                    # resolution / violation, both of which reset
-                    # fetch_wake to 0.
-                    selected = ()
-                    share = width
-                elif fetch_ports <= 2:
-                    first = None
-                    second = None
-                    second_key = None
-                    position = 0
-                    for task in tasks:
-                        if (
-                            task.waiting_branch_index is None
-                            and cycle >= task.fetch_stall_until
-                            and (
-                                task.end_index is None
-                                or task.fetch_index < task.end_index
-                            )
-                        ):
-                            if first is None:
-                                first = task
-                            else:
-                                key = (task.in_flight, position)
-                                if second_key is None or key < second_key:
-                                    second_key = key
-                                    second = task
-                        position += 1
-                    if fetch_ports == 1:
-                        second = None
-                    if first is None:
-                        selected = ()
-                        share = width
-                        if use_blocks:
-                            # Next cycle any candidate predicate can
-                            # flip on its own is the earliest stall
-                            # timer among tasks that pass the other two
-                            # tests (timers of branch-waiting tasks are
-                            # rewritten at resolution, which also
-                            # resets fetch_wake).
-                            wake_f = max_cycles + 2
-                            for task in tasks:
-                                if task.waiting_branch_index is None and (
-                                    task.end_index is None
-                                    or task.fetch_index < task.end_index
-                                ):
-                                    stall = task.fetch_stall_until
-                                    if stall < wake_f:
-                                        wake_f = stall
-                            fetch_wake = wake_f
-                    elif second is None:
-                        selected = (first,)
-                        share = width
-                    else:
-                        selected = (first, second)
-                        share = width // 2
-                else:  # nonstandard port counts: generic arbitration
-                    candidates = []
-                    position = 0
-                    for task in tasks:
-                        if task.can_fetch(cycle):
-                            candidates.append((task.task_id, task.in_flight, position))
-                        position += 1
-                    if candidates:
-                        chosen = select_fetch_tasks(
-                            candidates, fetch_ports, config.head_bias
-                        )
-                        by_id = {task.task_id: task for task in tasks}
-                        selected = tuple(by_id[task_id] for task_id in chosen)
-                        share = width // max(len(selected), 1)
-                    else:
-                        selected = ()
-                        share = width
-
-                for task in selected:
-                    budget = share
-                    is_head = task is tasks[0]
-                    if is_head:
-                        rob_cap = rob_entries
-                        sched_cap = sched_entries
-                    else:
-                        rob_cap = shared_rob_cap
-                        sched_cap = shared_sched_cap
-                    task_id = task.task_id
-                    start = task.start_index
-                    ras = task.ras
-                    point = task.spawn_point
-                    spawn_trigger = point.trigger_pc if point is not None else None
-                    burst_instructions = 0
-                    burst_diverts = 0
-
-                    while budget > 0:
-                        index = task.fetch_index
-                        if index >= count:
-                            break
-                        end_index = task.end_index
-                        if end_index is not None and index >= end_index:
-                            break
-                        if rob_occupancy >= rob_cap:
-                            break
-                        pc = pcs[index]
-
-                        # Instruction cache: one access per new line.
-                        line = lines[index]
-                        if line != task.last_fetch_line:
-                            latency = fetch_latency(pc)
-                            task.last_fetch_line = line
-                            if latency > 1:
-                                task.fetch_stall_until = cycle + latency
-                                icache_stalls += latency - 1
-                                break
-
-                        # ---- batched block fetch -----------------------
-                        # Consume a compiled straight-line run in one
-                        # inner loop: no control transfers, no spawn
-                        # candidates, no new I-cache lines inside the
-                        # run (run_end guarantees all three), so only
-                        # the dependence bookkeeping remains.  Aborts at
-                        # the first cross-task live dependence — the
-                        # per-instruction path below owns the
-                        # divert/store-set decision — committing the
-                        # prefix fetched so far.
-                        if batch_ok and run_end[index] - index >= 2:
-                            limit = run_end[index]
-                            bound = index + budget
-                            if bound < limit:
-                                limit = bound
-                            if end_index is not None and end_index < limit:
-                                limit = end_index
-                            bound = index + rob_cap - rob_occupancy
-                            if bound < limit:
-                                limit = bound
-                            bound = index + sched_cap - sched_occupancy
-                            if bound < limit:
-                                limit = bound
-                            if not is_head:
-                                bound = index + quota - sched_used.get(task_id, 0)
-                                if bound < limit:
-                                    limit = bound
-                            if limit - index >= 2:
-                                bstart = index
-                                position = index
-                                early = cycle + frontend_latency
-                                ready_at = early if early > cycle else cycle + 1
-                                any_ready = False
-                                while position < limit:
-                                    # All dispatch decisions are made
-                                    # before any mutation, so an abort
-                                    # leaves `position` untouched.
-                                    producer, producer1, mem_producer = batch_deps[
-                                        position
-                                    ]
-                                    pending = 0
-                                    if producer >= 0:
-                                        if producer >= bstart:
-                                            # Fetched this cycle: still
-                                            # in flight by construction.
-                                            pending += 1
-                                        elif state[producer] < _DONE:
-                                            if producer < start:
-                                                break
-                                            pending += 1
-                                    if producer1 >= 0:
-                                        if producer1 >= bstart:
-                                            pending += 1
-                                        elif state[producer1] < _DONE:
-                                            if producer1 < start:
-                                                break
-                                            pending += 1
-                                    generation = gen[position] + 1
-                                    if mem_producer >= 0 and (
-                                        mem_producer >= bstart
-                                        or state[mem_producer] < _DONE
-                                    ):
-                                        if mem_producer < start:
-                                            break
-                                        pending += 1
-                                        dep_bucket = dependents.get(mem_producer)
-                                        if dep_bucket is None:
-                                            dependents[mem_producer] = [
-                                                (position, generation)
-                                            ]
-                                        else:
-                                            dep_bucket.append((position, generation))
-                                    gen[position] = generation
-                                    # fetch_cycle stays unwritten: it is
-                                    # only read when a control transfer
-                                    # resolves, and runs are plain.
-                                    owner[position] = task_id
-                                    earliest[position] = early
-                                    wait_count[position] = pending
-                                    if pending:
-                                        state[position] = _WAIT
-                                    else:
-                                        state[position] = _READY
-                                        any_ready = True
-                                    position += 1
-                                batched = position - bstart
-                                if batched:
-                                    if any_ready:
-                                        # One range event covers every
-                                        # position that is still _READY
-                                        # when it fires.
-                                        entry = (_EV_READY_RUN, bstart, position)
-                                        ready_bucket = events.get(ready_at)
-                                        if ready_bucket is None:
-                                            events[ready_at] = [entry]
-                                        else:
-                                            ready_bucket.append(entry)
-                                    task.fetch_index = position
-                                    task.in_flight += batched
-                                    rob_occupancy += batched
-                                    sched_occupancy += batched
-                                    sched_used[task_id] = (
-                                        sched_used.get(task_id, 0) + batched
-                                    )
-                                    fetched_total += batched
-                                    budget -= batched
-                                    if spawn_trigger is not None:
-                                        burst_instructions += batched
-                                    continue
-                                # Zero-length batch (the very first
-                                # instruction crosses tasks): fall
-                                # through to the per-instruction path.
-
-                        # Decide the dispatch target (see the staged
-                        # _fetch_from_task for the full rationale).
-                        producers = None
-                        unsafe_producer = None
-                        producer = dep0[index]
-                        if 0 <= producer < start and state[producer] < _DONE:
-                            producers = [producer]
-                        producer = dep1[index]
-                        if 0 <= producer < start and state[producer] < _DONE:
-                            if producers is None:
-                                producers = [producer]
-                            else:
-                                producers.append(producer)
-                        if lats[index] == LAT_LOAD:
-                            mem_producer = mem_deps[index]
-                            if (
-                                0 <= mem_producer < start
-                                and state[mem_producer] < _DONE
-                            ):
-                                if predicts_dependence(pcs[mem_producer], pc):
-                                    if producers is None:
-                                        producers = [mem_producer]
-                                    else:
-                                        producers.append(mem_producer)
-                                else:
-                                    unsafe_producer = mem_producer
-
-                        # Check the dispatch target's capacity.
-                        if producers is not None:
-                            if divert_occupancy >= divert_entries:
-                                break
-                        else:
-                            if sched_occupancy >= sched_cap:
-                                break
-                            if (
-                                not is_head
-                                and sched_used.get(task_id, 0) >= quota
-                            ):
-                                break
-
-                        # Consume the instruction.
-                        task.fetch_index = index + 1
-                        task.in_flight += 1
-                        rob_occupancy += 1
-                        generation = gen[index] + 1
-                        gen[index] = generation
-                        owner[index] = task_id
-                        fetch_cycle[index] = cycle
-                        earliest[index] = cycle + frontend_latency
-                        fetched_total += 1
-                        if unsafe_producer is not None:
-                            unsafe_mem[index] = unsafe_producer
-                        budget -= 1
-                        if verbose:
-                            bus.emit(
-                                InstructionFetched(
-                                    cycle, task_id, index, pc, spawn_trigger
-                                )
-                            )
-
-                        if producers is not None:
-                            state[index] = _DIVERT
-                            divert_occupancy += 1
-                            divert_producer_map[index] = producers
-                            fifo.append((index, generation))
-                            diverted_total += 1
-                            if spawn_trigger is not None:
-                                burst_instructions += 1
-                                burst_diverts += 1
-                        else:
-                            # Inlined scheduler entry (the closure
-                            # above is the shared transcription; this
-                            # is the same body on the hottest path).
-                            pending = 0
-                            producer = dep0[index]
-                            if producer >= 0 and state[producer] < _DONE:
-                                if not use_blocks:
-                                    dep_bucket = dependents.get(producer)
-                                    if dep_bucket is None:
-                                        dependents[producer] = [(index, generation)]
-                                    else:
-                                        dep_bucket.append((index, generation))
-                                pending += 1
-                            producer = dep1[index]
-                            if producer >= 0 and state[producer] < _DONE:
-                                if not use_blocks:
-                                    dep_bucket = dependents.get(producer)
-                                    if dep_bucket is None:
-                                        dependents[producer] = [(index, generation)]
-                                    else:
-                                        dep_bucket.append((index, generation))
-                                pending += 1
-                            if lats[index] == LAT_LOAD:
-                                producer = mem_deps[index]
-                                if (
-                                    producer >= 0
-                                    and index not in unsafe_mem
-                                    and state[producer] < _DONE
-                                ):
-                                    dep_bucket = dependents.get(producer)
-                                    if dep_bucket is None:
-                                        dependents[producer] = [
-                                            (index, generation)
-                                        ]
-                                    else:
-                                        dep_bucket.append((index, generation))
-                                    pending += 1
-                            sched_occupancy += 1
-                            sched_used[task_id] = sched_used.get(task_id, 0) + 1
-                            wait_count[index] = pending
-                            if pending:
-                                state[index] = _WAIT
-                            else:
-                                state[index] = _READY
-                                ready_at = earliest[index]
-                                if ready_at <= cycle:
-                                    ready_at = cycle + 1
-                                entry = (_EV_READY, index, generation)
-                                ready_bucket = events.get(ready_at)
-                                if ready_bucket is None:
-                                    events[ready_at] = [entry]
-                                else:
-                                    ready_bucket.append(entry)
-                            if spawn_trigger is not None:
-                                burst_instructions += 1
-
-                        # Spawning (see the staged loop for rationale).
-                        if len(tasks) < max_tasks:
-                            if task.end_index is None and task is tasks[-1]:
-                                if verbose:
-                                    target = spawn_target_of(index, pc)
-                                    self._emit_spawn_decision(task, index, pc, target)
-                                    if target >= 0:
-                                        self._spawn(task, pc, target, index)
-                                else:
-                                    target = spawn_targets[index]
-                                    if target >= 0 and pc not in suppressed:
-                                        self._spawn(task, pc, target, index)
-                            elif nested and task.end_index is not None:
-                                target = spawn_target_of(index, pc)
-                                if 0 <= target < task.end_index:
-                                    if verbose:
-                                        self._emit_spawn_decision(
-                                            task, index, pc, target
-                                        )
-                                    self._spawn_nested(task, pc, target, index)
-                                elif verbose:
-                                    self._emit_spawn_decision(
-                                        task, index, pc, target,
-                                        rejected="outside-segment"
-                                        if target >= 0
-                                        else None,
-                                    )
-                            elif verbose:
-                                target = spawn_target_of(index, pc)
-                                if target >= 0:
-                                    self._emit_spawn_decision(
-                                        task, index, pc, target, rejected="not-tail"
-                                    )
-                        elif verbose:
-                            target = spawn_target_of(index, pc)
-                            if target >= 0:
-                                self._emit_spawn_decision(
-                                    task, index, pc, target, rejected="task-limit"
-                                )
-
-                        # Control flow effects on fetch.
-                        kind = kinds[index]
-                        if kind:
-                            if kind == KIND_COND_BRANCH:
-                                cond_branches += 1
-                                taken = takens[index]
-                                if gshare_update(pc, taken) != taken:
-                                    branch_misses += 1
-                                    task.waiting_branch_index = index
-                                    if use_blocks:
-                                        waiting_branches[index] = task
-                                    break
-                                if taken:
-                                    break  # one taken branch per cycle
-                            else:
-                                if kind == KIND_CALL_DIRECT:
-                                    ras.push(fall_throughs[index])
-                                elif kind == KIND_CALL_INDIRECT:
-                                    ras.push(fall_throughs[index])
-                                    if not indirect_update(pc, next_pcs[index]):
-                                        indirect_misses += 1
-                                        task.waiting_branch_index = index
-                                        if use_blocks:
-                                            waiting_branches[index] = task
-                                elif kind == KIND_RETURN:
-                                    if ras.pop() != next_pcs[index]:
-                                        return_misses += 1
-                                        task.waiting_branch_index = index
-                                        if use_blocks:
-                                            waiting_branches[index] = task
-                                elif kind == KIND_SWITCH:
-                                    if not indirect_update(pc, next_pcs[index]):
-                                        indirect_misses += 1
-                                        task.waiting_branch_index = index
-                                        if use_blocks:
-                                            waiting_branches[index] = task
-                                # Every non-branch transfer ends the
-                                # fetch stream.
-                                break
-
-                    if burst_instructions:
-                        record_task_instructions(
-                            spawn_trigger, burst_instructions, burst_diverts
-                        )
-
-                if fetched_total != fetch_mark:
-                    # Fresh fetches may have added divert entries or new
-                    # producers; rescan the queue next cycle.
-                    fifo_dirty = True
-
-                occupancy_sum += len(tasks)
-
-                # ---- quiet-cycle skip ----------------------------------
-                # With the block engine on, a cycle in which nothing can
-                # change — no ready work, nothing retirable, every task
-                # fetch-inert, and the divert queue provably frozen — is
-                # a pure no-op until the next scheduled event or fetch
-                # timer, so jump straight there.  Every state transition
-                # is driven by an event bucket, a fetch timer expiring,
-                # or a same-cycle prior-stage change; the first two
-                # bound the jump and the third cannot occur in a cycle
-                # that starts quiet.  Only the per-cycle occupancy
-                # statistic accrues across the gap, added in closed
-                # form, so stats and event streams are exact.
-                if (
-                    batch_ok
-                    and not heap
-                    and cycle + 1 not in events
-                    and retire_ptr < count
-                    and state[retire_ptr] != _DONE
-                    and (
-                        not fifo
-                        or (not active and fetched_total == fetch_mark)
-                    )
-                ):
-                    wake = min(events) if events else None
-                    skip_ok = True
-                    head_task = tasks[0] if tasks else None
-                    next_cycle = cycle + 1
-                    for task in tasks:
-                        if task.waiting_branch_index is not None:
-                            continue  # resumes via a completion event
-                        findex = task.fetch_index
-                        end_i = task.end_index
-                        if findex >= (count if end_i is None else end_i):
-                            continue  # done fetching
-                        stall = task.fetch_stall_until
-                        if stall > next_cycle:
-                            if wake is None or stall < wake:
-                                wake = stall
-                            continue
-                        is_head = task is head_task
-                        if rob_occupancy >= (
-                            rob_entries if is_head else shared_rob_cap
-                        ):
-                            continue  # unblocked only by retire (events)
-                        if lines[findex] != task.last_fetch_line:
-                            skip_ok = False  # next fetch probes the I-cache
-                            break
-                        # A capacity-blocked fetch breaks before any
-                        # mutation; reconstruct which structure gates
-                        # the next instruction (all inputs are frozen
-                        # while the machine is quiet).
-                        start = task.start_index
-                        producer = dep0[findex]
-                        live = 0 <= producer < start and state[producer] < _DONE
-                        if not live:
-                            producer = dep1[findex]
-                            live = (
-                                0 <= producer < start and state[producer] < _DONE
-                            )
-                        if live:
-                            if divert_occupancy >= divert_entries:
-                                continue  # divert queue full: inert
-                            skip_ok = False
-                            break
-                        mem_live = False
-                        if lats[findex] == LAT_LOAD:
-                            producer = mem_deps[findex]
-                            mem_live = (
-                                0 <= producer < start and state[producer] < _DONE
-                            )
-                        sched_full = sched_occupancy >= (
-                            sched_entries if is_head else shared_sched_cap
-                        ) or (
-                            not is_head
-                            and sched_used.get(task.task_id, 0) >= quota
-                        )
-                        if mem_live:
-                            # Store-set prediction picks divert or
-                            # scheduler; inert only when both are full.
-                            if sched_full and divert_occupancy >= divert_entries:
-                                continue
-                            skip_ok = False
-                            break
-                        if sched_full:
-                            continue
-                        skip_ok = False
-                        break
-                    if skip_ok and wake is not None and wake > next_cycle:
-                        occupancy_sum += (wake - next_cycle) * len(tasks)
-                        cycle = wake - 1
-        finally:
-            self._retire_ptr = retire_ptr
-            self._rob_occupancy = rob_occupancy
-            self._sched_occupancy = sched_occupancy
-            self._divert_occupancy = divert_occupancy
-            stats.retired_instructions += retired_total
-            stats.fetched_instructions += fetched_total
-            stats.diverted_instructions += diverted_total
-            stats.task_occupancy_sum += occupancy_sum
-            stats.icache_stall_cycles += icache_stalls
-            stats.conditional_branches += cond_branches
-            stats.branch_mispredicts += branch_misses
-            stats.indirect_mispredicts += indirect_misses
-            stats.return_mispredicts += return_misses
 
     # -- helpers ---------------------------------------------------------------
 
@@ -2124,19 +1047,9 @@ def simulate(
     hint_table=None,
     max_cycles=None,
     bus=None,
-    block_engine=None,
-    event_kernel=None,
 ):
     """Run the PolyFlow model over ``trace`` and return its stats."""
-    return PolyFlowCore(
-        trace,
-        config,
-        hint_table,
-        max_cycles,
-        bus,
-        block_engine=block_engine,
-        event_kernel=event_kernel,
-    ).run()
+    return PolyFlowCore(trace, config, hint_table, max_cycles, bus).run()
 
 
 def simulate_superscalar(trace, base_config=PAPER_CONFIG, max_cycles=None):

@@ -1,9 +1,12 @@
 """The event-calendar timing kernel: PolyFlow without the cycle grind.
 
-:meth:`~repro.polyflow.core.PolyFlowCore._run_fast` still visits every
-cycle, even when all in-flight tasks are stalled on cache fills or fetch
-bubbles and the cycle is a provable no-op.  This module is the
-next-event rewrite of that loop: the machine's future is kept in two
+The staged reference engine,
+:meth:`~repro.polyflow.core.PolyFlowCore._run_staged`, visits every
+cycle and calls one method per pipeline stage, even when all in-flight
+tasks are stalled on cache fills or fetch bubbles and the cycle is a
+provable no-op.  This module is the fast transcription of that loop:
+every stage is inlined over the flat decoded arrays and the compiled
+block tables, and the machine's future is kept in two
 calendars — one for functional-unit/cache-fill completions, one for
 scheduler wake-ups — and, together with the per-task fetch-stall timers,
 their minimum bounds the next cycle in which anything can change.  When
@@ -12,10 +15,10 @@ burning down multi-cycle stalls (cache misses, mispredict penalties,
 divert-queue freezes) in one step.  The per-cycle occupancy statistic is
 the only thing that accrues across a jump, and it is added in closed
 form, so statistics and event streams are *exact* — the differential and
-golden-trace suites compare this kernel against the cycle-exact engines
-byte for byte.
+golden-trace suites compare this kernel against the staged engine byte
+for byte.  This is the discrete-event formulation of an ILP core.
 
-What makes the calendar leaner than the fused loop's event dict:
+What makes the calendar leaner than the staged engine's event dict:
 
 * **No generation counters.**  The reference engines tag every queue
   entry with a per-index generation and lazily skip stale entries after
@@ -28,7 +31,7 @@ What makes the calendar leaner than the fused loop's event dict:
   divert FIFO keeps the reference engine's *lazy* deletion, tagged with
   a small per-index epoch, because its bounded scan counts lazily
   deleted entries against the scan budget; scrubbing it would let the
-  scan reach deeper than the cycle-exact engines in the cycle after a
+  scan reach deeper than the staged engine in the cycle after a
   squash.)
 * **Typed calendars.**  Completion buckets are plain trace-index lists
   and wake-up buckets hold indices or ``(start, end)`` fetch runs, so
@@ -41,19 +44,15 @@ What makes the calendar leaner than the fused loop's event dict:
   the cache-access order (and therefore LRU state and hit counters)
   stays identical.
 
-The kernel is auto-selected by :meth:`PolyFlowCore.run` only when it is
-observably equivalent to the cycle-exact engines: the block engine must
-be on, ``nested_spawns`` off, no stage-hook or spawn-target override,
-and no verbose sink attached (verbose runs emit per-instruction events
-*during* skipped-over cycles, so they keep the cycle-exact fast engine —
-the same auto-fallback contract as the staged/fast split).  Set
-``REPRO_EVENT_KERNEL=0`` (or pass ``event_kernel=False``) to opt out
-process-wide; the equivalence suites prove stats and event streams are
-identical either way.
+:meth:`PolyFlowCore.run` selects the kernel whenever it is exact:
+``nested_spawns`` off, no stage-hook or spawn-target override, and no
+verbose sink attached (verbose runs emit per-instruction events
+*during* skipped-over cycles).  Everything else runs on the staged
+engine; there is no switch, so the one fast engine is the one every
+benchmark and figure measures.
 """
 
 import heapq
-import os
 
 from repro.errors import SimulationError
 from repro.frontend.icount import select_fetch_tasks
@@ -69,22 +68,13 @@ from repro.sim.predecode import (
     LAT_STORE,
 )
 
-#: Environment toggle: set to ``"0"`` to disable the event kernel.
-EVENT_KERNEL_ENV = "REPRO_EVENT_KERNEL"
-
-
-def kernel_enabled_default():
-    """Whether cores default to the event kernel (see EVENT_KERNEL_ENV)."""
-    return os.environ.get(EVENT_KERNEL_ENV, "1") != "0"
-
-
 def run_event_kernel(core):
     """Drive ``core`` to completion on the event-calendar kernel.
 
     ``core`` is a :class:`~repro.polyflow.core.PolyFlowCore` whose block
     tables are compiled and whose bus carries no verbose sink; observable
     behaviour (statistics, lifecycle event stream, cache state) is
-    identical to :meth:`~repro.polyflow.core.PolyFlowCore._run_fast`.
+    identical to :meth:`~repro.polyflow.core.PolyFlowCore._run_staged`.
     """
     for _ in event_kernel_steps(core, 0):
         pass  # pragma: no cover - stride 0 never yields
@@ -398,7 +388,7 @@ def event_kernel_steps(core, stride):
             # A plain wake-up run eligible for batch issue this cycle
             # (detected while processing the wake-up calendar, issued
             # in the issue stage so the drain sees the same scheduler
-            # occupancy as the cycle-exact engines).
+            # occupancy as the staged engine).
             pending_batch = None
 
             # ---- process completions -------------------------------
@@ -491,7 +481,7 @@ def event_kernel_steps(core, stride):
                     # single range completion next cycle.  The issue
                     # itself is deferred to the issue stage so retire
                     # and the divert drain observe the same scheduler
-                    # occupancy as the cycle-exact engines.  Anything
+                    # occupancy as the staged engine.  Anything
                     # else falls back to per-index heap scheduling.
                     span = run_limit - run_start
                     if (
@@ -593,7 +583,7 @@ def event_kernel_steps(core, stride):
                         ):
                             # Squashed entry: lazily delete (counted
                             # against the scan budget, exactly like the
-                            # cycle-exact engines' generation check).
+                            # staged engine's generation check).
                             del fifo[index_in_fifo]
                             deleted = True
                             continue
@@ -637,7 +627,7 @@ def event_kernel_steps(core, stride):
                     # A deletion shifts later entries into the scan
                     # window, so the next cycle's scan can reach
                     # entries this one could not — rescan, exactly as
-                    # the cycle-exact engines would.
+                    # the staged engine would.
                     fifo_dirty = active or deleted
                 else:
                     fifo_dirty = active
@@ -733,7 +723,9 @@ def event_kernel_steps(core, stride):
 
             # ---- fetch ---------------------------------------------
             # Biased-ICount arbitration, inlined for the standard one-
-            # and two-port configurations (see _run_fast).
+            # and two-port configurations: the oldest fetch-ready task
+            # takes the first port, the lowest (in_flight, age)
+            # candidate among the rest the second.
             if cycle < fetch_wake:
                 selected = ()
                 share = width
@@ -838,8 +830,13 @@ def event_kernel_steps(core, stride):
 
                     # ---- batched block fetch -----------------------
                     # Consume a compiled straight-line run in one inner
-                    # loop (see _run_fast for the full rationale; this
-                    # transcription drops the generation writes).
+                    # loop: no control transfers, no spawn candidates,
+                    # no new I-cache lines inside the run (run_end
+                    # guarantees all three), so only the dependence
+                    # bookkeeping remains.  Aborts at the first cross-
+                    # task live dependence — the per-instruction path
+                    # below owns the divert/store-set decision —
+                    # committing the prefix fetched so far.
                     if run_end[index] - index >= 2:
                         limit = run_end[index]
                         bound = index + budget
@@ -922,8 +919,8 @@ def event_kernel_steps(core, stride):
                                     # whole-batch range would sweep it
                                     # into the heap one cycle before
                                     # its own wake-up event — earlier
-                                    # than the cycle-exact engines
-                                    # issue it.  Mixed batches fall
+                                    # than the staged engine
+                                    # issues it.  Mixed batches fall
                                     # back to per-position entries.
                                     if len(ready_positions) == batched:
                                         entry = (bstart, position)

@@ -143,8 +143,8 @@ class SpawnUnit:
         """Batched :meth:`record_task_instruction`.
 
         Counts ``count`` task instructions of which ``diverted`` went
-        through the divert queue — the fused fetch loop accumulates one
-        burst's worth and flushes it in a single call.
+        through the divert queue — the event kernel's fetch loop
+        accumulates one burst's worth and flushes it in a single call.
         """
         self._task_instructions[trigger_pc] += count
         self._task_diverts[trigger_pc] += diverted

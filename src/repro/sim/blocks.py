@@ -1,18 +1,18 @@
-"""Superblock segmentation: the block-at-a-time execution engine's tables.
+"""Superblock segmentation: the block-at-a-time tables of both simulators.
 
-Both simulation engines historically paid per-instruction Python
-dispatch for every committed instruction, even though the committed
-trace between a branch and its ipdom is straight-line and replayed
-thousands of times across the experiment grid.  This module compiles
-those straight-line regions once per program/trace into *block tables*
-the hot loops can consume block-at-a-time:
+Per-instruction Python dispatch is the dominant cost of both simulators,
+even though the committed trace between a branch and its ipdom is
+straight-line and replayed thousands of times across the experiment
+grid.  This module compiles those straight-line regions once per
+program/trace into *block tables* the hot loops consume
+block-at-a-time:
 
-* :class:`BlockTable` — per-trace-index tables for the timing kernel
-  (:mod:`repro.polyflow.core`): the maximal straight-line *run* from
-  every index (``batch_end``), the static register-consumer adjacency
-  used for completion wake-up (``reg_consumers``), and per-superblock
-  aggregates (instruction count, latency-class mix, memory-effect
-  summary, event deltas).
+* :class:`BlockTable` — per-trace-index tables for the event-calendar
+  timing kernel (:mod:`repro.polyflow.event_kernel`): the maximal
+  straight-line *run* from every index (``batch_end``), the static
+  register-consumer adjacency used for completion wake-up
+  (``reg_consumers``), and per-superblock aggregates (instruction count,
+  latency-class mix, memory-effect summary, event deltas).
 * :class:`ProgramBlocks` — per-PC straight-line blocks of pre-decoded
   operand records for the functional interpreter
   (:mod:`repro.sim.functional`), so the architectural replay loop skips
@@ -32,13 +32,7 @@ digest and persists through its on-disk pickle layer — a warm worker
 pool therefore inherits compiled tables instead of rebuilding them.
 Module-level counters track table reuse; the parallel runner surfaces
 them through ``RunSummary`` and ``MetricsAggregator``.
-
-The engine is on by default and can be disabled process-wide with
-``REPRO_BLOCK_ENGINE=0`` (the equivalence suites prove byte-identical
-event streams and stats either way).
 """
-
-import os
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Opcode
 from repro.sim.predecode import LAT_ALU, LAT_LOAD, LAT_MUL, LAT_STORE
@@ -56,9 +50,6 @@ _LINE_SHIFT = ICACHE_LINE_BYTES.bit_length() - 1
 #: v2 added ``plain_end`` (the event kernel's next-event horizon).
 BLOCK_FORMAT_VERSION = 2
 
-#: Environment toggle: set to ``"0"`` to disable the block engine.
-BLOCK_ENGINE_ENV = "REPRO_BLOCK_ENGINE"
-
 #: Counter names reported by :func:`cache_counters`.
 BLOCK_CACHE_KEYS = ("table_hits", "table_misses", "program_hits", "program_misses")
 
@@ -69,11 +60,6 @@ _COUNTERS = {key: 0 for key in BLOCK_CACHE_KEYS}
 # straight-line block.
 _LAST_PLAIN_OPCODE = int(Opcode.SB)
 _NOP_OPCODE = int(Opcode.NOP)
-
-
-def engine_enabled_default():
-    """Whether cores default to the block engine (see BLOCK_ENGINE_ENV)."""
-    return os.environ.get(BLOCK_ENGINE_ENV, "1") != "0"
 
 
 def cache_counters():
@@ -108,7 +94,7 @@ class BlockTable:
     ``reg_consumers[p]`` lists every trace index naming ``p`` as a
     source-register producer, one entry per dependence slot in trace
     order (an index consuming ``p`` through both sources appears
-    twice) — the fused engine's completion wake-up walks this static
+    twice) — the event kernel's completion wake-up walks this static
     adjacency instead of registering consumers in a dict per fetch.
 
     ``batch_deps[i]`` fuses the dependence sources of index ``i`` into

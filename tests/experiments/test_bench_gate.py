@@ -16,9 +16,7 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 
-def _report(
-    serial_ips, machine_index=1000.0, jobs4_ips=None, cache_lps=None, blocks_ips=None
-):
+def _report(serial_ips, machine_index=1000.0, jobs4_ips=None, cache_lps=None):
     report = {
         "machine_index": machine_index,
         "serial": {"aggregate_ips": serial_ips},
@@ -27,20 +25,7 @@ def _report(
         report["jobs4"] = {"ips": jobs4_ips}
     if cache_lps is not None:
         report["cache_hit"] = {"loads_per_second": cache_lps}
-    if blocks_ips is not None:
-        report["blocks"] = {"aggregate_ips": blocks_ips}
     return report
-
-
-def _blocks_report(speedups, aggregate=None):
-    return {
-        "blocks": {
-            "speedup_vs_serial": dict(speedups),
-            "aggregate_speedup_vs_serial": aggregate
-            if aggregate is not None
-            else (sum(speedups.values()) / len(speedups) if speedups else 1.0),
-        }
-    }
 
 
 def _efficiency_report(ratio, mode="pool", cpus=4):
@@ -120,107 +105,6 @@ def test_gate_catches_cache_hit_regression():
     failures = bench.check_regression(regressed, reference, 0.15)
     assert len(failures) == 1 and failures[0].startswith("cache_hit:")
     assert bench.check_regression(reference, reference, 0.15) == []
-
-
-# -- the block-engine channel -----------------------------------------------------
-
-
-def test_blocks_gate_passes_at_and_above_floor():
-    report = _blocks_report({"gzip": 1.06, "mcf": 0.98, "vortex": 1.24})
-    assert bench.check_blocks(report, floor=0.85) == []
-    at_floor = _blocks_report({"gzip": 0.85})
-    assert bench.check_blocks(at_floor, floor=0.85) == []
-
-
-def test_blocks_gate_fails_per_workload_below_floor():
-    report = _blocks_report({"gzip": 1.06, "mcf": 0.70, "vortex": 0.60})
-    failures = bench.check_blocks(report, floor=0.85)
-    assert len(failures) == 2
-    assert any("mcf" in failure for failure in failures)
-    assert any("vortex" in failure for failure in failures)
-    assert all(failure.startswith("blocks:") for failure in failures)
-
-
-def test_blocks_gate_skips_reports_without_the_section():
-    assert bench.check_blocks({"serial": {}}) == []
-
-
-def test_gate_catches_blocks_channel_regression():
-    reference = _report(100.0, blocks_ips=110.0)
-    regressed = _report(100.0, blocks_ips=80.0)
-    failures = bench.check_regression(regressed, reference, 0.15)
-    assert len(failures) == 1 and failures[0].startswith("blocks:")
-    assert bench.check_regression(reference, reference, 0.15) == []
-
-
-def test_speedup_includes_blocks_only_when_both_sides_have_it():
-    with_blocks = _report(100.0, blocks_ips=110.0)
-    without_blocks = _report(100.0)
-    assert "blocks" in bench.speedup_vs_baseline(with_blocks, with_blocks)
-    assert "blocks" not in bench.speedup_vs_baseline(with_blocks, without_blocks)
-    assert "blocks" not in bench.speedup_vs_baseline(without_blocks, with_blocks)
-
-
-# -- the event-kernel channel -----------------------------------------------------
-
-
-def _event_kernel_report(speedups):
-    return {
-        "event_kernel": {
-            "speedup_vs_serial": dict(speedups),
-            "aggregate_speedup_vs_serial": (
-                sum(speedups.values()) / len(speedups) if speedups else 1.0
-            ),
-        }
-    }
-
-
-def test_event_kernel_gate_passes_at_and_above_floor():
-    report = _event_kernel_report({"gzip": 1.15, "mcf": 1.00, "vortex": 1.22})
-    assert bench.check_event_kernel(report, floor=0.85) == []
-    at_floor = _event_kernel_report({"mcf": 0.85})
-    assert bench.check_event_kernel(at_floor, floor=0.85) == []
-
-
-def test_event_kernel_gate_fails_per_workload_below_floor():
-    report = _event_kernel_report({"gzip": 1.15, "mcf": 0.60})
-    failures = bench.check_event_kernel(report, floor=0.85)
-    assert len(failures) == 1
-    assert "mcf" in failures[0]
-    assert failures[0].startswith("event_kernel:")
-
-
-def test_event_kernel_gate_skips_reports_without_the_section():
-    assert bench.check_event_kernel({"serial": {}}) == []
-
-
-# -- per-workload floors ----------------------------------------------------------
-
-
-def test_floor_for_uses_per_workload_entries_and_min_fallback():
-    floors = {"gzip": 0.95, "mcf": 0.80, "vortex": 1.00}
-    assert bench.floor_for(floors, "mcf") == 0.80
-    assert bench.floor_for(floors, "gzip") == 0.95
-    # An unlisted workload falls back to the laxest listed floor.
-    assert bench.floor_for(floors, "twolf") == 0.80
-    # A scalar (the env-override path) applies uniformly.
-    assert bench.floor_for(0.85, "anything") == 0.85
-
-
-def test_default_floors_reflect_honest_per_workload_measurements():
-    """mcf's floor sits below the generic 0.85: its pointer-chasing
-    regression is inherent (EXPERIMENTS.md documents why)."""
-    assert bench.DEFAULT_BLOCKS_FLOORS["mcf"] < 0.85
-    assert bench.DEFAULT_EVENT_KERNEL_FLOORS["mcf"] < 0.85
-    assert bench.DEFAULT_BLOCKS_FLOORS["vortex"] >= 0.85
-
-
-def test_blocks_gate_applies_per_workload_dict_floors():
-    report = _blocks_report({"gzip": 0.96, "mcf": 0.82, "vortex": 1.10})
-    assert bench.check_blocks(report) == []
-    regressed = _blocks_report({"gzip": 0.96, "mcf": 0.75, "vortex": 1.10})
-    failures = bench.check_blocks(regressed)
-    assert len(failures) == 1 and "mcf" in failures[0]
 
 
 # -- the grid-batch gate ----------------------------------------------------------
@@ -375,17 +259,12 @@ def test_gate_compares_fabric_throughput_only_within_a_mode():
 
 
 def test_schema_gate_names_the_missing_channel():
-    report = {
-        "schema": 4,
-        "serial": {},
-        "blocks": {},
-        "event_kernel": {},
-    }
-    stale = {"schema": 3, "serial": {}, "blocks": {}}
+    report = {"schema": 7, "serial": {}, "gridbatch": {}, "estimator": {}}
+    stale = {"schema": 4, "serial": {}, "gridbatch": {}}
     failures = bench.check_schema(report, stale, "BENCH_polyflow.json")
     assert len(failures) == 1
-    assert "event_kernel" in failures[0]
-    assert "schema 3" in failures[0]
+    assert "'estimator'" in failures[0]
+    assert "schema 4" in failures[0]
     assert "regenerate" in failures[0]
     assert "BENCH_polyflow.json" in failures[0]
 
@@ -399,8 +278,11 @@ def test_schema_gate_names_a_missing_fabric_channel():
 
 
 def test_schema_gate_passes_when_reference_has_every_channel():
-    report = {"schema": 4, "serial": {}, "blocks": {}, "event_kernel": {}}
+    report = {"schema": 7, "serial": {}, "gridbatch": {}, "fabric": {}}
     assert bench.check_schema(report, dict(report), "BENCH_polyflow.json") == []
+    # A schema-6 baseline's extra engine channels are simply ignored.
+    stale = dict(report, schema=6, blocks={}, event_kernel={})
+    assert bench.check_schema(report, stale, "BENCH_polyflow.json") == []
 
 
 # -- the parallel-efficiency gate -------------------------------------------------
@@ -438,26 +320,12 @@ def test_markdown_summary_contains_normalized_rows():
         "policy": "control-equivalent",
         "machine_index": 1000.0,
         "serial": {"aggregate_ips": 500.0},
-        "blocks": {
-            "aggregate_ips": 550.0,
-            "aggregate_speedup_vs_serial": 1.1,
-            "speedup_vs_serial": {"gzip": 1.06, "mcf": 0.98, "vortex": 1.24},
-        },
-        "event_kernel": {
-            "aggregate_ips": 600.0,
-            "aggregate_speedup_vs_serial": 1.2,
-            "speedup_vs_serial": {"gzip": 1.15, "mcf": 1.00, "vortex": 1.22},
-        },
         "jobs4": {"jobs": 4, "mode": "pool", "cpus": 4, "ips": 900.0},
         "efficiency": {"ratio": 1.8, "mode": "pool", "cpus": 4},
         "cache_hit": {"loads_per_second": 4000.0},
     }
     rendered = bench.render_markdown_summary(report)
-    assert "| serial throughput (block engine off) | 500 ips | 0.500000 |" in rendered
-    assert "| block-engine throughput (1.10x serial) | 550 ips | 0.550000 |" in rendered
-    assert "| block-engine speedup: mcf | 0.98x" in rendered
-    assert "| event-kernel throughput (1.20x serial) | 600 ips | 0.600000 |" in rendered
-    assert "| event-kernel speedup: gzip | 1.15x" in rendered
+    assert "| serial throughput (event kernel) | 500 ips | 0.500000 |" in rendered
     assert "pool mode, 4 CPUs" in rendered
     assert "| parallel efficiency (serial wall / jobs4 wall) | 1.80x" in rendered
     assert "| warm cache replay | 4000 loads/s | 4.000000 |" in rendered

@@ -20,7 +20,7 @@ _spec.loader.exec_module(history)
 
 def _report(serial_ips=500.0, machine_index=1000.0, **channels):
     report = {
-        "schema": 4,
+        "schema": 7,
         "scale": 0.5,
         "machine_index": machine_index,
         "serial": {"aggregate_ips": serial_ips},
@@ -32,14 +32,19 @@ def _report(serial_ips=500.0, machine_index=1000.0, **channels):
 
 def test_entry_normalizes_by_machine_index():
     entry = history.history_entry(
-        _report(serial_ips=500.0, machine_index=1000.0, event_kernel=600.0),
-        sha="a" * 40,
+        _report(serial_ips=500.0, machine_index=1000.0), sha="a" * 40
     )
     assert entry["serial"] == 0.5
-    assert entry["event_kernel"] == 0.6
-    assert "blocks" not in entry
     assert entry["sha"] == "a" * 12
-    assert entry["schema"] == 4
+    assert entry["schema"] == 7
+
+
+def test_entry_ignores_engine_channels_of_older_schemas():
+    """Schema-6 reports carried ``blocks``/``event_kernel`` channels
+    timing engine variants that no longer exist; they are not tracked."""
+    entry = history.history_entry(_report(blocks=550.0, event_kernel=600.0))
+    assert "blocks" not in entry
+    assert "event_kernel" not in entry
 
 
 def test_entry_includes_efficiency_when_present():

@@ -6,9 +6,11 @@ compact JSONL.  A simulator change that alters *when* tasks spawn,
 squash, or commit shows up as a byte diff against these files —
 deliberate changes regenerate them with ``pytest --update-golden``.
 
-The traces must be byte-identical run to run, and identical again when
+The traces must be byte-identical run to run, identical again when
 produced by the parallel runner's worker processes (``--jobs 4``),
-because figure reproduction relies on that determinism.
+because figure reproduction relies on that determinism, and identical
+under both timing engines: the event kernel every plain run takes and
+the staged reference engine.
 """
 
 import hashlib
@@ -27,6 +29,8 @@ from repro.obs import LIFECYCLE_KINDS, EventBus, JsonlTraceWriter
 from repro.polyflow import PAPER_CONFIG
 from repro.spawn import canonical_spec
 
+from tests.engines import StagedReferenceCore, job, observe
+
 _SCALE = 0.1
 
 #: (workload, policy spec) pairs with committed golden traces.  mcf is
@@ -44,10 +48,11 @@ _CASES = (
 
 #: SHA-256 of gzip's *full verbose* event stream (every per-instruction
 #: fetch/commit/hint event, not just lifecycle events) under
-#: control-equivalent spawning at scale 0.1.  This pins the fused
-#: fast-engine + pre-decoded-trace kernel to the exact cycle-for-cycle
-#: behaviour of the original staged attribute-walking implementation —
-#: it was recorded before the kernel rewrite and must never drift.
+#: control-equivalent spawning at scale 0.1.  This pins the staged
+#: engine over the pre-decoded trace (the engine verbose runs take) to
+#: the exact cycle-for-cycle behaviour of the original attribute-walking
+#: implementation — it was recorded before the kernel rewrite and must
+#: never drift.
 _GZIP_VERBOSE_SHA256 = (
     "82160555fb58c67c464d85eed371a63a553623bb6941dc589d9ab9cc2a9698ed"
 )
@@ -61,16 +66,14 @@ def _golden_path(name, spec):
     )
 
 
-def _render_trace(name, spec, block_engine=None):
+def _render_trace(name, spec):
     """The lifecycle JSONL trace of one run, as a string."""
     buffer = io.StringIO()
     bus = EventBus()
     writer = bus.attach(
         JsonlTraceWriter(buffer, kinds=LIFECYCLE_KINDS), verbose=False
     )
-    build_core(
-        name, spec, _SCALE, PAPER_CONFIG, bus=bus, block_engine=block_engine
-    ).run()
+    build_core(name, spec, _SCALE, PAPER_CONFIG, bus=bus).run()
     writer.close()
     return buffer.getvalue()
 
@@ -95,38 +98,29 @@ def test_trace_byte_identical_across_runs(name, spec):
 
 @pytest.mark.parametrize("name,spec", _CASES)
 def test_trace_matches_golden_with_block_engine_off(name, spec):
-    """The per-instruction path (block engine off) writes the same
-    golden bytes the default block-at-a-time path does."""
+    """The per-instruction staged engine (no block tables) writes the
+    same golden bytes the default block-at-a-time event kernel does."""
     path = _golden_path(name, spec)
     with open(path) as handle:
         golden = handle.read()
-    assert _render_trace(name, spec, block_engine=False) == golden
-    assert _render_trace(name, spec, block_engine=True) == golden
+    core = job(name, spec, _SCALE, PAPER_CONFIG)(StagedReferenceCore)
+    _, rendered, _ = observe(core)
+    assert rendered == golden
 
 
-def _gzip_verbose_digest(block_engine=None):
+def _gzip_verbose_digest():
     buffer = io.StringIO()
     bus = EventBus()
     writer = bus.attach(JsonlTraceWriter(buffer), verbose=True)
-    build_core(
-        "gzip",
-        "control-equivalent",
-        _SCALE,
-        PAPER_CONFIG,
-        bus=bus,
-        block_engine=block_engine,
-    ).run()
+    build_core("gzip", "control-equivalent", _SCALE, PAPER_CONFIG, bus=bus).run()
     writer.close()
     return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
 
 
 def test_gzip_verbose_stream_pinned_across_kernel_rewrites():
     """The verbose event stream is byte-identical to the pre-predecode
-    simulator's (see :data:`_GZIP_VERBOSE_SHA256`) — under the default
-    engine and explicitly under both block-engine settings."""
+    simulator's (see :data:`_GZIP_VERBOSE_SHA256`)."""
     assert _gzip_verbose_digest() == _GZIP_VERBOSE_SHA256
-    assert _gzip_verbose_digest(block_engine=False) == _GZIP_VERBOSE_SHA256
-    assert _gzip_verbose_digest(block_engine=True) == _GZIP_VERBOSE_SHA256
 
 
 def test_traces_byte_identical_under_parallel_jobs(tmp_path, request):

@@ -10,27 +10,26 @@ every policy spec the paper evaluates and checks the committed stream
 instruction by instruction.
 
 The suite also pins the core's two engines against each other: the
-fused fast loop and the staged reference loop must produce identical
-verbose event streams and statistics for the same job.
+event-calendar kernel and the staged reference loop must produce
+identical lifecycle event streams, statistics and end-of-run machine
+state for the same job.
 """
-
-import io
 
 import pytest
 
-from repro.experiments.runner import REC_PRED_SPEC, build_core, spawn_profile
+from repro.experiments.runner import REC_PRED_SPEC, build_core
 from repro.isa import assemble
-from repro.obs import EventBus, JsonlTraceWriter
+from repro.obs import EventBus
 from repro.polyflow import PAPER_CONFIG, PolyFlowCore
 from repro.sim.functional import FunctionalSimulator
-from repro.spawn import canonical_spec
-from repro.spawn.hints import HintTable
 from repro.spawn.policies import (
     COMBINATION_POLICY_SPECS,
     EXCLUSION_POLICY_SPECS,
     INDIVIDUAL_POLICY_SPECS,
 )
 from repro.workloads import WORKLOAD_NAMES, prepare_workload, workload_source
+
+from tests.engines import StagedReferenceCore, job, observe_both
 
 _SCALE = 0.1
 
@@ -114,102 +113,59 @@ def test_policies_commit_identical_streams(name):
 
 # -- engine equivalence ---------------------------------------------------------
 
-
-class _StagedReferenceCore(PolyFlowCore):
-    """Forces the staged reference engine.
-
-    Overriding any stage hook — here with a pass-through — makes
-    ``_stage_hooks_overridden`` pick ``_run_staged``, without changing
-    behaviour.  Comparing this against a plain ``PolyFlowCore`` (which
-    takes the fused fast loop) pins the two engines to each other.
-    """
-
-    def _fetch(self):
-        PolyFlowCore._fetch(self)
+_ENGINE_SPECS = ("postdoms", "loop+procFT+loopFT", REC_PRED_SPEC)
 
 
-def _verbose_stream(name, spec, core_cls, block_engine=None):
-    """The full verbose event stream of one run, as JSONL text."""
-    spec = canonical_spec(spec)
-    prepared = prepare_workload(name, _SCALE)
-    config = PAPER_CONFIG
-    buffer = io.StringIO()
-    bus = EventBus()
-    writer = bus.attach(JsonlTraceWriter(buffer), verbose=True)
-    if spec == REC_PRED_SPEC:
-        from repro.reconvergence import build_reconvergence_spawner
-
-        core = core_cls(
-            prepared.trace, config, HintTable(), bus=bus, block_engine=block_engine
-        )
-        core.spawn_unit = build_reconvergence_spawner(prepared, config)
-    else:
-        profile = spawn_profile(name, _SCALE, config.max_spawn_distance)
-        policy = prepared.spawn_analysis.policy(spec)
-        core = core_cls(
-            prepared.trace,
-            config,
-            profile.hint_table(policy),
-            bus=bus,
-            block_engine=block_engine,
-        )
-    stats = core.run()
-    writer.close()
-    return stats, buffer.getvalue()
-
-
-@pytest.mark.parametrize("spec", ("postdoms", "loop+procFT+loopFT", REC_PRED_SPEC))
+@pytest.mark.parametrize("spec", _ENGINE_SPECS)
 @pytest.mark.parametrize("name", ("gzip", "mcf", "crafty"))
 def test_fast_and_staged_engines_are_equivalent(name, spec):
-    """Fast and staged engines emit byte-identical verbose streams.
+    """The event kernel (the one fast engine) and the staged reference
+    engine emit byte-identical lifecycle streams and statistics.
 
     mcf is included because its run contains a dependence violation and
     the resulting squash chain, so the recovery paths are compared too.
     """
-    fast_stats, fast_stream = _verbose_stream(name, spec, PolyFlowCore)
-    staged_stats, staged_stream = _verbose_stream(name, spec, _StagedReferenceCore)
-    assert fast_stream == staged_stream
-    assert fast_stats.as_dict() == staged_stats.as_dict()
+    kernel, staged = observe_both(job(name, spec, _SCALE, PAPER_CONFIG))
+    kernel_stats, kernel_stream, _ = kernel
+    staged_stats, staged_stream, _ = staged
+    assert kernel_stream == staged_stream
+    assert kernel_stats == staged_stats
 
 
-@pytest.mark.parametrize("spec", ("postdoms", "loop+procFT+loopFT", REC_PRED_SPEC))
+@pytest.mark.parametrize("spec", _ENGINE_SPECS)
 @pytest.mark.parametrize("name", ("gzip", "mcf", "crafty"))
 def test_block_engine_equivalent_to_per_instruction(name, spec):
-    """Block-at-a-time and per-instruction fetch paths emit
-    byte-identical verbose streams and stats.
+    """The block-at-a-time kernel leaves the machine in the state the
+    per-instruction staged engine does.
 
-    The block engine batches straight-line superblock runs through the
-    fused loop; every observable — verbose event order included — must
-    be unchanged.  mcf again covers the violation/squash recovery path,
-    where batched positions are squashed and refetched.
+    The kernel fetches and issues whole straight-line runs from the
+    compiled block tables; cache LRU order, predictor tables and the
+    spawn unit's feedback counters must still end up identical, which
+    the statistics alone would not reveal.  mcf again covers the
+    violation/squash recovery path, where batched positions are
+    squashed and refetched.
     """
-    off_stats, off_stream = _verbose_stream(
-        name, spec, PolyFlowCore, block_engine=False
-    )
-    on_stats, on_stream = _verbose_stream(name, spec, PolyFlowCore, block_engine=True)
-    assert on_stream == off_stream
-    assert on_stats.as_dict() == off_stats.as_dict()
+    kernel, staged = observe_both(job(name, spec, _SCALE, PAPER_CONFIG))
+    assert kernel[2] == staged[2]
 
 
 def test_block_engine_nonverbose_stats_equivalent():
-    """Without a verbose bus the fast loop takes its quiet-skip and
-    batched-fetch shortcuts in full; stats must still match the
-    per-instruction path exactly."""
-    prepared = prepare_workload("vortex", _SCALE)
-    profile = spawn_profile("vortex", _SCALE, PAPER_CONFIG.max_spawn_distance)
-    hints = profile.hint_table(prepared.spawn_analysis.policy("postdoms"))
-    on = PolyFlowCore(prepared.trace, PAPER_CONFIG, hints, block_engine=True).run()
-    off = PolyFlowCore(prepared.trace, PAPER_CONFIG, hints, block_engine=False).run()
-    assert on.as_dict() == off.as_dict()
+    """With the default bus — no sink beyond the statistics — the
+    kernel takes its quiet-skip and batched-fetch shortcuts in full;
+    stats must still match the staged engine exactly."""
+    make_core = job("vortex", "postdoms", _SCALE, PAPER_CONFIG)
+    kernel = make_core(PolyFlowCore).run()
+    staged = make_core(StagedReferenceCore).run()
+    assert kernel.as_dict() == staged.as_dict()
 
 
 def test_staged_subclass_actually_runs_staged_engine():
-    """Guard the guard: the subclass above must select the staged
+    """Guard the guard: the reference subclass must select the staged
     engine, and a plain core must not."""
-    prepared = prepare_workload("gzip", _SCALE)
-    profile = spawn_profile("gzip", _SCALE, PAPER_CONFIG.max_spawn_distance)
-    hints = profile.hint_table(prepared.spawn_analysis.policy("postdoms"))
-    staged = _StagedReferenceCore(prepared.trace, PAPER_CONFIG, hints)
-    fast = PolyFlowCore(prepared.trace, PAPER_CONFIG, hints)
+    make_core = job("gzip", "postdoms", _SCALE, PAPER_CONFIG)
+    staged = make_core(StagedReferenceCore)
+    fast = make_core(PolyFlowCore)
     assert staged._stage_hooks_overridden()
+    assert not staged._uses_kernel()
     assert not fast._stage_hooks_overridden()
+    assert fast._uses_kernel()

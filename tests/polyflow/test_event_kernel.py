@@ -4,14 +4,16 @@ The differential and golden suites pin the kernel against whole
 workloads; these tests aim the calendar's corners directly — stall
 windows with every task asleep, multiple events due on the same cycle,
 minimum-latency completions, squashes landing inside a skip window —
-and the engine-selection contract (when the kernel runs at all, and
-when the cycle-exact fallback engages).
+and the engine-selection contract (when the kernel runs, and when the
+staged reference engine takes over).
 
-Each equivalence check compares the kernel against the cycle-exact
-fused engine on the same job: identical :class:`SimStats` and an
-identical non-verbose lifecycle event stream, byte for byte.
+Each equivalence check compares the kernel against the staged engine
+on the same job: identical :class:`SimStats`, an identical non-verbose
+lifecycle event stream, byte for byte, and identical end-of-run
+machine state.
 """
 
+import dataclasses
 import io
 
 import pytest
@@ -21,12 +23,13 @@ import repro.polyflow.core as core_module
 from repro.cfg import build_program_cfgs
 from repro.errors import SimulationError
 from repro.isa import assemble
-from repro.obs import LIFECYCLE_KINDS, EventBus, JsonlTraceWriter
+from repro.obs import EventBus, JsonlTraceWriter
 from repro.polyflow import MachineConfig, PolyFlowCore
-from repro.polyflow.event_kernel import EVENT_KERNEL_ENV, kernel_enabled_default
+from repro.polyflow.spawn_unit import SpawnUnit
 from repro.sim import run_program
 from repro.spawn import SpawnAnalysis, profile_spawn_points
 
+from tests.engines import StagedReferenceCore, observe, observe_both
 from tests.strategies import pinned_violating_program
 
 
@@ -41,32 +44,14 @@ def _prepare(source, spec="postdoms", **config_kwargs):
     return trace, config, hints
 
 
-def _lifecycle_run(trace, config, hints, event_kernel):
-    buffer = io.StringIO()
-    bus = EventBus()
-    writer = bus.attach(
-        JsonlTraceWriter(buffer, kinds=LIFECYCLE_KINDS), verbose=False
-    )
-    stats = PolyFlowCore(
-        trace,
-        config,
-        hints,
-        bus=bus,
-        block_engine=True,
-        event_kernel=event_kernel,
-    ).run()
-    writer.close()
-    return stats, buffer.getvalue()
-
-
 def _assert_kernel_equivalent(trace, config, hints):
-    """Kernel on == kernel off, and return the (off) stats for extra
-    shape assertions by the caller."""
-    off_stats, off_stream = _lifecycle_run(trace, config, hints, event_kernel=False)
-    on_stats, on_stream = _lifecycle_run(trace, config, hints, event_kernel=True)
-    assert on_stream == off_stream
-    assert on_stats.as_dict() == off_stats.as_dict()
-    return off_stats
+    """Kernel == staged engine; returns the stats dict for extra shape
+    assertions by the caller."""
+    kernel, staged = observe_both(
+        lambda core_cls: core_cls(trace, config, hints)
+    )
+    assert kernel == staged
+    return staged[0]
 
 
 # -- calendar edge cases ----------------------------------------------------------
@@ -97,7 +82,7 @@ def test_all_tasks_stalled_skip_on_cold_cache_misses():
     stats = _assert_kernel_equivalent(trace, config, hints)
     # The miss windows really existed: far more cycles than a warm run
     # of the same ten instructions could take.
-    assert stats.cycles > 4 * stats.retired_instructions
+    assert stats["cycles"] > 4 * stats["retired_instructions"]
 
 
 _TWIN_MULS = """
@@ -135,9 +120,9 @@ def test_zero_latency_config_fails_identically():
     same failure rather than hanging or silently diverging."""
     trace, config, hints = _prepare(_TWIN_MULS, mul_latency=0)
     with pytest.raises(SimulationError):
-        _lifecycle_run(trace, config, hints, event_kernel=False)
+        observe(StagedReferenceCore(trace, config, hints))
     with pytest.raises(SimulationError):
-        _lifecycle_run(trace, config, hints, event_kernel=True)
+        observe(PolyFlowCore(trace, config, hints))
 
 
 def test_squash_lands_mid_skip():
@@ -152,72 +137,97 @@ def test_squash_lands_mid_skip():
     hints = profile.hint_table(policy, min_loop_task_size=4)
     config = MachineConfig(min_spawn_distance=2, warm_caches=False)
     stats = _assert_kernel_equivalent(trace, config, hints)
-    assert stats.violation_squashes > 0
+    assert stats["violation_squashes"] > 0
 
 
-# -- engine selection and fallback ------------------------------------------------
+# -- engine selection -------------------------------------------------------------
 
 
-def _spy_on_kernel(monkeypatch):
+def _spy_on_engines(monkeypatch):
+    """Record which engine each run takes: ``"kernel"`` or ``"staged"``."""
     calls = []
-    real = core_module.run_event_kernel
+    real_kernel = core_module.run_event_kernel
+    real_staged = PolyFlowCore._run_staged
 
-    def spying(core):
-        calls.append(core)
-        return real(core)
+    def kernel(core):
+        calls.append("kernel")
+        return real_kernel(core)
 
-    monkeypatch.setattr(core_module, "run_event_kernel", spying)
+    def staged(core):
+        calls.append("staged")
+        return real_staged(core)
+
+    monkeypatch.setattr(core_module, "run_event_kernel", kernel)
+    monkeypatch.setattr(PolyFlowCore, "_run_staged", staged)
     return calls
 
 
-def _run_core(trace, config, hints, *, verbose=False, **core_kwargs):
+def _run_core(trace, config, hints, *, verbose=False, core_cls=PolyFlowCore):
     bus = EventBus()
     if verbose:
         bus.attach(JsonlTraceWriter(io.StringIO()), verbose=True)
-    return PolyFlowCore(trace, config, hints, bus=bus, **core_kwargs).run()
+    return core_cls(trace, config, hints, bus=bus).run()
 
 
 def test_kernel_selected_for_nonverbose_block_engine_runs(monkeypatch):
-    calls = _spy_on_kernel(monkeypatch)
+    """The default bus (statistics only) runs the event kernel."""
+    calls = _spy_on_engines(monkeypatch)
     trace, config, hints = _prepare(_DEPENDENT_LOADS)
-    _run_core(trace, config, hints, block_engine=True, event_kernel=True)
-    assert len(calls) == 1
+    _run_core(trace, config, hints)
+    assert calls == ["kernel"]
 
 
 def test_verbose_bus_falls_back_to_cycle_exact(monkeypatch):
     """Verbose emission needs every cycle visited, so attaching a
-    verbose sink auto-selects the cycle-exact engine."""
-    calls = _spy_on_kernel(monkeypatch)
+    verbose sink selects the staged engine."""
+    calls = _spy_on_engines(monkeypatch)
     trace, config, hints = _prepare(_DEPENDENT_LOADS)
-    _run_core(
-        trace, config, hints, verbose=True, block_engine=True, event_kernel=True
-    )
-    assert calls == []
+    _run_core(trace, config, hints, verbose=True)
+    assert calls == ["staged"]
 
 
 def test_kernel_disabled_by_flag(monkeypatch):
-    calls = _spy_on_kernel(monkeypatch)
+    """``MachineConfig.nested_spawns`` lets non-tail tasks spawn, which
+    the kernel's tail-only spawn path does not model: the flag selects
+    the staged engine."""
+    calls = _spy_on_engines(monkeypatch)
     trace, config, hints = _prepare(_DEPENDENT_LOADS)
-    _run_core(trace, config, hints, block_engine=True, event_kernel=False)
-    assert calls == []
+    _run_core(trace, dataclasses.replace(config, nested_spawns=True), hints)
+    assert calls == ["staged"]
+
+
+def test_stage_hook_subclass_runs_staged(monkeypatch):
+    calls = _spy_on_engines(monkeypatch)
+    trace, config, hints = _prepare(_DEPENDENT_LOADS)
+    _run_core(trace, config, hints, core_cls=StagedReferenceCore)
+    assert calls == ["staged"]
+
+
+class _PassThroughSpawnUnit(SpawnUnit):
+    def spawn_target(self, trace_index, pc):
+        return SpawnUnit.spawn_target(self, trace_index, pc)
+
+
+def test_spawn_target_override_runs_staged(monkeypatch):
+    """The kernel reads pre-resolved spawn targets, so a spawn unit
+    that overrides ``spawn_target`` selects the staged engine."""
+    calls = _spy_on_engines(monkeypatch)
+    trace, config, hints = _prepare(_DEPENDENT_LOADS)
+    core = PolyFlowCore(trace, config, hints)
+    core.spawn_unit = _PassThroughSpawnUnit(trace, hints, config)
+    core.run()
+    assert calls == ["staged"]
 
 
 def test_kernel_requires_block_tables(monkeypatch):
-    """Without the block engine there are no compiled run tables for
-    the calendar to batch over; the kernel must not be selected."""
-    calls = _spy_on_kernel(monkeypatch)
+    """The kernel runs on block tables cut at the spawn unit's
+    candidates; swapping the unit after construction (as the
+    reconvergence spawner does) recompiles them before the run."""
+    calls = _spy_on_engines(monkeypatch)
     trace, config, hints = _prepare(_DEPENDENT_LOADS)
-    _run_core(trace, config, hints, block_engine=False, event_kernel=True)
-    assert calls == []
-
-
-def test_kernel_default_respects_environment(monkeypatch):
-    monkeypatch.delenv(EVENT_KERNEL_ENV, raising=False)
-    assert kernel_enabled_default() is True
-    monkeypatch.setenv(EVENT_KERNEL_ENV, "0")
-    assert kernel_enabled_default() is False
-    trace, config, hints = _prepare(_TWIN_MULS)
-    core = PolyFlowCore(trace, config, hints, block_engine=True)
-    assert core.event_kernel is False
-    monkeypatch.setenv(EVENT_KERNEL_ENV, "1")
-    assert kernel_enabled_default() is True
+    core = PolyFlowCore(trace, config, hints)
+    core.spawn_unit = SpawnUnit(trace, hints, config)
+    assert core._compiled_for is not core.spawn_unit
+    core.run()
+    assert calls == ["kernel"]
+    assert core._compiled_for is core.spawn_unit

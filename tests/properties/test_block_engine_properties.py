@@ -1,52 +1,30 @@
-"""Property-based equivalence of the block-at-a-time engine.
+"""Property-based equivalence of block-at-a-time and per-instruction
+execution.
 
-On randomly generated programs — the plain hammock loops and the
-violation-provoking store/load hammocks from the existing
-program-builder strategies — a core running with the block engine must
-be observationally identical to one running per-instruction: same
-:class:`SimStats`, same verbose event stream, event for event, under
-both the control-equivalent policy and the squash-heavy hammock
-policy.
+The event kernel fetches and issues whole straight-line runs from the
+compiled block tables; the staged reference engine steps one
+instruction at a time.  On randomly generated programs — the plain
+hammock loops and the violation-provoking store/load hammocks — both
+must leave the machine in the same end-of-run state (cache LRU sets,
+predictor tables, spawn-unit feedback), under the control-equivalent
+policy and the squash-heavy hammock policy.  (Statistics and event
+streams are pinned on the same strategies in
+``test_event_kernel_properties.py``.)
 """
 
 from hypothesis import given, settings
 
 from tests.helpers import examples
 
-from repro.cfg import build_program_cfgs
-from repro.obs import EventBus, JsonlTraceWriter
-from repro.polyflow import MachineConfig, PolyFlowCore
-from repro.sim import run_program
-from repro.spawn import SpawnAnalysis, profile_spawn_points
+from repro.polyflow import PolyFlowCore
 
+from tests.engines import StagedReferenceCore, observe_both, program_job
 from tests.strategies import random_hammock_programs, violating_programs
-
-import io
-
-
-def _verbose_run(program, spec, block_engine):
-    """``(stats_dict, verbose JSONL text)`` of one engine setting."""
-    trace = run_program(program)
-    analysis = SpawnAnalysis(build_program_cfgs(program))
-    policy = analysis.policy(spec)
-    profile = profile_spawn_points(trace, policy.points)
-    hints = profile.hint_table(policy, min_loop_task_size=4)
-    config = MachineConfig(min_spawn_distance=2)
-    buffer = io.StringIO()
-    bus = EventBus()
-    writer = bus.attach(JsonlTraceWriter(buffer), verbose=True)
-    stats = PolyFlowCore(
-        trace, config, hints, bus=bus, block_engine=block_engine
-    ).run()
-    writer.close()
-    return stats.as_dict(), buffer.getvalue()
 
 
 def _assert_engines_equivalent(program, spec):
-    off_stats, off_stream = _verbose_run(program, spec, block_engine=False)
-    on_stats, on_stream = _verbose_run(program, spec, block_engine=True)
-    assert on_stream == off_stream
-    assert on_stats == off_stats
+    kernel, staged = observe_both(program_job(program, spec))
+    assert kernel[2] == staged[2]
 
 
 @given(random_hammock_programs())
@@ -59,22 +37,17 @@ def test_block_engine_equivalent_on_random_hammocks(program):
 @settings(max_examples=examples(15), deadline=None)
 def test_block_engine_equivalent_under_violations(program):
     """The squash/refetch recovery path: batched positions are squashed
-    mid-run and refetched, and the streams must still match byte for
-    byte."""
+    mid-run and refetched, and the machine state must still match."""
     _assert_engines_equivalent(program, "hammock")
 
 
 @given(random_hammock_programs())
 @settings(max_examples=examples(10), deadline=None)
 def test_block_engine_stats_equivalent_without_bus(program):
-    """Non-verbose runs take the quiet-skip and batched-fetch shortcuts
-    in full; stats must still be identical."""
-    trace = run_program(program)
-    analysis = SpawnAnalysis(build_program_cfgs(program))
-    policy = analysis.policy("postdoms")
-    profile = profile_spawn_points(trace, policy.points)
-    hints = profile.hint_table(policy, min_loop_task_size=4)
-    config = MachineConfig(min_spawn_distance=2)
-    on = PolyFlowCore(trace, config, hints, block_engine=True).run()
-    off = PolyFlowCore(trace, config, hints, block_engine=False).run()
-    assert on.as_dict() == off.as_dict()
+    """With the default bus (no sink beyond the statistics) the kernel
+    takes its quiet-skip and batched-fetch shortcuts in full; stats must
+    still be identical."""
+    make_core = program_job(program, "postdoms")
+    kernel = make_core(PolyFlowCore).run()
+    staged = make_core(StagedReferenceCore).run()
+    assert kernel.as_dict() == staged.as_dict()

@@ -1,69 +1,27 @@
-"""Property-based equivalence of the event-calendar time-skip kernel.
+"""Property-based equivalence of the event kernel and the staged spec.
 
 On randomly generated programs — plain hammock loops and the
-violation-provoking store/load hammocks — a core with the time-skip
-kernel enabled must be observationally identical to one stepping every
-cycle: same :class:`SimStats` and the same event stream, event for
-event.
-
-Two stream flavours are pinned per program:
-
-* the non-verbose lifecycle stream, where the kernel actually runs
-  (this is what the golden traces render); and
-* the verbose stream, where attaching the verbose sink must auto-select
-  the cycle-exact fallback — so the flag setting cannot change a byte
-  there either.
+violation-provoking store/load hammocks — the event-calendar kernel
+must be observationally identical to the staged reference engine
+stepping every cycle: same :class:`SimStats` and the same lifecycle
+event stream, event for event.  (The end-of-run machine state is pinned
+on the same strategies in ``test_block_engine_properties.py``.)
 """
 
 from hypothesis import given, settings
 
 from tests.helpers import examples
 
-from repro.cfg import build_program_cfgs
-from repro.obs import LIFECYCLE_KINDS, EventBus, JsonlTraceWriter
-from repro.polyflow import MachineConfig, PolyFlowCore
-from repro.sim import run_program
-from repro.spawn import SpawnAnalysis, profile_spawn_points
-
+from tests.engines import observe_both, program_job
 from tests.strategies import random_hammock_programs, violating_programs
-
-import io
-
-
-def _run(program, spec, event_kernel, verbose):
-    """``(stats_dict, JSONL text)`` for one kernel/verbosity setting."""
-    trace = run_program(program)
-    analysis = SpawnAnalysis(build_program_cfgs(program))
-    policy = analysis.policy(spec)
-    profile = profile_spawn_points(trace, policy.points)
-    hints = profile.hint_table(policy, min_loop_task_size=4)
-    config = MachineConfig(min_spawn_distance=2)
-    buffer = io.StringIO()
-    bus = EventBus()
-    if verbose:
-        writer = bus.attach(JsonlTraceWriter(buffer), verbose=True)
-    else:
-        writer = bus.attach(
-            JsonlTraceWriter(buffer, kinds=LIFECYCLE_KINDS), verbose=False
-        )
-    stats = PolyFlowCore(
-        trace,
-        config,
-        hints,
-        bus=bus,
-        block_engine=True,
-        event_kernel=event_kernel,
-    ).run()
-    writer.close()
-    return stats.as_dict(), buffer.getvalue()
 
 
 def _assert_time_skip_transparent(program, spec):
-    for verbose in (False, True):
-        off_stats, off_stream = _run(program, spec, False, verbose)
-        on_stats, on_stream = _run(program, spec, True, verbose)
-        assert on_stream == off_stream
-        assert on_stats == off_stats
+    kernel, staged = observe_both(program_job(program, spec))
+    kernel_stats, kernel_stream, _ = kernel
+    staged_stats, staged_stream, _ = staged
+    assert kernel_stream == staged_stream
+    assert kernel_stats == staged_stats
 
 
 @given(random_hammock_programs())

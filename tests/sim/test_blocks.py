@@ -6,7 +6,6 @@ from repro.isa import assemble
 from repro.sim import run_program
 from repro.sim.blocks import (
     BLOCK_CACHE_KEYS,
-    BLOCK_ENGINE_ENV,
     BLOCK_FORMAT_VERSION,
     ICACHE_LINE_BYTES,
     ProgramBlocks,
@@ -14,7 +13,6 @@ from repro.sim.blocks import (
     build_block_table,
     cache_counters,
     counters_delta,
-    engine_enabled_default,
     program_blocks_for,
     reset_cache_counters,
 )
@@ -272,11 +270,3 @@ def test_program_blocks_follow_fall_through_until_control():
     # Memoized per entry PC.
     assert blocks.block_at(entry) is block
 
-
-def test_engine_default_respects_environment(monkeypatch):
-    monkeypatch.delenv(BLOCK_ENGINE_ENV, raising=False)
-    assert engine_enabled_default() is True
-    monkeypatch.setenv(BLOCK_ENGINE_ENV, "0")
-    assert engine_enabled_default() is False
-    monkeypatch.setenv(BLOCK_ENGINE_ENV, "1")
-    assert engine_enabled_default() is True

@@ -2,24 +2,20 @@
 
 A rotating stratified sample of catalog programs — the rotation token
 derives from the catalog's content digest, never from wall clock, so a
-given catalog always samples the same scenarios — must produce
-byte-identical streams with the block engine on vs off (verbose) and
-the event kernel on vs off (lifecycle and verbose flavours).
+given catalog always samples the same scenarios — must run identically
+on the event kernel and on the staged reference engine: byte-identical
+lifecycle streams and statistics, and the same end-of-run machine
+state.
 """
-
-import io
 
 import pytest
 
 from tests.helpers import HYPOTHESIS_PROFILE
 
-from repro.cfg import build_program_cfgs
 from repro.isa import assemble
-from repro.obs import LIFECYCLE_KINDS, EventBus, JsonlTraceWriter
-from repro.polyflow import MachineConfig, PolyFlowCore
-from repro.sim import run_program
-from repro.spawn import SpawnAnalysis, profile_spawn_points
 from repro.workloads.synth import build_scenario, stratified_sample
+
+from tests.engines import observe_both, program_job
 
 _SCALE = 0.4
 _SAMPLE = 24 if HYPOTHESIS_PROFILE == "ci-long" else 8
@@ -31,55 +27,21 @@ def _sample_names():
     return stratified_sample(_SAMPLE)
 
 
-def _prepare(name):
+def _observe_both(name):
     bundle = build_scenario(name, _SCALE)
-    program = assemble(bundle.source)
-    trace = run_program(program)
-    analysis = SpawnAnalysis(build_program_cfgs(program))
     spec = "hammock" if bundle.dials.conflict else "postdoms"
-    policy = analysis.policy(spec)
-    profile = profile_spawn_points(trace, policy.points)
-    hints = profile.hint_table(policy, min_loop_task_size=4)
-    return trace, hints
-
-
-def _run(trace, hints, block_engine, event_kernel, verbose):
-    buffer = io.StringIO()
-    bus = EventBus()
-    if verbose:
-        writer = bus.attach(JsonlTraceWriter(buffer), verbose=True)
-    else:
-        writer = bus.attach(
-            JsonlTraceWriter(buffer, kinds=LIFECYCLE_KINDS), verbose=False
-        )
-    stats = PolyFlowCore(
-        trace,
-        MachineConfig(min_spawn_distance=2),
-        hints,
-        bus=bus,
-        block_engine=block_engine,
-        event_kernel=event_kernel,
-    ).run()
-    writer.close()
-    return stats.as_dict(), buffer.getvalue()
+    return observe_both(program_job(assemble(bundle.source), spec))
 
 
 @pytest.mark.parametrize("name", _sample_names())
 def test_block_engine_equivalent_on_catalog_sample(name):
-    trace, hints = _prepare(name)
-    off = _run(trace, hints, block_engine=False, event_kernel=False, verbose=True)
-    on = _run(trace, hints, block_engine=True, event_kernel=False, verbose=True)
-    assert on == off
+    """The block-at-a-time kernel ends in the per-instruction staged
+    engine's machine state."""
+    kernel, staged = _observe_both(name)
+    assert kernel[2] == staged[2]
 
 
 @pytest.mark.parametrize("name", _sample_names())
 def test_event_kernel_equivalent_on_catalog_sample(name):
-    trace, hints = _prepare(name)
-    for verbose in (False, True):
-        off = _run(
-            trace, hints, block_engine=True, event_kernel=False, verbose=verbose
-        )
-        on = _run(
-            trace, hints, block_engine=True, event_kernel=True, verbose=verbose
-        )
-        assert on == off
+    kernel, staged = _observe_both(name)
+    assert kernel[:2] == staged[:2]
