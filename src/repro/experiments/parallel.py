@@ -301,6 +301,9 @@ class RunSummary:
         #: Cells executed through the grid-batch lockstep runner
         #: (a subset of ``jobs_run``; the rest ran per-cell).
         self.batched_jobs = 0
+        #: Simulated cells whose stats came from an identical cell's
+        #: kernel run in the same batch (a subset of ``jobs_run``).
+        self.shared_cells = 0
         #: Cells answered from the analytic estimator alone — no
         #: simulation ran, the consumer saw ``source=estimated``.
         self.estimated_cells = 0
@@ -442,6 +445,7 @@ class RunSummary:
             "corrupt_cache_paths": list(self.corrupt_entries),
             "block_cache": dict(self.block_cache),
             "batched_jobs": self.batched_jobs,
+            "shared_cells": self.shared_cells,
             "estimated_cells": self.estimated_cells,
             "fabric": dict(self.fabric),
             "wall_seconds": self.wall_seconds,
@@ -472,6 +476,13 @@ class RunSummary:
             lines.append(
                 "  grid-batch: {} of {} simulated cells ran in lockstep".format(
                     self.batched_jobs, self.jobs_run
+                )
+            )
+        if self.shared_cells:
+            lines.append(
+                "  shared: {} of {} simulated cells reused an identical cell's "
+                "run ({} kernel runs)".format(
+                    self.shared_cells, self.jobs_run, self.jobs_run - self.shared_cells
                 )
             )
         if self.estimated_cells:
@@ -787,6 +798,8 @@ class ParallelExperimentRunner(ExperimentRunner):
         stats, metrics, seconds, blocks = outcome
         self.summary.record_job(name, self._job_label(spec, config), seconds)
         self.summary.record_block_cache(blocks)
+        if blocks and blocks.get(gridbatch.SHARED_RUN):
+            self.summary.shared_cells += 1
         if metrics is not None:
             self.summary.record_metrics(self._job_label(spec, config), metrics)
         self._store_cached(name, spec, config, profile_distance, stats, metrics)

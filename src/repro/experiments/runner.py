@@ -97,6 +97,23 @@ def build_core(name, spec, scale, config, profile_distance=None, bus=None):
     return PolyFlowCore(prepared.trace, config, profile.hint_table(policy), bus=bus)
 
 
+def simulation_key(name, core):
+    """What makes a built core a distinct machine.
+
+    Plain cores of one workload (at one scale) with equal keys run the
+    same simulation: the key holds the full machine configuration (so
+    ``superscalar`` and every geometry override stay apart), the spawn
+    unit's class (so ``rec_pred`` never matches a static policy) and
+    the contents of the hint table that unit reads.
+    """
+    return (
+        name,
+        config_fingerprint(core.config),
+        type(core.spawn_unit),
+        core.spawn_unit.hint_table.key(),
+    )
+
+
 def simulate_job(name, spec, scale, config, profile_distance=None):
     """Run one (workload, policy) cycle-level simulation.
 

@@ -11,6 +11,12 @@ This module batches them.  :func:`run_batch` takes one chunk of plain
 cells (no metrics, no trace file, no event bus — exactly the cells the
 event-calendar kernel accepts) and:
 
+* **simulates each distinct machine once** — cells whose cores have
+  the same :func:`~repro.experiments.runner.simulation_key` (workload,
+  machine configuration, spawn-unit class, hint-table contents; e.g.
+  ``loopFT`` and ``loopFT+procFT`` on a program without procedure
+  fall-through points) share one kernel run, and each later cell gets
+  a deep copy of the first one's stats;
 * **shares warm state per trace** — the first cell of each
   (workload, machine geometry) group runs the O(trace) warm-cache
   replay via :meth:`~repro.polyflow.core.PolyFlowCore.prewarm`; its
@@ -26,11 +32,13 @@ event-calendar kernel accepts) and:
 * **keeps per-cell accounting exact** — each generator step advances
   exactly one cell, so wall-clock seconds and block-cache counter
   movement are measured around the steps themselves rather than
-  apportioned from a batch total.
+  apportioned from a batch total (a cell that shares a run is charged
+  only its own ``build_core``).
 
 Statistics are **byte-identical** to the per-cell path: the lockstep
 driver only changes *when* each cell's next slice of work runs, never
-what it computes (pinned by the property tests in
+what it computes, and sharing only skips runs that would repeat an
+identical machine (pinned by the property tests in
 ``tests/properties/test_gridbatch_identity.py``).
 
 The runner is on by default behind the ``REPRO_GRIDBATCH`` environment
@@ -38,6 +46,7 @@ flag (``0`` disables it); cells that carry observability instruments
 always take the per-cell path, batch or no batch.
 """
 
+import copy
 import os
 import time
 
@@ -56,6 +65,10 @@ MIN_BATCH_CELLS = 2
 #: only wins once the replay dwarfs the restore.  Measured crossover
 #: on the paper geometry is in the low thousands of instructions.
 WARM_SHARE_MIN_TRACE = 4096
+
+#: ``blocks`` key marking a cell whose stats were copied from an
+#: identical cell's run in the same batch (see :func:`run_batch`).
+SHARED_RUN = "shared_run"
 
 
 def gridbatch_enabled():
@@ -80,16 +93,18 @@ def batchable(emit_metrics, trace_file=None, bus=None):
 
 
 class _BatchCell:
-    """One in-flight cell: its core, generator, and accounting."""
+    """One cell: its core, generator and accounting — or, when an earlier
+    cell runs the same machine, just the ``twin`` whose run answers it."""
 
-    __slots__ = ("core", "generator", "seconds", "blocks", "stats")
+    __slots__ = ("core", "generator", "seconds", "blocks", "stats", "twin")
 
-    def __init__(self, core, generator, seconds, blocks):
+    def __init__(self, core, seconds, blocks):
         self.core = core
-        self.generator = generator
+        self.generator = None
         self.seconds = seconds
         self.blocks = blocks
         self.stats = None
+        self.twin = None
 
 
 def _merge_blocks(into, delta):
@@ -105,27 +120,31 @@ def run_batch(jobs, scale, stride=DEFAULT_STRIDE):
     ``(stats, None, seconds, blocks)`` outcomes —  the same shape
     :func:`repro.experiments.scheduler.execute_job` reports for a
     plain cell, so callers book batch results through the exact same
-    path.
+    path.  A cell whose stats are a copy of an identical cell's run
+    has ``blocks[SHARED_RUN] == 1``.
     """
-    from repro.experiments.runner import build_core
-    from repro.polyflow.config import config_fingerprint
+    from repro.experiments.runner import build_core, simulation_key
     from repro.sim.blocks import cache_counters, counters_delta
 
+    # One kernel run per distinct machine: the first cell of each
+    # simulation key runs, later cells with the same key only pay
+    # their own build_core and copy the first cell's stats at the end.
     cells = []
-    keys = []
+    runs = {}
     for name, spec, config, profile_distance in jobs:
         started = time.perf_counter()
         before = cache_counters()
         core = build_core(name, spec, scale, config, profile_distance)
-        keys.append((name, config_fingerprint(core.config)))
-        cells.append(
-            _BatchCell(
-                core,
-                core.run_incremental(stride),
-                time.perf_counter() - started,
-                counters_delta(before),
-            )
-        )
+        cell = _BatchCell(core, time.perf_counter() - started, counters_delta(before))
+        key = simulation_key(name, core)
+        if key in runs:
+            cell.core = None
+            cell.twin = runs[key]
+            cell.blocks[SHARED_RUN] = 1
+        else:
+            runs[key] = cell
+            cell.generator = core.run_incremental(stride)
+        cells.append(cell)
 
     # One warm-cache replay per (trace, machine geometry) *group*: the
     # first cell replays via prewarm and its siblings adopt the LRU
@@ -134,17 +153,18 @@ def run_batch(jobs, scale, stride=DEFAULT_STRIDE):
     # more than a snapshot restore — warms lazily inside its first
     # lockstep step instead: snapshotting a hierarchy nobody reuses
     # (or one cheaper to rebuild than restore) is pure overhead.
-    key_counts = {}
-    for key in keys:
-        key_counts[key] = key_counts.get(key, 0) + 1
+    group_counts = {}
+    for key in runs:
+        group_counts[key[:2]] = group_counts.get(key[:2], 0) + 1
     warm_snapshots = {}
-    for key, cell in zip(keys, cells):
-        if key_counts[key] < 2 or len(cell.core.trace) < WARM_SHARE_MIN_TRACE:
+    for key, cell in runs.items():
+        group = key[:2]  # (workload, config fingerprint)
+        if group_counts[group] < 2 or len(cell.core.trace) < WARM_SHARE_MIN_TRACE:
             continue
         started = time.perf_counter()
-        snapshot = warm_snapshots.get(key)
+        snapshot = warm_snapshots.get(group)
         if snapshot is None:
-            warm_snapshots[key] = cell.core.prewarm()
+            warm_snapshots[group] = cell.core.prewarm()
         else:
             cell.core.install_warm_state(snapshot)
         cell.seconds += time.perf_counter() - started
@@ -152,7 +172,7 @@ def run_batch(jobs, scale, stride=DEFAULT_STRIDE):
     # Lockstep rotation: pop, advance one stride, re-append while live.
     # Steps are sequential, so measuring around each step attributes
     # seconds and block-counter movement to exactly one cell.
-    live = list(cells)
+    live = list(runs.values())
     while live:
         still_running = []
         for cell in live:
@@ -167,4 +187,7 @@ def run_batch(jobs, scale, stride=DEFAULT_STRIDE):
             cell.seconds += time.perf_counter() - started
             _merge_blocks(cell.blocks, counters_delta(before))
         live = still_running
+    for cell in cells:
+        if cell.twin is not None:
+            cell.stats = copy.deepcopy(cell.twin.stats)
     return [(cell.stats, None, cell.seconds, cell.blocks) for cell in cells]

@@ -74,3 +74,21 @@ class HintTable:
     def entries(self):
         """All entries, sorted by trigger PC."""
         return sorted(self._entries.values(), key=lambda e: e.spawn_point.trigger_pc)
+
+    def key(self):
+        """A hashable key equal for tables that drive identical spawns.
+
+        Every entry field the simulator reads, sorted by trigger PC;
+        the diagnostic ``procedure`` name is left out.
+        """
+        return tuple(
+            (
+                entry.spawn_point.trigger_pc,
+                entry.spawn_point.spawn_pc,
+                entry.spawn_point.category,
+                entry.write_set_mask,
+                entry.mean_distance,
+                entry.occurrence_count,
+            )
+            for entry in self.entries()
+        )

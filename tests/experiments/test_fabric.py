@@ -487,6 +487,33 @@ def test_local_transport_matches_serial(tmp_path, serial_packed):
     assert runner.summary.fabric["cells"] == len(serial_packed)
 
 
+def test_fabric_outcomes_book_shared_cells(tmp_path):
+    """Inside one worker's chunk, cells whose policies resolve to the
+    same hint table share a kernel run; the outcome frames carry that
+    home to the run summary."""
+    specs = ("loopFT", "loopFT+procFT", "loop+loopFT", "loop+procFT+loopFT")
+    grid = [(name, spec) for name in ("mcf", "gzip") for spec in specs]
+    runner = ParallelExperimentRunner(
+        scale=0.25,
+        fabric_workers=2,
+        fabric_store=str(tmp_path / "store"),
+        chunk=4,
+        schedule=scheduler.SCHEDULE_FIFO,
+    )
+    try:
+        runner.prefetch(grid)
+    finally:
+        runner.shutdown_fabric()
+    assert runner.summary.fabric["chunks"] == 2
+    assert runner.summary.jobs_run == len(grid)
+    assert runner.summary.shared_cells == 6
+    serial = ExperimentRunner(scale=0.25)
+    for name, spec in grid:
+        assert scheduler.pack_stats(runner.run_policy(name, spec)) == (
+            scheduler.pack_stats(serial.run_policy(name, spec))
+        )
+
+
 def test_warm_store_answers_without_simulating(tmp_path, serial_packed):
     """A second runner against a populated store simulates nothing:
     every cell is answered by the parent's store read-through."""

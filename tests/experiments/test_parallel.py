@@ -290,6 +290,63 @@ def test_run_summary_as_dict_exposes_structured_fields():
     assert "1 worker-pool restart(s)" in summary.render()
 
 
+#: Policies that keep the same spawn points at scale 0.25: one machine
+#: per workload, so a cold grid of them runs one kernel per workload.
+_SHARING_GRID = [
+    (name, spec)
+    for name in ("mcf", "gzip")
+    for spec in ("loopFT", "loopFT+procFT", "loop+loopFT", "loop+procFT+loopFT")
+]
+
+
+def _sharing_runner(tmp_path, **options):
+    return ParallelExperimentRunner(
+        scale=0.25,
+        workload_names=("mcf", "gzip"),
+        cache_dir=str(tmp_path / "cache"),
+        **options,
+    )
+
+
+def test_cold_duplicate_grid_reports_shared_cells(tmp_path):
+    cold = _sharing_runner(tmp_path, jobs=1)
+    cold.prefetch(_SHARING_GRID)
+    assert cold.summary.jobs_run == len(_SHARING_GRID)
+    assert cold.summary.shared_cells == 6
+    assert cold.summary.as_dict()["shared_cells"] == 6
+    rendered = cold.summary.render()
+    assert rendered.splitlines()[0].startswith("run summary: 8 simulated, 0 cache hits")
+    assert (
+        "  shared: 6 of 8 simulated cells reused an identical cell's run "
+        "(2 kernel runs)" in rendered
+    )
+    # Every cell has its own cache entry, so a warm re-run simulates
+    # and shares nothing.
+    warm = _sharing_runner(tmp_path, jobs=1)
+    warm.prefetch(_SHARING_GRID)
+    assert warm.summary.jobs_run == 0
+    assert warm.summary.shared_cells == 0
+    assert warm.summary.cache_hits == len(_SHARING_GRID)
+    assert "shared:" not in warm.summary.render()
+    for name, spec in _SHARING_GRID:
+        assert warm.run_policy(name, spec).as_dict() == cold.run_policy(name, spec).as_dict()
+
+
+def test_pooled_chunks_report_shared_cells(tmp_path):
+    # FIFO chunks of four keep each workload's identical cells in one
+    # chunk; the sharing is booked from the workers' outcomes.
+    pooled = _sharing_runner(
+        tmp_path, jobs=2, cpus=2, chunk=4, schedule="fifo", inline_threshold=1
+    )
+    pooled.prefetch(_SHARING_GRID)
+    assert pooled.summary.chunks_shipped == 2
+    assert pooled.summary.jobs_run == len(_SHARING_GRID)
+    assert pooled.summary.shared_cells == 6
+    for name, spec in _SHARING_GRID:
+        expected = simulate_job(name, spec, 0.25, PAPER_CONFIG)
+        assert pooled.run_policy(name, spec).as_dict() == expected.as_dict()
+
+
 def test_broken_pool_is_restarted_and_grid_replanned(tmp_path):
     from tests.faults import broken_pool
 

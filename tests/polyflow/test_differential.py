@@ -149,7 +149,7 @@ def test_block_engine_equivalent_to_per_instruction(name, spec):
     assert kernel[2] == staged[2]
 
 
-def test_block_engine_nonverbose_stats_equivalent():
+def test_event_kernel_nonverbose_stats_match_staged_spec():
     """With the default bus — no sink beyond the statistics — the
     kernel takes its quiet-skip and batched-fetch shortcuts in full;
     stats must still match the staged engine exactly."""

@@ -169,7 +169,7 @@ def _run_core(trace, config, hints, *, verbose=False, core_cls=PolyFlowCore):
     return core_cls(trace, config, hints, bus=bus).run()
 
 
-def test_kernel_selected_for_nonverbose_block_engine_runs(monkeypatch):
+def test_kernel_selected_for_nonverbose_runs(monkeypatch):
     """The default bus (statistics only) runs the event kernel."""
     calls = _spy_on_engines(monkeypatch)
     trace, config, hints = _prepare(_DEPENDENT_LOADS)

@@ -1,11 +1,12 @@
-"""Property-based equivalence of the event kernel and the staged spec.
+"""Property-based equivalence of the event kernel and the staged spec:
+statistics and event streams.
 
 On randomly generated programs — plain hammock loops and the
 violation-provoking store/load hammocks — the event-calendar kernel
 must be observationally identical to the staged reference engine
 stepping every cycle: same :class:`SimStats` and the same lifecycle
 event stream, event for event.  (The end-of-run machine state is pinned
-on the same strategies in ``test_block_engine_properties.py``.)
+on the same strategies in ``test_engine_state_properties.py``.)
 """
 
 from hypothesis import given, settings
