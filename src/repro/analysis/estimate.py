@@ -150,23 +150,7 @@ class TraceSignals:
 
 
 def _count_kinds(decoded):
-    """Occurrences of each ``KIND_*`` / ``LAT_*`` class.
-
-    Uses the optional NumPy backend when enabled: ``kind``/``lat`` are
-    bytearrays, so ``bincount`` over them is an exact integer operation
-    — observably identical to the stdlib loop.
-    """
-    from repro.accel import numpy_or_none
-
-    numpy = numpy_or_none()
-    if numpy is not None:
-        kind_counts = numpy.bincount(
-            numpy.frombuffer(bytes(decoded.kind), dtype=numpy.uint8), minlength=8
-        )
-        lat_counts = numpy.bincount(
-            numpy.frombuffer(bytes(decoded.lat), dtype=numpy.uint8), minlength=4
-        )
-        return [int(value) for value in kind_counts], [int(value) for value in lat_counts]
+    """Occurrences of each ``KIND_*`` / ``LAT_*`` class."""
     kind_counts = [0] * 8
     for kind in decoded.kind:
         kind_counts[kind] += 1

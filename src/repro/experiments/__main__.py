@@ -177,9 +177,10 @@ def main(argv=None):
     parser.add_argument(
         "--fabric-store",
         default=None,
-        help="shared content-addressed artifact store directory: "
-        "workers fetch cells other participants already simulated "
-        "and publish fresh results back",
+        help="shared result store directory (same format as "
+        "--cache-dir, so a filled cache directory serves as one): "
+        "workers load cells other participants already simulated "
+        "and store fresh results back",
     )
     parser.add_argument(
         "--fabric-transport",
@@ -415,9 +416,7 @@ def _run_cache_gc(arguments):
     if not arguments.no_cache:
         targets.append(("result cache", ResultCache(arguments.cache_dir)))
     if arguments.fabric_store:
-        from repro.experiments.fabric.store import SharedStore
-
-        targets.append(("fabric store", SharedStore(arguments.fabric_store)))
+        targets.append(("fabric store", ResultCache(arguments.fabric_store)))
     if not targets:
         print("cache-gc: nothing to sweep (--no-cache and no --fabric-store)")
         return 1

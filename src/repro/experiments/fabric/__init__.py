@@ -9,9 +9,6 @@ executors instead:
   JSON chunk protocol (wire-version guarded) workers speak over
   stdin/stdout, including an exact JSON round-trip of the scheduler's
   packed stat tuples.
-* :mod:`~repro.experiments.fabric.store` — :class:`SharedStore`, the
-  content-addressed artifact store (digest-verified fetch, atomic
-  publish, local read-through cache) workers and parents share.
 * :mod:`~repro.experiments.fabric.transport` — the
   :class:`Transport` implementations: :class:`LocalPoolTransport`
   (today's warm pool behind the fabric interface) and
@@ -20,13 +17,17 @@ executors instead:
 * :mod:`~repro.experiments.fabric.worker` — the worker entry point
   (``python -m repro.experiments.fabric.worker``).
 
+Workers and parents share results through a
+:class:`~repro.experiments.parallel.ResultCache` root (``--fabric-store``):
+the same sha256-verified entries the local result cache writes, so a
+filled cache directory serves as a store as is.
+
 Placement never changes results: cells are deterministic simulations
 keyed by their job digests, outcomes merge into the same keyed memo
 the serial runner reads, and the placement-invariance suite asserts
 byte identity across transports, worker counts, and schedules.
 """
 
-from repro.experiments.fabric.store import SharedStore
 from repro.experiments.fabric.transport import (
     FabricWorkerDied,
     LocalPoolTransport,
@@ -34,7 +35,6 @@ from repro.experiments.fabric.transport import (
 )
 
 __all__ = [
-    "SharedStore",
     "FabricWorkerDied",
     "LocalPoolTransport",
     "SubprocessWorkerTransport",

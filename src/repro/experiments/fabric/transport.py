@@ -144,7 +144,6 @@ class SubprocessWorkerTransport:
         self,
         workers=2,
         store_root=None,
-        local_store_root=None,
         analysis_dir=None,
         command_template=None,
         chunk_timeout=DEFAULT_CHUNK_TIMEOUT,
@@ -154,7 +153,6 @@ class SubprocessWorkerTransport:
     ):
         self.workers = max(1, int(workers))
         self.store_root = store_root
-        self.local_store_root = local_store_root
         self.analysis_dir = analysis_dir
         self.command_template = command_template
         self.chunk_timeout = chunk_timeout
@@ -190,8 +188,6 @@ class SubprocessWorkerTransport:
         command += ["--index", str(index)]
         if self.store_root:
             command += ["--store", self.store_root]
-        if self.local_store_root:
-            command += ["--local-store", self.local_store_root]
         command += ["--heartbeat", str(self.heartbeat_interval)]
         return command
 

@@ -7,15 +7,16 @@ thread heartbeats so the driver can tell a long simulation from a dead
 process; then the main loop executes ``chunk`` frames until
 ``shutdown`` or EOF.
 
-Chunk execution is store-first: every cell's job digest is probed
-against the shared artifact store (``--store``), and held cells are
-answered from the verified entry without simulating — labeled
+Chunk execution is store-first: every cell's job digest is looked up
+in the shared result store (``--store``, a
+:class:`~repro.experiments.parallel.ResultCache` root), and held cells
+are answered from the verified entry without simulating — labeled
 ``source=store`` so the driver books them as store hits, not runs.
 The remaining cells run through the scheduler's
 :func:`~repro.experiments.scheduler.execute_chunk` — the *same*
 worker-side path the local pool uses, lockstep grid-batching included,
 so fabric results are bit-identical to pooled and serial ones — and
-each fresh result is published back to the store for the next worker.
+each fresh result is stored back into the store for the next worker.
 
 stdout carries frames only; anything a simulation prints would corrupt
 the stream, so the worker rebinds ``sys.stdout`` to stderr after
@@ -61,9 +62,7 @@ def _claim_fault(kind):
 def _execute_chunk(frame, store, analysis_dir):
     """The ``result`` frame for one ``chunk`` frame."""
     from repro.experiments import scheduler
-    from repro.experiments.fabric.store import decode_entry, entry_body
-    from repro.experiments.parallel import CACHE_FORMAT_VERSION, job_digest
-    from repro.polyflow.config import config_fingerprint
+    from repro.experiments.parallel import job_digest, job_meta
 
     scale = frame["scale"]
     cells = [protocol.decode_cell(raw) for raw in frame["cells"]]
@@ -74,24 +73,16 @@ def _execute_chunk(frame, store, analysis_dir):
     outcomes = [None] * len(cells)
     pending = []
     for index, digest in enumerate(digests):
-        body = store.fetch(digest) if store is not None else None
-        if body is not None:
-            try:
-                stats, _ = decode_entry(body)
-            except Exception:
-                store.corrupt_rejected += 1
-                body = None
-            else:
-                outcomes[index] = {
-                    "packed": protocol.encode_packed(
-                        scheduler.pack_stats(stats)
-                    ),
-                    "seconds": 0.0,
-                    "blocks": {},
-                    "source": "store",
-                }
-        if body is None:
+        entry = store.load(digest) if store is not None else None
+        if entry is None:
             pending.append(index)
+            continue
+        outcomes[index] = {
+            "packed": protocol.encode_packed(scheduler.pack_stats(entry[0])),
+            "seconds": 0.0,
+            "blocks": {},
+            "source": "store",
+        }
     if pending:
         payload = [
             cells[index] + (None,) for index in pending
@@ -100,17 +91,10 @@ def _execute_chunk(frame, store, analysis_dir):
         for index, (packed, _, seconds, blocks) in zip(pending, executed):
             name, spec, config, profile_distance = cells[index]
             if store is not None:
-                meta = {
-                    "workload": name,
-                    "spec": spec,
-                    "scale": scale,
-                    "config_fingerprint": config_fingerprint(config),
-                    "profile_distance": profile_distance,
-                    "version": CACHE_FORMAT_VERSION,
-                }
-                store.publish(
+                store.store(
                     digests[index],
-                    entry_body(scheduler.unpack_stats(packed), meta),
+                    scheduler.unpack_stats(packed),
+                    job_meta(name, spec, scale, config, profile_distance),
                 )
             outcomes[index] = {
                 "packed": protocol.encode_packed(packed),
@@ -122,7 +106,7 @@ def _execute_chunk(frame, store, analysis_dir):
         "kind": "result",
         "id": frame["id"],
         "outcomes": outcomes,
-        "store": store.stats() if store is not None else None,
+        "store": store.counters() if store is not None else None,
     }
 
 
@@ -130,11 +114,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="polyflow-fabric-worker")
     parser.add_argument("--index", type=int, default=0)
     parser.add_argument("--store", default=None)
-    parser.add_argument(
-        "--local-store",
-        default=None,
-        help="machine-local read-through cache in front of --store",
-    )
     parser.add_argument(
         "--heartbeat",
         type=float,
@@ -177,9 +156,9 @@ def main(argv=None):
 
     store = None
     if arguments.store:
-        from repro.experiments.fabric.store import SharedStore
+        from repro.experiments.parallel import ResultCache
 
-        store = SharedStore(arguments.store, local_root=arguments.local_store)
+        store = ResultCache(arguments.store)
 
     analysis_dir = None
     try:

@@ -15,7 +15,12 @@ Results are also written to a content-addressed on-disk cache keyed by
 distance)``, so repeated figure generation and CI smoke runs skip
 simulations that already ran — under *any* runner, serial or parallel,
 because both funnel through the same
-:func:`~repro.experiments.runner.simulate_job`.
+:func:`~repro.experiments.runner.simulate_job`.  One class,
+:class:`ResultCache`, owns the single on-disk format: every entry is a
+sha256-verified envelope, so a damaged entry is counted and
+re-simulated, never served.  The same class backs the local cache
+directory and the fabric's shared store root (``--fabric-store``), so
+a filled cache directory *is* a valid store.
 
 Parallel output is bit-identical to serial output: every simulation is
 deterministic given its job key (workloads are built from seeded RNGs),
@@ -51,7 +56,14 @@ from repro.spawn import canonical_spec
 #: Bump to invalidate every existing cache entry (e.g. when the
 #: simulator's timing model changes in a way the config cannot see).
 #: v2: entries grew an optional per-spawn-point metrics snapshot.
-CACHE_FORMAT_VERSION = 2
+#: v3: entries are sha256-verified envelopes (see :class:`ResultCache`).
+CACHE_FORMAT_VERSION = 3
+
+#: First field of every entry's header line.  The leading ``V`` makes
+#: the header a pickle ``UNICODE`` opcode, so a plain ``pickle.load``
+#: of an entry file still returns the (unverified) body dict; the
+#: verifying reader is :meth:`ResultCache.load`.
+_MAGIC = b"Vpolyflow-result"
 
 #: Default cache directory used by the CLI (gitignored).
 DEFAULT_CACHE_DIR = ".polyflow-cache"
@@ -84,24 +96,45 @@ def job_digest(name, spec, scale, config, profile_distance):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _pickle_loadable(data):
-    try:
-        pickle.loads(data)
-    except Exception:
-        return False
-    return True
+def job_meta(name, spec, scale, config, profile_distance):
+    """The metadata header stored beside one job's stats."""
+    return {
+        "workload": name,
+        "spec": spec,
+        "scale": scale,
+        "config_fingerprint": config_fingerprint(config),
+        "profile_distance": profile_distance,
+        "version": CACHE_FORMAT_VERSION,
+    }
 
 
-def sweep_entries(root, max_bytes=None, suffix=".pkl", verify=_pickle_loadable):
-    """Size-capped LRU sweep of one sharded content-addressed tree.
+def _header(body):
+    """The ``magic version sha256`` header line that verifies ``body``."""
+    return b"%s %d %s\n" % (
+        _MAGIC,
+        CACHE_FORMAT_VERSION,
+        hashlib.sha256(body).hexdigest().encode("ascii"),
+    )
 
-    Walks the two-hex-character shard directories under ``root`` (the
-    layout both :class:`ResultCache` and the fabric's shared store
-    use), removing entries in two passes:
 
-    1. **corrupt first** — every entry failing ``verify`` (an
-       unreadable pickle, a store envelope with a digest mismatch) is
-       pruned unconditionally;
+def _verified_body(data):
+    """The body of one entry; ``ValueError`` on a bad header, a version
+    skew or a digest mismatch."""
+    header, separator, body = data.partition(b"\n")
+    if not separator or header + separator != _header(body):
+        raise ValueError("result entry failed its envelope check")
+    return body
+
+
+def sweep_entries(root, max_bytes=None):
+    """Size-capped LRU sweep of one :class:`ResultCache` tree.
+
+    Walks the two-hex-character shard directories under ``root``,
+    removing entries in two passes:
+
+    1. **corrupt first** — every entry failing its envelope check (a
+       damaged entry, or one left by an older cache format) is pruned
+       unconditionally;
     2. **oldest next** — while the surviving entries exceed
        ``max_bytes``, the least-recently-written (smallest mtime) are
        evicted.  ``max_bytes=None`` skips this pass.
@@ -118,21 +151,23 @@ def sweep_entries(root, max_bytes=None, suffix=".pkl", verify=_pickle_loadable):
             if len(shard) != 2 or not os.path.isdir(shard_path):
                 continue
             for entry in sorted(os.listdir(shard_path)):
-                if not entry.endswith(suffix):
+                if not entry.endswith(".pkl"):
                     continue
                 path = os.path.join(shard_path, entry)
                 try:
                     status = os.stat(path)
                     with open(path, "rb") as handle:
-                        ok = verify(handle.read())
+                        data = handle.read()
                 except OSError:
                     continue
-                if not ok:
+                try:
+                    _verified_body(data)
+                except ValueError:
                     os.unlink(path)
                     removed_corrupt += 1
                     removed_bytes += status.st_size
-                else:
-                    survivors.append((status.st_mtime, path, status.st_size))
+                    continue
+                survivors.append((status.st_mtime, path, status.st_size))
     if max_bytes is not None:
         survivors.sort()
         total = sum(size for _, _, size in survivors)
@@ -168,15 +203,20 @@ def sweep_entries(root, max_bytes=None, suffix=".pkl", verify=_pickle_loadable):
 class ResultCache:
     """Content-addressed on-disk store of pickled simulation stats.
 
-    Entries are sharded by the first two digest characters.  Writes go
-    through a temporary file plus :func:`os.replace`, so concurrent
-    runs sharing a cache directory never observe torn entries.
+    Entries are sharded by the first two digest characters.  Each one
+    is an envelope: a ``magic version sha256`` header line, then the
+    pickled ``{"meta", "stats", "metrics"}`` body the sha256 covers.
+    Writes go through a temporary file plus :func:`os.replace`, so
+    concurrent writers of one digest (runs sharing a cache directory,
+    fabric workers sharing a store root) race harmlessly and readers
+    never observe a torn entry.
 
     Lookups distinguish a *clean* miss (no entry on disk, counted in
-    ``misses``) from a *corrupt* one (present but unreadable, counted
-    in ``corrupt`` and listed in ``corrupt_paths``): both re-simulate,
-    but a corrupt entry means something damaged the cache and is
-    surfaced in the run summary rather than silently absorbed.
+    ``misses``) from a *corrupt* one (present but failing its envelope
+    check or its unpickle, counted in ``corrupt`` and listed in
+    ``corrupt_paths``): both re-simulate, but a corrupt entry means
+    something damaged the cache and is surfaced in the run summary
+    rather than silently absorbed.  It is never served.
     """
 
     def __init__(self, root):
@@ -190,25 +230,35 @@ class ResultCache:
     def path(self, digest):
         return os.path.join(self.root, digest[:2], digest + ".pkl")
 
+    def contains(self, digest):
+        """Whether an entry exists (a cheap probe — no verification).
+
+        The cost model uses this to price held cells (see
+        :func:`repro.experiments.scheduler.job_cost`); actual reads
+        always go through the verifying :meth:`load`.
+        """
+        return os.path.exists(self.path(digest))
+
     def load(self, digest):
         """The cached ``(stats, metrics)`` for ``digest``, or ``None``.
 
         ``metrics`` is the per-spawn-point aggregator snapshot if the
         entry was produced by a metrics-emitting run, else ``None``.
-        A missing entry is a clean miss; an entry that exists but
-        cannot be unpickled (truncated, garbage, or raising an
-        arbitrary exception type) is counted as corrupt.  Either way
-        the caller re-simulates and overwrites it.
+        A missing entry is a clean miss.  An entry that exists but
+        fails its envelope check (bad header, version skew, digest
+        mismatch; checked before anything is unpickled) or cannot be
+        unpickled is counted as corrupt.  Either way the caller
+        re-simulates and overwrites it.
         """
         path = self.path(digest)
         try:
-            handle = open(path, "rb")
+            with open(path, "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             self.misses += 1
             return None
         try:
-            with handle:
-                entry = pickle.load(handle)
+            entry = pickle.loads(_verified_body(data))
             stats = entry["stats"]
             metrics = entry.get("metrics")
         except Exception:
@@ -221,6 +271,24 @@ class ResultCache:
     def store(self, digest, stats, meta, metrics=None):
         """Atomically persist ``stats`` (with a metadata header and an
         optional metrics snapshot) under ``digest``."""
+        body = pickle.dumps({"meta": meta, "stats": stats, "metrics": metrics})
+        self._write(digest, _header(body) + body)
+
+    def copy_from(self, other, digest):
+        """Copy ``other``'s entry for ``digest`` into this root as is.
+
+        Both roots share one format, so the copy is the verified bytes,
+        not a re-encoding.  A missing or damaged entry is not copied.
+        """
+        try:
+            with open(other.path(digest), "rb") as handle:
+                data = handle.read()
+            _verified_body(data)
+        except (OSError, ValueError):
+            return
+        self._write(digest, data)
+
+    def _write(self, digest, data):
         path = self.path(digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         handle, temp_path = tempfile.mkstemp(
@@ -228,9 +296,7 @@ class ResultCache:
         )
         try:
             with os.fdopen(handle, "wb") as stream:
-                pickle.dump(
-                    {"meta": meta, "stats": stats, "metrics": metrics}, stream
-                )
+                stream.write(data)
             os.replace(temp_path, path)
         except BaseException:
             try:
@@ -239,6 +305,18 @@ class ResultCache:
                 pass
             raise
         self.stores += 1
+
+    def counters(self):
+        """Cumulative traffic as ``fetches``/``hits``/``misses``/
+        ``publishes``/``corrupt_rejected`` (the fabric store counters
+        of the run summary).  A corrupt entry counts as a miss too."""
+        return {
+            "fetches": self.hits + self.misses + self.corrupt,
+            "hits": self.hits,
+            "misses": self.misses + self.corrupt,
+            "publishes": self.stores,
+            "corrupt_rejected": self.corrupt,
+        }
 
     def __len__(self):
         if not os.path.isdir(self.root):
@@ -323,7 +401,6 @@ class RunSummary:
             "store_hits": 0,
             "store_misses": 0,
             "store_publishes": 0,
-            "store_local_hits": 0,
             "store_corrupt_rejected": 0,
         }
         #: The latest transport placement snapshot (per-worker cell and
@@ -517,11 +594,10 @@ class RunSummary:
         if self.fabric["store_fetches"] or self.fabric["store_publishes"]:
             lines.append(
                 "  fabric store: {} hits / {} misses, {} published, "
-                "{} local hits, {} corrupt rejected".format(
+                "{} corrupt rejected".format(
                     self.fabric["store_hits"],
                     self.fabric["store_misses"],
                     self.fabric["store_publishes"],
-                    self.fabric["store_local_hits"],
                     self.fabric["store_corrupt_rejected"],
                 )
             )
@@ -684,12 +760,11 @@ class ParallelExperimentRunner(ExperimentRunner):
         self.fabric_throughputs = fabric_throughputs
         self.fabric_extra_env = fabric_extra_env
         if isinstance(fabric_store, str):
-            from repro.experiments.fabric.store import SharedStore
-
-            fabric_store = SharedStore(fabric_store)
-        #: The shared content-addressed artifact store (or ``None``).
-        #: Read through in the parent (see :meth:`_load_cached`) and
-        #: passed to fabric workers for fetch/publish.
+            fabric_store = ResultCache(fabric_store)
+        #: The shared result store (a :class:`ResultCache` root, or
+        #: ``None``).  Read through in the parent (see
+        #: :meth:`_load_cached`) and passed to fabric workers, which
+        #: load from and store into the same root.
         self.fabric_store = fabric_store
         self._fabric = None
 
@@ -706,21 +781,19 @@ class ParallelExperimentRunner(ExperimentRunner):
             return spec
         return "{} @{}".format(spec, fingerprint[:6])
 
-    def _job_meta(self, name, spec, config, profile_distance):
-        return {
-            "workload": name,
-            "spec": spec,
-            "scale": self.scale,
-            "config_fingerprint": config_fingerprint(config),
-            "profile_distance": profile_distance,
-            "version": CACHE_FORMAT_VERSION,
-        }
-
     def _trace_file(self, name, spec, config, profile_distance):
         if self.trace_dir is None:
             return None
         digest = self._job_digest(name, spec, config, profile_distance)
         return trace_path(self.trace_dir, name, spec, digest)
+
+    def _load_entry(self, cache, digest):
+        """``cache.load(digest)``, booking a corrupt entry on the summary."""
+        corrupt_before = cache.corrupt
+        entry = cache.load(digest)
+        if cache.corrupt > corrupt_before:
+            self.summary.record_corrupt(cache.path(digest))
+        return entry
 
     def _load_cached(self, name, spec, config, profile_distance):
         """Usable cached stats, or ``None`` when the job must run.
@@ -736,10 +809,7 @@ class ParallelExperimentRunner(ExperimentRunner):
             return None
         digest = self._job_digest(name, spec, config, profile_distance)
         if self.cache is not None:
-            corrupt_before = self.cache.corrupt
-            entry = self.cache.load(digest)
-            if self.cache.corrupt > corrupt_before:
-                self.summary.record_corrupt(self.cache.path(digest))
+            entry = self._load_entry(self.cache, digest)
             if entry is not None:
                 stats, metrics = entry
                 if self.emit_metrics and not metrics:
@@ -750,48 +820,34 @@ class ParallelExperimentRunner(ExperimentRunner):
                         self._job_label(spec, config), metrics
                     )
                 return stats
-        # Shared-store read-through: a digest-verified artifact some
-        # other fabric participant published.  Mirrored into the local
-        # result cache so the next run hits tier 1.
+        # Shared-store read-through: an entry some other fabric
+        # participant stored.  Copied into the local result cache so
+        # the next run hits there first.
         if self.fabric_store is not None and not self.emit_metrics:
-            from repro.experiments.fabric.store import decode_entry
-
-            body = self.fabric_store.fetch(digest)
-            if body is not None:
-                try:
-                    stats, metrics = decode_entry(body)
-                except Exception:
-                    self.fabric_store.corrupt_rejected += 1
-                    return None
+            entry = self._load_entry(self.fabric_store, digest)
+            if entry is not None:
                 self.summary.record_fabric_store_cells(1)
                 if self.cache is not None:
-                    self.cache.store(
-                        digest,
-                        stats,
-                        self._job_meta(name, spec, config, profile_distance),
-                        metrics=metrics,
-                    )
-                return stats
+                    self.cache.copy_from(self.fabric_store, digest)
+                return entry[0]
         return None
 
     def _store_cached(self, name, spec, config, profile_distance, stats, metrics=None):
         if self.cache is None and self.fabric_store is None:
             return
         digest = self._job_digest(name, spec, config, profile_distance)
-        meta = self._job_meta(name, spec, config, profile_distance)
+        meta = job_meta(name, spec, self.scale, config, profile_distance)
         if self.cache is not None:
             self.cache.store(digest, stats, meta, metrics=metrics)
-        # Publish fresh results to the shared store so other fabric
-        # participants reuse them; subprocess workers already published
-        # theirs, which the ``contains`` probe skips.
-        if self.fabric_store is not None and not self.fabric_store.contains(
-            digest
+        # Store fresh results in the shared root so other fabric
+        # participants reuse them.  Subprocess workers already stored
+        # theirs, which the ``contains`` probe skips; an entry this
+        # run found corrupt is overwritten.
+        store = self.fabric_store
+        if store is not None and (
+            not store.contains(digest) or store.path(digest) in store.corrupt_paths
         ):
-            from repro.experiments.fabric.store import entry_body
-
-            self.fabric_store.publish(
-                digest, entry_body(stats, meta, metrics=metrics)
-            )
+            store.store(digest, stats, meta, metrics=metrics)
 
     def _record_result(self, name, spec, config, profile_distance, outcome):
         """Book one finished simulation: summary, metrics, disk cache."""
@@ -858,7 +914,7 @@ class ParallelExperimentRunner(ExperimentRunner):
 
         if not pending:
             if self.fabric_store is not None:
-                self.summary.set_fabric_store(self.fabric_store.stats())
+                self.summary.set_fabric_store(self.fabric_store.counters())
             self.summary.wall_seconds += time.perf_counter() - started
             return 0
 
@@ -871,7 +927,7 @@ class ParallelExperimentRunner(ExperimentRunner):
             # and plain cells still benefit from the lockstep batch.
             self._fan_out(pending)
         if self.fabric_store is not None:
-            self.summary.set_fabric_store(self.fabric_store.stats())
+            self.summary.set_fabric_store(self.fabric_store.counters())
         self.summary.wall_seconds += time.perf_counter() - started
         return len(pending)
 
@@ -1056,15 +1112,12 @@ class ParallelExperimentRunner(ExperimentRunner):
             if source == "store":
                 # A worker answered from the shared store: no
                 # simulation ran, so no job is booked — but the entry
-                # is mirrored into the local result cache.
+                # is copied into the local result cache.
                 self.summary.record_fabric_store_cells(1)
-                if self.cache is not None:
-                    self.cache.store(
-                        stats=stats,
-                        digest=self._job_digest(
-                            name, spec, config, profile_distance
-                        ),
-                        meta=self._job_meta(name, spec, config, profile_distance),
+                if self.cache is not None and self.fabric_store is not None:
+                    self.cache.copy_from(
+                        self.fabric_store,
+                        self._job_digest(name, spec, config, profile_distance),
                     )
                 self._results[key] = stats
             else:
@@ -1086,9 +1139,8 @@ class ParallelExperimentRunner(ExperimentRunner):
         cold catalog grid is planned without preparing every cell in
         the parent; workloads a fork-start pool needs are prepared by
         its initializer instead.  Plain inline cells run through the
-        grid-batch lockstep runner when it is enabled (instrumented
-        cells — metrics, trace files, service buses — keep the
-        per-cell path).
+        grid-batch lockstep runner (instrumented cells — metrics, trace
+        files, service buses — keep the per-cell path).
         """
         costs = [scheduler.job_cost(name, self.scale) for name, _, _, _ in pending]
         plan = scheduler.plan_grid(
@@ -1126,7 +1178,7 @@ class ParallelExperimentRunner(ExperimentRunner):
             ]
             # Mirror the worker's batching decision for the summary:
             # plain cells of a big-enough chunk run in lockstep there.
-            if gridbatch.gridbatch_enabled() and not self.emit_metrics:
+            if not self.emit_metrics:
                 plain = sum(1 for entry in payload if entry[4] is None)
                 if plain >= gridbatch.MIN_BATCH_CELLS:
                     self.summary.record_batched(plain)
@@ -1169,11 +1221,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         """
         per_cell = list(inline_jobs)
         batch_jobs = []
-        if (
-            self.inline_batching
-            and gridbatch.gridbatch_enabled()
-            and not self.emit_metrics
-        ):
+        if self.inline_batching and not self.emit_metrics:
             plain, rest = [], []
             for job in per_cell:
                 name, spec, config, profile_distance = job

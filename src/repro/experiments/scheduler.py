@@ -521,8 +521,8 @@ def execute_chunk(analysis_dir, scale, emit_metrics, chunk):
     pool outlives any single runner (whose cache directory may differ).
 
     Plain cells (no metrics, no trace file) run through the grid-batch
-    lockstep runner (:mod:`repro.sim.gridbatch`) when it is enabled
-    and at least two such cells share the chunk — warm-cache replays
+    lockstep runner (:mod:`repro.sim.gridbatch`) when at least two
+    such cells share the chunk — warm-cache replays
     are shared per trace and per-cell dispatch overhead is amortized.
     Instrumented cells always run per-cell.  Outcomes are booked into
     the same aligned slots either way, and stats are byte-identical
@@ -534,7 +534,7 @@ def execute_chunk(analysis_dir, scale, emit_metrics, chunk):
         configure_disk_cache(analysis_dir)
     results = [None] * len(chunk)
     batch_indices = []
-    if gridbatch.gridbatch_enabled() and not emit_metrics:
+    if not emit_metrics:
         batch_indices = [
             index
             for index, (_, _, _, _, trace_file) in enumerate(chunk)

@@ -12,8 +12,11 @@ Execution of a batch is tiered, cheapest first:
 
 1. **Memo** — cells already in a runner's in-memory result memo are
    answered immediately (the always-on process *is* the hot cache).
-2. **Disk cache** — content-addressed ``ResultCache`` hits are loaded
-   in the parent, never touching the pool.
+2. **Disk cache** — content-addressed ``ResultCache`` hits (the
+   cache directory, then the fabric store root when one is set; both
+   one sha256-verified format) are loaded in the parent, never
+   touching the pool.  A damaged entry is never served: it is
+   re-simulated and reported as a ``corrupt_cache_entry`` incident.
 3. **Simulation** — only genuinely missing cells reach
    ``prefetch``, which cost-schedules them inline or onto the warm
    worker pool.  Duplicate cells across the batch's queries collapse

@@ -37,7 +37,8 @@ The **response** is positionally aligned with the request cells::
     }
 
 ``source`` records how the cell was answered: ``memo`` (the server's
-in-memory result memo), ``cache`` (the content-addressed on-disk
+in-memory result memo), ``cache`` (a verified entry of the
+content-addressed on-disk
 :class:`~repro.experiments.parallel.ResultCache`), ``simulated`` (a
 fresh simulation, inline or pooled), ``estimated`` (the analytic
 estimator — see below), or ``error`` (the cell failed — an ``error``

@@ -41,13 +41,13 @@ what it computes, and sharing only skips runs that would repeat an
 identical machine (pinned by the property tests in
 ``tests/properties/test_gridbatch_identity.py``).
 
-The runner is on by default behind the ``REPRO_GRIDBATCH`` environment
-flag (``0`` disables it); cells that carry observability instruments
-always take the per-cell path, batch or no batch.
+Every chunk of two or more plain cells runs here; cells that carry
+observability instruments always take the per-cell path of
+:func:`~repro.experiments.scheduler.execute_job`, which stays the
+reference the identity tests compare against.
 """
 
 import copy
-import os
 import time
 
 #: Event-calendar steps each cell advances per lockstep turn.  Large
@@ -69,16 +69,6 @@ WARM_SHARE_MIN_TRACE = 4096
 #: ``blocks`` key marking a cell whose stats were copied from an
 #: identical cell's run in the same batch (see :func:`run_batch`).
 SHARED_RUN = "shared_run"
-
-
-def gridbatch_enabled():
-    """Whether the grid-batch runner is enabled (``REPRO_GRIDBATCH``).
-
-    On by default; set ``REPRO_GRIDBATCH=0`` to force the per-cell
-    dispatch path (the identity tests and the benchmark's per-cell
-    baseline leg do).
-    """
-    return os.environ.get("REPRO_GRIDBATCH", "1") != "0"
 
 
 def batchable(emit_metrics, trace_file=None, bus=None):

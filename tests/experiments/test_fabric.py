@@ -10,18 +10,13 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import scheduler
+from repro.experiments import parallel, scheduler
 from repro.experiments.fabric import protocol
-from repro.experiments.fabric.store import (
-    SharedStore,
-    decode_entry,
-    entry_body,
-    seed_from_cache,
-)
 from repro.experiments.fabric.transport import SubprocessWorkerTransport
 from repro.experiments.parallel import (
     ParallelExperimentRunner,
     ResultCache,
+    job_digest,
     sweep_entries,
 )
 from repro.experiments.runner import ExperimentRunner
@@ -139,127 +134,77 @@ def test_cell_round_trip_override_config():
 
 
 # -- the shared store -------------------------------------------------------------
+#
+# A store root is a plain ResultCache directory: the tests below pin the
+# properties the fabric leans on (verified reads, atomic writes, gc).
 
 
 def test_store_round_trip(tmp_path):
-    store = SharedStore(str(tmp_path / "store"))
+    store = ResultCache(str(tmp_path / "store"))
     digest = "ab" + "0" * 62
-    body = entry_body("stats-payload", {"workload": "x"})
     assert not store.contains(digest)
-    assert store.fetch(digest) is None
-    store.publish(digest, body)
+    assert store.load(digest) is None
+    store.store(digest, "stats-payload", {"workload": "x"})
     assert store.contains(digest)
     assert len(store) == 1
-    fetched = store.fetch(digest)
-    assert fetched == body
-    stats, metrics = decode_entry(fetched)
-    assert stats == "stats-payload"
-    assert metrics is None
-    assert store.stats()["publishes"] == 1
-    assert store.stats()["hits"] == 1
-    assert store.stats()["misses"] == 1  # the pre-publish probe
+    assert store.load(digest) == ("stats-payload", None)
+    counters = store.counters()
+    assert counters["publishes"] == 1
+    assert counters["hits"] == 1
+    assert counters["misses"] == 1  # the pre-store probe
+    assert counters["fetches"] == 2
 
 
 def test_store_rejects_corrupt_entries(tmp_path):
-    store = SharedStore(str(tmp_path / "store"))
+    store = ResultCache(str(tmp_path / "store"))
     digest = "cd" + "0" * 62
-    store.publish(digest, b"payload")
+    store.store(digest, "payload", {})
     with open(store.path(digest), "r+b") as handle:
         handle.seek(-1, os.SEEK_END)
         handle.write(b"\x00")
-    assert store.fetch(digest) is None
-    assert store.stats()["corrupt_rejected"] == 1
-    assert store.stats()["misses"] == 1
+    assert store.load(digest) is None
+    assert store.corrupt_paths == [store.path(digest)]
+    assert store.counters()["corrupt_rejected"] == 1
+    assert store.counters()["misses"] == 1
 
 
 def test_store_concurrent_publish_never_tears(tmp_path):
-    """Racing publishers of one digest: readers always see a whole
-    envelope (one of the bodies), never a torn mix."""
-    store = SharedStore(str(tmp_path / "store"))
+    """Racing writers of one digest: readers always see a whole entry
+    (one of the payloads), never a torn mix."""
+    store = ResultCache(str(tmp_path / "store"))
     digest = "ef" + "0" * 62
-    bodies = [bytes([value]) * 4096 for value in (1, 2, 3, 4)]
-    store.publish(digest, bodies[0])
+    payloads = [bytes([value]) * 4096 for value in (1, 2, 3, 4)]
+    store.store(digest, payloads[0], {})
     stop = threading.Event()
     failures = []
 
-    def publish_loop(body):
+    def store_loop(payload):
         while not stop.is_set():
-            SharedStore(str(tmp_path / "store")).publish(digest, body)
+            ResultCache(str(tmp_path / "store")).store(digest, payload, {})
 
     writers = [
-        threading.Thread(target=publish_loop, args=(body,), daemon=True)
-        for body in bodies
+        threading.Thread(target=store_loop, args=(payload,), daemon=True)
+        for payload in payloads
     ]
     for writer in writers:
         writer.start()
-    reader = SharedStore(str(tmp_path / "store"))
+    reader = ResultCache(str(tmp_path / "store"))
     for _ in range(200):
-        fetched = reader.fetch(digest)
-        if fetched not in bodies:
-            failures.append(fetched)
+        entry = reader.load(digest)
+        if entry is None or entry[0] not in payloads:
+            failures.append(entry)
     stop.set()
     for writer in writers:
         writer.join(timeout=5.0)
     assert not failures
-    assert reader.corrupt_rejected == 0
-
-
-def test_store_local_read_through(tmp_path):
-    shared_root = str(tmp_path / "shared")
-    publisher = SharedStore(shared_root)
-    digest = "12" + "0" * 62
-    body = b"artifact"
-    publisher.publish(digest, body)
-
-    store = SharedStore(shared_root, local_root=str(tmp_path / "local"))
-    assert store.fetch(digest) == body
-    assert store.local_hits == 0  # first fetch went to the shared root
-    # The shared entry disappears; the local mirror still answers.
-    os.unlink(publisher.path(digest))
-    assert store.fetch(digest) == body
-    assert store.local_hits == 1
-
-
-def test_store_stats_fold_local_mirror_corruption(tmp_path):
-    """A corrupt local-mirror copy is an incident: it must show up in
-    the composite stats, not only on the hidden mirror object."""
-    shared_root = str(tmp_path / "shared")
-    store = SharedStore(shared_root, local_root=str(tmp_path / "local"))
-    digest = "56" + "0" * 62
-    body = b"artifact"
-    store.publish(digest, body)
-    with open(store.local.path(digest), "r+b") as handle:
-        handle.seek(-1, os.SEEK_END)
-        handle.write(b"\x00")
-    # The damaged mirror copy is rejected; the shared root still answers.
-    assert store.fetch(digest) == body
-    assert store.local.corrupt_rejected == 1
-    assert store.stats()["corrupt_rejected"] == 1
-
-
-def test_seed_from_cache(tmp_path):
-    cache_root = str(tmp_path / "cache")
-    digest = "34" + "0" * 62
-    path = os.path.join(cache_root, digest[:2], digest + ".pkl")
-    os.makedirs(os.path.dirname(path))
-    entry = {"meta": {"workload": "gzip"}, "stats": "payload", "metrics": None}
-    with open(path, "wb") as handle:
-        pickle.dump(entry, handle)
-    bad = os.path.join(cache_root, digest[:2], "ff" + "0" * 62 + ".pkl")
-    with open(bad, "wb") as handle:
-        handle.write(b"not a pickle")
-
-    store = SharedStore(str(tmp_path / "store"))
-    assert seed_from_cache(store, cache_root) == 1
-    stats, _ = decode_entry(store.fetch(digest))
-    assert stats == "payload"
+    assert reader.corrupt == 0
 
 
 def test_store_gc_prunes_corrupt_then_lru(tmp_path):
-    store = SharedStore(str(tmp_path / "store"))
+    store = ResultCache(str(tmp_path / "store"))
     digests = ["{:02x}".format(index) + "0" * 62 for index in range(4)]
     for age, digest in enumerate(digests):
-        store.publish(digest, b"x" * 100)
+        store.store(digest, "x" * 100, {})
         os.utime(store.path(digest), (1000 + age, 1000 + age))
     with open(store.path(digests[3]), "wb") as handle:
         handle.write(b"damaged")
@@ -272,14 +217,88 @@ def test_store_gc_prunes_corrupt_then_lru(tmp_path):
     assert store.contains(digests[1]) and store.contains(digests[2])
 
 
+def test_v2_bare_pickle_is_a_clean_miss_and_gc_prunes_it(
+    tmp_path, monkeypatch, serial_packed
+):
+    """An entry left by the v2 format (a bare pickle under a v2 digest)
+    is never looked up: the cell re-simulates without a corrupt
+    incident, and ``cache-gc`` prunes the stale file."""
+    name, spec = _grid_jobs()[0]
+    cache_dir = str(tmp_path / "cache")
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "CACHE_FORMAT_VERSION", 2)
+        v2_digest = job_digest(
+            name, spec, _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
+        )
+    v2_path = ResultCache(cache_dir).path(v2_digest)
+    os.makedirs(os.path.dirname(v2_path))
+    with open(v2_path, "wb") as handle:
+        pickle.dump({"meta": {"version": 2}, "stats": "v2", "metrics": None}, handle)
+
+    runner = ParallelExperimentRunner(scale=_SCALE, cache_dir=cache_dir)
+    assert runner.prefetch([(name, spec)]) == 1
+    assert runner.cache.corrupt == 0
+    assert runner.summary.corrupt_entries == []
+    assert scheduler.pack_stats(runner.run_policy(name, spec)) == (
+        serial_packed[(name, spec)]
+    )
+    report = ResultCache(cache_dir).gc()
+    assert report["removed_corrupt"] == 1
+    assert report["kept_entries"] == 1
+    assert not os.path.exists(v2_path)
+
+
+def test_corrupt_shared_entry_is_a_run_summary_incident(tmp_path, serial_packed):
+    """A damaged entry in the shared root is booked exactly like one in
+    the local root: listed in ``corrupt_entries``, re-simulated."""
+    name, spec = _grid_jobs()[0]
+    store_root = str(tmp_path / "store")
+    digest = job_digest(
+        name, spec, _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
+    )
+    damaged = ResultCache(store_root).path(digest)
+    os.makedirs(os.path.dirname(damaged))
+    with open(damaged, "wb") as handle:
+        handle.write(b"damaged")
+    runner = ParallelExperimentRunner(
+        scale=_SCALE, cache_dir=str(tmp_path / "cache"), fabric_store=store_root
+    )
+    assert runner.prefetch([(name, spec)]) == 1
+    assert runner.summary.corrupt_entries == [damaged]
+    assert runner.summary.as_dict()["corrupt_cache_entries"] == 1
+    # Probed twice (prefetch, then the per-cell path), booked once.
+    assert runner.summary.fabric["store_corrupt_rejected"] == 2
+    assert scheduler.pack_stats(runner.run_policy(name, spec)) == (
+        serial_packed[(name, spec)]
+    )
+    # The re-simulation stored an intact entry over the damaged one.
+    assert ResultCache(store_root).load(digest) is not None
+
+
+def test_cache_dir_serves_as_fabric_store(tmp_path, capsys):
+    """A directory filled by a plain ``--cache-dir`` run is a valid
+    ``--fabric-store``: a two-worker sweep over it simulates nothing
+    and prints the same coverage map."""
+    from repro.experiments.__main__ import main
+
+    cache_dir = str(tmp_path / "cache")
+    sweep = ["synth", "--slice", "L2H1", "--limit", "2", "--scale", str(_SCALE)]
+    assert main(sweep + ["--cache-dir", cache_dir]) == 0
+    serial = capsys.readouterr()
+    fabric_flags = ["--fabric-workers", "2", "--fabric-store", cache_dir]
+    assert main(sweep + ["--no-cache"] + fabric_flags) == 0
+    fabric = capsys.readouterr()
+    assert fabric.out == serial.out
+    assert "run summary: 0 simulated" in fabric.err
+
+
 # -- result-cache GC --------------------------------------------------------------
 
 
 def _cache_entry(root, digest, age):
-    path = os.path.join(root, digest[:2], digest + ".pkl")
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "wb") as handle:
-        pickle.dump({"meta": {}, "stats": digest, "metrics": None}, handle)
+    cache = ResultCache(root)
+    cache.store(digest, digest, {})
+    path = cache.path(digest)
     os.utime(path, (1000 + age, 1000 + age))
     return path
 
@@ -373,9 +392,9 @@ def test_job_cost_store_probe_prices_held_cells(tmp_path):
 
     name = "synth/L2H3C1I1P1S1V0"
     clear_cache()
-    store = SharedStore(str(tmp_path / "store"))
+    store = ResultCache(str(tmp_path / "store"))
     digest = "aa" + "1" * 62
-    store.publish(digest, b"held")
+    store.store(digest, "held", {})
     assert peek_workload_trace_length(name, _SCALE) is None
     assert (
         scheduler.job_cost(name, _SCALE, store=store, digest=digest)

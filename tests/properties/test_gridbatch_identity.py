@@ -159,11 +159,3 @@ def test_batchable_rejects_instrumented_cells():
     assert not gridbatch.batchable(False, trace_file="x.jsonl")
     assert not gridbatch.batchable(False, bus=object())
 
-
-def test_flag_default_and_off_switch(monkeypatch):
-    monkeypatch.delenv("REPRO_GRIDBATCH", raising=False)
-    assert gridbatch.gridbatch_enabled()
-    monkeypatch.setenv("REPRO_GRIDBATCH", "0")
-    assert not gridbatch.gridbatch_enabled()
-    monkeypatch.setenv("REPRO_GRIDBATCH", "1")
-    assert gridbatch.gridbatch_enabled()
