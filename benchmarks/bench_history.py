@@ -55,7 +55,7 @@ def history_entry(report, sha=None):
     if "efficiency" in report:
         entry["efficiency"] = report["efficiency"]["ratio"]
     if "gridbatch" in report:
-        # The lockstep/per-cell speedup is a same-process ratio, so it
+        # The batch/per-cell speedup is a same-process ratio, so it
         # needs no machine-index normalization.
         entry["gridbatch"] = report["gridbatch"]["speedup"]
     if "estimator" in report:

@@ -28,12 +28,12 @@ The gates run under ``--check``:
   aspirational 2x: ~80% of in-process per-cell wall time is the
   simulation kernel itself (``event_kernel_steps``), and the synth
   catalog's traces are so short (~1k instructions) that the warm-up
-  replay batching amortizes is itself only ~0.1ms/cell — lockstep
+  replay batching amortizes is itself only ~0.1ms/cell — the batch
   measures parity (0.83-0.97x, machine noise) on this grid.  The
   batch wins land elsewhere: warm-state sharing on long traces (the
   gzip/mcf/vortex grid measures ~1.05x in-process, and mcf's ~14ms
   replay is paid once per spec column instead of once per cell) and
-  the scheduler's chunk path, where one lockstep call replaces a
+  the scheduler's chunk path, where one batch call replaces a
   pickle round-trip per cell.  The gate's teeth are byte-identity
   plus a no-pessimization floor (see EXPERIMENTS.md);
 * the **estimator gate** — the analytic estimator's mean
@@ -86,7 +86,7 @@ import time
 #: per-workload and aggregate speedups over serial; the ``serial`` and
 #: ``blocks`` channels pin ``event_kernel=False`` so they keep
 #: measuring the cycle-exact engines whatever the process default is.
-#: v5: reports carry a ``gridbatch`` section (lockstep batch runner
+#: v5: reports carry a ``gridbatch`` section (grid-batch runner
 #: cells/sec vs per-cell dispatch on a stratified synth grid, with a
 #: stats byte-identity check) and an ``estimator`` section (analytic
 #: estimator error plus estimate-first triage budget/certificate
@@ -135,7 +135,7 @@ GRIDBATCH_TOKEN = "bench-gridbatch-v1"
 #: the ISSUE's 2x: profiling shows ~80% of per-cell wall time is the
 #: simulation kernel itself (``event_kernel_steps``), and the synth
 #: catalog's ~1k-instruction traces leave only ~0.1ms/cell of warm-up
-#: for batching to amortize, so lockstep measures parity on this grid
+#: for batching to amortize, so the batch measures parity on this grid
 #: (0.83-0.97x across runs, machine noise).  This floor is a
 #: no-pessimization gate; the byte-identity check above it is the
 #: channel's real claim.  Env ``BENCH_GRIDBATCH_FLOOR`` overrides.
@@ -323,7 +323,7 @@ def measure_cache_hits(scale, repeats):
 
 
 def measure_gridbatch(scale, repeats=3, names=GRIDBATCH_NAMES):
-    """The ``gridbatch`` channel: lockstep batch vs per-cell dispatch.
+    """The ``gridbatch`` channel: grid batch vs per-cell dispatch.
 
     Runs the same stratified synth grid (scenarios crossed with the
     sweep's spec column) through the per-cell
@@ -753,7 +753,7 @@ def check_gridbatch(report, floor=None):
     failures = []
     if not measured.get("stats_identical", False):
         failures.append(
-            "gridbatch: lockstep batch stats diverged from the per-cell "
+            "gridbatch: grid-batch stats diverged from the per-cell "
             "path (byte-identity is the runner's core invariant)"
         )
     if measured["speedup"] < floor:
@@ -885,7 +885,7 @@ def render(report):
     if "gridbatch" in report:
         grid = report["gridbatch"]
         lines.append(
-            "  grid-batch: {} cells, {:.1f} cells/s lockstep vs {:.1f} "
+            "  grid-batch: {} cells, {:.1f} cells/s batched vs {:.1f} "
             "per-cell ({:.2f}x, stats {})".format(
                 grid["cells"],
                 grid["batch"]["cells_per_second"],
@@ -982,7 +982,7 @@ def render_markdown_summary(report):
     if "gridbatch" in report:
         grid = report["gridbatch"]
         lines.append(
-            "| grid-batch lockstep ({:.2f}x per-cell, {} cells) "
+            "| grid-batch ({:.2f}x per-cell, {} cells) "
             "| {:.1f} cells/s | {:.6f} |".format(
                 grid["speedup"],
                 grid["cells"],

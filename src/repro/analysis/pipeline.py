@@ -25,6 +25,17 @@ static part, so static results (Figure 5's spawn-point counts, the
 scheduler's cost estimates) never unpickle a trace; the trace part is
 read the first time something touches :attr:`ProgramAnalyses.trace`.
 
+The memo is frozen.  Entries are never evicted while a sweep runs, and
+a catalog sweep memoizes hundreds of programs, traces and block tables:
+hundreds of thousands of container objects that every full collection
+of Python's cyclic GC would rescan without ever freeing one.  Each time
+the cache memoizes an entry or attaches a trace part it calls
+:func:`gc.freeze`, moving everything alive into the permanent
+generation, so later collections scan only objects created since.  No
+collection runs first: the few garbage cycles frozen along the way
+cost less than collecting before every freeze would.  :meth:`clear`
+unfreezes, so the entries it drops can be collected.
+
 The pipeline's repro-internal imports are deferred into the compute
 path: :mod:`repro.spawn` and :mod:`repro.cfg` themselves import
 :mod:`repro.analysis`, and this module is re-exported from the package
@@ -32,6 +43,7 @@ path: :mod:`repro.spawn` and :mod:`repro.cfg` themselves import
 """
 
 import functools
+import gc
 import hashlib
 import io
 import os
@@ -275,7 +287,7 @@ class AnalysisCache:
                 self._disk_store(self._path(digest), analyses, analyses.trace)
         else:
             self.disk_hits += 1
-        self._memory[digest] = analyses
+        self._memoize(digest, analyses)
         return analyses
 
     def trace_length_for(self, source):
@@ -308,12 +320,17 @@ class AnalysisCache:
         if analyses is None:
             return None
         self.disk_hits += 1
-        self._memory[digest] = analyses
+        self._memoize(digest, analyses)
         return analyses.trace_length
 
     def clear(self):
         """Drop the in-memory layer (disk entries are left in place)."""
         self._memory.clear()
+        gc.unfreeze()
+
+    def _memoize(self, digest, analyses):
+        self._memory[digest] = analyses
+        gc.freeze()  # see the module docs
 
     def __len__(self):
         return len(self._memory)
@@ -379,8 +396,9 @@ class AnalysisCache:
             analyses.trace_length = len(trace)
             _compile_blocks(trace, analyses.program)
             self._disk_store(path, analyses, trace)
-            return trace
-        self.trace_loads += 1
+        else:
+            self.trace_loads += 1
+        gc.freeze()  # see the module docs
         return trace
 
     def _disk_store(self, path, analyses, trace):

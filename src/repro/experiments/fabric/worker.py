@@ -14,7 +14,7 @@ are answered from the verified entry without simulating — labeled
 ``source=store`` so the driver books them as store hits, not runs.
 The remaining cells run through the scheduler's
 :func:`~repro.experiments.scheduler.execute_chunk` — the *same*
-worker-side path the local pool uses, lockstep grid-batching included,
+worker-side path the local pool uses, grid-batching included,
 so fabric results are bit-identical to pooled and serial ones — and
 each fresh result is stored back into the store for the next worker.
 

@@ -376,7 +376,7 @@ class RunSummary:
         #: Accumulated block-cache counter movement across every
         #: simulation this summary booked (parent and workers alike).
         self.block_cache = {key: 0 for key in BLOCK_CACHE_KEYS}
-        #: Cells executed through the grid-batch lockstep runner
+        #: Cells executed through the grid-batch runner
         #: (a subset of ``jobs_run``; the rest ran per-cell).
         self.batched_jobs = 0
         #: Simulated cells whose stats came from an identical cell's
@@ -429,7 +429,7 @@ class RunSummary:
         self.pool_restarts += 1
 
     def record_batched(self, count):
-        """Note ``count`` cells that ran through the lockstep batch."""
+        """Note ``count`` cells that ran through the grid batch."""
         self.batched_jobs += count
 
     def record_estimated(self, count=1):
@@ -551,7 +551,7 @@ class RunSummary:
             )
         if self.batched_jobs:
             lines.append(
-                "  grid-batch: {} of {} simulated cells ran in lockstep".format(
+                "  grid-batch: {} of {} simulated cells ran batched".format(
                     self.batched_jobs, self.jobs_run
                 )
             )
@@ -666,7 +666,7 @@ class ParallelExperimentRunner(ExperimentRunner):
     """
 
     #: Whether plain inline cells may run through the grid-batch
-    #: lockstep runner.  Subclasses whose ``_job_bus`` must observe
+    #: runner.  Subclasses whose ``_job_bus`` must observe
     #: every inline simulation (the exploration service) set this
     #: False so each cell keeps its own bus.
     inline_batching = True
@@ -924,7 +924,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         else:
             # Multi-cell grids always go through the scheduler: with
             # ``jobs=1`` the plan is all-inline (no pool is touched)
-            # and plain cells still benefit from the lockstep batch.
+            # and plain cells still benefit from the grid batch.
             self._fan_out(pending)
         if self.fabric_store is not None:
             self.summary.set_fabric_store(self.fabric_store.counters())
@@ -1139,7 +1139,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         cold catalog grid is planned without preparing every cell in
         the parent; workloads a fork-start pool needs are prepared by
         its initializer instead.  Plain inline cells run through the
-        grid-batch lockstep runner (instrumented cells — metrics, trace
+        grid-batch runner (instrumented cells — metrics, trace
         files, service buses — keep the per-cell path).
         """
         costs = [scheduler.job_cost(name, self.scale) for name, _, _, _ in pending]
@@ -1177,7 +1177,7 @@ class ParallelExperimentRunner(ExperimentRunner):
                 for name, spec, config, profile_distance in chunk
             ]
             # Mirror the worker's batching decision for the summary:
-            # plain cells of a big-enough chunk run in lockstep there.
+            # plain cells of a big-enough chunk run batched there.
             if not self.emit_metrics:
                 plain = sum(1 for entry in payload if entry[4] is None)
                 if plain >= gridbatch.MIN_BATCH_CELLS:
@@ -1214,7 +1214,7 @@ class ParallelExperimentRunner(ExperimentRunner):
 
         Cells with no instruments attached (no metrics, no trace file;
         :attr:`inline_batching` vouches for ``_job_bus``) go through
-        the grid-batch lockstep runner together; the rest — and
+        the grid-batch runner together; the rest — and
         everything when the batch would hold fewer than two cells —
         keep the per-cell ``run_with_config`` path.  Results are booked
         identically either way.

@@ -521,7 +521,7 @@ def execute_chunk(analysis_dir, scale, emit_metrics, chunk):
     pool outlives any single runner (whose cache directory may differ).
 
     Plain cells (no metrics, no trace file) run through the grid-batch
-    lockstep runner (:mod:`repro.sim.gridbatch`) when at least two
+    runner (:mod:`repro.sim.gridbatch`) when at least two
     such cells share the chunk — warm-cache replays
     are shared per trace and per-cell dispatch overhead is amortized.
     Instrumented cells always run per-cell.  Outcomes are booked into

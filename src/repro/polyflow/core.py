@@ -214,10 +214,11 @@ class PolyFlowCore:
         post-warm hierarchy LRU snapshot.
 
         The grid-batch runner warms the first cell of each trace this
-        way and installs the snapshot into siblings via
-        :meth:`install_warm_state`, so the O(trace) replay runs once
-        per trace instead of once per cell.  State after ``prewarm`` is
-        byte-identical to what ``run`` would have produced on its own.
+        way and installs the snapshot into the siblings it builds after
+        it via :meth:`install_warm_state`, so the O(trace) replay runs
+        once per trace instead of once per cell.  State after
+        ``prewarm`` is byte-identical to what ``run`` would have
+        produced on its own.
         """
         if self.config.warm_caches and not self._warmed:
             self._warm_caches()
@@ -232,17 +233,18 @@ class PolyFlowCore:
             self._warmed = True
 
     def run_incremental(self, stride=4096):
-        """Generator form of :meth:`run` for the grid-batch runner.
+        """Generator form of :meth:`run`.
 
         Advances the simulation and yields the retire pointer every
-        ``stride`` event-calendar steps, so a driver can advance many
-        independent cells in lockstep (round-robin ``next()``).  Only
-        the event-calendar kernel is resumable; runs that take the
-        staged engine (or an empty trace) complete during the first
-        ``next()`` without intermediate yields.  A ``stride`` of
-        0 (or ``None``) never yields — :meth:`run` drains exactly that.
-        Statistics and event streams are identical for every stride;
-        after exhaustion ``self.stats`` is final.
+        ``stride`` event-calendar steps.  No production caller passes a
+        stride: :meth:`run` drains it with a ``stride`` of 0 (or
+        ``None``), which never yields, and the grid-batch runner runs
+        one core at a time through :meth:`run`.  Only the
+        event-calendar kernel is resumable; runs that take the staged
+        engine (or an empty trace) complete during the first ``next()``
+        without intermediate yields.  Statistics and event streams are
+        identical for every stride; after exhaustion ``self.stats`` is
+        final.
         """
         if not len(self.trace):
             return

@@ -87,8 +87,8 @@ def event_kernel_steps(core, stride):
     This is the kernel itself — :func:`run_event_kernel` drains it with
     a stride of 0 (never yield).  A positive stride hands control back
     to the caller between slices with the kernel's locals frozen in the
-    generator frame, which is what lets the grid-batch runner advance
-    many independent cells in lockstep.  The yield is outside every
+    generator frame; no production caller slices a run (the grid-batch
+    runner drains one core at a time).  The yield is outside every
     stage, at the top of the cycle loop, so slicing cannot reorder any
     observable action; statistics and event streams are byte-identical
     for every stride.  Closing the generator early runs the ``finally``

@@ -24,33 +24,33 @@ class SpawnUnit:
         self._task_instructions = defaultdict(int)
         self._task_diverts = defaultdict(int)
         self._suppressed = set()
-        self._target_index = self._resolve_targets(trace)
-        # Ascending trace indices with a resolved spawn target; the
-        # block engine cuts its straight-line runs at these so spawn
-        # decisions always take the per-instruction fetch path.
-        self._candidate_indices = [
-            index for index, target in enumerate(self._target_index) if target >= 0
-        ]
+        # ``_candidate_indices``: ascending trace indices with a resolved
+        # spawn target; the block engine cuts its straight-line runs at
+        # these so spawn decisions always take the per-instruction path.
+        self._target_index, self._candidate_indices = self._resolve_targets(trace)
 
     def _resolve_targets(self, trace):
         """For each trace index, the index where its spawn would start.
 
-        Computed in one backward pass: ``target_index[i] = j`` means the
-        trigger at trace index ``i`` spawns a task beginning at trace
-        index ``j`` (the next dynamic instance of the spawn target
-        within the distance window), or -1.
+        Computed in one backward pass over the decoded PC column:
+        ``target_index[i] = j`` means the trigger at trace index ``i``
+        spawns a task beginning at trace index ``j`` (the next dynamic
+        instance of the spawn target within the distance window), or
+        -1.  Returns ``(target_index, candidates)``, ``candidates``
+        being the ascending indices with a target.
         """
-        records = trace.records
-        count = len(records)
+        count = len(trace)
         target_index = [-1] * count
+        candidates = []
         if not len(self.hint_table):
-            return target_index
+            return target_index, candidates
+        pcs = trace.decoded().pc
         lookup = self.hint_table.lookup
         min_distance = self.config.min_spawn_distance
         max_distance = self.config.max_spawn_distance
         last_seen = {}
         for index in range(count - 1, -1, -1):
-            pc = records[index].inst.pc
+            pc = pcs[index]
             entry = lookup(pc)
             if entry is not None:
                 target = last_seen.get(entry.spawn_point.spawn_pc, -1)
@@ -58,8 +58,10 @@ class SpawnUnit:
                     distance = target - index
                     if min_distance <= distance <= max_distance:
                         target_index[index] = target
+                        candidates.append(index)
             last_seen[pc] = index
-        return target_index
+        candidates.reverse()
+        return target_index, candidates
 
     def spawn_target(self, trace_index, pc):
         """The start index for a spawn triggered at ``trace_index``.

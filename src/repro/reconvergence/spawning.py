@@ -30,7 +30,8 @@ class ReconvergenceSpawnUnit(SpawnUnit):
         super().__init__(trace, hint_table, config)
 
     def _resolve_targets(self, trace):
-        return self._precomputed_targets
+        targets = self._precomputed_targets
+        return targets, [index for index, target in enumerate(targets) if target >= 0]
 
 
 def _is_switch(inst):

@@ -58,7 +58,7 @@ class _ServiceRunner(ParallelExperimentRunner):
     """
 
     #: Every inline simulation must own its bridging bus, so the
-    #: lockstep batch (which carries no bus) is disabled inline;
+    #: grid batch (which carries no bus) is disabled inline;
     #: pooled chunks still batch in the workers.
     inline_batching = False
 

@@ -1,13 +1,11 @@
-"""Byte-identity of the grid-batch lockstep runner.
+"""Byte-identity of the grid-batch runner.
 
-The lockstep driver may only change *when* each cell's next slice of
-work runs, never what it computes: on any subset of the synthesized
-catalog crossed with any policy column, :func:`gridbatch.run_batch`
-must report the same :class:`SimStats` the per-cell
-``scheduler.execute_job`` path reports, cell for cell.  Stride is part
-of the property — a stride of 1 interleaves maximally, a huge stride
-degenerates to sequential execution, and neither may move a single
-counter.
+The batch runner may only skip work that would repeat, never change
+what a cell computes: on any subset of the synthesized catalog crossed
+with any policy column, :func:`gridbatch.run_batch` must report the
+same :class:`SimStats` the per-cell ``scheduler.execute_job`` path
+reports, cell for cell.  It runs one machine at a time, so no two
+cores of one batch are ever alive together.
 
 Cells whose policies resolve to the same hint table on one workload
 share a single kernel run (:func:`repro.experiments.runner.simulation_key`);
@@ -17,13 +15,14 @@ deterministic tests pin which cells may share.
 """
 
 import dataclasses
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import examples
 
-from repro.experiments import scheduler
+from repro.experiments import runner, scheduler
 from repro.polyflow import PAPER_CONFIG, PolyFlowCore
 from repro.sim import gridbatch
 from repro.spawn import canonical_spec
@@ -62,10 +61,7 @@ def _cells(names, specs):
     )
 
 
-_strides = st.sampled_from((1, 7, gridbatch.DEFAULT_STRIDE, 10**9))
-
-
-def _assert_batch_matches_per_cell(cells, scale, stride):
+def _assert_batch_matches_per_cell(cells, scale):
     jobs = [
         (name, canonical_spec(spec), PAPER_CONFIG, None)
         for name, spec in cells
@@ -74,7 +70,7 @@ def _assert_batch_matches_per_cell(cells, scale, stride):
         scheduler.execute_job(name, spec, scale, config, distance)
         for name, spec, config, distance in jobs
     ]
-    batched = gridbatch.run_batch(jobs, scale, stride=stride)
+    batched = gridbatch.run_batch(jobs, scale)
     assert len(batched) == len(per_cell)
     for (expected, *_), (actual, metrics, seconds, blocks) in zip(
         per_cell, batched
@@ -85,16 +81,16 @@ def _assert_batch_matches_per_cell(cells, scale, stride):
         assert isinstance(blocks, dict)
 
 
-@given(cells=_cells(_NAME_POOL, _SPEC_POOL), stride=_strides)
+@given(cells=_cells(_NAME_POOL, _SPEC_POOL))
 @settings(max_examples=examples(12), deadline=None)
-def test_lockstep_stats_match_per_cell_path(cells, stride):
-    _assert_batch_matches_per_cell(cells, _SCALE, stride)
+def test_batch_stats_match_per_cell_path(cells):
+    _assert_batch_matches_per_cell(cells, _SCALE)
 
 
-@given(cells=_cells(_SPEC_NAME_POOL, _SHARING_SPEC_POOL), stride=_strides)
+@given(cells=_cells(_SPEC_NAME_POOL, _SHARING_SPEC_POOL))
 @settings(max_examples=examples(8), deadline=None)
-def test_shared_runs_match_per_cell_path(cells, stride):
-    _assert_batch_matches_per_cell(cells, _SPEC_SCALE, stride)
+def test_shared_runs_match_per_cell_path(cells):
+    _assert_batch_matches_per_cell(cells, _SPEC_SCALE)
 
 
 def _counting_runs(monkeypatch):
@@ -151,6 +147,34 @@ def test_same_spec_under_two_configs_never_shares(monkeypatch):
     assert _shared(outcomes) == [False, False]
     expected = scheduler.execute_job("mcf", "loopFT", _SPEC_SCALE, narrow, None)[0]
     assert outcomes[1][0].as_dict() == expected.as_dict()
+
+
+def test_batch_keeps_one_core_alive_at_a_time(monkeypatch):
+    # Every cell of this batch runs its own machine (no two share a
+    # simulation key), so each builds a core that must be gone before
+    # the next is built.
+    alive = []
+    alive_at_build = []
+    original = runner.build_core
+
+    def tracked(*args, **kwargs):
+        alive_at_build.append(len(alive) + 1)
+        core = original(*args, **kwargs)
+        token = object()
+        alive.append(token)
+        weakref.finalize(core, alive.remove, token)
+        return core
+
+    monkeypatch.setattr(runner, "build_core", tracked)
+    jobs = [
+        (name, canonical_spec(spec), PAPER_CONFIG, None)
+        for name in ("mcf", "gzip")
+        for spec in ("postdoms", "superscalar", "rec_pred")
+    ]
+    outcomes = gridbatch.run_batch(jobs, _SPEC_SCALE)
+    assert _shared(outcomes) == [False] * len(jobs)
+    assert alive_at_build == [1] * len(jobs)
+    assert alive == []
 
 
 def test_batchable_rejects_instrumented_cells():
