@@ -170,9 +170,10 @@ def main(argv=None):
         "--fabric-workers",
         type=int,
         default=0,
-        help="ship pooled chunks to this many fabric worker processes "
-        "instead of the local warm pool (0 = off; not capped at the "
-        "local CPU count — workers may be remote)",
+        help="ship chunks to this many worker subprocesses speaking "
+        "the fabric frame protocol instead of the --jobs pool (0 = "
+        "off; not capped at the local CPU count — workers may be "
+        "remote)",
     )
     parser.add_argument(
         "--fabric-store",
@@ -181,14 +182,6 @@ def main(argv=None):
         "--cache-dir, so a filled cache directory serves as one): "
         "workers load cells other participants already simulated "
         "and store fresh results back",
-    )
-    parser.add_argument(
-        "--fabric-transport",
-        choices=("subprocess", "local"),
-        default="subprocess",
-        help="fabric executor: 'subprocess' launches worker processes "
-        "speaking the frame protocol (default), 'local' routes the "
-        "fabric through the in-process warm pool",
     )
     parser.add_argument(
         "--fabric-ssh",
@@ -302,7 +295,6 @@ def main(argv=None):
         schedule=arguments.schedule,
         fabric_workers=arguments.fabric_workers,
         fabric_store=arguments.fabric_store,
-        fabric_transport=arguments.fabric_transport,
         fabric_command=arguments.fabric_ssh,
     )
     started = time.time()
@@ -367,9 +359,9 @@ def main(argv=None):
     return 0
 
 
-def _run_synth(arguments, runner, started):
-    """Sweep a catalog slice and print the coverage map (``synth``)."""
-    from repro.experiments import synth_sweep
+def _synth_names(arguments):
+    """The catalog scenarios ``--slice``/``--sample``/``--limit`` pick,
+    or ``None`` (reported on stderr) when the slice matches nothing."""
     from repro.workloads.synth import catalog_names, stratified_sample
 
     names = catalog_names()
@@ -383,16 +375,30 @@ def _run_synth(arguments, runner, started):
                 ),
                 file=sys.stderr,
             )
-            return 1
+            return None
     if arguments.sample is not None:
-        names = stratified_sample(arguments.sample, names=names)
-    elif arguments.limit is not None:
-        names = names[: arguments.limit]
-    specs = synth_sweep.DEFAULT_SPECS
-    if arguments.specs:
-        specs = tuple(
-            spec.strip() for spec in arguments.specs.split(",") if spec.strip()
-        )
+        return stratified_sample(arguments.sample, names=names)
+    if arguments.limit is not None:
+        return names[: arguments.limit]
+    return names
+
+
+def _synth_specs(arguments):
+    from repro.experiments import synth_sweep
+
+    if not arguments.specs:
+        return synth_sweep.DEFAULT_SPECS
+    return tuple(spec.strip() for spec in arguments.specs.split(",") if spec.strip())
+
+
+def _run_synth(arguments, runner, started):
+    """Sweep a catalog slice and print the coverage map (``synth``)."""
+    from repro.experiments import synth_sweep
+
+    names = _synth_names(arguments)
+    if names is None:
+        return 1
+    specs = _synth_specs(arguments)
     if arguments.estimate_first:
         budget = arguments.budget
         if budget is None:
@@ -438,78 +444,45 @@ def _run_cache_gc(arguments):
 
 
 def _run_fabric_plan(arguments):
-    """Print a placement dry-run for a synth slice — ``fabric``.
+    """Print the placement a ``synth`` sweep would ship — ``fabric``.
 
-    Costs the requested grid (store-probing, so held cells are priced
-    as fetches), plans chunks and worker shards, and prints the
-    placement without simulating anything.
+    Plans the sweep's own job list (baseline cells included) through
+    the runner's costing and ``plan_grid`` call — store-probing, so
+    held cells are priced as fetches — and shards the chunks the way
+    the subprocess transport does.  Nothing is simulated.
     """
-    from repro.experiments import scheduler, synth_sweep
-    from repro.experiments.parallel import ParallelExperimentRunner
-    from repro.workloads.synth import catalog_names, stratified_sample
+    from repro.experiments import synth_sweep
 
+    names = _synth_names(arguments)
+    if names is None:
+        return 1
     workers = arguments.fabric_workers or 2
-    names = catalog_names()
-    if arguments.slice_prefix:
-        prefix = "synth/" + arguments.slice_prefix
-        names = tuple(name for name in names if name.startswith(prefix))
-    if arguments.sample is not None:
-        names = stratified_sample(arguments.sample, names=names)
-    elif arguments.limit is not None:
-        names = names[: arguments.limit]
-    specs = synth_sweep.DEFAULT_SPECS
-    if arguments.specs:
-        specs = tuple(
-            spec.strip() for spec in arguments.specs.split(",") if spec.strip()
-        )
     runner = ParallelExperimentRunner(
         scale=arguments.scale,
         cache_dir=None if arguments.no_cache else arguments.cache_dir,
+        chunk=arguments.chunk,
+        schedule=arguments.schedule,
         fabric_workers=workers,
         fabric_store=arguments.fabric_store,
-        fabric_transport=arguments.fabric_transport,
     )
     jobs = runner.normalize_jobs(
-        [(name, spec) for name in names for spec in specs]
+        synth_sweep.sweep_jobs(names, _synth_specs(arguments))
     )
+    plan = runner.plan(jobs)
     store = runner.fabric_store
-    costs = []
     held = 0
-    for name, spec, config, profile_distance in jobs:
-        digest = (
-            runner._job_digest(name, spec, config, profile_distance)
-            if store is not None
-            else None
-        )
-        cost = scheduler.job_cost(
-            name, arguments.scale, store=store, digest=digest
-        )
-        held += 1 if cost == scheduler.STORE_HELD_COST else 0
-        costs.append(cost)
-    inline, pooled, pooled_costs = scheduler.split_inline(
-        jobs, costs, workers, runner.fabric_inline_threshold
-    )
-    chunks = scheduler.plan_chunks(
-        pooled, pooled_costs, workers, arguments.chunk, arguments.schedule
-    )
-    chunk_costs = [
-        sum(
-            cost
-            for job, cost in zip(pooled, pooled_costs)
-            if any(job is member for member in chunk)
-        )
-        for chunk in chunks
-    ]
-    shards = scheduler.plan_shards(chunk_costs, workers)
+    if store is not None:
+        held = sum(store.contains(runner._job_digest(*job)) for job in jobs)
+    shards = scheduler.plan_shards(plan.chunk_costs, workers)
     print(
         "fabric plan: {} cells ({} store-held), {} inline, "
         "{} chunks across {} workers".format(
-            len(jobs), held, len(inline), len(chunks), workers
+            len(jobs), held, len(plan.inline), len(plan.chunks), workers
         )
     )
     for worker, shard in enumerate(shards):
-        cells = sum(len(chunks[index]) for index in shard)
-        cost = sum(chunk_costs[index] for index in shard)
+        cells = sum(len(plan.chunks[index]) for index in shard)
+        cost = sum(plan.chunk_costs[index] for index in shard)
         print(
             "  worker {}: {} chunks, {} cells, estimated cost {}".format(
                 worker, len(shard), cells, cost
@@ -542,7 +515,6 @@ def _run_serve(arguments):
             schedule=arguments.schedule,
             fabric_workers=arguments.fabric_workers,
             fabric_store=arguments.fabric_store,
-            fabric_transport=arguments.fabric_transport,
         )
         await service.start()
         # Machine-parsable endpoint line (scripts read it to learn the

@@ -1,21 +1,23 @@
-"""The experiment fabric: sharded execution across worker processes.
+"""The experiment fabric: where planned chunks run.
 
-The grid scheduler of :mod:`repro.experiments.scheduler` fans chunks
-out to a warm in-process fork pool — bounded by one machine's cores.
-This package ships the same cost-balanced chunks to *external*
-executors instead:
+:class:`~repro.experiments.parallel.ParallelExperimentRunner` plans
+every pending grid once and runs its inline cells in the parent; the
+chunks go to one of two transports, both running the scheduler's one
+chunk executor (:func:`repro.experiments.scheduler.run_cells`):
 
-* :mod:`~repro.experiments.fabric.protocol` — the length-prefixed
-  JSON chunk protocol (wire-version guarded) workers speak over
-  stdin/stdout, including an exact JSON round-trip of the scheduler's
-  packed stat tuples.
-* :mod:`~repro.experiments.fabric.transport` — the
-  :class:`Transport` implementations: :class:`LocalPoolTransport`
-  (today's warm pool behind the fabric interface) and
+* :mod:`~repro.experiments.fabric.transport` —
+  :class:`LocalPoolTransport` (the warm fork pool, ``--jobs N``) and
   :class:`SubprocessWorkerTransport` (worker processes launched
-  locally or through an SSH command template).
-* :mod:`~repro.experiments.fabric.worker` — the worker entry point
-  (``python -m repro.experiments.fabric.worker``).
+  locally or through an SSH command template, ``--fabric-workers N``).
+  They share ``workers``, ``execute`` and ``close``; a dead worker in
+  either (``BrokenProcessPool`` or :class:`FabricWorkerDied`) reaches
+  the runner's one retry loop.
+* :mod:`~repro.experiments.fabric.protocol` — the length-prefixed
+  JSON chunk protocol (wire-version guarded) subprocess workers speak
+  over stdin/stdout, including an exact JSON round-trip of the
+  scheduler's packed stat tuples.
+* :mod:`~repro.experiments.fabric.worker` — the subprocess worker
+  entry point (``python -m repro.experiments.fabric.worker``).
 
 Workers and parents share results through a
 :class:`~repro.experiments.parallel.ResultCache` root (``--fabric-store``):

@@ -1,31 +1,29 @@
-"""Fabric transports: ship planned chunks to executors, stream results.
+"""Transports: run planned chunks somewhere, stream outcomes back.
 
-A transport takes the scheduler's cost-balanced chunks and executes
-them somewhere, yielding ``(chunk_index, outcomes)`` pairs as results
-arrive; each outcome is ``(packed_stats, seconds, blocks, source)``
-with ``source`` either ``"simulated"`` or ``"store"``.  Two
-implementations:
+The runner plans each grid once, runs its inline cells itself and
+hands the chunks — lists of ``(name, spec, config, profile_distance,
+trace_file)`` cells — to one of two transports.  Both share
+``workers``, ``inline_threshold`` (their default inline floor),
+``execute(scale, chunks, costs)`` and ``close``; ``execute`` yields
+``(chunk_index, outcomes)`` as results arrive, each outcome
+``(packed_stats, metrics, seconds, blocks, source)`` with ``source``
+``"simulated"`` or ``"store"``.
 
-* :class:`LocalPoolTransport` — today's warm in-process fork pool
-  (:func:`repro.experiments.scheduler.execute_chunk`) behind the
-  fabric interface.  A ``BrokenProcessPool`` propagates exactly as it
-  does on the classic path.
+* :class:`LocalPoolTransport` — the warm fork pool (``--jobs N``).  A
+  dead worker raises ``BrokenProcessPool``.
 * :class:`SubprocessWorkerTransport` — ``python -m
-  repro.experiments.fabric.worker`` processes (launched directly, or
-  through a user-supplied command template for SSH), spoken to over
-  the length-prefixed frame protocol.  Chunks are sharded across
-  workers by :func:`repro.experiments.scheduler.plan_shards`; one
-  reader thread per worker *process* (started at spawn, generation
-  tagged, exiting at EOF) funnels frames into a transport-owned
-  queue, so a transport reused across dispatches never has two
-  readers on one pipe; a worker that goes silent past the chunk
-  timeout, or whose stream hits EOF with chunks outstanding, raises
-  :class:`FabricWorkerDied` so the runner's retry loop can replan
-  only the unfinished cells.
+  repro.experiments.fabric.worker`` processes (``--fabric-workers N``)
+  speaking the frame protocol, chunks sharded by
+  :func:`repro.experiments.scheduler.plan_shards`.  One reader thread
+  per worker *process* (generation tagged, exiting at EOF) funnels
+  frames into a transport-owned queue, so a reused transport never has
+  two readers on one pipe.  A worker that goes silent past the chunk
+  timeout, or hits EOF with chunks outstanding, raises
+  :class:`FabricWorkerDied`; :meth:`~SubprocessWorkerTransport.placement`
+  reports cells, wall clock and store counters per worker.
 
-Both transports collect placement telemetry — cells and wall clock
-per worker, straggler wall, worker store counters — surfaced through
-:meth:`placement` into the run summary and the event bus.
+Either failure reaches the runner's one retry loop, which closes the
+transport and replans only the unfinished cells.
 """
 
 import os
@@ -35,6 +33,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import as_completed
 
 from repro.experiments import scheduler
 from repro.experiments.fabric import protocol
@@ -63,65 +62,55 @@ class FabricWorkerDied(RuntimeError):
 
 
 class LocalPoolTransport:
-    """The warm fork pool as a fabric transport."""
+    """The warm fork pool of :mod:`repro.experiments.scheduler`.
 
-    def __init__(self, workers, analysis_dir=None):
-        self.workers = max(1, int(workers))
+    ``workers`` is ``--jobs`` capped at the usable CPUs (``cpus``
+    overrides detection).  The pool balances chunks itself, so
+    ``costs`` is not used; metrics emission and per-cell trace files
+    ride along to the workers.
+    """
+
+    #: Below this estimated cost a fork-pool round trip cannot pay for
+    #: itself on this machine, so the cell runs in the parent.
+    inline_threshold = scheduler.INLINE_COST_THRESHOLD
+
+    def __init__(self, workers, cpus=None, analysis_dir=None, emit_metrics=False):
+        cpus = scheduler.usable_cpus() if cpus is None else cpus
+        self.workers = max(1, min(int(workers), cpus))
         self.analysis_dir = analysis_dir
-        self._placement = _empty_placement(self.workers)
+        self.emit_metrics = emit_metrics
 
     def execute(self, scale, chunks, costs):
         """Submit every chunk to the warm pool; yield results as done.
 
-        The pool balances work itself (chunks are already
-        longest-expected-first); per-worker attribution is therefore
-        approximated by the shard plan for telemetry purposes.
+        A ``BrokenProcessPool`` raised by any chunk propagates to the
+        runner, which keeps the outcomes already yielded.
         """
-        from concurrent.futures import as_completed
-
-        warmup = sorted({name for chunk in chunks for name, _, _, _ in chunk})
+        warmup = sorted({cell[0] for chunk in chunks for cell in chunk})
         pool = scheduler.warm_pool(
-            self.workers,
+            min(self.workers, len(chunks)),
             analysis_dir=self.analysis_dir,
             warmup=[(name, scale) for name in warmup],
         )
-        shards = scheduler.plan_shards(costs, self.workers)
-        placement = _empty_placement(self.workers)
-        futures = {}
-        for index, chunk in enumerate(chunks):
-            payload = [job + (None,) for job in chunk]
-            futures[
-                pool.submit(
-                    scheduler.execute_chunk,
-                    self.analysis_dir,
-                    scale,
-                    False,
-                    payload,
-                )
-            ] = index
-        started = time.perf_counter()
+        futures = {
+            pool.submit(
+                scheduler.execute_chunk,
+                self.analysis_dir,
+                scale,
+                self.emit_metrics,
+                chunk,
+            ): index
+            for index, chunk in enumerate(chunks)
+        }
         for future in as_completed(futures):
-            index = futures[future]
-            outcomes = [
-                (packed, seconds, blocks, "simulated")
-                for packed, _, seconds, blocks in future.result()
+            yield futures[future], [
+                outcome + ("simulated",) for outcome in future.result()
             ]
-            worker = next(
-                worker for worker, shard in enumerate(shards) if index in shard
-            )
-            placement["cells_by_worker"][worker] += len(outcomes)
-            placement["chunks_by_worker"][worker] += 1
-            yield index, outcomes
-        wall = time.perf_counter() - started
-        placement["wall_by_worker"] = [wall] * self.workers
-        placement["straggler_seconds"] = wall
-        self._placement = placement
-
-    def placement(self):
-        return dict(self._placement)
 
     def close(self):
-        """The pool is process-global; the runner owns its lifecycle."""
+        """Tear the process-global warm pool down (the next grid forks
+        a fresh one)."""
+        scheduler.shutdown_pool()
 
 
 class SubprocessWorkerTransport:
@@ -138,7 +127,13 @@ class SubprocessWorkerTransport:
     ``throughputs`` weights the shard planner when workers are not
     equally fast (a laptop driving a big remote box); ``extra_env``
     reaches the workers' environment (tests inject faults there).
+    Cells must be plain: the runner refuses metrics emission and
+    trace files on this transport.
     """
+
+    #: Workers are provisioned capacity, not this machine's cores, so
+    #: by default every pooled cell ships.
+    inline_threshold = 0
 
     def __init__(
         self,
@@ -313,8 +308,8 @@ class SubprocessWorkerTransport:
                             "id": chunk_index,
                             "scale": scale,
                             "cells": [
-                                protocol.encode_cell(*job)
-                                for job in chunks[chunk_index]
+                                protocol.encode_cell(*cell[:4])
+                                for cell in chunks[chunk_index]
                             ],
                         },
                     )
@@ -370,6 +365,7 @@ class SubprocessWorkerTransport:
             outcomes = [
                 (
                     protocol.decode_packed(outcome["packed"]),
+                    None,
                     outcome["seconds"],
                     outcome["blocks"],
                     outcome["source"],
@@ -378,7 +374,7 @@ class SubprocessWorkerTransport:
             ]
             placement["cells_by_worker"][worker] += len(outcomes)
             placement["store_cells_by_worker"][worker] += sum(
-                1 for outcome in outcomes if outcome[3] == "store"
+                1 for outcome in outcomes if outcome[4] == "store"
             )
             finished_at[worker] = time.perf_counter()
             yield chunk_index, outcomes
@@ -394,7 +390,7 @@ class SubprocessWorkerTransport:
     def _dead(self, worker, reason, pending):
         """Build the :class:`FabricWorkerDied` for one incident.
 
-        Every worker is torn down — mirroring the pool path, where one
+        Every worker is torn down — mirroring the warm pool, where one
         dead worker poisons the whole executor — so the retry starts
         from a clean fleet (``ensure_workers`` respawns it).
         """

@@ -2,22 +2,32 @@
 
 The paper's evaluation sweeps 12 benchmarks across ~14 policy specs
 plus a superscalar baseline — an embarrassingly parallel grid of
-independent cycle-level simulations.  This module fans that grid out
-through the batched grid scheduler of
-:mod:`repro.experiments.scheduler`: grid cells are cost-estimated from
-their committed-trace lengths, cheap cells run inline in the parent,
-and the rest ship to a persistent warm worker pool as
-longest-expected-first chunks (one pickle per chunk, compact stat
-tuples back).
+independent cycle-level simulations.
+:meth:`ParallelExperimentRunner.prefetch` runs every pending cell of
+such a grid, one or many, through one dispatch loop:
+
+1. **cost** each cell with
+   :func:`~repro.experiments.scheduler.job_cost` (probing the shared
+   store when one is set);
+2. **plan** once with :func:`~repro.experiments.scheduler.plan_grid`:
+   cheap cells inline in the parent, the rest as
+   longest-expected-first chunks;
+3. **run** the inline cells in the parent and stream the chunks
+   through the runner's transport — the warm fork pool (``--jobs N``)
+   or subprocess workers (``--fabric-workers N``, see
+   :mod:`repro.experiments.fabric`).  Everywhere the same executor,
+   :func:`~repro.experiments.scheduler.run_cells`, runs the cells;
+4. **book** every outcome through one function, as it arrives.
+
+A dead worker on either transport reaches one retry loop, which closes
+the transport and replans only the cells whose outcomes never arrived.
 
 Results are also written to a content-addressed on-disk cache keyed by
 ``(workload, spec, scale, machine-config fingerprint, profile
 distance)``, so repeated figure generation and CI smoke runs skip
-simulations that already ran — under *any* runner, serial or parallel,
-because both funnel through the same
-:func:`~repro.experiments.runner.simulate_job`.  One class,
-:class:`ResultCache`, owns the single on-disk format: every entry is a
-sha256-verified envelope, so a damaged entry is counted and
+simulations that already ran — under *any* runner, serial or parallel.
+One class, :class:`ResultCache`, owns the single on-disk format: every
+entry is a sha256-verified envelope, so a damaged entry is counted and
 re-simulated, never served.  The same class backs the local cache
 directory and the fabric's shared store root (``--fabric-store``), so
 a filled cache directory *is* a valid store.
@@ -35,7 +45,6 @@ import os
 import pickle
 import tempfile
 import time
-from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.analysis.pipeline import configure_disk_cache
@@ -47,7 +56,6 @@ from repro.experiments.fabric.transport import (
     SubprocessWorkerTransport,
 )
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scheduler import execute_job
 from repro.polyflow.config import config_fingerprint
 from repro.sim import gridbatch
 from repro.sim.blocks import BLOCK_CACHE_KEYS
@@ -418,8 +426,8 @@ class RunSummary:
         """Note one unreadable cache entry (it will be re-simulated).
 
         The same entry can be probed twice before the re-simulation
-        overwrites it (prefetch's parent-side load, then the serial
-        fallback's), so paths are deduplicated.
+        overwrites it (prefetch's parent-side load, then a degraded
+        service batch's per-cell retry), so paths are deduplicated.
         """
         if path not in self.corrupt_entries:
             self.corrupt_entries.append(path)
@@ -658,18 +666,15 @@ class ParallelExperimentRunner(ExperimentRunner):
     parallelism lives; the individual accessors (``baseline``,
     ``run_policy`` …) stay serial but consult the disk cache.
 
-    Scheduler knobs: ``chunk`` caps grid cells per pool chunk (``None``
+    Scheduler knobs: ``chunk`` caps grid cells per chunk (``None``
     sizes chunks by estimated cost), ``schedule`` picks cost-ordered or
     FIFO chunking, ``inline_threshold`` is the trace-length floor below
-    which a cell runs inline in the parent, and ``cpus`` overrides CPU
-    detection (tests force the pool path on single-core machines).
+    which a cell runs inline in the parent (``None`` takes the
+    transport's default), and ``cpus`` overrides CPU detection (tests
+    force the pool path on single-core machines).  Chunks run on the
+    warm pool of ``jobs`` workers, or on ``fabric_workers`` subprocess
+    workers when that is set.
     """
-
-    #: Whether plain inline cells may run through the grid-batch
-    #: runner.  Subclasses whose ``_job_bus`` must observe
-    #: every inline simulation (the exploration service) set this
-    #: False so each cell keeps its own bus.
-    inline_batching = True
 
     def __init__(
         self,
@@ -687,7 +692,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         pool_retries=1,
         fabric_workers=0,
         fabric_store=None,
-        fabric_transport="subprocess",
         fabric_command=None,
         fabric_chunk_timeout=None,
         fabric_throughputs=None,
@@ -708,22 +712,10 @@ class ParallelExperimentRunner(ExperimentRunner):
         self.jobs = max(1, int(jobs))
         self.chunk = chunk
         self.schedule = schedule
-        self.inline_threshold = (
-            scheduler.INLINE_COST_THRESHOLD
-            if inline_threshold is None
-            else inline_threshold
-        )
-        #: The fabric's inline floor.  The warm-pool threshold guards
-        #: against fork/pickle overhead swamping cheap cells on *this*
-        #: machine; fabric workers are explicitly provisioned capacity,
-        #: so by default every pooled cell ships (callers that pass
-        #: ``inline_threshold`` keep their floor on both paths).
-        self.fabric_inline_threshold = (
-            0 if inline_threshold is None else inline_threshold
-        )
+        self.inline_threshold = inline_threshold
         self.cpus = cpus
-        #: Times a grid is retried after a ``BrokenProcessPool`` (each
-        #: retry starts a fresh pool and replans only unfinished cells).
+        #: Times a grid is retried after a dead worker (each retry
+        #: starts a fresh transport and replans only unfinished cells).
         self.pool_retries = max(0, int(pool_retries))
         self.cache = ResultCache(cache_dir) if cache_dir else None
         #: Where persisted program analyses live; enables the shared
@@ -739,22 +731,16 @@ class ParallelExperimentRunner(ExperimentRunner):
         self.emit_metrics = bool(emit_metrics)
         #: Write a compact lifecycle-events JSONL per simulation here.
         self.trace_dir = trace_dir
-        #: Fabric executors for pooled chunks (0 = the classic local
-        #: warm-pool path).  Unlike ``jobs``, this is *not* capped at
-        #: the local CPU count — fabric workers may be other machines.
+        #: Subprocess workers for the chunks (0 = the warm pool).
+        #: Unlike ``jobs``, this is *not* capped at the local CPU count
+        #: — fabric workers may be other machines.
         self.fabric_workers = max(0, int(fabric_workers))
-        if fabric_transport not in ("subprocess", "local"):
-            raise ConfigurationError(
-                "unknown fabric transport {!r}; choose 'subprocess' or "
-                "'local'".format(fabric_transport)
-            )
         if self.fabric_workers and (self.emit_metrics or trace_dir is not None):
             raise ConfigurationError(
                 "the fabric ships plain cells only; metrics emission and "
                 "trace files keep the local warm-pool path (drop "
                 "--fabric-workers or the instrumentation flag)"
             )
-        self.fabric_transport = fabric_transport
         self.fabric_command = fabric_command
         self.fabric_chunk_timeout = fabric_chunk_timeout
         self.fabric_throughputs = fabric_throughputs
@@ -766,7 +752,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         #: :meth:`_load_cached`) and passed to fabric workers, which
         #: load from and store into the same root.
         self.fabric_store = fabric_store
-        self._fabric = None
+        self._transport = None
 
     # -- cache plumbing -----------------------------------------------------------
 
@@ -849,16 +835,30 @@ class ParallelExperimentRunner(ExperimentRunner):
         ):
             store.store(digest, stats, meta, metrics=metrics)
 
-    def _record_result(self, name, spec, config, profile_distance, outcome):
-        """Book one finished simulation: summary, metrics, disk cache."""
-        stats, metrics, seconds, blocks = outcome
-        self.summary.record_job(name, self._job_label(spec, config), seconds)
-        self.summary.record_block_cache(blocks)
-        if blocks and blocks.get(gridbatch.SHARED_RUN):
-            self.summary.shared_cells += 1
-        if metrics is not None:
-            self.summary.record_metrics(self._job_label(spec, config), metrics)
-        self._store_cached(name, spec, config, profile_distance, stats, metrics)
+    def _book(self, job, stats, metrics, seconds, blocks, source="simulated"):
+        """Book one outcome, wherever it ran: memo, summary, caches.
+
+        A ``source="store"`` outcome is a fabric worker's store hit: no
+        simulation ran, so no job is booked, but the entry is copied
+        into the local result cache.
+        """
+        name, spec, config, profile_distance = job
+        if source == "store":
+            self.summary.record_fabric_store_cells(1)
+            if self.cache is not None:
+                self.cache.copy_from(self.fabric_store, self._job_digest(*job))
+        else:
+            label = self._job_label(spec, config)
+            self.summary.record_job(name, label, seconds)
+            self.summary.record_block_cache(blocks)
+            if blocks.get(gridbatch.BATCHED_RUN):
+                self.summary.record_batched(1)
+            if blocks.get(gridbatch.SHARED_RUN):
+                self.summary.shared_cells += 1
+            if metrics is not None:
+                self.summary.record_metrics(label, metrics)
+            self._store_cached(name, spec, config, profile_distance, stats, metrics)
+        self._results[self._result_key(*job)] = stats
         return stats
 
     def _job_bus(self, name, spec, config):
@@ -869,25 +869,27 @@ class ParallelExperimentRunner(ExperimentRunner):
         runner overrides this to bridge lifecycle events into its
         progress journal.  A returned bus must be fresh per call and
         non-verbose, so engine selection (and the stats) stay
-        identical.
+        identical.  A cell with a bus runs per-cell, never batched.
         """
         return None
+
+    def _cell(self, job):
+        """The parent-side :func:`~repro.experiments.scheduler.run_cells`
+        cell of one job: its trace file and bus attached."""
+        name, spec, config, profile_distance = job
+        return job + (
+            self._trace_file(name, spec, config, profile_distance),
+            self._job_bus(name, spec, config),
+        )
 
     def _simulate(self, name, spec, config, profile_distance):
         stats = self._load_cached(name, spec, config, profile_distance)
         if stats is not None:
             return stats
-        outcome = execute_job(
-            name,
-            spec,
-            self.scale,
-            config,
-            profile_distance,
-            emit_metrics=self.emit_metrics,
-            trace_file=self._trace_file(name, spec, config, profile_distance),
-            bus=self._job_bus(name, spec, config),
-        )
-        return self._record_result(name, spec, config, profile_distance, outcome)
+        job = (name, spec, config, profile_distance)
+        cells = [self._cell(job)]
+        (outcome,) = scheduler.run_cells(self.scale, self.emit_metrics, cells)
+        return self._book(job, *outcome)
 
     # -- fan-out ------------------------------------------------------------------
 
@@ -895,36 +897,22 @@ class ParallelExperimentRunner(ExperimentRunner):
         """Materialize every job's stats through the grid scheduler.
 
         Disk-cached results are loaded in the parent; only genuinely
-        missing simulations are scheduled — cheap ones inline, the
-        rest as cost-ordered chunks on the warm worker pool.  Results
-        land in the same keyed memo the serial path reads, so
-        downstream table generation is identical regardless of
-        scheduling decisions or completion order.  Returns the number
-        of simulations actually run.
+        missing simulations are planned — cheap ones inline, the rest
+        as cost-ordered chunks on the transport.  Results land in the
+        same keyed memo the serial path reads, so downstream table
+        generation is identical regardless of scheduling decisions or
+        completion order.  Returns the number of simulations actually
+        run.
         """
         started = time.perf_counter()
         pending = []
-        for name, spec, config, profile_distance in self.normalize_jobs(jobs):
-            stats = self._load_cached(name, spec, config, profile_distance)
-            if stats is not None:
-                key = self._result_key(name, spec, config, profile_distance)
-                self._results[key] = stats
+        for job in self.normalize_jobs(jobs):
+            stats = self._load_cached(*job)
+            if stats is None:
+                pending.append(job)
             else:
-                pending.append((name, spec, config, profile_distance))
-
-        if not pending:
-            if self.fabric_store is not None:
-                self.summary.set_fabric_store(self.fabric_store.counters())
-            self.summary.wall_seconds += time.perf_counter() - started
-            return 0
-
-        if len(pending) == 1:
-            for name, spec, config, profile_distance in pending:
-                self.run_with_config(name, spec, config, profile_distance)
-        else:
-            # Multi-cell grids always go through the scheduler: with
-            # ``jobs=1`` the plan is all-inline (no pool is touched)
-            # and plain cells still benefit from the grid batch.
+                self._results[self._result_key(*job)] = stats
+        if pending:
             self._fan_out(pending)
         if self.fabric_store is not None:
             self.summary.set_fabric_store(self.fabric_store.counters())
@@ -932,14 +920,14 @@ class ParallelExperimentRunner(ExperimentRunner):
         return len(pending)
 
     def _fan_out(self, pending):
-        """Schedule ``pending`` cells, restarting a broken worker pool.
+        """Dispatch ``pending`` cells, replanning after a dead worker.
 
-        A worker death poisons the whole persistent pool
-        (``BrokenProcessPool``); instead of failing the grid, the dead
-        pool is torn down, the incident is counted on the summary
-        (:attr:`RunSummary.pool_restarts`), and the still-unfinished
-        cells are replanned onto a fresh pool up to ``pool_retries``
-        times before the error propagates.
+        A worker death poisons the whole transport — the pool raises
+        ``BrokenProcessPool``, subprocess workers
+        :class:`FabricWorkerDied`.  Instead of failing the grid, the
+        transport is closed, the incident is booked on the summary, and
+        the still-unfinished cells are replanned onto a fresh transport
+        up to ``pool_retries`` times before the error propagates.
         """
         remaining = list(pending)
         retries = self.pool_retries
@@ -947,70 +935,37 @@ class ParallelExperimentRunner(ExperimentRunner):
             try:
                 self._dispatch(remaining)
                 return
-            except BrokenProcessPool:
-                # A dead worker poisons the persistent pool; drop it so
-                # the next attempt (or the next grid) starts fresh.
-                scheduler.shutdown_pool()
-                self.summary.record_pool_restart()
-                if retries <= 0:
-                    raise
-                retries -= 1
-                remaining = [
-                    job
-                    for job in remaining
-                    if self._result_key(*job) not in self._results
-                ]
-                if not remaining:
-                    return
-            except FabricWorkerDied as incident:
-                # Same contract over the fabric: tear the worker fleet
-                # down, keep every result already booked, and replan
-                # only the cells whose outcomes never arrived.
+            except (BrokenProcessPool, FabricWorkerDied) as incident:
                 self.shutdown_fabric()
                 remaining = [
                     job
                     for job in remaining
                     if self._result_key(*job) not in self._results
                 ]
-                self.summary.record_fabric_replan(len(remaining))
-                self._fabric_event(
-                    "worker_died",
-                    worker=incident.worker,
-                    replanned_cells=len(remaining),
-                )
+                if self.fabric_workers:
+                    self.summary.record_fabric_replan(len(remaining))
+                    self._fabric_event(
+                        "worker_died",
+                        worker=incident.worker,
+                        replanned_cells=len(remaining),
+                    )
+                else:
+                    self.summary.record_pool_restart()
                 if retries <= 0:
                     raise
                 retries -= 1
                 if not remaining:
                     return
 
-    def _dispatch(self, pending):
-        """One scheduling attempt, routed to the fabric or the pool."""
-        if self.fabric_workers:
-            return self._dispatch_fabric(pending)
-        return self._dispatch_pool(pending)
-
-    # -- fabric path --------------------------------------------------------------
-
-    def _fabric_event(self, kind, **fields):
-        """Optional fabric telemetry hook.
-
-        The base runner drops the event; the exploration service's
-        runner overrides this to publish ``fabric.*`` events into its
-        progress journal.
-        """
-
-    def _ensure_fabric(self):
-        if self._fabric is None:
-            if self.fabric_transport == "local":
-                self._fabric = LocalPoolTransport(
-                    self.fabric_workers, analysis_dir=self.analysis_dir
-                )
-            else:
+    def _ensure_transport(self):
+        """This runner's transport (created on first use): subprocess
+        workers when ``fabric_workers`` is set, else the warm pool."""
+        if self._transport is None:
+            if self.fabric_workers:
                 keyword_arguments = {}
                 if self.fabric_chunk_timeout is not None:
                     keyword_arguments["chunk_timeout"] = self.fabric_chunk_timeout
-                self._fabric = SubprocessWorkerTransport(
+                self._transport = SubprocessWorkerTransport(
                     self.fabric_workers,
                     store_root=(
                         self.fabric_store.root
@@ -1023,13 +978,20 @@ class ParallelExperimentRunner(ExperimentRunner):
                     extra_env=self.fabric_extra_env,
                     **keyword_arguments,
                 )
-        return self._fabric
+            else:
+                self._transport = LocalPoolTransport(
+                    self.jobs,
+                    cpus=self.cpus,
+                    analysis_dir=self.analysis_dir,
+                    emit_metrics=self.emit_metrics,
+                )
+        return self._transport
 
     def shutdown_fabric(self):
-        """Tear the fabric transport down (retries recreate it)."""
-        if self._fabric is not None:
-            self._fabric.close()
-            self._fabric = None
+        """Close the transport (the next dispatch creates a fresh one)."""
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
 
     def warm_fabric(self):
         """Spawn the fabric fleet ahead of the first dispatch.
@@ -1038,209 +1000,92 @@ class ParallelExperimentRunner(ExperimentRunner):
         warming moves that out of the first grid's wall clock (the
         benchmark harness uses it to time steady-state dispatch).
         """
-        if not self.fabric_workers:
-            return
-        transport = self._ensure_fabric()
-        ensure = getattr(transport, "ensure_workers", None)
-        if ensure is not None:
-            ensure()
+        if self.fabric_workers:
+            self._ensure_transport().ensure_workers()
 
-    def _dispatch_fabric(self, pending):
-        """One fabric scheduling attempt: inline split + sharded chunks.
+    def plan(self, pending):
+        """Cost ``pending`` and plan it for this runner's transport.
 
-        Costing probes the shared store (tier 2 of
+        Costing probes the shared store when one is set (tier 2 of
         :func:`~repro.experiments.scheduler.job_cost`), so store-held
-        cells are priced as fetches.  Cheap cells still run inline in
-        the parent; the rest are chunked exactly as on the pool path
-        and sharded across fabric workers by the transport.  Results
-        are booked as they stream back, so a mid-grid worker death
-        loses only the outcomes that never arrived.
+        cells are priced as fetches.  The inline floor is
+        ``inline_threshold`` when given, else the transport's own.  The
+        ``fabric`` dry-run prints this plan without running it.
         """
+        transport = self._ensure_transport()
         store = self.fabric_store
-        costs = []
-        for name, spec, config, profile_distance in pending:
-            digest = (
-                self._job_digest(name, spec, config, profile_distance)
-                if store is not None
-                else None
+        costs = [
+            scheduler.job_cost(
+                job[0],
+                self.scale,
+                store=store,
+                digest=self._job_digest(*job) if store is not None else None,
             )
-            costs.append(
-                scheduler.job_cost(name, self.scale, store=store, digest=digest)
-            )
-        inline, pooled, pooled_costs = scheduler.split_inline(
-            pending, costs, self.fabric_workers, self.fabric_inline_threshold
-        )
-        chunks = scheduler.plan_chunks(
-            pooled, pooled_costs, self.fabric_workers, self.chunk, self.schedule
-        )
-        self.summary.inline_jobs += len(inline)
-        self.summary.record_fabric_schedule(
-            self.fabric_workers if chunks else 0,
-            len(chunks),
-            sum(len(chunk) for chunk in chunks),
-        )
-        self._run_inline(inline)
-        if not chunks:
-            return
-        cost_lookup = {
-            self._result_key(*job): cost for job, cost in zip(pending, costs)
-        }
-        chunk_costs = [
-            sum(cost_lookup[self._result_key(*job)] for job in chunk)
-            for chunk in chunks
+            for job in pending
         ]
-        transport = self._ensure_fabric()
-        for index, outcomes in transport.execute(self.scale, chunks, chunk_costs):
-            self._book_fabric_chunk(chunks[index], outcomes)
-        placement = transport.placement()
-        self.summary.record_fabric_placement(placement)
-        for key, value in (placement.get("worker_store") or {}).items():
-            self.summary.fabric["worker_store_" + key] = value
-        self._fabric_event(
-            "placement",
-            workers=placement.get("workers"),
-            cells_by_worker=placement.get("cells_by_worker"),
-            straggler_seconds=placement.get("straggler_seconds"),
-        )
-
-    def _book_fabric_chunk(self, chunk, outcomes):
-        """Book one fabric chunk's outcomes into the memo and caches."""
-        for job, (packed, seconds, blocks, source) in zip(chunk, outcomes):
-            name, spec, config, profile_distance = job
-            stats = scheduler.unpack_stats(packed)
-            key = self._result_key(name, spec, config, profile_distance)
-            if source == "store":
-                # A worker answered from the shared store: no
-                # simulation ran, so no job is booked — but the entry
-                # is copied into the local result cache.
-                self.summary.record_fabric_store_cells(1)
-                if self.cache is not None and self.fabric_store is not None:
-                    self.cache.copy_from(
-                        self.fabric_store,
-                        self._job_digest(name, spec, config, profile_distance),
-                    )
-                self._results[key] = stats
-            else:
-                self._results[key] = self._record_result(
-                    name,
-                    spec,
-                    config,
-                    profile_distance,
-                    (stats, None, seconds, blocks),
-                )
-
-    # -- pool path ----------------------------------------------------------------
-
-    def _dispatch_pool(self, pending):
-        """One scheduling attempt: inline short-circuit + warm pool.
-
-        Costing a cell peeks the analysis cache and falls back to the
-        closed-form length estimator for synthesized scenarios, so a
-        cold catalog grid is planned without preparing every cell in
-        the parent; workloads a fork-start pool needs are prepared by
-        its initializer instead.  Plain inline cells run through the
-        grid-batch runner (instrumented cells — metrics, trace
-        files, service buses — keep the per-cell path).
-        """
-        costs = [scheduler.job_cost(name, self.scale) for name, _, _, _ in pending]
-        plan = scheduler.plan_grid(
+        # The transport's worker count is already capped where it must
+        # be (the pool at the local CPUs, subprocess workers never).
+        return scheduler.plan_grid(
             pending,
             costs,
-            self.jobs,
+            transport.workers,
             max_chunk_jobs=self.chunk,
             schedule=self.schedule,
-            inline_threshold=self.inline_threshold,
-            cpus=self.cpus,
+            inline_threshold=(
+                transport.inline_threshold
+                if self.inline_threshold is None
+                else self.inline_threshold
+            ),
+            cpus=transport.workers,
         )
-        self.summary.record_schedule(plan)
 
-        self._run_inline(plan.inline)
+    def _dispatch(self, pending):
+        """One attempt: plan, run the inline cells, stream the chunks.
+
+        Every outcome is booked as it arrives, so a mid-grid worker
+        death loses only the outcomes that never came back.
+        """
+        plan = self.plan(pending)
+        transport = self._transport
+        if self.fabric_workers:
+            self.summary.inline_jobs += len(plan.inline)
+            self.summary.record_fabric_schedule(
+                transport.workers if plan.chunks else 0,
+                len(plan.chunks),
+                plan.pooled_jobs,
+            )
+        else:
+            self.summary.record_schedule(plan)
+        cells = [self._cell(job) for job in plan.inline]
+        outcomes = scheduler.run_cells(self.scale, self.emit_metrics, cells)
+        for job, outcome in zip(plan.inline, outcomes):
+            self._book(job, *outcome)
         if not plan.chunks:
             return
-
-        warmup = sorted({name for chunk in plan.chunks for name, _, _, _ in chunk})
-        pool = scheduler.warm_pool(
-            plan.workers,
-            analysis_dir=self.analysis_dir,
-            warmup=[(name, self.scale) for name in warmup],
-        )
-        futures = {}
-        for chunk in plan.chunks:
-            payload = [
-                (
-                    name,
-                    spec,
-                    config,
-                    profile_distance,
-                    self._trace_file(name, spec, config, profile_distance),
-                )
-                for name, spec, config, profile_distance in chunk
-            ]
-            # Mirror the worker's batching decision for the summary:
-            # plain cells of a big-enough chunk run batched there.
-            if not self.emit_metrics:
-                plain = sum(1 for entry in payload if entry[4] is None)
-                if plain >= gridbatch.MIN_BATCH_CELLS:
-                    self.summary.record_batched(plain)
-            future = pool.submit(
-                scheduler.execute_chunk,
-                self.analysis_dir,
-                self.scale,
-                self.emit_metrics,
-                payload,
+        chunks = [
+            [job + (self._trace_file(*job),) for job in chunk]
+            for chunk in plan.chunks
+        ]
+        stream = transport.execute(self.scale, chunks, plan.chunk_costs)
+        for index, outcomes in stream:
+            for job, (packed, *outcome) in zip(plan.chunks[index], outcomes):
+                self._book(job, scheduler.unpack_stats(packed), *outcome)
+        if self.fabric_workers:
+            placement = transport.placement()
+            self.summary.record_fabric_placement(placement)
+            for key, value in placement["worker_store"].items():
+                self.summary.fabric["worker_store_" + key] = value
+            self._fabric_event(
+                "placement",
+                workers=placement["workers"],
+                cells_by_worker=placement["cells_by_worker"],
+                straggler_seconds=placement["straggler_seconds"],
             )
-            futures[future] = chunk
-        # A BrokenProcessPool raised by any future propagates to
-        # ``_fan_out``, which tears the pool down and retries the
-        # unfinished cells; results booked before the break are kept.
-        for future in as_completed(futures):
-            chunk = futures[future]
-            for job, (packed, metrics, seconds, blocks) in zip(
-                chunk, future.result()
-            ):
-                name, spec, config, profile_distance = job
-                stats = scheduler.unpack_stats(packed)
-                key = self._result_key(name, spec, config, profile_distance)
-                self._results[key] = self._record_result(
-                    name,
-                    spec,
-                    config,
-                    profile_distance,
-                    (stats, metrics, seconds, blocks),
-                )
 
-    def _run_inline(self, inline_jobs):
-        """Run the plan's inline cells, batching the plain ones.
+    def _fabric_event(self, kind, **fields):
+        """Optional fabric telemetry hook.
 
-        Cells with no instruments attached (no metrics, no trace file;
-        :attr:`inline_batching` vouches for ``_job_bus``) go through
-        the grid-batch runner together; the rest — and
-        everything when the batch would hold fewer than two cells —
-        keep the per-cell ``run_with_config`` path.  Results are booked
-        identically either way.
+        The base runner drops the event; the exploration service's
+        runner overrides this to publish ``fabric.*`` events into its
+        progress journal.
         """
-        per_cell = list(inline_jobs)
-        batch_jobs = []
-        if self.inline_batching and not self.emit_metrics:
-            plain, rest = [], []
-            for job in per_cell:
-                name, spec, config, profile_distance = job
-                trace_file = self._trace_file(name, spec, config, profile_distance)
-                key = self._result_key(name, spec, config, profile_distance)
-                if trace_file is None and key not in self._results:
-                    plain.append(job)
-                else:
-                    rest.append(job)
-            if len(plain) >= gridbatch.MIN_BATCH_CELLS:
-                batch_jobs, per_cell = plain, rest
-        if batch_jobs:
-            outcomes = gridbatch.run_batch(batch_jobs, self.scale)
-            self.summary.record_batched(len(batch_jobs))
-            for job, outcome in zip(batch_jobs, outcomes):
-                name, spec, config, profile_distance = job
-                key = self._result_key(name, spec, config, profile_distance)
-                self._results[key] = self._record_result(
-                    name, spec, config, profile_distance, outcome
-                )
-        for name, spec, config, profile_distance in per_cell:
-            self.run_with_config(name, spec, config, profile_distance)

@@ -33,6 +33,11 @@ module replaces that with a scheduler that treats the grid as a batch:
   the parent reconstructs bit-identical stats with
   :func:`unpack_stats`.
 
+* **One executor** — :func:`run_cells` runs every cell, wherever it
+  lands: inline cells call it in the parent, pool workers and fabric
+  workers through :func:`execute_chunk`.  It alone decides between
+  the grid batch and per-cell execution.
+
 Scheduling never changes results: every cell is a deterministic
 simulation keyed by its job tuple, and the parent merges outcomes into
 a keyed memo, so output is bit-identical to serial under every
@@ -179,14 +184,16 @@ class GridSchedule:
 
     ``inline`` cells run in the parent (cheap cells and any grid the
     pool cannot help); ``chunks`` is a longest-expected-first list of
-    job lists for the worker pool.
+    job lists for the transport, and ``chunk_costs`` their aligned
+    estimated costs (the subprocess transport's shard planner input).
     """
 
-    __slots__ = ("inline", "chunks", "workers", "schedule", "cpus")
+    __slots__ = ("inline", "chunks", "chunk_costs", "workers", "schedule", "cpus")
 
-    def __init__(self, inline, chunks, workers, schedule, cpus):
+    def __init__(self, inline, chunks, chunk_costs, workers, schedule, cpus):
         self.inline = inline
         self.chunks = chunks
+        self.chunk_costs = chunk_costs
         self.workers = workers
         self.schedule = schedule
         self.cpus = cpus
@@ -294,17 +301,19 @@ def plan_grid(
     """
     cpus = usable_cpus() if cpus is None else cpus
     if not jobs:
-        return GridSchedule([], [], 0, schedule, cpus)
+        return GridSchedule([], [], [], 0, schedule, cpus)
     workers = max(1, min(jobs_requested, cpus))
     inline, pooled, pooled_costs = split_inline(
         jobs, costs, workers, inline_threshold
     )
-    chunks = plan_chunks(pooled, pooled_costs, workers, max_chunk_jobs, schedule)
-    if chunks:
-        workers = min(workers, len(chunks))
-    else:
-        workers = 0
-    return GridSchedule(inline, chunks, workers, schedule, cpus)
+    # Planned over cell indices, so each chunk's cost is summed once.
+    indices = plan_chunks(
+        list(range(len(pooled))), pooled_costs, workers, max_chunk_jobs, schedule
+    )
+    chunks = [[pooled[i] for i in chunk] for chunk in indices]
+    chunk_costs = [sum(pooled_costs[i] for i in chunk) for chunk in indices]
+    workers = min(workers, len(chunks)) if chunks else 0
+    return GridSchedule(inline, chunks, chunk_costs, workers, schedule, cpus)
 
 
 def plan_shards(costs, workers, throughputs=None):
@@ -511,52 +520,64 @@ def execute_job(
     return stats, metrics, time.perf_counter() - started, blocks
 
 
+def run_cells(scale, emit_metrics, cells):
+    """Run ``cells`` in this process: the one place that picks between
+    the grid batch and per-cell execution.
+
+    ``cells`` is a list of ``(name, spec, config, profile_distance,
+    trace_file, bus)`` tuples; the return value is the aligned list of
+    ``(stats, metrics, seconds, blocks)`` outcomes.  Plain cells (no
+    metrics, no trace file, no bus; see
+    :func:`repro.sim.gridbatch.batchable`) run through the grid-batch
+    runner when at least :data:`~repro.sim.gridbatch.MIN_BATCH_CELLS`
+    of them share the call — warm-cache replays are shared per trace
+    and per-cell overhead is amortized — and the batch marks their
+    ``blocks`` as batched.  Instrumented cells run per-cell through
+    :func:`execute_job`.  Stats are byte-identical between the two
+    paths.
+    """
+    from repro.sim import gridbatch
+
+    batch = [
+        index
+        for index, cell in enumerate(cells)
+        if gridbatch.batchable(emit_metrics, cell[4], cell[5])
+    ]
+    outcomes = [None] * len(cells)
+    if len(batch) >= gridbatch.MIN_BATCH_CELLS:
+        jobs = [cells[index][:4] for index in batch]
+        for index, outcome in zip(batch, gridbatch.run_batch(jobs, scale)):
+            outcomes[index] = outcome
+    for index, cell in enumerate(cells):
+        if outcomes[index] is None:
+            name, spec, config, profile_distance, trace_file, bus = cell
+            outcomes[index] = execute_job(
+                name,
+                spec,
+                scale,
+                config,
+                profile_distance,
+                emit_metrics,
+                trace_file,
+                bus,
+            )
+    return outcomes
+
+
 def execute_chunk(analysis_dir, scale, emit_metrics, chunk):
     """Worker entry point: run one chunk of cells, one pickle each way.
 
     ``chunk`` is a list of ``(name, spec, config, profile_distance,
     trace_file)`` tuples; the return value is the aligned list of
-    ``(packed_stats, metrics, seconds, blocks)`` outcomes.  The
-    disk-cache configuration is re-asserted per chunk because the warm
-    pool outlives any single runner (whose cache directory may differ).
-
-    Plain cells (no metrics, no trace file) run through the grid-batch
-    runner (:mod:`repro.sim.gridbatch`) when at least two
-    such cells share the chunk — warm-cache replays
-    are shared per trace and per-cell dispatch overhead is amortized.
-    Instrumented cells always run per-cell.  Outcomes are booked into
-    the same aligned slots either way, and stats are byte-identical
-    between the two paths.
+    ``(packed_stats, metrics, seconds, blocks)`` outcomes of
+    :func:`run_cells`.  The disk-cache configuration is re-asserted
+    per chunk because the warm pool outlives any single runner (whose
+    cache directory may differ).
     """
-    from repro.sim import gridbatch
-
     if analysis_dir is not None:
         configure_disk_cache(analysis_dir)
-    results = [None] * len(chunk)
-    batch_indices = []
-    if not emit_metrics:
-        batch_indices = [
-            index
-            for index, (_, _, _, _, trace_file) in enumerate(chunk)
-            if gridbatch.batchable(emit_metrics, trace_file)
-        ]
-        if len(batch_indices) < gridbatch.MIN_BATCH_CELLS:
-            batch_indices = []
-    if batch_indices:
-        jobs = [
-            (chunk[index][0], chunk[index][1], chunk[index][2], chunk[index][3])
-            for index in batch_indices
-        ]
-        for index, (stats, metrics, seconds, blocks) in zip(
-            batch_indices, gridbatch.run_batch(jobs, scale)
-        ):
-            results[index] = (pack_stats(stats), metrics, seconds, blocks)
-    batched = set(batch_indices)
-    for index, (name, spec, config, profile_distance, trace_file) in enumerate(chunk):
-        if index in batched:
-            continue
-        stats, metrics, seconds, blocks = execute_job(
-            name, spec, scale, config, profile_distance, emit_metrics, trace_file
-        )
-        results[index] = (pack_stats(stats), metrics, seconds, blocks)
-    return results
+    cells = [cell + (None,) for cell in chunk]
+    return [
+        (pack_stats(stats), metrics, seconds, blocks)
+        for stats, metrics, seconds, blocks in run_cells(scale, emit_metrics, cells)
+    ]

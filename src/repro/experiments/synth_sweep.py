@@ -84,21 +84,27 @@ class SweepRow:
         return TIE
 
 
+def sweep_jobs(names, specs=DEFAULT_SPECS):
+    """The ``(name, spec)`` cells :func:`sweep` prefetches: every spec
+    plus the superscalar baseline, per scenario."""
+    specs = tuple(canonical_spec(spec) for spec in specs)
+    return [(name, spec) for name in names for spec in specs] + [
+        (name, SUPERSCALAR_SPEC) for name in names
+    ]
+
+
 def sweep(runner, names, specs=DEFAULT_SPECS):
     """Simulate ``specs`` (plus the superscalar baseline) over catalog
     ``names`` and return one :class:`SweepRow` per scenario.
 
-    All jobs go through ``runner.prefetch`` first, so a parallel runner
-    fans the grid out through the batched scheduler and serves repeat
-    runs entirely from the result cache.
+    All jobs (:func:`sweep_jobs`) go through ``runner.prefetch`` first,
+    so a parallel runner fans the grid out through the batched
+    scheduler and serves repeat runs entirely from the result cache.
     """
     specs = tuple(canonical_spec(spec) for spec in specs)
     if len(specs) < 2:
         raise ValueError("sweep needs a champion spec and >=1 challenger")
-    runner.prefetch(
-        [(name, spec) for name in names for spec in specs]
-        + [(name, SUPERSCALAR_SPEC) for name in names]
-    )
+    runner.prefetch(sweep_jobs(names, specs))
     rows = []
     for name in names:
         speedups = {spec: runner.speedup(name, spec) for spec in specs}

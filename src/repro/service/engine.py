@@ -51,16 +51,12 @@ class _ServiceRunner(ParallelExperimentRunner):
 
     The ``_job_bus`` hook gives every *inline* simulation a fresh
     non-verbose :class:`EventBus` whose lifecycle events are forwarded
-    (bounded, cell-tagged) into the service journal.  Pooled chunks run
-    in worker processes and are reported at chunk granularity instead.
+    (bounded, cell-tagged) into the service journal; a cell with a bus
+    runs per-cell, never in the grid batch.  Pooled chunks run in
+    worker processes and are reported at chunk granularity instead.
     A non-verbose bridge keeps ``bus.verbose`` False, so engine
     selection — and therefore the stats — is untouched.
     """
-
-    #: Every inline simulation must own its bridging bus, so the
-    #: grid batch (which carries no bus) is disabled inline;
-    #: pooled chunks still batch in the workers.
-    inline_batching = False
 
     def __init__(self, *args, journal=None, sim_event_limit=0, **kwargs):
         super().__init__(*args, **kwargs)
@@ -135,7 +131,6 @@ class ExplorationEngine:
         sim_event_limit=DEFAULT_SIM_EVENT_LIMIT,
         fabric_workers=0,
         fabric_store=None,
-        fabric_transport="subprocess",
     ):
         self.jobs = jobs
         self.cache_dir = cache_dir
@@ -147,10 +142,9 @@ class ExplorationEngine:
         self.sim_event_limit = sim_event_limit
         #: Fabric knobs, forwarded verbatim to every scale runner: the
         #: engine can target worker subprocesses and a shared artifact
-        #: store instead of (only) the local warm pool.
+        #: store instead of the local warm pool.
         self.fabric_workers = fabric_workers
         self.fabric_store = fabric_store
-        self.fabric_transport = fabric_transport
         self._runners = {}
         self._lock = threading.Lock()
         #: Batch/query/cell telemetry for ``/healthz``.
@@ -193,7 +187,6 @@ class ExplorationEngine:
                     sim_event_limit=self.sim_event_limit,
                     fabric_workers=self.fabric_workers,
                     fabric_store=self.fabric_store,
-                    fabric_transport=self.fabric_transport,
                 )
                 self._runners[scale] = runner
             return runner
@@ -487,7 +480,6 @@ class ExplorationEngine:
             "cache_dir": self.cache_dir,
             "fabric": {
                 "workers": self.fabric_workers,
-                "transport": self.fabric_transport,
                 "store": store_root,
             },
             "scales": sorted(self._runners),

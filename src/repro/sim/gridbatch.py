@@ -37,8 +37,10 @@ Statistics are **byte-identical** to the per-cell path: sharing only
 skips runs that would repeat an identical machine or warm-up (pinned
 by the property tests in ``tests/properties/test_gridbatch_identity.py``).
 
-Every chunk of two or more plain cells runs here; cells that carry
-observability instruments always take the per-cell path of
+:func:`~repro.experiments.scheduler.run_cells` sends every group of
+two or more plain cells here, wherever it runs (the parent, a pool
+worker or a fabric worker); cells that carry observability
+instruments always take the per-cell path of
 :func:`~repro.experiments.scheduler.execute_job`, which stays the
 reference the identity tests compare against.
 """
@@ -61,6 +63,10 @@ WARM_SHARE_MIN_TRACE = 4096
 #: ``blocks`` key marking a cell whose stats were copied from an
 #: identical cell's run in the same batch (see :func:`run_batch`).
 SHARED_RUN = "shared_run"
+
+#: ``blocks`` key marking every cell :func:`run_batch` ran, so callers
+#: count batched cells from the outcomes themselves.
+BATCHED_RUN = "batched_run"
 
 
 def batchable(emit_metrics, trace_file=None, bus=None):
@@ -95,8 +101,9 @@ def run_batch(jobs, scale):
     ``(stats, None, seconds, blocks)`` outcomes —  the same shape
     :func:`repro.experiments.scheduler.execute_job` reports for a
     plain cell, so callers book batch results through the exact same
-    path.  A cell whose stats are a copy of an identical cell's run
-    has ``blocks[SHARED_RUN] == 1``.
+    path.  Every cell has ``blocks[BATCHED_RUN] == 1``; a cell whose
+    stats are a copy of an identical cell's run also has
+    ``blocks[SHARED_RUN] == 1``.
     """
     from repro.experiments.runner import build_core, simulation_key
     from repro.sim.blocks import cache_counters, counters_delta
@@ -131,6 +138,7 @@ def run_batch(jobs, scale):
             warm_snapshots.pop(group, None)
         seconds = time.perf_counter() - started
         blocks = counters_delta(before)
+        blocks[BATCHED_RUN] = 1
         if twin is None:
             stats = runs[key]
         else:

@@ -1,18 +1,24 @@
-"""Tests for the experiment fabric: wire protocol, shared store,
-subprocess transport, placement invariance, and fault recovery."""
+"""Tests for the experiment fabric: wire protocol, shared store, both
+transports, placement invariance, and fault recovery."""
 
+import contextlib
 import io
 import json
 import os
 import pickle
+import re
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import parallel, scheduler
+from repro.experiments import parallel, scheduler, synth_sweep
 from repro.experiments.fabric import protocol
-from repro.experiments.fabric.transport import SubprocessWorkerTransport
+from repro.experiments.fabric.transport import (
+    FabricWorkerDied,
+    SubprocessWorkerTransport,
+)
 from repro.experiments.parallel import (
     ParallelExperimentRunner,
     ResultCache,
@@ -25,6 +31,7 @@ from repro.service.client import RETRY_DELAY_CAP, retry_delay
 from repro.spawn.points import SpawnCategory
 from repro.workloads import clear_cache
 from repro.workloads.synth import catalog_names
+from tests.faults import broken_pool
 
 _SCALE = 0.2
 _SPECS = ("postdoms", "loop")
@@ -266,8 +273,8 @@ def test_corrupt_shared_entry_is_a_run_summary_incident(tmp_path, serial_packed)
     assert runner.prefetch([(name, spec)]) == 1
     assert runner.summary.corrupt_entries == [damaged]
     assert runner.summary.as_dict()["corrupt_cache_entries"] == 1
-    # Probed twice (prefetch, then the per-cell path), booked once.
-    assert runner.summary.fabric["store_corrupt_rejected"] == 2
+    # Probed once: the inline cell runs without a second lookup.
+    assert runner.summary.fabric["store_corrupt_rejected"] == 1
     assert scheduler.pack_stats(runner.run_policy(name, spec)) == (
         serial_packed[(name, spec)]
     )
@@ -459,9 +466,164 @@ def test_fabric_refuses_instrumented_runs(tmp_path):
         )
 
 
-def test_unknown_fabric_transport_rejected():
-    with pytest.raises(ConfigurationError):
-        ParallelExperimentRunner(scale=_SCALE, fabric_transport="carrier-pigeon")
+# -- the transport matrix ---------------------------------------------------------
+#
+# One set of tests over both transports: the warm pool (forced onto real
+# workers on any machine) and two subprocess workers.
+
+_TRANSPORTS = {
+    "pool": {"jobs": 2, "cpus": 2, "inline_threshold": 1},
+    "subprocess": {"fabric_workers": 2},
+}
+
+
+def _matrix_runner(transport, tmp_path, fault=False, **options):
+    """``(runner, injection)`` for one transport of the matrix.
+
+    With ``fault`` the injection context kills one worker mid-grid: the
+    first pool submission dies like a dead fork child, or the first
+    subprocess worker to deliver a result exits hard.
+    """
+    options = dict(_TRANSPORTS[transport], **options)
+    injection = contextlib.nullcontext()
+    if fault and transport == "pool":
+        injection = broken_pool(fail_submits={0})
+    elif fault:
+        flag = str(tmp_path / "fault-claimed")
+        options["fabric_extra_env"] = {
+            "REPRO_FABRIC_FAULT": "die-after-result:" + flag
+        }
+    return ParallelExperimentRunner(scale=_SCALE, **options), injection
+
+
+def _incidents(runner, transport):
+    if transport == "pool":
+        return runner.summary.pool_restarts
+    return runner.summary.fabric["restarts"]
+
+
+def _recording_plans(monkeypatch, runner):
+    """Record every grid ``runner`` plans, with the memo keys booked
+    before it: ``[(planned keys, booked keys), ...]``."""
+    plans = []
+    plan_grid = scheduler.plan_grid
+
+    def recording(jobs, *args, **kwargs):
+        booked = set(runner._results)
+        plans.append(([runner._result_key(*job) for job in jobs], booked))
+        return plan_grid(jobs, *args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "plan_grid", recording)
+    return plans
+
+
+@pytest.fixture(params=sorted(_TRANSPORTS))
+def transport(request):
+    return request.param
+
+
+def test_transport_matches_serial(transport, tmp_path, serial_packed):
+    runner, _ = _matrix_runner(transport, tmp_path)
+    try:
+        assert runner.prefetch(_grid_jobs()) == len(serial_packed)
+        _assert_matches_serial(runner, serial_packed)
+    finally:
+        runner.shutdown_fabric()
+    assert runner.summary.chunks_shipped + runner.summary.fabric["chunks"] > 0
+    assert runner.summary.inline_jobs == 0
+
+
+def test_one_worker_death_replans_only_unfinished_cells(
+    transport, tmp_path, serial_packed, monkeypatch
+):
+    runner, injection = _matrix_runner(transport, tmp_path, fault=True, chunk=1)
+    plans = _recording_plans(monkeypatch, runner)
+    try:
+        with injection:
+            runner.prefetch(_grid_jobs())
+        _assert_matches_serial(runner, serial_packed)
+    finally:
+        runner.shutdown_fabric()
+    assert _incidents(runner, transport) == 1
+    assert len(plans) == 2
+    (grid, _), (replanned, booked) = plans
+    assert len(grid) == len(serial_packed)
+    assert replanned
+    assert sorted(replanned) == sorted(key for key in grid if key not in booked)
+    if transport == "subprocess":
+        assert booked
+        assert runner.summary.fabric["replanned_cells"] == len(replanned)
+
+
+def test_exhausted_retries_raise_the_transports_error(transport, tmp_path):
+    runner, injection = _matrix_runner(
+        transport, tmp_path, fault=True, chunk=1, pool_retries=0
+    )
+    expected = BrokenProcessPool if transport == "pool" else FabricWorkerDied
+    try:
+        with injection, pytest.raises(expected):
+            runner.prefetch(_grid_jobs())
+    finally:
+        runner.shutdown_fabric()
+    assert _incidents(runner, transport) == 1
+
+
+def test_transport_counts_batched_cells(transport, tmp_path):
+    """Workers batch each four-cell chunk; the outcomes say so."""
+    runner, _ = _matrix_runner(
+        transport, tmp_path, chunk=4, schedule=scheduler.SCHEDULE_FIFO
+    )
+    try:
+        runner.prefetch(_grid_jobs())
+    finally:
+        runner.shutdown_fabric()
+    assert runner.summary.jobs_run == len(_grid_jobs())
+    assert runner.summary.batched_jobs == len(_grid_jobs())
+
+
+def test_dry_run_plans_the_real_sweep(tmp_path, capsys):
+    """The ``fabric`` dry-run ships what a cold two-worker sweep of the
+    same slice ships: cells (baselines included), chunks, and cells per
+    worker."""
+    from repro.experiments.__main__ import main
+
+    assert (
+        main(
+            [
+                "fabric",
+                "--slice",
+                "L2H1",
+                "--limit",
+                "3",
+                "--scale",
+                str(_SCALE),
+                "--no-cache",
+                "--fabric-workers",
+                "2",
+                "--fabric-store",
+                str(tmp_path / "dry-run-store"),
+            ]
+        )
+        == 0
+    )
+    out = capsys.readouterr().out
+    header = re.search(
+        r"fabric plan: (\d+) cells \(0 store-held\), 0 inline, "
+        r"(\d+) chunks across 2 workers",
+        out,
+    )
+    assert header, out
+    per_worker = [
+        int(cells) for cells in re.findall(r"worker \d+: \d+ chunks, (\d+) cells", out)
+    ]
+    runner = _fabric_runner(tmp_path)
+    try:
+        synth_sweep.sweep(runner, _grid_names(3))
+    finally:
+        runner.shutdown_fabric()
+    assert int(header.group(1)) == runner.summary.fabric["cells"] == 9
+    assert int(header.group(2)) == runner.summary.fabric["chunks"]
+    assert per_worker == runner.summary.fabric_placement["cells_by_worker"]
 
 
 # -- placement invariance (subprocess workers) ------------------------------------
@@ -492,18 +654,6 @@ def test_subprocess_fabric_matches_serial(
     assert runner.summary.fabric.get("worker_store_publishes") == len(
         serial_packed
     )
-
-
-def test_local_transport_matches_serial(tmp_path, serial_packed):
-    runner = _fabric_runner(
-        tmp_path, fabric_transport="local", fabric_store=None
-    )
-    try:
-        runner.prefetch(_grid_jobs())
-        _assert_matches_serial(runner, serial_packed)
-    finally:
-        runner.shutdown_fabric()
-    assert runner.summary.fabric["cells"] == len(serial_packed)
 
 
 def test_fabric_outcomes_book_shared_cells(tmp_path):
@@ -647,8 +797,6 @@ def test_silent_worker_declared_dead_despite_chatty_sibling(tmp_path):
     sibling keeps the frame queue busy with heartbeats."""
     import time
 
-    from repro.experiments.fabric.transport import FabricWorkerDied
-
     flag = str(tmp_path / "freeze-claimed")
     chunks, chunk_costs = _plan_for_transport(_grid_jobs())
     transport = SubprocessWorkerTransport(
@@ -687,18 +835,9 @@ def test_engine_fabric_passthrough(tmp_path):
     from repro.service.engine import ExplorationEngine
 
     store_root = str(tmp_path / "store")
-    engine = ExplorationEngine(
-        fabric_workers=3,
-        fabric_store=store_root,
-        fabric_transport="local",
-    )
+    engine = ExplorationEngine(fabric_workers=3, fabric_store=store_root)
     snapshot = engine.snapshot()
-    assert snapshot["fabric"] == {
-        "workers": 3,
-        "transport": "local",
-        "store": store_root,
-    }
+    assert snapshot["fabric"] == {"workers": 3, "store": store_root}
     runner = engine.runner_for(_SCALE)
     assert runner.fabric_workers == 3
-    assert runner.fabric_transport == "local"
     assert runner.fabric_store.root == store_root

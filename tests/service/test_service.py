@@ -202,3 +202,32 @@ def test_estimate_mode_does_not_poison_the_memo(service_factory):
     ]
     for result, truth in zip(exact["results"], _serial_stats(_CELLS)):
         assert wire.canonical_json(result["stats"]) == wire.canonical_json(truth)
+
+
+def test_cold_prefetch_probes_the_cache_once_per_cell(tmp_path):
+    """Inline cells with a bridging bus run straight from the plan: a
+    cold prefetch looks each cell up once, not again per cell."""
+    from repro.service.engine import _ServiceRunner
+
+    class Journal:
+        def __init__(self):
+            self.events = []
+
+        def publish(self, event):
+            self.events.append(event)
+
+    journal = Journal()
+    runner = _ServiceRunner(
+        scale=_SCALE,
+        jobs=1,
+        cache_dir=str(tmp_path / "cache"),
+        journal=journal,
+        sim_event_limit=4,
+    )
+    cells = [("gzip", "postdoms"), ("gzip", "loop"), ("twolf", "postdoms")]
+    assert runner.prefetch(cells) == 3
+    assert runner.cache.misses == 3
+    assert runner.cache.stores == 3
+    # Every cell kept its own bus: none ran in the grid batch.
+    assert runner.summary.batched_jobs == 0
+    assert any(event["kind"].startswith("sim.") for event in journal.events)
