@@ -17,11 +17,13 @@ on-disk layer (enabled by the parallel runner under its existing cache
 directory) lets freshly started worker processes skip the pipeline for
 programs any earlier run already analysed.
 
-A disk entry is one file in two parts.  The *static* part holds the
-program, jump profile, CFGs, spawn analysis and the committed-trace
-length; the *trace* part holds the trace with its memoized decode and
-block table, which is most of the bytes.  A disk hit reads only the
-static part, so static results (Figure 5's spawn-point counts, the
+A disk entry is two files, each sealed by :mod:`repro.sealed` (the
+result cache's format: a sha256-verified header line, then the body).
+The *static* part, ``<digest>.pkl``, holds the program, jump profile,
+CFGs, spawn analysis and the committed-trace length; the *trace* part,
+``<digest>.trace``, holds the trace with its memoized decode and block
+table, which is most of the bytes.  A disk hit reads only the static
+part, so static results (Figure 5's spawn-point counts, the
 scheduler's cost estimates) never unpickle a trace; the trace part is
 read the first time something touches :attr:`ProgramAnalyses.trace`.
 
@@ -49,14 +51,19 @@ import io
 import os
 import pickle
 import struct
-import tempfile
+
+from repro import sealed
 
 #: Bump to invalidate persisted analysis entries (e.g. when an analysis
 #: gains fields or changes meaning in ways the digest cannot see).
 #: v2: analyses now carry the trace's compiled block table (see
 #: :mod:`repro.sim.blocks`), so warm workers inherit it from disk.
 #: v3: an entry is a static part plus a trace part read on demand.
-ANALYSIS_FORMAT_VERSION = 3
+#: v4: the two parts are two sealed files (see :mod:`repro.sealed`).
+ANALYSIS_FORMAT_VERSION = 4
+
+#: First field of both parts' header lines.
+_MAGIC = b"Vpolyflow-analysis"
 
 
 @functools.lru_cache(maxsize=512)
@@ -244,19 +251,20 @@ class AnalysisCache:
 
     Two layers: a process-local dict (hit returns the *same* object, so
     trace predecode and spawn-profile memos are shared by every
-    simulation of the program), and an optional pickle directory
-    shared between processes.  Disk entries are written atomically
-    (temp file + :func:`os.replace`); a hit reads the static part only
-    and the trace part on first use (see the module docs).
+    simulation of the program), and an optional directory of sealed
+    files shared between processes.  A hit reads the static part only
+    and the trace part on first use (see the module docs).  Each part
+    is written atomically, the trace part first: a static part whose
+    trace part never landed takes the damaged-trace path below.
 
     ``misses`` counts pipeline runs.  Lookups tell a *clean* miss (no
-    entry on disk) from a *corrupt* one (present but unreadable, or of
-    another format version or program), which is also counted in
-    ``corrupt``; either way the pipeline runs and the entry is
-    rewritten.  A trace part that is missing, truncated, fails its
-    checksum or does not match its static part is never served: the
-    trace is recomputed by re-running the loaded program (the trace is
-    a pure function of it, and re-running keeps every record's
+    static part on disk) from a *corrupt* one (present but failing its
+    envelope check or unpickle, or keyed to another program), which is
+    also counted in ``corrupt``; either way the pipeline runs and the
+    entry is rewritten.  A trace part that is missing, fails its
+    envelope check or does not match its static part is never served:
+    the trace is recomputed by re-running the loaded program (the trace
+    is a pure function of it, and re-running keeps every record's
     instruction the program's own), counted in ``corrupt``, and the
     entry rewritten.  ``trace_loads`` counts trace parts read.
     """
@@ -289,16 +297,6 @@ class AnalysisCache:
             self.disk_hits += 1
         self._memoize(digest, analyses)
         return analyses
-
-    def trace_length_for(self, source):
-        """Committed-trace length of ``source``.
-
-        The grid scheduler's cost unit: simulation time is linear in
-        committed instructions, and the length is part of every cached
-        entry's static part, so the estimate is exact and free for any
-        program this cache (memory or disk layer) has seen.
-        """
-        return self.analyses_for(source).trace_length
 
     def peek_trace_length(self, source):
         """Committed-trace length if already cached, else None.
@@ -338,7 +336,8 @@ class AnalysisCache:
     # -- disk layer ---------------------------------------------------------------
 
     def _path(self, digest):
-        return os.path.join(self.disk_root, digest[:2], digest + ".pkl")
+        """Path of ``digest``'s entry without its part suffix."""
+        return os.path.join(self.disk_root, digest[:2], digest)
 
     def _disk_load(self, digest):
         """The static part of ``digest``'s entry as trace-less analyses,
@@ -347,17 +346,15 @@ class AnalysisCache:
             return None
         path = self._path(digest)
         try:
-            handle = open(path, "rb")
+            with open(path + ".pkl", "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             return None
         try:
-            with handle:
-                entry = pickle.load(handle)
-                offset = handle.tell()
-            if entry["version"] != ANALYSIS_FORMAT_VERSION or entry["digest"] != digest:
-                raise ValueError("analysis entry of another format or program")
+            entry = pickle.loads(sealed.unseal(data, _MAGIC, ANALYSIS_FORMAT_VERSION))
+            if entry["digest"] != digest:
+                raise ValueError("analysis entry of another program")
             program, jump_profile, cfgs, spawn_analysis = entry["analyses"]
-            part = (path, offset, entry["trace_bytes"], entry["trace_sha256"])
             trace_length = entry["trace_length"]
         except Exception:
             self.corrupt += 1
@@ -370,18 +367,14 @@ class AnalysisCache:
             cfgs,
             spawn_analysis,
             trace_length=trace_length,
-            load_trace=functools.partial(self._load_trace, part),
+            load_trace=functools.partial(self._load_trace, path),
         )
 
-    def _load_trace(self, part, analyses):
+    def _load_trace(self, path, analyses):
         """The trace of disk-loaded ``analyses`` (see the class docs)."""
-        path, offset, size, checksum = part
         try:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read()
-            if len(data) != size or hashlib.sha256(data).hexdigest() != checksum:
-                raise ValueError("trace part is damaged")
+            with open(path + ".trace", "rb") as handle:
+                data = sealed.unseal(handle.read(), _MAGIC, ANALYSIS_FORMAT_VERSION)
             unpickler = _TraceUnpickler(io.BytesIO(data), analyses.program.instructions)
             unpickler.load()
             entry = unpickler.load()
@@ -402,40 +395,26 @@ class AnalysisCache:
         return trace
 
     def _disk_store(self, path, analyses, trace):
+        """Write both parts of an entry, the trace part first.  Best
+        effort: an unwritable analysis directory never fails a run."""
+        program = analyses.program
+        static = {
+            "digest": analyses.digest,
+            "trace_length": len(trace),
+            "analyses": (
+                program,
+                analyses.jump_profile,
+                analyses.cfgs,
+                analyses.spawn_analysis,
+            ),
+        }
+        part = _dump_trace_part(analyses.digest, trace, program.instructions)
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            handle, temp_path = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
+            for suffix, body in ((".trace", part), (".pkl", pickle.dumps(static))):
+                data = sealed.seal(body, _MAGIC, ANALYSIS_FORMAT_VERSION)
+                sealed.write(path + suffix, data)
         except OSError:
-            return
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                program = analyses.program
-                part = _dump_trace_part(analyses.digest, trace, program.instructions)
-                pickle.dump(
-                    {
-                        "version": ANALYSIS_FORMAT_VERSION,
-                        "digest": analyses.digest,
-                        "trace_length": len(trace),
-                        "trace_bytes": len(part),
-                        "trace_sha256": hashlib.sha256(part).hexdigest(),
-                        "analyses": (
-                            program,
-                            analyses.jump_profile,
-                            analyses.cfgs,
-                            analyses.spawn_analysis,
-                        ),
-                    },
-                    stream,
-                )
-                stream.write(part)
-            os.replace(temp_path, path)
-        except Exception:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
+            pass
 
 
 #: The process-wide shared cache every workload preparation goes through.
@@ -447,20 +426,9 @@ def shared_cache():
     return _SHARED_CACHE
 
 
-def peek_trace_length_for_source(source):
-    """Shared-cache :meth:`AnalysisCache.peek_trace_length` shorthand."""
-    return _SHARED_CACHE.peek_trace_length(source)
-
-
 def analyses_for_source(source):
     """Analyses of ``source`` via the shared cache."""
     return _SHARED_CACHE.analyses_for(source)
-
-
-def trace_length_for_source(source):
-    """Committed-trace length of ``source`` via the shared cache (the
-    grid scheduler's per-program cost estimate)."""
-    return _SHARED_CACHE.trace_length_for(source)
 
 
 def configure_disk_cache(disk_root):

@@ -26,11 +26,12 @@ Results are also written to a content-addressed on-disk cache keyed by
 ``(workload, spec, scale, machine-config fingerprint, profile
 distance)``, so repeated figure generation and CI smoke runs skip
 simulations that already ran — under *any* runner, serial or parallel.
-One class, :class:`ResultCache`, owns the single on-disk format: every
-entry is a sha256-verified envelope, so a damaged entry is counted and
-re-simulated, never served.  The same class backs the local cache
-directory and the fabric's shared store root (``--fabric-store``), so
-a filled cache directory *is* a valid store.
+One class, :class:`ResultCache`, owns the result entries: each is a
+sha256-verified envelope in the format of :mod:`repro.sealed`, so a
+damaged entry is counted and re-simulated, never served.  The same
+class backs the local cache directory and the fabric's shared store
+root (``--fabric-store``), so a filled cache directory *is* a valid
+store.
 
 Parallel output is bit-identical to serial output: every simulation is
 deterministic given its job key (workloads are built from seeded RNGs),
@@ -43,10 +44,10 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 
+from repro import sealed
 from repro.analysis.pipeline import configure_disk_cache
 from repro.errors import ConfigurationError
 from repro.experiments import scheduler
@@ -116,24 +117,6 @@ def job_meta(name, spec, scale, config, profile_distance):
     }
 
 
-def _header(body):
-    """The ``magic version sha256`` header line that verifies ``body``."""
-    return b"%s %d %s\n" % (
-        _MAGIC,
-        CACHE_FORMAT_VERSION,
-        hashlib.sha256(body).hexdigest().encode("ascii"),
-    )
-
-
-def _verified_body(data):
-    """The body of one entry; ``ValueError`` on a bad header, a version
-    skew or a digest mismatch."""
-    header, separator, body = data.partition(b"\n")
-    if not separator or header + separator != _header(body):
-        raise ValueError("result entry failed its envelope check")
-    return body
-
-
 def sweep_entries(root, max_bytes=None):
     """Size-capped LRU sweep of one :class:`ResultCache` tree.
 
@@ -169,7 +152,7 @@ def sweep_entries(root, max_bytes=None):
                 except OSError:
                     continue
                 try:
-                    _verified_body(data)
+                    sealed.unseal(data, _MAGIC, CACHE_FORMAT_VERSION)
                 except ValueError:
                     os.unlink(path)
                     removed_corrupt += 1
@@ -212,12 +195,11 @@ class ResultCache:
     """Content-addressed on-disk store of pickled simulation stats.
 
     Entries are sharded by the first two digest characters.  Each one
-    is an envelope: a ``magic version sha256`` header line, then the
-    pickled ``{"meta", "stats", "metrics"}`` body the sha256 covers.
-    Writes go through a temporary file plus :func:`os.replace`, so
-    concurrent writers of one digest (runs sharing a cache directory,
-    fabric workers sharing a store root) race harmlessly and readers
-    never observe a torn entry.
+    is the pickled ``{"meta", "stats", "metrics"}`` body sealed by
+    :mod:`repro.sealed` (a ``magic version sha256`` header line, then
+    the body).  Its atomic writer lets concurrent writers of one digest
+    (runs sharing a cache directory, fabric workers sharing a store
+    root) race harmlessly, and readers never observe a torn entry.
 
     Lookups distinguish a *clean* miss (no entry on disk, counted in
     ``misses``) from a *corrupt* one (present but failing its envelope
@@ -266,7 +248,7 @@ class ResultCache:
             self.misses += 1
             return None
         try:
-            entry = pickle.loads(_verified_body(data))
+            entry = pickle.loads(sealed.unseal(data, _MAGIC, CACHE_FORMAT_VERSION))
             stats = entry["stats"]
             metrics = entry.get("metrics")
         except Exception:
@@ -280,7 +262,7 @@ class ResultCache:
         """Atomically persist ``stats`` (with a metadata header and an
         optional metrics snapshot) under ``digest``."""
         body = pickle.dumps({"meta": meta, "stats": stats, "metrics": metrics})
-        self._write(digest, _header(body) + body)
+        self._write(digest, sealed.seal(body, _MAGIC, CACHE_FORMAT_VERSION))
 
     def copy_from(self, other, digest):
         """Copy ``other``'s entry for ``digest`` into this root as is.
@@ -291,27 +273,13 @@ class ResultCache:
         try:
             with open(other.path(digest), "rb") as handle:
                 data = handle.read()
-            _verified_body(data)
+            sealed.unseal(data, _MAGIC, CACHE_FORMAT_VERSION)
         except (OSError, ValueError):
             return
         self._write(digest, data)
 
     def _write(self, digest, data):
-        path = self.path(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        handle, temp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(data)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        sealed.write(self.path(digest), data)
         self.stores += 1
 
     def counters(self):

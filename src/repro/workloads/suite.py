@@ -168,9 +168,9 @@ def peek_workload_trace_length(name, scale=1.0):
     prepared = _PREPARED_CACHE.get(key)
     if prepared is not None:
         return prepared.dynamic_instructions
-    from repro.analysis.pipeline import peek_trace_length_for_source
+    from repro.analysis.pipeline import shared_cache
 
-    return peek_trace_length_for_source(workload_source(name, scale))
+    return shared_cache().peek_trace_length(workload_source(name, scale))
 
 
 def clear_cache():

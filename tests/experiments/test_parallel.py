@@ -132,9 +132,9 @@ def test_cache_survives_corrupt_entry(tmp_path):
     recovered = _parallel(tmp_path, jobs=1)
     ran = recovered.prefetch([("gzip", "postdoms")])
     assert ran == 1  # corrupt entry treated as a miss and rewritten
-    with open(recovered.cache.path(digest), "rb") as handle:
-        entry = pickle.load(handle)
-    assert entry["meta"]["workload"] == "gzip"
+    reader = ResultCache(recovered.cache.root)
+    assert reader.load(digest) is not None
+    assert (reader.hits, reader.corrupt) == (1, 0)
 
 
 def test_cache_load_distinguishes_missing_from_corrupt(tmp_path):

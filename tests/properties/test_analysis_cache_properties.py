@@ -7,9 +7,7 @@ and nothing a caller does to a returned structure may leak back into
 later lookups.
 """
 
-import hashlib
 import os
-import pickle
 import shutil
 import tempfile
 
@@ -18,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import examples
-from tests.strategies import synth_sources
+from tests.strategies import damaged, synth_sources
 
+from repro import sealed
 from repro.analysis.pipeline import (
+    _MAGIC,
     ANALYSIS_FORMAT_VERSION,
     AnalysisCache,
     compute_analyses,
@@ -217,12 +217,12 @@ def test_peeking_a_disk_entry_reads_no_trace():
     lookups the scheduler costs with, never read a trace part."""
     root = tempfile.mkdtemp(prefix="analysis-cache-peek-")
     try:
-        expected = AnalysisCache(disk_root=root).trace_length_for(_LOOP_SOURCE)
+        expected = AnalysisCache(disk_root=root).analyses_for(_LOOP_SOURCE).trace_length
 
         reader = AnalysisCache(disk_root=root)
         assert reader.peek_trace_length(_LOOP_SOURCE) == expected
         assert reader.disk_hits == 1
-        assert reader.trace_length_for(_LOOP_SOURCE) == expected
+        assert reader.analyses_for(_LOOP_SOURCE).trace_length == expected
         assert reader.peek_trace_length(_LOOP_SOURCE) == expected
         analyses = reader.analyses_for(_LOOP_SOURCE)
         assert "dynamic={}".format(expected) in repr(analyses)
@@ -234,7 +234,7 @@ def test_peeking_a_disk_entry_reads_no_trace():
 
 
 def test_disk_hits_hold_no_open_files():
-    """A loaded entry keeps a path and offset, not a file handle."""
+    """A loaded entry keeps a path, not a file handle."""
     fd_dir = "/proc/self/fd"
     if not os.path.isdir(fd_dir):
         pytest.skip("needs /proc")
@@ -251,6 +251,18 @@ def test_disk_hits_hold_no_open_files():
         shutil.rmtree(root, ignore_errors=True)
 
 
+def _read_part(path):
+    """The verified body of one part file."""
+    with open(path, "rb") as handle:
+        return sealed.unseal(handle.read(), _MAGIC, ANALYSIS_FORMAT_VERSION)
+
+
+def _write_part(path, body, version=ANALYSIS_FORMAT_VERSION):
+    """Write ``body`` behind a valid seal, so only the checks on the
+    part's contents can catch it."""
+    sealed.write(path, sealed.seal(body, _MAGIC, version))
+
+
 def test_corrupt_disk_entry_is_a_miss_and_is_overwritten():
     """Truncated or garbage entries never propagate: the cache
     recomputes and replaces them, and counts them as corrupt."""
@@ -260,7 +272,7 @@ def test_corrupt_disk_entry_is_a_miss_and_is_overwritten():
         computed = cache.analyses_for(_COUNTED_SOURCE)
         assert cache.corrupt == 0
         digest = source_digest(_COUNTED_SOURCE)
-        path = cache._path(digest)
+        path = cache._path(digest) + ".pkl"
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
 
@@ -284,11 +296,8 @@ def test_version_skewed_entry_is_corrupt_and_rewritten():
     try:
         cache = AnalysisCache(disk_root=root)
         computed = cache.analyses_for(_COUNTED_SOURCE)
-        path = cache._path(computed.digest)
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {"version": ANALYSIS_FORMAT_VERSION - 1, "analyses": None}, handle
-            )
+        path = cache._path(computed.digest) + ".pkl"
+        _write_part(path, _read_part(path), version=ANALYSIS_FORMAT_VERSION - 1)
         assert AnalysisCache(disk_root=root).peek_trace_length(_COUNTED_SOURCE) is None
 
         fresh = AnalysisCache(disk_root=root)
@@ -296,69 +305,56 @@ def test_version_skewed_entry_is_corrupt_and_rewritten():
             computed
         )
         assert fresh.corrupt == 1 and fresh.misses == 1
+        _read_part(path)  # rewritten in the current format
 
-        other = source_digest(_LOOP_SOURCE)
-        os.makedirs(os.path.dirname(cache._path(other)), exist_ok=True)
-        shutil.copyfile(path, cache._path(other))
+        other = cache._path(source_digest(_LOOP_SOURCE)) + ".pkl"
+        os.makedirs(os.path.dirname(other), exist_ok=True)
+        shutil.copyfile(path, other)
         skewed = AnalysisCache(disk_root=root)
-        assert skewed.analyses_for(_LOOP_SOURCE).digest == other
+        assert skewed.analyses_for(_LOOP_SOURCE).digest == source_digest(_LOOP_SOURCE)
         assert skewed.corrupt == 1 and skewed.misses == 1
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
-def _split_entry(path):
-    """``(static entry dict, static bytes, trace part bytes)`` of a file."""
+def test_a_failed_disk_write_never_fails_a_lookup(tmp_path):
+    """Disk writes are best effort and leave no temporary file.  The
+    trace part is written first, so when it fails no static part is
+    left to point at it."""
+    cache = AnalysisCache(disk_root=str(tmp_path))
+    base = cache._path(source_digest(_LOOP_SOURCE))
+    os.makedirs(base + ".trace")  # a directory where the trace part goes
+    analyses = cache.analyses_for(_LOOP_SOURCE)
+    assert cache.misses == 1 and analyses.trace_length > 0
+    assert os.listdir(os.path.dirname(base)) == [os.path.basename(base) + ".trace"]
+
+
+def _damage(mode, base):
+    """Damage the trace part of the entry at ``base``.  The last three
+    modes forge parts behind valid seals."""
+    path = base + ".trace"
     with open(path, "rb") as handle:
-        static = pickle.load(handle)
-        offset = handle.tell()
-        handle.seek(0)
         data = handle.read()
-    return static, data[:offset], data[offset:]
-
-
-def _write_with_part(path, static, part):
-    """Rewrite an entry around ``part`` with a matching static checksum,
-    so only the trace part's own checks can catch it."""
-    static = dict(static, trace_bytes=len(part))
-    static["trace_sha256"] = hashlib.sha256(part).hexdigest()
-    with open(path, "wb") as handle:
-        pickle.dump(static, handle)
-        handle.write(part)
-
-
-def _damage(mode, path):
-    from repro.analysis.pipeline import _dump_trace_part
-
-    static, head, part = _split_entry(path)
     if mode == "missing":
-        damaged = head
+        os.unlink(path)
     elif mode == "truncated":
-        damaged = head + part[: len(part) // 2]
+        sealed.write(path, data[: len(data) // 2])
     elif mode == "garbage":
-        damaged = head + bytes(byte ^ 0xFF for byte in part)
+        sealed.write(path, bytes(byte ^ 0xFF for byte in data))
     elif mode == "unpicklable":
-        _write_with_part(path, static, b"not a pickle")
-        return
-    elif mode == "wrong-digest":
+        _write_part(path, b"not a pickle")
+    else:
+        from repro.analysis.pipeline import _dump_trace_part
+
         reference = compute_analyses(_COUNTED_SOURCE)
-        _write_with_part(
-            path,
-            static,
-            _dump_trace_part("0" * 64, reference.trace, reference.program.instructions),
+        digest, trace = reference.digest, reference.trace
+        if mode == "wrong-digest":
+            digest = "0" * 64
+        else:
+            trace = trace.slice_after(1)
+        _write_part(
+            path, _dump_trace_part(digest, trace, reference.program.instructions)
         )
-        return
-    elif mode == "wrong-length":
-        reference = compute_analyses(_COUNTED_SOURCE)
-        short = reference.trace.slice_after(1)
-        _write_with_part(
-            path,
-            static,
-            _dump_trace_part(static["digest"], short, reference.program.instructions),
-        )
-        return
-    with open(path, "wb") as handle:
-        handle.write(damaged)
 
 
 @pytest.mark.parametrize(
@@ -373,8 +369,7 @@ def test_damaged_trace_part_is_recomputed_and_counted(mode):
     try:
         writer = AnalysisCache(disk_root=root)
         computed = writer.analyses_for(_COUNTED_SOURCE)
-        path = writer._path(computed.digest)
-        _damage(mode, path)
+        _damage(mode, writer._path(computed.digest))
 
         reader = AnalysisCache(disk_root=root)
         reloaded = reader.analyses_for(_COUNTED_SOURCE)
@@ -396,3 +391,53 @@ def test_damaged_trace_part_is_recomputed_and_counted(mode):
         assert healed.trace_loads == 1 and healed.corrupt == 0
     finally:
         shutil.rmtree(root, ignore_errors=True)
+
+
+@pytest.fixture(scope="module")
+def entry():
+    """``(digest, {suffix: part bytes}, fingerprint)`` of one intact
+    entry of ``_COUNTED_SOURCE``."""
+    with tempfile.TemporaryDirectory() as root:
+        cache = AnalysisCache(disk_root=root)
+        computed = cache.analyses_for(_COUNTED_SOURCE)
+        parts = {}
+        for suffix in (".pkl", ".trace"):
+            with open(cache._path(computed.digest) + suffix, "rb") as handle:
+                parts[suffix] = handle.read()
+        return computed.digest, parts, _fingerprint(computed)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(data=st.data())
+def test_a_damaged_analysis_file_is_never_served(entry, data):
+    """One flipped bit or a truncation anywhere in either part file is
+    caught.  A damaged static part is a corrupt miss: the pipeline
+    reruns and rewrites the entry.  A damaged trace part is recomputed
+    and counted when the trace is first used."""
+    digest, parts, fingerprint = entry
+    suffix = data.draw(st.sampled_from(sorted(parts)))
+    with tempfile.TemporaryDirectory() as root:
+        cache = AnalysisCache(disk_root=root)
+        base = cache._path(digest)
+        for name, body in parts.items():
+            sealed.write(base + name, body)
+        sealed.write(base + suffix, data.draw(damaged(parts[suffix])))
+
+        if suffix == ".pkl":
+            probe = AnalysisCache(disk_root=root)
+            assert probe._disk_load(digest) is None and probe.corrupt == 1
+            analyses = cache.analyses_for(_COUNTED_SOURCE)
+            assert cache.misses == 1 and cache.disk_hits == 0
+        else:
+            analyses = cache.analyses_for(_COUNTED_SOURCE)
+            assert cache.disk_hits == 1 and cache.corrupt == 0
+            analyses.trace
+            assert cache.trace_loads == 0
+        assert cache.corrupt == 1
+        assert _fingerprint(analyses) == fingerprint
+
+        for name in parts:
+            _read_part(base + name)
+        healed = AnalysisCache(disk_root=root)
+        assert _fingerprint(healed.analyses_for(_COUNTED_SOURCE)) == fingerprint
+        assert healed.disk_hits == 1 and healed.corrupt == 0

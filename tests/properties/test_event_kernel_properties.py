@@ -1,19 +1,23 @@
-"""Property-based equivalence of the event kernel and the staged spec:
-statistics and event streams.
+"""Property-based equivalence of the event kernel and the staged spec.
 
 On randomly generated programs — plain hammock loops and the
 violation-provoking store/load hammocks — the event-calendar kernel
 must be observationally identical to the staged reference engine
-stepping every cycle: same :class:`SimStats` and the same lifecycle
-event stream, event for event.  (The end-of-run machine state is pinned
-on the same strategies in ``test_engine_state_properties.py``.)
+stepping every cycle: same :class:`SimStats`, the same lifecycle event
+stream, event for event, and the same end-of-run machine state (cache
+LRU sets, predictor tables, spawn-unit feedback), under the
+control-equivalent policy and the squash-heavy hammock policy.  The
+kernel fetches and issues whole straight-line runs from the compiled
+block tables; the staged engine steps one instruction at a time.
 """
 
 from hypothesis import given, settings
 
 from tests.helpers import examples
 
-from tests.engines import observe_both, program_job
+from repro.polyflow import PolyFlowCore
+
+from tests.engines import StagedReferenceCore, observe_both, program_job
 from tests.strategies import random_hammock_programs, violating_programs
 
 
@@ -37,3 +41,34 @@ def test_time_skip_transparent_under_violations(program):
     """Squash/refetch recovery inside skip windows: violations land
     mid-flight and the re-fetched region replays cycle-for-cycle."""
     _assert_time_skip_transparent(program, "hammock")
+
+
+def _assert_engines_equivalent(program, spec):
+    kernel, staged = observe_both(program_job(program, spec))
+    assert kernel[2] == staged[2]
+
+
+@given(random_hammock_programs())
+@settings(max_examples=examples(20), deadline=None)
+def test_kernel_state_matches_staged_on_random_hammocks(program):
+    _assert_engines_equivalent(program, "postdoms")
+
+
+@given(violating_programs())
+@settings(max_examples=examples(15), deadline=None)
+def test_kernel_state_matches_staged_under_violations(program):
+    """The squash/refetch recovery path: batched positions are squashed
+    mid-run and refetched, and the machine state must still match."""
+    _assert_engines_equivalent(program, "hammock")
+
+
+@given(random_hammock_programs())
+@settings(max_examples=examples(10), deadline=None)
+def test_kernel_stats_match_staged_without_bus(program):
+    """With the default bus (no sink beyond the statistics) the kernel
+    takes its quiet-skip and batched-fetch shortcuts in full; stats must
+    still be identical."""
+    make_core = program_job(program, "postdoms")
+    kernel = make_core(PolyFlowCore).run()
+    staged = make_core(StagedReferenceCore).run()
+    assert kernel.as_dict() == staged.as_dict()

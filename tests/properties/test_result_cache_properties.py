@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import examples
+from tests.strategies import damaged
 
 from repro.experiments.parallel import ResultCache, job_digest, job_meta
 from repro.experiments.runner import ExperimentRunner
@@ -46,17 +47,6 @@ def entries():
             with open(cache.path(digest), "rb") as handle:
                 stored[name] = (digest, handle.read())
     return stored
-
-
-@st.composite
-def damaged(draw, data):
-    """``data`` with one drawn bit flipped, or cut short at a drawn
-    offset."""
-    offset = draw(st.integers(0, len(data) - 1))
-    if draw(st.booleans()):
-        flipped = data[offset] ^ (1 << draw(st.integers(0, 7)))
-        return data[:offset] + bytes([flipped]) + data[offset + 1 :]
-    return data[:offset]
 
 
 @settings(**_SETTINGS)

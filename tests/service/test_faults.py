@@ -11,8 +11,7 @@ Three production failure modes, injected deterministically via
   rewritten clean, and surfaced in the incident counters.
 """
 
-import pickle
-
+from repro.experiments.parallel import ResultCache, job_digest
 from repro.experiments.runner import ExperimentRunner
 from repro.polyflow import PAPER_CONFIG
 from repro.service import wire
@@ -115,7 +114,11 @@ def test_corrupt_cache_entry_is_resimulated_and_rewritten(
         for event in incidents
     )
 
-    # The re-simulation rewrote the entry; it now loads cleanly.
-    with open(damaged, "rb") as handle:
-        entry = pickle.load(handle)
-    assert entry["meta"]["workload"] == "gzip"
+    # The re-simulation rewrote the entry; it now passes verification.
+    reader = ResultCache(cache_dir)
+    digest = job_digest(
+        "gzip", "postdoms", _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
+    )
+    assert reader.path(digest) == damaged
+    assert reader.load(digest) is not None
+    assert (reader.hits, reader.corrupt) == (1, 0)

@@ -13,6 +13,9 @@ that previously lived in test_simulation_properties,
 test_event_stream_properties, and test_analysis_cache_properties.
 Shrinking works on the drawn dial levels and the variant integer;
 programs themselves are pure functions of both.
+
+:func:`damaged` is the one on-disk fault model of the cache suites:
+a byte string with one bit flipped, or cut short.
 """
 
 from hypothesis import strategies as st
@@ -84,3 +87,14 @@ def pinned_violating_program():
     )
     name = "synth-hyp/{}#pinned".format(dials.code())
     return assemble(generate(name, dials).source)
+
+
+@st.composite
+def damaged(draw, data):
+    """``data`` with one drawn bit flipped, or cut short at a drawn
+    offset."""
+    offset = draw(st.integers(0, len(data) - 1))
+    if draw(st.booleans()):
+        flipped = data[offset] ^ (1 << draw(st.integers(0, 7)))
+        return data[:offset] + bytes([flipped]) + data[offset + 1 :]
+    return data[:offset]
