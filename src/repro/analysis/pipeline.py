@@ -17,21 +17,24 @@ on-disk layer (enabled by the parallel runner under its existing cache
 directory) lets freshly started worker processes skip the pipeline for
 programs any earlier run already analysed.
 
-A disk entry is two files, each sealed by :mod:`repro.sealed` (the
-result cache's format: a sha256-verified header line, then the body).
-The *static* part, ``<digest>.pkl``, holds the program, jump profile,
-CFGs, spawn analysis and the committed-trace length; the *trace* part,
-``<digest>.trace``, holds the trace with its memoized decode and block
-table, which is most of the bytes.  A disk hit reads only the static
-part, so static results (Figure 5's spawn-point counts, the
-scheduler's cost estimates) never unpickle a trace; the trace part is
-read the first time something touches :attr:`ProgramAnalyses.trace`.
+A disk entry is one file, ``<digest>.pkl``, sealed by :mod:`repro.sealed`
+(the result cache's format: a sha256-verified header line, then the
+body).  It holds the *static* part: the program, jump profile, CFGs,
+spawn analysis and the committed-trace length.  The trace is not
+persisted.  It is a pure function of the program, and re-running the
+loaded program rebuilds it no slower than a trace part could be read
+back, so a disk hit re-runs the program the first time something
+touches :attr:`ProgramAnalyses.trace`.  Static results (Figure 5's
+spawn-point counts, the scheduler's cost estimates) never run it.  No
+block table is compiled here either: the first core that runs a trace
+compiles it through :func:`repro.sim.blocks.block_table_for`, so a
+program that is only estimated never pays for one.
 
 The memo is frozen.  Entries are never evicted while a sweep runs, and
-a catalog sweep memoizes hundreds of programs, traces and block tables:
-hundreds of thousands of container objects that every full collection
-of Python's cyclic GC would rescan without ever freeing one.  Each time
-the cache memoizes an entry or attaches a trace part it calls
+a catalog sweep memoizes hundreds of programs, traces and decoded
+columns: hundreds of thousands of container objects that every full
+collection of Python's cyclic GC would rescan without ever freeing one.
+Each time the cache memoizes an entry or rebuilds a trace it calls
 :func:`gc.freeze`, moving everything alive into the permanent
 generation, so later collections scan only objects created since.  No
 collection runs first: the few garbage cycles frozen along the way
@@ -46,11 +49,10 @@ path: :mod:`repro.spawn` and :mod:`repro.cfg` themselves import
 
 import functools
 import gc
+import glob
 import hashlib
-import io
 import os
 import pickle
-import struct
 
 from repro import sealed
 
@@ -59,10 +61,11 @@ from repro import sealed
 #: v2: analyses now carry the trace's compiled block table (see
 #: :mod:`repro.sim.blocks`), so warm workers inherit it from disk.
 #: v3: an entry is a static part plus a trace part read on demand.
-#: v4: the two parts are two sealed files (see :mod:`repro.sealed`).
+#: v4: the two parts are two sealed files (see :mod:`repro.sealed`);
+#: only the static part is still written, and read.
 ANALYSIS_FORMAT_VERSION = 4
 
-#: First field of both parts' header lines.
+#: First field of an entry's header line.
 _MAGIC = b"Vpolyflow-analysis"
 
 
@@ -89,7 +92,7 @@ class ProgramAnalyses:
     spawn points.  Spawn profiles are memoized per profiling distance.
 
     Analyses loaded from the disk layer start without their trace:
-    ``load_trace(analyses)`` supplies it on first access of
+    ``load_trace(analyses)`` rebuilds it on first access of
     :attr:`trace`, and ``trace_length`` is known without it.
 
     The large members (``program``, ``trace``, ``cfgs``,
@@ -134,8 +137,8 @@ class ProgramAnalyses:
 
     @property
     def trace(self):
-        """The committed-path :class:`~repro.sim.trace.Trace` (loaded on
-        first use when these analyses came from disk)."""
+        """The committed-path :class:`~repro.sim.trace.Trace` (rebuilt
+        on first use when these analyses came from disk)."""
         if self._trace is None:
             self._trace = self._load_trace(self)
         return self._trace
@@ -191,82 +194,24 @@ def compute_analyses(source, digest=None):
     return ProgramAnalyses(digest, program, trace, jump_profile, cfgs, spawn_analysis)
 
 
-def _compile_blocks(trace, program):
-    """Compile the block tables before persisting: they memoize
-    themselves onto the trace/program, so the entry carries them and
-    warm workers load pre-compiled blocks instead of re-segmenting."""
-    from repro.sim.blocks import block_table_for, program_blocks_for
-
-    block_table_for(trace)
-    program_blocks_for(program)
-
-
-# -- the trace part ---------------------------------------------------------------
-#
-# Trace records point at the program's Instruction objects, which hash
-# by identity, so a loaded trace must reference the *loaded* program's
-# instructions.  The trace part is pickled with the pickler's memo
-# pre-seeded with the program's instructions at slots 0..n-1, so every
-# record refers to its instruction by memo slot.  A primer written in
-# front of the pickle fills those slots on load: ``n`` persistent ids the
-# loader resolves against the program already in memory.  (Assigning a
-# dict to ``Unpickler.memo`` leaves the C unpickler's memo empty, so the
-# slots must be filled by unpickling.)  Nothing is called per record on
-# either side, so this costs no more than one plain pickle.
-
-_PRIMER_STEP = struct.Struct("<i")
-
-
-def _instruction_primer(count):
-    """Pickle opcodes putting persistent id ``i`` into memo slot ``i``."""
-    load_one = pickle.BINPERSID + pickle.MEMOIZE + pickle.POP
-    steps = b"".join(
-        pickle.BININT + _PRIMER_STEP.pack(index) + load_one for index in range(count)
-    )
-    return pickle.PROTO + b"\x04" + steps + pickle.NONE + pickle.STOP
-
-
-def _dump_trace_part(digest, trace, instructions):
-    buffer = io.BytesIO()
-    buffer.write(_instruction_primer(len(instructions)))
-    pickler = pickle.Pickler(buffer)
-    pickler.memo = {id(inst): (index, inst) for index, inst in enumerate(instructions)}
-    pickler.dump({"digest": digest, "trace_length": len(trace), "trace": trace})
-    return buffer.getbuffer()
-
-
-class _TraceUnpickler(pickle.Unpickler):
-    """Resolves the primer's persistent ids to the loaded instructions."""
-
-    def __init__(self, stream, instructions):
-        super().__init__(stream)
-        self._instructions = instructions
-
-    def persistent_load(self, pid):
-        return self._instructions[pid]
-
-
 class AnalysisCache:
     """Content-keyed store of :class:`ProgramAnalyses`.
 
     Two layers: a process-local dict (hit returns the *same* object, so
     trace predecode and spawn-profile memos are shared by every
     simulation of the program), and an optional directory of sealed
-    files shared between processes.  A hit reads the static part only
-    and the trace part on first use (see the module docs).  Each part
-    is written atomically, the trace part first: a static part whose
-    trace part never landed takes the damaged-trace path below.
+    static parts shared between processes.  A disk hit re-runs the
+    loaded program for its trace on first use (see the module docs);
+    re-running keeps every record's instruction the program's own.
 
     ``misses`` counts pipeline runs.  Lookups tell a *clean* miss (no
-    static part on disk) from a *corrupt* one (present but failing its
+    readable static part on disk) from a *corrupt* one (present but failing its
     envelope check or unpickle, or keyed to another program), which is
     also counted in ``corrupt``; either way the pipeline runs and the
-    entry is rewritten.  A trace part that is missing, fails its
-    envelope check or does not match its static part is never served:
-    the trace is recomputed by re-running the loaded program (the trace
-    is a pure function of it, and re-running keeps every record's
-    instruction the program's own), counted in ``corrupt``, and the
-    entry rewritten.  ``trace_loads`` counts trace parts read.
+    entry is rewritten.  A rebuilt trace whose length differs from the
+    static part's ``trace_length`` is counted in ``corrupt`` too: the
+    length is corrected and the entry rewritten, never served as read.
+    ``trace_loads`` counts traces rebuilt for disk-loaded analyses.
     """
 
     def __init__(self, disk_root=None):
@@ -290,9 +235,8 @@ class AnalysisCache:
         if analyses is None:
             self.misses += 1
             analyses = compute_analyses(source, digest)
-            _compile_blocks(analyses.trace, analyses.program)
-            if self.disk_root is not None:
-                self._disk_store(self._path(digest), analyses, analyses.trace)
+            analyses.trace.decoded()  # frozen with the entry below
+            self._disk_store(analyses)
         else:
             self.disk_hits += 1
         self._memoize(digest, analyses)
@@ -303,7 +247,7 @@ class AnalysisCache:
 
         Consults the memory and disk layers only — a miss returns None
         instead of running the pipeline, and a disk hit reads the
-        static part, not the trace.  The grid scheduler's cost model
+        static part and runs nothing.  The grid scheduler's cost model
         peeks first and falls back to the closed-form estimator
         (:func:`repro.analysis.estimate.estimated_trace_length`) on a
         miss, so costing a cold synthesized grid no longer prepares
@@ -335,20 +279,52 @@ class AnalysisCache:
 
     # -- disk layer ---------------------------------------------------------------
 
+    def gc(self):
+        """Prune what no lookup can serve from the disk layer: every
+        static part failing its envelope check, and every ``.trace``
+        file (format v4's trace parts, no longer read).  Returns a
+        report dict (``removed_corrupt``, ``removed_traces``,
+        ``removed_bytes``, ``kept_entries``, ``kept_bytes``)."""
+        keys = "removed_corrupt removed_traces removed_bytes kept_entries kept_bytes"
+        report = dict.fromkeys(keys.split(), 0)
+        for path in glob.glob(os.path.join(glob.escape(self.disk_root), "??", "*")):
+            try:
+                size = os.path.getsize(path)
+                if path.endswith(".trace"):
+                    removed = "removed_traces"
+                elif path.endswith(".pkl"):
+                    with open(path, "rb") as handle:
+                        data = handle.read()
+                    try:
+                        sealed.unseal(data, _MAGIC, ANALYSIS_FORMAT_VERSION)
+                    except ValueError:
+                        removed = "removed_corrupt"
+                    else:
+                        report["kept_entries"] += 1
+                        report["kept_bytes"] += size
+                        continue
+                else:
+                    continue
+                os.unlink(path)
+            except OSError:
+                continue
+            report[removed] += 1
+            report["removed_bytes"] += size
+        return report
+
     def _path(self, digest):
-        """Path of ``digest``'s entry without its part suffix."""
-        return os.path.join(self.disk_root, digest[:2], digest)
+        """Path of ``digest``'s static part."""
+        return os.path.join(self.disk_root, digest[:2], digest + ".pkl")
 
     def _disk_load(self, digest):
         """The static part of ``digest``'s entry as trace-less analyses,
         or None on a clean or corrupt miss."""
         if self.disk_root is None:
             return None
-        path = self._path(digest)
         try:
-            with open(path + ".pkl", "rb") as handle:
+            with open(self._path(digest), "rb") as handle:
                 data = handle.read()
-        except FileNotFoundError:
+        except OSError:  # absent, or not a readable file
             return None
         try:
             entry = pickle.loads(sealed.unseal(data, _MAGIC, ANALYSIS_FORMAT_VERSION))
@@ -367,52 +343,43 @@ class AnalysisCache:
             cfgs,
             spawn_analysis,
             trace_length=trace_length,
-            load_trace=functools.partial(self._load_trace, path),
+            load_trace=self._load_trace,
         )
 
-    def _load_trace(self, path, analyses):
-        """The trace of disk-loaded ``analyses`` (see the class docs)."""
-        try:
-            with open(path + ".trace", "rb") as handle:
-                data = sealed.unseal(handle.read(), _MAGIC, ANALYSIS_FORMAT_VERSION)
-            unpickler = _TraceUnpickler(io.BytesIO(data), analyses.program.instructions)
-            unpickler.load()
-            entry = unpickler.load()
-            trace = entry["trace"]
-            if entry["digest"] != analyses.digest or len(trace) != analyses.trace_length:
-                raise ValueError("trace part does not match its static part")
-        except Exception:
-            self.corrupt += 1
-            from repro.sim import run_program
+    def _load_trace(self, analyses):
+        """The trace of disk-loaded ``analyses``, rebuilt by re-running
+        their program (see the class docs)."""
+        from repro.sim import run_program
 
-            trace = run_program(analyses.program)
+        trace = run_program(analyses.program)
+        trace.decoded()  # frozen with the trace below
+        self.trace_loads += 1
+        if len(trace) != analyses.trace_length:
+            self.corrupt += 1
             analyses.trace_length = len(trace)
-            _compile_blocks(trace, analyses.program)
-            self._disk_store(path, analyses, trace)
-        else:
-            self.trace_loads += 1
+            self._disk_store(analyses)
         gc.freeze()  # see the module docs
         return trace
 
-    def _disk_store(self, path, analyses, trace):
-        """Write both parts of an entry, the trace part first.  Best
-        effort: an unwritable analysis directory never fails a run."""
-        program = analyses.program
+    def _disk_store(self, analyses):
+        """Write the static part of ``analyses``, if there is a disk
+        layer.  Best effort: an unwritable analysis directory never
+        fails a run."""
+        if self.disk_root is None:
+            return
         static = {
             "digest": analyses.digest,
-            "trace_length": len(trace),
+            "trace_length": analyses.trace_length,
             "analyses": (
-                program,
+                analyses.program,
                 analyses.jump_profile,
                 analyses.cfgs,
                 analyses.spawn_analysis,
             ),
         }
-        part = _dump_trace_part(analyses.digest, trace, program.instructions)
+        data = sealed.seal(pickle.dumps(static), _MAGIC, ANALYSIS_FORMAT_VERSION)
         try:
-            for suffix, body in ((".trace", part), (".pkl", pickle.dumps(static))):
-                data = sealed.seal(body, _MAGIC, ANALYSIS_FORMAT_VERSION)
-                sealed.write(path + suffix, data)
+            sealed.write(self._path(analyses.digest), data)
         except OSError:
             pass
 

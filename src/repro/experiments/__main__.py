@@ -26,6 +26,7 @@ bit-identical either way.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -61,7 +62,8 @@ def main(argv=None):
         "asks a running service for stats, see --cells; 'fabric' "
         "prints a placement dry-run for a synth slice, see "
         "--fabric-workers/--fabric-store; 'cache-gc' sweeps the "
-        "result cache and fabric store, see --max-bytes)",
+        "result cache, its analysis tree and the fabric store, see "
+        "--max-bytes)",
     )
     parser.add_argument(
         "--scale",
@@ -415,8 +417,10 @@ def _run_synth(arguments, runner, started):
 
 
 def _run_cache_gc(arguments):
-    """Sweep the result cache (and fabric store) — ``cache-gc``."""
-    from repro.experiments.parallel import ResultCache
+    """Sweep the result cache, its analysis tree (and the fabric store)
+    — ``cache-gc``."""
+    from repro.analysis.pipeline import AnalysisCache
+    from repro.experiments.parallel import ANALYSIS_CACHE_SUBDIR, ResultCache
 
     targets = []
     if not arguments.no_cache:
@@ -438,6 +442,17 @@ def _run_cache_gc(arguments):
                 report["removed_bytes"],
                 report["kept_entries"],
                 report["kept_bytes"],
+            )
+        )
+    if not arguments.no_cache:
+        analysis = AnalysisCache(
+            os.path.join(arguments.cache_dir, ANALYSIS_CACHE_SUBDIR)
+        )
+        print(
+            "analysis cache {}: {removed_corrupt} corrupt pruned, "
+            "{removed_traces} trace parts deleted, {removed_bytes} bytes "
+            "freed; {kept_entries} entries / {kept_bytes} bytes kept".format(
+                analysis.disk_root, **analysis.gc()
             )
         )
     return 0

@@ -376,11 +376,12 @@ def _init_worker(analysis_dir, warmup):
     — of every workload the first grid needs.  Costing the grid in the
     parent reads only the static part of each analysis entry, so under
     a fork start ``prepare_workload`` is a memo hit but
-    ``block_table_for(prepared.trace)`` reads the trace part from disk
-    here, once per worker (a program the parent computed itself is
-    inherited with its trace); under spawn both come from disk.  A
-    workload that fails to prepare is left for its chunk to report —
-    an initializer exception would break the whole pool.
+    ``block_table_for(prepared.trace)`` re-runs the program for its
+    trace and compiles the table here, once per worker (a program the
+    parent computed itself is inherited with its trace); under spawn
+    the static part comes from disk too.  A workload that fails to
+    prepare is left for its chunk to report — an initializer exception
+    would break the whole pool.
     """
     if analysis_dir is not None:
         configure_disk_cache(analysis_dir)

@@ -28,8 +28,9 @@ must take the per-instruction path so spawn decisions still fire.
 Tables are **content-keyed**: they are memoized on the trace/program
 objects held by :class:`~repro.analysis.pipeline.ProgramAnalyses`,
 which :class:`~repro.analysis.pipeline.AnalysisCache` dedupes by source
-digest and persists through its on-disk pickle layer — a warm worker
-pool therefore inherits compiled tables instead of rebuilding them.
+digest, so every core built on one program shares them.  A trace's
+table is compiled when a core first needs it, never by the analysis
+cache, so a program that is only estimated never pays for one.
 Module-level counters track table reuse; the parallel runner surfaces
 them through ``RunSummary`` and ``MetricsAggregator``.
 """
@@ -45,8 +46,8 @@ ICACHE_LINE_BYTES = 128
 
 _LINE_SHIFT = ICACHE_LINE_BYTES.bit_length() - 1
 
-#: Bump when the compiled table layout changes: persisted tables ride
-#: inside analysis pickles, and a stale layout must read as a miss.
+#: Bump when the compiled table layout changes: a table pickled with
+#: its trace under a stale layout must read as a miss.
 #: v2 added ``plain_end`` (the event kernel's next-event horizon).
 BLOCK_FORMAT_VERSION = 2
 
@@ -300,9 +301,9 @@ def block_table_for(trace):
     """The (memoized) :class:`BlockTable` of ``trace``.
 
     The memo lives on the trace object itself, so every core built on
-    the same trace — and every process reading the same trace part of
-    a :class:`~repro.analysis.pipeline.ProgramAnalyses` from the
-    analysis cache's disk layer — shares one compiled table.
+    the same trace shares one compiled table.  Nothing compiles it
+    ahead of time: the first core to run the trace (or a warm pool's
+    initializer) pays for it, once per process.
     """
     table = getattr(trace, "_block_table", None)
     if table is not None and table.version == BLOCK_FORMAT_VERSION:

@@ -353,6 +353,36 @@ def test_result_cache_gc_leaves_the_analysis_tree_alone(tmp_path):
     assert os.path.exists(analysis)
 
 
+def test_cache_gc_keeps_only_intact_analysis_static_parts(tmp_path, capsys):
+    """``cache-gc`` also sweeps the analysis tree: it prunes a
+    bit-flipped static part and deletes an orphan trace part (no longer
+    read), keeping only the intact static part."""
+    from repro import sealed
+    from repro.analysis.pipeline import _MAGIC, ANALYSIS_FORMAT_VERSION, AnalysisCache
+    from repro.experiments.__main__ import main
+
+    cache_dir = str(tmp_path / "cache")
+    analysis = AnalysisCache(os.path.join(cache_dir, parallel.ANALYSIS_CACHE_SUBDIR))
+    entry = bytearray(sealed.seal(b"static part", _MAGIC, ANALYSIS_FORMAT_VERSION))
+    good = analysis._path("aa" + "0" * 62)
+    sealed.write(good, bytes(entry))
+    entry[-1] ^= 0x01
+    flipped = analysis._path("bb" + "0" * 62)
+    sealed.write(flipped, bytes(entry))
+    sealed.write(flipped[: -len(".pkl")] + ".trace", b"an orphan trace part")
+
+    assert main(["cache-gc", "--cache-dir", cache_dir]) == 0
+    assert "analysis cache {}: 1 corrupt pruned, 1 trace parts deleted".format(
+        analysis.disk_root
+    ) in capsys.readouterr().out
+    kept = [
+        os.path.join(directory, name)
+        for directory, _, names in os.walk(cache_dir)
+        for name in names
+    ]
+    assert kept == [good]
+
+
 def test_sweep_entries_on_a_missing_root(tmp_path):
     report = sweep_entries(str(tmp_path / "nowhere"))
     assert report["kept_entries"] == 0

@@ -97,7 +97,7 @@ def test_trace_byte_identical_across_runs(name, spec):
 
 
 @pytest.mark.parametrize("name,spec", _CASES)
-def test_trace_matches_golden_with_block_engine_off(name, spec):
+def test_staged_engine_trace_matches_golden(name, spec):
     """The per-instruction staged engine (no block tables) writes the
     same golden bytes the default block-at-a-time event kernel does."""
     path = _golden_path(name, spec)

@@ -8,6 +8,7 @@ later lookups.
 """
 
 import os
+import pickle
 import shutil
 import tempfile
 
@@ -135,9 +136,9 @@ def test_spawn_profile_memo_is_transparent(source, distance):
 def test_disk_layer_round_trips_by_value(source):
     """A fresh cache reloading from disk sees the same values the
     computing cache produced, and flags a disk hit, not a miss.  The
-    hit reads the static part only; the trace part is read once, on
-    first use, and every record points at the loaded program's own
-    instruction object."""
+    hit reads the static part only; the trace is rebuilt once, on first
+    use, by re-running the loaded program, so every record points at
+    that program's own instruction object."""
     root = tempfile.mkdtemp(prefix="analysis-cache-prop-")
     try:
         writer = AnalysisCache(disk_root=root)
@@ -187,34 +188,65 @@ _COUNTED_SOURCE = """
 """
 
 
-def test_disk_layer_carries_compiled_block_tables():
-    """Analyses persisted to disk include the compiled block table: a
-    fresh process loading the entry gets a table hit, not a recompile,
-    when its trace part is read on first use."""
-    from repro.sim.blocks import block_table_for, cache_counters, counters_delta
+def test_a_rebuilt_trace_compiles_the_computed_block_table():
+    """Neither a miss nor a disk hit compiles a block table; the trace a
+    disk hit rebuilds compiles, on first use, a table equal to the one
+    the computing cache's trace compiles."""
+    from repro.sim.blocks import (
+        BlockTable,
+        block_table_for,
+        cache_counters,
+        counters_delta,
+    )
+
+    def table_fields(trace):
+        table = block_table_for(trace)
+        return {name: getattr(table, name) for name in BlockTable.__slots__}
 
     root = tempfile.mkdtemp(prefix="analysis-cache-blocks-")
     try:
-        writer = AnalysisCache(disk_root=root)
-        computed = writer.analyses_for(_LOOP_SOURCE)
-        assert getattr(computed.trace, "_block_table", None) is not None
-
+        before = cache_counters()
+        computed = AnalysisCache(disk_root=root).analyses_for(_LOOP_SOURCE)
         reader = AnalysisCache(disk_root=root)
         reloaded = reader.analyses_for(_LOOP_SOURCE)
-        assert reader.disk_hits == 1 and reader.trace_loads == 0
-        before = cache_counters()
-        table = block_table_for(reloaded.trace)
-        delta = counters_delta(before)
-        assert reader.trace_loads == 1
-        assert delta["table_hits"] == 1 and delta["table_misses"] == 0
-        assert table.batch_end == block_table_for(computed.trace).batch_end
+        reloaded.trace
+        assert reader.disk_hits == 1 and reader.trace_loads == 1
+        assert counters_delta(before)["table_misses"] == 0
+        assert table_fields(reloaded.trace) == table_fields(computed.trace)
+        assert counters_delta(before)["table_misses"] == 2
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
+def test_a_miss_writes_one_static_part_and_no_trace(tmp_path):
+    """An entry is one sealed file: a miss writes its static part and
+    nothing else, and rebuilding the trace writes nothing."""
+    cache = AnalysisCache(disk_root=str(tmp_path))
+    cache.analyses_for(_LOOP_SOURCE)
+    reader = AnalysisCache(disk_root=str(tmp_path))
+    reader.analyses_for(_LOOP_SOURCE).trace
+    written = [str(path) for path in tmp_path.rglob("*") if path.is_file()]
+    assert written == [cache._path(source_digest(_LOOP_SOURCE))]
+    _read_part(written[0])
+
+
+def test_estimating_a_fresh_program_compiles_no_block_table():
+    """The estimate tier needs a program's analyses, not its timing
+    kernel's tables: estimating a program no core has run compiles
+    none."""
+    from repro.analysis.estimate import estimate_speedup
+    from repro.sim.blocks import cache_counters, counters_delta
+    from repro.workloads import clear_cache
+
+    clear_cache()
+    before = cache_counters()
+    estimate_speedup("gzip", "postdoms", scale=0.05)
+    assert counters_delta(before)["table_misses"] == 0
+
+
 def test_peeking_a_disk_entry_reads_no_trace():
     """The trace length comes from the static part: peeking, and the
-    lookups the scheduler costs with, never read a trace part."""
+    lookups the scheduler costs with, never rebuild a trace."""
     root = tempfile.mkdtemp(prefix="analysis-cache-peek-")
     try:
         expected = AnalysisCache(disk_root=root).analyses_for(_LOOP_SOURCE).trace_length
@@ -234,7 +266,8 @@ def test_peeking_a_disk_entry_reads_no_trace():
 
 
 def test_disk_hits_hold_no_open_files():
-    """A loaded entry keeps a path, not a file handle."""
+    """A loaded entry holds no open file, before or after its trace is
+    rebuilt."""
     fd_dir = "/proc/self/fd"
     if not os.path.isdir(fd_dir):
         pytest.skip("needs /proc")
@@ -272,7 +305,7 @@ def test_corrupt_disk_entry_is_a_miss_and_is_overwritten():
         computed = cache.analyses_for(_COUNTED_SOURCE)
         assert cache.corrupt == 0
         digest = source_digest(_COUNTED_SOURCE)
-        path = cache._path(digest) + ".pkl"
+        path = cache._path(digest)
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
 
@@ -296,7 +329,7 @@ def test_version_skewed_entry_is_corrupt_and_rewritten():
     try:
         cache = AnalysisCache(disk_root=root)
         computed = cache.analyses_for(_COUNTED_SOURCE)
-        path = cache._path(computed.digest) + ".pkl"
+        path = cache._path(computed.digest)
         _write_part(path, _read_part(path), version=ANALYSIS_FORMAT_VERSION - 1)
         assert AnalysisCache(disk_root=root).peek_trace_length(_COUNTED_SOURCE) is None
 
@@ -307,7 +340,7 @@ def test_version_skewed_entry_is_corrupt_and_rewritten():
         assert fresh.corrupt == 1 and fresh.misses == 1
         _read_part(path)  # rewritten in the current format
 
-        other = cache._path(source_digest(_LOOP_SOURCE)) + ".pkl"
+        other = cache._path(source_digest(_LOOP_SOURCE))
         os.makedirs(os.path.dirname(other), exist_ok=True)
         shutil.copyfile(path, other)
         skewed = AnalysisCache(disk_root=root)
@@ -318,126 +351,75 @@ def test_version_skewed_entry_is_corrupt_and_rewritten():
 
 
 def test_a_failed_disk_write_never_fails_a_lookup(tmp_path):
-    """Disk writes are best effort and leave no temporary file.  The
-    trace part is written first, so when it fails no static part is
-    left to point at it."""
+    """Disk writes are best effort and leave no temporary file."""
     cache = AnalysisCache(disk_root=str(tmp_path))
-    base = cache._path(source_digest(_LOOP_SOURCE))
-    os.makedirs(base + ".trace")  # a directory where the trace part goes
+    path = cache._path(source_digest(_LOOP_SOURCE))
+    os.makedirs(path)  # a directory where the static part goes
     analyses = cache.analyses_for(_LOOP_SOURCE)
     assert cache.misses == 1 and analyses.trace_length > 0
-    assert os.listdir(os.path.dirname(base)) == [os.path.basename(base) + ".trace"]
+    assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
 
 
-def _damage(mode, base):
-    """Damage the trace part of the entry at ``base``.  The last three
-    modes forge parts behind valid seals."""
-    path = base + ".trace"
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if mode == "missing":
-        os.unlink(path)
-    elif mode == "truncated":
-        sealed.write(path, data[: len(data) // 2])
-    elif mode == "garbage":
-        sealed.write(path, bytes(byte ^ 0xFF for byte in data))
-    elif mode == "unpicklable":
-        _write_part(path, b"not a pickle")
-    else:
-        from repro.analysis.pipeline import _dump_trace_part
-
-        reference = compute_analyses(_COUNTED_SOURCE)
-        digest, trace = reference.digest, reference.trace
-        if mode == "wrong-digest":
-            digest = "0" * 64
-        else:
-            trace = trace.slice_after(1)
-        _write_part(
-            path, _dump_trace_part(digest, trace, reference.program.instructions)
-        )
-
-
-@pytest.mark.parametrize(
-    "mode",
-    ["missing", "truncated", "garbage", "unpicklable", "wrong-digest", "wrong-length"],
-)
-def test_damaged_trace_part_is_recomputed_and_counted(mode):
-    """A trace part that is missing, truncated, damaged, unpicklable or
-    does not match its static part is never served: the trace is
-    recomputed, counted as corrupt, and the entry rewritten."""
-    root = tempfile.mkdtemp(prefix="analysis-cache-trace-")
+def test_a_wrong_trace_length_is_counted_corrected_and_rewritten():
+    """A static part whose ``trace_length`` disagrees with the trace its
+    program rebuilds is never served as read: the rebuild counts it in
+    ``corrupt``, corrects the length and rewrites the entry."""
+    root = tempfile.mkdtemp(prefix="analysis-cache-length-")
     try:
-        writer = AnalysisCache(disk_root=root)
-        computed = writer.analyses_for(_COUNTED_SOURCE)
-        _damage(mode, writer._path(computed.digest))
+        computed = AnalysisCache(disk_root=root).analyses_for(_COUNTED_SOURCE)
+        path = AnalysisCache(disk_root=root)._path(computed.digest)
+        entry = pickle.loads(_read_part(path))
+        entry["trace_length"] += 1
+        _write_part(path, pickle.dumps(entry))
 
         reader = AnalysisCache(disk_root=root)
         reloaded = reader.analyses_for(_COUNTED_SOURCE)
+        assert reloaded.trace_length == computed.trace_length + 1
         assert reader.disk_hits == 1 and reader.corrupt == 0
-        trace = reloaded.trace
-        assert reader.corrupt == 1 and reader.trace_loads == 0
-        assert reloaded.trace is trace
+        reloaded.trace
+        assert reader.corrupt == 1 and reader.trace_loads == 1
         assert _fingerprint(reloaded) == _fingerprint(computed)
-        assert all(
-            record.inst is reloaded.program.fetch(record.inst.pc)
-            for record in trace.records
-        )
-        assert getattr(trace, "_block_table", None) is not None
 
         healed = AnalysisCache(disk_root=root)
-        assert _trace_values(healed.analyses_for(_COUNTED_SOURCE).trace) == (
-            _trace_values(computed.trace)
+        assert healed.peek_trace_length(_COUNTED_SOURCE) == computed.trace_length
+        assert _fingerprint(healed.analyses_for(_COUNTED_SOURCE)) == (
+            _fingerprint(computed)
         )
-        assert healed.trace_loads == 1 and healed.corrupt == 0
+        assert healed.corrupt == 0
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
 @pytest.fixture(scope="module")
 def entry():
-    """``(digest, {suffix: part bytes}, fingerprint)`` of one intact
-    entry of ``_COUNTED_SOURCE``."""
+    """``(digest, static part bytes, fingerprint)`` of one intact entry
+    of ``_COUNTED_SOURCE``."""
     with tempfile.TemporaryDirectory() as root:
         cache = AnalysisCache(disk_root=root)
         computed = cache.analyses_for(_COUNTED_SOURCE)
-        parts = {}
-        for suffix in (".pkl", ".trace"):
-            with open(cache._path(computed.digest) + suffix, "rb") as handle:
-                parts[suffix] = handle.read()
-        return computed.digest, parts, _fingerprint(computed)
+        with open(cache._path(computed.digest), "rb") as handle:
+            return computed.digest, handle.read(), _fingerprint(computed)
 
 
 @settings(max_examples=examples(200), deadline=None)
 @given(data=st.data())
 def test_a_damaged_analysis_file_is_never_served(entry, data):
-    """One flipped bit or a truncation anywhere in either part file is
-    caught.  A damaged static part is a corrupt miss: the pipeline
-    reruns and rewrites the entry.  A damaged trace part is recomputed
-    and counted when the trace is first used."""
-    digest, parts, fingerprint = entry
-    suffix = data.draw(st.sampled_from(sorted(parts)))
+    """One flipped bit or a truncation anywhere in the static part is
+    caught: a corrupt miss, so the pipeline reruns and rewrites the
+    entry."""
+    digest, static, fingerprint = entry
     with tempfile.TemporaryDirectory() as root:
         cache = AnalysisCache(disk_root=root)
-        base = cache._path(digest)
-        for name, body in parts.items():
-            sealed.write(base + name, body)
-        sealed.write(base + suffix, data.draw(damaged(parts[suffix])))
+        path = cache._path(digest)
+        sealed.write(path, data.draw(damaged(static)))
 
-        if suffix == ".pkl":
-            probe = AnalysisCache(disk_root=root)
-            assert probe._disk_load(digest) is None and probe.corrupt == 1
-            analyses = cache.analyses_for(_COUNTED_SOURCE)
-            assert cache.misses == 1 and cache.disk_hits == 0
-        else:
-            analyses = cache.analyses_for(_COUNTED_SOURCE)
-            assert cache.disk_hits == 1 and cache.corrupt == 0
-            analyses.trace
-            assert cache.trace_loads == 0
-        assert cache.corrupt == 1
+        probe = AnalysisCache(disk_root=root)
+        assert probe._disk_load(digest) is None and probe.corrupt == 1
+        analyses = cache.analyses_for(_COUNTED_SOURCE)
+        assert cache.misses == 1 and cache.disk_hits == 0 and cache.corrupt == 1
         assert _fingerprint(analyses) == fingerprint
 
-        for name in parts:
-            _read_part(base + name)
+        _read_part(path)
         healed = AnalysisCache(disk_root=root)
         assert _fingerprint(healed.analyses_for(_COUNTED_SOURCE)) == fingerprint
         assert healed.disk_hits == 1 and healed.corrupt == 0

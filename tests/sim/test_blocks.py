@@ -231,8 +231,8 @@ def test_block_table_version_mismatch_recompiles():
 
 
 def test_block_table_survives_trace_pickle():
-    """Compiled tables ride inside analysis pickles: unpickling the
-    trace must hand back the table as a hit, not a recompile."""
+    """A compiled table rides inside its trace's pickle: unpickling
+    the trace must hand back the table as a hit, not a recompile."""
     trace = _trace(_LOOP)
     block_table_for(trace)
     clone = pickle.loads(pickle.dumps(trace))
