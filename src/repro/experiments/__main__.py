@@ -483,11 +483,12 @@ def _run_fabric_plan(arguments):
     jobs = runner.normalize_jobs(
         synth_sweep.sweep_jobs(names, _synth_specs(arguments))
     )
-    plan = runner.plan(jobs)
+    digests = {cell: runner._digest(cell) for cell in jobs}
+    plan = runner.plan(jobs, digests)
     store = runner.fabric_store
     held = 0
     if store is not None:
-        held = sum(store.contains(runner._job_digest(*job)) for job in jobs)
+        held = sum(store.contains(digest) for digest in digests.values())
     shards = scheduler.plan_shards(plan.chunk_costs, workers)
     print(
         "fabric plan: {} cells ({} store-held), {} inline, "

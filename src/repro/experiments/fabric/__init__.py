@@ -25,8 +25,8 @@ the same sha256-verified entries the local result cache writes, so a
 filled cache directory serves as a store as is.
 
 Placement never changes results: cells are deterministic simulations
-keyed by their job digests, outcomes merge into the same keyed memo
-the serial runner reads, and the placement-invariance suite asserts
+addressed by their cell digests, outcomes merge into the same
+cell-keyed memo the serial runner reads, and the placement-invariance suite asserts
 byte identity across transports, worker counts, and schedules.
 """
 

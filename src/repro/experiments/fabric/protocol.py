@@ -19,15 +19,17 @@ separators).  Every frame is an object led by a ``kind``:
 ``chunk``
     Driver → worker: one cost-balanced chunk of grid cells,
     ``{"kind": "chunk", "id": n, "scale": s, "cells": [cell, …]}``
-    where each cell is the JSON form of one job tuple (see
-    :func:`encode_cell`).
+    where each cell is the JSON form of one
+    :class:`~repro.experiments.runner.Cell` (see :func:`encode_cell`).
 
 ``result``
     Worker → driver: the aligned outcomes of one chunk,
     ``{"kind": "result", "id": n, "outcomes": [...], "store": {...}}``.
-    Each outcome carries the packed stats (see :func:`encode_packed`),
-    the simulation seconds, the block-cache delta, and a ``source``
-    label (``simulated`` or ``store``).
+    Each outcome is the JSON form of one
+    :class:`~repro.experiments.runner.Outcome` (see
+    :func:`encode_outcome`): the packed stats, the simulation seconds,
+    the block-cache delta, a ``source`` label (``simulated`` or
+    ``store``) and the ``batched``/``shared`` flags.
 
 ``heartbeat``
     Worker → driver, periodically from a background thread, so a
@@ -50,8 +52,9 @@ from repro.errors import ConfigurationError
 
 #: Version of the fabric frame vocabulary.  Bump on any frame or
 #: field change; drivers refuse workers that announce a different
-#: version at handshake.
-WIRE_VERSION = 1
+#: version at handshake.  v2: result outcomes carry ``batched`` and
+#: ``shared``.
+WIRE_VERSION = 2
 
 #: Upper bound on one frame's body; anything larger is a protocol
 #: violation (a desynchronized stream decodes garbage lengths).
@@ -167,11 +170,42 @@ def decode_packed(payload):
     return plain, spawns, cache
 
 
-# -- job-cell round-trip ----------------------------------------------------------
+def encode_outcome(outcome):
+    """The JSON form of one chunk outcome whose stats are packed.
+
+    Fabric cells run plain, so there are no metrics to carry.
+    """
+    return {
+        "packed": encode_packed(outcome.stats),
+        "seconds": outcome.seconds,
+        "blocks": outcome.blocks or {},
+        "source": outcome.source,
+        "batched": outcome.batched,
+        "shared": outcome.shared,
+    }
+
+
+def decode_outcome(payload):
+    """The :class:`~repro.experiments.runner.Outcome` (stats still
+    packed) :func:`encode_outcome` serialized."""
+    from repro.experiments.runner import Outcome
+
+    return Outcome(
+        decode_packed(payload["packed"]),
+        None,
+        payload["seconds"],
+        payload["blocks"],
+        payload["source"],
+        payload["batched"],
+        payload["shared"],
+    )
+
+
+# -- cell round-trip --------------------------------------------------------------
 
 
 def encode_cell(name, spec, config, profile_distance):
-    """The JSON form of one job tuple.
+    """The JSON form of one cell.
 
     The machine configuration travels as its override dict relative to
     the paper configuration (the exploration service's wire idiom), so
@@ -188,10 +222,11 @@ def encode_cell(name, spec, config, profile_distance):
 
 
 def decode_cell(payload):
-    """The ``(name, spec, config, profile_distance)`` tuple of one cell."""
+    """The :class:`~repro.experiments.runner.Cell` of one encoded cell."""
+    from repro.experiments.runner import Cell
     from repro.service.wire import decode_config
 
-    return (
+    return Cell(
         payload["workload"],
         payload["spec"],
         decode_config(payload.get("config") or None),

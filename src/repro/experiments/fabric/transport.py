@@ -1,13 +1,14 @@
 """Transports: run planned chunks somewhere, stream outcomes back.
 
 The runner plans each grid once, runs its inline cells itself and
-hands the chunks — lists of ``(name, spec, config, profile_distance,
-trace_file)`` cells — to one of two transports.  Both share
-``workers``, ``inline_threshold`` (their default inline floor),
+hands the chunks — lists of :class:`~repro.experiments.runner.Cell`\\ s
+— to one of two transports.  Both share ``workers``,
+``inline_threshold`` (their default inline floor),
 ``execute(scale, chunks, costs)`` and ``close``; ``execute`` yields
-``(chunk_index, outcomes)`` as results arrive, each outcome
-``(packed_stats, metrics, seconds, blocks, source)`` with ``source``
-``"simulated"`` or ``"store"``.
+``(chunk_index, outcomes)`` as results arrive, one
+:class:`~repro.experiments.runner.Outcome` per cell with its stats
+still packed (:func:`~repro.experiments.scheduler.pack_stats`) and its
+``source`` ``"simulated"`` or ``"store"``.
 
 * :class:`LocalPoolTransport` — the warm fork pool (``--jobs N``).  A
   dead worker raises ``BrokenProcessPool``.
@@ -66,19 +67,22 @@ class LocalPoolTransport:
 
     ``workers`` is ``--jobs`` capped at the usable CPUs (``cpus``
     overrides detection).  The pool balances chunks itself, so
-    ``costs`` is not used; metrics emission and per-cell trace files
-    ride along to the workers.
+    ``costs`` is not used; metrics emission and the trace directory
+    ride along to the workers with every chunk.
     """
 
     #: Below this estimated cost a fork-pool round trip cannot pay for
     #: itself on this machine, so the cell runs in the parent.
     inline_threshold = scheduler.INLINE_COST_THRESHOLD
 
-    def __init__(self, workers, cpus=None, analysis_dir=None, emit_metrics=False):
+    def __init__(
+        self, workers, cpus=None, analysis_dir=None, emit_metrics=False, trace_dir=None
+    ):
         cpus = scheduler.usable_cpus() if cpus is None else cpus
         self.workers = max(1, min(int(workers), cpus))
         self.analysis_dir = analysis_dir
         self.emit_metrics = emit_metrics
+        self.trace_dir = trace_dir
 
     def execute(self, scale, chunks, costs):
         """Submit every chunk to the warm pool; yield results as done.
@@ -98,14 +102,13 @@ class LocalPoolTransport:
                 self.analysis_dir,
                 scale,
                 self.emit_metrics,
+                self.trace_dir,
                 chunk,
             ): index
             for index, chunk in enumerate(chunks)
         }
         for future in as_completed(futures):
-            yield futures[future], [
-                outcome + ("simulated",) for outcome in future.result()
-            ]
+            yield futures[future], future.result()
 
     def close(self):
         """Tear the process-global warm pool down (the next grid forks
@@ -127,8 +130,8 @@ class SubprocessWorkerTransport:
     ``throughputs`` weights the shard planner when workers are not
     equally fast (a laptop driving a big remote box); ``extra_env``
     reaches the workers' environment (tests inject faults there).
-    Cells must be plain: the runner refuses metrics emission and
-    trace files on this transport.
+    Cells run plain: the runner refuses metrics emission and trace
+    directories on this transport.
     """
 
     #: Workers are provisioned capacity, not this machine's cores, so
@@ -308,7 +311,7 @@ class SubprocessWorkerTransport:
                             "id": chunk_index,
                             "scale": scale,
                             "cells": [
-                                protocol.encode_cell(*cell[:4])
+                                protocol.encode_cell(*cell)
                                 for cell in chunks[chunk_index]
                             ],
                         },
@@ -362,19 +365,10 @@ class SubprocessWorkerTransport:
             pending.pop(chunk_index, None)
             if frame.get("store") is not None:
                 self._worker_store_stats[worker] = frame["store"]
-            outcomes = [
-                (
-                    protocol.decode_packed(outcome["packed"]),
-                    None,
-                    outcome["seconds"],
-                    outcome["blocks"],
-                    outcome["source"],
-                )
-                for outcome in frame["outcomes"]
-            ]
+            outcomes = [protocol.decode_outcome(raw) for raw in frame["outcomes"]]
             placement["cells_by_worker"][worker] += len(outcomes)
             placement["store_cells_by_worker"][worker] += sum(
-                1 for outcome in outcomes if outcome[4] == "store"
+                1 for outcome in outcomes if outcome.source == "store"
             )
             finished_at[worker] = time.perf_counter()
             yield chunk_index, outcomes

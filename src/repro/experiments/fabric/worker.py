@@ -7,8 +7,8 @@ thread heartbeats so the driver can tell a long simulation from a dead
 process; then the main loop executes ``chunk`` frames until
 ``shutdown`` or EOF.
 
-Chunk execution is store-first: every cell's job digest is looked up
-in the shared result store (``--store``, a
+Chunk execution is store-first: every cell's digest is looked up in
+the shared result store (``--store``, a
 :class:`~repro.experiments.parallel.ResultCache` root), and held cells
 are answered from the verified entry without simulating — labeled
 ``source=store`` so the driver books them as store hits, not runs.
@@ -62,50 +62,37 @@ def _claim_fault(kind):
 def _execute_chunk(frame, store, analysis_dir):
     """The ``result`` frame for one ``chunk`` frame."""
     from repro.experiments import scheduler
-    from repro.experiments.parallel import job_digest, job_meta
+    from repro.experiments.runner import Outcome
 
     scale = frame["scale"]
     cells = [protocol.decode_cell(raw) for raw in frame["cells"]]
-    digests = [
-        job_digest(name, spec, scale, config, profile_distance)
-        for name, spec, config, profile_distance in cells
-    ]
     outcomes = [None] * len(cells)
-    pending = []
-    for index, digest in enumerate(digests):
-        entry = store.load(digest) if store is not None else None
-        if entry is None:
-            pending.append(index)
-            continue
-        outcomes[index] = {
-            "packed": protocol.encode_packed(scheduler.pack_stats(entry[0])),
-            "seconds": 0.0,
-            "blocks": {},
-            "source": "store",
-        }
+    digests = {}
+    if store is not None:
+        for index, cell in enumerate(cells):
+            digests[index] = cell.digest(scale)
+            entry = store.load(digests[index])
+            if entry is not None:
+                outcomes[index] = Outcome(
+                    scheduler.pack_stats(entry[0]), source="store"
+                )
+    pending = [index for index, outcome in enumerate(outcomes) if outcome is None]
     if pending:
-        payload = [
-            cells[index] + (None,) for index in pending
-        ]  # trace_file=None: fabric cells are plain
-        executed = scheduler.execute_chunk(analysis_dir, scale, False, payload)
-        for index, (packed, _, seconds, blocks) in zip(pending, executed):
-            name, spec, config, profile_distance = cells[index]
+        executed = scheduler.execute_chunk(
+            analysis_dir, scale, False, None, [cells[index] for index in pending]
+        )
+        for index, outcome in zip(pending, executed):
             if store is not None:
                 store.store(
                     digests[index],
-                    scheduler.unpack_stats(packed),
-                    job_meta(name, spec, scale, config, profile_distance),
+                    scheduler.unpack_stats(outcome.stats),
+                    cells[index].meta(scale),
                 )
-            outcomes[index] = {
-                "packed": protocol.encode_packed(packed),
-                "seconds": seconds,
-                "blocks": blocks,
-                "source": "simulated",
-            }
+            outcomes[index] = outcome
     return {
         "kind": "result",
         "id": frame["id"],
-        "outcomes": outcomes,
+        "outcomes": [protocol.encode_outcome(outcome) for outcome in outcomes],
         "store": store.counters() if store is not None else None,
     }
 

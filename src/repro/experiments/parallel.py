@@ -17,15 +17,22 @@ such a grid, one or many, through one dispatch loop:
    or subprocess workers (``--fabric-workers N``, see
    :mod:`repro.experiments.fabric`).  Everywhere the same executor,
    :func:`~repro.experiments.scheduler.run_cells`, runs the cells;
-4. **book** every outcome through one function, as it arrives.
+4. **book** every :class:`~repro.experiments.runner.Outcome` through
+   one function, :meth:`~ParallelExperimentRunner._book`, as it
+   arrives — cache and store hits included, told apart by their
+   ``source``.
 
-A dead worker on either transport reaches one retry loop, which closes
-the transport and replans only the cells whose outcomes never arrived.
+Every pending cell is a :class:`~repro.experiments.runner.Cell`; the
+parent computes its digest once per dispatch and uses it for the
+cache lookup, the store-probing cost and the write-back.  A dead
+worker on either transport reaches one retry loop, which closes the
+transport and replans only the cells whose outcomes never arrived.
 
 Results are also written to a content-addressed on-disk cache keyed by
-``(workload, spec, scale, machine-config fingerprint, profile
-distance)``, so repeated figure generation and CI smoke runs skip
-simulations that already ran — under *any* runner, serial or parallel.
+:meth:`Cell.digest <repro.experiments.runner.Cell.digest>` (workload,
+spec, scale, machine-config fingerprint, profile distance), so
+repeated figure generation and CI smoke runs skip simulations that
+already ran — under *any* runner, serial or parallel.
 One class, :class:`ResultCache`, owns the result entries: each is a
 sha256-verified envelope in the format of :mod:`repro.sealed`, so a
 damaged entry is counted and re-simulated, never served.  The same
@@ -40,8 +47,6 @@ reads, so table generation never depends on scheduling decisions or
 completion order.
 """
 
-import hashlib
-import json
 import os
 import pickle
 import time
@@ -56,17 +61,9 @@ from repro.experiments.fabric.transport import (
     LocalPoolTransport,
     SubprocessWorkerTransport,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import CACHE_FORMAT_VERSION, ExperimentRunner, Outcome
 from repro.polyflow.config import config_fingerprint
-from repro.sim import gridbatch
 from repro.sim.blocks import BLOCK_CACHE_KEYS
-from repro.spawn import canonical_spec
-
-#: Bump to invalidate every existing cache entry (e.g. when the
-#: simulator's timing model changes in a way the config cannot see).
-#: v2: entries grew an optional per-spawn-point metrics snapshot.
-#: v3: entries are sha256-verified envelopes (see :class:`ResultCache`).
-CACHE_FORMAT_VERSION = 3
 
 #: First field of every entry's header line.  The leading ``V`` makes
 #: the header a pickle ``UNICODE`` opcode, so a plain ``pickle.load``
@@ -80,41 +77,6 @@ DEFAULT_CACHE_DIR = ".polyflow-cache"
 #: Subdirectory of the cache directory holding persisted program
 #: analyses (see :mod:`repro.analysis.pipeline`).
 ANALYSIS_CACHE_SUBDIR = "analysis"
-
-
-def job_digest(name, spec, scale, config, profile_distance):
-    """Content address of one simulation job.
-
-    Hashes every input that can change the resulting stats: workload
-    name, policy spec, workload scale, the full machine configuration
-    (via :func:`config_fingerprint`), the profiling distance, and the
-    cache format version.
-    """
-    payload = json.dumps(
-        {
-            "version": CACHE_FORMAT_VERSION,
-            "workload": name,
-            "spec": canonical_spec(spec),
-            "scale": repr(scale),
-            "config": config_fingerprint(config),
-            "profile_distance": profile_distance,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def job_meta(name, spec, scale, config, profile_distance):
-    """The metadata header stored beside one job's stats."""
-    return {
-        "workload": name,
-        "spec": spec,
-        "scale": scale,
-        "config_fingerprint": config_fingerprint(config),
-        "profile_distance": profile_distance,
-        "version": CACHE_FORMAT_VERSION,
-    }
 
 
 def sweep_entries(root, max_bytes=None):
@@ -614,18 +576,6 @@ class RunSummary:
         return "\n".join(lines)
 
 
-def trace_path(trace_dir, name, spec, digest):
-    """The lifecycle-trace filename for one job under ``--trace-dir``.
-
-    The digest prefix disambiguates identical (workload, spec) pairs
-    run under different machine configurations (the ablation sweeps).
-    """
-    filename = "{}.{}.{}.events.jsonl".format(
-        name, canonical_spec(spec).replace("/", "_"), digest[:8]
-    )
-    return os.path.join(trace_dir, filename)
-
-
 class ParallelExperimentRunner(ExperimentRunner):
     """An :class:`ExperimentRunner` with a grid scheduler and disk cache.
 
@@ -699,6 +649,12 @@ class ParallelExperimentRunner(ExperimentRunner):
         self.emit_metrics = bool(emit_metrics)
         #: Write a compact lifecycle-events JSONL per simulation here.
         self.trace_dir = trace_dir
+        #: Optional ``bus_for(cell)`` factory of a fresh, non-verbose
+        #: :class:`~repro.obs.EventBus` per *inline* simulation.  The
+        #: exploration service's runner sets one to bridge lifecycle
+        #: events into its progress journal; cells run with a bus run
+        #: per-cell, never batched.
+        self.bus_for = None
         #: Subprocess workers for the chunks (0 = the warm pool).
         #: Unlike ``jobs``, this is *not* capped at the local CPU count
         #: — fabric workers may be other machines.
@@ -724,22 +680,20 @@ class ParallelExperimentRunner(ExperimentRunner):
 
     # -- cache plumbing -----------------------------------------------------------
 
-    def _job_digest(self, name, spec, config, profile_distance):
-        return job_digest(name, spec, self.scale, config, profile_distance)
+    def _digest(self, cell):
+        """``cell``'s digest, or ``None`` when this runner has no
+        result cache or store to address."""
+        if self.cache is None and self.fabric_store is None:
+            return None
+        return cell.digest(self.scale)
 
-    def _job_label(self, spec, config):
+    def _job_label(self, cell):
         """Spec label for the run summary; swept configurations (the
         ablations) are disambiguated by their fingerprint."""
-        fingerprint = config_fingerprint(config)
+        fingerprint = config_fingerprint(cell.config)
         if fingerprint == config_fingerprint(self.config):
-            return spec
-        return "{} @{}".format(spec, fingerprint[:6])
-
-    def _trace_file(self, name, spec, config, profile_distance):
-        if self.trace_dir is None:
-            return None
-        digest = self._job_digest(name, spec, config, profile_distance)
-        return trace_path(self.trace_dir, name, spec, digest)
+            return cell.spec
+        return "{} @{}".format(cell.spec, fingerprint[:6])
 
     def _load_entry(self, cache, digest):
         """``cache.load(digest)``, booking a corrupt entry on the summary."""
@@ -749,50 +703,34 @@ class ParallelExperimentRunner(ExperimentRunner):
             self.summary.record_corrupt(cache.path(digest))
         return entry
 
-    def _load_cached(self, name, spec, config, profile_distance):
-        """Usable cached stats, or ``None`` when the job must run.
+    def _load_cached(self, digest):
+        """A usable cached :class:`~repro.experiments.runner.Outcome`
+        (``source`` ``"cache"`` or ``"store"``), or ``None`` when the
+        cell must run.
 
         A hit is unusable when the run must produce side channels the
         cache cannot replay: a requested trace file, or metrics the
         entry does not carry.  Metrics a usable hit *does* carry flow
         into the run summary exactly as a fresh simulation's would.
         """
-        if self.trace_dir is not None:
+        if digest is None or self.trace_dir is not None:
             return None
-        if self.cache is None and self.fabric_store is None:
-            return None
-        digest = self._job_digest(name, spec, config, profile_distance)
         if self.cache is not None:
             entry = self._load_entry(self.cache, digest)
-            if entry is not None:
-                stats, metrics = entry
-                if self.emit_metrics and not metrics:
-                    return None
-                self.summary.record_hit()
-                if self.emit_metrics:
-                    self.summary.record_metrics(
-                        self._job_label(spec, config), metrics
-                    )
-                return stats
+            if entry is not None and (entry[1] or not self.emit_metrics):
+                return Outcome(entry[0], entry[1], source="cache")
         # Shared-store read-through: an entry some other fabric
-        # participant stored.  Copied into the local result cache so
-        # the next run hits there first.
+        # participant stored (copied into the local cache by ``_book``).
         if self.fabric_store is not None and not self.emit_metrics:
             entry = self._load_entry(self.fabric_store, digest)
             if entry is not None:
-                self.summary.record_fabric_store_cells(1)
-                if self.cache is not None:
-                    self.cache.copy_from(self.fabric_store, digest)
-                return entry[0]
+                return Outcome(entry[0], source="store")
         return None
 
-    def _store_cached(self, name, spec, config, profile_distance, stats, metrics=None):
-        if self.cache is None and self.fabric_store is None:
-            return
-        digest = self._job_digest(name, spec, config, profile_distance)
-        meta = job_meta(name, spec, self.scale, config, profile_distance)
+    def _store_cached(self, cell, digest, outcome):
+        meta = cell.meta(self.scale)
         if self.cache is not None:
-            self.cache.store(digest, stats, meta, metrics=metrics)
+            self.cache.store(digest, outcome.stats, meta, metrics=outcome.metrics)
         # Store fresh results in the shared root so other fabric
         # participants reuse them.  Subprocess workers already stored
         # theirs, which the ``contains`` probe skips; an entry this
@@ -801,63 +739,53 @@ class ParallelExperimentRunner(ExperimentRunner):
         if store is not None and (
             not store.contains(digest) or store.path(digest) in store.corrupt_paths
         ):
-            store.store(digest, stats, meta, metrics=metrics)
+            store.store(digest, outcome.stats, meta, metrics=outcome.metrics)
 
-    def _book(self, job, stats, metrics, seconds, blocks, source="simulated"):
-        """Book one outcome, wherever it ran: memo, summary, caches.
+    def _book(self, cell, outcome, digest=None):
+        """Book one outcome, wherever it came from: memo, summary, caches.
 
-        A ``source="store"`` outcome is a fabric worker's store hit: no
-        simulation ran, so no job is booked, but the entry is copied
-        into the local result cache.
+        A ``"cache"`` outcome is a local cache hit.  A ``"store"``
+        outcome is a fabric-store hit — the parent's read-through or a
+        worker's — and is copied into the local result cache.  Only a
+        ``"simulated"`` outcome counts as a job and is written to the
+        cache and the store.  ``digest`` is the cell's, when the caller
+        already has it.
         """
-        name, spec, config, profile_distance = job
-        if source == "store":
-            self.summary.record_fabric_store_cells(1)
+        summary = self.summary
+        if outcome.source == "cache":
+            summary.record_hit()
+            if self.emit_metrics:
+                summary.record_metrics(self._job_label(cell), outcome.metrics)
+        elif outcome.source == "store":
+            summary.record_fabric_store_cells(1)
             if self.cache is not None:
-                self.cache.copy_from(self.fabric_store, self._job_digest(*job))
+                self.cache.copy_from(self.fabric_store, digest or self._digest(cell))
         else:
-            label = self._job_label(spec, config)
-            self.summary.record_job(name, label, seconds)
-            self.summary.record_block_cache(blocks)
-            if blocks.get(gridbatch.BATCHED_RUN):
-                self.summary.record_batched(1)
-            if blocks.get(gridbatch.SHARED_RUN):
-                self.summary.shared_cells += 1
-            if metrics is not None:
-                self.summary.record_metrics(label, metrics)
-            self._store_cached(name, spec, config, profile_distance, stats, metrics)
-        self._results[self._result_key(*job)] = stats
-        return stats
+            label = self._job_label(cell)
+            summary.record_job(cell.workload, label, outcome.seconds)
+            summary.record_block_cache(outcome.blocks)
+            if outcome.batched:
+                summary.record_batched(1)
+            if outcome.shared:
+                summary.shared_cells += 1
+            if outcome.metrics is not None:
+                summary.record_metrics(label, outcome.metrics)
+            if self.cache is not None or self.fabric_store is not None:
+                self._store_cached(cell, digest or self._digest(cell), outcome)
+        super()._book(cell, outcome)
 
-    def _job_bus(self, name, spec, config):
-        """Optional per-job :class:`~repro.obs.EventBus` for *inline*
-        simulations.
-
-        The base runner attaches nothing; the exploration service's
-        runner overrides this to bridge lifecycle events into its
-        progress journal.  A returned bus must be fresh per call and
-        non-verbose, so engine selection (and the stats) stay
-        identical.  A cell with a bus runs per-cell, never batched.
-        """
-        return None
-
-    def _cell(self, job):
-        """The parent-side :func:`~repro.experiments.scheduler.run_cells`
-        cell of one job: its trace file and bus attached."""
-        name, spec, config, profile_distance = job
-        return job + (
-            self._trace_file(name, spec, config, profile_distance),
-            self._job_bus(name, spec, config),
+    def _run_cells(self, cells):
+        """Run ``cells`` in the parent with this runner's instruments."""
+        return scheduler.run_cells(
+            self.scale, cells, self.emit_metrics, self.trace_dir, self.bus_for
         )
 
-    def _simulate(self, name, spec, config, profile_distance):
-        stats = self._load_cached(name, spec, config, profile_distance)
-        if stats is not None:
-            return stats
-        job = (name, spec, config, profile_distance)
-        cells = [self._cell(job)]
-        (outcome,) = scheduler.run_cells(self.scale, self.emit_metrics, cells)
-        return self._book(job, *outcome)
+    def _simulate(self, cell):
+        digest = self._digest(cell)
+        outcome = self._load_cached(digest)
+        if outcome is None:
+            (outcome,) = self._run_cells([cell])
+        self._book(cell, outcome, digest)
 
     # -- fan-out ------------------------------------------------------------------
 
@@ -867,27 +795,30 @@ class ParallelExperimentRunner(ExperimentRunner):
         Disk-cached results are loaded in the parent; only genuinely
         missing simulations are planned — cheap ones inline, the rest
         as cost-ordered chunks on the transport.  Results land in the
-        same keyed memo the serial path reads, so downstream table
+        same cell-keyed memo the serial path reads, so downstream table
         generation is identical regardless of scheduling decisions or
         completion order.  Returns the number of simulations actually
         run.
         """
         started = time.perf_counter()
+        digests = {}
         pending = []
-        for job in self.normalize_jobs(jobs):
-            stats = self._load_cached(*job)
-            if stats is None:
-                pending.append(job)
+        for cell in self.normalize_jobs(jobs):
+            digest = self._digest(cell)
+            outcome = self._load_cached(digest)
+            if outcome is None:
+                pending.append(cell)
+                digests[cell] = digest
             else:
-                self._results[self._result_key(*job)] = stats
+                self._book(cell, outcome, digest)
         if pending:
-            self._fan_out(pending)
+            self._fan_out(pending, digests)
         if self.fabric_store is not None:
             self.summary.set_fabric_store(self.fabric_store.counters())
         self.summary.wall_seconds += time.perf_counter() - started
         return len(pending)
 
-    def _fan_out(self, pending):
+    def _fan_out(self, pending, digests):
         """Dispatch ``pending`` cells, replanning after a dead worker.
 
         A worker death poisons the whole transport — the pool raises
@@ -901,15 +832,11 @@ class ParallelExperimentRunner(ExperimentRunner):
         retries = self.pool_retries
         while True:
             try:
-                self._dispatch(remaining)
+                self._dispatch(remaining, digests)
                 return
             except (BrokenProcessPool, FabricWorkerDied) as incident:
                 self.shutdown_fabric()
-                remaining = [
-                    job
-                    for job in remaining
-                    if self._result_key(*job) not in self._results
-                ]
+                remaining = [cell for cell in remaining if cell not in self._results]
                 if self.fabric_workers:
                     self.summary.record_fabric_replan(len(remaining))
                     self._fabric_event(
@@ -952,6 +879,7 @@ class ParallelExperimentRunner(ExperimentRunner):
                     cpus=self.cpus,
                     analysis_dir=self.analysis_dir,
                     emit_metrics=self.emit_metrics,
+                    trace_dir=self.trace_dir,
                 )
         return self._transport
 
@@ -971,10 +899,11 @@ class ParallelExperimentRunner(ExperimentRunner):
         if self.fabric_workers:
             self._ensure_transport().ensure_workers()
 
-    def plan(self, pending):
+    def plan(self, pending, digests):
         """Cost ``pending`` and plan it for this runner's transport.
 
-        Costing probes the shared store when one is set (tier 2 of
+        ``digests`` maps each cell to its :meth:`_digest`.  Costing
+        probes the shared store when one is set (tier 2 of
         :func:`~repro.experiments.scheduler.job_cost`), so store-held
         cells are priced as fetches.  The inline floor is
         ``inline_threshold`` when given, else the transport's own.  The
@@ -984,12 +913,9 @@ class ParallelExperimentRunner(ExperimentRunner):
         store = self.fabric_store
         costs = [
             scheduler.job_cost(
-                job[0],
-                self.scale,
-                store=store,
-                digest=self._job_digest(*job) if store is not None else None,
+                cell.workload, self.scale, store=store, digest=digests[cell]
             )
-            for job in pending
+            for cell in pending
         ]
         # The transport's worker count is already capped where it must
         # be (the pool at the local CPUs, subprocess workers never).
@@ -1007,13 +933,13 @@ class ParallelExperimentRunner(ExperimentRunner):
             cpus=transport.workers,
         )
 
-    def _dispatch(self, pending):
+    def _dispatch(self, pending, digests):
         """One attempt: plan, run the inline cells, stream the chunks.
 
         Every outcome is booked as it arrives, so a mid-grid worker
         death loses only the outcomes that never came back.
         """
-        plan = self.plan(pending)
+        plan = self.plan(pending, digests)
         transport = self._transport
         if self.fabric_workers:
             self.summary.inline_jobs += len(plan.inline)
@@ -1024,20 +950,15 @@ class ParallelExperimentRunner(ExperimentRunner):
             )
         else:
             self.summary.record_schedule(plan)
-        cells = [self._cell(job) for job in plan.inline]
-        outcomes = scheduler.run_cells(self.scale, self.emit_metrics, cells)
-        for job, outcome in zip(plan.inline, outcomes):
-            self._book(job, *outcome)
+        for cell, outcome in zip(plan.inline, self._run_cells(plan.inline)):
+            self._book(cell, outcome, digests[cell])
         if not plan.chunks:
             return
-        chunks = [
-            [job + (self._trace_file(*job),) for job in chunk]
-            for chunk in plan.chunks
-        ]
-        stream = transport.execute(self.scale, chunks, plan.chunk_costs)
+        stream = transport.execute(self.scale, plan.chunks, plan.chunk_costs)
         for index, outcomes in stream:
-            for job, (packed, *outcome) in zip(plan.chunks[index], outcomes):
-                self._book(job, scheduler.unpack_stats(packed), *outcome)
+            for cell, outcome in zip(plan.chunks[index], outcomes):
+                stats = scheduler.unpack_stats(outcome.stats)
+                self._book(cell, outcome._replace(stats=stats), digests[cell])
         if self.fabric_workers:
             placement = transport.placement()
             self.summary.record_fabric_placement(placement)

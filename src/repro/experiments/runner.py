@@ -11,7 +11,15 @@ scale, :class:`~repro.polyflow.config.MachineConfig`).  That makes the
 same code path usable from worker processes — see
 :mod:`repro.experiments.parallel` for the ``ProcessPoolExecutor``
 fan-out and the on-disk result cache layered on top.
+
+Two values cross every layer of that stack: a :class:`Cell` names one
+grid cell (its digest addresses the cell's cache entry), and an
+:class:`Outcome` carries what running or fetching it produced.
 """
+
+import hashlib
+import json
+from typing import NamedTuple
 
 from repro.polyflow import PAPER_CONFIG, PolyFlowCore, superscalar_config
 from repro.polyflow.config import config_fingerprint
@@ -27,6 +35,88 @@ REC_PRED_SPEC = "rec_pred"
 #: restricts the machine itself (``superscalar_config``), so callers
 #: always pass the *PolyFlow* configuration alongside this spec.
 SUPERSCALAR_SPEC = "superscalar"
+
+#: Bump to invalidate every existing result-cache entry (e.g. when the
+#: simulator's timing model changes in a way the config cannot see).
+#: v2: entries grew an optional per-spawn-point metrics snapshot.
+#: v3: entries are sha256-verified envelopes (see
+#: :class:`~repro.experiments.parallel.ResultCache`).
+CACHE_FORMAT_VERSION = 3
+
+
+class _CellFields(NamedTuple):
+    workload: str
+    spec: str
+    config: object
+    profile_distance: object
+
+
+class Cell(_CellFields):
+    """One grid cell: a workload under a policy spec on one machine.
+
+    The spec is canonicalized at construction, so an alias and its
+    canonical spec name the same cell.  The cell is the runner's memo
+    key; with the runner's scale, :meth:`digest` is the content address
+    of its result-cache entry.  ``profile_distance`` is the maximum
+    spawn distance the profile was taken at (see :func:`build_core`).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, workload, spec, config, profile_distance):
+        return super().__new__(
+            cls, workload, canonical_spec(spec), config, profile_distance
+        )
+
+    def digest(self, scale):
+        """Content address of this cell's result at ``scale``: a sha256
+        over every input that can change the stats, plus the cache
+        format version."""
+        payload = json.dumps(
+            {
+                "version": CACHE_FORMAT_VERSION,
+                "workload": self.workload,
+                "spec": self.spec,
+                "scale": repr(scale),
+                "config": config_fingerprint(self.config),
+                "profile_distance": self.profile_distance,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def meta(self, scale):
+        """The metadata header stored beside this cell's stats."""
+        return {
+            "workload": self.workload,
+            "spec": self.spec,
+            "scale": scale,
+            "config_fingerprint": config_fingerprint(self.config),
+            "profile_distance": self.profile_distance,
+            "version": CACHE_FORMAT_VERSION,
+        }
+
+
+class Outcome(NamedTuple):
+    """What running, or fetching, one cell produced.
+
+    ``stats`` comes first, so ``outcome[0]`` is the stats.  ``blocks``
+    is the cell's block-cache counter movement.  ``source`` is
+    ``"simulated"``, ``"cache"`` (the local result cache) or
+    ``"store"`` (the fabric store).  ``batched`` marks a cell the grid
+    batch ran, ``shared`` one whose stats were copied from an identical
+    cell's kernel run.
+    """
+
+    stats: object
+    metrics: object = None
+    seconds: float = 0.0
+    blocks: object = None
+    source: str = "simulated"
+    batched: bool = False
+    shared: bool = False
+
 
 def spawn_profile(name, scale, max_spawn_distance):
     """The spawn profile of one workload (memoized per program).
@@ -129,9 +219,8 @@ def simulate_job(name, spec, scale, config, profile_distance=None):
 class ExperimentRunner:
     """Caches workload preparation and simulation runs.
 
-    Simulation results live in an in-memory memo keyed by
-    ``(workload, spec, config fingerprint, profile distance)``; the
-    same key shape addresses the on-disk cache of
+    Simulation outcomes live in an in-memory memo keyed by
+    :class:`Cell`; the cell's digest addresses the on-disk cache of
     :class:`~repro.experiments.parallel.ParallelExperimentRunner`.
     """
 
@@ -162,15 +251,17 @@ class ExperimentRunner:
 
     # -- simulation ---------------------------------------------------------------
 
-    def _result_key(self, name, spec, config, profile_distance):
-        # Aliases collapse onto their canonical spec so "control-equivalent"
-        # and "postdoms" share one memo (and one disk-cache) entry.
-        return (name, canonical_spec(spec), config_fingerprint(config), profile_distance)
+    def _book(self, cell, outcome):
+        """Memoize one cell's outcome (the memo's only writer; the
+        parallel runner also books it on its summary and caches)."""
+        self._results[cell] = outcome
 
-    def _simulate(self, name, spec, config, profile_distance):
-        """Run one simulation in-process (overridden by the parallel
-        runner to consult the on-disk cache)."""
-        return simulate_job(name, spec, self.scale, config, profile_distance)
+    def _simulate(self, cell):
+        """Run one cell in-process and book it (overridden by the
+        parallel runner to consult the on-disk cache)."""
+        name, spec, config, profile_distance = cell
+        stats = simulate_job(name, spec, self.scale, config, profile_distance)
+        self._book(cell, Outcome(stats))
 
     def run_with_config(self, name, spec, config, profile_distance=None):
         """Stats for ``name`` under ``spec`` and an arbitrary machine
@@ -182,10 +273,12 @@ class ExperimentRunner:
         """
         if profile_distance is None:
             profile_distance = self.config.max_spawn_distance
-        key = self._result_key(name, spec, config, profile_distance)
-        if key not in self._results:
-            self._results[key] = self._simulate(name, spec, config, profile_distance)
-        return self._results[key]
+        cell = Cell(name, spec, config, profile_distance)
+        outcome = self._results.get(cell)
+        if outcome is None:
+            self._simulate(cell)
+            outcome = self._results[cell]
+        return outcome.stats
 
     def baseline(self, name):
         """Superscalar stats for ``name`` (cached)."""
@@ -218,26 +311,26 @@ class ExperimentRunner:
     # -- batched execution --------------------------------------------------------
 
     def normalize_jobs(self, jobs):
-        """Deduplicated, deterministically ordered job list.
+        """Deduplicated, deterministically ordered :class:`Cell` list.
 
-        Accepts ``(name, spec)`` pairs (run under the runner's config)
-        or ``(name, spec, config)`` triples, and returns
-        ``(name, spec, config, profile_distance)`` tuples sorted by
-        workload then spec, with already-memoized jobs removed.
+        Accepts ``(name, spec)`` pairs (run under the runner's config),
+        ``(name, spec, config)`` triples or :class:`Cell`\\ s, and
+        returns the cells not yet memoized, sorted by workload then the
+        spec as first given (profiled at the runner's
+        ``max_spawn_distance``).
         """
         normalized = {}
         for job in jobs:
-            if len(job) == 2:
-                name, spec = job
-                config = self.config
+            if isinstance(job, Cell):
+                cell = job
             else:
-                name, spec, config = job
-            profile_distance = self.config.max_spawn_distance
-            key = self._result_key(name, spec, config, profile_distance)
-            if key in self._results or key in normalized:
-                continue
-            normalized[key] = (name, spec, config, profile_distance)
-        return sorted(normalized.values(), key=lambda job: (job[0], job[1]))
+                name, spec, *config = job
+                config = config[0] if config else self.config
+                cell = Cell(name, spec, config, self.config.max_spawn_distance)
+            if cell not in self._results:
+                normalized.setdefault(cell, job[:2])
+        ordered = sorted(normalized.items(), key=lambda item: item[1])
+        return [cell for cell, _ in ordered]
 
     def prefetch(self, jobs):
         """Ensure every job's stats are memoized (serially, in order).
@@ -248,6 +341,6 @@ class ExperimentRunner:
         simulations actually run.
         """
         pending = self.normalize_jobs(jobs)
-        for name, spec, config, profile_distance in pending:
-            self.run_with_config(name, spec, config, profile_distance)
+        for cell in pending:
+            self._simulate(cell)
         return len(pending)

@@ -35,13 +35,17 @@ module replaces that with a scheduler that treats the grid as a batch:
 
 * **One executor** — :func:`run_cells` runs every cell, wherever it
   lands: inline cells call it in the parent, pool workers and fabric
-  workers through :func:`execute_chunk`.  It alone decides between
-  the grid batch and per-cell execution.
+  workers through :func:`execute_chunk`.  Cells carry no instruments:
+  metrics emission, a trace directory and a bus factory are arguments
+  of the call, so it alone decides, per call, between the grid batch
+  and per-cell execution.  Both paths report one
+  :class:`~repro.experiments.runner.Outcome` per cell.
 
 Scheduling never changes results: every cell is a deterministic
-simulation keyed by its job tuple, and the parent merges outcomes into
-a keyed memo, so output is bit-identical to serial under every
-``--jobs`` value, chunk size, and completion order.
+simulation keyed by its :class:`~repro.experiments.runner.Cell`, and
+the parent merges outcomes into a cell-keyed memo, so output is
+bit-identical to serial under every ``--jobs`` value, chunk size, and
+completion order.
 """
 
 import atexit
@@ -51,6 +55,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.analysis.pipeline import configure_disk_cache
 from repro.errors import ConfigurationError
+from repro.spawn import canonical_spec
 
 #: Cells whose estimated cost (committed-trace instructions) falls
 #: below this run inline in the parent: at fast-path kernel speed such
@@ -456,6 +461,18 @@ atexit.register(shutdown_pool)
 # -- worker-side execution --------------------------------------------------------
 
 
+def trace_path(trace_dir, name, spec, digest):
+    """The lifecycle-trace filename for one cell under ``--trace-dir``.
+
+    The digest prefix disambiguates identical (workload, spec) pairs
+    run under different machine configurations (the ablation sweeps).
+    """
+    filename = "{}.{}.{}.events.jsonl".format(
+        name, canonical_spec(spec).replace("/", "_"), digest[:8]
+    )
+    return os.path.join(trace_dir, filename)
+
+
 def execute_job(
     name,
     spec,
@@ -466,7 +483,7 @@ def execute_job(
     trace_file=None,
     bus=None,
 ):
-    """Run one simulation, reporting ``(stats, metrics, seconds, blocks)``.
+    """Run one simulation, reporting its :class:`~repro.experiments.runner.Outcome`.
 
     ``blocks`` is the job's block-cache counter movement (see
     :func:`repro.sim.blocks.counters_delta`): a warm worker reports
@@ -482,7 +499,7 @@ def execute_job(
     only observe, and a non-verbose bus leaves engine selection
     untouched.
     """
-    from repro.experiments.runner import build_core, simulate_job
+    from repro.experiments.runner import Outcome, build_core, simulate_job
     from repro.sim.blocks import cache_counters, counters_delta
 
     started = time.perf_counter()
@@ -490,7 +507,7 @@ def execute_job(
     if not emit_metrics and trace_file is None and bus is None:
         stats = simulate_job(name, spec, scale, config, profile_distance)
         blocks = counters_delta(counters_before)
-        return stats, None, time.perf_counter() - started, blocks
+        return Outcome(stats, None, time.perf_counter() - started, blocks)
 
     from repro.obs import (
         LIFECYCLE_KINDS,
@@ -518,67 +535,61 @@ def execute_job(
     if aggregator is not None:
         aggregator.record_block_cache(blocks)
         metrics = aggregator.as_dict()
-    return stats, metrics, time.perf_counter() - started, blocks
+    return Outcome(stats, metrics, time.perf_counter() - started, blocks)
 
 
-def run_cells(scale, emit_metrics, cells):
+def run_cells(scale, cells, emit_metrics=False, trace_dir=None, bus_for=None):
     """Run ``cells`` in this process: the one place that picks between
     the grid batch and per-cell execution.
 
-    ``cells`` is a list of ``(name, spec, config, profile_distance,
-    trace_file, bus)`` tuples; the return value is the aligned list of
-    ``(stats, metrics, seconds, blocks)`` outcomes.  Plain cells (no
-    metrics, no trace file, no bus; see
-    :func:`repro.sim.gridbatch.batchable`) run through the grid-batch
-    runner when at least :data:`~repro.sim.gridbatch.MIN_BATCH_CELLS`
-    of them share the call — warm-cache replays are shared per trace
-    and per-cell overhead is amortized — and the batch marks their
-    ``blocks`` as batched.  Instrumented cells run per-cell through
-    :func:`execute_job`.  Stats are byte-identical between the two
-    paths.
+    ``cells`` is a list of :class:`~repro.experiments.runner.Cell`\\ s;
+    the return value is the aligned list of their
+    :class:`~repro.experiments.runner.Outcome`\\ s.  The instruments
+    apply to every cell of the call: ``emit_metrics`` attaches a
+    metrics aggregator, ``trace_dir`` writes one lifecycle trace per
+    cell (named by :func:`trace_path`), and ``bus_for(cell)`` returns a
+    fresh event bus for it.  A call without instruments runs through
+    the grid-batch runner when it holds at least
+    :data:`~repro.sim.gridbatch.MIN_BATCH_CELLS` cells — warm-cache
+    replays are shared per trace and per-cell overhead is amortized —
+    and an instrumented one per cell through :func:`execute_job`,
+    since its sinks assume one simulation owns the process-global
+    observability stream at a time.  Stats are byte-identical between
+    the two paths.
     """
     from repro.sim import gridbatch
 
-    batch = [
-        index
-        for index, cell in enumerate(cells)
-        if gridbatch.batchable(emit_metrics, cell[4], cell[5])
+    plain = not emit_metrics and trace_dir is None and bus_for is None
+    if plain and len(cells) >= gridbatch.MIN_BATCH_CELLS:
+        return gridbatch.run_batch(cells, scale)
+    return [
+        execute_job(
+            cell.workload,
+            cell.spec,
+            scale,
+            cell.config,
+            cell.profile_distance,
+            emit_metrics,
+            None
+            if trace_dir is None
+            else trace_path(trace_dir, cell.workload, cell.spec, cell.digest(scale)),
+            None if bus_for is None else bus_for(cell),
+        )
+        for cell in cells
     ]
-    outcomes = [None] * len(cells)
-    if len(batch) >= gridbatch.MIN_BATCH_CELLS:
-        jobs = [cells[index][:4] for index in batch]
-        for index, outcome in zip(batch, gridbatch.run_batch(jobs, scale)):
-            outcomes[index] = outcome
-    for index, cell in enumerate(cells):
-        if outcomes[index] is None:
-            name, spec, config, profile_distance, trace_file, bus = cell
-            outcomes[index] = execute_job(
-                name,
-                spec,
-                scale,
-                config,
-                profile_distance,
-                emit_metrics,
-                trace_file,
-                bus,
-            )
-    return outcomes
 
 
-def execute_chunk(analysis_dir, scale, emit_metrics, chunk):
+def execute_chunk(analysis_dir, scale, emit_metrics, trace_dir, cells):
     """Worker entry point: run one chunk of cells, one pickle each way.
 
-    ``chunk`` is a list of ``(name, spec, config, profile_distance,
-    trace_file)`` tuples; the return value is the aligned list of
-    ``(packed_stats, metrics, seconds, blocks)`` outcomes of
-    :func:`run_cells`.  The disk-cache configuration is re-asserted
-    per chunk because the warm pool outlives any single runner (whose
-    cache directory may differ).
+    Returns the aligned outcomes of :func:`run_cells` with their stats
+    packed by :func:`pack_stats`.  The disk-cache configuration is
+    re-asserted per chunk because the warm pool outlives any single
+    runner (whose cache directory may differ).
     """
     if analysis_dir is not None:
         configure_disk_cache(analysis_dir)
-    cells = [cell + (None,) for cell in chunk]
     return [
-        (pack_stats(stats), metrics, seconds, blocks)
-        for stats, metrics, seconds, blocks in run_cells(scale, emit_metrics, cells)
+        outcome._replace(stats=pack_stats(outcome.stats))
+        for outcome in run_cells(scale, cells, emit_metrics, trace_dir)
     ]

@@ -22,6 +22,13 @@ Execution of a batch is tiered, cheapest first:
    worker pool.  Duplicate cells across the batch's queries collapse
    to one simulation.
 
+The engine turns each wire cell into a runner
+:class:`~repro.experiments.runner.Cell` once, at batch entry.  A cell
+memoized before ``prefetch`` is labelled ``memo``; every other label
+is the booked outcome's own ``source``, with the fabric store's
+``store`` shown as ``cache``, so an answer is labelled by the tier
+that actually produced it.
+
 Fault handling is two-layered: the parallel runner itself retries a
 broken worker pool once (restarting the pool), and if a *batch-level*
 prefetch still fails, the engine degrades to per-cell inline execution
@@ -30,12 +37,12 @@ the same batch.  Every incident is surfaced as a structured
 ``RunSummary`` field and an ``incident`` progress event.
 """
 
-import os
 import threading
 import time
 
 from repro.experiments import scheduler
 from repro.experiments.parallel import ParallelExperimentRunner
+from repro.experiments.runner import Cell
 from repro.obs import EventBus, CallbackSink, fabric_event, service_event
 from repro.service import wire
 
@@ -49,7 +56,7 @@ DEFAULT_SIM_EVENT_LIMIT = 64
 class _ServiceRunner(ParallelExperimentRunner):
     """A parallel runner that bridges inline-simulation bus events.
 
-    The ``_job_bus`` hook gives every *inline* simulation a fresh
+    Its ``bus_for`` factory gives every *inline* simulation a fresh
     non-verbose :class:`EventBus` whose lifecycle events are forwarded
     (bounded, cell-tagged) into the service journal; a cell with a bus
     runs per-cell, never in the grid batch.  Pooled chunks run in
@@ -62,10 +69,11 @@ class _ServiceRunner(ParallelExperimentRunner):
         super().__init__(*args, **kwargs)
         self._journal = journal
         self._sim_event_limit = sim_event_limit
+        if journal is not None and sim_event_limit > 0:
+            self.bus_for = self._bridge_bus
 
-    def _job_bus(self, name, spec, config):
-        if self._journal is None or self._sim_event_limit <= 0:
-            return None
+    def _bridge_bus(self, cell):
+        name, spec = cell.workload, cell.spec
         bus = EventBus()
         budget = [self._sim_event_limit]
 
@@ -204,18 +212,20 @@ class ExplorationEngine:
         started = time.perf_counter()
         self.batches_executed += 1
         groups = {}
+        cells = {}
         total_cells = 0
-        for query in batch:
+        for index, query in enumerate(batch):
             if query.estimate:
                 # Estimate-mode queries never join the simulation
                 # tiers; they are answered analytically below.
                 continue
-            runner = self.runner_for(query.scale)
-            group = groups.setdefault(query.scale, {})
-            for cell in query.cells:
-                total_cells += 1
-                key = self._cell_key(runner, cell)
-                group.setdefault(key, cell)
+            distance = self.runner_for(query.scale).config.max_spawn_distance
+            cells[index] = [
+                Cell(cell.workload, cell.spec, cell.config, distance)
+                for cell in query.cells
+            ]
+            total_cells += len(cells[index])
+            groups.setdefault(query.scale, {}).update(dict.fromkeys(cells[index]))
         unique_cells = sum(len(group) for group in groups.values())
         self.cells_deduped += total_cells - unique_cells
         self._publish(
@@ -247,7 +257,7 @@ class ExplorationEngine:
                     )
                 else:
                     responses[index] = self._build_response(
-                        query, outcomes[query.scale], batch_size=len(batch)
+                        query, cells[index], outcomes[query.scale], len(batch)
                     )
                 self.queries_served += 1
                 self.cells_served += len(query.cells)
@@ -270,45 +280,20 @@ class ExplorationEngine:
             elif index in failures:
                 query.future.set_exception(failures[index])
 
-    def _cell_key(self, runner, cell):
-        return runner._result_key(
-            cell.workload, cell.spec, cell.config, runner.config.max_spawn_distance
-        )
-
-    def _probe_source(self, runner, cell, key):
-        """Pre-execution source guess: memo, disk cache, or pending."""
-        if key in runner._results:
-            return wire.SOURCE_MEMO
-        if runner.cache is not None:
-            digest = runner._job_digest(
-                cell.workload, cell.spec, cell.config, runner.config.max_spawn_distance
-            )
-            if os.path.exists(runner.cache.path(digest)):
-                return wire.SOURCE_CACHE
-        return wire.SOURCE_SIMULATED
-
     def _execute_group(self, scale, group):
-        """Execute one scale's deduplicated cells; returns per-key outcome.
+        """Execute one scale's deduplicated cells; returns per-cell outcome.
 
-        The outcome maps each cell key to ``(source, stats_or_error)``.
-        A batch-level prefetch failure degrades to per-cell inline
+        The outcome maps each cell to ``(source, stats_or_error)``.  A
+        batch-level prefetch failure degrades to per-cell inline
         execution so independent cells still succeed.
         """
         runner = self.runner_for(scale)
-        sources = {
-            key: self._probe_source(runner, cell, key)
-            for key, cell in group.items()
-        }
+        memo = {cell for cell in group if cell in runner._results}
         corrupt_before = len(runner.summary.corrupt_entries)
         restarts_before = runner.summary.pool_restarts
         errors = {}
-        pending = [
-            (cell.workload, cell.spec, cell.config)
-            for key, cell in group.items()
-            if sources[key] != wire.SOURCE_MEMO
-        ]
         try:
-            runner.prefetch(pending)
+            runner.prefetch([cell for cell in group if cell not in memo])
         except Exception as error:
             self.batches_degraded += 1
             self._publish(
@@ -316,21 +301,21 @@ class ExplorationEngine:
                     "batch_degraded", scale=scale, reason=str(error)
                 )
             )
-            for key, cell in group.items():
-                if key in runner._results:
+            for cell in group:
+                if cell in runner._results:
                     continue
                 try:
-                    runner.run_with_config(cell.workload, cell.spec, cell.config)
+                    runner.run_with_config(*cell)
                 except Exception as cell_error:
-                    errors[key] = str(cell_error)
+                    errors[cell] = str(cell_error)
 
         self._report_incidents(runner, scale, corrupt_before, restarts_before)
 
         outcome = {}
-        for key, cell in group.items():
-            if key in errors or key not in runner._results:
-                message = errors.get(key, "cell was not materialized")
-                outcome[key] = (wire.SOURCE_ERROR, message)
+        for cell in group:
+            if cell in errors or cell not in runner._results:
+                message = errors.get(cell, "cell was not materialized")
+                outcome[cell] = (wire.SOURCE_ERROR, message)
                 self.cells_by_source[wire.SOURCE_ERROR] += 1
                 self._publish(
                     service_event(
@@ -342,24 +327,16 @@ class ExplorationEngine:
                     )
                 )
                 continue
-            source = sources[key]
-            if source == wire.SOURCE_CACHE and self._entry_was_corrupt(
-                runner, cell
-            ):
-                # The probed disk entry turned out corrupt and was
-                # re-simulated; label the answer honestly.
-                source = wire.SOURCE_SIMULATED
-            outcome[key] = (source, runner._results[key])
+            booked = runner._results[cell]
+            if cell in memo:
+                source = wire.SOURCE_MEMO
+            elif booked.source == "store":
+                source = wire.SOURCE_CACHE
+            else:
+                source = booked.source
+            outcome[cell] = (source, booked.stats)
             self.cells_by_source[source] += 1
         return outcome
-
-    def _entry_was_corrupt(self, runner, cell):
-        if runner.cache is None:
-            return False
-        digest = runner._job_digest(
-            cell.workload, cell.spec, cell.config, runner.config.max_spawn_distance
-        )
-        return runner.cache.path(digest) in runner.summary.corrupt_entries
 
     def _report_incidents(self, runner, scale, corrupt_before, restarts_before):
         for path in runner.summary.corrupt_entries[corrupt_before:]:
@@ -374,8 +351,7 @@ class ExplorationEngine:
                 service_event("incident", type="pool_restart", scale=scale)
             )
 
-    def _build_response(self, query, outcome, batch_size):
-        runner = self.runner_for(query.scale)
+    def _build_response(self, query, cells, outcome, batch_size):
         results = []
         counts = {
             wire.SOURCE_MEMO: 0,
@@ -385,8 +361,7 @@ class ExplorationEngine:
         }
         from repro.polyflow.config import config_fingerprint
 
-        for cell in query.cells:
-            key = self._cell_key(runner, cell)
+        for cell, key in zip(query.cells, cells):
             source, payload = outcome[key]
             counts[source] += 1
             entry = {

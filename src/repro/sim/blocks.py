@@ -46,11 +46,6 @@ ICACHE_LINE_BYTES = 128
 
 _LINE_SHIFT = ICACHE_LINE_BYTES.bit_length() - 1
 
-#: Bump when the compiled table layout changes: a table pickled with
-#: its trace under a stale layout must read as a miss.
-#: v2 added ``plain_end`` (the event kernel's next-event horizon).
-BLOCK_FORMAT_VERSION = 2
-
 #: Counter names reported by :func:`cache_counters`.
 BLOCK_CACHE_KEYS = ("table_hits", "table_misses", "program_hits", "program_misses")
 
@@ -125,7 +120,6 @@ class BlockTable:
         "plain_end",
         "starts",
         "aggregates",
-        "version",
     )
 
     def __init__(
@@ -145,7 +139,6 @@ class BlockTable:
         self.plain_end = plain_end
         self.starts = starts
         self.aggregates = aggregates
-        self.version = BLOCK_FORMAT_VERSION
 
     def block_count(self):
         return len(self.starts)
@@ -193,7 +186,6 @@ class BlockTable:
                 aggregate[0] - aggregate[1] - aggregate[2] - aggregate[3]
                 for aggregate in self.aggregates
             ),
-            "version": self.version,
         }
 
 
@@ -306,7 +298,7 @@ def block_table_for(trace):
     initializer) pays for it, once per process.
     """
     table = getattr(trace, "_block_table", None)
-    if table is not None and table.version == BLOCK_FORMAT_VERSION:
+    if table is not None:
         _COUNTERS["table_hits"] += 1
         return table
     _COUNTERS["table_misses"] += 1

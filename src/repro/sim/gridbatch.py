@@ -8,16 +8,17 @@ costs rival the simulations themselves: thousands of *same-scale*
 cells, each retiring a few thousand instructions.
 
 This module batches them.  :func:`run_batch` takes one chunk of plain
-cells (no metrics, no trace file, no event bus — exactly the cells the
-event-calendar kernel accepts) and walks it in order, one machine at a
-time:
+cells (run with no metrics, no trace directory and no event bus —
+exactly the runs the event-calendar kernel accepts) and walks it in
+order, one machine at a time:
 
 * **simulates each distinct machine once** — cells whose cores have
   the same :func:`~repro.experiments.runner.simulation_key` (workload,
   machine configuration, spawn-unit class, hint-table contents; e.g.
   ``loopFT`` and ``loopFT+procFT`` on a program without procedure
   fall-through points) share one kernel run, and each later cell gets
-  a deep copy of the first one's stats;
+  a deep copy of the first one's stats and an outcome marked
+  ``shared``;
 * **shares warm state per trace** — the first cell of each
   (workload, machine geometry) group runs the O(trace) warm-cache
   replay via :meth:`~repro.polyflow.core.PolyFlowCore.prewarm`; its
@@ -37,10 +38,10 @@ Statistics are **byte-identical** to the per-cell path: sharing only
 skips runs that would repeat an identical machine or warm-up (pinned
 by the property tests in ``tests/properties/test_gridbatch_identity.py``).
 
-:func:`~repro.experiments.scheduler.run_cells` sends every group of
-two or more plain cells here, wherever it runs (the parent, a pool
-worker or a fabric worker); cells that carry observability
-instruments always take the per-cell path of
+:func:`~repro.experiments.scheduler.run_cells` sends every call of
+two or more cells here when it runs them without instruments,
+wherever it runs (the parent, a pool worker or a fabric worker);
+instrumented calls always take the per-cell path of
 :func:`~repro.experiments.scheduler.execute_job`, which stays the
 reference the identity tests compare against.
 """
@@ -60,26 +61,6 @@ MIN_BATCH_CELLS = 2
 #: on the paper geometry is in the low thousands of instructions.
 WARM_SHARE_MIN_TRACE = 4096
 
-#: ``blocks`` key marking a cell whose stats were copied from an
-#: identical cell's run in the same batch (see :func:`run_batch`).
-SHARED_RUN = "shared_run"
-
-#: ``blocks`` key marking every cell :func:`run_batch` ran, so callers
-#: count batched cells from the outcomes themselves.
-BATCHED_RUN = "batched_run"
-
-
-def batchable(emit_metrics, trace_file=None, bus=None):
-    """Whether one cell may join a batch.
-
-    Instrumented cells (metrics aggregators, lifecycle trace files,
-    caller-provided buses) keep the per-cell path: their sinks assume
-    one simulation owns the process-global observability stream at a
-    time.
-    """
-    return not emit_metrics and trace_file is None and bus is None
-
-
 def _warm_group(name, spec, config):
     """The (workload, config fingerprint) a cell's core will carry:
     ``simulation_key(...)[:2]``, known before the core is built."""
@@ -94,18 +75,15 @@ def _warm_group(name, spec, config):
 
 
 def run_batch(jobs, scale):
-    """Run plain cells one at a time; one outcome tuple per job, aligned.
+    """Run plain cells one at a time; one outcome per job, aligned.
 
-    ``jobs`` is a list of ``(name, spec, config, profile_distance)``
-    tuples; the return value is the aligned list of
-    ``(stats, None, seconds, blocks)`` outcomes —  the same shape
-    :func:`repro.experiments.scheduler.execute_job` reports for a
-    plain cell, so callers book batch results through the exact same
-    path.  Every cell has ``blocks[BATCHED_RUN] == 1``; a cell whose
-    stats are a copy of an identical cell's run also has
-    ``blocks[SHARED_RUN] == 1``.
+    ``jobs`` is a list of :class:`~repro.experiments.runner.Cell`\\ s
+    (or plain ``(name, spec, config, profile_distance)`` tuples); the
+    return value is the aligned list of
+    :class:`~repro.experiments.runner.Outcome`\\ s, each ``batched``,
+    and ``shared`` when its stats are a copy of an identical cell's run.
     """
-    from repro.experiments.runner import build_core, simulation_key
+    from repro.experiments.runner import Outcome, build_core, simulation_key
     from repro.sim.blocks import cache_counters, counters_delta
 
     # Cells still to come per warm group: a group's first cell
@@ -137,12 +115,14 @@ def run_batch(jobs, scale):
         if pending[group] <= 0:
             warm_snapshots.pop(group, None)
         seconds = time.perf_counter() - started
-        blocks = counters_delta(before)
-        blocks[BATCHED_RUN] = 1
-        if twin is None:
-            stats = runs[key]
-        else:
-            stats = copy.deepcopy(twin)
-            blocks[SHARED_RUN] = 1
-        outcomes.append((stats, None, seconds, blocks))
+        stats = runs[key] if twin is None else copy.deepcopy(twin)
+        outcomes.append(
+            Outcome(
+                stats,
+                seconds=seconds,
+                blocks=counters_delta(before),
+                batched=True,
+                shared=twin is not None,
+            )
+        )
     return outcomes

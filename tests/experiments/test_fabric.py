@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import parallel, scheduler, synth_sweep
+from repro.experiments import runner as runner_module
 from repro.experiments.fabric import protocol
 from repro.experiments.fabric.transport import (
     FabricWorkerDied,
@@ -22,10 +23,9 @@ from repro.experiments.fabric.transport import (
 from repro.experiments.parallel import (
     ParallelExperimentRunner,
     ResultCache,
-    job_digest,
     sweep_entries,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import Cell, ExperimentRunner
 from repro.polyflow import PAPER_CONFIG
 from repro.service.client import RETRY_DELAY_CAP, retry_delay
 from repro.spawn.points import SpawnCategory
@@ -233,10 +233,10 @@ def test_v2_bare_pickle_is_a_clean_miss_and_gc_prunes_it(
     name, spec = _grid_jobs()[0]
     cache_dir = str(tmp_path / "cache")
     with monkeypatch.context() as patch:
-        patch.setattr(parallel, "CACHE_FORMAT_VERSION", 2)
-        v2_digest = job_digest(
-            name, spec, _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
-        )
+        patch.setattr(runner_module, "CACHE_FORMAT_VERSION", 2)
+        v2_digest = Cell(
+            name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
+        ).digest(_SCALE)
     v2_path = ResultCache(cache_dir).path(v2_digest)
     os.makedirs(os.path.dirname(v2_path))
     with open(v2_path, "wb") as handle:
@@ -260,8 +260,8 @@ def test_corrupt_shared_entry_is_a_run_summary_incident(tmp_path, serial_packed)
     the local root: listed in ``corrupt_entries``, re-simulated."""
     name, spec = _grid_jobs()[0]
     store_root = str(tmp_path / "store")
-    digest = job_digest(
-        name, spec, _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
+    digest = Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance).digest(
+        _SCALE
     )
     damaged = ResultCache(store_root).path(digest)
     os.makedirs(os.path.dirname(damaged))
@@ -540,7 +540,7 @@ def _recording_plans(monkeypatch, runner):
 
     def recording(jobs, *args, **kwargs):
         booked = set(runner._results)
-        plans.append(([runner._result_key(*job) for job in jobs], booked))
+        plans.append((list(jobs), booked))
         return plan_grid(jobs, *args, **kwargs)
 
     monkeypatch.setattr(scheduler, "plan_grid", recording)
@@ -609,6 +609,48 @@ def test_transport_counts_batched_cells(transport, tmp_path):
         runner.shutdown_fabric()
     assert runner.summary.jobs_run == len(_grid_jobs())
     assert runner.summary.batched_jobs == len(_grid_jobs())
+
+
+#: Damage done to one stored entry: a flipped bit in the body, and a
+#: write torn off mid-body.
+_STORE_DAMAGE = {
+    "flipped-byte": lambda data: (
+        data[: len(data) // 2]
+        + bytes([data[len(data) // 2] ^ 0x01])
+        + data[len(data) // 2 + 1 :]
+    ),
+    "torn-write": lambda data: data[: len(data) // 2],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_STORE_DAMAGE))
+def test_damaged_store_entry_is_resimulated_and_resealed(
+    transport, damage, tmp_path, serial_packed
+):
+    name, spec = _grid_jobs()[0]
+    cell = Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
+    store_root = str(tmp_path / "store")
+    store = ResultCache(store_root)
+    stats = scheduler.unpack_stats(serial_packed[(name, spec)])
+    store.store(cell.digest(_SCALE), stats, cell.meta(_SCALE))
+    path = store.path(cell.digest(_SCALE))
+    with open(path, "rb") as handle:
+        data = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(_STORE_DAMAGE[damage](data))
+
+    runner, _ = _matrix_runner(transport, tmp_path, fabric_store=store_root)
+    try:
+        assert runner.prefetch(_grid_jobs()) == len(serial_packed)
+        _assert_matches_serial(runner, serial_packed)
+    finally:
+        runner.shutdown_fabric()
+    assert runner.summary.fabric["store_corrupt_rejected"] == 1
+    assert runner.summary.corrupt_entries == [path]
+    reader = ResultCache(store_root)
+    entry = reader.load(cell.digest(_SCALE))
+    assert (reader.hits, reader.corrupt) == (1, 0)
+    assert scheduler.pack_stats(entry[0]) == serial_packed[(name, spec)]
 
 
 def test_dry_run_plans_the_real_sweep(tmp_path, capsys):
@@ -785,7 +827,7 @@ def test_dead_worker_replans_only_unfinished_cells(tmp_path, serial_packed):
 
 def _plan_for_transport(jobs):
     """``(chunks, chunk_costs)`` for driving a transport directly."""
-    jobs = [(name, spec, PAPER_CONFIG, None) for name, spec in jobs]
+    jobs = [Cell(name, spec, PAPER_CONFIG, None) for name, spec in jobs]
     costs = [scheduler.job_cost(name, _SCALE) for name, _, _, _ in jobs]
     chunks = scheduler.plan_chunks(jobs, costs, 2, 1, scheduler.SCHEDULE_COST)
     lookup = dict(zip(jobs, costs))

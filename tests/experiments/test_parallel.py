@@ -11,10 +11,10 @@ from repro.experiments.parallel import (
     ParallelExperimentRunner,
     ResultCache,
     RunSummary,
-    job_digest,
 )
 from repro.experiments.runner import (
     SUPERSCALAR_SPEC,
+    Cell,
     ExperimentRunner,
     simulate_job,
 )
@@ -121,9 +121,8 @@ def test_cache_misses_on_config_change(tmp_path):
 def test_cache_survives_corrupt_entry(tmp_path):
     runner = _parallel(tmp_path, jobs=1)
     runner.prefetch([("gzip", "postdoms")])
-    digest = job_digest(
-        "gzip", "postdoms", _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
-    )
+    cell = Cell("gzip", "postdoms", PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
+    digest = cell.digest(_SCALE)
     # "garbage\n" makes pickle raise ValueError (not UnpicklingError):
     # any exception type must count as a miss.
     with open(runner.cache.path(digest), "wb") as handle:
@@ -154,9 +153,8 @@ def test_cache_load_distinguishes_missing_from_corrupt(tmp_path):
 def test_corrupt_entry_surfaced_in_run_summary(tmp_path):
     runner = _parallel(tmp_path, jobs=1)
     runner.prefetch([("gzip", "postdoms")])
-    digest = job_digest(
-        "gzip", "postdoms", _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
-    )
+    cell = Cell("gzip", "postdoms", PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
+    digest = cell.digest(_SCALE)
     with open(runner.cache.path(digest), "wb") as handle:
         handle.write(b"garbage\n")
 
@@ -168,15 +166,27 @@ def test_corrupt_entry_surfaced_in_run_summary(tmp_path):
     assert recovered.cache.path(digest) in rendered
 
 
-def test_job_digest_sensitivity():
-    base = job_digest("gzip", "postdoms", 0.1, PAPER_CONFIG, 512)
-    assert base == job_digest("gzip", "postdoms", 0.1, PAPER_CONFIG, 512)
-    assert base != job_digest("twolf", "postdoms", 0.1, PAPER_CONFIG, 512)
-    assert base != job_digest("gzip", "loop", 0.1, PAPER_CONFIG, 512)
-    assert base != job_digest("gzip", "postdoms", 0.2, PAPER_CONFIG, 512)
-    assert base != job_digest("gzip", "postdoms", 0.1, PAPER_CONFIG, 256)
+def test_cell_digest_sensitivity():
+    base = Cell("gzip", "postdoms", PAPER_CONFIG, 512).digest(0.1)
+    assert base == Cell("gzip", "postdoms", PAPER_CONFIG, 512).digest(0.1)
+    assert base != Cell("twolf", "postdoms", PAPER_CONFIG, 512).digest(0.1)
+    assert base != Cell("gzip", "loop", PAPER_CONFIG, 512).digest(0.1)
+    assert base != Cell("gzip", "postdoms", PAPER_CONFIG, 512).digest(0.2)
+    assert base != Cell("gzip", "postdoms", PAPER_CONFIG, 256).digest(0.1)
     modified = dataclasses.replace(PAPER_CONFIG, width=4)
-    assert base != job_digest("gzip", "postdoms", 0.1, modified, 512)
+    assert base != Cell("gzip", "postdoms", modified, 512).digest(0.1)
+
+
+def test_cell_digest_pins_the_content_address():
+    """Entries already on disk, in result caches and fabric stores,
+    must keep being found: the digest payload may not drift."""
+    postdoms = "42cf03fe9640ff3c5c84077e6b91cbd9d571b8d131526ca1d53d006a96cba70e"
+    superscalar = "dfacb08c180497e9f1e213d46f1f62839843157b4a019c5c675f6d36943a6076"
+    assert Cell("gzip", "postdoms", PAPER_CONFIG, 512).digest(0.25) == postdoms
+    alias = Cell("gzip", "control-equivalent", PAPER_CONFIG, 512)
+    assert alias.spec == "postdoms"
+    assert alias.digest(0.25) == postdoms
+    assert Cell("gzip", SUPERSCALAR_SPEC, PAPER_CONFIG, 512).digest(0.25) == superscalar
 
 
 # -- runner plumbing --------------------------------------------------------------

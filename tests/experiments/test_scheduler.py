@@ -15,8 +15,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import scheduler
-from repro.experiments.parallel import ParallelExperimentRunner, trace_path, job_digest
-from repro.experiments.runner import ExperimentRunner, SUPERSCALAR_SPEC
+from repro.experiments.parallel import ParallelExperimentRunner
+from repro.experiments.runner import SUPERSCALAR_SPEC, Cell, ExperimentRunner
+from repro.experiments.scheduler import trace_path
 from repro.polyflow import PAPER_CONFIG
 from repro.workloads import clear_cache, workload_trace_length
 
@@ -323,9 +324,8 @@ def test_pooled_traces_byte_identical_to_inline(tmp_path):
     )
     pooled.prefetch(cases)
     for name, spec in cases:
-        digest = job_digest(
-            name, spec, _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
-        )
+        cell = Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
+        digest = cell.digest(_SCALE)
         with open(trace_path(str(serial_dir), name, spec, digest)) as handle:
             expected = handle.read()
         with open(trace_path(str(pooled_dir), name, spec, digest)) as handle:

@@ -20,7 +20,7 @@ from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.experiments import scheduler
-from repro.experiments.parallel import job_digest
+from repro.experiments.runner import Cell
 
 
 class PoolFaultPlan:
@@ -102,7 +102,7 @@ def corrupt_cache_entry(
     if profile_distance is None:
         profile_distance = config.max_spawn_distance
     cache = ResultCache(cache_dir)
-    path = cache.path(job_digest(name, spec, scale, config, profile_distance))
+    path = cache.path(Cell(name, spec, config, profile_distance).digest(scale))
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as stream:
         stream.write(b"\x00garbage: not a pickle\x00")

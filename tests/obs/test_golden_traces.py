@@ -19,12 +19,9 @@ import os
 
 import pytest
 
-from repro.experiments.parallel import (
-    ParallelExperimentRunner,
-    job_digest,
-    trace_path,
-)
-from repro.experiments.runner import build_core
+from repro.experiments.parallel import ParallelExperimentRunner
+from repro.experiments.runner import Cell, build_core
+from repro.experiments.scheduler import trace_path
 from repro.obs import LIFECYCLE_KINDS, EventBus, JsonlTraceWriter
 from repro.polyflow import PAPER_CONFIG
 from repro.spawn import canonical_spec
@@ -134,9 +131,8 @@ def test_traces_byte_identical_under_parallel_jobs(tmp_path, request):
     )
     runner.prefetch([(name, spec) for name, spec in _CASES])
     for name, spec in _CASES:
-        digest = job_digest(
-            name, spec, _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
-        )
+        cell = Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
+        digest = cell.digest(_SCALE)
         worker_file = trace_path(str(tmp_path), name, spec, digest)
         with open(worker_file) as handle:
             worker_bytes = handle.read()

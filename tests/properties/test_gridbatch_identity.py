@@ -17,6 +17,7 @@ deterministic tests pin which cells may share.
 import dataclasses
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,13 +73,12 @@ def _assert_batch_matches_per_cell(cells, scale):
     ]
     batched = gridbatch.run_batch(jobs, scale)
     assert len(batched) == len(per_cell)
-    for (expected, *_), (actual, metrics, seconds, blocks) in zip(
-        per_cell, batched
-    ):
-        assert actual.as_dict() == expected.as_dict()
-        assert metrics is None
-        assert seconds >= 0.0
-        assert isinstance(blocks, dict)
+    for expected, actual in zip(per_cell, batched):
+        assert actual.stats.as_dict() == expected.stats.as_dict()
+        assert actual.metrics is None
+        assert actual.seconds >= 0.0
+        assert isinstance(actual.blocks, dict)
+        assert actual.batched and not expected.batched
 
 
 @given(cells=_cells(_NAME_POOL, _SPEC_POOL))
@@ -107,7 +107,7 @@ def _counting_runs(monkeypatch):
 
 
 def _shared(outcomes):
-    return [bool(blocks.get(gridbatch.SHARED_RUN)) for _, _, _, blocks in outcomes]
+    return [outcome.shared for outcome in outcomes]
 
 
 def test_identical_machines_share_one_kernel_run(monkeypatch):
@@ -177,9 +177,27 @@ def test_batch_keeps_one_core_alive_at_a_time(monkeypatch):
     assert alive == []
 
 
-def test_batchable_rejects_instrumented_cells():
-    assert gridbatch.batchable(False)
-    assert not gridbatch.batchable(True)
-    assert not gridbatch.batchable(False, trace_file="x.jsonl")
-    assert not gridbatch.batchable(False, bus=object())
+@pytest.mark.parametrize("instrument", ["emit_metrics", "trace_dir", "bus_for"])
+def test_run_cells_never_batches_instrumented_calls(instrument, tmp_path):
+    """A call with any instrument runs every cell per-cell, however
+    many cells share it; the same call without one batches them."""
+    from repro.obs import EventBus
+
+    cells = [
+        runner.Cell("mcf", spec, PAPER_CONFIG, None) for spec in _MCF_GROUP[:2]
+    ]
+    instruments = {
+        "emit_metrics": True,
+        "trace_dir": str(tmp_path),
+        "bus_for": lambda cell: EventBus(),
+    }
+    plain = scheduler.run_cells(_SPEC_SCALE, cells)
+    assert [outcome.batched for outcome in plain] == [True, True]
+    outcomes = scheduler.run_cells(
+        _SPEC_SCALE, cells, **{instrument: instruments[instrument]}
+    )
+    assert [outcome.batched for outcome in outcomes] == [False, False]
+    assert [outcome.shared for outcome in outcomes] == [False, False]
+    for expected, actual in zip(plain, outcomes):
+        assert actual.stats.as_dict() == expected.stats.as_dict()
 

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from tests.helpers import examples
 from tests.strategies import damaged
 
-from repro.experiments.parallel import ResultCache, job_digest, job_meta
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.parallel import ResultCache
+from repro.experiments.runner import Cell, ExperimentRunner
 from repro.polyflow import PAPER_CONFIG
 
 _SETTINGS = dict(max_examples=examples(200), deadline=None)
@@ -38,12 +38,9 @@ def entries():
     with tempfile.TemporaryDirectory() as root:
         cache = ResultCache(root)
         for name in _WORKLOADS:
-            digest = job_digest(name, _SPEC, _SCALE, PAPER_CONFIG, distance)
-            cache.store(
-                digest,
-                runner.run_policy(name, _SPEC),
-                job_meta(name, _SPEC, _SCALE, PAPER_CONFIG, distance),
-            )
+            cell = Cell(name, _SPEC, PAPER_CONFIG, distance)
+            digest = cell.digest(_SCALE)
+            cache.store(digest, runner.run_policy(name, _SPEC), cell.meta(_SCALE))
             with open(cache.path(digest), "rb") as handle:
                 stored[name] = (digest, handle.read())
     return stored

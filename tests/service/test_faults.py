@@ -11,8 +11,8 @@ Three production failure modes, injected deterministically via
   rewritten clean, and surfaced in the incident counters.
 """
 
-from repro.experiments.parallel import ResultCache, job_digest
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.parallel import ResultCache
+from repro.experiments.runner import Cell, ExperimentRunner
 from repro.polyflow import PAPER_CONFIG
 from repro.service import wire
 from tests.faults import broken_pool, corrupt_cache_entry
@@ -116,9 +116,8 @@ def test_corrupt_cache_entry_is_resimulated_and_rewritten(
 
     # The re-simulation rewrote the entry; it now passes verification.
     reader = ResultCache(cache_dir)
-    digest = job_digest(
-        "gzip", "postdoms", _SCALE, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance
-    )
+    cell = Cell("gzip", "postdoms", PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
+    digest = cell.digest(_SCALE)
     assert reader.path(digest) == damaged
     assert reader.load(digest) is not None
     assert (reader.hits, reader.corrupt) == (1, 0)

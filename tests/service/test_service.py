@@ -231,3 +231,33 @@ def test_cold_prefetch_probes_the_cache_once_per_cell(tmp_path):
     # Every cell kept its own bus: none ran in the grid batch.
     assert runner.summary.batched_jobs == 0
     assert any(event["kind"].startswith("sim.") for event in journal.events)
+
+
+def test_store_held_cell_is_labelled_cache(tmp_path):
+    """A cell the fabric store answers is labelled by the tier that
+    produced it: ``cache``, not ``simulated``, with no simulation run."""
+    from repro.experiments.parallel import ResultCache
+    from repro.experiments.runner import Cell
+    from repro.service.admission import QueuedQuery
+    from repro.service.engine import ExplorationEngine
+
+    store_root = str(tmp_path / "store")
+    cell = Cell("gzip", "postdoms", PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
+    stats = ExperimentRunner(scale=_SCALE).run_policy("gzip", "postdoms")
+    ResultCache(store_root).store(cell.digest(_SCALE), stats, cell.meta(_SCALE))
+
+    engine = ExplorationEngine(fabric_store=store_root)
+    query = QueuedQuery([wire.Cell("gzip", "postdoms", PAPER_CONFIG)], _SCALE)
+    engine.execute_batch([query])
+    response = query.future.result(timeout=0)
+
+    assert [r["source"] for r in response["results"]] == ["cache"]
+    assert response["batch"]["cache_hits"] == 1
+    assert wire.canonical_json(response["results"][0]["stats"]) == (
+        wire.canonical_json(wire.encode_stats(stats))
+    )
+    assert engine.cells_by_source["cache"] == 1
+    assert engine.cells_by_source["simulated"] == 0
+    summary = engine.summary_dict()
+    assert summary["jobs_run"] == 0
+    assert summary["fabric"]["store_cells"] == 1

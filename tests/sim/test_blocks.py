@@ -6,7 +6,6 @@ from repro.isa import assemble
 from repro.sim import run_program
 from repro.sim.blocks import (
     BLOCK_CACHE_KEYS,
-    BLOCK_FORMAT_VERSION,
     ICACHE_LINE_BYTES,
     ProgramBlocks,
     block_table_for,
@@ -151,7 +150,6 @@ def test_describe_summarizes_table():
     summary = table.describe()
     assert summary["instructions"] == table.length
     assert summary["blocks"] == table.block_count() == len(table.starts)
-    assert summary["version"] == BLOCK_FORMAT_VERSION
     assert summary["max_block_length"] >= summary["mean_block_length"] > 0
     assert summary["plain_instructions"] == sum(
         1
@@ -219,15 +217,6 @@ def test_block_table_memoized_on_trace_with_counters():
     delta = counters_delta({key: 0 for key in BLOCK_CACHE_KEYS})
     assert delta["table_misses"] == 1
     assert delta["table_hits"] == 1
-
-
-def test_block_table_version_mismatch_recompiles():
-    trace = _trace(_LOOP)
-    table = block_table_for(trace)
-    table.version = BLOCK_FORMAT_VERSION - 1
-    recompiled = block_table_for(trace)
-    assert recompiled is not table
-    assert recompiled.version == BLOCK_FORMAT_VERSION
 
 
 def test_block_table_survives_trace_pickle():
