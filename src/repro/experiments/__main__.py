@@ -108,13 +108,6 @@ def main(argv=None):
         "automatically from each cell's estimated cost)",
     )
     parser.add_argument(
-        "--schedule",
-        choices=scheduler.SCHEDULES,
-        default=scheduler.SCHEDULE_COST,
-        help="chunk ordering: 'cost' ships longest-expected chunks "
-        "first (default), 'fifo' keeps grid order",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
         help="on-disk result cache directory (default {!r})".format(
@@ -294,7 +287,6 @@ def main(argv=None):
         emit_metrics=arguments.emit_metrics,
         trace_dir=arguments.trace_dir,
         chunk=arguments.chunk,
-        schedule=arguments.schedule,
         fabric_workers=arguments.fabric_workers,
         fabric_store=arguments.fabric_store,
         fabric_command=arguments.fabric_ssh,
@@ -476,7 +468,6 @@ def _run_fabric_plan(arguments):
         scale=arguments.scale,
         cache_dir=None if arguments.no_cache else arguments.cache_dir,
         chunk=arguments.chunk,
-        schedule=arguments.schedule,
         fabric_workers=workers,
         fabric_store=arguments.fabric_store,
     )
@@ -528,7 +519,6 @@ def _run_serve(arguments):
             jobs=arguments.jobs,
             cache_dir=None if arguments.no_cache else arguments.cache_dir,
             chunk=arguments.chunk,
-            schedule=arguments.schedule,
             fabric_workers=arguments.fabric_workers,
             fabric_store=arguments.fabric_store,
         )

@@ -27,7 +27,7 @@ filled cache directory serves as a store as is.
 Placement never changes results: cells are deterministic simulations
 addressed by their cell digests, outcomes merge into the same
 cell-keyed memo the serial runner reads, and the placement-invariance suite asserts
-byte identity across transports, worker counts, and schedules.
+byte identity across transports, worker counts, and chunk sizes.
 """
 
 from repro.experiments.fabric.transport import (

@@ -71,6 +71,9 @@ class LocalPoolTransport:
     ride along to the workers with every chunk.
     """
 
+    #: The transport's name in the run summary's records.
+    name = "pool"
+
     #: Below this estimated cost a fork-pool round trip cannot pay for
     #: itself on this machine, so the cell runs in the parent.
     inline_threshold = scheduler.INLINE_COST_THRESHOLD
@@ -127,12 +130,12 @@ class SubprocessWorkerTransport:
     extended to the repro package root, so a bare checkout works
     without installation.
 
-    ``throughputs`` weights the shard planner when workers are not
-    equally fast (a laptop driving a big remote box); ``extra_env``
-    reaches the workers' environment (tests inject faults there).
-    Cells run plain: the runner refuses metrics emission and trace
-    directories on this transport.
+    ``extra_env`` reaches the workers' environment (tests inject
+    faults there).  Cells run plain: the runner refuses metrics
+    emission and trace directories on this transport.
     """
+
+    name = "subprocess"
 
     #: Workers are provisioned capacity, not this machine's cores, so
     #: by default every pooled cell ships.
@@ -146,7 +149,6 @@ class SubprocessWorkerTransport:
         command_template=None,
         chunk_timeout=DEFAULT_CHUNK_TIMEOUT,
         heartbeat_interval=1.0,
-        throughputs=None,
         extra_env=None,
     ):
         self.workers = max(1, int(workers))
@@ -155,7 +157,6 @@ class SubprocessWorkerTransport:
         self.command_template = command_template
         self.chunk_timeout = chunk_timeout
         self.heartbeat_interval = heartbeat_interval
-        self.throughputs = throughputs
         self.extra_env = dict(extra_env or {})
         self._procs = [None] * self.workers
         self._readers = [None] * self.workers
@@ -294,9 +295,7 @@ class SubprocessWorkerTransport:
             backlog.append(item)
         for item in backlog:
             self._frames.put(item)
-        shards = scheduler.plan_shards(
-            costs, self.workers, throughputs=self.throughputs
-        )
+        shards = scheduler.plan_shards(costs, self.workers)
         pending = {}
         started = time.perf_counter()
         for worker, shard in enumerate(shards):

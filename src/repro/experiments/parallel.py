@@ -20,7 +20,8 @@ such a grid, one or many, through one dispatch loop:
 4. **book** every :class:`~repro.experiments.runner.Outcome` through
    one function, :meth:`~ParallelExperimentRunner._book`, as it
    arrives — cache and store hits included, told apart by their
-   ``source``.
+   ``source``.  The :class:`RunSummary` is a fold over what was
+   booked, plus one record per plan and per dead worker.
 
 Every pending cell is a :class:`~repro.experiments.runner.Cell`; the
 parent computes its digest once per dispatch and uses it for the
@@ -51,6 +52,7 @@ import os
 import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
+from typing import NamedTuple
 
 from repro import sealed
 from repro.analysis.pipeline import configure_disk_cache
@@ -62,6 +64,7 @@ from repro.experiments.fabric.transport import (
     SubprocessWorkerTransport,
 )
 from repro.experiments.runner import CACHE_FORMAT_VERSION, ExperimentRunner, Outcome
+from repro.polyflow import PAPER_CONFIG
 from repro.polyflow.config import config_fingerprint
 from repro.sim.blocks import BLOCK_CACHE_KEYS
 
@@ -281,149 +284,162 @@ class ResultCache:
         return sweep_entries(self.root, max_bytes)
 
 
-class RunSummary:
-    """Where the time went: jobs simulated, cache hits, wall clock.
+class Dispatch(NamedTuple):
+    """One dispatch as the run summary records it: the transport's name
+    (``"pool"`` or ``"subprocess"``) and worker count, and its plan."""
 
-    When metrics emission is enabled the per-job aggregator snapshots
-    shipped back from the workers are collected here too, so one
-    summary object carries everything a run produced besides the
-    stats themselves.  Scheduling telemetry (inline cells, chunks
-    shipped, pool workers) and corrupt cache entries accumulate here
-    as well and show up in :meth:`render`.
+    transport: str
+    workers: int
+    plan: object
+
+
+class Incident(NamedTuple):
+    """One dead-worker incident: the transport it hit and how many
+    cells were replanned after it."""
+
+    transport: str
+    replanned_cells: int
+
+
+def _label(config, cell):
+    """Spec label for the run summary; swept configurations (the
+    ablations) are disambiguated by their fingerprint."""
+    fingerprint = config_fingerprint(cell.config)
+    if fingerprint == config_fingerprint(config):
+        return cell.spec
+    return "{} @{}".format(cell.spec, fingerprint[:6])
+
+
+class RunSummary:
+    """Where the time went, folded from what a run booked.
+
+    A summary keeps records, not counters.  Its ledger is the runner's
+    ``Cell → Outcome`` memo, so every per-cell counter — cells
+    simulated, cache hits, store cells, batched and shared cells,
+    timings, block-cache movement, metrics snapshots — is a fold over
+    the booked :class:`~repro.experiments.runner.Outcome`\\ s, and the
+    corrupt entries are the result caches' own ``corrupt_paths``.  The
+    runner adds one :class:`Dispatch` per plan and one
+    :class:`Incident` per dead worker, whatever the transport, and one
+    placement snapshot per fabric dispatch.  The wall clock, the
+    estimator's cells and the store traffic are plain snapshots.
+    :meth:`merged` concatenates the records of several summaries, so a
+    merged summary folds exactly like a single one.
     """
 
-    def __init__(self):
-        self.jobs_run = 0
-        self.cache_hits = 0
-        #: ``[(workload, spec, seconds), ...]`` for every simulation run.
-        self.job_timings = []
-        self.wall_seconds = 0.0
-        #: ``{spec: [aggregator snapshot, ...]}`` from metrics-emitting runs.
-        self.metrics_snapshots = {}
-        #: Cells the scheduler ran inline in the parent.
-        self.inline_jobs = 0
-        #: Chunks shipped to the worker pool.
-        self.chunks_shipped = 0
-        #: Worker count of the largest pool this summary used.
-        self.pool_workers = 0
-        #: Corrupt cache entries encountered (re-simulated, but surfaced).
-        self.corrupt_entries = []
-        #: Warm-pool restarts after a ``BrokenProcessPool`` (each one is
-        #: an incident: a worker died and the grid was retried).
-        self.pool_restarts = 0
-        #: Accumulated block-cache counter movement across every
-        #: simulation this summary booked (parent and workers alike).
-        self.block_cache = {key: 0 for key in BLOCK_CACHE_KEYS}
-        #: Cells executed through the grid-batch runner
-        #: (a subset of ``jobs_run``; the rest ran per-cell).
-        self.batched_jobs = 0
-        #: Simulated cells whose stats came from an identical cell's
-        #: kernel run in the same batch (a subset of ``jobs_run``).
-        self.shared_cells = 0
+    def __init__(self, booked=None, config=PAPER_CONFIG, caches=()):
+        #: ``[(config, ledger), ...]``: each ledger maps a cell to its
+        #: booked outcome; ``config`` is its runner's, for the labels.
+        self._ledgers = [] if booked is None else [(config, booked)]
+        #: The result caches whose corrupt entries this run met.
+        self._caches = list(caches)
+        self.dispatches = []
+        self.incidents = []
+        #: Transport placement snapshots (per-worker cell and
+        #: wall-clock vectors), one per fabric dispatch.
+        self.placements = []
         #: Cells answered from the analytic estimator alone — no
         #: simulation ran, the consumer saw ``source=estimated``.
         self.estimated_cells = 0
-        #: Fabric telemetry: placement, store traffic, incidents.
-        #: Flat numerics only (the service merges summaries by summing
-        #: one dict level); per-worker vectors live in
-        #: :attr:`fabric_placement` for rendering and tests.
-        self.fabric = {
-            "workers": 0,
-            "chunks": 0,
-            "cells": 0,
-            "store_cells": 0,
-            "replanned_cells": 0,
-            "restarts": 0,
-            "straggler_seconds": 0.0,
-            "store_fetches": 0,
-            "store_hits": 0,
-            "store_misses": 0,
-            "store_publishes": 0,
-            "store_corrupt_rejected": 0,
-        }
-        #: The latest transport placement snapshot (per-worker cell and
-        #: wall-clock vectors; not part of :meth:`as_dict`).
-        self.fabric_placement = None
+        self.wall_seconds = 0.0
+        #: Cumulative store counters of the parent's store and of the
+        #: fabric workers' (latest snapshots, not sums).
+        self.store_traffic = {}
+        self.worker_store_traffic = {}
 
-    def record_job(self, name, spec, seconds):
-        self.jobs_run += 1
-        self.job_timings.append((name, spec, seconds))
-
-    def record_hit(self):
-        self.cache_hits += 1
-
-    def record_corrupt(self, path):
-        """Note one unreadable cache entry (it will be re-simulated).
-
-        The same entry can be probed twice before the re-simulation
-        overwrites it (prefetch's parent-side load, then a degraded
-        service batch's per-cell retry), so paths are deduplicated.
-        """
-        if path not in self.corrupt_entries:
-            self.corrupt_entries.append(path)
-
-    def record_pool_restart(self):
-        """Note one dead-pool incident (the pool was torn down)."""
-        self.pool_restarts += 1
-
-    def record_batched(self, count):
-        """Note ``count`` cells that ran through the grid batch."""
-        self.batched_jobs += count
+    @classmethod
+    def merged(cls, summaries):
+        """One summary over several: records concatenate, and the
+        snapshots of separate runners add up."""
+        merged = cls()
+        for summary in summaries:
+            merged._ledgers += summary._ledgers
+            merged._caches += summary._caches
+            merged.dispatches += summary.dispatches
+            merged.incidents += summary.incidents
+            merged.placements += summary.placements
+            merged.estimated_cells += summary.estimated_cells
+            merged.wall_seconds += summary.wall_seconds
+            for total, part in (
+                (merged.store_traffic, summary.store_traffic),
+                (merged.worker_store_traffic, summary.worker_store_traffic),
+            ):
+                for key, value in part.items():
+                    total[key] = total.get(key, 0) + value
+        return merged
 
     def record_estimated(self, count=1):
         """Note cells served analytically (``source=estimated``)."""
         self.estimated_cells += count
 
-    def record_fabric_schedule(self, workers, chunks, cells):
-        """Accumulate one fabric dispatch's shape."""
-        self.fabric["workers"] = max(self.fabric["workers"], workers)
-        self.fabric["chunks"] += chunks
-        self.fabric["cells"] += cells
+    # -- folds over the booked outcomes -------------------------------------------
 
-    def record_fabric_store_cells(self, count):
-        """Note ``count`` cells answered from the shared store."""
-        self.fabric["store_cells"] += count
+    def _booked(self, source=None):
+        """``(config, cell, outcome)`` for every booked outcome (from
+        ``source`` only, when given), in booking order."""
+        for config, ledger in self._ledgers:
+            # A copy: the service books on its executor thread while
+            # ``/healthz`` folds on another.
+            for cell, outcome in list(ledger.items()):
+                if source is None or outcome.source == source:
+                    yield config, cell, outcome
 
-    def record_fabric_replan(self, cells):
-        """Note one dead-worker incident and the cells it replanned."""
-        self.fabric["restarts"] += 1
-        self.fabric["replanned_cells"] += cells
+    def _simulated(self):
+        return [outcome for _, _, outcome in self._booked("simulated")]
 
-    def record_fabric_placement(self, placement):
-        """Absorb one transport placement snapshot (straggler wall,
-        per-worker vectors for :meth:`render`)."""
-        self.fabric_placement = placement
-        self.fabric["straggler_seconds"] = max(
-            self.fabric["straggler_seconds"],
-            placement.get("straggler_seconds", 0.0),
-        )
+    @property
+    def jobs_run(self):
+        return len(self._simulated())
 
-    def set_fabric_store(self, stats):
-        """Overwrite the store counters with a cumulative snapshot.
+    @property
+    def cache_hits(self):
+        return sum(1 for _ in self._booked("cache"))
 
-        Store objects count cumulatively across a run, so the latest
-        snapshot *is* the total — adding would double-book.
-        """
-        for key, value in stats.items():
-            self.fabric["store_" + key] = value
+    @property
+    def batched_jobs(self):
+        """Simulated cells the grid batch ran (the rest ran per cell)."""
+        return sum(outcome.batched for outcome in self._simulated())
 
-    def record_schedule(self, plan):
-        """Accumulate one :class:`~repro.experiments.scheduler.GridSchedule`."""
-        self.inline_jobs += len(plan.inline)
-        self.chunks_shipped += len(plan.chunks)
-        self.pool_workers = max(self.pool_workers, plan.workers)
+    @property
+    def shared_cells(self):
+        """Simulated cells whose stats came from an identical cell's
+        kernel run in the same batch."""
+        return sum(outcome.shared for outcome in self._simulated())
 
-    def record_metrics(self, spec, snapshot):
-        """Collect one worker's aggregator snapshot under its policy spec."""
-        self.metrics_snapshots.setdefault(spec, []).append(snapshot)
+    @property
+    def job_timings(self):
+        """``[(workload, spec label, seconds), ...]`` per simulation."""
+        return [
+            (cell.workload, _label(config, cell), outcome.seconds)
+            for config, cell, outcome in self._booked("simulated")
+        ]
 
-    def record_block_cache(self, delta):
-        """Accumulate one job's block-cache counter movement."""
-        if not delta:
-            return
-        for key, value in delta.items():
-            if key in self.block_cache:
-                self.block_cache[key] += value
+    @property
+    def total_sim_seconds(self):
+        """Summed per-job simulation time (exceeds wall time when
+        jobs overlap across workers)."""
+        return sum(outcome.seconds for outcome in self._simulated())
+
+    @property
+    def block_cache(self):
+        """Block-cache counter movement summed over every simulation
+        (parent and workers alike)."""
+        totals = dict.fromkeys(BLOCK_CACHE_KEYS, 0)
+        for outcome in self._simulated():
+            for key, value in (outcome.blocks or {}).items():
+                if key in totals:
+                    totals[key] += value
+        return totals
+
+    @property
+    def metrics_snapshots(self):
+        """``{spec label: [aggregator snapshot, ...]}`` of every outcome
+        that carries metrics (fresh runs and usable cache hits)."""
+        snapshots = {}
+        for config, cell, outcome in self._booked():
+            if outcome.metrics is not None:
+                snapshots.setdefault(_label(config, cell), []).append(outcome.metrics)
+        return snapshots
 
     def merged_metrics(self):
         """Per-policy merged attribution metrics (``{spec: snapshot}``)."""
@@ -435,10 +451,76 @@ class RunSummary:
         }
 
     @property
-    def total_sim_seconds(self):
-        """Summed per-job simulation time (exceeds wall time when
-        jobs overlap across workers)."""
-        return sum(seconds for _, _, seconds in self.job_timings)
+    def corrupt_entries(self):
+        """Damaged entries the caches met (re-simulated, but surfaced);
+        an entry probed twice before its rewrite is listed once."""
+        return list(
+            dict.fromkeys(
+                path for cache in self._caches for path in cache.corrupt_paths
+            )
+        )
+
+    # -- folds over the dispatch records ------------------------------------------
+
+    def _dispatched(self, transport):
+        return [entry for entry in self.dispatches if entry.transport == transport]
+
+    def _incidents(self, transport):
+        return [entry for entry in self.incidents if entry.transport == transport]
+
+    @property
+    def inline_jobs(self):
+        """Cells the scheduler ran inline in the parent."""
+        return sum(len(entry.plan.inline) for entry in self.dispatches)
+
+    @property
+    def chunks_shipped(self):
+        """Chunks shipped to the warm pool."""
+        return sum(len(entry.plan.chunks) for entry in self._dispatched("pool"))
+
+    @property
+    def pool_workers(self):
+        """Worker count of the largest pool this summary used."""
+        return max(
+            (entry.plan.workers for entry in self._dispatched("pool")), default=0
+        )
+
+    @property
+    def pool_restarts(self):
+        """Warm-pool restarts after a dead worker."""
+        return len(self._incidents("pool"))
+
+    @property
+    def fabric_placement(self):
+        """The latest transport placement snapshot (not part of
+        :meth:`as_dict`)."""
+        return self.placements[-1] if self.placements else None
+
+    @property
+    def fabric(self):
+        """Fabric telemetry: placement, store traffic, incidents (flat
+        numerics; per-worker vectors live in :attr:`fabric_placement`)."""
+        dispatched = self._dispatched("subprocess")
+        incidents = self._incidents("subprocess")
+        fabric = {
+            "workers": max(
+                (entry.workers for entry in dispatched if entry.plan.chunks),
+                default=0,
+            ),
+            "chunks": sum(len(entry.plan.chunks) for entry in dispatched),
+            "cells": sum(entry.plan.pooled_jobs for entry in dispatched),
+            "store_cells": sum(1 for _ in self._booked("store")),
+            "replanned_cells": sum(entry.replanned_cells for entry in incidents),
+            "restarts": len(incidents),
+            "straggler_seconds": max(
+                [0.0] + [entry["straggler_seconds"] for entry in self.placements]
+            ),
+        }
+        for key in ("fetches", "hits", "misses", "publishes", "corrupt_rejected"):
+            fabric["store_" + key] = self.store_traffic.get(key, 0)
+        for key, value in self.worker_store_traffic.items():
+            fabric["worker_store_" + key] = value
+        return fabric
 
     def as_dict(self):
         """Every counter as structured fields (JSON-able).
@@ -449,6 +531,7 @@ class RunSummary:
         entries and pool restarts — are first-class fields here, not
         just lines in the rendered summary.
         """
+        corrupt = self.corrupt_entries
         return {
             "jobs_run": self.jobs_run,
             "cache_hits": self.cache_hits,
@@ -456,13 +539,13 @@ class RunSummary:
             "chunks_shipped": self.chunks_shipped,
             "pool_workers": self.pool_workers,
             "pool_restarts": self.pool_restarts,
-            "corrupt_cache_entries": len(self.corrupt_entries),
-            "corrupt_cache_paths": list(self.corrupt_entries),
-            "block_cache": dict(self.block_cache),
+            "corrupt_cache_entries": len(corrupt),
+            "corrupt_cache_paths": corrupt,
+            "block_cache": self.block_cache,
             "batched_jobs": self.batched_jobs,
             "shared_cells": self.shared_cells,
             "estimated_cells": self.estimated_cells,
-            "fabric": dict(self.fabric),
+            "fabric": self.fabric,
             "wall_seconds": self.wall_seconds,
             "total_sim_seconds": self.total_sim_seconds,
         }
@@ -472,33 +555,35 @@ class RunSummary:
         return sorted(self.job_timings, key=lambda item: -item[2])[:count]
 
     def render(self):
+        jobs_run = self.jobs_run
+        batched, shared = self.batched_jobs, self.shared_cells
+        fabric, block_cache = self.fabric, self.block_cache
+        corrupt = self.corrupt_entries
         lines = [
             "run summary: {} simulated, {} cache hits, "
             "{:.1f}s total sim time, {:.1f}s wall".format(
-                self.jobs_run,
+                jobs_run,
                 self.cache_hits,
                 self.total_sim_seconds,
                 self.wall_seconds,
             )
         ]
-        if self.jobs_run:
+        if jobs_run:
             lines.append(
                 "  schedule: {} inline, {} chunks across {} pool workers".format(
                     self.inline_jobs, self.chunks_shipped, self.pool_workers
                 )
             )
-        if self.batched_jobs:
+        if batched:
             lines.append(
                 "  grid-batch: {} of {} simulated cells ran batched".format(
-                    self.batched_jobs, self.jobs_run
+                    batched, jobs_run
                 )
             )
-        if self.shared_cells:
+        if shared:
             lines.append(
                 "  shared: {} of {} simulated cells reused an identical cell's "
-                "run ({} kernel runs)".format(
-                    self.shared_cells, self.jobs_run, self.jobs_run - self.shared_cells
-                )
+                "run ({} kernel runs)".format(shared, jobs_run, jobs_run - shared)
             )
         if self.estimated_cells:
             lines.append(
@@ -512,15 +597,15 @@ class RunSummary:
                     self.pool_restarts
                 )
             )
-        if self.fabric["cells"]:
+        if fabric["cells"]:
             lines.append(
                 "  fabric: {} cells in {} chunks across {} workers "
                 "({} from store), straggler {:.1f}s".format(
-                    self.fabric["cells"],
-                    self.fabric["chunks"],
-                    self.fabric["workers"],
-                    self.fabric["store_cells"],
-                    self.fabric["straggler_seconds"],
+                    fabric["cells"],
+                    fabric["chunks"],
+                    fabric["workers"],
+                    fabric["store_cells"],
+                    fabric["straggler_seconds"],
                 )
             )
             if self.fabric_placement:
@@ -529,47 +614,43 @@ class RunSummary:
                         self.fabric_placement.get("cells_by_worker")
                     )
                 )
-        if self.fabric["store_fetches"] or self.fabric["store_publishes"]:
+        if fabric["store_fetches"] or fabric["store_publishes"]:
             lines.append(
                 "  fabric store: {} hits / {} misses, {} published, "
                 "{} corrupt rejected".format(
-                    self.fabric["store_hits"],
-                    self.fabric["store_misses"],
-                    self.fabric["store_publishes"],
-                    self.fabric["store_corrupt_rejected"],
+                    fabric["store_hits"],
+                    fabric["store_misses"],
+                    fabric["store_publishes"],
+                    fabric["store_corrupt_rejected"],
                 )
             )
-        if self.fabric.get("worker_store_fetches") or self.fabric.get(
-            "worker_store_publishes"
-        ):
+        if fabric.get("worker_store_fetches") or fabric.get("worker_store_publishes"):
             lines.append(
                 "  worker store traffic: {} hits / {} misses, "
                 "{} published".format(
-                    self.fabric.get("worker_store_hits", 0),
-                    self.fabric.get("worker_store_misses", 0),
-                    self.fabric.get("worker_store_publishes", 0),
+                    fabric.get("worker_store_hits", 0),
+                    fabric.get("worker_store_misses", 0),
+                    fabric.get("worker_store_publishes", 0),
                 )
             )
-        if self.fabric["restarts"]:
+        if fabric["restarts"]:
             lines.append(
                 "  {} fabric worker restart(s); {} cells replanned".format(
-                    self.fabric["restarts"], self.fabric["replanned_cells"]
+                    fabric["restarts"], fabric["replanned_cells"]
                 )
             )
-        if any(self.block_cache.values()):
+        if any(block_cache.values()):
             lines.append(
                 "  block cache: {table_hits} table hits / {table_misses} compiles, "
                 "{program_hits} program hits / {program_misses} builds".format(
-                    **self.block_cache
+                    **block_cache
                 )
             )
-        if self.corrupt_entries:
+        if corrupt:
             lines.append(
-                "  {} corrupt cache entries re-simulated:".format(
-                    len(self.corrupt_entries)
-                )
+                "  {} corrupt cache entries re-simulated:".format(len(corrupt))
             )
-            for path in self.corrupt_entries[:5]:
+            for path in corrupt[:5]:
                 lines.append("    {}".format(path))
         for name, spec, seconds in self.slowest():
             lines.append("  {:>6.1f}s  {} / {}".format(seconds, name, spec))
@@ -585,13 +666,17 @@ class ParallelExperimentRunner(ExperimentRunner):
     ``run_policy`` …) stay serial but consult the disk cache.
 
     Scheduler knobs: ``chunk`` caps grid cells per chunk (``None``
-    sizes chunks by estimated cost), ``schedule`` picks cost-ordered or
-    FIFO chunking, ``inline_threshold`` is the trace-length floor below
-    which a cell runs inline in the parent (``None`` takes the
-    transport's default), and ``cpus`` overrides CPU detection (tests
-    force the pool path on single-core machines).  Chunks run on the
-    warm pool of ``jobs`` workers, or on ``fabric_workers`` subprocess
-    workers when that is set.
+    sizes chunks by estimated cost), ``inline_threshold`` is the
+    trace-length floor below which a cell runs inline in the parent
+    (``None`` takes the transport's default), and ``cpus`` overrides
+    CPU detection (tests force the pool path on single-core machines).
+    Chunks run on the warm pool of ``jobs`` workers, or on
+    ``fabric_workers`` subprocess workers when that is set.
+
+    :attr:`summary` is a :class:`RunSummary` over this runner's memo:
+    :meth:`_book` writes the memo and the caches only, and the runner
+    records one :class:`Dispatch` per plan and one :class:`Incident`
+    per dead worker.
     """
 
     def __init__(
@@ -604,7 +689,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         emit_metrics=False,
         trace_dir=None,
         chunk=None,
-        schedule=scheduler.SCHEDULE_COST,
         inline_threshold=None,
         cpus=None,
         pool_retries=1,
@@ -612,7 +696,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         fabric_store=None,
         fabric_command=None,
         fabric_chunk_timeout=None,
-        fabric_throughputs=None,
         fabric_extra_env=None,
     ):
         keyword_arguments = {}
@@ -621,15 +704,8 @@ class ParallelExperimentRunner(ExperimentRunner):
         if workload_names is not None:
             keyword_arguments["workload_names"] = workload_names
         super().__init__(scale=scale, **keyword_arguments)
-        if schedule not in scheduler.SCHEDULES:
-            raise ConfigurationError(
-                "unknown schedule {!r}; choose from {}".format(
-                    schedule, scheduler.SCHEDULES
-                )
-            )
         self.jobs = max(1, int(jobs))
         self.chunk = chunk
-        self.schedule = schedule
         self.inline_threshold = inline_threshold
         self.cpus = cpus
         #: Times a grid is retried after a dead worker (each retry
@@ -643,9 +719,8 @@ class ParallelExperimentRunner(ExperimentRunner):
         )
         if self.analysis_dir is not None:
             configure_disk_cache(self.analysis_dir)
-        self.summary = RunSummary()
-        #: Attach a verbose MetricsAggregator to every simulation and
-        #: collect the per-policy snapshots in :attr:`summary`.
+        #: Attach a verbose MetricsAggregator to every simulation; the
+        #: snapshots reach :attr:`summary` with the outcomes.
         self.emit_metrics = bool(emit_metrics)
         #: Write a compact lifecycle-events JSONL per simulation here.
         self.trace_dir = trace_dir
@@ -667,7 +742,6 @@ class ParallelExperimentRunner(ExperimentRunner):
             )
         self.fabric_command = fabric_command
         self.fabric_chunk_timeout = fabric_chunk_timeout
-        self.fabric_throughputs = fabric_throughputs
         self.fabric_extra_env = fabric_extra_env
         if isinstance(fabric_store, str):
             fabric_store = ResultCache(fabric_store)
@@ -677,6 +751,11 @@ class ParallelExperimentRunner(ExperimentRunner):
         #: load from and store into the same root.
         self.fabric_store = fabric_store
         self._transport = None
+        self.summary = RunSummary(
+            self._results,
+            self.config,
+            [cache for cache in (self.cache, fabric_store) if cache is not None],
+        )
 
     # -- cache plumbing -----------------------------------------------------------
 
@@ -687,22 +766,6 @@ class ParallelExperimentRunner(ExperimentRunner):
             return None
         return cell.digest(self.scale)
 
-    def _job_label(self, cell):
-        """Spec label for the run summary; swept configurations (the
-        ablations) are disambiguated by their fingerprint."""
-        fingerprint = config_fingerprint(cell.config)
-        if fingerprint == config_fingerprint(self.config):
-            return cell.spec
-        return "{} @{}".format(cell.spec, fingerprint[:6])
-
-    def _load_entry(self, cache, digest):
-        """``cache.load(digest)``, booking a corrupt entry on the summary."""
-        corrupt_before = cache.corrupt
-        entry = cache.load(digest)
-        if cache.corrupt > corrupt_before:
-            self.summary.record_corrupt(cache.path(digest))
-        return entry
-
     def _load_cached(self, digest):
         """A usable cached :class:`~repro.experiments.runner.Outcome`
         (``source`` ``"cache"`` or ``"store"``), or ``None`` when the
@@ -710,19 +773,21 @@ class ParallelExperimentRunner(ExperimentRunner):
 
         A hit is unusable when the run must produce side channels the
         cache cannot replay: a requested trace file, or metrics the
-        entry does not carry.  Metrics a usable hit *does* carry flow
-        into the run summary exactly as a fresh simulation's would.
+        entry does not carry.  A hit carries its metrics only when the
+        run emits metrics, and they then flow into the run summary
+        exactly as a fresh simulation's would.
         """
         if digest is None or self.trace_dir is not None:
             return None
         if self.cache is not None:
-            entry = self._load_entry(self.cache, digest)
+            entry = self.cache.load(digest)
             if entry is not None and (entry[1] or not self.emit_metrics):
-                return Outcome(entry[0], entry[1], source="cache")
+                metrics = entry[1] if self.emit_metrics else None
+                return Outcome(entry[0], metrics, source="cache")
         # Shared-store read-through: an entry some other fabric
         # participant stored (copied into the local cache by ``_book``).
         if self.fabric_store is not None and not self.emit_metrics:
-            entry = self._load_entry(self.fabric_store, digest)
+            entry = self.fabric_store.load(digest)
             if entry is not None:
                 return Outcome(entry[0], source="store")
         return None
@@ -742,36 +807,21 @@ class ParallelExperimentRunner(ExperimentRunner):
             store.store(digest, outcome.stats, meta, metrics=outcome.metrics)
 
     def _book(self, cell, outcome, digest=None):
-        """Book one outcome, wherever it came from: memo, summary, caches.
+        """Book one outcome, wherever it came from: memo and caches.
 
-        A ``"cache"`` outcome is a local cache hit.  A ``"store"``
-        outcome is a fabric-store hit — the parent's read-through or a
-        worker's — and is copied into the local result cache.  Only a
-        ``"simulated"`` outcome counts as a job and is written to the
-        cache and the store.  ``digest`` is the cell's, when the caller
-        already has it.
+        The memo entry is all :attr:`summary` needs.  A ``"cache"``
+        outcome is a local cache hit.  A ``"store"`` outcome is a
+        fabric-store hit — the parent's read-through or a worker's —
+        and is copied into the local result cache.  A ``"simulated"``
+        outcome is written to the cache and the store.  ``digest`` is
+        the cell's, when the caller already has it.
         """
-        summary = self.summary
-        if outcome.source == "cache":
-            summary.record_hit()
-            if self.emit_metrics:
-                summary.record_metrics(self._job_label(cell), outcome.metrics)
-        elif outcome.source == "store":
-            summary.record_fabric_store_cells(1)
-            if self.cache is not None:
-                self.cache.copy_from(self.fabric_store, digest or self._digest(cell))
-        else:
-            label = self._job_label(cell)
-            summary.record_job(cell.workload, label, outcome.seconds)
-            summary.record_block_cache(outcome.blocks)
-            if outcome.batched:
-                summary.record_batched(1)
-            if outcome.shared:
-                summary.shared_cells += 1
-            if outcome.metrics is not None:
-                summary.record_metrics(label, outcome.metrics)
-            if self.cache is not None or self.fabric_store is not None:
-                self._store_cached(cell, digest or self._digest(cell), outcome)
+        if outcome.source == "store" and self.cache is not None:
+            self.cache.copy_from(self.fabric_store, digest or self._digest(cell))
+        elif outcome.source == "simulated" and (
+            self.cache is not None or self.fabric_store is not None
+        ):
+            self._store_cached(cell, digest or self._digest(cell), outcome)
         super()._book(cell, outcome)
 
     def _run_cells(self, cells):
@@ -814,7 +864,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         if pending:
             self._fan_out(pending, digests)
         if self.fabric_store is not None:
-            self.summary.set_fabric_store(self.fabric_store.counters())
+            self.summary.store_traffic = self.fabric_store.counters()
         self.summary.wall_seconds += time.perf_counter() - started
         return len(pending)
 
@@ -824,9 +874,9 @@ class ParallelExperimentRunner(ExperimentRunner):
         A worker death poisons the whole transport — the pool raises
         ``BrokenProcessPool``, subprocess workers
         :class:`FabricWorkerDied`.  Instead of failing the grid, the
-        transport is closed, the incident is booked on the summary, and
-        the still-unfinished cells are replanned onto a fresh transport
-        up to ``pool_retries`` times before the error propagates.
+        transport is closed, one :class:`Incident` is recorded, and the
+        still-unfinished cells are replanned onto a fresh transport up
+        to ``pool_retries`` times before the error propagates.
         """
         remaining = list(pending)
         retries = self.pool_retries
@@ -834,18 +884,17 @@ class ParallelExperimentRunner(ExperimentRunner):
             try:
                 self._dispatch(remaining, digests)
                 return
-            except (BrokenProcessPool, FabricWorkerDied) as incident:
+            except (BrokenProcessPool, FabricWorkerDied) as error:
+                transport = self._transport.name
                 self.shutdown_fabric()
                 remaining = [cell for cell in remaining if cell not in self._results]
+                self.summary.incidents.append(Incident(transport, len(remaining)))
                 if self.fabric_workers:
-                    self.summary.record_fabric_replan(len(remaining))
                     self._fabric_event(
                         "worker_died",
-                        worker=incident.worker,
+                        worker=error.worker,
                         replanned_cells=len(remaining),
                     )
-                else:
-                    self.summary.record_pool_restart()
                 if retries <= 0:
                     raise
                 retries -= 1
@@ -869,7 +918,6 @@ class ParallelExperimentRunner(ExperimentRunner):
                     ),
                     analysis_dir=self.analysis_dir,
                     command_template=self.fabric_command,
-                    throughputs=self.fabric_throughputs,
                     extra_env=self.fabric_extra_env,
                     **keyword_arguments,
                 )
@@ -924,7 +972,6 @@ class ParallelExperimentRunner(ExperimentRunner):
             costs,
             transport.workers,
             max_chunk_jobs=self.chunk,
-            schedule=self.schedule,
             inline_threshold=(
                 transport.inline_threshold
                 if self.inline_threshold is None
@@ -941,15 +988,9 @@ class ParallelExperimentRunner(ExperimentRunner):
         """
         plan = self.plan(pending, digests)
         transport = self._transport
-        if self.fabric_workers:
-            self.summary.inline_jobs += len(plan.inline)
-            self.summary.record_fabric_schedule(
-                transport.workers if plan.chunks else 0,
-                len(plan.chunks),
-                plan.pooled_jobs,
-            )
-        else:
-            self.summary.record_schedule(plan)
+        self.summary.dispatches.append(
+            Dispatch(transport.name, transport.workers, plan)
+        )
         for cell, outcome in zip(plan.inline, self._run_cells(plan.inline)):
             self._book(cell, outcome, digests[cell])
         if not plan.chunks:
@@ -961,9 +1002,8 @@ class ParallelExperimentRunner(ExperimentRunner):
                 self._book(cell, outcome._replace(stats=stats), digests[cell])
         if self.fabric_workers:
             placement = transport.placement()
-            self.summary.record_fabric_placement(placement)
-            for key, value in placement["worker_store"].items():
-                self.summary.fabric["worker_store_" + key] = value
+            self.summary.placements.append(placement)
+            self.summary.worker_store_traffic = placement["worker_store"]
             self._fabric_event(
                 "placement",
                 workers=placement["workers"],

@@ -54,7 +54,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.analysis.pipeline import configure_disk_cache
-from repro.errors import ConfigurationError
 from repro.spawn import canonical_spec
 
 #: Cells whose estimated cost (committed-trace instructions) falls
@@ -67,12 +66,6 @@ INLINE_COST_THRESHOLD = 5000
 #: keeps workers busy when chunk costs are estimates; the
 #: longest-expected-first submission order does the actual balancing.
 OVERPARTITION = 4
-
-#: Cost-ordered chunking (longest-expected-first).  The default.
-SCHEDULE_COST = "cost"
-#: Fixed-size chunks in grid order (for comparison/debugging).
-SCHEDULE_FIFO = "fifo"
-SCHEDULES = (SCHEDULE_COST, SCHEDULE_FIFO)
 
 #: Nominal cost of a grid cell the shared artifact store already
 #: holds: a digest-verified fetch, not a simulation.  Non-zero so the
@@ -193,14 +186,13 @@ class GridSchedule:
     estimated costs (the subprocess transport's shard planner input).
     """
 
-    __slots__ = ("inline", "chunks", "chunk_costs", "workers", "schedule", "cpus")
+    __slots__ = ("inline", "chunks", "chunk_costs", "workers", "cpus")
 
-    def __init__(self, inline, chunks, chunk_costs, workers, schedule, cpus):
+    def __init__(self, inline, chunks, chunk_costs, workers, cpus):
         self.inline = inline
         self.chunks = chunks
         self.chunk_costs = chunk_costs
         self.workers = workers
-        self.schedule = schedule
         self.cpus = cpus
 
     @property
@@ -237,11 +229,11 @@ def split_inline(jobs, costs, workers, inline_threshold=INLINE_COST_THRESHOLD):
     return inline, pooled, pooled_costs
 
 
-def plan_chunks(jobs, costs, workers, max_chunk_jobs=None, schedule=SCHEDULE_COST):
+def plan_chunks(jobs, costs, workers, max_chunk_jobs=None):
     """Group ``jobs`` into pool chunks, longest-expected-first.
 
-    Under :data:`SCHEDULE_COST` the cells are ordered by descending
-    estimated cost and greedily packed into chunks whose total cost
+    The cells are ordered by descending estimated cost and greedily
+    packed into chunks whose total cost
     targets ``sum(costs) / (workers * OVERPARTITION)`` — expensive
     cells become singleton chunks, cheap cells coalesce so each pool
     round-trip amortizes over several simulations.  The returned chunk
@@ -251,22 +243,14 @@ def plan_chunks(jobs, costs, workers, max_chunk_jobs=None, schedule=SCHEDULE_COS
     ``max_chunk_jobs`` (the ``--chunk`` knob) caps cells per chunk; a
     cap at or above the grid size is vacuous and ignored, so an
     oversized ``--chunk`` never collapses the grid into one chunk on
-    one worker.  :data:`SCHEDULE_FIFO` keeps grid order with fixed-size
-    chunks.  The plan is a pure function of its inputs — same grid,
-    same plan.
+    one worker.  The plan is a pure function of its inputs — same
+    grid, same plan.
     """
-    if schedule not in SCHEDULES:
-        raise ConfigurationError(
-            "unknown schedule {!r}; choose from {}".format(schedule, SCHEDULES)
-        )
     if not jobs:
         return []
     cap = max_chunk_jobs if max_chunk_jobs and max_chunk_jobs > 0 else None
     if cap is not None and cap >= len(jobs):
         cap = None
-    if schedule == SCHEDULE_FIFO:
-        size = cap or max(1, -(-len(jobs) // max(1, workers * OVERPARTITION)))
-        return [list(jobs[i : i + size]) for i in range(0, len(jobs), size)]
     order = sorted(range(len(jobs)), key=lambda i: (-costs[i], i))
     budget = sum(costs) / max(1, workers * OVERPARTITION)
     chunks = []
@@ -290,7 +274,6 @@ def plan_grid(
     costs,
     jobs_requested,
     max_chunk_jobs=None,
-    schedule=SCHEDULE_COST,
     inline_threshold=INLINE_COST_THRESHOLD,
     cpus=None,
 ):
@@ -306,51 +289,37 @@ def plan_grid(
     """
     cpus = usable_cpus() if cpus is None else cpus
     if not jobs:
-        return GridSchedule([], [], [], 0, schedule, cpus)
+        return GridSchedule([], [], [], 0, cpus)
     workers = max(1, min(jobs_requested, cpus))
     inline, pooled, pooled_costs = split_inline(
         jobs, costs, workers, inline_threshold
     )
     # Planned over cell indices, so each chunk's cost is summed once.
     indices = plan_chunks(
-        list(range(len(pooled))), pooled_costs, workers, max_chunk_jobs, schedule
+        list(range(len(pooled))), pooled_costs, workers, max_chunk_jobs
     )
     chunks = [[pooled[i] for i in chunk] for chunk in indices]
     chunk_costs = [sum(pooled_costs[i] for i in chunk) for chunk in indices]
     workers = min(workers, len(chunks)) if chunks else 0
-    return GridSchedule(inline, chunks, chunk_costs, workers, schedule, cpus)
+    return GridSchedule(inline, chunks, chunk_costs, workers, cpus)
 
 
-def plan_shards(costs, workers, throughputs=None):
-    """Assign chunks to workers: greedy LPT, throughput-weighted.
+def plan_shards(costs, workers):
+    """Assign chunks to workers: greedy LPT.
 
     ``costs`` is the per-chunk total cost (already in
-    longest-expected-first order from :func:`plan_chunks`);
-    ``throughputs`` optionally weights workers by relative speed
-    (default: homogeneous).  Each chunk goes to the worker whose
-    *completion time* — accumulated cost divided by throughput — it
-    increases least, so a 2x-faster worker receives roughly 2x the
-    work.  Returns one chunk-index list per worker; the plan is a pure
-    function of its inputs, so placement is deterministic (ties break
-    toward the lower worker index).
+    longest-expected-first order from :func:`plan_chunks`).  Each chunk,
+    most expensive first, goes to the least-loaded worker.  Returns one
+    chunk-index list per worker; the plan is a pure function of its
+    inputs, so placement is deterministic (ties break toward the lower
+    worker index).
     """
     workers = max(1, int(workers))
-    if throughputs is None:
-        throughputs = [1.0] * workers
-    if len(throughputs) != workers or any(t <= 0 for t in throughputs):
-        raise ConfigurationError(
-            "throughputs must be {} positive weights, got {!r}".format(
-                workers, throughputs
-            )
-        )
     shards = [[] for _ in range(workers)]
-    loads = [0.0] * workers
+    loads = [0] * workers
     order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
     for index in order:
-        target = min(
-            range(workers),
-            key=lambda w: ((loads[w] + costs[index]) / throughputs[w], w),
-        )
+        target = min(range(workers), key=lambda w: (loads[w], w))
         shards[target].append(index)
         loads[target] += costs[index]
     for shard in shards:
@@ -489,13 +458,12 @@ def execute_job(
     :func:`repro.sim.blocks.counters_delta`): a warm worker reports
     table hits, a cold one the compile misses the job paid.  With
     ``emit_metrics`` the run carries a verbose
-    :class:`~repro.obs.MetricsAggregator` and its picklable snapshot —
-    stamped with the same block-cache delta — is shipped back alongside
-    the stats.  With ``trace_file`` a compact lifecycle-events JSONL
-    trace is written there.  ``bus`` attaches a caller-provided
-    :class:`~repro.obs.EventBus` (the exploration service bridges
-    lifecycle events to its progress stream through one); it must be
-    fresh per job.  Stats are identical in every mode — the bus sinks
+    :class:`~repro.obs.MetricsAggregator` and its picklable snapshot is
+    shipped back alongside the stats.  With ``trace_file`` a compact
+    lifecycle-events JSONL trace is written there.  ``bus`` attaches a
+    caller-provided :class:`~repro.obs.EventBus` (the exploration
+    service bridges lifecycle events to its progress stream through
+    one); it must be fresh per job.  Stats are identical in every mode — the bus sinks
     only observe, and a non-verbose bus leaves engine selection
     untouched.
     """
@@ -530,12 +498,10 @@ def execute_job(
     stats = build_core(name, spec, scale, config, profile_distance, bus=bus).run()
     if writer is not None:
         writer.close()
-    blocks = counters_delta(counters_before)
-    metrics = None
-    if aggregator is not None:
-        aggregator.record_block_cache(blocks)
-        metrics = aggregator.as_dict()
-    return Outcome(stats, metrics, time.perf_counter() - started, blocks)
+    metrics = None if aggregator is None else aggregator.as_dict()
+    return Outcome(
+        stats, metrics, time.perf_counter() - started, counters_delta(counters_before)
+    )
 
 
 def run_cells(scale, cells, emit_metrics=False, trace_dir=None, bus_for=None):

@@ -37,7 +37,7 @@ from repro.service.client import (
     ServiceResponseError,
     ServiceSaturated,
 )
-from repro.service.engine import ExplorationEngine, merge_summary_dicts
+from repro.service.engine import ExplorationEngine
 from repro.service.server import ExplorationService
 from repro.service.wire import (
     MAX_CELLS_PER_QUERY,
@@ -74,5 +74,4 @@ __all__ = [
     "encode_config",
     "encode_query",
     "encode_stats",
-    "merge_summary_dicts",
 ]

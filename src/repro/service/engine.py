@@ -33,15 +33,16 @@ Fault handling is two-layered: the parallel runner itself retries a
 broken worker pool once (restarting the pool), and if a *batch-level*
 prefetch still fails, the engine degrades to per-cell inline execution
 so one poisoned cell (or a dead pool) cannot fail unrelated queries in
-the same batch.  Every incident is surfaced as a structured
-``RunSummary`` field and an ``incident`` progress event.
+the same batch.  Every incident — a corrupt entry, or a dead worker
+on either transport — is surfaced in ``/healthz`` and as an
+``incident`` progress event.
 """
 
 import threading
 import time
 
 from repro.experiments import scheduler
-from repro.experiments.parallel import ParallelExperimentRunner
+from repro.experiments.parallel import ParallelExperimentRunner, RunSummary
 from repro.experiments.runner import Cell
 from repro.obs import EventBus, CallbackSink, fabric_event, service_event
 from repro.service import wire
@@ -105,25 +106,6 @@ class _ServiceRunner(ParallelExperimentRunner):
             self._journal.publish(fabric_event(kind, **fields))
 
 
-def merge_summary_dicts(summaries):
-    """Sum a list of ``RunSummary.as_dict()`` payloads into one."""
-    merged = {}
-    for summary in summaries:
-        for key, value in summary.items():
-            if isinstance(value, (int, float)):
-                if key == "pool_workers":
-                    merged[key] = max(merged.get(key, 0), value)
-                else:
-                    merged[key] = merged.get(key, 0) + value
-            elif isinstance(value, list):
-                merged.setdefault(key, []).extend(value)
-            elif isinstance(value, dict):
-                bucket = merged.setdefault(key, {})
-                for inner, count in value.items():
-                    bucket[inner] = bucket.get(inner, 0) + count
-    return merged
-
-
 class ExplorationEngine:
     """Owns the per-scale runner fleet and executes admission batches."""
 
@@ -132,7 +114,6 @@ class ExplorationEngine:
         jobs=1,
         cache_dir=None,
         chunk=None,
-        schedule=scheduler.SCHEDULE_COST,
         inline_threshold=None,
         cpus=None,
         journal=None,
@@ -143,7 +124,6 @@ class ExplorationEngine:
         self.jobs = jobs
         self.cache_dir = cache_dir
         self.chunk = chunk
-        self.schedule = schedule
         self.inline_threshold = inline_threshold
         self.cpus = cpus
         self.journal = journal
@@ -188,7 +168,6 @@ class ExplorationEngine:
                     jobs=self.jobs,
                     cache_dir=self.cache_dir,
                     chunk=self.chunk,
-                    schedule=self.schedule,
                     inline_threshold=self.inline_threshold,
                     cpus=self.cpus,
                     journal=self.journal,
@@ -289,8 +268,8 @@ class ExplorationEngine:
         """
         runner = self.runner_for(scale)
         memo = {cell for cell in group if cell in runner._results}
-        corrupt_before = len(runner.summary.corrupt_entries)
-        restarts_before = runner.summary.pool_restarts
+        corrupt_before = set(runner.summary.corrupt_entries)
+        incidents_before = len(runner.summary.incidents)
         errors = {}
         try:
             runner.prefetch([cell for cell in group if cell not in memo])
@@ -309,7 +288,7 @@ class ExplorationEngine:
                 except Exception as cell_error:
                     errors[cell] = str(cell_error)
 
-        self._report_incidents(runner, scale, corrupt_before, restarts_before)
+        self._report_incidents(runner, scale, corrupt_before, incidents_before)
 
         outcome = {}
         for cell in group:
@@ -338,17 +317,22 @@ class ExplorationEngine:
             self.cells_by_source[source] += 1
         return outcome
 
-    def _report_incidents(self, runner, scale, corrupt_before, restarts_before):
-        for path in runner.summary.corrupt_entries[corrupt_before:]:
+    def _report_incidents(self, runner, scale, corrupt_before, incidents_before):
+        for path in runner.summary.corrupt_entries:
+            if path not in corrupt_before:
+                self._publish(
+                    service_event(
+                        "incident", type="corrupt_cache_entry", scale=scale, path=path
+                    )
+                )
+        for incident in runner.summary.incidents[incidents_before:]:
             self._publish(
                 service_event(
-                    "incident", type="corrupt_cache_entry", scale=scale, path=path
+                    "incident",
+                    type="pool_restart",
+                    scale=scale,
+                    transport=incident.transport,
                 )
-            )
-        restarts = runner.summary.pool_restarts - restarts_before
-        for _ in range(restarts):
-            self._publish(
-                service_event("incident", type="pool_restart", scale=scale)
             )
 
     def _build_response(self, query, cells, outcome, batch_size):
@@ -438,14 +422,20 @@ class ExplorationEngine:
 
     # -- telemetry ----------------------------------------------------------------
 
-    def summary_dict(self):
-        """The merged ``RunSummary.as_dict()`` across every scale runner."""
+    def summary(self):
+        """One :class:`RunSummary` over every scale runner's records."""
         with self._lock:
             runners = list(self._runners.values())
-        return merge_summary_dicts([r.summary.as_dict() for r in runners])
+        return RunSummary.merged(runner.summary for runner in runners)
+
+    def summary_dict(self):
+        """The merged summary's ``as_dict()``; empty before the first
+        batch creates a runner."""
+        return self.summary().as_dict() if self._runners else {}
 
     def snapshot(self):
-        """The engine fragment of ``/healthz``."""
+        """The engine fragment of ``/healthz``.  ``pool_restarts``
+        counts dead workers on either transport."""
         summary = self.summary_dict()
         store_root = self.fabric_store
         if store_root is not None and not isinstance(store_root, str):
@@ -473,7 +463,7 @@ class ExplorationEngine:
             },
             "incidents": {
                 "corrupt_cache_entries": summary.get("corrupt_cache_entries", 0),
-                "pool_restarts": summary.get("pool_restarts", 0),
+                "pool_restarts": len(self.summary().incidents),
             },
             "pool_starts": scheduler.pool_starts(),
             "summary": summary,

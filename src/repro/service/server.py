@@ -13,7 +13,9 @@ dependencies):
 ``GET /healthz``
     Structured service state: admission telemetry, engine counters,
     the merged ``RunSummary`` fields (corrupt cache entries, pool
-    restarts, scheduling telemetry), and drain status.
+    restarts, scheduling telemetry), and drain status.  Its
+    ``incidents.pool_restarts`` counts dead workers on either
+    transport.
 
 ``GET /events``
     The JSONL progress stream (service events plus bridged simulation

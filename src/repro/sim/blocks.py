@@ -31,8 +31,8 @@ which :class:`~repro.analysis.pipeline.AnalysisCache` dedupes by source
 digest, so every core built on one program shares them.  A trace's
 table is compiled when a core first needs it, never by the analysis
 cache, so a program that is only estimated never pays for one.
-Module-level counters track table reuse; the parallel runner surfaces
-them through ``RunSummary`` and ``MetricsAggregator``.
+Module-level counters track table reuse; every simulation reports its
+movement in its outcome's ``blocks``, which ``RunSummary`` sums.
 """
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Opcode

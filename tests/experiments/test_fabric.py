@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 import re
+import tempfile
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -21,6 +22,7 @@ from repro.experiments.fabric.transport import (
     SubprocessWorkerTransport,
 )
 from repro.experiments.parallel import (
+    Incident,
     ParallelExperimentRunner,
     ResultCache,
     sweep_entries,
@@ -32,6 +34,7 @@ from repro.spawn.points import SpawnCategory
 from repro.workloads import clear_cache
 from repro.workloads.synth import catalog_names
 from tests.faults import broken_pool
+from tests.helpers import grid_order_chunks
 
 _SCALE = 0.2
 _SPECS = ("postdoms", "loop")
@@ -406,19 +409,6 @@ def test_plan_shards_is_deterministic():
     assert all(shard == sorted(shard) for shard in first)
 
 
-def test_plan_shards_weights_throughput():
-    shards = scheduler.plan_shards([1] * 9, 2, throughputs=[2.0, 1.0])
-    assert len(shards[0]) == 6
-    assert len(shards[1]) == 3
-
-
-def test_plan_shards_rejects_bad_throughputs():
-    with pytest.raises(ConfigurationError):
-        scheduler.plan_shards([1, 2], 2, throughputs=[1.0])
-    with pytest.raises(ConfigurationError):
-        scheduler.plan_shards([1, 2], 2, throughputs=[1.0, 0.0])
-
-
 # -- cost-model store probe -------------------------------------------------------
 
 
@@ -526,12 +516,6 @@ def _matrix_runner(transport, tmp_path, fault=False, **options):
     return ParallelExperimentRunner(scale=_SCALE, **options), injection
 
 
-def _incidents(runner, transport):
-    if transport == "pool":
-        return runner.summary.pool_restarts
-    return runner.summary.fabric["restarts"]
-
-
 def _recording_plans(monkeypatch, runner):
     """Record every grid ``runner`` plans, with the memo keys booked
     before it: ``[(planned keys, booked keys), ...]``."""
@@ -574,7 +558,7 @@ def test_one_worker_death_replans_only_unfinished_cells(
         _assert_matches_serial(runner, serial_packed)
     finally:
         runner.shutdown_fabric()
-    assert _incidents(runner, transport) == 1
+    assert runner.summary.incidents == [Incident(transport, len(plans[1][0]))]
     assert len(plans) == 2
     (grid, _), (replanned, booked) = plans
     assert len(grid) == len(serial_packed)
@@ -595,14 +579,15 @@ def test_exhausted_retries_raise_the_transports_error(transport, tmp_path):
             runner.prefetch(_grid_jobs())
     finally:
         runner.shutdown_fabric()
-    assert _incidents(runner, transport) == 1
+    assert [incident.transport for incident in runner.summary.incidents] == [
+        transport
+    ]
 
 
-def test_transport_counts_batched_cells(transport, tmp_path):
+def test_transport_counts_batched_cells(transport, tmp_path, monkeypatch):
     """Workers batch each four-cell chunk; the outcomes say so."""
-    runner, _ = _matrix_runner(
-        transport, tmp_path, chunk=4, schedule=scheduler.SCHEDULE_FIFO
-    )
+    grid_order_chunks(monkeypatch)
+    runner, _ = _matrix_runner(transport, tmp_path, chunk=4)
     try:
         runner.prefetch(_grid_jobs())
     finally:
@@ -651,6 +636,44 @@ def test_damaged_store_entry_is_resimulated_and_resealed(
     entry = reader.load(cell.digest(_SCALE))
     assert (reader.hits, reader.corrupt) == (1, 0)
     assert scheduler.pack_stats(entry[0]) == serial_packed[(name, spec)]
+
+
+def test_interrupted_store_write_leaves_a_temp_file_nobody_counts(
+    transport, tmp_path, serial_packed, capsys
+):
+    """A writer killed between ``mkstemp`` and ``os.replace`` (see
+    :func:`repro.sealed.write`) leaves a ``*.tmp`` file in a shard
+    directory.  The sweep still matches serial, ``len(store)`` does not
+    count the file, and ``cache-gc`` neither trips on it nor reports
+    it as a kept entry."""
+    from repro.experiments.__main__ import main
+
+    name, spec = _grid_jobs()[0]
+    cell = Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
+    store_root = str(tmp_path / "store")
+    shard = os.path.dirname(ResultCache(store_root).path(cell.digest(_SCALE)))
+    os.makedirs(shard)
+    handle, leftover = tempfile.mkstemp(dir=shard, suffix=".tmp")
+    with os.fdopen(handle, "wb") as stream:
+        stream.write(b"Vpolyflow-result 3 ")
+
+    runner, _ = _matrix_runner(transport, tmp_path, fabric_store=store_root)
+    try:
+        assert runner.prefetch(_grid_jobs()) == len(serial_packed)
+        _assert_matches_serial(runner, serial_packed)
+    finally:
+        runner.shutdown_fabric()
+    assert runner.summary.corrupt_entries == []
+    assert os.path.exists(leftover)
+    assert len(ResultCache(store_root)) == len(serial_packed)
+
+    assert main(["cache-gc", "--no-cache", "--fabric-store", store_root]) == 0
+    report = (
+        "fabric store {}: 0 corrupt pruned, 0 evicted (LRU), 0 bytes freed; "
+        "{} entries".format(store_root, len(serial_packed))
+    )
+    assert report in capsys.readouterr().out
+    assert len(ResultCache(store_root)) == len(serial_packed)
 
 
 def test_dry_run_plans_the_real_sweep(tmp_path, capsys):
@@ -708,13 +731,8 @@ def _fabric_runner(tmp_path, **kwargs):
 
 
 @pytest.mark.parametrize("chunk", [1, None])
-@pytest.mark.parametrize(
-    "schedule", [scheduler.SCHEDULE_COST, scheduler.SCHEDULE_FIFO]
-)
-def test_subprocess_fabric_matches_serial(
-    tmp_path, serial_packed, chunk, schedule
-):
-    runner = _fabric_runner(tmp_path, chunk=chunk, schedule=schedule)
+def test_subprocess_fabric_matches_serial(tmp_path, serial_packed, chunk):
+    runner = _fabric_runner(tmp_path, chunk=chunk)
     try:
         ran = runner.prefetch(_grid_jobs())
         assert ran == len(serial_packed)
@@ -728,18 +746,18 @@ def test_subprocess_fabric_matches_serial(
     )
 
 
-def test_fabric_outcomes_book_shared_cells(tmp_path):
+def test_fabric_outcomes_book_shared_cells(tmp_path, monkeypatch):
     """Inside one worker's chunk, cells whose policies resolve to the
     same hint table share a kernel run; the outcome frames carry that
     home to the run summary."""
     specs = ("loopFT", "loopFT+procFT", "loop+loopFT", "loop+procFT+loopFT")
     grid = [(name, spec) for name in ("mcf", "gzip") for spec in specs]
+    grid_order_chunks(monkeypatch)
     runner = ParallelExperimentRunner(
         scale=0.25,
         fabric_workers=2,
         fabric_store=str(tmp_path / "store"),
         chunk=4,
-        schedule=scheduler.SCHEDULE_FIFO,
     )
     try:
         runner.prefetch(grid)
@@ -829,7 +847,7 @@ def _plan_for_transport(jobs):
     """``(chunks, chunk_costs)`` for driving a transport directly."""
     jobs = [Cell(name, spec, PAPER_CONFIG, None) for name, spec in jobs]
     costs = [scheduler.job_cost(name, _SCALE) for name, _, _, _ in jobs]
-    chunks = scheduler.plan_chunks(jobs, costs, 2, 1, scheduler.SCHEDULE_COST)
+    chunks = scheduler.plan_chunks(jobs, costs, 2, 1)
     lookup = dict(zip(jobs, costs))
     return chunks, [sum(lookup[job] for job in chunk) for chunk in chunks]
 

@@ -8,6 +8,8 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.parallel import (
+    Dispatch,
+    Incident,
     ParallelExperimentRunner,
     ResultCache,
     RunSummary,
@@ -16,10 +18,13 @@ from repro.experiments.runner import (
     SUPERSCALAR_SPEC,
     Cell,
     ExperimentRunner,
+    Outcome,
     simulate_job,
 )
+from repro.experiments.scheduler import GridSchedule
 from repro.polyflow import PAPER_CONFIG
 from repro.workloads import clear_cache
+from tests.helpers import grid_order_chunks
 
 _SCALE = 0.1
 _NAMES = ("gzip", "twolf")
@@ -238,28 +243,51 @@ def test_simulate_job_is_picklable_and_deterministic():
     assert second.spawns_by_category == first.spawns_by_category
 
 
+def _cell(name, spec, config=PAPER_CONFIG):
+    return Cell(name, spec, config, PAPER_CONFIG.max_spawn_distance)
+
+
 def test_run_summary_render():
-    summary = RunSummary()
-    summary.record_job("gzip", "postdoms", 1.25)
-    summary.record_job("twolf", "loop", 0.5)
-    summary.record_hit()
+    booked = {
+        _cell("gzip", "postdoms"): Outcome(None, seconds=1.25),
+        _cell("twolf", "loop"): Outcome(None, seconds=0.5),
+        _cell("mcf", "loop"): Outcome(None, source="cache"),
+    }
+    summary = RunSummary(booked)
     summary.wall_seconds = 1.5
     rendered = summary.render()
     assert "2 simulated" in rendered
     assert "1 cache hits" in rendered
     assert summary.total_sim_seconds == pytest.approx(1.75)
     assert summary.slowest(1) == [("gzip", "postdoms", 1.25)]
+    # The summary folds over the ledger it was given, so a cell booked
+    # later is counted without telling the summary anything.
+    booked[_cell("vpr.route", "loop")] = Outcome(None, seconds=2.0, shared=True)
+    assert summary.jobs_run == 3
+    assert summary.shared_cells == 1
+    assert summary.slowest(1) == [("vpr.route", "loop", 2.0)]
+    # A swept configuration is told apart by its fingerprint.
+    swept = dataclasses.replace(PAPER_CONFIG, max_spawn_distance=8)
+    booked[_cell("gzip", "postdoms", swept)] = Outcome(None, seconds=0.1)
+    assert summary.job_timings[-1][1].startswith("postdoms @")
 
 
 def test_run_summary_reports_block_cache_counters():
-    summary = RunSummary()
+    booked = {}
+    summary = RunSummary(booked)
     # Zero movement renders no block-cache line.
     assert "block cache" not in summary.render()
-    summary.record_block_cache(
-        {"table_hits": 2, "table_misses": 1, "program_hits": 3, "program_misses": 1}
+    booked[_cell("gzip", "postdoms")] = Outcome(
+        None,
+        blocks={
+            "table_hits": 2,
+            "table_misses": 1,
+            "program_hits": 3,
+            "program_misses": 1,
+        },
     )
-    summary.record_block_cache({"table_hits": 1})
-    summary.record_block_cache(None)  # tolerated no-op
+    booked[_cell("gzip", "loop")] = Outcome(None, blocks={"table_hits": 1})
+    booked[_cell("gzip", "hammock")] = Outcome(None)  # no movement reported
     assert summary.block_cache["table_hits"] == 3
     assert summary.block_cache["table_misses"] == 1
     rendered = summary.render()
@@ -279,19 +307,29 @@ def test_prefetch_surfaces_block_cache_in_summary(tmp_path):
     assert block_cache["table_hits"] >= 1
 
 
-def test_run_summary_as_dict_exposes_structured_fields():
-    summary = RunSummary()
-    summary.record_job("gzip", "postdoms", 1.25)
-    summary.record_hit()
-    summary.record_pool_restart()
-    summary.record_corrupt("/cache/aa/bb.pkl")
-    summary.record_block_cache({"table_hits": 2})
+def test_run_summary_as_dict_exposes_structured_fields(tmp_path):
+    cache = ResultCache(str(tmp_path / "cache"))
+    digest = "aa" + "0" * 62
+    os.makedirs(os.path.dirname(cache.path(digest)))
+    with open(cache.path(digest), "wb") as handle:
+        handle.write(b"garbage")
+    # Probed twice before a rewrite: one corrupt entry, listed once.
+    assert cache.load(digest) is None
+    assert cache.load(digest) is None
+    booked = {
+        _cell("gzip", "postdoms"): Outcome(
+            None, seconds=1.25, blocks={"table_hits": 2}
+        ),
+        _cell("gzip", "loop"): Outcome(None, source="cache"),
+    }
+    summary = RunSummary(booked, caches=[cache])
+    summary.incidents.append(Incident("pool", 1))
     payload = summary.as_dict()
     assert payload["jobs_run"] == 1
     assert payload["cache_hits"] == 1
     assert payload["pool_restarts"] == 1
     assert payload["corrupt_cache_entries"] == 1
-    assert payload["corrupt_cache_paths"] == ["/cache/aa/bb.pkl"]
+    assert payload["corrupt_cache_paths"] == [cache.path(digest)]
     assert payload["block_cache"]["table_hits"] == 2
     # The payload is pure JSON (the service serves it from /healthz).
     import json
@@ -342,12 +380,11 @@ def test_cold_duplicate_grid_reports_shared_cells(tmp_path):
         assert warm.run_policy(name, spec).as_dict() == cold.run_policy(name, spec).as_dict()
 
 
-def test_pooled_chunks_report_shared_cells(tmp_path):
-    # FIFO chunks of four keep each workload's identical cells in one
-    # chunk; the sharing is booked from the workers' outcomes.
-    pooled = _sharing_runner(
-        tmp_path, jobs=2, cpus=2, chunk=4, schedule="fifo", inline_threshold=1
-    )
+def test_pooled_chunks_report_shared_cells(tmp_path, monkeypatch):
+    # Grid-order chunks of four keep each workload's identical cells in
+    # one chunk; the sharing is counted from the workers' outcomes.
+    grid_order_chunks(monkeypatch)
+    pooled = _sharing_runner(tmp_path, jobs=2, cpus=2, chunk=4, inline_threshold=1)
     pooled.prefetch(_SHARING_GRID)
     assert pooled.summary.chunks_shipped == 2
     assert pooled.summary.jobs_run == len(_SHARING_GRID)
@@ -355,6 +392,32 @@ def test_pooled_chunks_report_shared_cells(tmp_path):
     for name, spec in _SHARING_GRID:
         expected = simulate_job(name, spec, 0.25, PAPER_CONFIG)
         assert pooled.run_policy(name, spec).as_dict() == expected.as_dict()
+
+
+def test_merged_summaries_concatenate_their_records():
+    """Two runners of one 2-worker fleet: counts add up, worker counts
+    and straggler times take the larger, nothing is double-counted."""
+    parts = []
+    for name, straggler in (("gzip", 1.5), ("twolf", 0.5)):
+        summary = RunSummary({_cell(name, "loop"): Outcome(None, seconds=1.0)})
+        chunks = [[_cell(name, "loop")], [_cell(name, "hammock")]]
+        summary.dispatches.append(
+            Dispatch("subprocess", 2, GridSchedule([], chunks, [1, 1], 2, 2))
+        )
+        summary.placements.append({"straggler_seconds": straggler})
+        summary.incidents.append(Incident("subprocess", 1))
+        summary.store_traffic = {"fetches": 2, "hits": 1}
+        parts.append(summary)
+    merged = RunSummary.merged(parts).as_dict()
+    assert merged["jobs_run"] == 2
+    assert merged["total_sim_seconds"] == pytest.approx(2.0)
+    assert merged["fabric"]["workers"] == 2
+    assert merged["fabric"]["straggler_seconds"] == 1.5
+    assert merged["fabric"]["chunks"] == merged["fabric"]["cells"] == 4
+    assert merged["fabric"]["restarts"] == 2
+    assert merged["fabric"]["replanned_cells"] == 2
+    assert merged["fabric"]["store_fetches"] == 4
+    assert merged["pool_restarts"] == 0
 
 
 def test_broken_pool_is_restarted_and_grid_replanned(tmp_path):

@@ -13,7 +13,6 @@ otherwise — correctly — short-circuit the pool).
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments import scheduler
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import SUPERSCALAR_SPEC, Cell, ExperimentRunner
@@ -143,19 +142,6 @@ def test_plan_chunks_respects_cap():
     assert max(len(chunk) for chunk in chunks) <= 3
 
 
-def test_plan_chunks_fifo_keeps_grid_order():
-    costs = [1, 100, 1, 100]
-    chunks = scheduler.plan_chunks(
-        _jobs(costs), costs, workers=2, max_chunk_jobs=2, schedule="fifo"
-    )
-    assert chunks == [[("job0",), ("job1",)], [("job2",), ("job3",)]]
-
-
-def test_plan_chunks_rejects_unknown_schedule():
-    with pytest.raises(ConfigurationError):
-        scheduler.plan_chunks([("a",)], [1], workers=1, schedule="random")
-
-
 def test_plan_chunks_ignores_vacuous_cap():
     """A --chunk at or above the grid size must not collapse the grid
     into one chunk: the cap is vacuous and the cost budget still
@@ -168,19 +154,11 @@ def test_plan_chunks_ignores_vacuous_cap():
         )
         assert capped == uncapped
         assert len(capped) > 1
-    # Same under FIFO, where the cap doubles as the fixed chunk size.
-    fifo_capped = scheduler.plan_chunks(
-        _jobs(costs), costs, workers=2, max_chunk_jobs=100, schedule="fifo"
-    )
-    assert fifo_capped == scheduler.plan_chunks(
-        _jobs(costs), costs, workers=2, schedule="fifo"
-    )
-    assert len(fifo_capped) > 1
 
 
 def test_plan_chunks_empty_grid():
     assert scheduler.plan_chunks([], [], workers=4) == []
-    assert scheduler.plan_chunks([], [], workers=4, schedule="fifo") == []
+    assert scheduler.plan_chunks([], [], workers=4, max_chunk_jobs=2) == []
 
 
 def test_split_inline_thresholds():
@@ -259,17 +237,10 @@ def test_pack_unpack_round_trips_stats():
 
 def test_results_bit_identical_across_jobs_and_chunks():
     serial = _grid_stats(ExperimentRunner(scale=_SCALE, workload_names=_NAMES))
-    for jobs, chunk, schedule in (
-        (4, None, "cost"),
-        (4, 1, "cost"),
-        (2, 2, "cost"),
-        (4, None, "fifo"),
-    ):
-        runner = _runner(
-            jobs=jobs, chunk=chunk, schedule=schedule, cpus=4, inline_threshold=1
-        )
-        assert _grid_stats(runner) == serial, (jobs, chunk, schedule)
-        assert runner.summary.chunks_shipped > 0, (jobs, chunk, schedule)
+    for jobs, chunk in ((4, None), (4, 1), (2, 2)):
+        runner = _runner(jobs=jobs, chunk=chunk, cpus=4, inline_threshold=1)
+        assert _grid_stats(runner) == serial, (jobs, chunk)
+        assert runner.summary.chunks_shipped > 0, (jobs, chunk)
 
 
 def test_warm_pool_reused_across_prefetch_calls_and_runners():
@@ -331,7 +302,3 @@ def test_pooled_traces_byte_identical_to_inline(tmp_path):
         with open(trace_path(str(pooled_dir), name, spec, digest)) as handle:
             assert handle.read() == expected
 
-
-def test_runner_rejects_unknown_schedule():
-    with pytest.raises(ConfigurationError):
-        _runner(jobs=2, schedule="alphabetical")

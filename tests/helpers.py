@@ -66,3 +66,16 @@ def paper_figure1_cfg():
         exit_blocks=[f],
         name="figure1",
     )
+
+
+def grid_order_chunks(monkeypatch):
+    """Make the planner cut pooled cells into grid-order chunks of the
+    runner's ``chunk`` size, so a test decides which cells share a
+    chunk (the cost planner would split equal-cost cells apart)."""
+    from repro.experiments import scheduler
+
+    def plan_chunks(jobs, costs, workers, max_chunk_jobs=None):
+        size = max_chunk_jobs or 1
+        return [list(jobs[i : i + size]) for i in range(0, len(jobs), size)]
+
+    monkeypatch.setattr(scheduler, "plan_chunks", plan_chunks)
