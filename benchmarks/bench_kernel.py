@@ -43,7 +43,7 @@ The gates run under ``--check``:
   verdict it *certifies* must agree with the full exact sweep's
   verdict (the certificate guarantee, checked empirically here);
 * the **fabric gate** — a stratified synth sweep shipped to two
-  subprocess fabric workers with a cold shared artifact store must
+  subprocess fabric workers with a cold result cache root must
   produce stats byte-identical to the same sweep run serially
   (placement invariance, gated in every mode), and on a multi-core
   machine its wall clock must beat serial by ``--fabric-floor``
@@ -153,7 +153,7 @@ DEFAULT_ESTIMATOR_MAE_CEILING = 35.0
 
 #: Fabric channel: a stratified synth grid (scenarios crossed with the
 #: sweep's champion/challenger specs) shipped to subprocess fabric
-#: workers against a cold shared store, vs the same grid swept
+#: workers against a cold result cache root, vs the same grid swept
 #: serially.  Worker spawn/handshake happens outside the timed region
 #: (the steady state a long sweep experiences — the jobs4 channel
 #: treats pool spin-up the same way).
@@ -476,13 +476,15 @@ def measure_fabric(
 
     Runs the same stratified synth grid serially (``jobs=1``, no
     cache) and through ``workers`` subprocess fabric workers with a
-    cold shared store, best-of-``repeats`` each, and verifies the two
+    cold cache root, best-of-``repeats`` each, and verifies the two
     paths' stats cell for cell.  Every fabric repeat gets a fresh
-    store (so no repeat is answered from a warm store) and a fresh
-    fleet, warmed *before* the timed region — the measurement is
-    steady-state dispatch + simulation + store publish, not Python
-    interpreter startup.
+    cache directory (so no repeat is answered from a warm cache) and a
+    fresh fleet, warmed *before* the timed region — the measurement is
+    steady-state dispatch + simulation + the parent's cache writes,
+    not Python interpreter startup.  ``store_published`` is the number
+    of entries the parent wrote.
     """
+    from repro.analysis.pipeline import configure_disk_cache
     from repro.experiments import scheduler
     from repro.experiments.parallel import ParallelExperimentRunner
     from repro.workloads.synth import stratified_sample
@@ -510,11 +512,11 @@ def measure_fabric(
     for _ in range(repeats):
         with tempfile.TemporaryDirectory(
             prefix="polyflow-bench-fabric-"
-        ) as store_parent:
+        ) as cache_parent:
             runner = ParallelExperimentRunner(
                 scale=scale,
                 fabric_workers=workers,
-                fabric_store=os.path.join(store_parent, "store"),
+                cache_dir=os.path.join(cache_parent, "cache"),
             )
             try:
                 runner.warm_fabric()
@@ -523,6 +525,10 @@ def measure_fabric(
                 elapsed = time.perf_counter() - started
             finally:
                 runner.shutdown_fabric()
+                # The runner pointed this process's analysis cache at
+                # the directory about to be deleted; later channels run
+                # without one.
+                configure_disk_cache(None)
             if simulated != cells:
                 raise AssertionError(
                     "fabric sweep expected {} simulations, ran {}".format(
@@ -535,7 +541,7 @@ def measure_fabric(
                 == scheduler.pack_stats(serial_runner.run_policy(name, spec))
                 for name, spec in grid
             )
-            published = runner.summary.fabric.get("worker_store_publishes", 0)
+            published = runner.cache.stores
 
     cpus = scheduler.usable_cpus()
     return {

@@ -49,7 +49,6 @@ path: :mod:`repro.spawn` and :mod:`repro.cfg` themselves import
 
 import functools
 import gc
-import glob
 import hashlib
 import os
 import pickle
@@ -280,37 +279,14 @@ class AnalysisCache:
     # -- disk layer ---------------------------------------------------------------
 
     def gc(self):
-        """Prune what no lookup can serve from the disk layer: every
-        static part failing its envelope check, and every ``.trace``
-        file (format v4's trace parts, no longer read).  Returns a
-        report dict (``removed_corrupt``, ``removed_traces``,
-        ``removed_bytes``, ``kept_entries``, ``kept_bytes``)."""
-        keys = "removed_corrupt removed_traces removed_bytes kept_entries kept_bytes"
-        report = dict.fromkeys(keys.split(), 0)
-        for path in glob.glob(os.path.join(glob.escape(self.disk_root), "??", "*")):
-            try:
-                size = os.path.getsize(path)
-                if path.endswith(".trace"):
-                    removed = "removed_traces"
-                elif path.endswith(".pkl"):
-                    with open(path, "rb") as handle:
-                        data = handle.read()
-                    try:
-                        sealed.unseal(data, _MAGIC, ANALYSIS_FORMAT_VERSION)
-                    except ValueError:
-                        removed = "removed_corrupt"
-                    else:
-                        report["kept_entries"] += 1
-                        report["kept_bytes"] += size
-                        continue
-                else:
-                    continue
-                os.unlink(path)
-            except OSError:
-                continue
-            report[removed] += 1
-            report["removed_bytes"] += size
-        return report
+        """Prune what no lookup can serve from the disk layer (see
+        :func:`repro.sealed.sweep`): every static part failing its
+        envelope check, stale temporary files, and every ``.trace``
+        file (format v4's trace parts, no longer read), reported as
+        ``removed_stale``."""
+        return sealed.sweep(
+            self.disk_root, _MAGIC, ANALYSIS_FORMAT_VERSION, stale_suffixes=(".trace",)
+        )
 
     def _path(self, digest):
         """Path of ``digest``'s static part."""

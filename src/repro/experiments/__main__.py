@@ -61,9 +61,8 @@ def main(argv=None):
         "always-on exploration service, see --host/--port; 'query' "
         "asks a running service for stats, see --cells; 'fabric' "
         "prints a placement dry-run for a synth slice, see "
-        "--fabric-workers/--fabric-store; 'cache-gc' sweeps the "
-        "result cache, its analysis tree and the fabric store, see "
-        "--max-bytes)",
+        "--fabric-workers; 'cache-gc' sweeps the result cache and its "
+        "analysis tree, see --max-bytes)",
     )
     parser.add_argument(
         "--scale",
@@ -110,9 +109,10 @@ def main(argv=None):
     parser.add_argument(
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
-        help="on-disk result cache directory (default {!r})".format(
-            DEFAULT_CACHE_DIR
-        ),
+        help="on-disk result cache directory (default {!r}); runs "
+        "pointing at one shared directory share results, and fabric "
+        "workers read its analysis/ subdirectory but never write "
+        "results".format(DEFAULT_CACHE_DIR),
     )
     parser.add_argument(
         "--no-cache",
@@ -169,14 +169,6 @@ def main(argv=None):
         "the fabric frame protocol instead of the --jobs pool (0 = "
         "off; not capped at the local CPU count — workers may be "
         "remote)",
-    )
-    parser.add_argument(
-        "--fabric-store",
-        default=None,
-        help="shared result store directory (same format as "
-        "--cache-dir, so a filled cache directory serves as one): "
-        "workers load cells other participants already simulated "
-        "and store fresh results back",
     )
     parser.add_argument(
         "--fabric-ssh",
@@ -288,7 +280,6 @@ def main(argv=None):
         trace_dir=arguments.trace_dir,
         chunk=arguments.chunk,
         fabric_workers=arguments.fabric_workers,
-        fabric_store=arguments.fabric_store,
         fabric_command=arguments.fabric_ssh,
     )
     started = time.time()
@@ -409,54 +400,42 @@ def _run_synth(arguments, runner, started):
 
 
 def _run_cache_gc(arguments):
-    """Sweep the result cache, its analysis tree (and the fabric store)
-    — ``cache-gc``."""
+    """Sweep the result cache and its analysis tree — ``cache-gc``."""
     from repro.analysis.pipeline import AnalysisCache
     from repro.experiments.parallel import ANALYSIS_CACHE_SUBDIR, ResultCache
 
-    targets = []
-    if not arguments.no_cache:
-        targets.append(("result cache", ResultCache(arguments.cache_dir)))
-    if arguments.fabric_store:
-        targets.append(("fabric store", ResultCache(arguments.fabric_store)))
-    if not targets:
-        print("cache-gc: nothing to sweep (--no-cache and no --fabric-store)")
+    if arguments.no_cache:
+        print("cache-gc: nothing to sweep (--no-cache)")
         return 1
-    for label, tree in targets:
-        report = tree.gc(arguments.max_bytes)
-        print(
-            "{} {}: {} corrupt pruned, {} evicted (LRU), "
-            "{} bytes freed; {} entries / {} bytes kept".format(
-                label,
-                tree.root,
-                report["removed_corrupt"],
-                report["removed_lru"],
-                report["removed_bytes"],
-                report["kept_entries"],
-                report["kept_bytes"],
-            )
+    results = ResultCache(arguments.cache_dir)
+    print(
+        "result cache {}: {removed_corrupt} corrupt pruned, {removed_temp} "
+        "stale temp files deleted, {removed_lru} evicted (LRU), "
+        "{removed_bytes} bytes freed; {kept_entries} entries / "
+        "{kept_bytes} bytes kept".format(
+            results.root, **results.gc(arguments.max_bytes)
         )
-    if not arguments.no_cache:
-        analysis = AnalysisCache(
-            os.path.join(arguments.cache_dir, ANALYSIS_CACHE_SUBDIR)
+    )
+    analysis = AnalysisCache(os.path.join(arguments.cache_dir, ANALYSIS_CACHE_SUBDIR))
+    print(
+        "analysis cache {}: {removed_corrupt} corrupt pruned, "
+        "{removed_stale} trace parts deleted, {removed_temp} stale temp "
+        "files deleted, {removed_bytes} bytes freed; {kept_entries} "
+        "entries / {kept_bytes} bytes kept".format(
+            analysis.disk_root, **analysis.gc()
         )
-        print(
-            "analysis cache {}: {removed_corrupt} corrupt pruned, "
-            "{removed_traces} trace parts deleted, {removed_bytes} bytes "
-            "freed; {kept_entries} entries / {kept_bytes} bytes kept".format(
-                analysis.disk_root, **analysis.gc()
-            )
-        )
+    )
     return 0
 
 
 def _run_fabric_plan(arguments):
     """Print the placement a ``synth`` sweep would ship — ``fabric``.
 
-    Plans the sweep's own job list (baseline cells included) through
-    the runner's costing and ``plan_grid`` call — store-probing, so
-    held cells are priced as fetches — and shards the chunks the way
-    the subprocess transport does.  Nothing is simulated.
+    Passes the sweep's own job list (baseline cells included) through
+    the runner's load-or-pend loop and plan, the two steps ``prefetch``
+    takes: cells the result cache holds are booked, not planned, so a
+    filled root plans no chunks.  The chunks are sharded the way the
+    subprocess transport does.  Nothing is simulated.
     """
     from repro.experiments import synth_sweep
 
@@ -469,24 +448,24 @@ def _run_fabric_plan(arguments):
         cache_dir=None if arguments.no_cache else arguments.cache_dir,
         chunk=arguments.chunk,
         fabric_workers=workers,
-        fabric_store=arguments.fabric_store,
     )
-    jobs = runner.normalize_jobs(
-        synth_sweep.sweep_jobs(names, _synth_specs(arguments))
+    pending = list(
+        runner.pending(synth_sweep.sweep_jobs(names, _synth_specs(arguments)))
     )
-    digests = {cell: runner._digest(cell) for cell in jobs}
-    plan = runner.plan(jobs, digests)
-    store = runner.fabric_store
-    held = 0
-    if store is not None:
-        held = sum(store.contains(digest) for digest in digests.values())
-    shards = scheduler.plan_shards(plan.chunk_costs, workers)
+    plan = runner.plan(pending)
+    cached = runner.summary.cache_hits
     print(
-        "fabric plan: {} cells ({} store-held), {} inline, "
-        "{} chunks across {} workers".format(
-            len(jobs), held, len(plan.inline), len(plan.chunks), workers
+        "fabric plan: {} cells ({} cached), {} inline, {} cells in {} chunks "
+        "across {} workers".format(
+            cached + len(pending),
+            cached,
+            len(plan.inline),
+            plan.pooled_jobs,
+            len(plan.chunks),
+            workers,
         )
     )
+    shards = scheduler.plan_shards(plan.chunk_costs, workers)
     for worker, shard in enumerate(shards):
         cells = sum(len(plan.chunks[index]) for index in shard)
         cost = sum(plan.chunk_costs[index] for index in shard)
@@ -495,8 +474,9 @@ def _run_fabric_plan(arguments):
                 worker, len(shard), cells, cost
             )
         )
-    if store is not None:
-        print("  store: {} ({} entries)".format(store.root, len(store)))
+    cache = runner.cache
+    if cache is not None:
+        print("  cache: {} ({} entries)".format(cache.root, len(cache)))
     return 0
 
 
@@ -520,7 +500,6 @@ def _run_serve(arguments):
             cache_dir=None if arguments.no_cache else arguments.cache_dir,
             chunk=arguments.chunk,
             fabric_workers=arguments.fabric_workers,
-            fabric_store=arguments.fabric_store,
         )
         await service.start()
         # Machine-parsable endpoint line (scripts read it to learn the

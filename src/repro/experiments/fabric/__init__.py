@@ -19,10 +19,11 @@ chunk executor (:func:`repro.experiments.scheduler.run_cells`):
 * :mod:`~repro.experiments.fabric.worker` — the subprocess worker
   entry point (``python -m repro.experiments.fabric.worker``).
 
-Workers and parents share results through a
-:class:`~repro.experiments.parallel.ResultCache` root (``--fabric-store``):
-the same sha256-verified entries the local result cache writes, so a
-filled cache directory serves as a store as is.
+Workers are pure executors.  The parent looks every cell up in its one
+:class:`~repro.experiments.parallel.ResultCache` root (``--cache-dir``)
+before shipping it and is that root's only writer; a worker reads only
+the optional analysis directory (``<cache-dir>/analysis``) and never
+writes a result.  Runs that share a ``--cache-dir`` share results.
 
 Placement never changes results: cells are deterministic simulations
 addressed by their cell digests, outcomes merge into the same

@@ -24,12 +24,12 @@ separators).  Every frame is an object led by a ``kind``:
 
 ``result``
     Worker → driver: the aligned outcomes of one chunk,
-    ``{"kind": "result", "id": n, "outcomes": [...], "store": {...}}``.
+    ``{"kind": "result", "id": n, "outcomes": [...]}``.
     Each outcome is the JSON form of one
     :class:`~repro.experiments.runner.Outcome` (see
     :func:`encode_outcome`): the packed stats, the simulation seconds,
-    the block-cache delta, a ``source`` label (``simulated`` or
-    ``store``) and the ``batched``/``shared`` flags.
+    the block-cache delta, its ``source`` (``simulated``) and the
+    ``batched``/``shared`` flags.
 
 ``heartbeat``
     Worker → driver, periodically from a background thread, so a
@@ -53,8 +53,9 @@ from repro.errors import ConfigurationError
 #: Version of the fabric frame vocabulary.  Bump on any frame or
 #: field change; drivers refuse workers that announce a different
 #: version at handshake.  v2: result outcomes carry ``batched`` and
-#: ``shared``.
-WIRE_VERSION = 2
+#: ``shared``.  v3: result frames carry no store counters (workers
+#: only execute; the driver owns the result cache).
+WIRE_VERSION = 3
 
 #: Upper bound on one frame's body; anything larger is a protocol
 #: violation (a desynchronized stream decodes garbage lengths).

@@ -7,8 +7,7 @@ hands the chunks — lists of :class:`~repro.experiments.runner.Cell`\\ s
 ``execute(scale, chunks, costs)`` and ``close``; ``execute`` yields
 ``(chunk_index, outcomes)`` as results arrive, one
 :class:`~repro.experiments.runner.Outcome` per cell with its stats
-still packed (:func:`~repro.experiments.scheduler.pack_stats`) and its
-``source`` ``"simulated"`` or ``"store"``.
+still packed (:func:`~repro.experiments.scheduler.pack_stats`).
 
 * :class:`LocalPoolTransport` — the warm fork pool (``--jobs N``).  A
   dead worker raises ``BrokenProcessPool``.
@@ -21,7 +20,7 @@ still packed (:func:`~repro.experiments.scheduler.pack_stats`) and its
   two readers on one pipe.  A worker that goes silent past the chunk
   timeout, or hits EOF with chunks outstanding, raises
   :class:`FabricWorkerDied`; :meth:`~SubprocessWorkerTransport.placement`
-  reports cells, wall clock and store counters per worker.
+  reports cells, chunks and wall clock per worker.
 
 Either failure reaches the runner's one retry loop, which closes the
 transport and replans only the unfinished cells.
@@ -125,7 +124,7 @@ class SubprocessWorkerTransport:
     ``command_template`` customizes how workers launch — e.g.
     ``"ssh build-host {python} -u -m repro.experiments.fabric.worker"``
     — with ``{python}`` replaced by the driver's interpreter; worker
-    arguments (``--index``, ``--store`` …) are appended.  The default
+    arguments (``--index``, ``--heartbeat``) are appended.  The default
     launches local subprocesses with the driver's ``PYTHONPATH``
     extended to the repro package root, so a bare checkout works
     without installation.
@@ -144,7 +143,6 @@ class SubprocessWorkerTransport:
     def __init__(
         self,
         workers=2,
-        store_root=None,
         analysis_dir=None,
         command_template=None,
         chunk_timeout=DEFAULT_CHUNK_TIMEOUT,
@@ -152,7 +150,6 @@ class SubprocessWorkerTransport:
         extra_env=None,
     ):
         self.workers = max(1, int(workers))
-        self.store_root = store_root
         self.analysis_dir = analysis_dir
         self.command_template = command_template
         self.chunk_timeout = chunk_timeout
@@ -167,7 +164,6 @@ class SubprocessWorkerTransport:
         #: instead of desyncing the protocol.
         self._generation = [0] * self.workers
         self._frames = queue.Queue()
-        self._worker_store_stats = [None] * self.workers
         self._placement = _empty_placement(self.workers)
 
     # -- worker lifecycle ---------------------------------------------------------
@@ -184,11 +180,12 @@ class SubprocessWorkerTransport:
                 "-m",
                 "repro.experiments.fabric.worker",
             ]
-        command += ["--index", str(index)]
-        if self.store_root:
-            command += ["--store", self.store_root]
-        command += ["--heartbeat", str(self.heartbeat_interval)]
-        return command
+        return command + [
+            "--index",
+            str(index),
+            "--heartbeat",
+            str(self.heartbeat_interval),
+        ]
 
     def _environment(self):
         import repro
@@ -362,13 +359,8 @@ class SubprocessWorkerTransport:
                 )
             chunk_index = frame["id"]
             pending.pop(chunk_index, None)
-            if frame.get("store") is not None:
-                self._worker_store_stats[worker] = frame["store"]
             outcomes = [protocol.decode_outcome(raw) for raw in frame["outcomes"]]
             placement["cells_by_worker"][worker] += len(outcomes)
-            placement["store_cells_by_worker"][worker] += sum(
-                1 for outcome in outcomes if outcome.source == "store"
-            )
             finished_at[worker] = time.perf_counter()
             yield chunk_index, outcomes
         placement["wall_by_worker"] = [
@@ -399,13 +391,8 @@ class SubprocessWorkerTransport:
         return FabricWorkerDied(worker, reason, unfinished)
 
     def placement(self):
-        placement = dict(self._placement)
-        store_totals = {}
-        for stats in self._worker_store_stats:
-            for key, value in (stats or {}).items():
-                store_totals[key] = store_totals.get(key, 0) + value
-        placement["worker_store"] = store_totals
-        return placement
+        """The last dispatch's per-worker cells, chunks and wall clock."""
+        return dict(self._placement)
 
 
 def _read_worker(index, generation, stream, frames):
@@ -431,7 +418,6 @@ def _empty_placement(workers):
         "workers": workers,
         "cells_by_worker": [0] * workers,
         "chunks_by_worker": [0] * workers,
-        "store_cells_by_worker": [0] * workers,
         "wall_by_worker": [0.0] * workers,
         "straggler_seconds": 0.0,
     }

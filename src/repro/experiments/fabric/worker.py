@@ -7,16 +7,14 @@ thread heartbeats so the driver can tell a long simulation from a dead
 process; then the main loop executes ``chunk`` frames until
 ``shutdown`` or EOF.
 
-Chunk execution is store-first: every cell's digest is looked up in
-the shared result store (``--store``, a
-:class:`~repro.experiments.parallel.ResultCache` root), and held cells
-are answered from the verified entry without simulating — labeled
-``source=store`` so the driver books them as store hits, not runs.
-The remaining cells run through the scheduler's
-:func:`~repro.experiments.scheduler.execute_chunk` — the *same*
-worker-side path the local pool uses, grid-batching included,
+A worker is a pure executor: each chunk is decoded, run through the
+scheduler's :func:`~repro.experiments.scheduler.execute_chunk` — the
+*same* worker-side path the local pool uses, grid-batching included,
 so fabric results are bit-identical to pooled and serial ones — and
-each fresh result is stored back into the store for the next worker.
+its outcomes are encoded back.  The driver looked every cell up in its
+result cache before shipping it and writes the results there itself;
+a worker reads only the optional analysis directory the ``configure``
+frame names and never writes a result.
 
 stdout carries frames only; anything a simulation prints would corrupt
 the stream, so the worker rebinds ``sys.stdout`` to stderr after
@@ -59,48 +57,24 @@ def _claim_fault(kind):
     return True
 
 
-def _execute_chunk(frame, store, analysis_dir):
+def _execute_chunk(frame, analysis_dir):
     """The ``result`` frame for one ``chunk`` frame."""
     from repro.experiments import scheduler
-    from repro.experiments.runner import Outcome
 
-    scale = frame["scale"]
     cells = [protocol.decode_cell(raw) for raw in frame["cells"]]
-    outcomes = [None] * len(cells)
-    digests = {}
-    if store is not None:
-        for index, cell in enumerate(cells):
-            digests[index] = cell.digest(scale)
-            entry = store.load(digests[index])
-            if entry is not None:
-                outcomes[index] = Outcome(
-                    scheduler.pack_stats(entry[0]), source="store"
-                )
-    pending = [index for index, outcome in enumerate(outcomes) if outcome is None]
-    if pending:
-        executed = scheduler.execute_chunk(
-            analysis_dir, scale, False, None, [cells[index] for index in pending]
-        )
-        for index, outcome in zip(pending, executed):
-            if store is not None:
-                store.store(
-                    digests[index],
-                    scheduler.unpack_stats(outcome.stats),
-                    cells[index].meta(scale),
-                )
-            outcomes[index] = outcome
+    outcomes = scheduler.execute_chunk(
+        analysis_dir, frame["scale"], False, None, cells
+    )
     return {
         "kind": "result",
         "id": frame["id"],
         "outcomes": [protocol.encode_outcome(outcome) for outcome in outcomes],
-        "store": store.counters() if store is not None else None,
     }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="polyflow-fabric-worker")
     parser.add_argument("--index", type=int, default=0)
-    parser.add_argument("--store", default=None)
     parser.add_argument(
         "--heartbeat",
         type=float,
@@ -141,12 +115,6 @@ def main(argv=None):
     heartbeat_thread = threading.Thread(target=beat, daemon=True)
     heartbeat_thread.start()
 
-    store = None
-    if arguments.store:
-        from repro.experiments.parallel import ResultCache
-
-        store = ResultCache(arguments.store)
-
     analysis_dir = None
     try:
         while True:
@@ -167,7 +135,7 @@ def main(argv=None):
                     # timeout can unblock the dispatch.
                     stop.set()
                     threading.Event().wait()
-                send(_execute_chunk(frame, store, analysis_dir))
+                send(_execute_chunk(frame, analysis_dir))
                 if _claim_fault("die-after-result"):
                     os._exit(3)
                 continue

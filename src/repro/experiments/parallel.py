@@ -6,12 +6,13 @@ independent cycle-level simulations.
 :meth:`ParallelExperimentRunner.prefetch` runs every pending cell of
 such a grid, one or many, through one dispatch loop:
 
-1. **cost** each cell with
-   :func:`~repro.experiments.scheduler.job_cost` (probing the shared
-   store when one is set);
-2. **plan** once with :func:`~repro.experiments.scheduler.plan_grid`:
-   cheap cells inline in the parent, the rest as
-   longest-expected-first chunks;
+1. **load or pend** each cell with
+   :meth:`~ParallelExperimentRunner.pending`: a usable cache entry is
+   booked at once, every other cell is pending;
+2. **cost** the pending cells with
+   :func:`~repro.experiments.scheduler.job_cost` and **plan** them once
+   with :func:`~repro.experiments.scheduler.plan_grid`: cheap cells
+   inline in the parent, the rest as longest-expected-first chunks;
 3. **run** the inline cells in the parent and stream the chunks
    through the runner's transport — the warm fork pool (``--jobs N``)
    or subprocess workers (``--fabric-workers N``, see
@@ -19,15 +20,18 @@ such a grid, one or many, through one dispatch loop:
    :func:`~repro.experiments.scheduler.run_cells`, runs the cells;
 4. **book** every :class:`~repro.experiments.runner.Outcome` through
    one function, :meth:`~ParallelExperimentRunner._book`, as it
-   arrives — cache and store hits included, told apart by their
-   ``source``.  The :class:`RunSummary` is a fold over what was
-   booked, plus one record per plan and per dead worker.
+   arrives — cache hits included, told apart by their ``source``.
+   The :class:`RunSummary` is a fold over what was booked, plus one
+   record per plan and per dead worker.
+
+The ``fabric`` dry-run calls the same two steps, load-or-pend and plan,
+so it announces exactly what a sweep of the same root ships.
 
 Every pending cell is a :class:`~repro.experiments.runner.Cell`; the
 parent computes its digest once per dispatch and uses it for the
-cache lookup, the store-probing cost and the write-back.  A dead
-worker on either transport reaches one retry loop, which closes the
-transport and replans only the cells whose outcomes never arrived.
+cache lookup and the write-back.  A dead worker on either transport
+reaches one retry loop, which closes the transport and replans only
+the cells whose outcomes never arrived.
 
 Results are also written to a content-addressed on-disk cache keyed by
 :meth:`Cell.digest <repro.experiments.runner.Cell.digest>` (workload,
@@ -36,10 +40,11 @@ repeated figure generation and CI smoke runs skip simulations that
 already ran — under *any* runner, serial or parallel.
 One class, :class:`ResultCache`, owns the result entries: each is a
 sha256-verified envelope in the format of :mod:`repro.sealed`, so a
-damaged entry is counted and re-simulated, never served.  The same
-class backs the local cache directory and the fabric's shared store
-root (``--fabric-store``), so a filled cache directory *is* a valid
-store.
+damaged entry is counted and re-simulated, never served.  One root
+(``--cache-dir``) serves the parent, the warm pool and the subprocess
+fabric alike, and the parent is its only writer: workers only run
+cells and send outcomes back.  Runs on several machines share results
+by pointing ``--cache-dir`` at one shared directory.
 
 Parallel output is bit-identical to serial output: every simulation is
 deterministic given its job key (workloads are built from seeded RNGs),
@@ -82,80 +87,6 @@ DEFAULT_CACHE_DIR = ".polyflow-cache"
 ANALYSIS_CACHE_SUBDIR = "analysis"
 
 
-def sweep_entries(root, max_bytes=None):
-    """Size-capped LRU sweep of one :class:`ResultCache` tree.
-
-    Walks the two-hex-character shard directories under ``root``,
-    removing entries in two passes:
-
-    1. **corrupt first** — every entry failing its envelope check (a
-       damaged entry, or one left by an older cache format) is pruned
-       unconditionally;
-    2. **oldest next** — while the surviving entries exceed
-       ``max_bytes``, the least-recently-written (smallest mtime) are
-       evicted.  ``max_bytes=None`` skips this pass.
-
-    Emptied shard directories are removed.  Returns a report dict
-    (``removed_corrupt``, ``removed_lru``, ``removed_bytes``,
-    ``kept_entries``, ``kept_bytes``).
-    """
-    survivors = []
-    removed_corrupt = removed_lru = removed_bytes = 0
-    if os.path.isdir(root):
-        for shard in sorted(os.listdir(root)):
-            shard_path = os.path.join(root, shard)
-            if len(shard) != 2 or not os.path.isdir(shard_path):
-                continue
-            for entry in sorted(os.listdir(shard_path)):
-                if not entry.endswith(".pkl"):
-                    continue
-                path = os.path.join(shard_path, entry)
-                try:
-                    status = os.stat(path)
-                    with open(path, "rb") as handle:
-                        data = handle.read()
-                except OSError:
-                    continue
-                try:
-                    sealed.unseal(data, _MAGIC, CACHE_FORMAT_VERSION)
-                except ValueError:
-                    os.unlink(path)
-                    removed_corrupt += 1
-                    removed_bytes += status.st_size
-                    continue
-                survivors.append((status.st_mtime, path, status.st_size))
-    if max_bytes is not None:
-        survivors.sort()
-        total = sum(size for _, _, size in survivors)
-        evicted = 0
-        while survivors and total > max_bytes:
-            _, path, size = survivors[evicted]
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            total -= size
-            removed_lru += 1
-            removed_bytes += size
-            evicted += 1
-        survivors = survivors[evicted:]
-    if os.path.isdir(root):
-        for shard in os.listdir(root):
-            shard_path = os.path.join(root, shard)
-            if len(shard) == 2 and os.path.isdir(shard_path):
-                try:
-                    os.rmdir(shard_path)
-                except OSError:
-                    pass
-    return {
-        "removed_corrupt": removed_corrupt,
-        "removed_lru": removed_lru,
-        "removed_bytes": removed_bytes,
-        "kept_entries": len(survivors),
-        "kept_bytes": sum(size for _, _, size in survivors),
-    }
-
-
 class ResultCache:
     """Content-addressed on-disk store of pickled simulation stats.
 
@@ -163,8 +94,9 @@ class ResultCache:
     is the pickled ``{"meta", "stats", "metrics"}`` body sealed by
     :mod:`repro.sealed` (a ``magic version sha256`` header line, then
     the body).  Its atomic writer lets concurrent writers of one digest
-    (runs sharing a cache directory, fabric workers sharing a store
-    root) race harmlessly, and readers never observe a torn entry.
+    (runs sharing a cache directory) race harmlessly, and readers never
+    observe a torn entry.  ``stores`` counts the entries this instance
+    wrote.
 
     Lookups distinguish a *clean* miss (no entry on disk, counted in
     ``misses``) from a *corrupt* one (present but failing its envelope
@@ -184,15 +116,6 @@ class ResultCache:
 
     def path(self, digest):
         return os.path.join(self.root, digest[:2], digest + ".pkl")
-
-    def contains(self, digest):
-        """Whether an entry exists (a cheap probe — no verification).
-
-        The cost model uses this to price held cells (see
-        :func:`repro.experiments.scheduler.job_cost`); actual reads
-        always go through the verifying :meth:`load`.
-        """
-        return os.path.exists(self.path(digest))
 
     def load(self, digest):
         """The cached ``(stats, metrics)`` for ``digest``, or ``None``.
@@ -227,37 +150,10 @@ class ResultCache:
         """Atomically persist ``stats`` (with a metadata header and an
         optional metrics snapshot) under ``digest``."""
         body = pickle.dumps({"meta": meta, "stats": stats, "metrics": metrics})
-        self._write(digest, sealed.seal(body, _MAGIC, CACHE_FORMAT_VERSION))
-
-    def copy_from(self, other, digest):
-        """Copy ``other``'s entry for ``digest`` into this root as is.
-
-        Both roots share one format, so the copy is the verified bytes,
-        not a re-encoding.  A missing or damaged entry is not copied.
-        """
-        try:
-            with open(other.path(digest), "rb") as handle:
-                data = handle.read()
-            sealed.unseal(data, _MAGIC, CACHE_FORMAT_VERSION)
-        except (OSError, ValueError):
-            return
-        self._write(digest, data)
-
-    def _write(self, digest, data):
-        sealed.write(self.path(digest), data)
+        sealed.write(
+            self.path(digest), sealed.seal(body, _MAGIC, CACHE_FORMAT_VERSION)
+        )
         self.stores += 1
-
-    def counters(self):
-        """Cumulative traffic as ``fetches``/``hits``/``misses``/
-        ``publishes``/``corrupt_rejected`` (the fabric store counters
-        of the run summary).  A corrupt entry counts as a miss too."""
-        return {
-            "fetches": self.hits + self.misses + self.corrupt,
-            "hits": self.hits,
-            "misses": self.misses + self.corrupt,
-            "publishes": self.stores,
-            "corrupt_rejected": self.corrupt,
-        }
 
     def __len__(self):
         if not os.path.isdir(self.root):
@@ -272,16 +168,17 @@ class ResultCache:
         return count
 
     def gc(self, max_bytes=None):
-        """Size-capped LRU sweep: corrupt entries first, oldest next.
+        """Size-capped LRU sweep (:func:`repro.sealed.sweep`): corrupt
+        entries and stale temporary files first, oldest entries next.
 
-        Caches grow unbounded across sweeps; long-lived fabric stores
+        Caches grow unbounded across sweeps; long-lived shared roots
         and CI caches call this (or the ``cache-gc`` CLI) to stay
         under a byte budget.  Eviction is mtime-based — entries are
         content-addressed and immutable, so write time is the recency
         signal.  Only the two-hex-shard entry tree is touched; the
         ``analysis/`` subdirectory living alongside it is not.
         """
-        return sweep_entries(self.root, max_bytes)
+        return sealed.sweep(self.root, _MAGIC, CACHE_FORMAT_VERSION, max_bytes)
 
 
 class Dispatch(NamedTuple):
@@ -315,14 +212,14 @@ class RunSummary:
 
     A summary keeps records, not counters.  Its ledger is the runner's
     ``Cell → Outcome`` memo, so every per-cell counter — cells
-    simulated, cache hits, store cells, batched and shared cells,
+    simulated, cache hits, batched and shared cells,
     timings, block-cache movement, metrics snapshots — is a fold over
     the booked :class:`~repro.experiments.runner.Outcome`\\ s, and the
-    corrupt entries are the result caches' own ``corrupt_paths``.  The
+    corrupt entries are the result cache's own ``corrupt_paths``.  The
     runner adds one :class:`Dispatch` per plan and one
     :class:`Incident` per dead worker, whatever the transport, and one
-    placement snapshot per fabric dispatch.  The wall clock, the
-    estimator's cells and the store traffic are plain snapshots.
+    placement snapshot per fabric dispatch.  The wall clock and the
+    estimator's cells are plain snapshots.
     :meth:`merged` concatenates the records of several summaries, so a
     merged summary folds exactly like a single one.
     """
@@ -342,10 +239,6 @@ class RunSummary:
         #: simulation ran, the consumer saw ``source=estimated``.
         self.estimated_cells = 0
         self.wall_seconds = 0.0
-        #: Cumulative store counters of the parent's store and of the
-        #: fabric workers' (latest snapshots, not sums).
-        self.store_traffic = {}
-        self.worker_store_traffic = {}
 
     @classmethod
     def merged(cls, summaries):
@@ -360,12 +253,6 @@ class RunSummary:
             merged.placements += summary.placements
             merged.estimated_cells += summary.estimated_cells
             merged.wall_seconds += summary.wall_seconds
-            for total, part in (
-                (merged.store_traffic, summary.store_traffic),
-                (merged.worker_store_traffic, summary.worker_store_traffic),
-            ):
-                for key, value in part.items():
-                    total[key] = total.get(key, 0) + value
         return merged
 
     def record_estimated(self, count=1):
@@ -498,29 +385,23 @@ class RunSummary:
 
     @property
     def fabric(self):
-        """Fabric telemetry: placement, store traffic, incidents (flat
-        numerics; per-worker vectors live in :attr:`fabric_placement`)."""
+        """Fabric telemetry: placement and incidents (flat numerics;
+        per-worker vectors live in :attr:`fabric_placement`)."""
         dispatched = self._dispatched("subprocess")
         incidents = self._incidents("subprocess")
-        fabric = {
+        return {
             "workers": max(
                 (entry.workers for entry in dispatched if entry.plan.chunks),
                 default=0,
             ),
             "chunks": sum(len(entry.plan.chunks) for entry in dispatched),
             "cells": sum(entry.plan.pooled_jobs for entry in dispatched),
-            "store_cells": sum(1 for _ in self._booked("store")),
             "replanned_cells": sum(entry.replanned_cells for entry in incidents),
             "restarts": len(incidents),
             "straggler_seconds": max(
                 [0.0] + [entry["straggler_seconds"] for entry in self.placements]
             ),
         }
-        for key in ("fetches", "hits", "misses", "publishes", "corrupt_rejected"):
-            fabric["store_" + key] = self.store_traffic.get(key, 0)
-        for key, value in self.worker_store_traffic.items():
-            fabric["worker_store_" + key] = value
-        return fabric
 
     def as_dict(self):
         """Every counter as structured fields (JSON-able).
@@ -599,12 +480,11 @@ class RunSummary:
             )
         if fabric["cells"]:
             lines.append(
-                "  fabric: {} cells in {} chunks across {} workers "
-                "({} from store), straggler {:.1f}s".format(
+                "  fabric: {} cells in {} chunks across {} workers, "
+                "straggler {:.1f}s".format(
                     fabric["cells"],
                     fabric["chunks"],
                     fabric["workers"],
-                    fabric["store_cells"],
                     fabric["straggler_seconds"],
                 )
             )
@@ -614,25 +494,6 @@ class RunSummary:
                         self.fabric_placement.get("cells_by_worker")
                     )
                 )
-        if fabric["store_fetches"] or fabric["store_publishes"]:
-            lines.append(
-                "  fabric store: {} hits / {} misses, {} published, "
-                "{} corrupt rejected".format(
-                    fabric["store_hits"],
-                    fabric["store_misses"],
-                    fabric["store_publishes"],
-                    fabric["store_corrupt_rejected"],
-                )
-            )
-        if fabric.get("worker_store_fetches") or fabric.get("worker_store_publishes"):
-            lines.append(
-                "  worker store traffic: {} hits / {} misses, "
-                "{} published".format(
-                    fabric.get("worker_store_hits", 0),
-                    fabric.get("worker_store_misses", 0),
-                    fabric.get("worker_store_publishes", 0),
-                )
-            )
         if fabric["restarts"]:
             lines.append(
                 "  {} fabric worker restart(s); {} cells replanned".format(
@@ -693,7 +554,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         cpus=None,
         pool_retries=1,
         fabric_workers=0,
-        fabric_store=None,
         fabric_command=None,
         fabric_chunk_timeout=None,
         fabric_extra_env=None,
@@ -743,33 +603,23 @@ class ParallelExperimentRunner(ExperimentRunner):
         self.fabric_command = fabric_command
         self.fabric_chunk_timeout = fabric_chunk_timeout
         self.fabric_extra_env = fabric_extra_env
-        if isinstance(fabric_store, str):
-            fabric_store = ResultCache(fabric_store)
-        #: The shared result store (a :class:`ResultCache` root, or
-        #: ``None``).  Read through in the parent (see
-        #: :meth:`_load_cached`) and passed to fabric workers, which
-        #: load from and store into the same root.
-        self.fabric_store = fabric_store
         self._transport = None
         self.summary = RunSummary(
-            self._results,
-            self.config,
-            [cache for cache in (self.cache, fabric_store) if cache is not None],
+            self._results, self.config, [] if self.cache is None else [self.cache]
         )
 
     # -- cache plumbing -----------------------------------------------------------
 
     def _digest(self, cell):
         """``cell``'s digest, or ``None`` when this runner has no
-        result cache or store to address."""
-        if self.cache is None and self.fabric_store is None:
+        result cache to address."""
+        if self.cache is None:
             return None
         return cell.digest(self.scale)
 
     def _load_cached(self, digest):
         """A usable cached :class:`~repro.experiments.runner.Outcome`
-        (``source`` ``"cache"`` or ``"store"``), or ``None`` when the
-        cell must run.
+        (``source`` ``"cache"``), or ``None`` when the cell must run.
 
         A hit is unusable when the run must produce side channels the
         cache cannot replay: a requested trace file, or metrics the
@@ -779,49 +629,28 @@ class ParallelExperimentRunner(ExperimentRunner):
         """
         if digest is None or self.trace_dir is not None:
             return None
-        if self.cache is not None:
-            entry = self.cache.load(digest)
-            if entry is not None and (entry[1] or not self.emit_metrics):
-                metrics = entry[1] if self.emit_metrics else None
-                return Outcome(entry[0], metrics, source="cache")
-        # Shared-store read-through: an entry some other fabric
-        # participant stored (copied into the local cache by ``_book``).
-        if self.fabric_store is not None and not self.emit_metrics:
-            entry = self.fabric_store.load(digest)
-            if entry is not None:
-                return Outcome(entry[0], source="store")
-        return None
-
-    def _store_cached(self, cell, digest, outcome):
-        meta = cell.meta(self.scale)
-        if self.cache is not None:
-            self.cache.store(digest, outcome.stats, meta, metrics=outcome.metrics)
-        # Store fresh results in the shared root so other fabric
-        # participants reuse them.  Subprocess workers already stored
-        # theirs, which the ``contains`` probe skips; an entry this
-        # run found corrupt is overwritten.
-        store = self.fabric_store
-        if store is not None and (
-            not store.contains(digest) or store.path(digest) in store.corrupt_paths
-        ):
-            store.store(digest, outcome.stats, meta, metrics=outcome.metrics)
+        entry = self.cache.load(digest)
+        if entry is None or (self.emit_metrics and not entry[1]):
+            return None
+        metrics = entry[1] if self.emit_metrics else None
+        return Outcome(entry[0], metrics, source="cache")
 
     def _book(self, cell, outcome, digest=None):
-        """Book one outcome, wherever it came from: memo and caches.
+        """Book one outcome, wherever it came from: memo and cache.
 
-        The memo entry is all :attr:`summary` needs.  A ``"cache"``
-        outcome is a local cache hit.  A ``"store"`` outcome is a
-        fabric-store hit — the parent's read-through or a worker's —
-        and is copied into the local result cache.  A ``"simulated"``
-        outcome is written to the cache and the store.  ``digest`` is
-        the cell's, when the caller already has it.
+        The memo entry is all :attr:`summary` needs.  A ``"simulated"``
+        outcome is also written to the result cache — here, in the
+        parent, whichever transport ran it, so the parent is the root's
+        only writer.  ``digest`` is the cell's, when the caller already
+        has it.
         """
-        if outcome.source == "store" and self.cache is not None:
-            self.cache.copy_from(self.fabric_store, digest or self._digest(cell))
-        elif outcome.source == "simulated" and (
-            self.cache is not None or self.fabric_store is not None
-        ):
-            self._store_cached(cell, digest or self._digest(cell), outcome)
+        if outcome.source == "simulated" and self.cache is not None:
+            self.cache.store(
+                digest or self._digest(cell),
+                outcome.stats,
+                cell.meta(self.scale),
+                metrics=outcome.metrics,
+            )
         super()._book(cell, outcome)
 
     def _run_cells(self, cells):
@@ -839,6 +668,25 @@ class ParallelExperimentRunner(ExperimentRunner):
 
     # -- fan-out ------------------------------------------------------------------
 
+    def pending(self, jobs):
+        """Load or pend every job: the one lookup loop of a dispatch.
+
+        Each not-yet-memoized cell with a usable cache entry is booked
+        at once; the rest are returned as ``{cell: digest}`` in
+        scheduling order.  :meth:`prefetch` plans and runs what this
+        returns, and the ``fabric`` dry-run plans the same, so the two
+        never disagree about what ships.
+        """
+        digests = {}
+        for cell in self.normalize_jobs(jobs):
+            digest = self._digest(cell)
+            outcome = self._load_cached(digest)
+            if outcome is None:
+                digests[cell] = digest
+            else:
+                self._book(cell, outcome, digest)
+        return digests
+
     def prefetch(self, jobs):
         """Materialize every job's stats through the grid scheduler.
 
@@ -851,22 +699,11 @@ class ParallelExperimentRunner(ExperimentRunner):
         run.
         """
         started = time.perf_counter()
-        digests = {}
-        pending = []
-        for cell in self.normalize_jobs(jobs):
-            digest = self._digest(cell)
-            outcome = self._load_cached(digest)
-            if outcome is None:
-                pending.append(cell)
-                digests[cell] = digest
-            else:
-                self._book(cell, outcome, digest)
-        if pending:
-            self._fan_out(pending, digests)
-        if self.fabric_store is not None:
-            self.summary.store_traffic = self.fabric_store.counters()
+        digests = self.pending(jobs)
+        if digests:
+            self._fan_out(list(digests), digests)
         self.summary.wall_seconds += time.perf_counter() - started
-        return len(pending)
+        return len(digests)
 
     def _fan_out(self, pending, digests):
         """Dispatch ``pending`` cells, replanning after a dead worker.
@@ -911,11 +748,6 @@ class ParallelExperimentRunner(ExperimentRunner):
                     keyword_arguments["chunk_timeout"] = self.fabric_chunk_timeout
                 self._transport = SubprocessWorkerTransport(
                     self.fabric_workers,
-                    store_root=(
-                        self.fabric_store.root
-                        if self.fabric_store is not None
-                        else None
-                    ),
                     analysis_dir=self.analysis_dir,
                     command_template=self.fabric_command,
                     extra_env=self.fabric_extra_env,
@@ -947,24 +779,16 @@ class ParallelExperimentRunner(ExperimentRunner):
         if self.fabric_workers:
             self._ensure_transport().ensure_workers()
 
-    def plan(self, pending, digests):
+    def plan(self, pending):
         """Cost ``pending`` and plan it for this runner's transport.
 
-        ``digests`` maps each cell to its :meth:`_digest`.  Costing
-        probes the shared store when one is set (tier 2 of
-        :func:`~repro.experiments.scheduler.job_cost`), so store-held
-        cells are priced as fetches.  The inline floor is
-        ``inline_threshold`` when given, else the transport's own.  The
-        ``fabric`` dry-run prints this plan without running it.
+        ``pending`` is what :meth:`pending` left to run.  The inline
+        floor is ``inline_threshold`` when given, else the transport's
+        own.  The ``fabric`` dry-run prints this plan without running
+        it.
         """
         transport = self._ensure_transport()
-        store = self.fabric_store
-        costs = [
-            scheduler.job_cost(
-                cell.workload, self.scale, store=store, digest=digests[cell]
-            )
-            for cell in pending
-        ]
+        costs = [scheduler.job_cost(cell.workload, self.scale) for cell in pending]
         # The transport's worker count is already capped where it must
         # be (the pool at the local CPUs, subprocess workers never).
         return scheduler.plan_grid(
@@ -986,7 +810,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         Every outcome is booked as it arrives, so a mid-grid worker
         death loses only the outcomes that never came back.
         """
-        plan = self.plan(pending, digests)
+        plan = self.plan(pending)
         transport = self._transport
         self.summary.dispatches.append(
             Dispatch(transport.name, transport.workers, plan)
@@ -1003,7 +827,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         if self.fabric_workers:
             placement = transport.placement()
             self.summary.placements.append(placement)
-            self.summary.worker_store_traffic = placement["worker_store"]
             self._fabric_event(
                 "placement",
                 workers=placement["workers"],

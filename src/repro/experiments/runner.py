@@ -103,10 +103,9 @@ class Outcome(NamedTuple):
 
     ``stats`` comes first, so ``outcome[0]`` is the stats.  ``blocks``
     is the cell's block-cache counter movement.  ``source`` is
-    ``"simulated"``, ``"cache"`` (the local result cache) or
-    ``"store"`` (the fabric store).  ``batched`` marks a cell the grid
-    batch ran, ``shared`` one whose stats were copied from an identical
-    cell's kernel run.
+    ``"simulated"`` or ``"cache"`` (the result cache).  ``batched``
+    marks a cell the grid batch ran, ``shared`` one whose stats were
+    copied from an identical cell's kernel run.
     """
 
     stats: object

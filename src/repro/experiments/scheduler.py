@@ -67,11 +67,6 @@ INLINE_COST_THRESHOLD = 5000
 #: longest-expected-first submission order does the actual balancing.
 OVERPARTITION = 4
 
-#: Nominal cost of a grid cell the shared artifact store already
-#: holds: a digest-verified fetch, not a simulation.  Non-zero so the
-#: shard planner still spreads store-held cells across workers.
-STORE_HELD_COST = 1
-
 
 def usable_cpus():
     """CPUs this process may actually run on (affinity-aware)."""
@@ -84,33 +79,25 @@ def usable_cpus():
 # -- cost model -------------------------------------------------------------------
 
 
-def job_cost(name, scale, store=None, digest=None):
+def job_cost(name, scale):
     """Estimated cost of one grid cell: its committed-trace length.
 
     Simulation time is linear in committed instructions (the kernel
     retires the whole trace), so the trace length is the cost unit.
     The policy spec does not enter: every policy retires the same
-    trace.  Four tiers, cheapest sufficient one wins:
+    trace.  Only cells left to run are costed (cached ones were booked
+    before planning).  Three tiers, cheapest sufficient one wins:
 
     1. a cached exact length (preparation memo, or the analysis
        cache's memory/disk layers) — free and exact;
-    2. a shared-store probe: when ``store``/``digest`` name an
-       artifact the fabric store already holds, the cell costs
-       :data:`STORE_HELD_COST` — it will be *fetched*, not simulated,
-       so estimating (let alone preparing) its workload would price
-       work nobody is going to do;
-    3. the closed-form structural estimate of
+    2. the closed-form structural estimate of
        :func:`repro.analysis.estimate.estimated_trace_length` for
        synthesized catalog scenarios — ~20% relative error, which the
        over-partitioned longest-first schedule absorbs, and it spares
        a cold sweep from preparing every cell up front just to cost
        it;
-    4. preparing the workload (named workloads on a cold cache only —
+    3. preparing the workload (named workloads on a cold cache only —
        the handful of paper benchmarks, never the 2592-cell catalog).
-
-    The store probe sits *above* the estimator so a store-held named
-    workload on a cold cache never triggers the tier-4 ``prepare``
-    fallback in fabric costing paths.
     """
     from repro.analysis.estimate import estimated_trace_length
     from repro.workloads.suite import (
@@ -121,8 +108,6 @@ def job_cost(name, scale, store=None, digest=None):
     cached = peek_workload_trace_length(name, scale)
     if cached is not None:
         return cached
-    if store is not None and digest is not None and store.contains(digest):
-        return STORE_HELD_COST
     estimated = estimated_trace_length(name, scale)
     if estimated is not None:
         return estimated

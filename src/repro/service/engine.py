@@ -12,10 +12,9 @@ Execution of a batch is tiered, cheapest first:
 
 1. **Memo** — cells already in a runner's in-memory result memo are
    answered immediately (the always-on process *is* the hot cache).
-2. **Disk cache** — content-addressed ``ResultCache`` hits (the
-   cache directory, then the fabric store root when one is set; both
-   one sha256-verified format) are loaded in the parent, never
-   touching the pool.  A damaged entry is never served: it is
+2. **Disk cache** — content-addressed, sha256-verified
+   ``ResultCache`` hits in the cache directory are loaded in the
+   parent, never touching the pool.  A damaged entry is never served: it is
    re-simulated and reported as a ``corrupt_cache_entry`` incident.
 3. **Simulation** — only genuinely missing cells reach
    ``prefetch``, which cost-schedules them inline or onto the warm
@@ -25,9 +24,8 @@ Execution of a batch is tiered, cheapest first:
 The engine turns each wire cell into a runner
 :class:`~repro.experiments.runner.Cell` once, at batch entry.  A cell
 memoized before ``prefetch`` is labelled ``memo``; every other label
-is the booked outcome's own ``source``, with the fabric store's
-``store`` shown as ``cache``, so an answer is labelled by the tier
-that actually produced it.
+is the booked outcome's own ``source``, so an answer is labelled by
+the tier that actually produced it.
 
 Fault handling is two-layered: the parallel runner itself retries a
 broken worker pool once (restarting the pool), and if a *batch-level*
@@ -119,7 +117,6 @@ class ExplorationEngine:
         journal=None,
         sim_event_limit=DEFAULT_SIM_EVENT_LIMIT,
         fabric_workers=0,
-        fabric_store=None,
     ):
         self.jobs = jobs
         self.cache_dir = cache_dir
@@ -128,11 +125,9 @@ class ExplorationEngine:
         self.cpus = cpus
         self.journal = journal
         self.sim_event_limit = sim_event_limit
-        #: Fabric knobs, forwarded verbatim to every scale runner: the
-        #: engine can target worker subprocesses and a shared artifact
-        #: store instead of the local warm pool.
+        #: Forwarded to every scale runner: the engine can target
+        #: worker subprocesses instead of the local warm pool.
         self.fabric_workers = fabric_workers
-        self.fabric_store = fabric_store
         self._runners = {}
         self._lock = threading.Lock()
         #: Batch/query/cell telemetry for ``/healthz``.
@@ -173,7 +168,6 @@ class ExplorationEngine:
                     journal=self.journal,
                     sim_event_limit=self.sim_event_limit,
                     fabric_workers=self.fabric_workers,
-                    fabric_store=self.fabric_store,
                 )
                 self._runners[scale] = runner
             return runner
@@ -307,12 +301,7 @@ class ExplorationEngine:
                 )
                 continue
             booked = runner._results[cell]
-            if cell in memo:
-                source = wire.SOURCE_MEMO
-            elif booked.source == "store":
-                source = wire.SOURCE_CACHE
-            else:
-                source = booked.source
+            source = wire.SOURCE_MEMO if cell in memo else booked.source
             outcome[cell] = (source, booked.stats)
             self.cells_by_source[source] += 1
         return outcome
@@ -420,6 +409,14 @@ class ExplorationEngine:
             },
         }
 
+    def close(self):
+        """Close every scale runner's transport (subprocess fabric
+        workers exit; the next batch would start fresh ones)."""
+        with self._lock:
+            runners = list(self._runners.values())
+        for runner in runners:
+            runner.shutdown_fabric()
+
     # -- telemetry ----------------------------------------------------------------
 
     def summary(self):
@@ -437,16 +434,10 @@ class ExplorationEngine:
         """The engine fragment of ``/healthz``.  ``pool_restarts``
         counts dead workers on either transport."""
         summary = self.summary_dict()
-        store_root = self.fabric_store
-        if store_root is not None and not isinstance(store_root, str):
-            store_root = getattr(store_root, "root", str(store_root))
         return {
             "jobs": self.jobs,
             "cache_dir": self.cache_dir,
-            "fabric": {
-                "workers": self.fabric_workers,
-                "store": store_root,
-            },
+            "fabric": {"workers": self.fabric_workers},
             "scales": sorted(self._runners),
             "batches": {
                 "executed": self.batches_executed,

@@ -25,7 +25,8 @@ dependencies):
 
 ``POST /shutdown``
     Begin a graceful drain (the same path SIGTERM/SIGINT take):
-    admitted queries complete, new ones are refused, event streams
+    admitted queries complete, new ones are refused, the engine's
+    transports close (fabric worker subprocesses exit), event streams
     end, then the listener closes.
 
 Request handling is asyncio; simulation happens on one dedicated
@@ -155,6 +156,11 @@ class ExplorationService:
         self.controller.drain()
         if self._executor is not None:
             await asyncio.to_thread(self._executor.join)
+        # No batch runs any more: close the engine's transports, so
+        # fabric worker subprocesses do not outlive the service.
+        close = getattr(self.engine, "close", None)
+        if close is not None:
+            await asyncio.to_thread(close)
         self.journal.publish(service_event("service_stopped"))
         self.journal.close()
         if self._events_log is not None:

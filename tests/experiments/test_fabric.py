@@ -1,5 +1,5 @@
-"""Tests for the experiment fabric: wire protocol, shared store, both
-transports, placement invariance, and fault recovery."""
+"""Tests for the experiment fabric: wire protocol, the one result-cache
+root, both transports, placement invariance, and fault recovery."""
 
 import contextlib
 import io
@@ -21,12 +21,7 @@ from repro.experiments.fabric.transport import (
     FabricWorkerDied,
     SubprocessWorkerTransport,
 )
-from repro.experiments.parallel import (
-    Incident,
-    ParallelExperimentRunner,
-    ResultCache,
-    sweep_entries,
-)
+from repro.experiments.parallel import Incident, ParallelExperimentRunner, ResultCache
 from repro.experiments.runner import Cell, ExperimentRunner
 from repro.polyflow import PAPER_CONFIG
 from repro.service.client import RETRY_DELAY_CAP, retry_delay
@@ -143,26 +138,23 @@ def test_cell_round_trip_override_config():
     assert protocol.decode_cell(wire) == cell
 
 
-# -- the shared store -------------------------------------------------------------
+# -- the result-cache root --------------------------------------------------------
 #
-# A store root is a plain ResultCache directory: the tests below pin the
-# properties the fabric leans on (verified reads, atomic writes, gc).
+# One ResultCache root serves every transport and any runs that share it:
+# the tests below pin the properties sharing leans on (verified reads,
+# atomic writes, gc).
 
 
 def test_store_round_trip(tmp_path):
     store = ResultCache(str(tmp_path / "store"))
     digest = "ab" + "0" * 62
-    assert not store.contains(digest)
+    assert not os.path.exists(store.path(digest))
     assert store.load(digest) is None
     store.store(digest, "stats-payload", {"workload": "x"})
-    assert store.contains(digest)
+    assert os.path.exists(store.path(digest))
     assert len(store) == 1
     assert store.load(digest) == ("stats-payload", None)
-    counters = store.counters()
-    assert counters["publishes"] == 1
-    assert counters["hits"] == 1
-    assert counters["misses"] == 1  # the pre-store probe
-    assert counters["fetches"] == 2
+    assert (store.stores, store.hits, store.misses) == (1, 1, 1)
 
 
 def test_store_rejects_corrupt_entries(tmp_path):
@@ -174,8 +166,7 @@ def test_store_rejects_corrupt_entries(tmp_path):
         handle.write(b"\x00")
     assert store.load(digest) is None
     assert store.corrupt_paths == [store.path(digest)]
-    assert store.counters()["corrupt_rejected"] == 1
-    assert store.counters()["misses"] == 1
+    assert (store.corrupt, store.misses) == (1, 0)
 
 
 def test_store_concurrent_publish_never_tears(tmp_path):
@@ -223,8 +214,12 @@ def test_store_gc_prunes_corrupt_then_lru(tmp_path):
     assert report["removed_corrupt"] == 1
     assert report["removed_lru"] == 1  # the oldest valid entry
     assert report["kept_entries"] == 2
-    assert not store.contains(digests[0])
-    assert store.contains(digests[1]) and store.contains(digests[2])
+    assert [os.path.exists(store.path(digest)) for digest in digests] == [
+        False,
+        True,
+        True,
+        False,
+    ]
 
 
 def test_v2_bare_pickle_is_a_clean_miss_and_gc_prunes_it(
@@ -259,47 +254,48 @@ def test_v2_bare_pickle_is_a_clean_miss_and_gc_prunes_it(
 
 
 def test_corrupt_shared_entry_is_a_run_summary_incident(tmp_path, serial_packed):
-    """A damaged entry in the shared root is booked exactly like one in
-    the local root: listed in ``corrupt_entries``, re-simulated."""
+    """A damaged entry in the root a fabric run shares is booked like
+    any damaged entry: listed in ``corrupt_entries``, re-simulated, and
+    rewritten intact by the parent."""
     name, spec = _grid_jobs()[0]
-    store_root = str(tmp_path / "store")
+    cache_dir = str(tmp_path / "cache")
     digest = Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance).digest(
         _SCALE
     )
-    damaged = ResultCache(store_root).path(digest)
+    damaged = ResultCache(cache_dir).path(digest)
     os.makedirs(os.path.dirname(damaged))
     with open(damaged, "wb") as handle:
         handle.write(b"damaged")
-    runner = ParallelExperimentRunner(
-        scale=_SCALE, cache_dir=str(tmp_path / "cache"), fabric_store=store_root
-    )
-    assert runner.prefetch([(name, spec)]) == 1
+    runner = _fabric_runner(tmp_path, cache_dir=cache_dir)
+    try:
+        assert runner.prefetch([(name, spec)]) == 1
+    finally:
+        runner.shutdown_fabric()
     assert runner.summary.corrupt_entries == [damaged]
     assert runner.summary.as_dict()["corrupt_cache_entries"] == 1
     # Probed once: the inline cell runs without a second lookup.
-    assert runner.summary.fabric["store_corrupt_rejected"] == 1
+    assert runner.cache.corrupt == 1
     assert scheduler.pack_stats(runner.run_policy(name, spec)) == (
         serial_packed[(name, spec)]
     )
-    # The re-simulation stored an intact entry over the damaged one.
-    assert ResultCache(store_root).load(digest) is not None
+    assert ResultCache(cache_dir).load(digest) is not None
 
 
-def test_cache_dir_serves_as_fabric_store(tmp_path, capsys):
-    """A directory filled by a plain ``--cache-dir`` run is a valid
-    ``--fabric-store``: a two-worker sweep over it simulates nothing
-    and prints the same coverage map."""
+def test_filled_cache_dir_serves_a_fabric_sweep(tmp_path, capsys):
+    """A directory filled by a plain ``--cache-dir`` run serves a
+    two-worker sweep over the same root: nothing is simulated or
+    shipped, and the coverage map is the same."""
     from repro.experiments.__main__ import main
 
     cache_dir = str(tmp_path / "cache")
     sweep = ["synth", "--slice", "L2H1", "--limit", "2", "--scale", str(_SCALE)]
     assert main(sweep + ["--cache-dir", cache_dir]) == 0
     serial = capsys.readouterr()
-    fabric_flags = ["--fabric-workers", "2", "--fabric-store", cache_dir]
-    assert main(sweep + ["--no-cache"] + fabric_flags) == 0
+    assert main(sweep + ["--cache-dir", cache_dir, "--fabric-workers", "2"]) == 0
     fabric = capsys.readouterr()
     assert fabric.out == serial.out
     assert "run summary: 0 simulated" in fabric.err
+    assert "  fabric:" not in fabric.err
 
 
 # -- result-cache GC --------------------------------------------------------------
@@ -387,7 +383,7 @@ def test_cache_gc_keeps_only_intact_analysis_static_parts(tmp_path, capsys):
 
 
 def test_sweep_entries_on_a_missing_root(tmp_path):
-    report = sweep_entries(str(tmp_path / "nowhere"))
+    report = ResultCache(str(tmp_path / "nowhere")).gc()
     assert report["kept_entries"] == 0
     assert report["removed_bytes"] == 0
 
@@ -407,33 +403,6 @@ def test_plan_shards_is_deterministic():
     second = scheduler.plan_shards([3, 3, 3, 3], 2)
     assert first == second
     assert all(shard == sorted(shard) for shard in first)
-
-
-# -- cost-model store probe -------------------------------------------------------
-
-
-def test_job_cost_store_probe_prices_held_cells(tmp_path):
-    """A store-held catalog cell costs STORE_HELD_COST — and probing
-    must not prepare the workload in the parent."""
-    from repro.workloads.suite import peek_workload_trace_length
-
-    name = "synth/L2H3C1I1P1S1V0"
-    clear_cache()
-    store = ResultCache(str(tmp_path / "store"))
-    digest = "aa" + "1" * 62
-    store.store(digest, "held", {})
-    assert peek_workload_trace_length(name, _SCALE) is None
-    assert (
-        scheduler.job_cost(name, _SCALE, store=store, digest=digest)
-        == scheduler.STORE_HELD_COST
-    )
-    assert peek_workload_trace_length(name, _SCALE) is None
-    # A cell the store does not hold falls through to the estimator.
-    from repro.analysis.estimate import estimated_trace_length
-
-    assert scheduler.job_cost(
-        name, _SCALE, store=store, digest="bb" + "1" * 62
-    ) == estimated_trace_length(name, _SCALE)
 
 
 # -- retry jitter -----------------------------------------------------------------
@@ -550,7 +519,9 @@ def test_transport_matches_serial(transport, tmp_path, serial_packed):
 def test_one_worker_death_replans_only_unfinished_cells(
     transport, tmp_path, serial_packed, monkeypatch
 ):
-    runner, injection = _matrix_runner(transport, tmp_path, fault=True, chunk=1)
+    runner, injection = _matrix_runner(
+        transport, tmp_path, fault=True, chunk=1, cache_dir=str(tmp_path / "cache")
+    )
     plans = _recording_plans(monkeypatch, runner)
     try:
         with injection:
@@ -564,6 +535,8 @@ def test_one_worker_death_replans_only_unfinished_cells(
     assert len(grid) == len(serial_packed)
     assert replanned
     assert sorted(replanned) == sorted(key for key in grid if key not in booked)
+    # Outcomes booked before the death are not run or written again.
+    assert len(runner.cache) == runner.cache.stores == len(serial_packed)
     if transport == "subprocess":
         assert booked
         assert runner.summary.fabric["replanned_cells"] == len(replanned)
@@ -614,25 +587,25 @@ def test_damaged_store_entry_is_resimulated_and_resealed(
 ):
     name, spec = _grid_jobs()[0]
     cell = Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
-    store_root = str(tmp_path / "store")
-    store = ResultCache(store_root)
+    cache_dir = str(tmp_path / "cache")
+    cache = ResultCache(cache_dir)
     stats = scheduler.unpack_stats(serial_packed[(name, spec)])
-    store.store(cell.digest(_SCALE), stats, cell.meta(_SCALE))
-    path = store.path(cell.digest(_SCALE))
+    cache.store(cell.digest(_SCALE), stats, cell.meta(_SCALE))
+    path = cache.path(cell.digest(_SCALE))
     with open(path, "rb") as handle:
         data = handle.read()
     with open(path, "wb") as handle:
         handle.write(_STORE_DAMAGE[damage](data))
 
-    runner, _ = _matrix_runner(transport, tmp_path, fabric_store=store_root)
+    runner, _ = _matrix_runner(transport, tmp_path, cache_dir=cache_dir)
     try:
         assert runner.prefetch(_grid_jobs()) == len(serial_packed)
         _assert_matches_serial(runner, serial_packed)
     finally:
         runner.shutdown_fabric()
-    assert runner.summary.fabric["store_corrupt_rejected"] == 1
+    assert runner.cache.corrupt == 1
     assert runner.summary.corrupt_entries == [path]
-    reader = ResultCache(store_root)
+    reader = ResultCache(cache_dir)
     entry = reader.load(cell.digest(_SCALE))
     assert (reader.hits, reader.corrupt) == (1, 0)
     assert scheduler.pack_stats(entry[0]) == serial_packed[(name, spec)]
@@ -643,37 +616,61 @@ def test_interrupted_store_write_leaves_a_temp_file_nobody_counts(
 ):
     """A writer killed between ``mkstemp`` and ``os.replace`` (see
     :func:`repro.sealed.write`) leaves a ``*.tmp`` file in a shard
-    directory.  The sweep still matches serial, ``len(store)`` does not
-    count the file, and ``cache-gc`` neither trips on it nor reports
-    it as a kept entry."""
+    directory.  The sweep still matches serial and ``len(cache)`` does
+    not count the file.  ``cache-gc`` deletes a leftover older than
+    :data:`repro.sealed.STALE_TEMP_SECONDS` and keeps a fresh one,
+    which may belong to a live write."""
+    from repro import sealed
     from repro.experiments.__main__ import main
 
     name, spec = _grid_jobs()[0]
     cell = Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
-    store_root = str(tmp_path / "store")
-    shard = os.path.dirname(ResultCache(store_root).path(cell.digest(_SCALE)))
+    cache_dir = str(tmp_path / "cache")
+    shard = os.path.dirname(ResultCache(cache_dir).path(cell.digest(_SCALE)))
     os.makedirs(shard)
-    handle, leftover = tempfile.mkstemp(dir=shard, suffix=".tmp")
-    with os.fdopen(handle, "wb") as stream:
-        stream.write(b"Vpolyflow-result 3 ")
+    leftovers = []
+    for _ in range(2):
+        handle, leftover = tempfile.mkstemp(dir=shard, suffix=".tmp")
+        with os.fdopen(handle, "wb") as stream:
+            stream.write(b"Vpolyflow-result 3 ")
+        leftovers.append(leftover)
+    stale, fresh = leftovers
+    long_ago = os.stat(stale).st_mtime - 2 * sealed.STALE_TEMP_SECONDS
+    os.utime(stale, (long_ago, long_ago))
 
-    runner, _ = _matrix_runner(transport, tmp_path, fabric_store=store_root)
+    runner, _ = _matrix_runner(transport, tmp_path, cache_dir=cache_dir)
     try:
         assert runner.prefetch(_grid_jobs()) == len(serial_packed)
         _assert_matches_serial(runner, serial_packed)
     finally:
         runner.shutdown_fabric()
     assert runner.summary.corrupt_entries == []
-    assert os.path.exists(leftover)
-    assert len(ResultCache(store_root)) == len(serial_packed)
+    assert os.path.exists(stale) and os.path.exists(fresh)
+    assert len(ResultCache(cache_dir)) == len(serial_packed)
 
-    assert main(["cache-gc", "--no-cache", "--fabric-store", store_root]) == 0
+    assert main(["cache-gc", "--cache-dir", cache_dir]) == 0
     report = (
-        "fabric store {}: 0 corrupt pruned, 0 evicted (LRU), 0 bytes freed; "
-        "{} entries".format(store_root, len(serial_packed))
+        "result cache {}: 0 corrupt pruned, 1 stale temp files deleted, "
+        "0 evicted (LRU), {} bytes freed; {} entries".format(
+            cache_dir, len(b"Vpolyflow-result 3 "), len(serial_packed)
+        )
     )
     assert report in capsys.readouterr().out
-    assert len(ResultCache(store_root)) == len(serial_packed)
+    assert not os.path.exists(stale)
+    assert os.path.exists(fresh)
+    assert len(ResultCache(cache_dir)) == len(serial_packed)
+
+
+def _plan_line(out):
+    """``(cells, cached, inline, shipped, chunks)`` of a dry-run header."""
+    header = re.search(
+        r"^fabric plan: (\d+) cells \((\d+) cached\), (\d+) inline, "
+        r"(\d+) cells in (\d+) chunks across 2 workers$",
+        out,
+        re.MULTILINE,
+    )
+    assert header, out
+    return tuple(int(value) for value in header.groups())
 
 
 def test_dry_run_plans_the_real_sweep(tmp_path, capsys):
@@ -682,32 +679,12 @@ def test_dry_run_plans_the_real_sweep(tmp_path, capsys):
     worker."""
     from repro.experiments.__main__ import main
 
-    assert (
-        main(
-            [
-                "fabric",
-                "--slice",
-                "L2H1",
-                "--limit",
-                "3",
-                "--scale",
-                str(_SCALE),
-                "--no-cache",
-                "--fabric-workers",
-                "2",
-                "--fabric-store",
-                str(tmp_path / "dry-run-store"),
-            ]
-        )
-        == 0
-    )
+    slice_flags = ["--slice", "L2H1", "--limit", "3", "--scale", str(_SCALE)]
+    dry_run_flags = ["--cache-dir", str(tmp_path / "dry-run-cache")]
+    dry_run_flags += ["--fabric-workers", "2"]
+    assert main(["fabric"] + slice_flags + dry_run_flags) == 0
     out = capsys.readouterr().out
-    header = re.search(
-        r"fabric plan: (\d+) cells \(0 store-held\), 0 inline, "
-        r"(\d+) chunks across 2 workers",
-        out,
-    )
-    assert header, out
+    cells, cached, inline, shipped, chunks = _plan_line(out)
     per_worker = [
         int(cells) for cells in re.findall(r"worker \d+: \d+ chunks, (\d+) cells", out)
     ]
@@ -716,9 +693,47 @@ def test_dry_run_plans_the_real_sweep(tmp_path, capsys):
         synth_sweep.sweep(runner, _grid_names(3))
     finally:
         runner.shutdown_fabric()
-    assert int(header.group(1)) == runner.summary.fabric["cells"] == 9
-    assert int(header.group(2)) == runner.summary.fabric["chunks"]
+    assert (cached, inline) == (0, 0)
+    assert cells == shipped == runner.summary.fabric["cells"] == 9
+    assert chunks == runner.summary.fabric["chunks"]
     assert per_worker == runner.summary.fabric_placement["cells_by_worker"]
+
+
+@pytest.mark.parametrize("filled", ["cold", "half", "full"])
+def test_dry_run_matches_the_sweep_on_any_root(filled, tmp_path, capsys):
+    """On a cold, a half-filled and a full cache root, the dry-run plans
+    exactly what the sweep over the same root then runs and ships —
+    cached cells are booked, not planned, so a full root ships 0
+    chunks."""
+    from repro.experiments.__main__ import main
+
+    cache_dir = str(tmp_path / "cache")
+    sweep = ["--slice", "L2H1", "--limit", "2", "--scale", str(_SCALE)]
+    sweep += ["--cache-dir", cache_dir]
+    if filled != "cold":
+        limit = "1" if filled == "half" else "2"
+        seed = sweep[:3] + [limit] + sweep[4:]
+        assert main(["synth"] + seed) == 0
+    capsys.readouterr()
+    fabric_flags = ["--fabric-workers", "2"]
+    assert main(["fabric"] + sweep + fabric_flags) == 0
+    cells, cached, inline, shipped, chunks = _plan_line(capsys.readouterr().out)
+    assert main(["synth"] + sweep + fabric_flags) == 0
+    err = capsys.readouterr().err
+
+    summary = re.search(r"run summary: (\d+) simulated, (\d+) cache hits", err)
+    assert (int(summary.group(1)), int(summary.group(2))) == (
+        inline + shipped,
+        cached,
+    )
+    assert cells == cached + inline + shipped == 6
+    fabric = re.search(r"^  fabric: (\d+) cells in (\d+) chunks", err, re.MULTILINE)
+    assert (shipped, chunks) == (
+        (int(fabric.group(1)), int(fabric.group(2))) if fabric else (0, 0)
+    )
+    assert {"cold": 0, "half": 3, "full": 6}[filled] == cached
+    if filled == "full":
+        assert (shipped, chunks) == (0, 0)
 
 
 # -- placement invariance (subprocess workers) ------------------------------------
@@ -726,7 +741,7 @@ def test_dry_run_plans_the_real_sweep(tmp_path, capsys):
 
 def _fabric_runner(tmp_path, **kwargs):
     kwargs.setdefault("fabric_workers", 2)
-    kwargs.setdefault("fabric_store", str(tmp_path / "store"))
+    kwargs.setdefault("cache_dir", str(tmp_path / "cache"))
     return ParallelExperimentRunner(scale=_SCALE, **kwargs)
 
 
@@ -741,9 +756,6 @@ def test_subprocess_fabric_matches_serial(tmp_path, serial_packed, chunk):
         runner.shutdown_fabric()
     assert runner.summary.fabric["workers"] == 2
     assert runner.summary.fabric["cells"] == len(serial_packed)
-    assert runner.summary.fabric.get("worker_store_publishes") == len(
-        serial_packed
-    )
 
 
 def test_fabric_outcomes_book_shared_cells(tmp_path, monkeypatch):
@@ -756,7 +768,7 @@ def test_fabric_outcomes_book_shared_cells(tmp_path, monkeypatch):
     runner = ParallelExperimentRunner(
         scale=0.25,
         fabric_workers=2,
-        fabric_store=str(tmp_path / "store"),
+        cache_dir=str(tmp_path / "cache"),
         chunk=4,
     )
     try:
@@ -774,50 +786,51 @@ def test_fabric_outcomes_book_shared_cells(tmp_path, monkeypatch):
 
 
 def test_warm_store_answers_without_simulating(tmp_path, serial_packed):
-    """A second runner against a populated store simulates nothing:
-    every cell is answered by the parent's store read-through."""
-    store_root = str(tmp_path / "store")
-    first = _fabric_runner(tmp_path, fabric_store=store_root)
+    """A second runner against the cache root a first fabric run filled
+    simulates and ships nothing: the parent answers every cell."""
+    first = _fabric_runner(tmp_path)
     try:
         first.prefetch(_grid_jobs())
     finally:
         first.shutdown_fabric()
 
-    second = _fabric_runner(tmp_path, fabric_store=store_root)
+    second = _fabric_runner(tmp_path)
     try:
         ran = second.prefetch(_grid_jobs())
     finally:
         second.shutdown_fabric()
     assert ran == 0
     assert second.summary.jobs_run == 0
-    assert second.summary.fabric["store_cells"] == len(serial_packed)
+    assert second.summary.cache_hits == len(serial_packed)
+    assert second.summary.fabric["chunks"] == 0
     _assert_matches_serial(second, serial_packed)
 
 
-def test_store_read_through_mirrors_into_the_result_cache(
-    tmp_path, serial_packed
-):
-    store_root = str(tmp_path / "store")
-    first = _fabric_runner(tmp_path, fabric_store=store_root)
-    try:
-        first.prefetch(_grid_jobs())
-    finally:
-        first.shutdown_fabric()
+def test_parent_is_the_only_writer(tmp_path, serial_packed, monkeypatch):
+    """A two-worker sweep with a cache root: every entry exists and was
+    written once, by the parent; workers send outcomes, not store
+    counters."""
+    frames = []
+    read_frame = protocol.read_frame
 
-    cache_dir = str(tmp_path / "cache")
-    second = _fabric_runner(
-        tmp_path, fabric_store=store_root, cache_dir=cache_dir
-    )
+    def recording(stream):
+        frame = read_frame(stream)
+        if frame is not None and frame["kind"] == "result":
+            frames.append(frame)
+        return frame
+
+    monkeypatch.setattr(protocol, "read_frame", recording)
+    runner = _fabric_runner(tmp_path)
     try:
-        second.prefetch(_grid_jobs())
+        assert runner.prefetch(_grid_jobs()) == len(serial_packed)
     finally:
-        second.shutdown_fabric()
-    assert len(second.cache) == len(serial_packed)
-    # The mirrored cache now answers on its own, store unplugged.
-    third = ParallelExperimentRunner(scale=_SCALE, cache_dir=cache_dir)
-    assert third.prefetch(_grid_jobs()) == 0
-    assert third.summary.cache_hits == len(serial_packed)
-    _assert_matches_serial(third, serial_packed)
+        runner.shutdown_fabric()
+    assert runner.summary.fabric["cells"] == len(serial_packed)
+    assert runner.cache.stores == len(serial_packed) == len(runner.cache)
+    for cell in runner._results:
+        assert os.path.exists(runner.cache.path(cell.digest(_SCALE)))
+    assert frames
+    assert all(set(frame) == {"kind", "id", "outcomes"} for frame in frames)
 
 
 def test_dead_worker_replans_only_unfinished_cells(tmp_path, serial_packed):
@@ -924,10 +937,10 @@ def test_wire_version_skew_fails_at_handshake(tmp_path, monkeypatch):
 def test_engine_fabric_passthrough(tmp_path):
     from repro.service.engine import ExplorationEngine
 
-    store_root = str(tmp_path / "store")
-    engine = ExplorationEngine(fabric_workers=3, fabric_store=store_root)
+    cache_dir = str(tmp_path / "cache")
+    engine = ExplorationEngine(fabric_workers=3, cache_dir=cache_dir)
     snapshot = engine.snapshot()
-    assert snapshot["fabric"] == {"workers": 3, "store": store_root}
+    assert snapshot["fabric"] == {"workers": 3}
     runner = engine.runner_for(_SCALE)
     assert runner.fabric_workers == 3
-    assert runner.fabric_store.root == store_root
+    assert runner.cache.root == cache_dir

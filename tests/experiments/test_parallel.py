@@ -183,8 +183,8 @@ def test_cell_digest_sensitivity():
 
 
 def test_cell_digest_pins_the_content_address():
-    """Entries already on disk, in result caches and fabric stores,
-    must keep being found: the digest payload may not drift."""
+    """Entries already on disk in result caches must keep being found:
+    the digest payload may not drift."""
     postdoms = "42cf03fe9640ff3c5c84077e6b91cbd9d571b8d131526ca1d53d006a96cba70e"
     superscalar = "dfacb08c180497e9f1e213d46f1f62839843157b4a019c5c675f6d36943a6076"
     assert Cell("gzip", "postdoms", PAPER_CONFIG, 512).digest(0.25) == postdoms
@@ -406,7 +406,6 @@ def test_merged_summaries_concatenate_their_records():
         )
         summary.placements.append({"straggler_seconds": straggler})
         summary.incidents.append(Incident("subprocess", 1))
-        summary.store_traffic = {"fetches": 2, "hits": 1}
         parts.append(summary)
     merged = RunSummary.merged(parts).as_dict()
     assert merged["jobs_run"] == 2
@@ -416,7 +415,6 @@ def test_merged_summaries_concatenate_their_records():
     assert merged["fabric"]["chunks"] == merged["fabric"]["cells"] == 4
     assert merged["fabric"]["restarts"] == 2
     assert merged["fabric"]["replanned_cells"] == 2
-    assert merged["fabric"]["store_fetches"] == 4
     assert merged["pool_restarts"] == 0
 
 

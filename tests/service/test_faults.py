@@ -64,7 +64,8 @@ def test_worker_death_is_retried_on_a_fresh_pool(service_factory):
 
 def test_fabric_worker_death_is_an_incident(service_factory, tmp_path, monkeypatch):
     """A ``--fabric-workers`` service that loses a worker reports it
-    like a pool restart: one ``/healthz`` restart, one incident event."""
+    like a pool restart: one ``/healthz`` restart, one incident event.
+    Draining the service closes its workers."""
     flag = str(tmp_path / "fault-claimed")
     # Worker subprocesses inherit the environment: the first to deliver
     # a result exits hard with a chunk still outstanding.
@@ -84,12 +85,17 @@ def test_fabric_worker_death_is_an_incident(service_factory, tmp_path, monkeypat
             for event in client.events(follow=False)
             if event["kind"] == "incident"
         ]
+        workers = [
+            process
+            for runner in running.service.engine._runners.values()
+            for process in runner._transport._procs
+            if process is not None
+        ]
     finally:
-        # The service leaves its runners' worker subprocesses running.
         running.stop()
-        for runner in running.service.engine._runners.values():
-            runner.shutdown_fabric()
     assert os.path.exists(flag)
+    assert workers
+    assert all(process.poll() is not None for process in workers)
 
     _assert_serial_identical(response, cells)
     assert health["engine"]["incidents"]["pool_restarts"] == 1

@@ -234,19 +234,20 @@ def test_cold_prefetch_probes_the_cache_once_per_cell(tmp_path):
 
 
 def test_store_held_cell_is_labelled_cache(tmp_path):
-    """A cell the fabric store answers is labelled by the tier that
-    produced it: ``cache``, not ``simulated``, with no simulation run."""
+    """A cell another run already stored in the shared cache root is
+    labelled by the tier that produced it: ``cache``, not
+    ``simulated``, with no simulation run."""
     from repro.experiments.parallel import ResultCache
     from repro.experiments.runner import Cell
     from repro.service.admission import QueuedQuery
     from repro.service.engine import ExplorationEngine
 
-    store_root = str(tmp_path / "store")
+    cache_dir = str(tmp_path / "shared")
     cell = Cell("gzip", "postdoms", PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
     stats = ExperimentRunner(scale=_SCALE).run_policy("gzip", "postdoms")
-    ResultCache(store_root).store(cell.digest(_SCALE), stats, cell.meta(_SCALE))
+    ResultCache(cache_dir).store(cell.digest(_SCALE), stats, cell.meta(_SCALE))
 
-    engine = ExplorationEngine(fabric_store=store_root)
+    engine = ExplorationEngine(cache_dir=cache_dir)
     query = QueuedQuery([wire.Cell("gzip", "postdoms", PAPER_CONFIG)], _SCALE)
     engine.execute_batch([query])
     response = query.future.result(timeout=0)
@@ -260,7 +261,7 @@ def test_store_held_cell_is_labelled_cache(tmp_path):
     assert engine.cells_by_source["simulated"] == 0
     summary = engine.summary_dict()
     assert summary["jobs_run"] == 0
-    assert summary["fabric"]["store_cells"] == 1
+    assert summary["cache_hits"] == 1
 
 
 def test_merged_summary_keeps_fleet_maxima(tmp_path):
