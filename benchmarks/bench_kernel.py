@@ -484,7 +484,6 @@ def measure_fabric(
     not Python interpreter startup.  ``store_published`` is the number
     of entries the parent wrote.
     """
-    from repro.analysis.pipeline import configure_disk_cache
     from repro.experiments import scheduler
     from repro.experiments.parallel import ParallelExperimentRunner
     from repro.workloads.synth import stratified_sample
@@ -525,10 +524,6 @@ def measure_fabric(
                 elapsed = time.perf_counter() - started
             finally:
                 runner.shutdown_fabric()
-                # The runner pointed this process's analysis cache at
-                # the directory about to be deleted; later channels run
-                # without one.
-                configure_disk_cache(None)
             if simulated != cells:
                 raise AssertionError(
                     "fabric sweep expected {} simulations, ran {}".format(

@@ -2,7 +2,7 @@
 
 A closed-form IPC/speedup predictor per (workload, spec, config) tuple,
 computed entirely from artifacts the analysis pipeline already caches —
-the :class:`~repro.sim.predecode.DecodedTrace` flat arrays, the spawn
+the :class:`~repro.sim.trace.Trace` flat columns, the spawn
 profiles, and branch-predictability statistics replayed once per trace
 — with **zero cycle-level simulation**.  The estimator triages the
 synthesized scenario catalog (see
@@ -43,7 +43,6 @@ from repro.sim.predecode import (
     KIND_CALL_DIRECT,
     KIND_CALL_INDIRECT,
     KIND_COND_BRANCH,
-    KIND_DIRECT_JUMP,
     KIND_RETURN,
     KIND_SWITCH,
     LAT_LOAD,
@@ -107,7 +106,7 @@ _COVERAGE_MEMO = {}
 
 class TraceSignals:
     """Per-trace features the cycle models consume, computed in O(n)
-    passes over the decoded flat arrays (no timing simulation).
+    passes over the trace's flat columns (no timing simulation).
 
     Predictor-dependent fields (mispredict counts) replay the real
     front-end structures of the configured machine, so they match what
@@ -149,26 +148,26 @@ class TraceSignals:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def _count_kinds(decoded):
+def _count_kinds(trace):
     """Occurrences of each ``KIND_*`` / ``LAT_*`` class."""
     kind_counts = [0] * 8
-    for kind in decoded.kind:
+    for kind in trace.kind:
         kind_counts[kind] += 1
     lat_counts = [0] * 4
-    for lat in decoded.lat:
+    for lat in trace.lat:
         lat_counts[lat] += 1
     return kind_counts, lat_counts
 
 
-def compute_signals(decoded, config):
-    """Compute :class:`TraceSignals` for one decoded trace."""
+def compute_signals(trace, config):
+    """Compute :class:`TraceSignals` for one trace."""
     signals = TraceSignals()
-    n = decoded.length
+    n = len(trace)
     signals.length = n
     if not n:
         return signals
 
-    kind_counts, lat_counts = _count_kinds(decoded)
+    kind_counts, lat_counts = _count_kinds(trace)
     signals.conditional_branches = kind_counts[KIND_COND_BRANCH]
     signals.indirect_transfers = (
         kind_counts[KIND_CALL_INDIRECT] + kind_counts[KIND_SWITCH]
@@ -178,11 +177,11 @@ def compute_signals(decoded, config):
     signals.store_count = lat_counts[LAT_STORE]
     signals.mul_count = lat_counts[LAT_MUL]
 
-    kinds = decoded.kind
-    takens = decoded.taken
-    pcs = decoded.pc
-    next_pcs = decoded.next_pc
-    fall_throughs = decoded.fall_through
+    kinds = trace.kind
+    takens = trace.taken
+    pcs = trace.pc
+    next_pcs = trace.next_pc
+    fall_throughs = trace.fall_through
 
     # Front-end replay: the real gshare/BTB/RAS over the committed
     # stream, exactly as the trace-driven fetch stage trains them.
@@ -233,10 +232,10 @@ def compute_signals(decoded, config):
 
     # Dataflow height: completion[i] = max(producer completions) + lat.
     mul_latency = config.mul_latency
-    dep0 = decoded.dep0
-    dep1 = decoded.dep1
-    mem_dep = decoded.mem_dep
-    lats = decoded.lat
+    dep0 = trace.dep0
+    dep1 = trace.dep1
+    mem_dep = trace.mem_dep
+    lats = trace.lat
     completion = [0] * n
     height = 0
     mem_deps = 0
@@ -277,7 +276,7 @@ def trace_signals(analyses, config):
     )
     signals = _SIGNALS_MEMO.get(key)
     if signals is None:
-        signals = compute_signals(analyses.trace.decoded(), config)
+        signals = compute_signals(analyses.trace, config)
         _SIGNALS_MEMO[key] = signals
     return signals
 
@@ -430,8 +429,8 @@ def estimate_speedup(name, spec, scale=1.0, config=None, profile_distance=None):
     """Predict the speedup (%) of ``spec`` over the superscalar
     baseline for one workload, without simulating either.
 
-    Uses only cached pipeline artifacts: the shared analyses (trace,
-    decoded arrays, spawn profile) of ``prepare_workload``.  Returns an
+    Uses only cached pipeline artifacts: the shared analyses (trace
+    columns, spawn profile) of ``prepare_workload``.  Returns an
     :class:`Estimate`.
     """
     from repro.polyflow import PAPER_CONFIG

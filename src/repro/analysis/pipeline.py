@@ -31,8 +31,8 @@ compiles it through :func:`repro.sim.blocks.block_table_for`, so a
 program that is only estimated never pays for one.
 
 The memo is frozen.  Entries are never evicted while a sweep runs, and
-a catalog sweep memoizes hundreds of programs, traces and decoded
-columns: hundreds of thousands of container objects that every full
+a catalog sweep memoizes hundreds of programs, traces and analyses:
+hundreds of thousands of container objects that every full
 collection of Python's cyclic GC would rescan without ever freeing one.
 Each time the cache memoizes an entry or rebuilds a trace it calls
 :func:`gc.freeze`, moving everything alive into the permanent
@@ -234,7 +234,6 @@ class AnalysisCache:
         if analyses is None:
             self.misses += 1
             analyses = compute_analyses(source, digest)
-            analyses.trace.decoded()  # frozen with the entry below
             self._disk_store(analyses)
         else:
             self.disk_hits += 1
@@ -328,7 +327,6 @@ class AnalysisCache:
         from repro.sim import run_program
 
         trace = run_program(analyses.program)
-        trace.decoded()  # frozen with the trace below
         self.trace_loads += 1
         if len(trace) != analyses.trace_length:
             self.corrupt += 1

@@ -21,6 +21,7 @@ from repro.cfg.basic_block import BasicBlock
 from repro.cfg.graph import ControlFlowGraph
 from repro.errors import CFGError
 from repro.isa.instructions import REGISTER_ALIASES
+from repro.sim.predecode import KIND_CALL_INDIRECT, KIND_SWITCH
 
 _RA = REGISTER_ALIASES["ra"]
 
@@ -48,12 +49,13 @@ class JumpProfile:
     def from_trace(cls, trace):
         """Collect indirect-jump and indirect-call targets from a trace."""
         profile = cls()
-        for record in trace:
-            inst = record.inst
-            if _is_switch_jump(inst):
-                profile.indirect_targets[inst.pc].add(record.next_pc)
-            elif inst.is_indirect_jump and inst.is_call:
-                profile.indirect_call_targets[inst.pc].add(record.next_pc)
+        pcs = trace.pc
+        next_pcs = trace.next_pc
+        for index, kind in enumerate(trace.kind):
+            if kind == KIND_SWITCH:
+                profile.indirect_targets[pcs[index]].add(next_pcs[index])
+            elif kind == KIND_CALL_INDIRECT:
+                profile.indirect_call_targets[pcs[index]].add(next_pcs[index])
         return profile
 
     def targets_of(self, pc):

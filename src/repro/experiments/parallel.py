@@ -360,17 +360,24 @@ class RunSummary:
         """Cells the scheduler ran inline in the parent."""
         return sum(len(entry.plan.inline) for entry in self.dispatches)
 
+    def _shipped(self, transport):
+        """``(chunks, workers)`` of ``transport``'s dispatches: chunks
+        shipped and the worker count of its largest plan."""
+        dispatched = self._dispatched(transport)
+        return (
+            sum(len(entry.plan.chunks) for entry in dispatched),
+            max((entry.plan.workers for entry in dispatched), default=0),
+        )
+
     @property
     def chunks_shipped(self):
         """Chunks shipped to the warm pool."""
-        return sum(len(entry.plan.chunks) for entry in self._dispatched("pool"))
+        return self._shipped("pool")[0]
 
     @property
     def pool_workers(self):
         """Worker count of the largest pool this summary used."""
-        return max(
-            (entry.plan.workers for entry in self._dispatched("pool")), default=0
-        )
+        return self._shipped("pool")[1]
 
     @property
     def pool_restarts(self):
@@ -450,11 +457,20 @@ class RunSummary:
             )
         ]
         if jobs_run:
-            lines.append(
-                "  schedule: {} inline, {} chunks across {} pool workers".format(
-                    self.inline_jobs, self.chunks_shipped, self.pool_workers
+            # One clause per transport that was dispatched to (the pool
+            # clause, zeros included, when none was).
+            transports = [
+                transport
+                for transport in ("pool", "subprocess")
+                if self._dispatched(transport)
+            ] or ["pool"]
+            shipped = ", ".join(
+                "{} chunks across {} {} workers".format(
+                    *self._shipped(transport), transport
                 )
+                for transport in transports
             )
+            lines.append("  schedule: {} inline, {}".format(self.inline_jobs, shipped))
         if batched:
             lines.append(
                 "  grid-batch: {} of {} simulated cells ran batched".format(
@@ -572,13 +588,14 @@ class ParallelExperimentRunner(ExperimentRunner):
         #: starts a fresh transport and replans only unfinished cells).
         self.pool_retries = max(0, int(pool_retries))
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        #: Where persisted program analyses live; enables the shared
-        #: analysis cache's disk layer in this process and in workers.
+        #: Where persisted program analyses live; points the shared
+        #: analysis cache's disk layer here in this process and in
+        #: workers (``None`` turns it off, so no earlier runner's
+        #: directory keeps receiving this runner's analyses).
         self.analysis_dir = (
             os.path.join(cache_dir, ANALYSIS_CACHE_SUBDIR) if cache_dir else None
         )
-        if self.analysis_dir is not None:
-            configure_disk_cache(self.analysis_dir)
+        configure_disk_cache(self.analysis_dir)
         #: Attach a verbose MetricsAggregator to every simulation; the
         #: snapshots reach :attr:`summary` with the outcomes.
         self.emit_metrics = bool(emit_metrics)

@@ -342,8 +342,7 @@ def _init_worker(analysis_dir, warmup):
     prepare is left for its chunk to report — an initializer exception
     would break the whole pool.
     """
-    if analysis_dir is not None:
-        configure_disk_cache(analysis_dir)
+    configure_disk_cache(analysis_dir)
     from repro.sim.blocks import block_table_for, program_blocks_for
     from repro.workloads import prepare_workload
 
@@ -535,11 +534,10 @@ def execute_chunk(analysis_dir, scale, emit_metrics, trace_dir, cells):
 
     Returns the aligned outcomes of :func:`run_cells` with their stats
     packed by :func:`pack_stats`.  The disk-cache configuration is
-    re-asserted per chunk because the warm pool outlives any single
-    runner (whose cache directory may differ).
+    re-asserted per chunk, ``None`` included, because the warm pool
+    outlives any single runner (whose cache directory may differ).
     """
-    if analysis_dir is not None:
-        configure_disk_cache(analysis_dir)
+    configure_disk_cache(analysis_dir)
     return [
         outcome._replace(stats=pack_stats(outcome.stats))
         for outcome in run_cells(scale, cells, emit_metrics, trace_dir)

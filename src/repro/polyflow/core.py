@@ -26,12 +26,11 @@ The head (oldest) task gets small reserved shares of the ROB and
 scheduler so that it can always make forward progress (younger tasks
 can never starve the non-speculative task into deadlock).
 
-The per-cycle loops run on the flat pre-decoded arrays of
-:meth:`~repro.sim.trace.Trace.decoded` (see :mod:`repro.sim.predecode`)
-rather than the trace's record/instruction objects: fetch, dependence
-checks, issue and commit index parallel lists of plain ints, which is
-what makes the kernel fast in pure Python.  The decoded view is a pure
-function of the trace, so behaviour is unchanged — the golden-trace
+The per-cycle loops run on the flat columns of the
+:class:`~repro.sim.trace.Trace` (classified by
+:mod:`repro.sim.predecode`) rather than on instruction objects: fetch,
+dependence checks, issue and commit index parallel lists of plain ints,
+which is what makes the kernel fast in pure Python.  The golden-trace
 suite pins the event streams byte for byte.
 """
 
@@ -136,21 +135,20 @@ class PolyFlowCore:
         self.spawn_unit = SpawnUnit(trace, self.hint_table, config)
         count = len(trace)
         self.max_cycles = max_cycles if max_cycles is not None else 400 * count + 10_000
-        # Flat pre-decoded views of the trace (shared across runs of the
-        # same trace); every per-cycle loop below indexes these instead
-        # of walking record.inst attribute chains.
-        decoded = trace.decoded()
-        self._pcs = decoded.pc
-        self._kinds = decoded.kind
-        self._lats = decoded.lat
-        self._takens = decoded.taken
-        self._next_pcs = decoded.next_pc
-        self._fall_throughs = decoded.fall_through
-        self._mem_addrs = decoded.mem_addr
-        self._mem_deps = decoded.mem_dep
-        self._dep0 = decoded.dep0
-        self._dep1 = decoded.dep1
-        self._lines = decoded.icache_lines(self.hierarchy.l1i.offset_bits)
+        # The trace's flat columns (shared across runs of the same
+        # trace); every per-cycle loop below indexes these instead of
+        # walking instruction attribute chains.
+        self._pcs = trace.pc
+        self._kinds = trace.kind
+        self._lats = trace.lat
+        self._takens = trace.taken
+        self._next_pcs = trace.next_pc
+        self._fall_throughs = trace.fall_through
+        self._mem_addrs = trace.mem_addr
+        self._mem_deps = trace.mem_dep
+        self._dep0 = trace.dep0
+        self._dep1 = trace.dep1
+        self._lines = trace.icache_lines(self.hierarchy.l1i.offset_bits)
         #: Set when the warm-cache replay already ran (or its result was
         #: installed from a shared snapshot by the grid-batch runner).
         self._warmed = False
@@ -198,7 +196,7 @@ class PolyFlowCore:
         the readable specification, and the event-calendar kernel
         (:func:`~repro.polyflow.event_kernel.run_event_kernel`) is its
         fast transcription, which inlines every stage over the flat
-        decoded arrays and jumps the clock over provably frozen cycles.
+        trace columns and jumps the clock over provably frozen cycles.
         The kernel runs whenever it is exact (see :meth:`_uses_kernel`);
         verbose buses, ``nested_spawns`` and stage-hook or
         ``spawn_target`` overrides run staged.  The engine-equivalence
@@ -571,8 +569,7 @@ class PolyFlowCore:
         generation = self._gen[index]
         pending = 0
         # Source-register producers in rs-then-rt order; a duplicated
-        # producer (rs == rt) registers twice, exactly like the record's
-        # reg_deps tuple.
+        # producer (rs == rt) registers twice.
         producer = self._dep0[index]
         if producer >= 0 and state[producer] < _DONE:
             dependents.setdefault(producer, []).append((index, generation))
@@ -760,7 +757,7 @@ class PolyFlowCore:
         if not is_head:
             rob_cap -= _HEAD_ROB_RESERVE
             sched_cap -= _HEAD_SCHED_RESERVE
-        # Flat decoded arrays and hot locals.
+        # Flat trace columns and hot locals.
         pcs = self._pcs
         kinds = self._kinds
         lats = self._lats

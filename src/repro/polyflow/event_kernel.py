@@ -5,7 +5,7 @@ The staged reference engine,
 cycle and calls one method per pipeline stage, even when all in-flight
 tasks are stalled on cache fills or fetch bubbles and the cycle is a
 provable no-op.  This module is the fast transcription of that loop:
-every stage is inlined over the flat decoded arrays and the compiled
+every stage is inlined over the flat trace columns and the compiled
 block tables, and the machine's future is kept in two
 calendars — one for functional-unit/cache-fill completions, one for
 scheduler wake-ups — and, together with the per-task fetch-stall timers,

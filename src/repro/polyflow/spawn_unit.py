@@ -32,7 +32,7 @@ class SpawnUnit:
     def _resolve_targets(self, trace):
         """For each trace index, the index where its spawn would start.
 
-        Computed in one backward pass over the decoded PC column:
+        Computed in one backward pass over the trace's PC column:
         ``target_index[i] = j`` means the trigger at trace index ``i``
         spawns a task beginning at trace index ``j`` (the next dynamic
         instance of the spawn target within the distance window), or
@@ -44,7 +44,7 @@ class SpawnUnit:
         candidates = []
         if not len(self.hint_table):
             return target_index, candidates
-        pcs = trace.decoded().pc
+        pcs = trace.pc
         lookup = self.hint_table.lookup
         min_distance = self.config.min_spawn_distance
         max_distance = self.config.max_spawn_distance

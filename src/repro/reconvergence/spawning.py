@@ -49,14 +49,13 @@ def resolve_reconvergence_targets(trace, config, predictor=None):
     """
     if predictor is None:
         predictor = ReconvergencePredictor()
-    records = trace.records
-    count = len(records)
+    count = len(trace)
     target_index = [-1] * count
     spawn_pc_by_trigger = {}
 
     positions = defaultdict(list)
-    for index, record in enumerate(records):
-        positions[record.inst.pc].append(index)
+    for index, pc in enumerate(trace.pc):
+        positions[pc].append(index)
 
     def next_instance(pc, after):
         slots = positions.get(pc)
@@ -70,8 +69,8 @@ def resolve_reconvergence_targets(trace, config, predictor=None):
     min_distance = config.min_spawn_distance
     max_distance = config.max_spawn_distance
 
-    for index, record in enumerate(records):
-        inst = record.inst
+    takens = trace.taken
+    for index, inst in enumerate(trace.inst):
         spawn_pc = None
         if inst.is_conditional_branch or _is_switch(inst):
             # Prediction uses only state learned from older instances.
@@ -88,7 +87,7 @@ def resolve_reconvergence_targets(trace, config, predictor=None):
         # Train after predicting: the retirement stream reaches the
         # predictor after the fetch-time spawn decision.
         if inst.is_conditional_branch:
-            predictor.observe(inst.pc, record.taken, inst.target)
+            predictor.observe(inst.pc, bool(takens[index]), inst.target)
         elif _is_switch(inst):
             predictor.observe(inst.pc, "indirect")
         else:

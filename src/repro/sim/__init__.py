@@ -7,17 +7,14 @@ from repro.sim.functional import (
     run_program,
 )
 from repro.sim.limits import LimitStudyResult, limit_study, limit_study_for_workload
-from repro.sim.predecode import DecodedTrace, decode_program, decode_trace
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.predecode import decode_program
+from repro.sim.trace import Trace
 
 __all__ = [
     "FunctionalSimulator",
     "MachineState",
     "run_program",
     "Trace",
-    "TraceRecord",
-    "DecodedTrace",
-    "decode_trace",
     "decode_program",
     "DEFAULT_MAX_INSTRUCTIONS",
     "LimitStudyResult",

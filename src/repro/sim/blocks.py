@@ -35,8 +35,17 @@ Module-level counters track table reuse; every simulation reports its
 movement in its outcome's ``blocks``, which ``RunSummary`` sums.
 """
 
+import functools
+
 from repro.isa.instructions import INSTRUCTION_BYTES, Opcode
-from repro.sim.predecode import LAT_ALU, LAT_LOAD, LAT_MUL, LAT_STORE
+from repro.sim.predecode import (
+    LAT_ALU,
+    LAT_LOAD,
+    LAT_MUL,
+    LAT_STORE,
+    control_kind,
+    latency_class,
+)
 
 #: L1 I-cache line size of the default
 #: :class:`~repro.memory.hierarchy.CacheHierarchy` (128-byte lines).
@@ -189,15 +198,15 @@ class BlockTable:
         }
 
 
-def build_block_table(decoded):
-    """Compile the :class:`BlockTable` of one decoded trace (one pass
+def build_block_table(trace):
+    """Compile the :class:`BlockTable` of one trace's columns (one pass
     each for runs, adjacency, and aggregates)."""
-    count = decoded.length
-    kinds = decoded.kind
-    pcs = decoded.pc
-    dep0 = decoded.dep0
-    dep1 = decoded.dep1
-    lats = decoded.lat
+    count = len(trace)
+    kinds = trace.kind
+    pcs = trace.pc
+    dep0 = trace.dep0
+    dep1 = trace.dep1
+    lats = trace.lat
 
     batch_end = [0] * count
     for index in range(count - 1, -1, -1):
@@ -233,7 +242,7 @@ def build_block_table(decoded):
     empty = ()
     reg_consumers = [tuple(bucket) if bucket else empty for bucket in consumer_lists]
 
-    mem_dep = decoded.mem_dep
+    mem_dep = trace.mem_dep
     batch_deps = [
         (
             dep0[index],
@@ -302,7 +311,7 @@ def block_table_for(trace):
         _COUNTERS["table_hits"] += 1
         return table
     _COUNTERS["table_misses"] += 1
-    table = build_block_table(trace.decoded())
+    table = build_block_table(trace)
     trace._block_table = table
     return table
 
@@ -310,12 +319,20 @@ def block_table_for(trace):
 class ProgramBlocks:
     """Per-PC straight-line blocks for the functional interpreter.
 
-    ``block_at(pc)`` returns a tuple of extended pre-decode records
-    ``(opcode, rd, rs, rt, imm, target, nsrc, inst, fall_through)`` —
-    the straight-line run starting at ``pc`` up to and including its
-    first control transfer (or the last decodable instruction).  Blocks
-    are built lazily per entry PC and memoized, so only PCs the program
-    actually jumps to are compiled.
+    ``block_at(pc)`` returns ``(entries, columns)`` for the
+    straight-line run starting at ``pc`` up to and including its first
+    control transfer (or the last decodable instruction).  ``entries``
+    are extended pre-decode records
+    ``(opcode, rd, rs, rt, imm, target, nsrc, inst, fall_through)``;
+    ``columns`` holds, per :class:`~repro.sim.trace.Trace` column in
+    :data:`~repro.sim.trace.COLUMNS` order, the block's slots prefilled
+    with every value known before execution (the static
+    ``pc``/``kind``/``lat``/``fall_through``/``inst``, and the untaken,
+    fall-through, dependence-free defaults of the dynamic columns), so
+    the interpreter extends the trace a block at a time and only writes
+    the slots execution changes.  Blocks are built lazily per entry PC
+    and memoized, so only PCs the program actually jumps to are
+    compiled.
     """
 
     __slots__ = ("_decoded", "_blocks")
@@ -324,6 +341,16 @@ class ProgramBlocks:
         from repro.sim.predecode import decode_program
 
         self._decoded = decode_program(program)
+        self._blocks = {}
+
+    def __getstate__(self):
+        # The compiled blocks ride along in every analysis static part
+        # that pickles the program, yet only a re-run of the program
+        # reads them, and it recompiles them lazily; keep the decode.
+        return self._decoded
+
+    def __setstate__(self, decoded):
+        self._decoded = decoded
         self._blocks = {}
 
     def block_at(self, pc):
@@ -345,10 +372,16 @@ class ProgramBlocks:
         entry = fetch_entry(pc)
         if entry is None:
             return None
-        block = []
+        entries = []
+        pcs = []
+        fall_throughs = []
+        insts = []
         while True:
             fall_through = pc + INSTRUCTION_BYTES
-            block.append(entry + (fall_through,))
+            entries.append(entry + (fall_through,))
+            pcs.append(pc)
+            fall_throughs.append(fall_through)
+            insts.append(entry[7])
             opcode = entry[0]
             if opcode > _LAST_PLAIN_OPCODE and opcode != _NOP_OPCODE:
                 break
@@ -356,7 +389,30 @@ class ProgramBlocks:
             entry = fetch_entry(pc)
             if entry is None:
                 break
-        return tuple(block)
+        fall_throughs = tuple(fall_throughs)
+        untaken, no_addresses, unset = _constant_fills(len(entries))
+        columns = (  # in COLUMNS order
+            tuple(pcs),
+            bytes(map(control_kind, insts)),
+            bytes(map(latency_class, insts)),
+            untaken,  # taken
+            fall_throughs,  # next_pc
+            fall_throughs,  # fall_through
+            no_addresses,  # mem_addr
+            unset,  # mem_dep
+            unset,  # dep0
+            unset,  # dep1
+            tuple(insts),
+        )
+        return tuple(entries), columns
+
+
+@functools.lru_cache(maxsize=None)
+def _constant_fills(length):
+    """The value-independent prefills of a ``length``-entry block
+    (untaken flags, no memory address, no producer), shared by every
+    block of that length."""
+    return bytes(length), (0,) * length, (-1,) * length
 
 
 def program_blocks_for(program):

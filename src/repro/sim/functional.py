@@ -7,16 +7,23 @@ paper's simulator compares out-of-order results against an architectural
 simulator at retirement; here the architectural simulator is the single
 source of truth and the timing models replay its trace.
 
+The interpreter writes the trace's flat columns directly, a block at a
+time: each compiled straight-line block
+(:class:`~repro.sim.blocks.ProgramBlocks`) carries its slots prefilled
+with everything known before execution, and execution overwrites only
+the producer edges, memory slots and the block-ending transfer.  No
+per-instruction object is allocated.
+
 That single trace anchors the timing side: its staged reference engine
 and the event-calendar kernel (:mod:`repro.polyflow.event_kernel`) must
-replay those records into identical statistics and event streams, which
+replay those columns into identical statistics and event streams, which
 the differential suites pin.
 """
 
 from repro.errors import ExecutionError
 from repro.isa.instructions import NUM_REGISTERS, Opcode
 from repro.sim.blocks import program_blocks_for
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import COLUMNS, Trace
 
 _WORD_MASK = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
@@ -120,7 +127,8 @@ class FunctionalSimulator:
         pre-decoded operand records
         (:class:`~repro.sim.blocks.ProgramBlocks`), so the hot loop
         dispatches on plain ints, never touches instruction attributes
-        and skips the per-instruction fetch lookup inside a block.
+        and skips the per-instruction fetch lookup inside a block; each
+        block extends the trace's columns with its prefilled slots.
 
         Raises:
             ExecutionError: On an invalid PC, a memory access outside the
@@ -133,8 +141,14 @@ class FunctionalSimulator:
         load = state.load
         store = state.store
 
-        records = []
-        append = records.append
+        trace = Trace()
+        extenders = [getattr(trace, name).extend for name in COLUMNS]
+        takens = trace.taken
+        next_pcs = trace.next_pc
+        mem_addrs = trace.mem_addr
+        mem_deps = trace.mem_dep
+        dep0 = trace.dep0
+        dep1 = trace.dep1
         reg_last_writer = [-1] * NUM_REGISTERS
         mem_last_writer = {}
         last_mem_writer = mem_last_writer.get
@@ -148,13 +162,21 @@ class FunctionalSimulator:
             block = block_at(pc)
             if block is None:
                 raise ExecutionError("fetch from invalid PC {:#x}".format(pc))
-            if seq + len(block) > max_instructions:
-                block = block[: max_instructions - seq]
-            for entry in block:
-                opcode, rd, rs, rt, imm, target, nsrc, inst, next_pc = entry
-                taken = False
-                mem_keys = ()
-                mem_dep = -1
+            entries, columns = block
+            if seq + len(entries) > max_instructions:
+                keep = max_instructions - seq
+                entries = entries[:keep]
+                columns = [column[:keep] for column in columns]
+            for extend, prefill in zip(extenders, columns):
+                extend(prefill)
+            for entry in entries:
+                opcode, rd, rs, rt, imm, target, nsrc, _, next_pc = entry
+
+                # Producer edges for the timing models.
+                if nsrc:
+                    dep0[seq] = reg_last_writer[rs]
+                    if nsrc == 2:
+                        dep1[seq] = reg_last_writer[rt]
 
                 if opcode <= _SRL:  # ALU register-register
                     a = registers[rs]
@@ -207,20 +229,20 @@ class FunctionalSimulator:
                     if rd:
                         registers[rd] = value
                     first = address >> 3
-                    last = (address + nbytes - 1) >> 3
-                    mem_keys = (first,) if first == last else tuple(range(first, last + 1))
-                    for key in mem_keys:
+                    mem_addrs[seq] = first << 3
+                    mem_dep = -1
+                    for key in range(first, ((address + nbytes - 1) >> 3) + 1):
                         writer = last_mem_writer(key, -1)
                         if writer > mem_dep:
                             mem_dep = writer
+                    mem_deps[seq] = mem_dep
                 elif opcode <= _SB:  # stores
                     address = (registers[rs] + imm) & _WORD_MASK
                     nbytes = 8 if opcode == _SW else (2 if opcode == _SH else 1)
                     store(address, registers[rt], nbytes)
                     first = address >> 3
-                    last = (address + nbytes - 1) >> 3
-                    mem_keys = (first,) if first == last else tuple(range(first, last + 1))
-                    for key in mem_keys:
+                    mem_addrs[seq] = first << 3
+                    for key in range(first, ((address + nbytes - 1) >> 3) + 1):
                         mem_last_writer[key] = seq
                 elif opcode <= _BLTZ:  # conditional branches
                     if opcode == _BEQ:
@@ -238,22 +260,23 @@ class FunctionalSimulator:
                         else:  # BLTZ
                             taken = a < 0
                     if taken:
-                        next_pc = target
+                        next_pc = next_pcs[seq] = target
+                        takens[seq] = 1
                 elif opcode == _J:
-                    next_pc = target
-                    taken = True
+                    next_pc = next_pcs[seq] = target
+                    takens[seq] = 1
                 elif opcode == _JAL:
                     registers[31] = next_pc
-                    next_pc = target
-                    taken = True
+                    next_pc = next_pcs[seq] = target
+                    takens[seq] = 1
                 elif opcode == _JR:
-                    next_pc = registers[rs]
-                    taken = True
+                    next_pc = next_pcs[seq] = registers[rs]
+                    takens[seq] = 1
                 elif opcode == _JALR:
                     jump_to = registers[rs]
                     registers[31] = next_pc
-                    next_pc = jump_to
-                    taken = True
+                    next_pc = next_pcs[seq] = jump_to
+                    takens[seq] = 1
                 elif opcode == _NOP:
                     pass
                 elif opcode == _HALT:
@@ -261,29 +284,17 @@ class FunctionalSimulator:
                 else:  # pragma: no cover - all opcodes handled above
                     raise ExecutionError("unimplemented opcode {!r}".format(opcode))
 
-                # Producer edges for the timing models.
-                if nsrc == 0:
-                    reg_deps = ()
-                elif nsrc == 1:
-                    reg_deps = (reg_last_writer[rs],)
-                else:
-                    reg_deps = (reg_last_writer[rs], reg_last_writer[rt])
-
-                append(TraceRecord(seq, inst, next_pc, taken, mem_keys, mem_dep, reg_deps))
-
                 if rd:  # r0 writes are discarded
                     reg_last_writer[rd] = seq
-
-                if halted:
-                    seq += 1
-                    break
-                pc = next_pc
                 seq += 1
+            # Only a block's last entry transfers control (HALT included).
             if halted:
                 break
+            pc = next_pc
 
         self.final_state = state
-        return Trace(records, halted)
+        trace.halted = halted
+        return trace
 
 
 def run_program(program, max_instructions=DEFAULT_MAX_INSTRUCTIONS):

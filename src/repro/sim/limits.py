@@ -24,6 +24,7 @@ observed, is ``single flow <= control independence <= dataflow``.
 """
 
 from repro.frontend.branch_predictor import GsharePredictor
+from repro.sim.predecode import KIND_COND_BRANCH
 
 
 class LimitStudyResult:
@@ -51,18 +52,20 @@ class LimitStudyResult:
         )
 
 
+def _producers(trace):
+    """Each trace index's producer edges: ``(dep0, dep1, mem_dep)``,
+    ``-1`` marking no producer."""
+    return zip(trace.dep0, trace.dep1, trace.mem_dep)
+
+
 def _dependence_finish_times(trace):
-    """Unit-latency dataflow finish time of every record."""
+    """Unit-latency dataflow finish time of every trace index."""
     finish = [0] * len(trace)
-    records = trace.records
-    for index, record in enumerate(records):
+    for index, producers in enumerate(_producers(trace)):
         ready = 0
-        for producer in record.reg_deps:
+        for producer in producers:
             if producer >= 0 and finish[producer] > ready:
                 ready = finish[producer]
-        mem_producer = record.mem_dep
-        if mem_producer >= 0 and finish[mem_producer] > ready:
-            ready = finish[mem_producer]
         finish[index] = ready + 1
     return finish
 
@@ -72,9 +75,12 @@ def _mispredicted_branches(trace, predictor=None):
     if predictor is None:
         predictor = GsharePredictor()
     mispredicted = set()
-    for index, record in enumerate(trace.records):
-        if record.inst.is_conditional_branch:
-            if predictor.predict_and_update(record.inst.pc, record.taken) != record.taken:
+    pcs = trace.pc
+    takens = trace.taken
+    for index, kind in enumerate(trace.kind):
+        if kind == KIND_COND_BRANCH:
+            taken = bool(takens[index])
+            if predictor.predict_and_update(pcs[index], taken) != taken:
                 mispredicted.add(index)
     return mispredicted
 
@@ -85,13 +91,12 @@ def _reconvergence_indices(trace, ipdom_pc_by_branch_pc):
     Resolved on the committed trace (next dynamic instance of the
     branch's immediate postdominator PC), like the spawn unit does.
     """
-    records = trace.records
-    count = len(records)
+    pcs = trace.pc
+    count = len(pcs)
     reconvergence = [count] * count
     last_seen = {}
     for index in range(count - 1, -1, -1):
-        record = records[index]
-        pc = record.inst.pc
+        pc = pcs[index]
         ipdom_pc = ipdom_pc_by_branch_pc.get(pc)
         if ipdom_pc is not None:
             reconvergence[index] = last_seen.get(ipdom_pc, count)
@@ -116,7 +121,6 @@ def limit_study(trace, ipdom_pc_by_branch_pc=None, mispredict_penalty=8):
     count = len(trace)
     if count == 0:
         return LimitStudyResult(0, 0.0, 0.0, 0.0)
-    records = trace.records
 
     # Dataflow limit.
     dataflow_finish = _dependence_finish_times(trace)
@@ -128,14 +132,11 @@ def limit_study(trace, ipdom_pc_by_branch_pc=None, mispredict_penalty=8):
     # fetched no earlier than the branch's resolution plus the penalty.
     finish = [0] * count
     fetch_floor = 0
-    for index, record in enumerate(records):
+    for index, producers in enumerate(_producers(trace)):
         ready = fetch_floor
-        for producer in record.reg_deps:
+        for producer in producers:
             if producer >= 0 and finish[producer] > ready:
                 ready = finish[producer]
-        mem_producer = record.mem_dep
-        if mem_producer >= 0 and finish[mem_producer] > ready:
-            ready = finish[mem_producer]
         finish[index] = ready + 1
         if index in mispredicted:
             stall = finish[index] + mispredict_penalty
@@ -150,17 +151,14 @@ def limit_study(trace, ipdom_pc_by_branch_pc=None, mispredict_penalty=8):
         finish = [0] * count
         # Active floors: (expires_at_index, floor_value); kept tiny.
         floors = []
-        for index, record in enumerate(records):
+        for index, producers in enumerate(_producers(trace)):
             ready = 0
             for expires, floor in floors:
                 if index < expires and floor > ready:
                     ready = floor
-            for producer in record.reg_deps:
+            for producer in producers:
                 if producer >= 0 and finish[producer] > ready:
                     ready = finish[producer]
-            mem_producer = record.mem_dep
-            if mem_producer >= 0 and finish[mem_producer] > ready:
-                ready = finish[mem_producer]
             finish[index] = ready + 1
             if index in mispredicted:
                 floors.append(

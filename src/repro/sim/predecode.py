@@ -1,30 +1,26 @@
 """Pre-decoded instruction records: the simulation fast path.
 
 The timing and functional simulators spend their lives in per-cycle /
-per-instruction loops.  Walking ``record.inst.<attribute>`` chains and
+per-instruction loops.  Walking ``inst.<attribute>`` chains and
 comparing :class:`~repro.isa.instructions.Opcode` enum members on every
-iteration dominates those loops, so this module lowers both
-representations once, up front:
+iteration dominates those loops, so this module lowers each static
+:class:`~repro.isa.instructions.Instruction` once, up front:
 
-* :func:`decode_program` flattens each static
-  :class:`~repro.isa.instructions.Instruction` into a plain tuple of
-  ``int`` operands, consumed by the functional interpreter's dispatch
-  loop (:mod:`repro.sim.functional`).
-* :func:`decode_trace` lowers a committed
-  :class:`~repro.sim.trace.Trace` into parallel flat arrays (one slot
-  per trace index), consumed by the PolyFlow timing kernel's fetch /
-  issue / commit loops and its dependence checks
-  (:mod:`repro.polyflow.core`).
+* :func:`decode_program` flattens every instruction into a plain tuple
+  of ``int`` operands, consumed by the functional interpreter's
+  dispatch loop (:mod:`repro.sim.functional`).  Memoized on the
+  program object, so one decode is shared by every run of it.
+* :func:`control_kind` / :func:`latency_class` give the ``KIND_*`` and
+  ``LAT_*`` classes the interpreter writes into the trace's ``kind``
+  and ``lat`` columns (:class:`~repro.sim.trace.Trace`), which the
+  PolyFlow timing kernel's fetch and issue loops dispatch on.
 
-Both are pure views: they carry exactly the information the original
-objects carry, so consuming them cannot change simulated behaviour —
-the golden-trace and differential suites pin that equivalence byte for
-byte.  Decoded forms are memoized on their source object
-(``Trace.decoded()`` / the program's ``_decoded`` attribute), so one
-decode is shared by every simulation of the same program or trace.
+Both are pure functions of the static instruction, so consuming them
+cannot change simulated behaviour — the golden-trace and differential
+suites pin that equivalence byte for byte.
 """
 
-from repro.isa.instructions import INSTRUCTION_BYTES, REGISTER_ALIASES
+from repro.isa.instructions import REGISTER_ALIASES
 
 _RA = REGISTER_ALIASES["ra"]
 
@@ -82,100 +78,6 @@ def latency_class(inst):
     return LAT_ALU
 
 
-class DecodedTrace:
-    """Flat per-trace-index arrays mirroring a committed trace.
-
-    Every array has one slot per trace record.  Register/memory
-    producer edges keep the record's semantics: ``dep0``/``dep1`` are
-    the (up to two) source-register producer sequence numbers in
-    rs-then-rt order, ``-1`` marking an absent source or a value that
-    predates the trace.
-    """
-
-    __slots__ = (
-        "length",
-        "pc",
-        "kind",
-        "lat",
-        "taken",
-        "next_pc",
-        "fall_through",
-        "mem_addr",
-        "mem_dep",
-        "dep0",
-        "dep1",
-        "_lines_by_shift",
-    )
-
-    def __init__(self, length):
-        self.length = length
-        self.pc = [0] * length
-        #: ``KIND_*`` control classification (bytearray: compact + fast).
-        self.kind = bytearray(length)
-        #: ``LAT_*`` latency classification.
-        self.lat = bytearray(length)
-        #: 1 when the dynamic branch was taken.
-        self.taken = bytearray(length)
-        self.next_pc = [0] * length
-        self.fall_through = [0] * length
-        #: Byte address of the first word a load/store touches (0 otherwise).
-        self.mem_addr = [0] * length
-        self.mem_dep = [-1] * length
-        self.dep0 = [-1] * length
-        self.dep1 = [-1] * length
-        self._lines_by_shift = {}
-
-    def icache_lines(self, offset_bits):
-        """The I-cache line index of every pc (memoized per line size).
-
-        A derived flat column: ``pc >> offset_bits`` for each slot.
-        Every core over the same trace reads the identical line column,
-        so it is computed once per (trace, line size) instead of once
-        per core construction — the grid-batch runner simulates many
-        cells of one trace and this was the largest repeated setup
-        cost.
-        """
-        lines = self._lines_by_shift.get(offset_bits)
-        if lines is None:
-            lines = [pc >> offset_bits for pc in self.pc]
-            self._lines_by_shift[offset_bits] = lines
-        return lines
-
-
-def decode_trace(trace):
-    """Lower ``trace`` into a :class:`DecodedTrace` (one pass)."""
-    records = trace.records
-    decoded = DecodedTrace(len(records))
-    pcs = decoded.pc
-    kinds = decoded.kind
-    lats = decoded.lat
-    takens = decoded.taken
-    next_pcs = decoded.next_pc
-    fall_throughs = decoded.fall_through
-    mem_addrs = decoded.mem_addr
-    mem_deps = decoded.mem_dep
-    dep0 = decoded.dep0
-    dep1 = decoded.dep1
-    for index, record in enumerate(records):
-        inst = record.inst
-        pcs[index] = inst.pc
-        kinds[index] = control_kind(inst)
-        lats[index] = latency_class(inst)
-        if record.taken:
-            takens[index] = 1
-        next_pcs[index] = record.next_pc
-        fall_throughs[index] = inst.pc + INSTRUCTION_BYTES
-        if record.mem_keys:
-            mem_addrs[index] = record.mem_keys[0] << 3
-        mem_deps[index] = record.mem_dep
-        reg_deps = record.reg_deps
-        if reg_deps:
-            dep0[index] = reg_deps[0]
-            if len(reg_deps) > 1:
-                dep1[index] = reg_deps[1]
-    return decoded
-
-
 # -- static program predecode (functional interpreter) ------------------------
 
 
@@ -198,8 +100,8 @@ def decode_program(program):
     0 — each opcode's interpreter path only reads the operands the ISA
     defines for it, so the placeholder is never observable), ``nsrc``
     is the number of register sources for producer tracking, and
-    ``inst`` is the original :class:`Instruction` for the emitted
-    trace records.  Memoized on the program object.
+    ``inst`` is the original :class:`Instruction` for the trace's
+    ``inst`` column.  Memoized on the program object.
     """
     decoded = getattr(program, "_decoded", None)
     if decoded is not None:

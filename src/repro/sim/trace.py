@@ -1,16 +1,23 @@
-"""Dynamic trace records produced by the functional simulator.
+"""The committed-path dynamic trace produced by the functional simulator.
 
 The cycle-level PolyFlow model is trace-driven: the functional simulator
-executes the program architecturally and emits one :class:`TraceRecord`
-per committed instruction.  Each record carries the information the
-timing model needs:
+executes the program architecturally and writes one slot per committed
+instruction into flat per-index columns.  The columns carry everything
+the timing model needs:
 
-* the static :class:`~repro.isa.instructions.Instruction`,
-* the dynamic control-flow outcome (``next_pc``, ``taken``),
-* the memory footprint of loads/stores (word-granularity chunk keys),
-* exact producer edges: for every source register (and for the memory
-  value read by a load) the sequence number of the producing dynamic
-  instruction, or ``-1`` when the value predates the trace.
+* ``pc`` and ``inst`` — the instruction address and the program's own
+  static :class:`~repro.isa.instructions.Instruction` (shared, never
+  copied), for the few readers of static attributes;
+* ``kind`` / ``lat`` — the fetch-loop ``KIND_*`` and issue-loop
+  ``LAT_*`` classes of :mod:`repro.sim.predecode`;
+* ``taken`` / ``next_pc`` / ``fall_through`` — the dynamic
+  control-flow outcome;
+* ``mem_addr`` — the word-aligned byte address of the first word a
+  load/store touches (0 otherwise);
+* ``mem_dep``, ``dep0``, ``dep1`` — exact producer edges: the trace
+  index of the youngest store a load reads from, and of the producers
+  of the (up to two) source registers in rs-then-rt order; ``-1`` marks
+  an absent source or a value that predates the trace.
 
 The paper's simulator is execution-driven but also trace-assisted ("the
 Task Spawn Unit uses a trace to ensure that tasks are not spawned too
@@ -18,131 +25,84 @@ far into the future"); see DESIGN.md section 6 for why a trace-driven
 timing model preserves the evaluated behaviour.
 """
 
+from repro.sim.predecode import (
+    KIND_CALL_DIRECT,
+    KIND_CALL_INDIRECT,
+    KIND_COND_BRANCH,
+    LAT_LOAD,
+    LAT_STORE,
+)
 
-class TraceRecord:
-    """One committed dynamic instruction."""
-
-    __slots__ = (
-        "seq",
-        "inst",
-        "next_pc",
-        "taken",
-        "mem_keys",
-        "mem_dep",
-        "reg_deps",
-    )
-
-    def __init__(self, seq, inst, next_pc, taken, mem_keys, mem_dep, reg_deps):
-        self.seq = seq
-        self.inst = inst
-        self.next_pc = next_pc
-        self.taken = taken
-        #: Tuple of word-aligned chunk keys (address >> 3) touched by a
-        #: memory access; empty for non-memory instructions.
-        self.mem_keys = mem_keys
-        #: Sequence number of the youngest store this load reads from,
-        #: or -1 (also -1 for non-loads).
-        self.mem_dep = mem_dep
-        #: Tuple of producer sequence numbers, one per source register
-        #: (-1 when the register was last written before the trace began).
-        self.reg_deps = reg_deps
-
-    @property
-    def pc(self):
-        """Address of the instruction."""
-        return self.inst.pc
-
-    def __repr__(self):
-        return "TraceRecord(seq={}, pc={:#x})".format(self.seq, self.inst.pc)
+#: The attribute name of every per-index column of a :class:`Trace`.
+COLUMNS = (
+    "pc",
+    "kind",
+    "lat",
+    "taken",
+    "next_pc",
+    "fall_through",
+    "mem_addr",
+    "mem_dep",
+    "dep0",
+    "dep1",
+    "inst",
+)
 
 
 class Trace:
-    """A committed-path dynamic trace plus cross-record indexes."""
+    """A committed-path dynamic trace, one flat column per field.
 
-    def __init__(self, records, halted):
-        self.records = records
+    Every column has one slot per committed instruction; ``kind``,
+    ``lat`` and ``taken`` are bytearrays, the rest lists.  The columns
+    are written once by :class:`~repro.sim.functional.FunctionalSimulator`
+    and read-only afterwards, so every simulation of the trace shares
+    them (and the memoized :meth:`icache_lines` and block table).
+    """
+
+    def __init__(self):
+        self.pc = []
+        self.kind = bytearray()
+        self.lat = bytearray()
+        self.taken = bytearray()
+        self.next_pc = []
+        self.fall_through = []
+        self.mem_addr = []
+        self.mem_dep = []
+        self.dep0 = []
+        self.dep1 = []
+        self.inst = []
         #: Whether the program reached HALT (as opposed to hitting the
         #: instruction budget).
-        self.halted = halted
-        self._decoded = None
-
-    def decoded(self):
-        """The flat :class:`~repro.sim.predecode.DecodedTrace` view.
-
-        Computed on first use and shared by every timing simulation of
-        this trace (the records are immutable once emitted).
-        """
-        if self._decoded is None:
-            from repro.sim.predecode import decode_trace
-
-            self._decoded = decode_trace(self)
-        return self._decoded
+        self.halted = False
+        self._lines_by_shift = {}
 
     def __len__(self):
-        return len(self.records)
+        return len(self.pc)
 
-    def __iter__(self):
-        return iter(self.records)
+    def icache_lines(self, offset_bits):
+        """The I-cache line index of every pc (memoized per line size).
 
-    def __getitem__(self, index):
-        return self.records[index]
-
-    def dynamic_pcs(self):
-        """Yield the PC of every committed instruction, in order."""
-        for record in self.records:
-            yield record.inst.pc
-
-    def slice_after(self, skip):
-        """A new trace dropping the first ``skip`` records (fast-forward).
-
-        Sequence numbers are rebased to zero; producer edges that point
-        into the dropped prefix become -1 (the value is architecturally
-        available before the measured region begins, exactly like the
-        paper's fast-forwarded initialization phase).
+        A derived flat column: ``pc >> offset_bits`` for each slot.
+        Every core over the same trace reads the identical line column,
+        so it is computed once per (trace, line size) instead of once
+        per core construction — the grid-batch runner simulates many
+        cells of one trace and this was the largest repeated setup
+        cost.
         """
-        if skip <= 0:
-            return Trace(list(self.records), self.halted)
-        sliced = []
-        for record in self.records[skip:]:
-            reg_deps = tuple(
-                producer - skip if producer >= skip else -1
-                for producer in record.reg_deps
-            )
-            mem_dep = record.mem_dep - skip if record.mem_dep >= skip else -1
-            sliced.append(
-                TraceRecord(
-                    record.seq - skip,
-                    record.inst,
-                    record.next_pc,
-                    record.taken,
-                    record.mem_keys,
-                    mem_dep,
-                    reg_deps,
-                )
-            )
-        return Trace(sliced, self.halted)
-
-    def index_of_first(self, pc, after=-1):
-        """Index of the first committed instance of ``pc`` past ``after``,
-        or -1 when it never commits again."""
-        for index in range(after + 1, len(self.records)):
-            if self.records[index].inst.pc == pc:
-                return index
-        return -1
+        lines = self._lines_by_shift.get(offset_bits)
+        if lines is None:
+            lines = [pc >> offset_bits for pc in self.pc]
+            self._lines_by_shift[offset_bits] = lines
+        return lines
 
     def instruction_mix(self):
         """Return counts of {'load','store','branch','call','other'}."""
-        mix = {"load": 0, "store": 0, "branch": 0, "call": 0, "other": 0}
-        for record in self.records:
-            inst = record.inst
-            if inst.is_load:
-                mix["load"] += 1
-            elif inst.is_store:
-                mix["store"] += 1
-            elif inst.is_conditional_branch:
-                mix["branch"] += 1
-            elif inst.is_call:
-                mix["call"] += 1
-            else:
-                mix["other"] += 1
+        mix = {
+            "load": self.lat.count(LAT_LOAD),
+            "store": self.lat.count(LAT_STORE),
+            "branch": self.kind.count(KIND_COND_BRANCH),
+            "call": self.kind.count(KIND_CALL_DIRECT)
+            + self.kind.count(KIND_CALL_INDIRECT),
+        }
+        mix["other"] = len(self) - sum(mix.values())
         return mix

@@ -147,16 +147,15 @@ def profile_spawn_points(trace, points, max_distance=DEFAULT_MAX_SPAWN_DISTANCE)
         profiles[key] = PointProfile(point)
         points_by_trigger[point.trigger_pc].append(point)
 
-    records = trace.records
-    count = len(records)
+    pcs = trace.pc
+    count = len(pcs)
 
     # Backward pass: next_occurrence[idx] resolves, for every trigger
     # occurrence, the index of the next dynamic instance of its target.
     pending = []  # (trigger_index, point_key, target_pc) awaiting masks
     last_seen = {}
     for index in range(count - 1, -1, -1):
-        record = records[index]
-        pc = record.inst.pc
+        pc = pcs[index]
         triggered = points_by_trigger.get(pc)
         if triggered is not None:
             for point in triggered:
@@ -184,12 +183,13 @@ def profile_spawn_points(trace, points, max_distance=DEFAULT_MAX_SPAWN_DISTANCE)
         for start, key, stop in pending:
             window_starts[start].append((key, stop))
         active = []  # (stop_index, profile)
+        insts = trace.inst
         for index in range(count):
             if index in window_starts:
                 for key, stop in window_starts[index]:
                     active.append((stop, profiles[key]))
             if active:
-                destination = records[index].inst.rd
+                destination = insts[index].rd
                 if destination:
                     bit = 1 << destination
                     for stop, profile in active:

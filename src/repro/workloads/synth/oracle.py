@@ -329,7 +329,7 @@ def verify_dynamics(oracle, program, trace):
     mismatches = []
     if not trace.halted:
         mismatches.append("trace did not halt within the instruction budget")
-    executions = Counter(record.inst.pc for record in trace.records)
+    executions = Counter(trace.pc)
     for oracle_proc in oracle.procedures:
         for record in oracle_proc.loops:
             header_pc = _pc_of(program, record.header_label, mismatches)

@@ -35,7 +35,7 @@ def test_computed_entry_is_frozen(disk_root):
     cache = AnalysisCache(disk_root)
     analyses = cache.analyses_for(_SOURCE)
     assert cache.misses == 1
-    assert _collected(analyses.program, analyses.trace.decoded().pc) == []
+    assert _collected(analyses.program, analyses.trace.pc) == []
 
 
 def test_disk_loaded_entry_is_frozen(disk_root):
@@ -44,7 +44,7 @@ def test_disk_loaded_entry_is_frozen(disk_root):
     analyses = cache.analyses_for(_SOURCE)
     assert cache.disk_hits == 1
     assert _collected(analyses.program) == []
-    pcs = analyses.trace.decoded().pc
+    pcs = analyses.trace.pc
     assert cache.trace_loads == 1
     assert _collected(pcs) == []
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.parallel import (
+    ANALYSIS_CACHE_SUBDIR,
     Dispatch,
     Incident,
     ParallelExperimentRunner,
@@ -153,6 +154,24 @@ def test_cache_load_distinguishes_missing_from_corrupt(tmp_path):
     assert cache.load(digest) is None
     assert (cache.misses, cache.corrupt) == (1, 1)
     assert cache.corrupt_paths == [cache.path(digest)]
+
+
+def test_cache_less_runner_writes_no_earlier_runners_analyses(tmp_path):
+    """The analysis disk root is process-global: a runner without a
+    cache directory turns it off instead of inheriting the last
+    runner's ``<cache-dir>/analysis``."""
+    cache_dir = tmp_path / "cache"
+    ParallelExperimentRunner(scale=_SCALE, jobs=1, cache_dir=str(cache_dir))
+    analysis_dir = cache_dir / ANALYSIS_CACHE_SUBDIR
+
+    def listing():
+        return sorted(str(path) for path in analysis_dir.rglob("*"))
+
+    before = listing()
+    clear_cache()  # gzip's analyses must be computed, not memo hits
+    runner = ParallelExperimentRunner(scale=_SCALE, jobs=1)
+    assert runner.prefetch([("gzip", "postdoms")]) == 1
+    assert listing() == before
 
 
 def test_corrupt_entry_surfaced_in_run_summary(tmp_path):
@@ -392,6 +411,28 @@ def test_pooled_chunks_report_shared_cells(tmp_path, monkeypatch):
     for name, spec in _SHARING_GRID:
         expected = simulate_job(name, spec, 0.25, PAPER_CONFIG)
         assert pooled.run_policy(name, spec).as_dict() == expected.as_dict()
+
+
+def test_schedule_line_counts_the_transport_that_ran_the_chunks():
+    def rendered(*dispatches):
+        summary = RunSummary({_cell("gzip", "loop"): Outcome(None, seconds=1.0)})
+        chunks = [[_cell("gzip", "loop")], [_cell("gzip", "hammock")]]
+        for transport, workers in dispatches:
+            plan = GridSchedule([], chunks, [1, 1], workers, workers)
+            summary.dispatches.append(Dispatch(transport, workers, plan))
+        return [line for line in summary.render().splitlines() if "schedule:" in line]
+
+    assert rendered() == ["  schedule: 0 inline, 0 chunks across 0 pool workers"]
+    assert rendered(("pool", 2)) == [
+        "  schedule: 0 inline, 2 chunks across 2 pool workers"
+    ]
+    assert rendered(("subprocess", 2)) == [
+        "  schedule: 0 inline, 2 chunks across 2 subprocess workers"
+    ]
+    assert rendered(("pool", 2), ("subprocess", 2)) == [
+        "  schedule: 0 inline, 2 chunks across 2 pool workers, "
+        "2 chunks across 2 subprocess workers"
+    ]
 
 
 def test_merged_summaries_concatenate_their_records():

@@ -48,11 +48,11 @@ def test_spawn_unit_resolves_targets_on_trace():
     # Find a dynamic instance of the trigger and check the resolved
     # target is the next instance of the join.
     join_pc = program.address_of("join")
-    for index, record in enumerate(trace):
-        if record.inst.pc == branch_pc:
+    for index, pc in enumerate(trace.pc):
+        if pc == branch_pc:
             target = unit.spawn_target(index, branch_pc)
             if target >= 0:
-                assert trace.records[target].inst.pc == join_pc
+                assert trace.pc[target] == join_pc
                 assert target > index
                 break
     else:
@@ -75,8 +75,8 @@ def test_spawn_unit_feedback_suppression():
     unit.record_squash(trigger)  # 2 squashes / 2 spawns > 0.4
     assert trigger in unit.suppressed_triggers()
     # Suppressed triggers spawn nothing.
-    for index, record in enumerate(trace):
-        if record.inst.pc == trigger:
+    for index, pc in enumerate(trace.pc):
+        if pc == trigger:
             assert unit.spawn_target(index, trigger) == -1
             break
     assert unit.total_spawns() == 2

@@ -200,7 +200,7 @@ def test_branch_mispredicts_counted():
 def test_empty_trace():
     from repro.sim.trace import Trace
 
-    stats = simulate(Trace([], halted=False))
+    stats = simulate(Trace())
     assert stats.cycles == 0
     assert stats.retired_instructions == 0
 

@@ -73,38 +73,3 @@ def test_timeline_empty_window():
     tracer = TimelineTracer(trace, config, hints)
     tracer.run()
     assert "no fetch events" in tracer.render_timeline(start_cycle=10**9)
-
-
-def test_trace_slice_after_rebases_dependences():
-    trace, _ = _prepared()
-    sliced = trace.slice_after(10)
-    assert len(sliced) == len(trace) - 10
-    assert sliced[0].seq == 0
-    for record in sliced:
-        for producer in record.reg_deps:
-            assert producer >= -1
-            assert producer < record.seq
-        assert record.mem_dep < record.seq
-
-
-def test_trace_slice_zero_is_identity():
-    trace, _ = _prepared()
-    copy = trace.slice_after(0)
-    assert len(copy) == len(trace)
-    assert copy[5].reg_deps == trace[5].reg_deps
-
-
-def test_sliced_trace_still_simulates():
-    from repro.polyflow import simulate_superscalar
-
-    trace, _ = _prepared()
-    sliced = trace.slice_after(20)
-    stats = simulate_superscalar(sliced)
-    assert stats.retired_instructions == len(sliced)
-
-
-def test_index_of_first():
-    trace, _ = _prepared()
-    pc = trace[3].inst.pc
-    assert trace.index_of_first(pc) >= 0
-    assert trace.index_of_first(pc, after=len(trace)) == -1

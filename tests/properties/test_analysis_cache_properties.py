@@ -27,6 +27,7 @@ from repro.analysis.pipeline import (
     compute_analyses,
     source_digest,
 )
+from repro.sim.trace import COLUMNS
 
 _SETTINGS = dict(max_examples=examples(15), deadline=None)
 
@@ -36,19 +37,9 @@ small_loop_sources = synth_sources
 
 
 def _trace_values(trace):
-    """Every field of every record, by value, plus the halt flag."""
-    return trace.halted, tuple(
-        (
-            record.seq,
-            record.inst.pc,
-            record.next_pc,
-            record.taken,
-            record.mem_keys,
-            record.mem_dep,
-            record.reg_deps,
-        )
-        for record in trace.records
-    )
+    """Every column, by value (instructions by pc), plus the halt flag."""
+    columns = [list(getattr(trace, name)) for name in COLUMNS if name != "inst"]
+    return trace.halted, columns, [inst.pc for inst in trace.inst]
 
 
 def _fingerprint(analyses):
@@ -158,10 +149,7 @@ def test_disk_layer_round_trips_by_value(source):
         assert _fingerprint(reloaded) == _fingerprint(computed)
         assert reader.trace_loads == 1
         program = reloaded.program
-        assert all(
-            record.inst is program.fetch(record.inst.pc)
-            for record in reloaded.trace.records
-        )
+        assert all(inst is program.fetch(inst.pc) for inst in reloaded.trace.inst)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

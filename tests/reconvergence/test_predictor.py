@@ -8,10 +8,9 @@ from repro.spawn import classify_program
 
 
 def _feed_trace(predictor, trace):
-    for record in trace:
-        inst = record.inst
+    for inst, taken in zip(trace.inst, trace.taken):
         if inst.is_conditional_branch:
-            predictor.observe(inst.pc, record.taken, inst.target)
+            predictor.observe(inst.pc, bool(taken), inst.target)
         elif inst.is_return_like and inst.rs != 31:
             predictor.observe(inst.pc, "indirect")
         else:

@@ -16,6 +16,7 @@ from repro.sim.blocks import (
     reset_cache_counters,
 )
 from repro.sim.predecode import KIND_PLAIN, LAT_LOAD, LAT_MUL, LAT_STORE
+from repro.sim.trace import COLUMNS
 
 _LOOP = """
 .text
@@ -51,28 +52,27 @@ def _trace(source):
 
 def test_batch_end_covers_straight_line_runs_only():
     trace = _trace(_LOOP)
-    decoded = trace.decoded()
-    table = build_block_table(decoded)
+    table = build_block_table(trace)
     assert table.length == len(trace)
     for index in range(table.length):
         end = table.batch_end[index]
-        if decoded.kind[index] != KIND_PLAIN:
+        if trace.kind[index] != KIND_PLAIN:
             # Control transfers never batch.
             assert end == index
             continue
         assert end > index
-        line = decoded.pc[index] >> (ICACHE_LINE_BYTES.bit_length() - 1)
+        line = trace.pc[index] >> (ICACHE_LINE_BYTES.bit_length() - 1)
         for position in range(index, end):
-            assert decoded.kind[position] == KIND_PLAIN
+            assert trace.kind[position] == KIND_PLAIN
             assert (
-                decoded.pc[position] >> (ICACHE_LINE_BYTES.bit_length() - 1)
+                trace.pc[position] >> (ICACHE_LINE_BYTES.bit_length() - 1)
             ) == line
 
 
 def test_batch_end_valid_from_any_start_index():
     """A task resuming mid-block must still see a correct run bound."""
     trace = _trace(_LOOP)
-    table = build_block_table(trace.decoded())
+    table = build_block_table(trace)
     for index in range(table.length):
         end = table.batch_end[index]
         for middle in range(index + 1, end):
@@ -81,39 +81,36 @@ def test_batch_end_valid_from_any_start_index():
 
 def test_reg_consumers_matches_dependence_arrays():
     trace = _trace(_LOOP)
-    decoded = trace.decoded()
-    table = build_block_table(decoded)
+    table = build_block_table(trace)
     for producer, consumers in enumerate(table.reg_consumers):
         expected = []
-        for index in range(decoded.length):
-            if decoded.dep0[index] == producer:
+        for index in range(len(trace)):
+            if trace.dep0[index] == producer:
                 expected.append(index)
-            if decoded.dep1[index] == producer:
+            if trace.dep1[index] == producer:
                 expected.append(index)
         assert list(consumers) == sorted(expected)
 
 
 def test_batch_deps_fuse_sources_and_gate_mem_dep_on_loads():
     trace = _trace(_MEM)
-    decoded = trace.decoded()
-    table = build_block_table(decoded)
-    assert len(table.batch_deps) == decoded.length
+    table = build_block_table(trace)
+    assert len(table.batch_deps) == len(trace)
     for index, (dep0, dep1, mem_dep) in enumerate(table.batch_deps):
-        assert dep0 == decoded.dep0[index]
-        assert dep1 == decoded.dep1[index]
-        if decoded.lat[index] == LAT_LOAD:
-            assert mem_dep == decoded.mem_dep[index]
+        assert dep0 == trace.dep0[index]
+        assert dep1 == trace.dep1[index]
+        if trace.lat[index] == LAT_LOAD:
+            assert mem_dep == trace.mem_dep[index]
         else:
             assert mem_dep == -1
     # The store-to-load pair exists in this program, so at least one
     # load must carry a real mem producer slot (-1 means none).
-    assert any(decoded.lat[i] == LAT_LOAD for i in range(decoded.length))
+    assert any(trace.lat[i] == LAT_LOAD for i in range(len(trace)))
 
 
 def test_aggregates_partition_the_trace_and_count_latency_classes():
     trace = _trace(_MEM)
-    decoded = trace.decoded()
-    table = build_block_table(decoded)
+    table = build_block_table(trace)
     assert table.starts[0] == 0
     covered = 0
     muls = loads = stores = 0
@@ -126,16 +123,16 @@ def test_aggregates_partition_the_trace_and_count_latency_classes():
         muls += block_muls
         loads += block_loads
         stores += block_stores
-    assert covered == decoded.length
-    assert muls == sum(1 for i in range(decoded.length) if decoded.lat[i] == LAT_MUL)
-    assert loads == sum(1 for i in range(decoded.length) if decoded.lat[i] == LAT_LOAD)
+    assert covered == len(trace)
+    assert muls == sum(1 for i in range(len(trace)) if trace.lat[i] == LAT_MUL)
+    assert loads == sum(1 for i in range(len(trace)) if trace.lat[i] == LAT_LOAD)
     assert stores == sum(
-        1 for i in range(decoded.length) if decoded.lat[i] == LAT_STORE
+        1 for i in range(len(trace)) if trace.lat[i] == LAT_STORE
     )
 
 
 def test_issue_cost_and_event_delta():
-    table = build_block_table(_trace(_LOOP).decoded())
+    table = build_block_table(_trace(_LOOP))
     block = next(
         i for i, aggregate in enumerate(table.aggregates) if aggregate[1] > 0
     )
@@ -146,7 +143,7 @@ def test_issue_cost_and_event_delta():
 
 
 def test_describe_summarizes_table():
-    table = build_block_table(_trace(_MEM).decoded())
+    table = build_block_table(_trace(_MEM))
     summary = table.describe()
     assert summary["instructions"] == table.length
     assert summary["blocks"] == table.block_count() == len(table.starts)
@@ -154,7 +151,7 @@ def test_describe_summarizes_table():
     assert summary["plain_instructions"] == sum(
         1
         for i in range(table.length)
-        if _trace(_MEM).decoded().lat[i]
+        if _trace(_MEM).lat[i]
         not in (LAT_MUL, LAT_LOAD, LAT_STORE)
     )
 
@@ -163,18 +160,17 @@ def test_plain_end_spans_single_cycle_runs_only():
     """``plain_end[i]`` is the exclusive end of the maximal run of
     single-cycle (non-load/store/mul) instructions starting at ``i``."""
     trace = _trace(_MEM)
-    decoded = trace.decoded()
-    table = build_block_table(decoded)
+    table = build_block_table(trace)
     for index in range(table.length):
         end = table.plain_end[index]
-        if decoded.lat[index] in (LAT_MUL, LAT_LOAD, LAT_STORE):
+        if trace.lat[index] in (LAT_MUL, LAT_LOAD, LAT_STORE):
             # A long-latency or memory op caps its own run immediately.
             assert end == index
             continue
         assert end > index
         for covered in range(index, end):
-            assert decoded.lat[covered] not in (LAT_MUL, LAT_LOAD, LAT_STORE)
-        assert end == table.length or decoded.lat[end] in (
+            assert trace.lat[covered] not in (LAT_MUL, LAT_LOAD, LAT_STORE)
+        assert end == table.length or trace.lat[end] in (
             LAT_MUL,
             LAT_LOAD,
             LAT_STORE,
@@ -184,7 +180,7 @@ def test_plain_end_spans_single_cycle_runs_only():
 def test_plain_end_is_suffix_consistent():
     """Every position inside a run points at the same run end, so the
     event kernel may probe ``plain_end`` from any batch start."""
-    table = build_block_table(_trace(_LOOP).decoded())
+    table = build_block_table(_trace(_LOOP))
     for index in range(table.length):
         end = table.plain_end[index]
         for inside in range(index, end):
@@ -193,7 +189,7 @@ def test_plain_end_is_suffix_consistent():
 
 def test_next_event_horizon_is_one_unless_muls_only():
     trace = _trace(_LOOP)
-    table = build_block_table(trace.decoded())
+    table = build_block_table(trace)
     for block, (length, muls, _loads, _stores) in enumerate(table.aggregates):
         horizon = table.next_event_horizon(block, mul_latency=3)
         if muls == length:
@@ -249,13 +245,30 @@ def test_program_blocks_follow_fall_through_until_control():
     entry = program.entry_point
     block = blocks.block_at(entry)
     assert block is not None
-    assert len(block) >= 2
+    entries, columns = block
+    assert len(entries) >= 2
     # Each record's fall-through PC is the next record's instruction PC
     # (records are ``(opcode, …, inst, fall_through)``).
-    for record, following in zip(block, block[1:]):
+    for record, following in zip(entries, entries[1:]):
         assert record[-1] == following[-2].pc
+    # The prefilled trace columns hold one slot per record.
+    assert [len(column) for column in columns] == [len(entries)] * len(COLUMNS)
+    assert columns[COLUMNS.index("pc")] == tuple(record[-2].pc for record in entries)
     assert blocks.block_at(0xDEAD0000) is None
     assert blocks.compiled_blocks() >= 1
     # Memoized per entry PC.
     assert blocks.block_at(entry) is block
 
+
+def test_program_blocks_pickle_their_decode_but_not_compiled_blocks():
+    """Analysis static parts pickle the program with its blocks memo:
+    the compiled blocks stay behind and recompile to the same block."""
+    program = assemble(_LOOP)
+    blocks = program_blocks_for(program)
+    entries, columns = blocks.block_at(program.entry_point)
+    clone = pickle.loads(pickle.dumps(blocks))
+    assert clone.compiled_blocks() == 0
+    clone_entries, clone_columns = clone.block_at(program.entry_point)
+    assert [entry[:7] for entry in clone_entries] == [entry[:7] for entry in entries]
+    pc = COLUMNS.index("pc")
+    assert clone_columns[pc] == columns[pc]

@@ -1,10 +1,15 @@
 """Tests for the architectural simulator and trace generation."""
 
+import gc
+
 import pytest
 
 from repro.errors import ExecutionError
 from repro.isa import assemble
 from repro.sim import FunctionalSimulator, run_program
+from repro.sim.predecode import KIND_COND_BRANCH
+from repro.sim.trace import COLUMNS
+from repro.workloads.suite import workload_source
 
 
 def _run(source, **kwargs):
@@ -198,8 +203,8 @@ def test_branch_taken_flags_recorded():
             halt
         """
     )
-    branches = [r for r in trace if r.inst.is_conditional_branch]
-    assert [r.taken for r in branches] == [False, True]
+    branches = [i for i, kind in enumerate(trace.kind) if kind == KIND_COND_BRANCH]
+    assert [trace.taken[i] for i in branches] == [0, 1]
 
 
 def test_register_dependence_edges():
@@ -212,8 +217,7 @@ def test_register_dependence_edges():
             halt
         """
     )
-    add_record = trace[2]
-    assert add_record.reg_deps == (0, 1)
+    assert (trace.dep0[2], trace.dep1[2]) == (0, 1)
 
 
 def test_memory_dependence_edges():
@@ -230,10 +234,8 @@ def test_memory_dependence_edges():
         buf: .space 16
         """
     )
-    load_hit = trace[3]
-    assert load_hit.mem_dep == 2  # the sw
-    load_cold = trace[4]
-    assert load_cold.mem_dep == -1
+    assert trace.mem_dep[3] == 2  # the sw
+    assert trace.mem_dep[4] == -1
 
 
 def test_unaligned_access_covers_two_chunks():
@@ -249,10 +251,10 @@ def test_unaligned_access_covers_two_chunks():
         buf: .space 32
         """
     )
-    store = trace[2]
-    assert len(store.mem_keys) == 2
-    load = trace[3]
-    assert load.mem_dep == 2
+    # The load reads only the word after the store's first word, and
+    # still depends on the store.
+    assert trace.mem_addr[3] == trace.mem_addr[2] + 8
+    assert trace.mem_dep[3] == 2
 
 
 def test_instruction_budget_stops_infinite_loop():
@@ -265,6 +267,23 @@ def test_instruction_budget_stops_infinite_loop():
     )
     assert not trace.halted
     assert len(trace) == 100
+
+
+def test_instruction_budget_cuts_a_block_mid_way():
+    trace, _ = _run(
+        """
+        .text
+        spin:
+            addi r1, r1, 1
+            addi r2, r2, 2
+            j spin
+        """,
+        max_instructions=100,
+    )
+    assert not trace.halted
+    for name in COLUMNS:
+        assert len(getattr(trace, name)) == 100, name
+    assert trace.pc[99] == trace.pc[0]  # 33 whole blocks, then one slot
 
 
 def test_invalid_pc_raises():
@@ -284,9 +303,8 @@ def test_next_pc_recorded_for_indirect_jump():
             halt
         """
     )
-    jr_record = trace[1]
-    assert jr_record.next_pc == trace[2].inst.pc
-    assert jr_record.taken
+    assert trace.next_pc[1] == trace.pc[2]
+    assert trace.taken[1]
 
 
 def test_instruction_mix():
@@ -313,3 +331,16 @@ def test_run_program_convenience():
     program = assemble(".text\n halt")
     trace = run_program(program)
     assert trace.halted and len(trace) == 1
+
+
+def test_run_program_leaves_no_per_instruction_objects():
+    """The trace is flat columns: a run allocates a fixed handful of
+    containers, never one object per committed instruction."""
+    program = assemble(workload_source("crafty", 0.25))
+    run_program(program)  # compile the program's blocks first
+    gc.collect()
+    before = len(gc.get_objects())
+    trace = run_program(program)
+    created = len(gc.get_objects()) - before
+    assert len(trace) >= 10_000
+    assert created < 64

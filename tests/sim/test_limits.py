@@ -94,7 +94,7 @@ def test_without_ipdom_info_ci_equals_single_flow():
 def test_empty_trace():
     from repro.sim.trace import Trace
 
-    result = limit_study(Trace([], halted=False))
+    result = limit_study(Trace())
     assert result.dataflow == 0.0
 
 

@@ -23,7 +23,7 @@ def test_generated_programs_assemble_and_halt(dials):
     program = assemble(bundle.source)
     trace = run_program(program)
     assert trace.halted
-    assert len(trace.records) > 0
+    assert len(trace) > 0
 
 
 def test_same_seed_gives_identical_assembly_digest():

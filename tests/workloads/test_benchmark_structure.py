@@ -5,6 +5,7 @@ attributes to its SPEC counterpart (DESIGN.md section 5); these tests
 pin that structure so tuning changes cannot silently erase it.
 """
 
+from repro.sim.predecode import KIND_COND_BRANCH
 from repro.spawn import SpawnCategory, static_distribution
 from repro.workloads import prepare_workload
 
@@ -14,6 +15,15 @@ _SCALE = 0.1
 def _distribution(name):
     prepared = prepare_workload(name, scale=_SCALE)
     return prepared, static_distribution(prepared.spawn_analysis.postdominator_points)
+
+
+def _conditional_branches(trace):
+    """``(pc, taken)`` of every committed conditional branch."""
+    return [
+        (trace.pc[index], bool(trace.taken[index]))
+        for index, kind in enumerate(trace.kind)
+        if kind == KIND_COND_BRANCH
+    ]
 
 
 def test_bzip2_mixes_loops_and_hammocks():
@@ -41,11 +51,10 @@ def test_crafty_branches_are_hard():
     predictor = GsharePredictor()
     wrong = 0
     total = 0
-    for record in prepared.trace:
-        if record.inst.is_conditional_branch:
-            total += 1
-            if predictor.predict_and_update(record.inst.pc, record.taken) != record.taken:
-                wrong += 1
+    for pc, taken in _conditional_branches(prepared.trace):
+        total += 1
+        if predictor.predict_and_update(pc, taken) != taken:
+            wrong += 1
     assert total > 0
     assert wrong / total > 0.10  # clearly hard-to-predict overall
 
@@ -75,11 +84,10 @@ def test_gzip_branches_are_predictable():
     predictor = GsharePredictor()
     wrong = 0
     total = 0
-    for record in prepared.trace:
-        if record.inst.is_conditional_branch:
-            total += 1
-            if predictor.predict_and_update(record.inst.pc, record.taken) != record.taken:
-                wrong += 1
+    for pc, taken in _conditional_branches(prepared.trace):
+        total += 1
+        if predictor.predict_and_update(pc, taken) != taken:
+            wrong += 1
     assert wrong / total < 0.10
 
 
@@ -90,8 +98,7 @@ def test_mcf_pointer_chase_is_serial():
     # through a short chain: check a load whose register producer chain
     # reaches another instance of itself.
     chase_pcs = set()
-    for record in prepared.trace:
-        inst = record.inst
+    for inst in prepared.trace.inst:
         if inst.is_load and inst.rd is not None and inst.rd == 9:
             chase_pcs.add(inst.pc)
     assert chase_pcs  # the r9 chase load exists
@@ -111,11 +118,11 @@ def test_perlbmk_dispatch_is_unpredictable_indirect():
     predictor = IndirectTargetPredictor()
     wrong = 0
     total = 0
-    for record in prepared.trace:
-        inst = record.inst
+    trace = prepared.trace
+    for inst, next_pc in zip(trace.inst, trace.next_pc):
         if inst.is_return_like and inst.rs != 31:
             total += 1
-            if not predictor.predict_and_update(inst.pc, record.next_pc):
+            if not predictor.predict_and_update(inst.pc, next_pc):
                 wrong += 1
     assert total > 10
     assert wrong / total > 0.2  # Markov stream still mispredicts often
@@ -131,10 +138,11 @@ def test_twolf_inner_lists_are_short():
             break
     taken = 0
     total = 0
-    for record in prepared.trace:
-        if record.inst.pc == inner_branch_pc:
+    trace = prepared.trace
+    for index, pc in enumerate(trace.pc):
+        if pc == inner_branch_pc:
             total += 1
-            taken += record.taken
+            taken += trace.taken[index]
     assert total > 0
     mean_trips = 1.0 / max(1.0 - taken / total, 1e-6)
     assert 1.5 < mean_trips < 8.0  # "three iterations on average"-ish

@@ -122,10 +122,11 @@ def test_twolf_has_figure6_branch_structure():
     assert flag_branch_pc is not None
     taken = 0
     total = 0
-    for record in prepared.trace:
-        if record.inst.pc == flag_branch_pc:
+    trace = prepared.trace
+    for index, pc in enumerate(trace.pc):
+        if pc == flag_branch_pc:
             total += 1
-            taken += record.taken
+            taken += trace.taken[index]
     assert total > 0
     assert 0.05 < taken / total < 0.6
 
