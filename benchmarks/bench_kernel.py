@@ -326,15 +326,15 @@ def measure_gridbatch(scale, repeats=3, names=GRIDBATCH_NAMES):
     """The ``gridbatch`` channel: grid batch vs per-cell dispatch.
 
     Runs the same stratified synth grid (scenarios crossed with the
-    sweep's spec column) through the per-cell
-    ``scheduler.execute_job`` loop and through
+    sweep's spec column) through a per-cell ``runner.simulate_job``
+    loop (its own build and warm-cache replay per cell) and through
     ``gridbatch.run_batch``, best-of-``repeats`` each, and verifies
     the two paths' stats are identical cell for cell.  One untimed
     per-cell pass warms traces, analyses, and block tables first, so
     the timed region compares steady-state dispatch — the state a
     figure-generation sweep runs in.
     """
-    from repro.experiments import scheduler
+    from repro.experiments.runner import simulate_job
     from repro.polyflow import PAPER_CONFIG
     from repro.sim import gridbatch
     from repro.spawn import canonical_spec
@@ -348,7 +348,7 @@ def measure_gridbatch(scale, repeats=3, names=GRIDBATCH_NAMES):
 
     def run_percell():
         return [
-            scheduler.execute_job(name, spec, scale, config, distance)[0]
+            simulate_job(name, spec, scale, config, distance)
             for name, spec, config, distance in jobs
         ]
 

@@ -61,8 +61,9 @@ from repro import sealed
 #: :mod:`repro.sim.blocks`), so warm workers inherit it from disk.
 #: v3: an entry is a static part plus a trace part read on demand.
 #: v4: the two parts are two sealed files (see :mod:`repro.sealed`);
-#: only the static part is still written, and read.
-ANALYSIS_FORMAT_VERSION = 4
+#: only the static part is still written, and read.  v5: the pickled
+#: program no longer carries the interpreter's decode or blocks.
+ANALYSIS_FORMAT_VERSION = 5
 
 #: First field of an entry's header line.
 _MAGIC = b"Vpolyflow-analysis"

@@ -3,7 +3,7 @@
 :class:`~repro.experiments.parallel.ParallelExperimentRunner` plans
 every pending grid once and runs its inline cells in the parent; the
 chunks go to one of two transports, both running the scheduler's one
-chunk executor (:func:`repro.experiments.scheduler.run_cells`):
+chunk executor (:func:`repro.sim.gridbatch.run_batch`):
 
 * :mod:`~repro.experiments.fabric.transport` —
   :class:`LocalPoolTransport` (the warm fork pool, ``--jobs N``) and

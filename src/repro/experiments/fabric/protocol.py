@@ -29,7 +29,7 @@ separators).  Every frame is an object led by a ``kind``:
     :class:`~repro.experiments.runner.Outcome` (see
     :func:`encode_outcome`): the packed stats, the simulation seconds,
     the block-cache delta, its ``source`` (``simulated``) and the
-    ``batched``/``shared`` flags.
+    ``shared`` flag.
 
 ``heartbeat``
     Worker → driver, periodically from a background thread, so a
@@ -55,7 +55,8 @@ from repro.errors import ConfigurationError
 #: version at handshake.  v2: result outcomes carry ``batched`` and
 #: ``shared``.  v3: result frames carry no store counters (workers
 #: only execute; the driver owns the result cache).
-WIRE_VERSION = 3
+#: v4: outcomes drop ``batched`` (one executor runs every cell).
+WIRE_VERSION = 4
 
 #: Upper bound on one frame's body; anything larger is a protocol
 #: violation (a desynchronized stream decodes garbage lengths).
@@ -181,7 +182,6 @@ def encode_outcome(outcome):
         "seconds": outcome.seconds,
         "blocks": outcome.blocks or {},
         "source": outcome.source,
-        "batched": outcome.batched,
         "shared": outcome.shared,
     }
 
@@ -197,7 +197,6 @@ def decode_outcome(payload):
         payload["seconds"],
         payload["blocks"],
         payload["source"],
-        payload["batched"],
         payload["shared"],
     )
 

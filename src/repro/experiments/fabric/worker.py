@@ -9,8 +9,9 @@ process; then the main loop executes ``chunk`` frames until
 
 A worker is a pure executor: each chunk is decoded, run through the
 scheduler's :func:`~repro.experiments.scheduler.execute_chunk` — the
-*same* worker-side path the local pool uses, grid-batching included,
-so fabric results are bit-identical to pooled and serial ones — and
+*same* worker-side path the local pool uses, through the one cell
+executor, so fabric results are bit-identical to pooled and serial
+ones — and
 its outcomes are encoded back.  The driver looked every cell up in its
 result cache before shipping it and writes the results there itself;
 a worker reads only the optional analysis directory the ``configure``

@@ -17,7 +17,7 @@ such a grid, one or many, through one dispatch loop:
    through the runner's transport — the warm fork pool (``--jobs N``)
    or subprocess workers (``--fabric-workers N``, see
    :mod:`repro.experiments.fabric`).  Everywhere the same executor,
-   :func:`~repro.experiments.scheduler.run_cells`, runs the cells;
+   :func:`~repro.sim.gridbatch.run_batch`, runs the cells;
 4. **book** every :class:`~repro.experiments.runner.Outcome` through
    one function, :meth:`~ParallelExperimentRunner._book`, as it
    arrives — cache hits included, told apart by their ``source``.
@@ -71,6 +71,7 @@ from repro.experiments.fabric.transport import (
 from repro.experiments.runner import CACHE_FORMAT_VERSION, ExperimentRunner, Outcome
 from repro.polyflow import PAPER_CONFIG
 from repro.polyflow.config import config_fingerprint
+from repro.sim import gridbatch
 from repro.sim.blocks import BLOCK_CACHE_KEYS
 
 #: First field of every entry's header line.  The leading ``V`` makes
@@ -212,10 +213,10 @@ class RunSummary:
 
     A summary keeps records, not counters.  Its ledger is the runner's
     ``Cell → Outcome`` memo, so every per-cell counter — cells
-    simulated, cache hits, batched and shared cells,
-    timings, block-cache movement, metrics snapshots — is a fold over
-    the booked :class:`~repro.experiments.runner.Outcome`\\ s, and the
-    corrupt entries are the result cache's own ``corrupt_paths``.  The
+    simulated, cache hits, shared cells, timings, block-cache
+    movement, metrics snapshots — is a fold over the booked
+    :class:`~repro.experiments.runner.Outcome`\\ s, and the corrupt
+    entries are the result cache's own ``corrupt_paths``.  The
     runner adds one :class:`Dispatch` per plan and one
     :class:`Incident` per dead worker, whatever the transport, and one
     placement snapshot per fabric dispatch.  The wall clock and the
@@ -281,11 +282,6 @@ class RunSummary:
     @property
     def cache_hits(self):
         return sum(1 for _ in self._booked("cache"))
-
-    @property
-    def batched_jobs(self):
-        """Simulated cells the grid batch ran (the rest ran per cell)."""
-        return sum(outcome.batched for outcome in self._simulated())
 
     @property
     def shared_cells(self):
@@ -430,7 +426,6 @@ class RunSummary:
             "corrupt_cache_entries": len(corrupt),
             "corrupt_cache_paths": corrupt,
             "block_cache": self.block_cache,
-            "batched_jobs": self.batched_jobs,
             "shared_cells": self.shared_cells,
             "estimated_cells": self.estimated_cells,
             "fabric": self.fabric,
@@ -444,7 +439,7 @@ class RunSummary:
 
     def render(self):
         jobs_run = self.jobs_run
-        batched, shared = self.batched_jobs, self.shared_cells
+        shared = self.shared_cells
         fabric, block_cache = self.fabric, self.block_cache
         corrupt = self.corrupt_entries
         lines = [
@@ -471,12 +466,6 @@ class RunSummary:
                 for transport in transports
             )
             lines.append("  schedule: {} inline, {}".format(self.inline_jobs, shipped))
-        if batched:
-            lines.append(
-                "  grid-batch: {} of {} simulated cells ran batched".format(
-                    batched, jobs_run
-                )
-            )
         if shared:
             lines.append(
                 "  shared: {} of {} simulated cells reused an identical cell's "
@@ -519,9 +508,7 @@ class RunSummary:
         if any(block_cache.values()):
             lines.append(
                 "  block cache: {table_hits} table hits / {table_misses} compiles, "
-                "{program_hits} program hits / {program_misses} builds".format(
-                    **block_cache
-                )
+                "{program_misses} program builds".format(**block_cache)
             )
         if corrupt:
             lines.append(
@@ -604,8 +591,8 @@ class ParallelExperimentRunner(ExperimentRunner):
         #: Optional ``bus_for(cell)`` factory of a fresh, non-verbose
         #: :class:`~repro.obs.EventBus` per *inline* simulation.  The
         #: exploration service's runner sets one to bridge lifecycle
-        #: events into its progress journal; cells run with a bus run
-        #: per-cell, never batched.
+        #: events into its progress journal; a cell run with a bus
+        #: never shares a kernel run.
         self.bus_for = None
         #: Subprocess workers for the chunks (0 = the warm pool).
         #: Unlike ``jobs``, this is *not* capped at the local CPU count
@@ -672,8 +659,8 @@ class ParallelExperimentRunner(ExperimentRunner):
 
     def _run_cells(self, cells):
         """Run ``cells`` in the parent with this runner's instruments."""
-        return scheduler.run_cells(
-            self.scale, cells, self.emit_metrics, self.trace_dir, self.bus_for
+        return gridbatch.run_batch(
+            cells, self.scale, self.emit_metrics, self.trace_dir, self.bus_for
         )
 
     def _simulate(self, cell):

@@ -103,9 +103,9 @@ class Outcome(NamedTuple):
 
     ``stats`` comes first, so ``outcome[0]`` is the stats.  ``blocks``
     is the cell's block-cache counter movement.  ``source`` is
-    ``"simulated"`` or ``"cache"`` (the result cache).  ``batched``
-    marks a cell the grid batch ran, ``shared`` one whose stats were
-    copied from an identical cell's kernel run.
+    ``"simulated"`` or ``"cache"`` (the result cache).  ``shared``
+    marks a cell whose stats were copied from an identical cell's
+    kernel run.
     """
 
     stats: object
@@ -113,7 +113,6 @@ class Outcome(NamedTuple):
     seconds: float = 0.0
     blocks: object = None
     source: str = "simulated"
-    batched: bool = False
     shared: bool = False
 
 

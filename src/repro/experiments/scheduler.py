@@ -9,7 +9,7 @@ module replaces that with a scheduler that treats the grid as a batch:
 * **Warm worker pool** — one module-level
   :class:`~concurrent.futures.ProcessPoolExecutor` (fork start method
   where available) reused across ``prefetch`` calls within a process.
-  Workers pre-materialize the analysis/predecode arenas once via the
+  Workers pre-materialize the analyses and block tables once via the
   pool initializer (a fork start inherits the parent's arenas for
   free), not once per job.
 
@@ -33,12 +33,11 @@ module replaces that with a scheduler that treats the grid as a batch:
   the parent reconstructs bit-identical stats with
   :func:`unpack_stats`.
 
-* **One executor** — :func:`run_cells` runs every cell, wherever it
-  lands: inline cells call it in the parent, pool workers and fabric
-  workers through :func:`execute_chunk`.  Cells carry no instruments:
-  metrics emission, a trace directory and a bus factory are arguments
-  of the call, so it alone decides, per call, between the grid batch
-  and per-cell execution.  Both paths report one
+* **One executor** — :func:`~repro.sim.gridbatch.run_batch` runs
+  every cell, wherever it lands: the parent calls it for its inline
+  cells, pool workers and fabric workers through :func:`execute_chunk`.
+  Cells carry no instruments: metrics emission, a trace directory and
+  a bus factory are arguments of the call.  It reports one
   :class:`~repro.experiments.runner.Outcome` per cell.
 
 Scheduling never changes results: every cell is a deterministic
@@ -50,7 +49,6 @@ completion order.
 
 import atexit
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.analysis.pipeline import configure_disk_cache
@@ -331,26 +329,25 @@ def _init_worker(analysis_dir, warmup):
     """Pool initializer: arenas once per worker, not once per job.
 
     Enables the on-disk analysis layer and pre-materializes the
-    analyses/predecode arenas — and the event kernel's compiled tables
-    — of every workload the first grid needs.  Costing the grid in the
+    analyses — and the event kernel's compiled tables — of every
+    workload the first grid needs.  Costing the grid in the
     parent reads only the static part of each analysis entry, so under
-    a fork start ``prepare_workload`` is a memo hit but
-    ``block_table_for(prepared.trace)`` re-runs the program for its
-    trace and compiles the table here, once per worker (a program the
+    a fork start ``prepare_workload`` is a memo hit but reading its
+    ``trace`` re-runs the program, and ``block_table_for`` compiles the
+    table here, once per worker (a program the
     parent computed itself is inherited with its trace); under spawn
     the static part comes from disk too.  A workload that fails to
     prepare is left for its chunk to report — an initializer exception
     would break the whole pool.
     """
     configure_disk_cache(analysis_dir)
-    from repro.sim.blocks import block_table_for, program_blocks_for
+    from repro.sim.blocks import block_table_for
     from repro.workloads import prepare_workload
 
     for name, scale in warmup:
         try:
             prepared = prepare_workload(name, scale)
             block_table_for(prepared.trace)
-            program_blocks_for(prepared.program)
         except Exception:
             pass
 
@@ -426,119 +423,19 @@ def trace_path(trace_dir, name, spec, digest):
     return os.path.join(trace_dir, filename)
 
 
-def execute_job(
-    name,
-    spec,
-    scale,
-    config,
-    profile_distance,
-    emit_metrics=False,
-    trace_file=None,
-    bus=None,
-):
-    """Run one simulation, reporting its :class:`~repro.experiments.runner.Outcome`.
-
-    ``blocks`` is the job's block-cache counter movement (see
-    :func:`repro.sim.blocks.counters_delta`): a warm worker reports
-    table hits, a cold one the compile misses the job paid.  With
-    ``emit_metrics`` the run carries a verbose
-    :class:`~repro.obs.MetricsAggregator` and its picklable snapshot is
-    shipped back alongside the stats.  With ``trace_file`` a compact
-    lifecycle-events JSONL trace is written there.  ``bus`` attaches a
-    caller-provided :class:`~repro.obs.EventBus` (the exploration
-    service bridges lifecycle events to its progress stream through
-    one); it must be fresh per job.  Stats are identical in every mode — the bus sinks
-    only observe, and a non-verbose bus leaves engine selection
-    untouched.
-    """
-    from repro.experiments.runner import Outcome, build_core, simulate_job
-    from repro.sim.blocks import cache_counters, counters_delta
-
-    started = time.perf_counter()
-    counters_before = cache_counters()
-    if not emit_metrics and trace_file is None and bus is None:
-        stats = simulate_job(name, spec, scale, config, profile_distance)
-        blocks = counters_delta(counters_before)
-        return Outcome(stats, None, time.perf_counter() - started, blocks)
-
-    from repro.obs import (
-        LIFECYCLE_KINDS,
-        EventBus,
-        JsonlTraceWriter,
-        MetricsAggregator,
-    )
-
-    if bus is None:
-        bus = EventBus()
-    aggregator = bus.attach(MetricsAggregator()) if emit_metrics else None
-    writer = None
-    if trace_file is not None:
-        os.makedirs(os.path.dirname(trace_file) or ".", exist_ok=True)
-        # Lifecycle kinds only: figure-scale runs stay compact, and the
-        # filter needs no verbose (per-instruction) emission.
-        writer = bus.attach(
-            JsonlTraceWriter(trace_file, kinds=LIFECYCLE_KINDS), verbose=False
-        )
-    stats = build_core(name, spec, scale, config, profile_distance, bus=bus).run()
-    if writer is not None:
-        writer.close()
-    metrics = None if aggregator is None else aggregator.as_dict()
-    return Outcome(
-        stats, metrics, time.perf_counter() - started, counters_delta(counters_before)
-    )
-
-
-def run_cells(scale, cells, emit_metrics=False, trace_dir=None, bus_for=None):
-    """Run ``cells`` in this process: the one place that picks between
-    the grid batch and per-cell execution.
-
-    ``cells`` is a list of :class:`~repro.experiments.runner.Cell`\\ s;
-    the return value is the aligned list of their
-    :class:`~repro.experiments.runner.Outcome`\\ s.  The instruments
-    apply to every cell of the call: ``emit_metrics`` attaches a
-    metrics aggregator, ``trace_dir`` writes one lifecycle trace per
-    cell (named by :func:`trace_path`), and ``bus_for(cell)`` returns a
-    fresh event bus for it.  A call without instruments runs through
-    the grid-batch runner when it holds at least
-    :data:`~repro.sim.gridbatch.MIN_BATCH_CELLS` cells — warm-cache
-    replays are shared per trace and per-cell overhead is amortized —
-    and an instrumented one per cell through :func:`execute_job`,
-    since its sinks assume one simulation owns the process-global
-    observability stream at a time.  Stats are byte-identical between
-    the two paths.
-    """
-    from repro.sim import gridbatch
-
-    plain = not emit_metrics and trace_dir is None and bus_for is None
-    if plain and len(cells) >= gridbatch.MIN_BATCH_CELLS:
-        return gridbatch.run_batch(cells, scale)
-    return [
-        execute_job(
-            cell.workload,
-            cell.spec,
-            scale,
-            cell.config,
-            cell.profile_distance,
-            emit_metrics,
-            None
-            if trace_dir is None
-            else trace_path(trace_dir, cell.workload, cell.spec, cell.digest(scale)),
-            None if bus_for is None else bus_for(cell),
-        )
-        for cell in cells
-    ]
-
-
 def execute_chunk(analysis_dir, scale, emit_metrics, trace_dir, cells):
     """Worker entry point: run one chunk of cells, one pickle each way.
 
-    Returns the aligned outcomes of :func:`run_cells` with their stats
-    packed by :func:`pack_stats`.  The disk-cache configuration is
-    re-asserted per chunk, ``None`` included, because the warm pool
-    outlives any single runner (whose cache directory may differ).
+    Returns the aligned outcomes of
+    :func:`~repro.sim.gridbatch.run_batch` with their stats packed by
+    :func:`pack_stats`.  The disk-cache configuration is re-asserted
+    per chunk, ``None`` included, because the warm pool outlives any
+    single runner (whose cache directory may differ).
     """
+    from repro.sim import gridbatch
+
     configure_disk_cache(analysis_dir)
     return [
         outcome._replace(stats=pack_stats(outcome.stats))
-        for outcome in run_cells(scale, cells, emit_metrics, trace_dir)
+        for outcome in gridbatch.run_batch(cells, scale, emit_metrics, trace_dir)
     ]

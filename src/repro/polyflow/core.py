@@ -179,7 +179,6 @@ class PolyFlowCore:
         # run() if the spawn unit was swapped after construction — the
         # run_end overlay depends on its resolved targets.
         self._reg_consumers = None
-        self._batch_deps = None
         self._plain_end = None
         self._run_end = None
         self._compiled_for = None
@@ -211,10 +210,11 @@ class PolyFlowCore:
         """Run the warm-cache replay now (idempotent); returns the
         post-warm hierarchy LRU snapshot.
 
-        The grid-batch runner warms the first cell of each trace this
-        way and installs the snapshot into the siblings it builds after
-        it via :meth:`install_warm_state`, so the O(trace) replay runs
-        once per trace instead of once per cell.  State after
+        The grid-batch runner warms the first core of each long trace
+        this way, memoizes the snapshot on the trace and installs it
+        into every later core of that trace via
+        :meth:`install_warm_state`, so the O(trace) replay runs once
+        per trace and process instead of once per cell.  State after
         ``prewarm`` is byte-identical to what ``run`` would have
         produced on its own.
         """
@@ -282,7 +282,6 @@ class PolyFlowCore:
         """
         table = block_table_for(self.trace)
         self._reg_consumers = table.reg_consumers
-        self._batch_deps = table.batch_deps
         self._plain_end = table.plain_end
         batch_end = table.batch_end
         spawn_unit = self.spawn_unit

@@ -167,7 +167,6 @@ def event_kernel_steps(core, stride):
 
     run_end = core._run_end
     reg_consumers = core._reg_consumers
-    batch_deps = core._batch_deps
     plain_end = core._plain_end
 
     # The two calendars (cycle -> bucket).  Completion buckets hold
@@ -863,10 +862,11 @@ def event_kernel_steps(core, stride):
                             while position < limit:
                                 # All dispatch decisions are made before
                                 # any mutation, so an abort leaves
-                                # `position` untouched.
-                                producer, producer1, mem_producer = batch_deps[
-                                    position
-                                ]
+                                # `position` untouched.  mem_dep is -1
+                                # on every non-load by construction.
+                                producer = dep0[position]
+                                producer1 = dep1[position]
+                                mem_producer = mem_deps[position]
                                 pending = 0
                                 if producer >= 0:
                                     if producer >= bstart:

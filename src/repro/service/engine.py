@@ -58,7 +58,7 @@ class _ServiceRunner(ParallelExperimentRunner):
     Its ``bus_for`` factory gives every *inline* simulation a fresh
     non-verbose :class:`EventBus` whose lifecycle events are forwarded
     (bounded, cell-tagged) into the service journal; a cell with a bus
-    runs per-cell, never in the grid batch.  Pooled chunks run in
+    never shares a kernel run.  Pooled chunks run in
     worker processes and are reported at chunk granularity instead.
     A non-verbose bridge keeps ``bus.verbose`` False, so engine
     selection — and therefore the stats — is untouched.

@@ -12,8 +12,9 @@ dependencies):
 
 ``GET /healthz``
     Structured service state: admission telemetry, engine counters,
-    the merged ``RunSummary`` fields (corrupt cache entries, pool
-    restarts, scheduling telemetry), and drain status.  Its
+    the merged ``RunSummary`` fields (cells simulated, cache hits and
+    shared, corrupt cache entries, pool restarts, scheduling and block
+    cache telemetry), and drain status.  Its
     ``incidents.pool_restarts`` counts dead workers on either
     transport.
 

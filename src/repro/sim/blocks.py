@@ -11,8 +11,8 @@ block-at-a-time:
   timing kernel (:mod:`repro.polyflow.event_kernel`): the maximal
   straight-line *run* from every index (``batch_end``), the static
   register-consumer adjacency used for completion wake-up
-  (``reg_consumers``), and per-superblock aggregates (instruction count,
-  latency-class mix, memory-effect summary, event deltas).
+  (``reg_consumers``), and the maximal single-cycle ALU run from every
+  index (``plain_end``).
 * :class:`ProgramBlocks` — per-PC straight-line blocks of pre-decoded
   operand records for the functional interpreter
   (:mod:`repro.sim.functional`), so the architectural replay loop skips
@@ -25,27 +25,22 @@ per-core overlay built by :class:`~repro.polyflow.core.PolyFlowCore` —
 by spawn-candidate PCs (the policy's ipdom reconvergence points), which
 must take the per-instruction path so spawn decisions still fire.
 
-Tables are **content-keyed**: they are memoized on the trace/program
+Trace tables are **content-keyed**: they are memoized on the trace
 objects held by :class:`~repro.analysis.pipeline.ProgramAnalyses`,
 which :class:`~repro.analysis.pipeline.AnalysisCache` dedupes by source
 digest, so every core built on one program shares them.  A trace's
 table is compiled when a core first needs it, never by the analysis
-cache, so a program that is only estimated never pays for one.
-Module-level counters track table reuse; every simulation reports its
-movement in its outcome's ``blocks``, which ``RunSummary`` sums.
+cache, so a program that is only estimated never pays for one.  A
+program's blocks live for one run of it and are not kept.
+Module-level counters track table reuse and block builds; every
+simulation reports their movement in its outcome's ``blocks``, which
+``RunSummary`` sums.
 """
 
 import functools
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Opcode
-from repro.sim.predecode import (
-    LAT_ALU,
-    LAT_LOAD,
-    LAT_MUL,
-    LAT_STORE,
-    control_kind,
-    latency_class,
-)
+from repro.sim.predecode import LAT_ALU, control_kind, latency_class
 
 #: L1 I-cache line size of the default
 #: :class:`~repro.memory.hierarchy.CacheHierarchy` (128-byte lines).
@@ -56,7 +51,7 @@ ICACHE_LINE_BYTES = 128
 _LINE_SHIFT = ICACHE_LINE_BYTES.bit_length() - 1
 
 #: Counter names reported by :func:`cache_counters`.
-BLOCK_CACHE_KEYS = ("table_hits", "table_misses", "program_hits", "program_misses")
+BLOCK_CACHE_KEYS = ("table_hits", "table_misses", "program_misses")
 
 _COUNTERS = {key: 0 for key in BLOCK_CACHE_KEYS}
 
@@ -102,11 +97,6 @@ class BlockTable:
     twice) — the event kernel's completion wake-up walks this static
     adjacency instead of registering consumers in a dict per fetch.
 
-    ``batch_deps[i]`` fuses the dependence sources of index ``i`` into
-    one tuple ``(dep0, dep1, mem_dep-if-load-else--1)`` so the batched
-    fetch loop performs a single indexed load per instruction instead
-    of probing three parallel arrays plus the latency class.
-
     ``plain_end[i]`` is the end (exclusive) of the maximal run starting
     at ``i`` of single-cycle ALU instructions — no loads, stores or
     multiplies, so every position completes one cycle after issue and
@@ -115,92 +105,20 @@ class BlockTable:
     with a single range completion on its calendar; any memory or
     long-latency operation caps the run so the cache-access order stays
     cycle-exact.
-
-    ``starts``/``aggregates`` summarize each superblock:
-    ``aggregates[b]`` is ``(length, muls, loads, stores)`` for the
-    block at ``starts[b]``.
     """
 
-    __slots__ = (
-        "length",
-        "batch_end",
-        "reg_consumers",
-        "batch_deps",
-        "plain_end",
-        "starts",
-        "aggregates",
-    )
+    __slots__ = ("length", "batch_end", "reg_consumers", "plain_end")
 
-    def __init__(
-        self,
-        length,
-        batch_end,
-        reg_consumers,
-        batch_deps,
-        plain_end,
-        starts,
-        aggregates,
-    ):
+    def __init__(self, length, batch_end, reg_consumers, plain_end):
         self.length = length
         self.batch_end = batch_end
         self.reg_consumers = reg_consumers
-        self.batch_deps = batch_deps
         self.plain_end = plain_end
-        self.starts = starts
-        self.aggregates = aggregates
-
-    def block_count(self):
-        return len(self.starts)
-
-    def issue_cost(self, block, mul_latency=1):
-        """Summed issue latency of one block under ``mul_latency``
-        (loads/stores modelled at their 1-cycle occupancy; memory
-        latency is dynamic and not part of the static aggregate)."""
-        length, muls, _loads, _stores = self.aggregates[block]
-        return length + muls * (mul_latency - 1)
-
-    def event_delta(self, block):
-        """Scheduler events one block contributes (a ready and a
-        completion per instruction)."""
-        return 2 * self.aggregates[block][0]
-
-    def next_event_horizon(self, block, mul_latency=1):
-        """Earliest completion latency of one block issued in a cycle.
-
-        The static lower bound on when the *first* functional-unit
-        completion of the block lands on the event calendar: one cycle
-        unless the block is multiplies only (loads and stores bound at
-        their one-cycle L1-hit occupancy; the dynamic miss latency can
-        only push completions later, never earlier).  This is the
-        per-block composition contract between block-at-a-time fetch
-        and the event kernel's time skip: a jump may never land inside
-        a block's horizon.
-        """
-        length, muls, _loads, _stores = self.aggregates[block]
-        if muls == length:
-            return mul_latency
-        return 1
-
-    def describe(self):
-        """Summary dict (diagnostics, docs, and the property tests)."""
-        lengths = [aggregate[0] for aggregate in self.aggregates]
-        mem_ops = sum(aggregate[2] + aggregate[3] for aggregate in self.aggregates)
-        return {
-            "instructions": self.length,
-            "blocks": len(self.starts),
-            "mean_block_length": (sum(lengths) / len(lengths)) if lengths else 0.0,
-            "max_block_length": max(lengths, default=0),
-            "mem_ops": mem_ops,
-            "plain_instructions": sum(
-                aggregate[0] - aggregate[1] - aggregate[2] - aggregate[3]
-                for aggregate in self.aggregates
-            ),
-        }
 
 
 def build_block_table(trace):
     """Compile the :class:`BlockTable` of one trace's columns (one pass
-    each for runs, adjacency, and aggregates)."""
+    each for runs, adjacency, and single-cycle runs)."""
     count = len(trace)
     kinds = trace.kind
     pcs = trace.pc
@@ -242,16 +160,6 @@ def build_block_table(trace):
     empty = ()
     reg_consumers = [tuple(bucket) if bucket else empty for bucket in consumer_lists]
 
-    mem_dep = trace.mem_dep
-    batch_deps = [
-        (
-            dep0[index],
-            dep1[index],
-            mem_dep[index] if lats[index] == LAT_LOAD else -1,
-        )
-        for index in range(count)
-    ]
-
     # Maximal single-cycle-ALU runs, bounded by the superblock run so a
     # plain run never crosses a control transfer or I-cache line (the
     # event kernel probes plain_end only at batch starts, but the
@@ -271,31 +179,7 @@ def build_block_table(trace):
         else:
             plain_end[index] = following
 
-    starts = []
-    aggregates = []
-    index = 0
-    while index < count:
-        end = batch_end[index]
-        if end <= index:
-            end = index + 1
-        muls = 0
-        loads = 0
-        stores = 0
-        for position in range(index, end):
-            lat = lats[position]
-            if lat == LAT_MUL:
-                muls += 1
-            elif lat == LAT_LOAD:
-                loads += 1
-            elif lat == LAT_STORE:
-                stores += 1
-        starts.append(index)
-        aggregates.append((end - index, muls, loads, stores))
-        index = end
-
-    return BlockTable(
-        count, batch_end, reg_consumers, batch_deps, plain_end, starts, aggregates
-    )
+    return BlockTable(count, batch_end, reg_consumers, plain_end)
 
 
 def block_table_for(trace):
@@ -341,16 +225,6 @@ class ProgramBlocks:
         from repro.sim.predecode import decode_program
 
         self._decoded = decode_program(program)
-        self._blocks = {}
-
-    def __getstate__(self):
-        # The compiled blocks ride along in every analysis static part
-        # that pickles the program, yet only a re-run of the program
-        # reads them, and it recompiles them lazily; keep the decode.
-        return self._decoded
-
-    def __setstate__(self, decoded):
-        self._decoded = decoded
         self._blocks = {}
 
     def block_at(self, pc):
@@ -416,12 +290,12 @@ def _constant_fills(length):
 
 
 def program_blocks_for(program):
-    """The (memoized) :class:`ProgramBlocks` of ``program``."""
-    blocks = getattr(program, "_program_blocks", None)
-    if blocks is not None:
-        _COUNTERS["program_hits"] += 1
-        return blocks
+    """A fresh :class:`ProgramBlocks` of ``program`` for one run.
+
+    Nothing is stored on the program: the analysis memo keeps every
+    program alive for the whole run, yet only a run of the program
+    reads its blocks (once, and again only when a disk-loaded program
+    re-runs for its trace).  Every call counts one ``program_misses``.
+    """
     _COUNTERS["program_misses"] += 1
-    blocks = ProgramBlocks(program)
-    program._program_blocks = blocks
-    return blocks
+    return ProgramBlocks(program)

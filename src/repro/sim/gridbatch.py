@@ -1,127 +1,155 @@
-"""Tier B of the grid execution stack: the grid-batch runner.
+"""The one cell executor: every simulated grid cell runs through here.
 
-The per-cell dispatch path pays fixed costs once per grid cell: a
-``build_core`` (hint-table materialization, block-table binding), a
-warm-cache replay over the whole trace, and — on the pooled path — a
-pickle round-trip per chunk.  For the synthesized catalog those fixed
-costs rival the simulations themselves: thousands of *same-scale*
-cells, each retiring a few thousand instructions.
+Each grid cell is one deterministic PolyFlow simulation over one
+committed trace.  :func:`run_batch` runs a list of cells in order, one
+machine at a time, wherever the call lands: inline in the parent
+(:class:`~repro.experiments.parallel.ParallelExperimentRunner`), in a
+warm-pool worker or in a fabric worker (both through
+:func:`~repro.experiments.scheduler.execute_chunk`), for one cell or
+thousands, plain or instrumented.  It
 
-This module batches them.  :func:`run_batch` takes one chunk of plain
-cells (run with no metrics, no trace directory and no event bus —
-exactly the runs the event-calendar kernel accepts) and walks it in
-order, one machine at a time:
-
-* **simulates each distinct machine once** — cells whose cores have
-  the same :func:`~repro.experiments.runner.simulation_key` (workload,
-  machine configuration, spawn-unit class, hint-table contents; e.g.
+* **simulates each distinct machine once** — in a plain call, cells
+  whose cores have the same
+  :func:`~repro.experiments.runner.simulation_key` (workload, machine
+  configuration, spawn-unit class, hint-table contents; e.g.
   ``loopFT`` and ``loopFT+procFT`` on a program without procedure
   fall-through points) share one kernel run, and each later cell gets
   a deep copy of the first one's stats and an outcome marked
   ``shared``;
-* **shares warm state per trace** — the first cell of each
-  (workload, machine geometry) group runs the O(trace) warm-cache
-  replay via :meth:`~repro.polyflow.core.PolyFlowCore.prewarm`; its
-  siblings adopt the resulting hierarchy snapshot with
+* **shares warm state per trace** — the post-warm cache hierarchy
+  depends on the trace alone (every core builds the default
+  :class:`~repro.memory.hierarchy.CacheHierarchy`, and the replay reads
+  only trace columns), so it is memoized on the trace object like its
+  block table: the first core over a trace of at least
+  :data:`WARM_SHARE_MIN_TRACE` instructions runs the O(trace) replay
+  via :meth:`~repro.polyflow.core.PolyFlowCore.prewarm`, and every
+  later core over it in this process — any policy, machine or call —
+  adopts the snapshot with
   :meth:`~repro.polyflow.core.PolyFlowCore.install_warm_state`, which
-  is byte-identical to replaying on their own;
+  is byte-identical to replaying on its own;
+* **instruments cells one by one** — with ``emit_metrics``,
+  ``trace_dir`` or ``bus_for`` every cell builds its own core on its
+  own bus and never shares a kernel run; its trace file is closed and
+  its metrics snapshot taken right after its own run;
 * **keeps one core alive at a time** — each cell's core is built, run
   to completion with :meth:`~repro.polyflow.core.PolyFlowCore.run` and
-  dropped before the next cell's is built, so a batch's footprint is
-  one machine plus the warm snapshots its remaining cells still need;
+  dropped before the next cell's is built;
 * **keeps per-cell accounting exact** — wall-clock seconds and
   block-cache counter movement are measured around each cell's own
   build and run (a cell that shares a run is charged only its own
   ``build_core``).
 
-Statistics are **byte-identical** to the per-cell path: sharing only
-skips runs that would repeat an identical machine or warm-up (pinned
-by the property tests in ``tests/properties/test_gridbatch_identity.py``).
-
-:func:`~repro.experiments.scheduler.run_cells` sends every call of
-two or more cells here when it runs them without instruments,
-wherever it runs (the parent, a pool worker or a fabric worker);
-instrumented calls always take the per-cell path of
-:func:`~repro.experiments.scheduler.execute_job`, which stays the
-reference the identity tests compare against.
+Statistics are **byte-identical** to
+:func:`~repro.experiments.runner.simulate_job`, which builds and warms
+every cell on its own and stays the reference the property tests in
+``tests/properties/test_gridbatch_identity.py`` compare against.
 """
 
-import collections
 import copy
+import os
 import time
 
-#: Fewer plain cells than this run per-cell: batching cannot amortize
-#: anything over a single simulation.
-MIN_BATCH_CELLS = 2
-
-#: Traces shorter than this warm lazily even when siblings share the
-#: trace: the warm-cache replay is O(trace) but a snapshot restore is
-#: O(cache geometry) (~0.4ms on the paper configuration), so sharing
-#: only wins once the replay dwarfs the restore.  Measured crossover
-#: on the paper geometry is in the low thousands of instructions.
+#: Traces shorter than this warm lazily inside each run: the warm-cache
+#: replay is O(trace) but a snapshot restore is O(cache geometry)
+#: (~0.4ms on the paper configuration), so sharing only wins once the
+#: replay dwarfs the restore.  Measured crossover on the paper geometry
+#: is in the low thousands of instructions.
 WARM_SHARE_MIN_TRACE = 4096
 
-def _warm_group(name, spec, config):
-    """The (workload, config fingerprint) a cell's core will carry:
-    ``simulation_key(...)[:2]``, known before the core is built."""
-    from repro.experiments.runner import SUPERSCALAR_SPEC
-    from repro.polyflow import superscalar_config
-    from repro.polyflow.config import config_fingerprint
-    from repro.spawn import canonical_spec
 
-    if canonical_spec(spec) == SUPERSCALAR_SPEC:
-        config = superscalar_config(config)
-    return name, config_fingerprint(config)
+def _run(core):
+    """Run ``core`` to completion from its trace's post-warm state.
+
+    On a trace of at least :data:`WARM_SHARE_MIN_TRACE` instructions
+    the first core replays the warm-up and memoizes its snapshot on
+    the trace; every later core installs it.  A shorter trace (or a
+    machine without warm caches) warms inside its own run.
+    """
+    trace = core.trace
+    if core.config.warm_caches and len(trace) >= WARM_SHARE_MIN_TRACE:
+        snapshot = getattr(trace, "_warm_state", None)
+        if snapshot is None:
+            trace._warm_state = core.prewarm()
+        else:
+            core.install_warm_state(snapshot)
+    return core.run()
 
 
-def run_batch(jobs, scale):
-    """Run plain cells one at a time; one outcome per job, aligned.
+def _instruments(cell, scale, emit_metrics, trace_dir, bus_for):
+    """``(bus, aggregator, writer)`` for one instrumented cell: its own
+    bus (``bus_for(cell)`` or a fresh one), a metrics aggregator with
+    ``emit_metrics``, and with ``trace_dir`` a lifecycle-events JSONL
+    writer at :func:`~repro.experiments.scheduler.trace_path`."""
+    from repro.experiments.scheduler import trace_path
+    from repro.obs import LIFECYCLE_KINDS, EventBus, JsonlTraceWriter, MetricsAggregator
+
+    bus = EventBus() if bus_for is None else bus_for(cell)
+    aggregator = bus.attach(MetricsAggregator()) if emit_metrics else None
+    writer = None
+    if trace_dir is not None:
+        os.makedirs(trace_dir or ".", exist_ok=True)
+        path = trace_path(trace_dir, cell.workload, cell.spec, cell.digest(scale))
+        # Lifecycle kinds only: figure-scale runs stay compact, and the
+        # filter needs no verbose (per-instruction) emission.
+        writer = bus.attach(
+            JsonlTraceWriter(path, kinds=LIFECYCLE_KINDS), verbose=False
+        )
+    return bus, aggregator, writer
+
+
+def run_batch(jobs, scale, emit_metrics=False, trace_dir=None, bus_for=None):
+    """Run cells one at a time; one outcome per job, aligned.
 
     ``jobs`` is a list of :class:`~repro.experiments.runner.Cell`\\ s
     (or plain ``(name, spec, config, profile_distance)`` tuples); the
-    return value is the aligned list of
-    :class:`~repro.experiments.runner.Outcome`\\ s, each ``batched``,
-    and ``shared`` when its stats are a copy of an identical cell's run.
+    return value is the aligned list of their
+    :class:`~repro.experiments.runner.Outcome`\\ s, ``shared`` when a
+    cell's stats are a copy of an identical cell's run.  The
+    instruments apply to every cell of the call: ``emit_metrics``
+    attaches a metrics aggregator, ``trace_dir`` writes one lifecycle
+    trace per cell, and ``bus_for(cell)`` returns a fresh event bus for
+    it.  Stats are identical with and without them — the sinks only
+    observe.
     """
-    from repro.experiments.runner import Outcome, build_core, simulation_key
+    from repro.experiments.runner import Cell, Outcome, build_core, simulation_key
     from repro.sim.blocks import cache_counters, counters_delta
 
-    # Cells still to come per warm group: a group's first cell
-    # snapshots its warm hierarchy only when siblings follow, and the
-    # snapshot is dropped once the last of them has been built.  A lone
-    # cell — or one whose trace is too short for the replay to cost
-    # more than a snapshot restore — warms lazily inside its own run.
-    pending = collections.Counter(_warm_group(*job[:3]) for job in jobs)
-    warm_snapshots = {}
+    instrumented = emit_metrics or trace_dir is not None or bus_for is not None
     runs = {}
     outcomes = []
-    for name, spec, config, profile_distance in jobs:
+    for job in jobs:
+        name, spec, config, profile_distance = job
         started = time.perf_counter()
         before = cache_counters()
-        core = build_core(name, spec, scale, config, profile_distance)
-        key = simulation_key(name, core)
-        group = key[:2]  # (workload, config fingerprint)
-        twin = runs.get(key)
-        if twin is None:
-            if len(core.trace) >= WARM_SHARE_MIN_TRACE:
-                snapshot = warm_snapshots.get(group)
-                if snapshot is not None:
-                    core.install_warm_state(snapshot)
-                elif pending[group] > 1:
-                    warm_snapshots[group] = core.prewarm()
-            runs[key] = core.run()
-        core = None  # one machine alive at a time
-        pending[group] -= 1
-        if pending[group] <= 0:
-            warm_snapshots.pop(group, None)
-        seconds = time.perf_counter() - started
-        stats = runs[key] if twin is None else copy.deepcopy(twin)
+        metrics = twin = None
+        if instrumented:
+            bus, aggregator, writer = _instruments(
+                Cell(*job), scale, emit_metrics, trace_dir, bus_for
+            )
+            try:
+                stats = _run(
+                    build_core(name, spec, scale, config, profile_distance, bus=bus)
+                )
+            finally:
+                if writer is not None:
+                    writer.close()
+            if aggregator is not None:
+                metrics = aggregator.as_dict()
+        else:
+            core = build_core(name, spec, scale, config, profile_distance)
+            key = simulation_key(name, core)
+            twin = runs.get(key)
+            if twin is None:
+                stats = runs[key] = _run(core)
+            else:
+                stats = copy.deepcopy(twin)
+            core = None  # one machine alive at a time
         outcomes.append(
             Outcome(
                 stats,
-                seconds=seconds,
-                blocks=counters_delta(before),
-                batched=True,
+                metrics,
+                time.perf_counter() - started,
+                counters_delta(before),
                 shared=twin is not None,
             )
         )

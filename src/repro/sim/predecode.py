@@ -8,8 +8,7 @@ iteration dominates those loops, so this module lowers each static
 
 * :func:`decode_program` flattens every instruction into a plain tuple
   of ``int`` operands, consumed by the functional interpreter's
-  dispatch loop (:mod:`repro.sim.functional`).  Memoized on the
-  program object, so one decode is shared by every run of it.
+  dispatch loop (:mod:`repro.sim.functional`), once per run.
 * :func:`control_kind` / :func:`latency_class` give the ``KIND_*`` and
   ``LAT_*`` classes the interpreter writes into the trace's ``kind``
   and ``lat`` columns (:class:`~repro.sim.trace.Trace`), which the
@@ -101,11 +100,8 @@ def decode_program(program):
     defines for it, so the placeholder is never observable), ``nsrc``
     is the number of register sources for producer tracking, and
     ``inst`` is the original :class:`Instruction` for the trace's
-    ``inst`` column.  Memoized on the program object.
+    ``inst`` column.  Nothing is stored on the program.
     """
-    decoded = getattr(program, "_decoded", None)
-    if decoded is not None:
-        return decoded
     decoded = {}
     for inst in program.instructions:
         decoded[inst.pc] = (
@@ -118,5 +114,4 @@ def decode_program(program):
             _source_count(inst),
             inst,
         )
-    program._decoded = decoded
     return decoded

@@ -558,15 +558,29 @@ def test_exhausted_retries_raise_the_transports_error(transport, tmp_path):
 
 
 def test_transport_counts_batched_cells(transport, tmp_path, monkeypatch):
-    """Workers batch each four-cell chunk; the outcomes say so."""
+    """Workers run each four-cell chunk through the one cell executor:
+    the outcomes carry its per-cell flags home, so the summary counts
+    the shared cells ``run_batch`` reports for the same chunks here."""
+    from repro.sim import gridbatch
+
     grid_order_chunks(monkeypatch)
     runner, _ = _matrix_runner(transport, tmp_path, chunk=4)
     try:
         runner.prefetch(_grid_jobs())
     finally:
         runner.shutdown_fabric()
-    assert runner.summary.jobs_run == len(_grid_jobs())
-    assert runner.summary.batched_jobs == len(_grid_jobs())
+    cells = [
+        Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
+        for name, spec in _grid_jobs()
+    ]
+    expected = [
+        outcome.shared
+        for start in range(0, len(cells), 4)
+        for outcome in gridbatch.run_batch(cells[start : start + 4], _SCALE)
+    ]
+    assert runner.summary.jobs_run == len(cells)
+    assert runner.summary.shared_cells == sum(expected)
+    assert all(outcome.blocks is not None for outcome in runner._results.values())
 
 
 #: Damage done to one stored entry: a flipped bit in the body, and a

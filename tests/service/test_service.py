@@ -228,8 +228,8 @@ def test_cold_prefetch_probes_the_cache_once_per_cell(tmp_path):
     assert runner.prefetch(cells) == 3
     assert runner.cache.misses == 3
     assert runner.cache.stores == 3
-    # Every cell kept its own bus: none ran in the grid batch.
-    assert runner.summary.batched_jobs == 0
+    # Every cell kept its own bus: none shared a kernel run.
+    assert runner.summary.shared_cells == 0
     assert any(event["kind"].startswith("sim.") for event in journal.events)
 
 

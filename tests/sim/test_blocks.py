@@ -92,70 +92,6 @@ def test_reg_consumers_matches_dependence_arrays():
         assert list(consumers) == sorted(expected)
 
 
-def test_batch_deps_fuse_sources_and_gate_mem_dep_on_loads():
-    trace = _trace(_MEM)
-    table = build_block_table(trace)
-    assert len(table.batch_deps) == len(trace)
-    for index, (dep0, dep1, mem_dep) in enumerate(table.batch_deps):
-        assert dep0 == trace.dep0[index]
-        assert dep1 == trace.dep1[index]
-        if trace.lat[index] == LAT_LOAD:
-            assert mem_dep == trace.mem_dep[index]
-        else:
-            assert mem_dep == -1
-    # The store-to-load pair exists in this program, so at least one
-    # load must carry a real mem producer slot (-1 means none).
-    assert any(trace.lat[i] == LAT_LOAD for i in range(len(trace)))
-
-
-def test_aggregates_partition_the_trace_and_count_latency_classes():
-    trace = _trace(_MEM)
-    table = build_block_table(trace)
-    assert table.starts[0] == 0
-    covered = 0
-    muls = loads = stores = 0
-    for start, (length, block_muls, block_loads, block_stores) in zip(
-        table.starts, table.aggregates
-    ):
-        assert start == covered
-        assert length >= 1
-        covered += length
-        muls += block_muls
-        loads += block_loads
-        stores += block_stores
-    assert covered == len(trace)
-    assert muls == sum(1 for i in range(len(trace)) if trace.lat[i] == LAT_MUL)
-    assert loads == sum(1 for i in range(len(trace)) if trace.lat[i] == LAT_LOAD)
-    assert stores == sum(
-        1 for i in range(len(trace)) if trace.lat[i] == LAT_STORE
-    )
-
-
-def test_issue_cost_and_event_delta():
-    table = build_block_table(_trace(_LOOP))
-    block = next(
-        i for i, aggregate in enumerate(table.aggregates) if aggregate[1] > 0
-    )
-    length, muls, _, _ = table.aggregates[block]
-    assert table.issue_cost(block, mul_latency=1) == length
-    assert table.issue_cost(block, mul_latency=4) == length + 3 * muls
-    assert table.event_delta(block) == 2 * length
-
-
-def test_describe_summarizes_table():
-    table = build_block_table(_trace(_MEM))
-    summary = table.describe()
-    assert summary["instructions"] == table.length
-    assert summary["blocks"] == table.block_count() == len(table.starts)
-    assert summary["max_block_length"] >= summary["mean_block_length"] > 0
-    assert summary["plain_instructions"] == sum(
-        1
-        for i in range(table.length)
-        if _trace(_MEM).lat[i]
-        not in (LAT_MUL, LAT_LOAD, LAT_STORE)
-    )
-
-
 def test_plain_end_spans_single_cycle_runs_only():
     """``plain_end[i]`` is the exclusive end of the maximal run of
     single-cycle (non-load/store/mul) instructions starting at ``i``."""
@@ -187,20 +123,6 @@ def test_plain_end_is_suffix_consistent():
             assert table.plain_end[inside] == end
 
 
-def test_next_event_horizon_is_one_unless_muls_only():
-    trace = _trace(_LOOP)
-    table = build_block_table(trace)
-    for block, (length, muls, _loads, _stores) in enumerate(table.aggregates):
-        horizon = table.next_event_horizon(block, mul_latency=3)
-        if muls == length:
-            assert horizon == 3
-        else:
-            # Any single-cycle or memory op can complete one cycle
-            # after issue, so a time skip may never jump further.
-            assert horizon == 1
-        assert table.next_event_horizon(block, mul_latency=1) == 1
-
-
 # -- memoization and counters -----------------------------------------------------
 
 
@@ -228,17 +150,6 @@ def test_block_table_survives_trace_pickle():
     assert table.batch_end == block_table_for(trace).batch_end
 
 
-def test_program_blocks_memoized_with_counters():
-    program = assemble(_LOOP)
-    reset_cache_counters()
-    first = program_blocks_for(program)
-    second = program_blocks_for(program)
-    assert first is second
-    delta = counters_delta({key: 0 for key in BLOCK_CACHE_KEYS})
-    assert delta["program_misses"] == 1
-    assert delta["program_hits"] == 1
-
-
 def test_program_blocks_follow_fall_through_until_control():
     program = assemble(_LOOP)
     blocks = ProgramBlocks(program)
@@ -260,15 +171,15 @@ def test_program_blocks_follow_fall_through_until_control():
     assert blocks.block_at(entry) is block
 
 
-def test_program_blocks_pickle_their_decode_but_not_compiled_blocks():
-    """Analysis static parts pickle the program with its blocks memo:
-    the compiled blocks stay behind and recompile to the same block."""
+def test_program_blocks_are_built_per_run_and_never_stored():
+    """The interpreter's decode and blocks live for one run: building
+    them leaves nothing on the program, and each build is counted."""
     program = assemble(_LOOP)
-    blocks = program_blocks_for(program)
-    entries, columns = blocks.block_at(program.entry_point)
-    clone = pickle.loads(pickle.dumps(blocks))
-    assert clone.compiled_blocks() == 0
-    clone_entries, clone_columns = clone.block_at(program.entry_point)
-    assert [entry[:7] for entry in clone_entries] == [entry[:7] for entry in entries]
-    pc = COLUMNS.index("pc")
-    assert clone_columns[pc] == columns[pc]
+    before = cache_counters()
+    first = program_blocks_for(program)
+    second = program_blocks_for(program)
+    assert first is not second
+    assert counters_delta(before)["program_misses"] == 2
+    run_program(program)
+    assert not hasattr(program, "_program_blocks")
+    assert not hasattr(program, "_decoded")
