@@ -60,12 +60,6 @@ def history_entry(report, sha=None):
         entry["gridbatch"] = report["gridbatch"]["speedup"]
     if "estimator" in report:
         entry["estimator_mae"] = report["estimator"]["mean_mae"]
-    if "fabric" in report:
-        # Normalized so runner-speed drift doesn't read as a fabric
-        # trend; the mode rides along because single-core ratios are
-        # not comparable to multi-core ones.
-        entry["fabric"] = report["fabric"]["cells_per_second"] / index
-        entry["fabric_mode"] = report["fabric"].get("mode")
     return entry
 
 
@@ -106,8 +100,8 @@ def render_markdown(entries, last=20):
         "",
         "| run | sha | "
         + " | ".join(CHANNELS)
-        + " | efficiency | gridbatch | est. MAE | fabric |",
-        "|---:|---|" + "---:|" * (len(CHANNELS) + 4),
+        + " | efficiency | gridbatch | est. MAE |",
+        "|---:|---|" + "---:|" * (len(CHANNELS) + 3),
     ]
     first_run = len(entries) - len(window) + 1
     for offset, entry in enumerate(window):
@@ -121,12 +115,6 @@ def render_markdown(entries, last=20):
         cells.append("{:.2f}x".format(grid) if grid is not None else "—")
         mae = entry.get("estimator_mae")
         cells.append("{:.1f}".format(mae) if mae is not None else "—")
-        fabric = entry.get("fabric")
-        cells.append(
-            "{:.6f} ({})".format(fabric, entry.get("fabric_mode") or "?")
-            if fabric is not None
-            else "—"
-        )
         lines.append(
             "| {} | {} | {} |".format(
                 first_run + offset, entry.get("sha") or "—", " | ".join(cells)

@@ -19,8 +19,8 @@ The gates run under ``--check``:
   schema fails with a message naming the missing channel rather than a
   ``KeyError`` deep inside a comparison;
 * the **throughput gate** — normalized serial/jobs4/cache-hit/
-  gridbatch/fabric throughput must not trail the reference by more
-  than ``--tolerance``;
+  gridbatch throughput must not trail the reference by more than
+  ``--tolerance``;
 * the **grid-batch gate** — ``gridbatch.run_batch`` must produce
   byte-identical stats to the per-cell path on a 50-cell synth grid,
   and its cells/sec must stay within ``DEFAULT_GRIDBATCH_FLOOR`` of
@@ -42,13 +42,6 @@ The gates run under ``--check``:
   triage must stay within its simulation budget, and every stratum
   verdict it *certifies* must agree with the full exact sweep's
   verdict (the certificate guarantee, checked empirically here);
-* the **fabric gate** — a stratified synth sweep shipped to two
-  subprocess fabric workers with a cold result cache root must
-  produce stats byte-identical to the same sweep run serially
-  (placement invariance, gated in every mode), and on a multi-core
-  machine its wall clock must beat serial by ``--fabric-floor``
-  (default 1.5×; single-core runs record the ratio without gating
-  it — two workers timesharing one core cannot win);
 * the **parallel-efficiency gate** — on a multi-core machine the
   ``--jobs 4`` wall clock must beat the serial wall clock by at least
   ``--efficiency-floor`` (default 1.2×).  On a single-core machine the
@@ -102,7 +95,9 @@ import time
 #: switches, so ``serial`` measures that engine's absolute throughput
 #: and the ``blocks``/``event_kernel`` channels, which compared engine
 #: variants against each other, are gone with their speedup floors.
-SCHEMA = 7
+#: v8: the ``fabric`` section is gone with the subprocess transport it
+#: measured (``--jobs N`` is the one way to run chunks in parallel).
+SCHEMA = 8
 
 #: The benchmark trio (chosen in the ISSUE: one branchy compressor, one
 #: pointer-chasing workload with violation squashes, one call-heavy OO
@@ -150,23 +145,6 @@ DEFAULT_GRIDBATCH_FLOOR = 0.75
 ESTIMATOR_CELLS = 96
 ESTIMATOR_TOKEN = "bench-estimator-v1"
 DEFAULT_ESTIMATOR_MAE_CEILING = 35.0
-
-#: Fabric channel: a stratified synth grid (scenarios crossed with the
-#: sweep's champion/challenger specs) shipped to subprocess fabric
-#: workers against a cold result cache root, vs the same grid swept
-#: serially.  Worker spawn/handshake happens outside the timed region
-#: (the steady state a long sweep experiences — the jobs4 channel
-#: treats pool spin-up the same way).
-FABRIC_WORKERS = 2
-FABRIC_NAMES = 24
-FABRIC_SPECS = ("postdoms", "loop+procFT+loopFT")
-FABRIC_TOKEN = "bench-fabric-v1"
-#: Minimum fabric/serial wall speedup on a multi-core machine (the
-#: ISSUE's acceptance floor).  In single-core mode the floor is
-#: skipped — two worker processes timesharing one core cannot beat the
-#: serial sweep — and the channel's teeth are the byte-identity check.
-#: Env ``BENCH_FABRIC_FLOOR`` overrides.
-DEFAULT_FABRIC_FLOOR = 1.5
 
 #: Iterations of the calibration loop.
 _CALIBRATION_N = 2_000_000
@@ -469,98 +447,12 @@ def measure_estimator(scale, cells=ESTIMATOR_CELLS):
     }
 
 
-def measure_fabric(
-    scale, repeats=3, workers=FABRIC_WORKERS, names=FABRIC_NAMES
-):
-    """The ``fabric`` channel: sharded subprocess sweep vs serial.
-
-    Runs the same stratified synth grid serially (``jobs=1``, no
-    cache) and through ``workers`` subprocess fabric workers with a
-    cold cache root, best-of-``repeats`` each, and verifies the two
-    paths' stats cell for cell.  Every fabric repeat gets a fresh
-    cache directory (so no repeat is answered from a warm cache) and a
-    fresh fleet, warmed *before* the timed region — the measurement is
-    steady-state dispatch + simulation + the parent's cache writes,
-    not Python interpreter startup.  ``store_published`` is the number
-    of entries the parent wrote.
-    """
-    from repro.experiments import scheduler
-    from repro.experiments.parallel import ParallelExperimentRunner
-    from repro.workloads.synth import stratified_sample
-
-    grid = [
-        (name, spec)
-        for name in stratified_sample(names, FABRIC_TOKEN)
-        for spec in FABRIC_SPECS
-    ]
-    cells = len(grid)
-
-    serial_seconds = float("inf")
-    serial_runner = None
-    for _ in range(repeats):
-        runner = ParallelExperimentRunner(scale=scale, jobs=1)
-        started = time.perf_counter()
-        if runner.prefetch(grid) != cells:
-            raise AssertionError("serial fabric baseline expected a cold run")
-        serial_seconds = min(serial_seconds, time.perf_counter() - started)
-        serial_runner = runner
-
-    fabric_seconds = float("inf")
-    identical = True
-    published = 0
-    for _ in range(repeats):
-        with tempfile.TemporaryDirectory(
-            prefix="polyflow-bench-fabric-"
-        ) as cache_parent:
-            runner = ParallelExperimentRunner(
-                scale=scale,
-                fabric_workers=workers,
-                cache_dir=os.path.join(cache_parent, "cache"),
-            )
-            try:
-                runner.warm_fabric()
-                started = time.perf_counter()
-                simulated = runner.prefetch(grid)
-                elapsed = time.perf_counter() - started
-            finally:
-                runner.shutdown_fabric()
-            if simulated != cells:
-                raise AssertionError(
-                    "fabric sweep expected {} simulations, ran {}".format(
-                        cells, simulated
-                    )
-                )
-            fabric_seconds = min(fabric_seconds, elapsed)
-            identical = identical and all(
-                scheduler.pack_stats(runner.run_policy(name, spec))
-                == scheduler.pack_stats(serial_runner.run_policy(name, spec))
-                for name, spec in grid
-            )
-            published = runner.cache.stores
-
-    cpus = scheduler.usable_cpus()
-    return {
-        "workers": workers,
-        "cells": cells,
-        "specs": list(FABRIC_SPECS),
-        "token": FABRIC_TOKEN,
-        "cpus": cpus,
-        "mode": "multi-core" if cpus >= 2 else "single-core",
-        "serial_seconds": serial_seconds,
-        "fabric_seconds": fabric_seconds,
-        "cells_per_second": cells / fabric_seconds,
-        "speedup_vs_serial": serial_seconds / fabric_seconds,
-        "stats_identical": identical,
-        "store_published": published,
-    }
-
-
 def run_benchmark(
     scale, repeats, jobs, jobs_repeats=3, skip_jobs=False, skip_cache=False
 ):
-    """One full measurement: calibration, serial trio, grid-batch,
-    estimator and fabric channels, jobs fan-out, warm-cache replay, and
-    the derived parallel-efficiency ratio."""
+    """One full measurement: calibration, serial trio, grid-batch and
+    estimator channels, jobs fan-out, warm-cache replay, and the derived
+    parallel-efficiency ratio."""
     report = {
         "schema": SCHEMA,
         "workloads": list(WORKLOADS),
@@ -573,7 +465,6 @@ def run_benchmark(
     }
     report["gridbatch"] = measure_gridbatch(scale)
     report["estimator"] = measure_estimator(scale)
-    report["fabric"] = measure_fabric(scale, jobs_repeats)
     if not skip_jobs:
         report["jobs4"] = measure_jobs(scale, jobs, jobs_repeats)
         report["efficiency"] = {
@@ -612,16 +503,6 @@ def speedup_vs_baseline(report, baseline):
             / baseline["gridbatch"]["batch"]["cells_per_second"]
             / ratio
         )
-    if (
-        "fabric" in report
-        and "fabric" in baseline
-        and report["fabric"].get("mode") == baseline["fabric"].get("mode")
-    ):
-        speedups["fabric"] = (
-            report["fabric"]["cells_per_second"]
-            / baseline["fabric"]["cells_per_second"]
-            / ratio
-        )
     return speedups
 
 
@@ -634,7 +515,7 @@ def check_schema(report, reference, reference_path):
     """
     failures = []
     reference_schema = reference.get("schema", 0)
-    for channel in ("serial", "gridbatch", "estimator", "fabric"):
+    for channel in ("serial", "gridbatch", "estimator"):
         if channel in report and channel not in reference:
             failures.append(
                 "baseline {} (schema {}) predates schema {}: it has no "
@@ -679,21 +560,6 @@ def check_regression(report, reference, tolerance):
                 "gridbatch",
                 report["gridbatch"]["batch"]["cells_per_second"],
                 reference["gridbatch"]["batch"]["cells_per_second"],
-            )
-        )
-    if (
-        "fabric" in report
-        and "fabric" in reference
-        and report["fabric"].get("mode") == reference["fabric"].get("mode")
-    ):
-        # Fabric cells/sec depends on how many cores the fleet spans;
-        # the machine index measures single-core speed only, so the
-        # channel is comparable only between same-mode reports.
-        checks.append(
-            (
-                "fabric",
-                report["fabric"]["cells_per_second"],
-                reference["fabric"]["cells_per_second"],
             )
         )
     for label, measured, expected in checks:
@@ -762,43 +628,6 @@ def check_gridbatch(report, floor=None):
             "gridbatch: batch ran {:.2f}x per-cell dispatch on {} cells "
             "(floor {:.2f}x)".format(
                 measured["speedup"], measured["cells"], floor
-            )
-        )
-    return failures
-
-
-def check_fabric(report, floor=None):
-    """Fabric gate: placement invariance plus a multi-core speedup floor.
-
-    The byte-identity check applies in every mode — sharded execution
-    must reproduce the serial sweep exactly, wherever the cells landed.
-    The wall-clock floor applies only in multi-core mode: two worker
-    processes timesharing a single core cannot beat the serial sweep,
-    so single-core runs record their ratio without gating it.
-    """
-    measured = report.get("fabric")
-    if measured is None:
-        return []
-    if floor is None:
-        floor = DEFAULT_FABRIC_FLOOR
-    failures = []
-    if not measured.get("stats_identical", False):
-        failures.append(
-            "fabric: sharded worker results diverged from the serial "
-            "sweep (placement invariance is the fabric's core claim)"
-        )
-    if (
-        measured.get("mode") == "multi-core"
-        and measured["speedup_vs_serial"] < floor
-    ):
-        failures.append(
-            "fabric: {}-worker sweep ran {:.2f}x serial wall-clock over "
-            "{} cells on {} CPUs (floor {:.2f}x)".format(
-                measured["workers"],
-                measured["speedup_vs_serial"],
-                measured["cells"],
-                measured["cpus"],
-                floor,
             )
         )
     return failures
@@ -913,21 +742,6 @@ def render(report):
                 triage["confirmed_agreement"],
             )
         )
-    if "fabric" in report:
-        fabric = report["fabric"]
-        lines.append(
-            "  fabric: {} cells across {} workers in {:.3f}s vs {:.3f}s "
-            "serial ({:.2f}x, {} mode, stats {}, {} published)".format(
-                fabric["cells"],
-                fabric["workers"],
-                fabric["fabric_seconds"],
-                fabric["serial_seconds"],
-                fabric["speedup_vs_serial"],
-                fabric["mode"],
-                "identical" if fabric["stats_identical"] else "DIVERGED",
-                fabric["store_published"],
-            )
-        )
     if "speedup_vs_baseline" in report:
         lines.append(
             "  vs baseline: "
@@ -989,18 +803,6 @@ def render_markdown_summary(report):
                 grid["cells"],
                 grid["batch"]["cells_per_second"],
                 grid["batch"]["cells_per_second"] / index,
-            )
-        )
-    if "fabric" in report:
-        fabric = report["fabric"]
-        lines.append(
-            "| fabric sweep ({} workers, {} mode, {:.2f}x serial) "
-            "| {:.1f} cells/s | {:.6f} |".format(
-                fabric["workers"],
-                fabric["mode"],
-                fabric["speedup_vs_serial"],
-                fabric["cells_per_second"],
-                fabric["cells_per_second"] / index,
             )
         )
     if "estimator" in report:
@@ -1088,18 +890,6 @@ def main(argv=None):
         ),
     )
     parser.add_argument(
-        "--fabric-floor",
-        type=float,
-        default=float(
-            os.environ.get("BENCH_FABRIC_FLOOR", DEFAULT_FABRIC_FLOOR)
-        ),
-        help="minimum fabric/serial wall speedup on multi-core machines "
-        "for --check (default {}; single-core runs gate byte-identity "
-        "only; env BENCH_FABRIC_FLOOR overrides)".format(
-            DEFAULT_FABRIC_FLOOR
-        ),
-    )
-    parser.add_argument(
         "--estimator-mae-ceiling",
         type=float,
         default=float(
@@ -1158,20 +948,17 @@ def main(argv=None):
             failures.extend(
                 check_estimator(report, arguments.estimator_mae_ceiling)
             )
-            failures.extend(check_fabric(report, arguments.fabric_floor))
         if failures:
             for failure in failures:
                 print("REGRESSION {}".format(failure), file=sys.stderr)
             return 1
         print(
             "gates passed (tolerance {:.0%}, efficiency floor {:.2f}x, "
-            "gridbatch floor {:.2f}x, estimator ceiling {:.1f}, fabric "
-            "floor {:.2f}x vs {})".format(
+            "gridbatch floor {:.2f}x, estimator ceiling {:.1f} vs {})".format(
                 arguments.tolerance,
                 arguments.efficiency_floor,
                 arguments.gridbatch_floor,
                 arguments.estimator_mae_ceiling,
-                arguments.fabric_floor,
                 arguments.check,
             )
         )

@@ -30,7 +30,7 @@ import os
 import sys
 import time
 
-from repro.experiments import figures, scheduler
+from repro.experiments import figures
 from repro.experiments.parallel import DEFAULT_CACHE_DIR, ParallelExperimentRunner
 
 _FIGURES = ("fig5", "fig8", "fig9", "fig10", "fig11", "fig12")
@@ -39,7 +39,6 @@ _TRACE = "trace"
 _SYNTH = "synth"
 _SERVE = "serve"
 _QUERY = "query"
-_FABRIC = "fabric"
 _CACHE_GC = "cache-gc"
 
 
@@ -52,17 +51,15 @@ def main(argv=None):
     parser.add_argument(
         "figure",
         choices=_FIGURES
-        + (_ABLATIONS, _TRACE, _SYNTH, _SERVE, _QUERY, _FABRIC, _CACHE_GC, "all"),
+        + (_ABLATIONS, _TRACE, _SYNTH, _SERVE, _QUERY, _CACHE_GC, "all"),
         help="which figure to regenerate ('ablations' runs the "
         "design-choice sweeps; 'trace' runs one fully-observed "
         "simulation, see --workload/--policy; 'synth' sweeps the "
         "synthesized scenario catalog and prints the win/loss "
         "coverage map, see --sample/--slice; 'serve' starts the "
         "always-on exploration service, see --host/--port; 'query' "
-        "asks a running service for stats, see --cells; 'fabric' "
-        "prints a placement dry-run for a synth slice, see "
-        "--fabric-workers; 'cache-gc' sweeps the result cache and its "
-        "analysis tree, see --max-bytes)",
+        "asks a running service for stats, see --cells; 'cache-gc' "
+        "sweeps the result cache and its analysis tree, see --max-bytes)",
     )
     parser.add_argument(
         "--scale",
@@ -110,9 +107,9 @@ def main(argv=None):
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
         help="on-disk result cache directory (default {!r}); runs "
-        "pointing at one shared directory share results, and fabric "
-        "workers read its analysis/ subdirectory but never write "
-        "results".format(DEFAULT_CACHE_DIR),
+        "pointing at one shared directory share results".format(
+            DEFAULT_CACHE_DIR
+        ),
     )
     parser.add_argument(
         "--no-cache",
@@ -160,24 +157,6 @@ def main(argv=None):
         default=None,
         help="(synth) with --estimate-first, the fraction of swept "
         "catalog cells that may be simulated (default 0.40)",
-    )
-    parser.add_argument(
-        "--fabric-workers",
-        type=int,
-        default=0,
-        help="ship chunks to this many worker subprocesses speaking "
-        "the fabric frame protocol instead of the --jobs pool (0 = "
-        "off; not capped at the local CPU count — workers may be "
-        "remote)",
-    )
-    parser.add_argument(
-        "--fabric-ssh",
-        default=None,
-        metavar="TEMPLATE",
-        help="command template launching one worker, e.g. "
-        "'ssh buildhost {python} -u -m repro.experiments.fabric."
-        "worker'; {python} expands to this interpreter "
-        "(default: local subprocesses)",
     )
     parser.add_argument(
         "--max-bytes",
@@ -262,8 +241,6 @@ def main(argv=None):
         return _run_query(arguments, parser)
     if arguments.figure == _CACHE_GC:
         return _run_cache_gc(arguments)
-    if arguments.figure == _FABRIC:
-        return _run_fabric_plan(arguments)
 
     if arguments.figure == _TRACE:
         if not arguments.workload:
@@ -279,8 +256,6 @@ def main(argv=None):
         emit_metrics=arguments.emit_metrics,
         trace_dir=arguments.trace_dir,
         chunk=arguments.chunk,
-        fabric_workers=arguments.fabric_workers,
-        fabric_command=arguments.fabric_ssh,
     )
     started = time.time()
 
@@ -428,58 +403,6 @@ def _run_cache_gc(arguments):
     return 0
 
 
-def _run_fabric_plan(arguments):
-    """Print the placement a ``synth`` sweep would ship — ``fabric``.
-
-    Passes the sweep's own job list (baseline cells included) through
-    the runner's load-or-pend loop and plan, the two steps ``prefetch``
-    takes: cells the result cache holds are booked, not planned, so a
-    filled root plans no chunks.  The chunks are sharded the way the
-    subprocess transport does.  Nothing is simulated.
-    """
-    from repro.experiments import synth_sweep
-
-    names = _synth_names(arguments)
-    if names is None:
-        return 1
-    workers = arguments.fabric_workers or 2
-    runner = ParallelExperimentRunner(
-        scale=arguments.scale,
-        cache_dir=None if arguments.no_cache else arguments.cache_dir,
-        chunk=arguments.chunk,
-        fabric_workers=workers,
-    )
-    pending = list(
-        runner.pending(synth_sweep.sweep_jobs(names, _synth_specs(arguments)))
-    )
-    plan = runner.plan(pending)
-    cached = runner.summary.cache_hits
-    print(
-        "fabric plan: {} cells ({} cached), {} inline, {} cells in {} chunks "
-        "across {} workers".format(
-            cached + len(pending),
-            cached,
-            len(plan.inline),
-            plan.pooled_jobs,
-            len(plan.chunks),
-            workers,
-        )
-    )
-    shards = scheduler.plan_shards(plan.chunk_costs, workers)
-    for worker, shard in enumerate(shards):
-        cells = sum(len(plan.chunks[index]) for index in shard)
-        cost = sum(plan.chunk_costs[index] for index in shard)
-        print(
-            "  worker {}: {} chunks, {} cells, estimated cost {}".format(
-                worker, len(shard), cells, cost
-            )
-        )
-    cache = runner.cache
-    if cache is not None:
-        print("  cache: {} ({} entries)".format(cache.root, len(cache)))
-    return 0
-
-
 def _run_serve(arguments):
     """Run the always-on exploration service until SIGTERM/SIGINT."""
     import asyncio
@@ -499,7 +422,6 @@ def _run_serve(arguments):
             jobs=arguments.jobs,
             cache_dir=None if arguments.no_cache else arguments.cache_dir,
             chunk=arguments.chunk,
-            fabric_workers=arguments.fabric_workers,
         )
         await service.start()
         # Machine-parsable endpoint line (scripts read it to learn the

@@ -14,24 +14,21 @@ such a grid, one or many, through one dispatch loop:
    with :func:`~repro.experiments.scheduler.plan_grid`: cheap cells
    inline in the parent, the rest as longest-expected-first chunks;
 3. **run** the inline cells in the parent and stream the chunks
-   through the runner's transport — the warm fork pool (``--jobs N``)
-   or subprocess workers (``--fabric-workers N``, see
-   :mod:`repro.experiments.fabric`).  Everywhere the same executor,
-   :func:`~repro.sim.gridbatch.run_batch`, runs the cells;
+   through the warm fork pool (``--jobs N``,
+   :func:`~repro.experiments.scheduler.stream_chunks`).  Everywhere the
+   same executor, :func:`~repro.sim.gridbatch.run_batch`, runs the
+   cells;
 4. **book** every :class:`~repro.experiments.runner.Outcome` through
    one function, :meth:`~ParallelExperimentRunner._book`, as it
    arrives — cache hits included, told apart by their ``source``.
    The :class:`RunSummary` is a fold over what was booked, plus one
    record per plan and per dead worker.
 
-The ``fabric`` dry-run calls the same two steps, load-or-pend and plan,
-so it announces exactly what a sweep of the same root ships.
-
 Every pending cell is a :class:`~repro.experiments.runner.Cell`; the
 parent computes its digest once per dispatch and uses it for the
-cache lookup and the write-back.  A dead worker on either transport
-reaches one retry loop, which closes the transport and replans only
-the cells whose outcomes never arrived.
+cache lookup and the write-back.  A dead pool worker reaches one retry
+loop, which shuts the pool down and replans only the cells whose
+outcomes never arrived.
 
 Results are also written to a content-addressed on-disk cache keyed by
 :meth:`Cell.digest <repro.experiments.runner.Cell.digest>` (workload,
@@ -41,10 +38,11 @@ already ran — under *any* runner, serial or parallel.
 One class, :class:`ResultCache`, owns the result entries: each is a
 sha256-verified envelope in the format of :mod:`repro.sealed`, so a
 damaged entry is counted and re-simulated, never served.  One root
-(``--cache-dir``) serves the parent, the warm pool and the subprocess
-fabric alike, and the parent is its only writer: workers only run
-cells and send outcomes back.  Runs on several machines share results
-by pointing ``--cache-dir`` at one shared directory.
+(``--cache-dir``) serves the parent and the warm pool alike, and the
+parent is its only writer: workers only run cells and send outcomes
+back.  Runs on several machines share results by pointing
+``--cache-dir`` at one shared directory, each running its own
+``--slice``.
 
 Parallel output is bit-identical to serial output: every simulation is
 deterministic given its job key (workloads are built from seeded RNGs),
@@ -61,13 +59,7 @@ from typing import NamedTuple
 
 from repro import sealed
 from repro.analysis.pipeline import configure_disk_cache
-from repro.errors import ConfigurationError
 from repro.experiments import scheduler
-from repro.experiments.fabric.transport import (
-    FabricWorkerDied,
-    LocalPoolTransport,
-    SubprocessWorkerTransport,
-)
 from repro.experiments.runner import CACHE_FORMAT_VERSION, ExperimentRunner, Outcome
 from repro.polyflow import PAPER_CONFIG
 from repro.polyflow.config import config_fingerprint
@@ -182,20 +174,10 @@ class ResultCache:
         return sealed.sweep(self.root, _MAGIC, CACHE_FORMAT_VERSION, max_bytes)
 
 
-class Dispatch(NamedTuple):
-    """One dispatch as the run summary records it: the transport's name
-    (``"pool"`` or ``"subprocess"``) and worker count, and its plan."""
-
-    transport: str
-    workers: int
-    plan: object
-
-
 class Incident(NamedTuple):
-    """One dead-worker incident: the transport it hit and how many
-    cells were replanned after it."""
+    """One dead-worker incident: how many cells were replanned after
+    it."""
 
-    transport: str
     replanned_cells: int
 
 
@@ -217,10 +199,9 @@ class RunSummary:
     movement, metrics snapshots — is a fold over the booked
     :class:`~repro.experiments.runner.Outcome`\\ s, and the corrupt
     entries are the result cache's own ``corrupt_paths``.  The
-    runner adds one :class:`Dispatch` per plan and one
-    :class:`Incident` per dead worker, whatever the transport, and one
-    placement snapshot per fabric dispatch.  The wall clock and the
-    estimator's cells are plain snapshots.
+    runner adds one :class:`~repro.experiments.scheduler.GridSchedule`
+    per dispatch and one :class:`Incident` per dead worker.  The wall
+    clock and the estimator's cells are plain snapshots.
     :meth:`merged` concatenates the records of several summaries, so a
     merged summary folds exactly like a single one.
     """
@@ -231,11 +212,9 @@ class RunSummary:
         self._ledgers = [] if booked is None else [(config, booked)]
         #: The result caches whose corrupt entries this run met.
         self._caches = list(caches)
+        #: The plan of every dispatch.
         self.dispatches = []
         self.incidents = []
-        #: Transport placement snapshots (per-worker cell and
-        #: wall-clock vectors), one per fabric dispatch.
-        self.placements = []
         #: Cells answered from the analytic estimator alone — no
         #: simulation ran, the consumer saw ``source=estimated``.
         self.estimated_cells = 0
@@ -251,7 +230,6 @@ class RunSummary:
             merged._caches += summary._caches
             merged.dispatches += summary.dispatches
             merged.incidents += summary.incidents
-            merged.placements += summary.placements
             merged.estimated_cells += summary.estimated_cells
             merged.wall_seconds += summary.wall_seconds
         return merged
@@ -306,7 +284,13 @@ class RunSummary:
     @property
     def block_cache(self):
         """Block-cache counter movement summed over every simulation
-        (parent and workers alike)."""
+        (parent and workers alike).
+
+        ``program_misses`` counts only the program runs made inside a
+        cell's window: a disk-loaded program re-run for its trace.
+        Programs that run while the grid is costed, before any window
+        opens, are not in it, so :meth:`render` leaves it out.
+        """
         totals = dict.fromkeys(BLOCK_CACHE_KEYS, 0)
         for outcome in self._simulated():
             for key, value in (outcome.blocks or {}).items():
@@ -345,66 +329,25 @@ class RunSummary:
 
     # -- folds over the dispatch records ------------------------------------------
 
-    def _dispatched(self, transport):
-        return [entry for entry in self.dispatches if entry.transport == transport]
-
-    def _incidents(self, transport):
-        return [entry for entry in self.incidents if entry.transport == transport]
-
     @property
     def inline_jobs(self):
         """Cells the scheduler ran inline in the parent."""
-        return sum(len(entry.plan.inline) for entry in self.dispatches)
-
-    def _shipped(self, transport):
-        """``(chunks, workers)`` of ``transport``'s dispatches: chunks
-        shipped and the worker count of its largest plan."""
-        dispatched = self._dispatched(transport)
-        return (
-            sum(len(entry.plan.chunks) for entry in dispatched),
-            max((entry.plan.workers for entry in dispatched), default=0),
-        )
+        return sum(len(plan.inline) for plan in self.dispatches)
 
     @property
     def chunks_shipped(self):
         """Chunks shipped to the warm pool."""
-        return self._shipped("pool")[0]
+        return sum(len(plan.chunks) for plan in self.dispatches)
 
     @property
     def pool_workers(self):
         """Worker count of the largest pool this summary used."""
-        return self._shipped("pool")[1]
+        return max((plan.workers for plan in self.dispatches), default=0)
 
     @property
     def pool_restarts(self):
         """Warm-pool restarts after a dead worker."""
-        return len(self._incidents("pool"))
-
-    @property
-    def fabric_placement(self):
-        """The latest transport placement snapshot (not part of
-        :meth:`as_dict`)."""
-        return self.placements[-1] if self.placements else None
-
-    @property
-    def fabric(self):
-        """Fabric telemetry: placement and incidents (flat numerics;
-        per-worker vectors live in :attr:`fabric_placement`)."""
-        dispatched = self._dispatched("subprocess")
-        incidents = self._incidents("subprocess")
-        return {
-            "workers": max(
-                (entry.workers for entry in dispatched if entry.plan.chunks),
-                default=0,
-            ),
-            "chunks": sum(len(entry.plan.chunks) for entry in dispatched),
-            "cells": sum(entry.plan.pooled_jobs for entry in dispatched),
-            "replanned_cells": sum(entry.replanned_cells for entry in incidents),
-            "restarts": len(incidents),
-            "straggler_seconds": max(
-                [0.0] + [entry["straggler_seconds"] for entry in self.placements]
-            ),
-        }
+        return len(self.incidents)
 
     def as_dict(self):
         """Every counter as structured fields (JSON-able).
@@ -428,7 +371,6 @@ class RunSummary:
             "block_cache": self.block_cache,
             "shared_cells": self.shared_cells,
             "estimated_cells": self.estimated_cells,
-            "fabric": self.fabric,
             "wall_seconds": self.wall_seconds,
             "total_sim_seconds": self.total_sim_seconds,
         }
@@ -440,7 +382,7 @@ class RunSummary:
     def render(self):
         jobs_run = self.jobs_run
         shared = self.shared_cells
-        fabric, block_cache = self.fabric, self.block_cache
+        block_cache = self.block_cache
         corrupt = self.corrupt_entries
         lines = [
             "run summary: {} simulated, {} cache hits, "
@@ -452,20 +394,11 @@ class RunSummary:
             )
         ]
         if jobs_run:
-            # One clause per transport that was dispatched to (the pool
-            # clause, zeros included, when none was).
-            transports = [
-                transport
-                for transport in ("pool", "subprocess")
-                if self._dispatched(transport)
-            ] or ["pool"]
-            shipped = ", ".join(
-                "{} chunks across {} {} workers".format(
-                    *self._shipped(transport), transport
+            lines.append(
+                "  schedule: {} inline, {} chunks across {} pool workers".format(
+                    self.inline_jobs, self.chunks_shipped, self.pool_workers
                 )
-                for transport in transports
             )
-            lines.append("  schedule: {} inline, {}".format(self.inline_jobs, shipped))
         if shared:
             lines.append(
                 "  shared: {} of {} simulated cells reused an identical cell's "
@@ -483,32 +416,10 @@ class RunSummary:
                     self.pool_restarts
                 )
             )
-        if fabric["cells"]:
-            lines.append(
-                "  fabric: {} cells in {} chunks across {} workers, "
-                "straggler {:.1f}s".format(
-                    fabric["cells"],
-                    fabric["chunks"],
-                    fabric["workers"],
-                    fabric["straggler_seconds"],
-                )
-            )
-            if self.fabric_placement:
-                lines.append(
-                    "    cells by worker: {}".format(
-                        self.fabric_placement.get("cells_by_worker")
-                    )
-                )
-        if fabric["restarts"]:
-            lines.append(
-                "  {} fabric worker restart(s); {} cells replanned".format(
-                    fabric["restarts"], fabric["replanned_cells"]
-                )
-            )
         if any(block_cache.values()):
             lines.append(
-                "  block cache: {table_hits} table hits / {table_misses} compiles, "
-                "{program_misses} program builds".format(**block_cache)
+                "  block cache: {table_hits} table hits / {table_misses} "
+                "compiles".format(**block_cache)
             )
         if corrupt:
             lines.append(
@@ -532,15 +443,14 @@ class ParallelExperimentRunner(ExperimentRunner):
     Scheduler knobs: ``chunk`` caps grid cells per chunk (``None``
     sizes chunks by estimated cost), ``inline_threshold`` is the
     trace-length floor below which a cell runs inline in the parent
-    (``None`` takes the transport's default), and ``cpus`` overrides
-    CPU detection (tests force the pool path on single-core machines).
-    Chunks run on the warm pool of ``jobs`` workers, or on
-    ``fabric_workers`` subprocess workers when that is set.
+    (``None`` takes :data:`~repro.experiments.scheduler.INLINE_COST_THRESHOLD`),
+    and ``cpus`` overrides CPU detection (tests force the pool path on
+    single-core machines).  Chunks run on the warm pool of ``jobs``
+    workers; :meth:`close` shuts it down.
 
     :attr:`summary` is a :class:`RunSummary` over this runner's memo:
     :meth:`_book` writes the memo and the caches only, and the runner
-    records one :class:`Dispatch` per plan and one :class:`Incident`
-    per dead worker.
+    records every plan and one :class:`Incident` per dead worker.
     """
 
     def __init__(
@@ -556,10 +466,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         inline_threshold=None,
         cpus=None,
         pool_retries=1,
-        fabric_workers=0,
-        fabric_command=None,
-        fabric_chunk_timeout=None,
-        fabric_extra_env=None,
     ):
         keyword_arguments = {}
         if config is not None:
@@ -572,7 +478,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         self.inline_threshold = inline_threshold
         self.cpus = cpus
         #: Times a grid is retried after a dead worker (each retry
-        #: starts a fresh transport and replans only unfinished cells).
+        #: starts a fresh pool and replans only unfinished cells).
         self.pool_retries = max(0, int(pool_retries))
         self.cache = ResultCache(cache_dir) if cache_dir else None
         #: Where persisted program analyses live; points the shared
@@ -594,20 +500,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         #: events into its progress journal; a cell run with a bus
         #: never shares a kernel run.
         self.bus_for = None
-        #: Subprocess workers for the chunks (0 = the warm pool).
-        #: Unlike ``jobs``, this is *not* capped at the local CPU count
-        #: — fabric workers may be other machines.
-        self.fabric_workers = max(0, int(fabric_workers))
-        if self.fabric_workers and (self.emit_metrics or trace_dir is not None):
-            raise ConfigurationError(
-                "the fabric ships plain cells only; metrics emission and "
-                "trace files keep the local warm-pool path (drop "
-                "--fabric-workers or the instrumentation flag)"
-            )
-        self.fabric_command = fabric_command
-        self.fabric_chunk_timeout = fabric_chunk_timeout
-        self.fabric_extra_env = fabric_extra_env
-        self._transport = None
         self.summary = RunSummary(
             self._results, self.config, [] if self.cache is None else [self.cache]
         )
@@ -644,8 +536,8 @@ class ParallelExperimentRunner(ExperimentRunner):
 
         The memo entry is all :attr:`summary` needs.  A ``"simulated"``
         outcome is also written to the result cache — here, in the
-        parent, whichever transport ran it, so the parent is the root's
-        only writer.  ``digest`` is the cell's, when the caller already
+        parent, wherever it ran, so the parent is the root's only
+        writer.  ``digest`` is the cell's, when the caller already
         has it.
         """
         if outcome.source == "simulated" and self.cache is not None:
@@ -677,9 +569,7 @@ class ParallelExperimentRunner(ExperimentRunner):
 
         Each not-yet-memoized cell with a usable cache entry is booked
         at once; the rest are returned as ``{cell: digest}`` in
-        scheduling order.  :meth:`prefetch` plans and runs what this
-        returns, and the ``fabric`` dry-run plans the same, so the two
-        never disagree about what ships.
+        scheduling order, for :meth:`prefetch` to plan and run.
         """
         digests = {}
         for cell in self.normalize_jobs(jobs):
@@ -696,7 +586,7 @@ class ParallelExperimentRunner(ExperimentRunner):
 
         Disk-cached results are loaded in the parent; only genuinely
         missing simulations are planned — cheap ones inline, the rest
-        as cost-ordered chunks on the transport.  Results land in the
+        as cost-ordered chunks on the warm pool.  Results land in the
         same cell-keyed memo the serial path reads, so downstream table
         generation is identical regardless of scheduling decisions or
         completion order.  Returns the number of simulations actually
@@ -712,12 +602,11 @@ class ParallelExperimentRunner(ExperimentRunner):
     def _fan_out(self, pending, digests):
         """Dispatch ``pending`` cells, replanning after a dead worker.
 
-        A worker death poisons the whole transport — the pool raises
-        ``BrokenProcessPool``, subprocess workers
-        :class:`FabricWorkerDied`.  Instead of failing the grid, the
-        transport is closed, one :class:`Incident` is recorded, and the
-        still-unfinished cells are replanned onto a fresh transport up
-        to ``pool_retries`` times before the error propagates.
+        A worker death poisons the whole pool (``BrokenProcessPool``).
+        Instead of failing the grid, the pool is shut down, one
+        :class:`Incident` is recorded, and the still-unfinished cells
+        are replanned onto a fresh pool up to ``pool_retries`` times
+        before the error propagates.
         """
         remaining = list(pending)
         retries = self.pool_retries
@@ -725,123 +614,50 @@ class ParallelExperimentRunner(ExperimentRunner):
             try:
                 self._dispatch(remaining, digests)
                 return
-            except (BrokenProcessPool, FabricWorkerDied) as error:
-                transport = self._transport.name
-                self.shutdown_fabric()
+            except BrokenProcessPool:
+                self.close()
                 remaining = [cell for cell in remaining if cell not in self._results]
-                self.summary.incidents.append(Incident(transport, len(remaining)))
-                if self.fabric_workers:
-                    self._fabric_event(
-                        "worker_died",
-                        worker=error.worker,
-                        replanned_cells=len(remaining),
-                    )
+                self.summary.incidents.append(Incident(len(remaining)))
                 if retries <= 0:
                     raise
                 retries -= 1
                 if not remaining:
                     return
 
-    def _ensure_transport(self):
-        """This runner's transport (created on first use): subprocess
-        workers when ``fabric_workers`` is set, else the warm pool."""
-        if self._transport is None:
-            if self.fabric_workers:
-                keyword_arguments = {}
-                if self.fabric_chunk_timeout is not None:
-                    keyword_arguments["chunk_timeout"] = self.fabric_chunk_timeout
-                self._transport = SubprocessWorkerTransport(
-                    self.fabric_workers,
-                    analysis_dir=self.analysis_dir,
-                    command_template=self.fabric_command,
-                    extra_env=self.fabric_extra_env,
-                    **keyword_arguments,
-                )
-            else:
-                self._transport = LocalPoolTransport(
-                    self.jobs,
-                    cpus=self.cpus,
-                    analysis_dir=self.analysis_dir,
-                    emit_metrics=self.emit_metrics,
-                    trace_dir=self.trace_dir,
-                )
-        return self._transport
-
-    def shutdown_fabric(self):
-        """Close the transport (the next dispatch creates a fresh one)."""
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
-
-    def warm_fabric(self):
-        """Spawn the fabric fleet ahead of the first dispatch.
-
-        Subprocess workers pay interpreter startup and handshake once;
-        warming moves that out of the first grid's wall clock (the
-        benchmark harness uses it to time steady-state dispatch).
-        """
-        if self.fabric_workers:
-            self._ensure_transport().ensure_workers()
-
-    def plan(self, pending):
-        """Cost ``pending`` and plan it for this runner's transport.
-
-        ``pending`` is what :meth:`pending` left to run.  The inline
-        floor is ``inline_threshold`` when given, else the transport's
-        own.  The ``fabric`` dry-run prints this plan without running
-        it.
-        """
-        transport = self._ensure_transport()
-        costs = [scheduler.job_cost(cell.workload, self.scale) for cell in pending]
-        # The transport's worker count is already capped where it must
-        # be (the pool at the local CPUs, subprocess workers never).
-        return scheduler.plan_grid(
-            pending,
-            costs,
-            transport.workers,
-            max_chunk_jobs=self.chunk,
-            inline_threshold=(
-                transport.inline_threshold
-                if self.inline_threshold is None
-                else self.inline_threshold
-            ),
-            cpus=transport.workers,
-        )
+    def close(self):
+        """Shut the warm pool down (the next dispatch forks a fresh
+        one)."""
+        scheduler.shutdown_pool()
 
     def _dispatch(self, pending, digests):
-        """One attempt: plan, run the inline cells, stream the chunks.
+        """One attempt: cost and plan ``pending`` for the warm pool of
+        ``jobs`` workers, run the inline cells, stream the chunks.
 
         Every outcome is booked as it arrives, so a mid-grid worker
         death loses only the outcomes that never came back.
         """
-        plan = self.plan(pending)
-        transport = self._transport
-        self.summary.dispatches.append(
-            Dispatch(transport.name, transport.workers, plan)
+        costs = [scheduler.job_cost(cell.workload, self.scale) for cell in pending]
+        plan = scheduler.plan_grid(
+            pending,
+            costs,
+            self.jobs,
+            max_chunk_jobs=self.chunk,
+            inline_threshold=(
+                scheduler.INLINE_COST_THRESHOLD
+                if self.inline_threshold is None
+                else self.inline_threshold
+            ),
+            cpus=self.cpus,
         )
+        self.summary.dispatches.append(plan)
         for cell, outcome in zip(plan.inline, self._run_cells(plan.inline)):
             self._book(cell, outcome, digests[cell])
         if not plan.chunks:
             return
-        stream = transport.execute(self.scale, plan.chunks, plan.chunk_costs)
+        stream = scheduler.stream_chunks(
+            plan, self.scale, self.analysis_dir, self.emit_metrics, self.trace_dir
+        )
         for index, outcomes in stream:
             for cell, outcome in zip(plan.chunks[index], outcomes):
                 stats = scheduler.unpack_stats(outcome.stats)
                 self._book(cell, outcome._replace(stats=stats), digests[cell])
-        if self.fabric_workers:
-            placement = transport.placement()
-            self.summary.placements.append(placement)
-            self._fabric_event(
-                "placement",
-                workers=placement["workers"],
-                cells_by_worker=placement["cells_by_worker"],
-                straggler_seconds=placement["straggler_seconds"],
-            )
-
-    def _fabric_event(self, kind, **fields):
-        """Optional fabric telemetry hook.
-
-        The base runner drops the event; the exploration service's
-        runner overrides this to publish ``fabric.*`` events into its
-        progress journal.
-        """

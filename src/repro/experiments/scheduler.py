@@ -9,9 +9,9 @@ module replaces that with a scheduler that treats the grid as a batch:
 * **Warm worker pool** — one module-level
   :class:`~concurrent.futures.ProcessPoolExecutor` (fork start method
   where available) reused across ``prefetch`` calls within a process.
-  Workers pre-materialize the analyses and block tables once via the
-  pool initializer (a fork start inherits the parent's arenas for
-  free), not once per job.
+  A fork start inherits the parent's memoized analyses for free; a
+  worker prepares anything else the first time one of its cells needs
+  it, inside that cell's counter window.
 
 * **Cost model** — a grid cell's estimated cost is its workload's
   committed-trace length, which the content-keyed
@@ -35,7 +35,8 @@ module replaces that with a scheduler that treats the grid as a batch:
 
 * **One executor** — :func:`~repro.sim.gridbatch.run_batch` runs
   every cell, wherever it lands: the parent calls it for its inline
-  cells, pool workers and fabric workers through :func:`execute_chunk`.
+  cells, pool workers through :func:`execute_chunk`, which
+  :func:`stream_chunks` submits.
   Cells carry no instruments: metrics emission, a trace directory and
   a bus factory are arguments of the call.  It reports one
   :class:`~repro.experiments.runner.Outcome` per cell.
@@ -49,7 +50,7 @@ completion order.
 
 import atexit
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from repro.analysis.pipeline import configure_disk_cache
 from repro.spawn import canonical_spec
@@ -165,16 +166,14 @@ class GridSchedule:
 
     ``inline`` cells run in the parent (cheap cells and any grid the
     pool cannot help); ``chunks`` is a longest-expected-first list of
-    job lists for the transport, and ``chunk_costs`` their aligned
-    estimated costs (the subprocess transport's shard planner input).
+    job lists for the warm pool of ``workers`` workers.
     """
 
-    __slots__ = ("inline", "chunks", "chunk_costs", "workers", "cpus")
+    __slots__ = ("inline", "chunks", "workers", "cpus")
 
-    def __init__(self, inline, chunks, chunk_costs, workers, cpus):
+    def __init__(self, inline, chunks, workers, cpus):
         self.inline = inline
         self.chunks = chunks
-        self.chunk_costs = chunk_costs
         self.workers = workers
         self.cpus = cpus
 
@@ -272,42 +271,14 @@ def plan_grid(
     """
     cpus = usable_cpus() if cpus is None else cpus
     if not jobs:
-        return GridSchedule([], [], [], 0, cpus)
+        return GridSchedule([], [], 0, cpus)
     workers = max(1, min(jobs_requested, cpus))
     inline, pooled, pooled_costs = split_inline(
         jobs, costs, workers, inline_threshold
     )
-    # Planned over cell indices, so each chunk's cost is summed once.
-    indices = plan_chunks(
-        list(range(len(pooled))), pooled_costs, workers, max_chunk_jobs
-    )
-    chunks = [[pooled[i] for i in chunk] for chunk in indices]
-    chunk_costs = [sum(pooled_costs[i] for i in chunk) for chunk in indices]
+    chunks = plan_chunks(pooled, pooled_costs, workers, max_chunk_jobs)
     workers = min(workers, len(chunks)) if chunks else 0
-    return GridSchedule(inline, chunks, chunk_costs, workers, cpus)
-
-
-def plan_shards(costs, workers):
-    """Assign chunks to workers: greedy LPT.
-
-    ``costs`` is the per-chunk total cost (already in
-    longest-expected-first order from :func:`plan_chunks`).  Each chunk,
-    most expensive first, goes to the least-loaded worker.  Returns one
-    chunk-index list per worker; the plan is a pure function of its
-    inputs, so placement is deterministic (ties break toward the lower
-    worker index).
-    """
-    workers = max(1, int(workers))
-    shards = [[] for _ in range(workers)]
-    loads = [0] * workers
-    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
-    for index in order:
-        target = min(range(workers), key=lambda w: (loads[w], w))
-        shards[target].append(index)
-        loads[target] += costs[index]
-    for shard in shards:
-        shard.sort()
-    return shards
+    return GridSchedule(inline, chunks, workers, cpus)
 
 
 # -- the warm worker pool ---------------------------------------------------------
@@ -325,42 +296,14 @@ def _fork_context():
     return None  # pragma: no cover - non-fork platforms
 
 
-def _init_worker(analysis_dir, warmup):
-    """Pool initializer: arenas once per worker, not once per job.
-
-    Enables the on-disk analysis layer and pre-materializes the
-    analyses — and the event kernel's compiled tables — of every
-    workload the first grid needs.  Costing the grid in the
-    parent reads only the static part of each analysis entry, so under
-    a fork start ``prepare_workload`` is a memo hit but reading its
-    ``trace`` re-runs the program, and ``block_table_for`` compiles the
-    table here, once per worker (a program the
-    parent computed itself is inherited with its trace); under spawn
-    the static part comes from disk too.  A workload that fails to
-    prepare is left for its chunk to report — an initializer exception
-    would break the whole pool.
-    """
-    configure_disk_cache(analysis_dir)
-    from repro.sim.blocks import block_table_for
-    from repro.workloads import prepare_workload
-
-    for name, scale in warmup:
-        try:
-            prepared = prepare_workload(name, scale)
-            block_table_for(prepared.trace)
-        except Exception:
-            pass
-
-
-def warm_pool(workers, analysis_dir=None, warmup=()):
+def warm_pool(workers):
     """The persistent worker pool, creating or growing it as needed.
 
-    The pool is module-level and reused across ``run_grid``/``prefetch``
-    calls (and across the benchmark harness's repeats): a pool with at
-    least ``workers`` workers is returned as-is, a smaller one is
-    replaced.  Worker state stays valid across grids because chunks
-    re-assert their disk-cache configuration and workloads are
-    content-keyed.
+    The pool is module-level and reused across ``prefetch`` calls (and
+    across runners): a pool with at least ``workers`` workers is
+    returned as-is, a smaller one is replaced.  Worker state stays
+    valid across grids because chunks re-assert their disk-cache
+    configuration and workloads are content-keyed.
     """
     global _POOL, _POOL_WORKERS, _POOL_STARTS
     if _POOL is not None and _POOL_WORKERS >= workers:
@@ -370,12 +313,7 @@ def warm_pool(workers, analysis_dir=None, warmup=()):
     context = _fork_context()
     if context is not None:
         keyword_arguments["mp_context"] = context
-    _POOL = ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(analysis_dir, tuple(warmup)),
-        **keyword_arguments,
-    )
+    _POOL = ProcessPoolExecutor(max_workers=workers, **keyword_arguments)
     _POOL_WORKERS = workers
     _POOL_STARTS += 1
     return _POOL
@@ -406,6 +344,25 @@ def shutdown_pool():
 
 
 atexit.register(shutdown_pool)
+
+
+def stream_chunks(plan, scale, analysis_dir, emit_metrics, trace_dir):
+    """Submit every chunk of ``plan`` to the warm pool; yield
+    ``(chunk_index, outcomes)`` as chunks finish.
+
+    The outcomes are :func:`execute_chunk`'s, stats still packed.  A
+    dead worker surfaces as ``BrokenProcessPool`` from the chunk that
+    hit it; outcomes already yielded stay with the caller.
+    """
+    pool = warm_pool(plan.workers)
+    futures = {
+        pool.submit(
+            execute_chunk, analysis_dir, scale, emit_metrics, trace_dir, chunk
+        ): index
+        for index, chunk in enumerate(plan.chunks)
+    }
+    for future in as_completed(futures):
+        yield futures[future], future.result()
 
 
 # -- worker-side execution --------------------------------------------------------

@@ -68,7 +68,6 @@ from repro.obs.bridge import (
     SERVICE_EVENT_SCHEMA_VERSION,
     CallbackSink,
     EventJournal,
-    fabric_event,
     service_event,
 )
 from repro.obs.metrics import TOTAL_KEYS, MetricsAggregator, merge_metrics
@@ -99,5 +98,4 @@ __all__ = [
     "CallbackSink",
     "EventJournal",
     "service_event",
-    "fabric_event",
 ]

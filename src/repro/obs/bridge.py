@@ -32,8 +32,10 @@ import threading
 
 #: Version of the service progress-event vocabulary (bump on any kind
 #: or field change; the wire schema version of :mod:`repro.service`
-#: covers the request/response surface separately).
-SERVICE_EVENT_SCHEMA_VERSION = 1
+#: covers the request/response surface separately).  v2: ``incident``
+#: events carry no ``transport`` field, and the worker-placement kinds
+#: are gone.
+SERVICE_EVENT_SCHEMA_VERSION = 2
 
 
 def service_event(kind, **fields):
@@ -41,23 +43,6 @@ def service_event(kind, **fields):
     event = {"kind": kind}
     event.update(fields)
     return event
-
-
-#: Kind prefix of fabric placement/incident events (``fabric.placement``,
-#: ``fabric.worker_died``), namespacing them apart from the admission
-#: and batching vocabulary in one shared JSONL stream.
-FABRIC_EVENT_PREFIX = "fabric."
-
-
-def fabric_event(kind, **fields):
-    """One fabric telemetry event (a namespaced :func:`service_event`).
-
-    Emitted by the parallel runner's fabric dispatch path — worker
-    placement after each sharded grid, dead-worker incidents with the
-    replanned cell count — and bridged into the service journal by the
-    exploration service's runner.
-    """
-    return service_event(FABRIC_EVENT_PREFIX + kind, **fields)
 
 
 class CallbackSink:

@@ -31,9 +31,9 @@ Fault handling is two-layered: the parallel runner itself retries a
 broken worker pool once (restarting the pool), and if a *batch-level*
 prefetch still fails, the engine degrades to per-cell inline execution
 so one poisoned cell (or a dead pool) cannot fail unrelated queries in
-the same batch.  Every incident — a corrupt entry, or a dead worker
-on either transport — is surfaced in ``/healthz`` and as an
-``incident`` progress event.
+the same batch.  Every incident — a corrupt entry, or a dead pool
+worker — is surfaced in ``/healthz`` and as an ``incident`` progress
+event.
 """
 
 import threading
@@ -42,7 +42,7 @@ import time
 from repro.experiments import scheduler
 from repro.experiments.parallel import ParallelExperimentRunner, RunSummary
 from repro.experiments.runner import Cell
-from repro.obs import EventBus, CallbackSink, fabric_event, service_event
+from repro.obs import EventBus, CallbackSink, service_event
 from repro.service import wire
 
 #: Per-simulation cap on bridged lifecycle events.  Inline simulations
@@ -98,11 +98,6 @@ class _ServiceRunner(ParallelExperimentRunner):
         bus.attach(CallbackSink(forward), verbose=False)
         return bus
 
-    def _fabric_event(self, kind, **fields):
-        """Bridge fabric placement/incident telemetry into the journal."""
-        if self._journal is not None:
-            self._journal.publish(fabric_event(kind, **fields))
-
 
 class ExplorationEngine:
     """Owns the per-scale runner fleet and executes admission batches."""
@@ -116,7 +111,6 @@ class ExplorationEngine:
         cpus=None,
         journal=None,
         sim_event_limit=DEFAULT_SIM_EVENT_LIMIT,
-        fabric_workers=0,
     ):
         self.jobs = jobs
         self.cache_dir = cache_dir
@@ -125,9 +119,6 @@ class ExplorationEngine:
         self.cpus = cpus
         self.journal = journal
         self.sim_event_limit = sim_event_limit
-        #: Forwarded to every scale runner: the engine can target
-        #: worker subprocesses instead of the local warm pool.
-        self.fabric_workers = fabric_workers
         self._runners = {}
         self._lock = threading.Lock()
         #: Batch/query/cell telemetry for ``/healthz``.
@@ -167,7 +158,6 @@ class ExplorationEngine:
                     cpus=self.cpus,
                     journal=self.journal,
                     sim_event_limit=self.sim_event_limit,
-                    fabric_workers=self.fabric_workers,
                 )
                 self._runners[scale] = runner
             return runner
@@ -314,14 +304,9 @@ class ExplorationEngine:
                         "incident", type="corrupt_cache_entry", scale=scale, path=path
                     )
                 )
-        for incident in runner.summary.incidents[incidents_before:]:
+        for _ in runner.summary.incidents[incidents_before:]:
             self._publish(
-                service_event(
-                    "incident",
-                    type="pool_restart",
-                    scale=scale,
-                    transport=incident.transport,
-                )
+                service_event("incident", type="pool_restart", scale=scale)
             )
 
     def _build_response(self, query, cells, outcome, batch_size):
@@ -410,12 +395,12 @@ class ExplorationEngine:
         }
 
     def close(self):
-        """Close every scale runner's transport (subprocess fabric
-        workers exit; the next batch would start fresh ones)."""
+        """Shut the warm pool down (the next batch would fork a fresh
+        one)."""
         with self._lock:
             runners = list(self._runners.values())
         for runner in runners:
-            runner.shutdown_fabric()
+            runner.close()
 
     # -- telemetry ----------------------------------------------------------------
 
@@ -432,12 +417,11 @@ class ExplorationEngine:
 
     def snapshot(self):
         """The engine fragment of ``/healthz``.  ``pool_restarts``
-        counts dead workers on either transport."""
+        counts dead pool workers."""
         summary = self.summary_dict()
         return {
             "jobs": self.jobs,
             "cache_dir": self.cache_dir,
-            "fabric": {"workers": self.fabric_workers},
             "scales": sorted(self._runners),
             "batches": {
                 "executed": self.batches_executed,

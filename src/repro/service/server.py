@@ -15,8 +15,7 @@ dependencies):
     the merged ``RunSummary`` fields (cells simulated, cache hits and
     shared, corrupt cache entries, pool restarts, scheduling and block
     cache telemetry), and drain status.  Its
-    ``incidents.pool_restarts`` counts dead workers on either
-    transport.
+    ``incidents.pool_restarts`` counts dead pool workers.
 
 ``GET /events``
     The JSONL progress stream (service events plus bridged simulation
@@ -26,9 +25,8 @@ dependencies):
 
 ``POST /shutdown``
     Begin a graceful drain (the same path SIGTERM/SIGINT take):
-    admitted queries complete, new ones are refused, the engine's
-    transports close (fabric worker subprocesses exit), event streams
-    end, then the listener closes.
+    admitted queries complete, new ones are refused, the warm pool
+    shuts down, event streams end, then the listener closes.
 
 Request handling is asyncio; simulation happens on one dedicated
 batch-executor thread, so the event loop stays responsive while grids
@@ -157,8 +155,8 @@ class ExplorationService:
         self.controller.drain()
         if self._executor is not None:
             await asyncio.to_thread(self._executor.join)
-        # No batch runs any more: close the engine's transports, so
-        # fabric worker subprocesses do not outlive the service.
+        # No batch runs any more: shut the engine's warm pool down, so
+        # its workers do not outlive the service.
         close = getattr(self.engine, "close", None)
         if close is not None:
             await asyncio.to_thread(close)

@@ -3,8 +3,8 @@
 Each grid cell is one deterministic PolyFlow simulation over one
 committed trace.  :func:`run_batch` runs a list of cells in order, one
 machine at a time, wherever the call lands: inline in the parent
-(:class:`~repro.experiments.parallel.ParallelExperimentRunner`), in a
-warm-pool worker or in a fabric worker (both through
+(:class:`~repro.experiments.parallel.ParallelExperimentRunner`) or in a
+warm-pool worker (through
 :func:`~repro.experiments.scheduler.execute_chunk`), for one cell or
 thousands, plain or instrumented.  It
 

@@ -184,77 +184,6 @@ def test_estimator_gate_skips_reports_without_the_section():
     assert bench.check_estimator({"serial": {}}) == []
 
 
-# -- the fabric gate --------------------------------------------------------------
-
-
-def _fabric_report(speedup, mode="multi-core", identical=True, cps=100.0):
-    return {
-        "fabric": {
-            "workers": 2,
-            "cells": 48,
-            "cpus": 4 if mode == "multi-core" else 1,
-            "mode": mode,
-            "speedup_vs_serial": speedup,
-            "cells_per_second": cps,
-            "stats_identical": identical,
-        }
-    }
-
-
-def test_fabric_gate_passes_at_and_above_floor_multi_core():
-    assert bench.check_fabric(_fabric_report(2.1), floor=1.5) == []
-    assert bench.check_fabric(_fabric_report(1.5), floor=1.5) == []
-
-
-def test_fabric_gate_fails_below_floor_multi_core():
-    failures = bench.check_fabric(_fabric_report(1.1), floor=1.5)
-    assert len(failures) == 1
-    assert failures[0].startswith("fabric:")
-    assert "1.10x" in failures[0]
-
-
-def test_fabric_gate_waives_floor_on_a_single_core():
-    """Two workers timesharing one core cannot beat serial; the floor
-    only binds when the machine can actually run them concurrently."""
-    assert bench.check_fabric(_fabric_report(0.2, mode="single-core")) == []
-
-
-def test_fabric_gate_fails_on_divergence_in_every_mode():
-    for mode in ("multi-core", "single-core"):
-        failures = bench.check_fabric(
-            _fabric_report(3.0, mode=mode, identical=False)
-        )
-        assert len(failures) == 1
-        assert "placement invariance" in failures[0]
-
-
-def test_fabric_gate_skips_reports_without_the_section():
-    assert bench.check_fabric({"serial": {}}) == []
-
-
-def test_speedup_includes_fabric_only_when_modes_match():
-    multi = dict(_report(100.0), **_fabric_report(2.0, cps=200.0))
-    single = dict(
-        _report(100.0), **_fabric_report(0.3, mode="single-core", cps=60.0)
-    )
-    assert "fabric" in bench.speedup_vs_baseline(multi, multi)
-    assert "fabric" not in bench.speedup_vs_baseline(multi, single)
-    assert "fabric" not in bench.speedup_vs_baseline(single, multi)
-    assert "fabric" not in bench.speedup_vs_baseline(multi, _report(100.0))
-
-
-def test_gate_compares_fabric_throughput_only_within_a_mode():
-    reference = dict(_report(100.0), **_fabric_report(2.0, cps=200.0))
-    regressed = dict(_report(100.0), **_fabric_report(2.0, cps=100.0))
-    failures = bench.check_regression(regressed, reference, 0.15)
-    assert len(failures) == 1 and failures[0].startswith("fabric:")
-    # A single-core run is incomparable to a multi-core baseline.
-    other_mode = dict(
-        _report(100.0), **_fabric_report(0.3, mode="single-core", cps=20.0)
-    )
-    assert bench.check_regression(other_mode, reference, 0.15) == []
-
-
 # -- the schema gate --------------------------------------------------------------
 
 
@@ -269,16 +198,8 @@ def test_schema_gate_names_the_missing_channel():
     assert "BENCH_polyflow.json" in failures[0]
 
 
-def test_schema_gate_names_a_missing_fabric_channel():
-    report = {"schema": 6, "serial": {}, "fabric": {}}
-    stale = {"schema": 5, "serial": {}}
-    failures = bench.check_schema(report, stale, "BENCH_polyflow.json")
-    assert len(failures) == 1
-    assert "'fabric'" in failures[0]
-
-
 def test_schema_gate_passes_when_reference_has_every_channel():
-    report = {"schema": 7, "serial": {}, "gridbatch": {}, "fabric": {}}
+    report = {"schema": 8, "serial": {}, "gridbatch": {}, "estimator": {}}
     assert bench.check_schema(report, dict(report), "BENCH_polyflow.json") == []
     # A schema-6 baseline's extra engine channels are simply ignored.
     stale = dict(report, schema=6, blocks={}, event_kernel={})

@@ -89,28 +89,6 @@ def test_render_windows_to_last_n():
     assert "| 30 | run29 |" in rendered
 
 
-def test_entry_tracks_normalized_fabric_throughput_with_its_mode():
-    report = _report(machine_index=2000.0)
-    report["fabric"] = {
-        "cells_per_second": 500.0,
-        "mode": "multi-core",
-        "speedup_vs_serial": 2.0,
-    }
-    entry = history.history_entry(report)
-    assert entry["fabric"] == 0.25
-    assert entry["fabric_mode"] == "multi-core"
-    assert "fabric" not in history.history_entry(_report())
-
-
-def test_render_includes_fabric_column():
-    rendered = history.render_markdown(
-        [{"sha": None, "serial": 0.5, "fabric": 0.25, "fabric_mode": "single-core"}],
-        last=10,
-    )
-    assert "| fabric |" in rendered
-    assert "0.250000 (single-core)" in rendered
-
-
 def test_render_tolerates_missing_channels():
     rendered = history.render_markdown([{"sha": None, "serial": 0.5}], last=10)
     assert "| 1 | — | 0.500000 | — | — | — |" in rendered

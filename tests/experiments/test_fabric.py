@@ -1,31 +1,22 @@
-"""Tests for the experiment fabric: wire protocol, the one result-cache
-root, both transports, placement invariance, and fault recovery."""
+"""Tests for the one result-cache root, the warm pool's fault matrix,
+placement invariance across workers and chunk sizes, and fault
+recovery."""
 
 import contextlib
-import io
-import json
 import os
 import pickle
-import re
 import tempfile
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.experiments import parallel, scheduler, synth_sweep
+from repro.experiments import parallel, scheduler
 from repro.experiments import runner as runner_module
-from repro.experiments.fabric import protocol
-from repro.experiments.fabric.transport import (
-    FabricWorkerDied,
-    SubprocessWorkerTransport,
-)
 from repro.experiments.parallel import Incident, ParallelExperimentRunner, ResultCache
 from repro.experiments.runner import Cell, ExperimentRunner
 from repro.polyflow import PAPER_CONFIG
 from repro.service.client import RETRY_DELAY_CAP, retry_delay
-from repro.spawn.points import SpawnCategory
 from repro.workloads import clear_cache
 from repro.workloads.synth import catalog_names
 from tests.faults import broken_pool
@@ -65,82 +56,9 @@ def _assert_matches_serial(runner, serial_packed):
         assert scheduler.pack_stats(runner.run_policy(name, spec)) == packed
 
 
-# -- wire protocol ----------------------------------------------------------------
-
-
-def test_frame_round_trip():
-    stream = io.BytesIO()
-    protocol.write_frame(stream, {"kind": "chunk", "id": 3})
-    protocol.write_frame(stream, {"kind": "shutdown"})
-    stream.seek(0)
-    assert protocol.read_frame(stream) == {"kind": "chunk", "id": 3}
-    assert protocol.read_frame(stream) == {"kind": "shutdown"}
-    assert protocol.read_frame(stream) is None  # clean EOF
-
-
-def test_frame_truncated_mid_body_raises():
-    stream = io.BytesIO()
-    protocol.write_frame(stream, {"kind": "result", "id": 0})
-    truncated = io.BytesIO(stream.getvalue()[:-4])
-    with pytest.raises(protocol.FabricProtocolError):
-        protocol.read_frame(truncated)
-
-
-def test_frame_length_bound():
-    stream = io.BytesIO(b"\xff\xff\xff\xff")
-    with pytest.raises(protocol.FabricProtocolError):
-        protocol.read_frame(stream)
-
-
-def test_frames_must_carry_a_kind():
-    stream = io.BytesIO()
-    body = b"[1,2,3]"
-    stream.write(len(body).to_bytes(4, "big") + body)
-    stream.seek(0)
-    with pytest.raises(protocol.FabricProtocolError):
-        protocol.read_frame(stream)
-
-
-def test_check_hello_rejects_version_skew():
-    with pytest.raises(protocol.FabricProtocolError):
-        protocol.check_hello({"kind": "hello", "wire_version": -1})
-    with pytest.raises(protocol.FabricProtocolError):
-        protocol.check_hello(None)
-    frame = {"kind": "hello", "wire_version": protocol.WIRE_VERSION}
-    assert protocol.check_hello(frame) is frame
-
-
-def test_packed_stats_survive_the_json_round_trip():
-    """Spawn-category enum keys and cache tuples are restored exactly."""
-    stats = ExperimentRunner(scale=0.1).run_policy("gzip", "postdoms")
-    packed = scheduler.pack_stats(stats)
-    wire = json.loads(protocol.canonical_json(protocol.encode_packed(packed)))
-    decoded = protocol.decode_packed(wire)
-    assert decoded == packed
-    for category, _ in decoded[1]:
-        assert isinstance(category, SpawnCategory)
-    for _, counts in decoded[2]:
-        assert isinstance(counts, tuple)
-
-
-def test_cell_round_trip_default_config():
-    cell = ("gzip", "postdoms", PAPER_CONFIG, None)
-    wire = json.loads(protocol.canonical_json(protocol.encode_cell(*cell)))
-    assert protocol.decode_cell(wire) == cell
-
-
-def test_cell_round_trip_override_config():
-    import dataclasses
-
-    config = dataclasses.replace(PAPER_CONFIG, rob_entries=256)
-    cell = ("twolf", "loop+procFT", config, 12)
-    wire = json.loads(protocol.canonical_json(protocol.encode_cell(*cell)))
-    assert protocol.decode_cell(wire) == cell
-
-
 # -- the result-cache root --------------------------------------------------------
 #
-# One ResultCache root serves every transport and any runs that share it:
+# One ResultCache root serves the parent, the pool and any runs sharing it:
 # the tests below pin the properties sharing leans on (verified reads,
 # atomic writes, gc).
 
@@ -254,9 +172,9 @@ def test_v2_bare_pickle_is_a_clean_miss_and_gc_prunes_it(
 
 
 def test_corrupt_shared_entry_is_a_run_summary_incident(tmp_path, serial_packed):
-    """A damaged entry in the root a fabric run shares is booked like
-    any damaged entry: listed in ``corrupt_entries``, re-simulated, and
-    rewritten intact by the parent."""
+    """A damaged entry in the root a two-worker run shares is booked
+    like any damaged entry: listed in ``corrupt_entries``,
+    re-simulated, and rewritten intact by the parent."""
     name, spec = _grid_jobs()[0]
     cache_dir = str(tmp_path / "cache")
     digest = Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance).digest(
@@ -266,11 +184,11 @@ def test_corrupt_shared_entry_is_a_run_summary_incident(tmp_path, serial_packed)
     os.makedirs(os.path.dirname(damaged))
     with open(damaged, "wb") as handle:
         handle.write(b"damaged")
-    runner = _fabric_runner(tmp_path, cache_dir=cache_dir)
+    runner = _pool_runner(tmp_path, cache_dir=cache_dir)
     try:
         assert runner.prefetch([(name, spec)]) == 1
     finally:
-        runner.shutdown_fabric()
+        runner.close()
     assert runner.summary.corrupt_entries == [damaged]
     assert runner.summary.as_dict()["corrupt_cache_entries"] == 1
     # Probed once: the inline cell runs without a second lookup.
@@ -291,11 +209,11 @@ def test_filled_cache_dir_serves_a_fabric_sweep(tmp_path, capsys):
     sweep = ["synth", "--slice", "L2H1", "--limit", "2", "--scale", str(_SCALE)]
     assert main(sweep + ["--cache-dir", cache_dir]) == 0
     serial = capsys.readouterr()
-    assert main(sweep + ["--cache-dir", cache_dir, "--fabric-workers", "2"]) == 0
-    fabric = capsys.readouterr()
-    assert fabric.out == serial.out
-    assert "run summary: 0 simulated" in fabric.err
-    assert "  fabric:" not in fabric.err
+    assert main(sweep + ["--cache-dir", cache_dir, "--jobs", "2"]) == 0
+    pooled = capsys.readouterr()
+    assert pooled.out == serial.out
+    assert "run summary: 0 simulated" in pooled.err
+    assert "  schedule:" not in pooled.err
 
 
 # -- result-cache GC --------------------------------------------------------------
@@ -388,23 +306,6 @@ def test_sweep_entries_on_a_missing_root(tmp_path):
     assert report["removed_bytes"] == 0
 
 
-# -- shard planning ---------------------------------------------------------------
-
-
-def test_plan_shards_balances_lpt():
-    shards = scheduler.plan_shards([5, 4, 3, 2, 1], 2)
-    loads = [sum([5, 4, 3, 2, 1][index] for index in shard) for shard in shards]
-    assert sorted(loads) == [7, 8]
-    assert sorted(index for shard in shards for index in shard) == [0, 1, 2, 3, 4]
-
-
-def test_plan_shards_is_deterministic():
-    first = scheduler.plan_shards([3, 3, 3, 3], 2)
-    second = scheduler.plan_shards([3, 3, 3, 3], 2)
-    assert first == second
-    assert all(shard == sorted(shard) for shard in first)
-
-
 # -- retry jitter -----------------------------------------------------------------
 
 
@@ -441,28 +342,12 @@ def test_retry_delay_caps_the_jitter_but_honours_large_hints():
     assert retry_delay(100.0, rng=lambda low, high: low) == 100.0
 
 
-# -- runner validation ------------------------------------------------------------
-
-
-def test_fabric_refuses_instrumented_runs(tmp_path):
-    with pytest.raises(ConfigurationError):
-        ParallelExperimentRunner(
-            scale=_SCALE, fabric_workers=2, emit_metrics=True
-        )
-    with pytest.raises(ConfigurationError):
-        ParallelExperimentRunner(
-            scale=_SCALE, fabric_workers=2, trace_dir=str(tmp_path / "t")
-        )
-
-
 # -- the transport matrix ---------------------------------------------------------
 #
-# One set of tests over both transports: the warm pool (forced onto real
-# workers on any machine) and two subprocess workers.
+# The warm pool, forced onto two real workers on any machine.
 
 _TRANSPORTS = {
     "pool": {"jobs": 2, "cpus": 2, "inline_threshold": 1},
-    "subprocess": {"fabric_workers": 2},
 }
 
 
@@ -470,18 +355,10 @@ def _matrix_runner(transport, tmp_path, fault=False, **options):
     """``(runner, injection)`` for one transport of the matrix.
 
     With ``fault`` the injection context kills one worker mid-grid: the
-    first pool submission dies like a dead fork child, or the first
-    subprocess worker to deliver a result exits hard.
+    first pool submission dies like a dead fork child.
     """
     options = dict(_TRANSPORTS[transport], **options)
-    injection = contextlib.nullcontext()
-    if fault and transport == "pool":
-        injection = broken_pool(fail_submits={0})
-    elif fault:
-        flag = str(tmp_path / "fault-claimed")
-        options["fabric_extra_env"] = {
-            "REPRO_FABRIC_FAULT": "die-after-result:" + flag
-        }
+    injection = broken_pool(fail_submits={0}) if fault else contextlib.nullcontext()
     return ParallelExperimentRunner(scale=_SCALE, **options), injection
 
 
@@ -511,8 +388,8 @@ def test_transport_matches_serial(transport, tmp_path, serial_packed):
         assert runner.prefetch(_grid_jobs()) == len(serial_packed)
         _assert_matches_serial(runner, serial_packed)
     finally:
-        runner.shutdown_fabric()
-    assert runner.summary.chunks_shipped + runner.summary.fabric["chunks"] > 0
+        runner.close()
+    assert runner.summary.chunks_shipped > 0
     assert runner.summary.inline_jobs == 0
 
 
@@ -528,8 +405,8 @@ def test_one_worker_death_replans_only_unfinished_cells(
             runner.prefetch(_grid_jobs())
         _assert_matches_serial(runner, serial_packed)
     finally:
-        runner.shutdown_fabric()
-    assert runner.summary.incidents == [Incident(transport, len(plans[1][0]))]
+        runner.close()
+    assert runner.summary.incidents == [Incident(len(plans[1][0]))]
     assert len(plans) == 2
     (grid, _), (replanned, booked) = plans
     assert len(grid) == len(serial_packed)
@@ -537,24 +414,18 @@ def test_one_worker_death_replans_only_unfinished_cells(
     assert sorted(replanned) == sorted(key for key in grid if key not in booked)
     # Outcomes booked before the death are not run or written again.
     assert len(runner.cache) == runner.cache.stores == len(serial_packed)
-    if transport == "subprocess":
-        assert booked
-        assert runner.summary.fabric["replanned_cells"] == len(replanned)
 
 
 def test_exhausted_retries_raise_the_transports_error(transport, tmp_path):
     runner, injection = _matrix_runner(
         transport, tmp_path, fault=True, chunk=1, pool_retries=0
     )
-    expected = BrokenProcessPool if transport == "pool" else FabricWorkerDied
     try:
-        with injection, pytest.raises(expected):
+        with injection, pytest.raises(BrokenProcessPool):
             runner.prefetch(_grid_jobs())
     finally:
-        runner.shutdown_fabric()
-    assert [incident.transport for incident in runner.summary.incidents] == [
-        transport
-    ]
+        runner.close()
+    assert runner.summary.pool_restarts == 1
 
 
 def test_transport_counts_batched_cells(transport, tmp_path, monkeypatch):
@@ -568,7 +439,7 @@ def test_transport_counts_batched_cells(transport, tmp_path, monkeypatch):
     try:
         runner.prefetch(_grid_jobs())
     finally:
-        runner.shutdown_fabric()
+        runner.close()
     cells = [
         Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
         for name, spec in _grid_jobs()
@@ -616,7 +487,7 @@ def test_damaged_store_entry_is_resimulated_and_resealed(
         assert runner.prefetch(_grid_jobs()) == len(serial_packed)
         _assert_matches_serial(runner, serial_packed)
     finally:
-        runner.shutdown_fabric()
+        runner.close()
     assert runner.cache.corrupt == 1
     assert runner.summary.corrupt_entries == [path]
     reader = ResultCache(cache_dir)
@@ -657,7 +528,7 @@ def test_interrupted_store_write_leaves_a_temp_file_nobody_counts(
         assert runner.prefetch(_grid_jobs()) == len(serial_packed)
         _assert_matches_serial(runner, serial_packed)
     finally:
-        runner.shutdown_fabric()
+        runner.close()
     assert runner.summary.corrupt_entries == []
     assert os.path.exists(stale) and os.path.exists(fresh)
     assert len(ResultCache(cache_dir)) == len(serial_packed)
@@ -675,121 +546,52 @@ def test_interrupted_store_write_leaves_a_temp_file_nobody_counts(
     assert len(ResultCache(cache_dir)) == len(serial_packed)
 
 
-def _plan_line(out):
-    """``(cells, cached, inline, shipped, chunks)`` of a dry-run header."""
-    header = re.search(
-        r"^fabric plan: (\d+) cells \((\d+) cached\), (\d+) inline, "
-        r"(\d+) cells in (\d+) chunks across 2 workers$",
-        out,
-        re.MULTILINE,
-    )
-    assert header, out
-    return tuple(int(value) for value in header.groups())
+# -- placement invariance (two pool workers) --------------------------------------
 
 
-def test_dry_run_plans_the_real_sweep(tmp_path, capsys):
-    """The ``fabric`` dry-run ships what a cold two-worker sweep of the
-    same slice ships: cells (baselines included), chunks, and cells per
-    worker."""
-    from repro.experiments.__main__ import main
-
-    slice_flags = ["--slice", "L2H1", "--limit", "3", "--scale", str(_SCALE)]
-    dry_run_flags = ["--cache-dir", str(tmp_path / "dry-run-cache")]
-    dry_run_flags += ["--fabric-workers", "2"]
-    assert main(["fabric"] + slice_flags + dry_run_flags) == 0
-    out = capsys.readouterr().out
-    cells, cached, inline, shipped, chunks = _plan_line(out)
-    per_worker = [
-        int(cells) for cells in re.findall(r"worker \d+: \d+ chunks, (\d+) cells", out)
-    ]
-    runner = _fabric_runner(tmp_path)
-    try:
-        synth_sweep.sweep(runner, _grid_names(3))
-    finally:
-        runner.shutdown_fabric()
-    assert (cached, inline) == (0, 0)
-    assert cells == shipped == runner.summary.fabric["cells"] == 9
-    assert chunks == runner.summary.fabric["chunks"]
-    assert per_worker == runner.summary.fabric_placement["cells_by_worker"]
-
-
-@pytest.mark.parametrize("filled", ["cold", "half", "full"])
-def test_dry_run_matches_the_sweep_on_any_root(filled, tmp_path, capsys):
-    """On a cold, a half-filled and a full cache root, the dry-run plans
-    exactly what the sweep over the same root then runs and ships —
-    cached cells are booked, not planned, so a full root ships 0
-    chunks."""
-    from repro.experiments.__main__ import main
-
-    cache_dir = str(tmp_path / "cache")
-    sweep = ["--slice", "L2H1", "--limit", "2", "--scale", str(_SCALE)]
-    sweep += ["--cache-dir", cache_dir]
-    if filled != "cold":
-        limit = "1" if filled == "half" else "2"
-        seed = sweep[:3] + [limit] + sweep[4:]
-        assert main(["synth"] + seed) == 0
-    capsys.readouterr()
-    fabric_flags = ["--fabric-workers", "2"]
-    assert main(["fabric"] + sweep + fabric_flags) == 0
-    cells, cached, inline, shipped, chunks = _plan_line(capsys.readouterr().out)
-    assert main(["synth"] + sweep + fabric_flags) == 0
-    err = capsys.readouterr().err
-
-    summary = re.search(r"run summary: (\d+) simulated, (\d+) cache hits", err)
-    assert (int(summary.group(1)), int(summary.group(2))) == (
-        inline + shipped,
-        cached,
-    )
-    assert cells == cached + inline + shipped == 6
-    fabric = re.search(r"^  fabric: (\d+) cells in (\d+) chunks", err, re.MULTILINE)
-    assert (shipped, chunks) == (
-        (int(fabric.group(1)), int(fabric.group(2))) if fabric else (0, 0)
-    )
-    assert {"cold": 0, "half": 3, "full": 6}[filled] == cached
-    if filled == "full":
-        assert (shipped, chunks) == (0, 0)
-
-
-# -- placement invariance (subprocess workers) ------------------------------------
-
-
-def _fabric_runner(tmp_path, **kwargs):
-    kwargs.setdefault("fabric_workers", 2)
+def _pool_runner(tmp_path, **kwargs):
+    kwargs = dict(_TRANSPORTS["pool"], **kwargs)
     kwargs.setdefault("cache_dir", str(tmp_path / "cache"))
     return ParallelExperimentRunner(scale=_SCALE, **kwargs)
 
 
+def _shipped_cells(runner):
+    return sum(plan.pooled_jobs for plan in runner.summary.dispatches)
+
+
 @pytest.mark.parametrize("chunk", [1, None])
 def test_subprocess_fabric_matches_serial(tmp_path, serial_packed, chunk):
-    runner = _fabric_runner(tmp_path, chunk=chunk)
+    """Two pool workers match serial with one cell per chunk and with
+    cost-sized chunks."""
+    runner = _pool_runner(tmp_path, chunk=chunk)
     try:
         ran = runner.prefetch(_grid_jobs())
         assert ran == len(serial_packed)
         _assert_matches_serial(runner, serial_packed)
     finally:
-        runner.shutdown_fabric()
-    assert runner.summary.fabric["workers"] == 2
-    assert runner.summary.fabric["cells"] == len(serial_packed)
+        runner.close()
+    assert runner.summary.pool_workers == 2
+    assert _shipped_cells(runner) == len(serial_packed)
 
 
 def test_fabric_outcomes_book_shared_cells(tmp_path, monkeypatch):
     """Inside one worker's chunk, cells whose policies resolve to the
-    same hint table share a kernel run; the outcome frames carry that
+    same hint table share a kernel run; the chunk's outcomes carry that
     home to the run summary."""
     specs = ("loopFT", "loopFT+procFT", "loop+loopFT", "loop+procFT+loopFT")
     grid = [(name, spec) for name in ("mcf", "gzip") for spec in specs]
     grid_order_chunks(monkeypatch)
     runner = ParallelExperimentRunner(
         scale=0.25,
-        fabric_workers=2,
         cache_dir=str(tmp_path / "cache"),
         chunk=4,
+        **_TRANSPORTS["pool"],
     )
     try:
         runner.prefetch(grid)
     finally:
-        runner.shutdown_fabric()
-    assert runner.summary.fabric["chunks"] == 2
+        runner.close()
+    assert runner.summary.chunks_shipped == 2
     assert runner.summary.jobs_run == len(grid)
     assert runner.summary.shared_cells == 6
     serial = ExperimentRunner(scale=0.25)
@@ -800,161 +602,66 @@ def test_fabric_outcomes_book_shared_cells(tmp_path, monkeypatch):
 
 
 def test_warm_store_answers_without_simulating(tmp_path, serial_packed):
-    """A second runner against the cache root a first fabric run filled
-    simulates and ships nothing: the parent answers every cell."""
-    first = _fabric_runner(tmp_path)
+    """A second runner against the cache root a first two-worker run
+    filled simulates and ships nothing: the parent answers every cell."""
+    first = _pool_runner(tmp_path)
     try:
         first.prefetch(_grid_jobs())
     finally:
-        first.shutdown_fabric()
+        first.close()
 
-    second = _fabric_runner(tmp_path)
+    second = _pool_runner(tmp_path)
     try:
         ran = second.prefetch(_grid_jobs())
     finally:
-        second.shutdown_fabric()
+        second.close()
     assert ran == 0
     assert second.summary.jobs_run == 0
     assert second.summary.cache_hits == len(serial_packed)
-    assert second.summary.fabric["chunks"] == 0
+    assert second.summary.chunks_shipped == 0
     _assert_matches_serial(second, serial_packed)
 
 
 def test_parent_is_the_only_writer(tmp_path, serial_packed, monkeypatch):
     """A two-worker sweep with a cache root: every entry exists and was
-    written once, by the parent; workers send outcomes, not store
-    counters."""
-    frames = []
-    read_frame = protocol.read_frame
+    written once, by the parent; workers send outcomes back and never
+    store one."""
+    writers = tmp_path / "writers"
+    store = ResultCache.store
 
-    def recording(stream):
-        frame = read_frame(stream)
-        if frame is not None and frame["kind"] == "result":
-            frames.append(frame)
-        return frame
+    def recording(self, *args, **kwargs):
+        with open(writers, "a") as handle:
+            handle.write("{}\n".format(os.getpid()))
+        return store(self, *args, **kwargs)
 
-    monkeypatch.setattr(protocol, "read_frame", recording)
-    runner = _fabric_runner(tmp_path)
+    monkeypatch.setattr(ResultCache, "store", recording)
+    # Fresh workers fork with the recording store in place.
+    scheduler.shutdown_pool()
+    runner = _pool_runner(tmp_path)
     try:
         assert runner.prefetch(_grid_jobs()) == len(serial_packed)
     finally:
-        runner.shutdown_fabric()
-    assert runner.summary.fabric["cells"] == len(serial_packed)
+        runner.close()
+    assert _shipped_cells(runner) == len(serial_packed)
     assert runner.cache.stores == len(serial_packed) == len(runner.cache)
     for cell in runner._results:
         assert os.path.exists(runner.cache.path(cell.digest(_SCALE)))
-    assert frames
-    assert all(set(frame) == {"kind", "id", "outcomes"} for frame in frames)
+    assert writers.read_text().split() == [str(os.getpid())] * len(serial_packed)
 
 
 def test_dead_worker_replans_only_unfinished_cells(tmp_path, serial_packed):
-    """One worker exits hard mid-grid: the incident is counted, only
-    the cells whose results never arrived are replanned, and the
-    final grid is still byte-identical to serial."""
-    flag = str(tmp_path / "fault-claimed")
-    runner = _fabric_runner(
-        tmp_path,
-        chunk=1,
-        pool_retries=1,
-        fabric_extra_env={
-            "REPRO_FABRIC_FAULT": "die-after-result:" + flag
-        },
-    )
+    """One worker dies after earlier chunks came back: the incident is
+    counted, only the cells whose results never arrived are replanned,
+    and the final grid is still byte-identical to serial."""
+    runner = _pool_runner(tmp_path, chunk=1, pool_retries=1)
+    last = len(serial_packed) - 1
     try:
-        runner.prefetch(_grid_jobs())
+        with broken_pool(fail_submits={last}, after_run=True) as plan:
+            runner.prefetch(_grid_jobs())
         _assert_matches_serial(runner, serial_packed)
     finally:
-        runner.shutdown_fabric()
-    assert os.path.exists(flag)
-    assert runner.summary.fabric["restarts"] == 1
-    assert 0 < runner.summary.fabric["replanned_cells"] < len(serial_packed)
-
-
-def _plan_for_transport(jobs):
-    """``(chunks, chunk_costs)`` for driving a transport directly."""
-    jobs = [Cell(name, spec, PAPER_CONFIG, None) for name, spec in jobs]
-    costs = [scheduler.job_cost(name, _SCALE) for name, _, _, _ in jobs]
-    chunks = scheduler.plan_chunks(jobs, costs, 2, 1)
-    lookup = dict(zip(jobs, costs))
-    return chunks, [sum(lookup[job] for job in chunk) for chunk in chunks]
-
-
-def _collect(transport, chunks, chunk_costs):
-    results = {}
-    for index, outcomes in transport.execute(_SCALE, chunks, chunk_costs):
-        for job, outcome in zip(chunks[index], outcomes):
-            results[job] = outcome[0]
-    return results
-
-
-def test_transport_reused_across_dispatches_stays_in_sync():
-    """One transport serving several dispatches (the service engine's
-    steady state) must not desync: exactly one reader owns each
-    worker's pipe for the process's whole lifetime, and heartbeats
-    buffered while the transport idles are drained, not misread."""
-    import time
-
-    chunks, chunk_costs = _plan_for_transport(_grid_jobs())
-    transport = SubprocessWorkerTransport(
-        workers=2, heartbeat_interval=0.1, chunk_timeout=30.0
-    )
-    try:
-        first = _collect(transport, chunks, chunk_costs)
-        assert len(first) == len(_grid_jobs())
-        for _ in range(2):
-            time.sleep(0.3)  # idle heartbeats pile into the frame queue
-            assert _collect(transport, chunks, chunk_costs) == first
-    finally:
-        transport.close()
-
-
-def test_silent_worker_declared_dead_despite_chatty_sibling(tmp_path):
-    """A worker that goes completely silent (heartbeats included) with
-    chunks outstanding hits its chunk timeout even though a live
-    sibling keeps the frame queue busy with heartbeats."""
-    import time
-
-    flag = str(tmp_path / "freeze-claimed")
-    chunks, chunk_costs = _plan_for_transport(_grid_jobs())
-    transport = SubprocessWorkerTransport(
-        workers=2,
-        heartbeat_interval=0.1,
-        chunk_timeout=1.5,
-        extra_env={"REPRO_FABRIC_FAULT": "freeze-on-chunk:" + flag},
-    )
-    started = time.monotonic()
-    try:
-        with pytest.raises(FabricWorkerDied) as incident:
-            for _ in transport.execute(_SCALE, chunks, chunk_costs):
-                pass
-    finally:
-        transport.close()
-    assert time.monotonic() - started < 60.0
-    assert "went silent" in str(incident.value)
-    assert incident.value.unfinished
-    assert os.path.exists(flag)
-
-
-def test_wire_version_skew_fails_at_handshake(tmp_path, monkeypatch):
-    """A worker announcing a different wire version is refused before
-    any work is shipped."""
-    monkeypatch.setattr(protocol, "WIRE_VERSION", 999)
-    transport = SubprocessWorkerTransport(workers=1)
-    with pytest.raises(protocol.FabricProtocolError):
-        transport.ensure_workers()
-    transport.close()
-
-
-# -- service passthrough ----------------------------------------------------------
-
-
-def test_engine_fabric_passthrough(tmp_path):
-    from repro.service.engine import ExplorationEngine
-
-    cache_dir = str(tmp_path / "cache")
-    engine = ExplorationEngine(fabric_workers=3, cache_dir=cache_dir)
-    snapshot = engine.snapshot()
-    assert snapshot["fabric"] == {"workers": 3}
-    runner = engine.runner_for(_SCALE)
-    assert runner.fabric_workers == 3
-    assert runner.cache.root == cache_dir
+        runner.close()
+    assert plan.broken == 1
+    assert runner.summary.pool_restarts == 1
+    (incident,) = runner.summary.incidents
+    assert 0 < incident.replanned_cells < len(serial_packed)

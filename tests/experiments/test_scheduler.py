@@ -302,3 +302,26 @@ def test_pooled_traces_byte_identical_to_inline(tmp_path):
         with open(trace_path(str(pooled_dir), name, spec, digest)) as handle:
             assert handle.read() == expected
 
+
+
+def test_pool_workers_compile_block_tables_inside_cell_windows():
+    """Fresh pool workers prepare nothing ahead of their chunks: every
+    block table a worker compiles is compiled inside a cell's counter
+    window, so the pooled run books as many table lookups as the serial
+    run and at least one compile per workload."""
+    clear_cache()
+    scheduler.shutdown_pool()
+    pooled = _runner(jobs=2, cpus=2, inline_threshold=1)
+    pooled.prefetch(_GRID)
+    assert pooled.summary.chunks_shipped > 0
+    assert pooled.summary.inline_jobs == 0
+    clear_cache()
+    serial = _runner(jobs=1)
+    serial.prefetch(_GRID)
+    pooled_blocks = pooled.summary.block_cache
+    serial_blocks = serial.summary.block_cache
+    assert pooled_blocks["table_misses"] >= len({name for name, _ in _GRID})
+    assert (
+        pooled_blocks["table_hits"] + pooled_blocks["table_misses"]
+        == serial_blocks["table_hits"] + serial_blocks["table_misses"]
+    )

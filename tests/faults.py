@@ -43,25 +43,30 @@ class PoolFaultPlan:
 class _FlakyPool:
     """Executor proxy: planned submissions fail like a dead worker."""
 
-    def __init__(self, pool, plan):
+    def __init__(self, pool, plan, after_run):
         self._pool = pool
         self._plan = plan
+        self._after_run = after_run
 
     def submit(self, fn, *args, **kwargs):
-        if self._plan.should_fail():
-            future = Future()
-            future.set_exception(
-                BrokenProcessPool("injected worker death (tests.faults)")
+        if not self._plan.should_fail():
+            return self._pool.submit(fn, *args, **kwargs)
+        future = Future()
+        death = BrokenProcessPool("injected worker death (tests.faults)")
+        if self._after_run:
+            self._pool.submit(fn, *args, **kwargs).add_done_callback(
+                lambda _: future.set_exception(death)
             )
-            return future
-        return self._pool.submit(fn, *args, **kwargs)
+        else:
+            future.set_exception(death)
+        return future
 
     def __getattr__(self, name):
         return getattr(self._pool, name)
 
 
 @contextlib.contextmanager
-def broken_pool(fail_submits=(0,)):
+def broken_pool(fail_submits=(0,), after_run=False):
     """Make chosen warm-pool chunk submissions die mid-grid.
 
     Wraps :func:`repro.experiments.scheduler.warm_pool` so the
@@ -70,16 +75,15 @@ def broken_pool(fail_submits=(0,)):
     :class:`PoolFaultPlan` reports how many deaths were injected.  The
     real pool keeps running underneath, so the runner's recovery path
     (teardown + fresh pool + replan) is exercised against genuine
-    workers.
+    workers.  With ``after_run`` a chosen submission runs first and
+    dies when its chunk is done, so the chunks finished before it are
+    delivered (a worker killed after its chunk, before reporting it).
     """
     plan = PoolFaultPlan(fail_submits)
     real_warm_pool = scheduler.warm_pool
 
-    def flaky_warm_pool(workers, analysis_dir=None, warmup=()):
-        return _FlakyPool(
-            real_warm_pool(workers, analysis_dir=analysis_dir, warmup=warmup),
-            plan,
-        )
+    def flaky_warm_pool(workers):
+        return _FlakyPool(real_warm_pool(workers), plan, after_run)
 
     scheduler.warm_pool = flaky_warm_pool
     try:

@@ -3,16 +3,14 @@
 Three production failure modes, injected deterministically via
 :mod:`tests.faults`:
 
-* one worker death mid-grid — the runner restarts the pool (or the
-  fabric's worker subprocesses) and replans, the client still gets
-  correct stats, ``/healthz`` counts the restart;
+* one worker death mid-grid — the runner restarts the pool and
+  replans, the client still gets correct stats, ``/healthz`` counts
+  the restart;
 * worker deaths past the retry budget — the engine degrades the batch
   to per-cell inline execution and still answers correctly;
 * a corrupt on-disk cache entry — detected (not served), re-simulated,
   rewritten clean, and surfaced in the incident counters.
 """
-
-import os
 
 from repro.experiments.parallel import ResultCache
 from repro.experiments.runner import Cell, ExperimentRunner
@@ -60,50 +58,6 @@ def test_worker_death_is_retried_on_a_fresh_pool(service_factory):
         if event["kind"] == "incident"
     ]
     assert any(event["type"] == "pool_restart" for event in kinds)
-
-
-def test_fabric_worker_death_is_an_incident(service_factory, tmp_path, monkeypatch):
-    """A ``--fabric-workers`` service that loses a worker reports it
-    like a pool restart: one ``/healthz`` restart, one incident event.
-    Draining the service closes its workers."""
-    flag = str(tmp_path / "fault-claimed")
-    # Worker subprocesses inherit the environment: the first to deliver
-    # a result exits hard with a chunk still outstanding.
-    monkeypatch.setenv("REPRO_FABRIC_FAULT", "die-after-result:" + flag)
-    running = service_factory(window_seconds=0.0, fabric_workers=2, chunk=1)
-    client = running.client()
-    cells = [
-        {"workload": name, "spec": spec}
-        for name in ("gzip", "twolf")
-        for spec in ("postdoms", "loop")
-    ]
-    try:
-        response = client.query(cells, scale=_SCALE)
-        health = client.healthz()
-        incidents = [
-            event
-            for event in client.events(follow=False)
-            if event["kind"] == "incident"
-        ]
-        workers = [
-            process
-            for runner in running.service.engine._runners.values()
-            for process in runner._transport._procs
-            if process is not None
-        ]
-    finally:
-        running.stop()
-    assert os.path.exists(flag)
-    assert workers
-    assert all(process.poll() is not None for process in workers)
-
-    _assert_serial_identical(response, cells)
-    assert health["engine"]["incidents"]["pool_restarts"] == 1
-    assert health["engine"]["summary"]["fabric"]["restarts"] == 1
-    assert health["engine"]["cells"]["by_source"]["error"] == 0
-    assert [(event["type"], event["transport"]) for event in incidents] == [
-        ("pool_restart", "subprocess")
-    ]
 
 
 def test_persistent_worker_deaths_degrade_to_inline(service_factory):

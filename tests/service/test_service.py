@@ -262,30 +262,3 @@ def test_store_held_cell_is_labelled_cache(tmp_path):
     summary = engine.summary_dict()
     assert summary["jobs_run"] == 0
     assert summary["cache_hits"] == 1
-
-
-def test_merged_summary_keeps_fleet_maxima(tmp_path):
-    """Two scale runners of one 2-worker fleet: the merged summary
-    reports 2 workers and the larger straggler time, not their sums."""
-    from repro.service.admission import QueuedQuery
-    from repro.service.engine import ExplorationEngine
-
-    engine = ExplorationEngine(fabric_workers=2, cache_dir=str(tmp_path / "cache"))
-    cells = [wire.Cell(name, "postdoms", PAPER_CONFIG) for name in ("gzip", "twolf")]
-    try:
-        for scale in (0.05, _SCALE):
-            query = QueuedQuery(cells, scale)
-            engine.execute_batch([query])
-            query.future.result(timeout=0)
-        fleets = [runner.summary.fabric for runner in engine._runners.values()]
-        fabric = engine.snapshot()["summary"]["fabric"]
-    finally:
-        for runner in engine._runners.values():
-            runner.shutdown_fabric()
-    assert [fleet["workers"] for fleet in fleets] == [2, 2]
-    assert all(fleet["straggler_seconds"] > 0 for fleet in fleets)
-    assert fabric["workers"] == 2
-    assert fabric["straggler_seconds"] == max(
-        fleet["straggler_seconds"] for fleet in fleets
-    )
-    assert fabric["cells"] == 2 * len(cells)
