@@ -29,9 +29,9 @@ The model has two parts:
 
 The estimate deliberately reports a confidence band rather than
 pretending to be exact — consumers must treat ``predicted +/- band``
-as the decision interval.  Observed error is tracked as a benchmark
-channel (``benchmarks/bench_kernel.py`` schema 5, ``estimator``), so
-model drift is caught by the same gate that watches kernel throughput.
+as the decision interval.  Observed error is gated by
+``tests/analysis/test_estimate.py`` (the MAE ceiling over a fixed
+200-scenario slice), so model drift fails the tier-1 suite.
 """
 
 from repro.frontend.branch_predictor import (

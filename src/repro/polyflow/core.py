@@ -59,7 +59,7 @@ from repro.polyflow.dependences import StoreSetPredictor
 from repro.polyflow.spawn_unit import SpawnUnit
 from repro.polyflow.stats import SimStats
 from repro.polyflow.task import Task
-from repro.polyflow.event_kernel import event_kernel_steps, run_event_kernel
+from repro.polyflow.event_kernel import run_event_kernel
 from repro.sim.blocks import block_table_for
 from repro.sim.predecode import (
     KIND_CALL_DIRECT,
@@ -202,8 +202,8 @@ class PolyFlowCore:
         tests pin that both produce identical statistics and lifecycle
         event streams.
         """
-        for _ in self.run_incremental(stride=0):
-            pass  # pragma: no cover - stride 0 never yields
+        for _ in self.run_incremental():
+            pass  # pragma: no cover - run_incremental never yields
         return self.stats
 
     def prewarm(self):
@@ -230,19 +230,15 @@ class PolyFlowCore:
             self.hierarchy.restore_sets(snapshot)
             self._warmed = True
 
-    def run_incremental(self, stride=4096):
-        """Generator form of :meth:`run`.
+    def run_incremental(self):
+        """The body of :meth:`run`, as a generator that never yields.
 
-        Advances the simulation and yields the retire pointer every
-        ``stride`` event-calendar steps.  No production caller passes a
-        stride: :meth:`run` drains it with a ``stride`` of 0 (or
-        ``None``), which never yields, and the grid-batch runner runs
-        one core at a time through :meth:`run`.  Only the
-        event-calendar kernel is resumable; runs that take the staged
-        engine (or an empty trace) complete during the first ``next()``
-        without intermediate yields.  Statistics and event streams are
-        identical for every stride; after exhaustion ``self.stats`` is
-        final.
+        The whole simulation runs during the first ``next()``; after
+        exhaustion ``self.stats`` is final.  It stays a generator only
+        because ``benchmarks/e2e/tracer.py`` wraps it as one (and its
+        coverage test requires it to fire); the next change to
+        ``benchmarks/e2e/`` moves that target to :meth:`run` and folds
+        this body into it.
         """
         if not len(self.trace):
             return
@@ -255,10 +251,7 @@ class PolyFlowCore:
         if self._uses_kernel():
             if self._compiled_for is not self.spawn_unit:
                 self._compile_blocks()
-            if stride and stride > 0:
-                yield from event_kernel_steps(self, stride)
-            else:
-                run_event_kernel(self)
+            run_event_kernel(self)
         else:
             self._run_staged()
         count = len(self.trace)
@@ -269,6 +262,7 @@ class PolyFlowCore:
             self._emit_task_commit(task, count)
         self.stats.cycles = self._cycle
         self.stats.cache_stats = self.hierarchy.statistics()
+        yield from ()  # makes this a generator (see the docstring)
 
     def _compile_blocks(self):
         """Bind the block tables the event kernel runs on.

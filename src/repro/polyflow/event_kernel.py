@@ -75,24 +75,10 @@ def run_event_kernel(core):
     tables are compiled and whose bus carries no verbose sink; observable
     behaviour (statistics, lifecycle event stream, cache state) is
     identical to :meth:`~repro.polyflow.core.PolyFlowCore._run_staged`.
-    """
-    for _ in event_kernel_steps(core, 0):
-        pass  # pragma: no cover - stride 0 never yields
-
-
-def event_kernel_steps(core, stride):
-    """Generator driving ``core`` on the event-calendar kernel, yielding
-    the retire pointer every ``stride`` calendar steps.
-
-    This is the kernel itself — :func:`run_event_kernel` drains it with
-    a stride of 0 (never yield).  A positive stride hands control back
-    to the caller between slices with the kernel's locals frozen in the
-    generator frame; no production caller slices a run (the grid-batch
-    runner drains one core at a time).  The yield is outside every
-    stage, at the top of the cycle loop, so slicing cannot reorder any
-    observable action; statistics and event streams are byte-identical
-    for every stride.  Closing the generator early runs the ``finally``
-    sync, leaving the core's counters coherent mid-run.
+    The kernel keeps the machine's counters in locals; its ``finally``
+    writes them back to ``core`` and ``core.stats``, so a run that
+    raises (the no-progress guard) leaves the core as coherent as the
+    staged engine leaves it.
     """
     # Imported here: core imports this module lazily, so a top-level
     # import back into core would execute during core's own import.
@@ -363,15 +349,8 @@ def event_kernel_steps(core, stride):
             else:
                 bucket.append(consumer)
 
-    countdown = stride if stride and stride > 0 else None
-
     try:
         while retire_ptr < count:
-            if countdown is not None:
-                countdown -= 1
-                if countdown < 0:
-                    yield retire_ptr
-                    countdown = stride - 1
             cycle += 1
             core._cycle = cycle
             if cycle > max_cycles:

@@ -83,8 +83,8 @@ def test_mean_absolute_error_arithmetic():
 
 def test_estimator_error_bound_on_fixed_slice():
     """Mean |predicted - exact| per spec over the fixed 200-scenario
-    stratified slice stays under the ceiling (the benchmark's
-    ``estimator`` channel tracks the same quantity over time)."""
+    stratified slice stays under the ceiling: the estimator's one
+    error gate."""
     names = stratified_sample(_SLICE_SIZE, _SLICE_TOKEN)
     assert len(names) == _SLICE_SIZE
     runner = ExperimentRunner(scale=1.0)

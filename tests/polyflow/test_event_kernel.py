@@ -117,12 +117,19 @@ def test_zero_latency_config_fails_identically():
     """``mul_latency=0`` (completion due the cycle of issue) deadlocks
     the machine model — the cycle-exact engine raises its no-progress
     guard.  The kernel's degenerate calendar entry must surface the
-    same failure rather than hanging or silently diverging."""
+    same failure rather than hanging or silently diverging, and its
+    ``finally`` sync must leave the same counters behind."""
     trace, config, hints = _prepare(_TWIN_MULS, mul_latency=0)
+    staged = StagedReferenceCore(trace, config, hints)
+    kernel = PolyFlowCore(trace, config, hints)
+    assert kernel._uses_kernel()
     with pytest.raises(SimulationError):
-        observe(StagedReferenceCore(trace, config, hints))
+        observe(staged)
     with pytest.raises(SimulationError):
-        observe(PolyFlowCore(trace, config, hints))
+        observe(kernel)
+    assert kernel._cycle == staged._cycle
+    assert kernel._retire_ptr == staged._retire_ptr
+    assert kernel.stats.as_dict() == staged.stats.as_dict()
 
 
 def test_squash_lands_mid_skip():
