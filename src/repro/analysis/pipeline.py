@@ -62,8 +62,10 @@ from repro import sealed
 #: v3: an entry is a static part plus a trace part read on demand.
 #: v4: the two parts are two sealed files (see :mod:`repro.sealed`);
 #: only the static part is still written, and read.  v5: the pickled
-#: program no longer carries the interpreter's decode or blocks.
-ANALYSIS_FORMAT_VERSION = 5
+#: program no longer carries the interpreter's decode or blocks.  v6:
+#: the program's data is byte segments, and an instruction pickles
+#: its constructor operands only.
+ANALYSIS_FORMAT_VERSION = 6
 
 #: First field of an entry's header line.
 _MAGIC = b"Vpolyflow-analysis"

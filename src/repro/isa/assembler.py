@@ -36,6 +36,8 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import DATA_BASE, TEXT_BASE, Program
 
+_WORD_MASK = (1 << (8 * WORD_BYTES)) - 1
+
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
 _MEM_OPERAND_RE = re.compile(r"^(-?\w+)\(([\w$]+)\)$")
 
@@ -71,6 +73,8 @@ _MNEMONICS_RRI = {
     "slli": Opcode.SLLI,
     "srli": Opcode.SRLI,
 }
+
+_DATA_DIRECTIVES = frozenset({".word", ".byte", ".space"})
 
 _MNEMONICS_LOAD = {"lw": Opcode.LW, "lh": Opcode.LH, "lb": Opcode.LB}
 _MNEMONICS_STORE = {"sw": Opcode.SW, "sh": Opcode.SH, "sb": Opcode.SB}
@@ -158,7 +162,7 @@ class Assembler:
         """
         lines = _tokenize(source)
         symbols = self._first_pass(lines)
-        instructions, data_image = self._second_pass(lines, symbols)
+        instructions, data_segments = self._second_pass(lines, symbols)
         if not instructions:
             raise AssemblyError("program has no text segment")
         entry_point = None
@@ -166,7 +170,7 @@ class Assembler:
             if entry_label not in symbols:
                 raise AssemblyError("entry label {!r} is undefined".format(entry_label))
             entry_point = symbols[entry_label]
-        program = Program(instructions, symbols, data_image, entry_point)
+        program = Program(instructions, symbols, data_segments, entry_point)
         # Seed the program's memoized content key: the source plus the
         # assembly parameters fully determine the program, and every
         # content-keyed cache downstream reuses this one hash.
@@ -179,16 +183,21 @@ class Assembler:
         program._content_digest = hasher.hexdigest()
         return program
 
-    def _statement_size(self, line):
-        """Return (segment_advance, is_text) for a statement in pass one."""
+    def _data_size(self, line):
+        """Bytes a data directive occupies: the one size rule of both
+        passes, so every datum lands at the address its label names."""
         mnemonic = line.mnemonic
-        if mnemonic == ".word":
-            return WORD_BYTES * max(len(line.operands), 1), False
-        if mnemonic == ".byte":
-            return max(len(line.operands), 1), False
         if mnemonic == ".space":
-            return _parse_integer(line.operands[0], line.number), False
-        return INSTRUCTION_BYTES, True
+            self._expect_operands(line, 1)
+            size = _parse_integer(line.operands[0], line.number)
+            if size < 0:
+                raise AssemblyError(".space size must not be negative", line.number)
+            return size
+        if not line.operands:
+            raise AssemblyError("{} needs at least one value".format(mnemonic), line.number)
+        if mnemonic == ".word":
+            return WORD_BYTES * len(line.operands)
+        return len(line.operands)
 
     def _first_pass(self, lines):
         symbols = {}
@@ -209,20 +218,20 @@ class Assembler:
             if line.mnemonic == ".data":
                 in_data = True
                 continue
-            size, is_text = self._statement_size(line)
+            is_text = line.mnemonic not in _DATA_DIRECTIVES
             if is_text and in_data:
                 raise AssemblyError("instruction in .data segment", line.number)
             if not is_text and not in_data:
                 raise AssemblyError("data directive in .text segment", line.number)
             if in_data:
-                data_cursor += size
+                data_cursor += self._data_size(line)
             else:
-                text_cursor += size
+                text_cursor += INSTRUCTION_BYTES
         return symbols
 
     def _second_pass(self, lines, symbols):
         instructions = []
-        data_image = {}
+        segments = []
         pc = self.text_base
         data_cursor = self.data_base
         in_data = False
@@ -236,33 +245,34 @@ class Assembler:
                 in_data = True
                 continue
             if in_data:
-                data_cursor = self._emit_data(line, symbols, data_image, data_cursor)
+                data_cursor = self._emit_data(line, symbols, segments, data_cursor)
             else:
                 for instruction in self._emit_instruction(line, pc, symbols):
                     instructions.append(instruction)
                     pc += INSTRUCTION_BYTES
-        return instructions, data_image
+        return instructions, segments
 
-    def _emit_data(self, line, symbols, image, cursor):
-        if line.mnemonic == ".word":
-            for token in line.operands:
-                value = self._resolve_value(token, symbols, line.number)
-                for offset in range(WORD_BYTES):
-                    image[cursor + offset] = (value >> (8 * offset)) & 0xFF
-                cursor += WORD_BYTES
-            return cursor
-        if line.mnemonic == ".byte":
-            for token in line.operands:
-                image[cursor] = self._resolve_value(token, symbols, line.number) & 0xFF
-                cursor += 1
-            return cursor
+    def _emit_data(self, line, symbols, segments, cursor):
+        """Append ``line``'s bytes at ``cursor`` and return the next
+        cursor.  ``segments`` holds ascending ``(address, bytearray)``
+        runs; a datum extends the last run when it starts where that
+        run ends, else opens a new one."""
+        size = self._data_size(line)
         if line.mnemonic == ".space":
             # Reserve addresses without materializing zero bytes: the
             # functional simulator reads absent bytes as zero, and large
             # sparse arenas (megabytes) stay cheap.
-            size = _parse_integer(line.operands[0], line.number)
             return cursor + size
-        raise AssemblyError("unknown directive {!r}".format(line.mnemonic), line.number)
+        if not segments or segments[-1][0] + len(segments[-1][1]) != cursor:
+            segments.append((cursor, bytearray()))
+        data = segments[-1][1]
+        for token in line.operands:
+            value = self._resolve_value(token, symbols, line.number)
+            if line.mnemonic == ".word":
+                data += (value & _WORD_MASK).to_bytes(WORD_BYTES, "little")
+            else:
+                data.append(value & 0xFF)
+        return cursor + size
 
     def _resolve_value(self, token, symbols, line_number):
         if token in symbols:

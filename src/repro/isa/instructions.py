@@ -210,6 +210,15 @@ class Instruction:
         else:
             self.latency_class = "alu"
 
+    def __reduce__(self):
+        # Pickle the eight constructor operands only: __init__ derives
+        # the classification flags again on load, which keeps pickled
+        # programs (the analysis cache's static parts) small.
+        return (
+            Instruction,
+            (self.pc, self.opcode, self.rd, self.rs, self.rt, self.imm, self.target, self.text),
+        )
+
     def source_registers(self):
         """Return the tuple of register indices this instruction reads."""
         sources = []

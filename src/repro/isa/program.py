@@ -1,4 +1,4 @@
-"""Program container: assembled text, symbols, and initial memory image."""
+"""Program container: assembled text, symbols, and initial data segments."""
 
 from repro.errors import ExecutionError
 from repro.isa.instructions import INSTRUCTION_BYTES
@@ -18,17 +18,23 @@ class Program:
             in text order.
         symbols: Mapping from label name to absolute address (text labels
             map into the text segment, data labels into the data segment).
-        data_image: Mapping from absolute byte address to initial byte
-            value for the data segment.
+        data_segments: The initialized data as a tuple of ascending,
+            non-overlapping ``(address, bytes)`` runs.  Bytes outside
+            every run (``.space`` reservations) start as zero.
         entry_point: PC of the first instruction to execute.
     """
 
-    def __init__(self, instructions, symbols=None, data_image=None, entry_point=None):
+    def __init__(self, instructions, symbols=None, data_segments=(), entry_point=None):
         self.instructions = list(instructions)
         self.symbols = dict(symbols or {})
-        self.data_image = dict(data_image or {})
+        self.data_segments = tuple((address, bytes(data)) for address, data in data_segments)
         if not self.instructions:
             raise ExecutionError("a program must contain at least one instruction")
+        end = None
+        for address, data in self.data_segments:
+            if end is not None and address < end:
+                raise ExecutionError("data segments overlap or are out of order")
+            end = address + len(data)
         self.text_base = self.instructions[0].pc
         self.entry_point = entry_point if entry_point is not None else self.text_base
         self._by_pc = {inst.pc: inst for inst in self.instructions}
@@ -58,7 +64,7 @@ class Program:
             hasher = hashlib.sha256()
             for instruction in self.instructions:
                 hasher.update(repr(instruction).encode("utf-8"))
-            hasher.update(repr(sorted(self.data_image.items())).encode("utf-8"))
+            hasher.update(repr(self.data_segments).encode("utf-8"))
             hasher.update(str(self.entry_point).encode("utf-8"))
             digest = hasher.hexdigest()
             self._content_digest = digest

@@ -84,7 +84,10 @@ class MachineState:
 
     def __init__(self, program):
         self.registers = [0] * NUM_REGISTERS
-        self.memory = dict(program.data_image)
+        memory = {}
+        for address, data in program.data_segments:
+            memory.update(zip(range(address, address + len(data)), data))
+        self.memory = memory
         self.pc = program.entry_point
 
     def read_register(self, index):

@@ -87,9 +87,11 @@ def test_data_words_little_endian():
     )
     base = program.address_of("table")
     assert base == DATA_BASE
-    assert program.data_image[base] == 0x08
-    assert program.data_image[base + 7] == 0x01
-    assert all(program.data_image[base + 8 + i] == 0xFF for i in range(8))
+    ((address, data),) = program.data_segments
+    assert address == base
+    assert data[0] == 0x08
+    assert data[7] == 0x01
+    assert all(data[8 + i] == 0xFF for i in range(8))
 
 
 def test_data_bytes_and_space():
@@ -104,9 +106,13 @@ def test_data_bytes_and_space():
         """
     )
     bytes_base = program.address_of("bytes")
-    assert [program.data_image[bytes_base + i] for i in range(3)] == [1, 2, 3]
+    address, data = program.data_segments[0]
+    assert address == bytes_base
+    assert [data[i] for i in range(3)] == [1, 2, 3]
     assert program.address_of("buf") == bytes_base + 3
     assert program.address_of("after") == bytes_base + 3 + 16
+    # .space materializes no zeros: the word after it opens a new segment.
+    assert program.data_segments[1] == (bytes_base + 3 + 16, (5).to_bytes(8, "little"))
 
 
 def test_la_loads_data_address():
@@ -224,6 +230,29 @@ def test_error_on_instruction_in_data():
 def test_error_on_data_directive_in_text():
     with pytest.raises(AssemblyError):
         assemble(".text\n .word 1\n halt")
+
+
+def test_error_on_empty_word_directive():
+    # Pass one used to reserve 8 bytes that pass two never emitted, so
+    # ``b`` named an address its value did not land at.
+    with pytest.raises(AssemblyError, match="line 4"):
+        assemble(".text\n halt\n.data\n a: .word\n b: .word 7\n")
+
+
+def test_error_on_empty_byte_directive():
+    with pytest.raises(AssemblyError, match="line 4"):
+        assemble(".text\n halt\n.data\n a: .byte\n b: .byte 7\n")
+
+
+def test_error_on_space_without_size():
+    with pytest.raises(AssemblyError, match="line 4"):
+        assemble(".text\n halt\n.data\n .space\n")
+
+
+def test_error_on_negative_space():
+    # A negative reservation would rewind the cursor over earlier data.
+    with pytest.raises(AssemblyError, match="line 5"):
+        assemble(".text\n halt\n.data\n a: .word 1\n .space -8\n b: .word 2\n")
 
 
 def test_error_reports_line_number():

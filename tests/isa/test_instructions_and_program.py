@@ -1,5 +1,7 @@
 """Tests for instruction metadata and the Program container."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -8,6 +10,7 @@ from repro.isa.instructions import (
     CONDITIONAL_BRANCH_OPCODES,
     CONTROL_OPCODES,
     MEMORY_ACCESS_BYTES,
+    Instruction,
 )
 from repro.isa.program import Program
 
@@ -141,7 +144,7 @@ def test_content_digest_fallback_for_directly_built_programs():
     rebuilt = Program(
         program.instructions,
         program.symbols,
-        program.data_image,
+        program.data_segments,
         program.entry_point,
     )
     assert rebuilt._content_digest is None
@@ -151,7 +154,7 @@ def test_content_digest_fallback_for_directly_built_programs():
     again = Program(
         program.instructions,
         program.symbols,
-        program.data_image,
+        program.data_segments,
         program.entry_point,
     )
     assert again.content_digest() == digest
@@ -170,3 +173,26 @@ def test_machine_state_memory_access_widths():
     state.store(0x2000, 0xFF, 1)
     assert state.load(0x2000, 1, signed=True) == (1 << 64) - 1
     assert state.load(0x2000, 1, signed=False) == 0xFF
+
+
+def test_program_rejects_overlapping_data_segments():
+    text = [Instruction(0x9000, Opcode.HALT)]
+    Program(text, data_segments=[(0x100, b"ab"), (0x102, b"c")])
+    with pytest.raises(ExecutionError):
+        Program(text, data_segments=[(0x100, b"ab"), (0x101, b"c")])
+    with pytest.raises(ExecutionError):
+        Program(text, data_segments=[(0x200, b"a"), (0x100, b"b")])
+
+
+@pytest.mark.parametrize("opcode", list(Opcode), ids=lambda opcode: opcode.name)
+def test_instruction_pickle_keeps_every_slot(opcode):
+    """An instruction pickles its constructor operands only, and
+    loading it derives the same classification flags again."""
+    inst = Instruction(0x9010, opcode, rd=4, rs=5, rt=6, imm=-24, target=0x9000, text="x y")
+    data = pickle.dumps(inst)
+    assert b"is_load" not in data and b"latency_class" not in data
+    loaded = pickle.loads(data)
+    assert type(loaded) is Instruction
+    for slot in Instruction.__slots__:
+        assert getattr(loaded, slot) == getattr(inst, slot), slot
+    assert type(loaded.opcode) is Opcode

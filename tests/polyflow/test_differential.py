@@ -132,9 +132,9 @@ def test_fast_and_staged_engines_are_equivalent(name, spec):
 
 @pytest.mark.parametrize("spec", _ENGINE_SPECS)
 @pytest.mark.parametrize("name", ("gzip", "mcf", "crafty"))
-def test_block_engine_equivalent_to_per_instruction(name, spec):
+def test_kernel_leaves_staged_engine_machine_state(name, spec):
     """The block-at-a-time kernel leaves the machine in the state the
-    per-instruction staged engine does.
+    staged reference engine does.
 
     The kernel fetches and issues whole straight-line runs from the
     compiled block tables; cache LRU order, predictor tables and the
