@@ -64,8 +64,9 @@ from repro import sealed
 #: only the static part is still written, and read.  v5: the pickled
 #: program no longer carries the interpreter's decode or blocks.  v6:
 #: the program's data is byte segments, and an instruction pickles
-#: its constructor operands only.
-ANALYSIS_FORMAT_VERSION = 6
+#: its constructor operands only.  v7: an instruction no longer keeps
+#: its source line.
+ANALYSIS_FORMAT_VERSION = 7
 
 #: First field of an entry's header line.
 _MAGIC = b"Vpolyflow-analysis"
@@ -76,9 +77,7 @@ def source_digest(source):
     """Content key of one program: SHA-256 of its assembly source.
 
     Memoized: the workload suite and the grid scheduler look the same
-    handful of sources up thousands of times per run, and the assembled
-    :class:`~repro.isa.program.Program` carries the same digest (see
-    :meth:`~repro.isa.program.Program.content_digest`), so each source
+    handful of sources up thousands of times per run, so each source
     is hashed once per process.
     """
     return hashlib.sha256(source.encode("utf-8")).hexdigest()

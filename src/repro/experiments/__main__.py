@@ -97,13 +97,6 @@ def main(argv=None):
         "(default 1 = serial; capped at the machine's usable CPUs)",
     )
     parser.add_argument(
-        "--chunk",
-        type=int,
-        default=None,
-        help="max grid cells per worker chunk (default: sized "
-        "automatically from each cell's estimated cost)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
         help="on-disk result cache directory (default {!r}); runs "
@@ -255,7 +248,6 @@ def main(argv=None):
         cache_dir=None if arguments.no_cache else arguments.cache_dir,
         emit_metrics=arguments.emit_metrics,
         trace_dir=arguments.trace_dir,
-        chunk=arguments.chunk,
     )
     started = time.time()
 
@@ -421,7 +413,6 @@ def _run_serve(arguments):
             events_log=arguments.events_log,
             jobs=arguments.jobs,
             cache_dir=None if arguments.no_cache else arguments.cache_dir,
-            chunk=arguments.chunk,
         )
         await service.start()
         # Machine-parsable endpoint line (scripts read it to learn the

@@ -12,7 +12,8 @@ such a grid, one or many, through one dispatch loop:
 2. **cost** the pending cells with
    :func:`~repro.experiments.scheduler.job_cost` and **plan** them once
    with :func:`~repro.experiments.scheduler.plan_grid`: cheap cells
-   inline in the parent, the rest as longest-expected-first chunks;
+   inline in the parent, the rest as one chunk per machine, costliest
+   first, so a pooled run shares as many kernel runs as a serial one;
 3. **run** the inline cells in the parent and stream the chunks
    through the warm fork pool (``--jobs N``,
    :func:`~repro.experiments.scheduler.stream_chunks`).  Everywhere the
@@ -28,7 +29,7 @@ Every pending cell is a :class:`~repro.experiments.runner.Cell`; the
 parent computes its digest once per dispatch and uses it for the
 cache lookup and the write-back.  A dead pool worker reaches one retry
 loop, which shuts the pool down and replans only the cells whose
-outcomes never arrived.
+outcomes never arrived, :data:`POOL_RETRIES` times.
 
 Results are also written to a content-addressed on-disk cache keyed by
 :meth:`Cell.digest <repro.experiments.runner.Cell.digest>` (workload,
@@ -78,6 +79,10 @@ DEFAULT_CACHE_DIR = ".polyflow-cache"
 #: Subdirectory of the cache directory holding persisted program
 #: analyses (see :mod:`repro.analysis.pipeline`).
 ANALYSIS_CACHE_SUBDIR = "analysis"
+
+#: Times a grid is retried after a dead worker (each retry starts a
+#: fresh pool and replans only unfinished cells).
+POOL_RETRIES = 1
 
 
 class ResultCache:
@@ -440,13 +445,9 @@ class ParallelExperimentRunner(ExperimentRunner):
     parallelism lives; the individual accessors (``baseline``,
     ``run_policy`` …) stay serial but consult the disk cache.
 
-    Scheduler knobs: ``chunk`` caps grid cells per chunk (``None``
-    sizes chunks by estimated cost), ``inline_threshold`` is the
-    trace-length floor below which a cell runs inline in the parent
-    (``None`` takes :data:`~repro.experiments.scheduler.INLINE_COST_THRESHOLD`),
-    and ``cpus`` overrides CPU detection (tests force the pool path on
-    single-core machines).  Chunks run on the warm pool of ``jobs``
-    workers; :meth:`close` shuts it down.
+    Chunks run on the warm pool of ``jobs`` workers (see
+    :func:`~repro.experiments.scheduler.plan_grid`); :meth:`close`
+    shuts it down.
 
     :attr:`summary` is a :class:`RunSummary` over this runner's memo:
     :meth:`_book` writes the memo and the caches only, and the runner
@@ -462,10 +463,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         cache_dir=None,
         emit_metrics=False,
         trace_dir=None,
-        chunk=None,
-        inline_threshold=None,
-        cpus=None,
-        pool_retries=1,
     ):
         keyword_arguments = {}
         if config is not None:
@@ -474,12 +471,6 @@ class ParallelExperimentRunner(ExperimentRunner):
             keyword_arguments["workload_names"] = workload_names
         super().__init__(scale=scale, **keyword_arguments)
         self.jobs = max(1, int(jobs))
-        self.chunk = chunk
-        self.inline_threshold = inline_threshold
-        self.cpus = cpus
-        #: Times a grid is retried after a dead worker (each retry
-        #: starts a fresh pool and replans only unfinished cells).
-        self.pool_retries = max(0, int(pool_retries))
         self.cache = ResultCache(cache_dir) if cache_dir else None
         #: Where persisted program analyses live; points the shared
         #: analysis cache's disk layer here in this process and in
@@ -586,7 +577,7 @@ class ParallelExperimentRunner(ExperimentRunner):
 
         Disk-cached results are loaded in the parent; only genuinely
         missing simulations are planned — cheap ones inline, the rest
-        as cost-ordered chunks on the warm pool.  Results land in the
+        as one chunk per machine on the warm pool.  Results land in the
         same cell-keyed memo the serial path reads, so downstream table
         generation is identical regardless of scheduling decisions or
         completion order.  Returns the number of simulations actually
@@ -605,11 +596,11 @@ class ParallelExperimentRunner(ExperimentRunner):
         A worker death poisons the whole pool (``BrokenProcessPool``).
         Instead of failing the grid, the pool is shut down, one
         :class:`Incident` is recorded, and the still-unfinished cells
-        are replanned onto a fresh pool up to ``pool_retries`` times
-        before the error propagates.
+        are replanned onto a fresh pool up to :data:`POOL_RETRIES`
+        times before the error propagates.
         """
         remaining = list(pending)
-        retries = self.pool_retries
+        retries = POOL_RETRIES
         while True:
             try:
                 self._dispatch(remaining, digests)
@@ -637,18 +628,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         death loses only the outcomes that never came back.
         """
         costs = [scheduler.job_cost(cell.workload, self.scale) for cell in pending]
-        plan = scheduler.plan_grid(
-            pending,
-            costs,
-            self.jobs,
-            max_chunk_jobs=self.chunk,
-            inline_threshold=(
-                scheduler.INLINE_COST_THRESHOLD
-                if self.inline_threshold is None
-                else self.inline_threshold
-            ),
-            cpus=self.cpus,
-        )
+        plan = scheduler.plan_grid(pending, costs, self.jobs)
         self.summary.dispatches.append(plan)
         for cell, outcome in zip(plan.inline, self._run_cells(plan.inline)):
             self._book(cell, outcome, digests[cell])

@@ -141,6 +141,16 @@ def clear_profile_cache():
     clear_cache()
 
 
+def machine_config(spec, config):
+    """The configuration a core for ``spec`` is built with: the
+    superscalar restriction of ``config`` for the baseline spec, else
+    ``config`` itself.  Cells of one workload whose machine
+    configurations fingerprint alike run on one machine."""
+    if canonical_spec(spec) == SUPERSCALAR_SPEC:
+        return superscalar_config(config)
+    return config
+
+
 def build_core(name, spec, scale, config, profile_distance=None, bus=None):
     """Construct the :class:`PolyFlowCore` for one (workload, policy) job.
 
@@ -157,8 +167,8 @@ def build_core(name, spec, scale, config, profile_distance=None, bus=None):
             :data:`SUPERSCALAR_SPEC` for the baseline.
         scale: Workload scale factor.
         config: The PolyFlow :class:`MachineConfig`
-            (:func:`superscalar_config` is applied here for the
-            baseline spec).
+            (:func:`machine_config` restricts it for the baseline
+            spec).
         profile_distance: Maximum spawn distance used when *profiling*
             spawn points (defaults to ``config.max_spawn_distance``).
             Ablations sweep the machine's distance cap while keeping
@@ -170,7 +180,7 @@ def build_core(name, spec, scale, config, profile_distance=None, bus=None):
     prepared = prepare_workload(name, scale)
     if spec == SUPERSCALAR_SPEC:
         return PolyFlowCore(
-            prepared.trace, superscalar_config(config), HintTable(), bus=bus
+            prepared.trace, machine_config(spec, config), HintTable(), bus=bus
         )
     if spec == REC_PRED_SPEC:
         from repro.reconvergence import build_reconvergence_spawner

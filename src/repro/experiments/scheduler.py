@@ -1,4 +1,4 @@
-"""Batched grid scheduler: warm pools, job chunks, cost ordering.
+"""Batched grid scheduler: warm pools, one chunk per machine.
 
 PR 3's fast-path kernel made individual simulations cheap enough that
 the original one-future-per-cell fan-out lost to serial execution: each
@@ -19,9 +19,14 @@ module replaces that with a scheduler that treats the grid as a batch:
   by the time the cell is scheduled (estimating the cost of a cache
   miss prepares the program the simulation needs anyway).
 
-* **Chunking** — cells are grouped into chunks sized by estimated
-  cost and shipped as *one* pickle per chunk; chunks are submitted
-  longest-expected-first so the straggler tail collapses.
+* **One chunk per machine** — pooled cells are grouped by the machine
+  they run on (workload plus the fingerprint of
+  :func:`~repro.experiments.runner.machine_config`), so every cell
+  that could share a kernel run lands in one
+  :func:`~repro.sim.gridbatch.run_batch` call, exactly as in a serial
+  run.  Each chunk ships as *one* pickle, longest-expected-first; a
+  grid of fewer machines than workers has its costliest chunks
+  halved until every worker has one.
 
 * **Cheap-cell short-circuit** — cells whose estimated cost falls
   below :data:`INLINE_COST_THRESHOLD` run inline in the parent, so
@@ -44,8 +49,8 @@ module replaces that with a scheduler that treats the grid as a batch:
 Scheduling never changes results: every cell is a deterministic
 simulation keyed by its :class:`~repro.experiments.runner.Cell`, and
 the parent merges outcomes into a cell-keyed memo, so output is
-bit-identical to serial under every ``--jobs`` value, chunk size, and
-completion order.
+bit-identical to serial under every ``--jobs`` value and completion
+order.
 """
 
 import atexit
@@ -53,6 +58,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from repro.analysis.pipeline import configure_disk_cache
+from repro.experiments.runner import machine_config
+from repro.polyflow.config import config_fingerprint
 from repro.spawn import canonical_spec
 
 #: Cells whose estimated cost (committed-trace instructions) falls
@@ -60,11 +67,6 @@ from repro.spawn import canonical_spec
 #: a simulation finishes in tens of milliseconds, below what a pool
 #: round-trip can amortize.
 INLINE_COST_THRESHOLD = 5000
-
-#: Chunks per worker the cost scheduler aims for.  Over-partitioning
-#: keeps workers busy when chunk costs are estimates; the
-#: longest-expected-first submission order does the actual balancing.
-OVERPARTITION = 4
 
 
 def usable_cpus():
@@ -91,10 +93,9 @@ def job_cost(name, scale):
        cache's memory/disk layers) — free and exact;
     2. the closed-form structural estimate of
        :func:`repro.analysis.estimate.estimated_trace_length` for
-       synthesized catalog scenarios — ~20% relative error, which the
-       over-partitioned longest-first schedule absorbs, and it spares
-       a cold sweep from preparing every cell up front just to cost
-       it;
+       synthesized catalog scenarios — ~20% relative error, which
+       only orders chunks, and it spares a cold sweep from preparing
+       every cell up front just to cost it;
     3. preparing the workload (named workloads on a cold cache only —
        the handful of paper benchmarks, never the 2592-cell catalog).
     """
@@ -169,24 +170,16 @@ class GridSchedule:
     job lists for the warm pool of ``workers`` workers.
     """
 
-    __slots__ = ("inline", "chunks", "workers", "cpus")
+    __slots__ = ("inline", "chunks", "workers")
 
-    def __init__(self, inline, chunks, workers, cpus):
+    def __init__(self, inline, chunks, workers):
         self.inline = inline
         self.chunks = chunks
         self.workers = workers
-        self.cpus = cpus
 
     @property
     def pooled_jobs(self):
         return sum(len(chunk) for chunk in self.chunks)
-
-    def describe(self):
-        if not self.chunks:
-            return "{} inline".format(len(self.inline))
-        return "{} inline, {} pooled in {} chunks across {} workers".format(
-            len(self.inline), self.pooled_jobs, len(self.chunks), self.workers
-        )
 
 
 def split_inline(jobs, costs, workers, inline_threshold=INLINE_COST_THRESHOLD):
@@ -211,74 +204,56 @@ def split_inline(jobs, costs, workers, inline_threshold=INLINE_COST_THRESHOLD):
     return inline, pooled, pooled_costs
 
 
-def plan_chunks(jobs, costs, workers, max_chunk_jobs=None):
-    """Group ``jobs`` into pool chunks, longest-expected-first.
+def _machine_chunks(cells, costs, workers):
+    """One chunk per machine, costliest first (see :func:`plan_grid`);
+    each chunk keeps its cells in grid order."""
+    machines = {}
+    for cell, cost in zip(cells, costs):
+        machine = (
+            cell.workload,
+            config_fingerprint(machine_config(cell.spec, cell.config)),
+        )
+        machines.setdefault(machine, []).append((cost, cell))
+    chunks = list(machines.values())
+    while len(chunks) < workers:
+        splittable = [index for index, chunk in enumerate(chunks) if len(chunk) > 1]
+        if not splittable:
+            break
+        index = max(splittable, key=lambda i: sum(cost for cost, _ in chunks[i]))
+        chunk = chunks[index]
+        half = len(chunk) // 2
+        chunks[index : index + 1] = [chunk[:half], chunk[half:]]
+    chunks.sort(key=lambda chunk: -sum(cost for cost, _ in chunk))
+    return [[cell for _, cell in chunk] for chunk in chunks]
 
-    The cells are ordered by descending estimated cost and greedily
-    packed into chunks whose total cost
-    targets ``sum(costs) / (workers * OVERPARTITION)`` — expensive
-    cells become singleton chunks, cheap cells coalesce so each pool
-    round-trip amortizes over several simulations.  The returned chunk
-    list is ordered by descending total cost, which eliminates the
-    straggler tail: the most expensive work is in flight first.
 
-    ``max_chunk_jobs`` (the ``--chunk`` knob) caps cells per chunk; a
-    cap at or above the grid size is vacuous and ignored, so an
-    oversized ``--chunk`` never collapses the grid into one chunk on
-    one worker.  The plan is a pure function of its inputs — same
-    grid, same plan.
+def plan_grid(jobs, costs, jobs_requested):
+    """Plan one pending grid: inline split plus one chunk per machine.
+
+    The worker count is capped at the process's usable CPUs, so
+    ``--jobs 4`` on a one-core container degrades to the inline path
+    instead of forking workers that can only time-slice.  Cells under
+    :data:`INLINE_COST_THRESHOLD` run inline.  The pooled cells are
+    grouped by the machine they run on — the workload plus the
+    fingerprint of :func:`~repro.experiments.runner.machine_config` —
+    so every cell that could share a kernel run is in one chunk, as it
+    is in one serial :func:`~repro.sim.gridbatch.run_batch` call.
+    While there are fewer chunks than workers, the costliest chunk of
+    more than one cell is halved, so a one-machine grid still uses
+    every worker.  Chunks ship costliest first by summed
+    :func:`job_cost`.  :func:`usable_cpus` and the threshold are read
+    per call (tests patch them to force the pool); an empty grid
+    yields an empty plan without consulting either.
     """
     if not jobs:
-        return []
-    cap = max_chunk_jobs if max_chunk_jobs and max_chunk_jobs > 0 else None
-    if cap is not None and cap >= len(jobs):
-        cap = None
-    order = sorted(range(len(jobs)), key=lambda i: (-costs[i], i))
-    budget = sum(costs) / max(1, workers * OVERPARTITION)
-    chunks = []
-    current, current_cost = [], 0
-    for i in order:
-        if current and (
-            current_cost + costs[i] > budget or (cap and len(current) == cap)
-        ):
-            chunks.append((current_cost, current))
-            current, current_cost = [], 0
-        current.append(jobs[i])
-        current_cost += costs[i]
-    if current:
-        chunks.append((current_cost, current))
-    chunks.sort(key=lambda entry: -entry[0])
-    return [chunk for _, chunk in chunks]
-
-
-def plan_grid(
-    jobs,
-    costs,
-    jobs_requested,
-    max_chunk_jobs=None,
-    inline_threshold=INLINE_COST_THRESHOLD,
-    cpus=None,
-):
-    """Plan one pending grid: inline split plus cost-ordered chunks.
-
-    ``cpus`` overrides CPU detection (tests force the pool path on
-    single-core machines with it); by default the effective worker
-    count is capped at the process's usable CPUs, so ``--jobs 4`` on a
-    one-core container degrades to the inline path instead of forking
-    workers that can only time-slice.  An empty grid yields an empty
-    plan (no inline cells, no chunks, zero workers) without consulting
-    the cost model.
-    """
-    cpus = usable_cpus() if cpus is None else cpus
-    if not jobs:
-        return GridSchedule([], [], 0, cpus)
-    workers = max(1, min(jobs_requested, cpus))
+        return GridSchedule([], [], 0)
+    workers = max(1, min(jobs_requested, usable_cpus()))
     inline, pooled, pooled_costs = split_inline(
-        jobs, costs, workers, inline_threshold
+        jobs, costs, workers, INLINE_COST_THRESHOLD
     )
-    chunks = plan_chunks(pooled, pooled_costs, workers, max_chunk_jobs)
+    chunks = _machine_chunks(pooled, pooled_costs, workers)
     workers = min(workers, len(chunks)) if chunks else 0
-    return GridSchedule(inline, chunks, workers, cpus)
+    return GridSchedule(inline, chunks, workers)
 
 
 # -- the warm worker pool ---------------------------------------------------------

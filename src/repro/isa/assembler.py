@@ -22,7 +22,6 @@ Supported directives: ``.text``, ``.data``, ``.word`` (8-byte values),
 between operands are optional.
 """
 
-import hashlib
 import re
 
 from repro.errors import AssemblyError
@@ -102,14 +101,13 @@ def _parse_integer(token, line_number=None):
 class _Line:
     """A tokenized source line: optional labels plus one statement."""
 
-    __slots__ = ("number", "labels", "mnemonic", "operands", "raw")
+    __slots__ = ("number", "labels", "mnemonic", "operands")
 
-    def __init__(self, number, labels, mnemonic, operands, raw):
+    def __init__(self, number, labels, mnemonic, operands):
         self.number = number
         self.labels = labels
         self.mnemonic = mnemonic
         self.operands = operands
-        self.raw = raw
 
 
 def _tokenize(source):
@@ -132,13 +130,13 @@ def _tokenize(source):
                 break
         if not text:
             if labels:
-                lines.append(_Line(number, labels, None, [], raw))
+                lines.append(_Line(number, labels, None, []))
             continue
         parts = text.split(None, 1)
         mnemonic = parts[0].lower()
         operand_text = parts[1] if len(parts) > 1 else ""
         operands = [op for op in re.split(r"[,\s]+", operand_text.strip()) if op]
-        lines.append(_Line(number, labels, mnemonic, operands, raw))
+        lines.append(_Line(number, labels, mnemonic, operands))
     return lines
 
 
@@ -170,18 +168,7 @@ class Assembler:
             if entry_label not in symbols:
                 raise AssemblyError("entry label {!r} is undefined".format(entry_label))
             entry_point = symbols[entry_label]
-        program = Program(instructions, symbols, data_segments, entry_point)
-        # Seed the program's memoized content key: the source plus the
-        # assembly parameters fully determine the program, and every
-        # content-keyed cache downstream reuses this one hash.
-        hasher = hashlib.sha256(source.encode("utf-8"))
-        hasher.update(
-            "|{}|{}|{}".format(
-                self.text_base, self.data_base, entry_point
-            ).encode("utf-8")
-        )
-        program._content_digest = hasher.hexdigest()
-        return program
+        return Program(instructions, symbols, data_segments, entry_point)
 
     def _data_size(self, line):
         """Bytes a data directive occupies: the one size rule of both
@@ -300,51 +287,50 @@ class Assembler:
         mnemonic = line.mnemonic
         operands = line.operands
         number = line.number
-        text = line.raw.strip()
 
         if mnemonic in _MNEMONICS_RRR:
             self._expect_operands(line, 3)
             rd = parse_register(operands[0], number)
             rs = parse_register(operands[1], number)
             rt = parse_register(operands[2], number)
-            return [Instruction(pc, _MNEMONICS_RRR[mnemonic], rd=rd, rs=rs, rt=rt, text=text)]
+            return [Instruction(pc, _MNEMONICS_RRR[mnemonic], rd=rd, rs=rs, rt=rt)]
 
         if mnemonic in _MNEMONICS_RRI:
             self._expect_operands(line, 3)
             rd = parse_register(operands[0], number)
             rs = parse_register(operands[1], number)
             imm = self._resolve_value(operands[2], symbols, number)
-            return [Instruction(pc, _MNEMONICS_RRI[mnemonic], rd=rd, rs=rs, imm=imm, text=text)]
+            return [Instruction(pc, _MNEMONICS_RRI[mnemonic], rd=rd, rs=rs, imm=imm)]
 
         if mnemonic == "lui":
             self._expect_operands(line, 2)
             rd = parse_register(operands[0], number)
             imm = self._resolve_value(operands[1], symbols, number)
-            return [Instruction(pc, Opcode.LUI, rd=rd, imm=imm, text=text)]
+            return [Instruction(pc, Opcode.LUI, rd=rd, imm=imm)]
 
         if mnemonic in ("li", "la"):
             self._expect_operands(line, 2)
             rd = parse_register(operands[0], number)
             imm = self._resolve_value(operands[1], symbols, number)
-            return [Instruction(pc, Opcode.ADDI, rd=rd, rs=0, imm=imm, text=text)]
+            return [Instruction(pc, Opcode.ADDI, rd=rd, rs=0, imm=imm)]
 
         if mnemonic == "move":
             self._expect_operands(line, 2)
             rd = parse_register(operands[0], number)
             rs = parse_register(operands[1], number)
-            return [Instruction(pc, Opcode.ADD, rd=rd, rs=rs, rt=0, text=text)]
+            return [Instruction(pc, Opcode.ADD, rd=rd, rs=rs, rt=0)]
 
         if mnemonic in _MNEMONICS_LOAD:
             self._expect_operands(line, 2)
             rd = parse_register(operands[0], number)
             imm, rs = self._parse_mem_operand(operands[1], symbols, number)
-            return [Instruction(pc, _MNEMONICS_LOAD[mnemonic], rd=rd, rs=rs, imm=imm, text=text)]
+            return [Instruction(pc, _MNEMONICS_LOAD[mnemonic], rd=rd, rs=rs, imm=imm)]
 
         if mnemonic in _MNEMONICS_STORE:
             self._expect_operands(line, 2)
             rt = parse_register(operands[0], number)
             imm, rs = self._parse_mem_operand(operands[1], symbols, number)
-            return [Instruction(pc, _MNEMONICS_STORE[mnemonic], rs=rs, rt=rt, imm=imm, text=text)]
+            return [Instruction(pc, _MNEMONICS_STORE[mnemonic], rs=rs, rt=rt, imm=imm)]
 
         if mnemonic in ("beq", "bne"):
             self._expect_operands(line, 3)
@@ -352,14 +338,14 @@ class Assembler:
             rs = parse_register(operands[0], number)
             rt = parse_register(operands[1], number)
             target = self._resolve_target(operands[2], symbols, number)
-            return [Instruction(pc, opcode, rs=rs, rt=rt, target=target, text=text)]
+            return [Instruction(pc, opcode, rs=rs, rt=rt, target=target)]
 
         if mnemonic in _BRANCH_ONE_SOURCE:
             self._expect_operands(line, 2)
             rs = parse_register(operands[0], number)
             target = self._resolve_target(operands[1], symbols, number)
             return [
-                Instruction(pc, _BRANCH_ONE_SOURCE[mnemonic], rs=rs, target=target, text=text)
+                Instruction(pc, _BRANCH_ONE_SOURCE[mnemonic], rs=rs, target=target)
             ]
 
         if mnemonic in ("j", "jal"):
@@ -367,20 +353,20 @@ class Assembler:
             opcode = Opcode.J if mnemonic == "j" else Opcode.JAL
             target = self._resolve_target(operands[0], symbols, number)
             rd = REGISTER_ALIASES["ra"] if opcode == Opcode.JAL else None
-            return [Instruction(pc, opcode, rd=rd, target=target, text=text)]
+            return [Instruction(pc, opcode, rd=rd, target=target)]
 
         if mnemonic in ("jr", "jalr"):
             self._expect_operands(line, 1)
             opcode = Opcode.JR if mnemonic == "jr" else Opcode.JALR
             rs = parse_register(operands[0], number)
             rd = REGISTER_ALIASES["ra"] if opcode == Opcode.JALR else None
-            return [Instruction(pc, opcode, rd=rd, rs=rs, text=text)]
+            return [Instruction(pc, opcode, rd=rd, rs=rs)]
 
         if mnemonic == "nop":
-            return [Instruction(pc, Opcode.NOP, text=text)]
+            return [Instruction(pc, Opcode.NOP)]
 
         if mnemonic == "halt":
-            return [Instruction(pc, Opcode.HALT, text=text)]
+            return [Instruction(pc, Opcode.HALT)]
 
         raise AssemblyError("unknown mnemonic {!r}".format(mnemonic), number)
 

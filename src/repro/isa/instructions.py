@@ -159,7 +159,6 @@ class Instruction:
         rt: Second source register index, or ``None``.
         imm: Immediate operand (also the load/store displacement), or 0.
         target: Absolute target PC for direct branches/jumps, or ``None``.
-        text: The original assembly text, for diagnostics.
     """
 
     __slots__ = (
@@ -170,7 +169,6 @@ class Instruction:
         "rt",
         "imm",
         "target",
-        "text",
         "is_conditional_branch",
         "is_direct_jump",
         "is_indirect_jump",
@@ -183,7 +181,7 @@ class Instruction:
         "latency_class",
     )
 
-    def __init__(self, pc, opcode, rd=None, rs=None, rt=None, imm=0, target=None, text=""):
+    def __init__(self, pc, opcode, rd=None, rs=None, rt=None, imm=0, target=None):
         self.pc = pc
         self.opcode = opcode
         self.rd = rd
@@ -191,7 +189,6 @@ class Instruction:
         self.rt = rt
         self.imm = imm
         self.target = target
-        self.text = text
         # Pre-computed classification flags; these are read in the hot
         # loops of the simulators.
         self.is_conditional_branch = opcode in CONDITIONAL_BRANCH_OPCODES
@@ -211,12 +208,12 @@ class Instruction:
             self.latency_class = "alu"
 
     def __reduce__(self):
-        # Pickle the eight constructor operands only: __init__ derives
+        # Pickle the seven constructor operands only: __init__ derives
         # the classification flags again on load, which keeps pickled
         # programs (the analysis cache's static parts) small.
         return (
             Instruction,
-            (self.pc, self.opcode, self.rd, self.rs, self.rt, self.imm, self.target, self.text),
+            (self.pc, self.opcode, self.rd, self.rs, self.rt, self.imm, self.target),
         )
 
     def source_registers(self):
@@ -243,7 +240,9 @@ class Instruction:
         return self.pc + INSTRUCTION_BYTES
 
     def __repr__(self):
-        return "Instruction(pc={:#x}, {!r})".format(self.pc, self.text or self.opcode.name)
+        from repro.isa.disassembler import disassemble
+
+        return "Instruction(pc={:#x}, {!r})".format(self.pc, disassemble(self))
 
 
 def format_register(index):

@@ -40,35 +40,9 @@ class Program:
         self._by_pc = {inst.pc: inst for inst in self.instructions}
         if len(self._by_pc) != len(self.instructions):
             raise ExecutionError("duplicate PCs in program text")
-        # Memoized content key; the assembler seeds it with the source
-        # digest so downstream caches never re-hash the source.
-        self._content_digest = None
 
     def __len__(self):
         return len(self.instructions)
-
-    def content_digest(self):
-        """Memoized SHA-256 content key of this program.
-
-        Seeded by the assembler with the digest of the assembly source
-        (see :func:`repro.analysis.pipeline.source_digest`), so every
-        content-keyed cache — analyses, results, compiled block
-        tables — shares one hash computation per program.  A program
-        built directly from instructions (tests, generators) computes
-        a canonical rendering on first use instead.
-        """
-        digest = self._content_digest
-        if digest is None:
-            import hashlib
-
-            hasher = hashlib.sha256()
-            for instruction in self.instructions:
-                hasher.update(repr(instruction).encode("utf-8"))
-            hasher.update(repr(self.data_segments).encode("utf-8"))
-            hasher.update(str(self.entry_point).encode("utf-8"))
-            digest = hasher.hexdigest()
-            self._content_digest = digest
-        return digest
 
     def __iter__(self):
         return iter(self.instructions)

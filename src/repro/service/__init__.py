@@ -17,7 +17,7 @@ Layering::
                                           engine.ExplorationEngine
                                               │  (per-scale ParallelExperimentRunner)
                                               ▼
-                              experiments.scheduler (warm pool, cost chunks)
+                              experiments.scheduler (warm pool, machine chunks)
 
 Results are byte-identical to the direct serial
 :class:`~repro.experiments.runner.ExperimentRunner` — batching,

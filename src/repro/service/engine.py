@@ -106,17 +106,11 @@ class ExplorationEngine:
         self,
         jobs=1,
         cache_dir=None,
-        chunk=None,
-        inline_threshold=None,
-        cpus=None,
         journal=None,
         sim_event_limit=DEFAULT_SIM_EVENT_LIMIT,
     ):
         self.jobs = jobs
         self.cache_dir = cache_dir
-        self.chunk = chunk
-        self.inline_threshold = inline_threshold
-        self.cpus = cpus
         self.journal = journal
         self.sim_event_limit = sim_event_limit
         self._runners = {}
@@ -153,9 +147,6 @@ class ExplorationEngine:
                     scale=scale,
                     jobs=self.jobs,
                     cache_dir=self.cache_dir,
-                    chunk=self.chunk,
-                    inline_threshold=self.inline_threshold,
-                    cpus=self.cpus,
                     journal=self.journal,
                     sim_event_limit=self.sim_event_limit,
                 )

@@ -6,8 +6,10 @@ bytes of those parts are the bulk of what that path reads and unpickles.
 Format v6 keeps a program's data as byte segments and pickles each
 instruction's operands only; together the twelve figure programs'
 static parts at scale 0.25 fell from 1,339,848 bytes (v5) to 569,161.
-The bound below leaves room for analyses to grow a little, but fails a
-representation that grows back.
+Format v7 drops each instruction's source line (its ``repr``
+disassembles instead), which takes them to 450,937.  The bound below
+leaves room for analyses to grow a little, but fails a representation
+that grows back.
 """
 
 import glob
@@ -17,7 +19,7 @@ from repro.analysis.pipeline import AnalysisCache
 from repro.workloads.suite import WORKLOAD_NAMES, workload_source
 
 #: Bound on the summed static-part bytes of the figure programs.
-MAX_STATIC_PART_BYTES = 650_000
+MAX_STATIC_PART_BYTES = 520_000
 
 
 def test_figure_static_parts_stay_compact(tmp_path):

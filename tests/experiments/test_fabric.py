@@ -1,6 +1,5 @@
 """Tests for the one result-cache root, the warm pool's fault matrix,
-placement invariance across workers and chunk sizes, and fault
-recovery."""
+placement invariance across workers, and fault recovery."""
 
 import contextlib
 import os
@@ -20,7 +19,7 @@ from repro.service.client import RETRY_DELAY_CAP, retry_delay
 from repro.workloads import clear_cache
 from repro.workloads.synth import catalog_names
 from tests.faults import broken_pool
-from tests.helpers import grid_order_chunks
+from tests.helpers import force_pool
 
 _SCALE = 0.2
 _SPECS = ("postdoms", "loop")
@@ -171,7 +170,9 @@ def test_v2_bare_pickle_is_a_clean_miss_and_gc_prunes_it(
     assert not os.path.exists(v2_path)
 
 
-def test_corrupt_shared_entry_is_a_run_summary_incident(tmp_path, serial_packed):
+def test_corrupt_shared_entry_is_a_run_summary_incident(
+    tmp_path, pool_runner, serial_packed
+):
     """A damaged entry in the root a two-worker run shares is booked
     like any damaged entry: listed in ``corrupt_entries``,
     re-simulated, and rewritten intact by the parent."""
@@ -184,7 +185,7 @@ def test_corrupt_shared_entry_is_a_run_summary_incident(tmp_path, serial_packed)
     os.makedirs(os.path.dirname(damaged))
     with open(damaged, "wb") as handle:
         handle.write(b"damaged")
-    runner = _pool_runner(tmp_path, cache_dir=cache_dir)
+    runner = pool_runner(cache_dir=cache_dir)
     try:
         assert runner.prefetch([(name, spec)]) == 1
     finally:
@@ -344,21 +345,26 @@ def test_retry_delay_caps_the_jitter_but_honours_large_hints():
 
 # -- the transport matrix ---------------------------------------------------------
 #
-# The warm pool, forced onto two real workers on any machine.
+# The warm pool, forced onto two real workers on any machine.  The
+# grid holds four programs, so it plans four chunks, one per machine.
 
 _TRANSPORTS = {
-    "pool": {"jobs": 2, "cpus": 2, "inline_threshold": 1},
+    "pool": {"jobs": 2},
 }
 
 
-def _matrix_runner(transport, tmp_path, fault=False, **options):
+def _matrix_runner(transport, tmp_path, fail_submits=(), **options):
     """``(runner, injection)`` for one transport of the matrix.
 
-    With ``fault`` the injection context kills one worker mid-grid: the
-    first pool submission dies like a dead fork child.
+    The injection context kills the ``fail_submits``-indexed pool
+    submissions like dead fork children.
     """
     options = dict(_TRANSPORTS[transport], **options)
-    injection = broken_pool(fail_submits={0}) if fault else contextlib.nullcontext()
+    injection = (
+        broken_pool(fail_submits=fail_submits)
+        if fail_submits
+        else contextlib.nullcontext()
+    )
     return ParallelExperimentRunner(scale=_SCALE, **options), injection
 
 
@@ -378,7 +384,8 @@ def _recording_plans(monkeypatch, runner):
 
 
 @pytest.fixture(params=sorted(_TRANSPORTS))
-def transport(request):
+def transport(request, monkeypatch):
+    force_pool(monkeypatch)
     return request.param
 
 
@@ -397,7 +404,7 @@ def test_one_worker_death_replans_only_unfinished_cells(
     transport, tmp_path, serial_packed, monkeypatch
 ):
     runner, injection = _matrix_runner(
-        transport, tmp_path, fault=True, chunk=1, cache_dir=str(tmp_path / "cache")
+        transport, tmp_path, fail_submits={0}, cache_dir=str(tmp_path / "cache")
     )
     plans = _recording_plans(monkeypatch, runner)
     try:
@@ -417,25 +424,25 @@ def test_one_worker_death_replans_only_unfinished_cells(
 
 
 def test_exhausted_retries_raise_the_transports_error(transport, tmp_path):
-    runner, injection = _matrix_runner(
-        transport, tmp_path, fault=True, chunk=1, pool_retries=0
-    )
+    # The first attempt submits the grid's four chunks (0-3), so
+    # submission 4 is the retry's first: both attempts meet a death.
+    runner, injection = _matrix_runner(transport, tmp_path, fail_submits={0, 4})
     try:
-        with injection, pytest.raises(BrokenProcessPool):
+        with injection as plan, pytest.raises(BrokenProcessPool):
             runner.prefetch(_grid_jobs())
     finally:
         runner.close()
-    assert runner.summary.pool_restarts == 1
+    assert plan.broken == 2
+    assert runner.summary.pool_restarts == 2
 
 
-def test_transport_counts_batched_cells(transport, tmp_path, monkeypatch):
-    """Workers run each four-cell chunk through the one cell executor:
+def test_transport_counts_batched_cells(transport, tmp_path):
+    """Workers run each machine's chunk through the one cell executor:
     the outcomes carry its per-cell flags home, so the summary counts
     the shared cells ``run_batch`` reports for the same chunks here."""
     from repro.sim import gridbatch
 
-    grid_order_chunks(monkeypatch)
-    runner, _ = _matrix_runner(transport, tmp_path, chunk=4)
+    runner, _ = _matrix_runner(transport, tmp_path)
     try:
         runner.prefetch(_grid_jobs())
     finally:
@@ -446,8 +453,10 @@ def test_transport_counts_batched_cells(transport, tmp_path, monkeypatch):
     ]
     expected = [
         outcome.shared
-        for start in range(0, len(cells), 4)
-        for outcome in gridbatch.run_batch(cells[start : start + 4], _SCALE)
+        for name in _grid_names()
+        for outcome in gridbatch.run_batch(
+            [cell for cell in cells if cell.workload == name], _SCALE
+        )
     ]
     assert runner.summary.jobs_run == len(cells)
     assert runner.summary.shared_cells == sum(expected)
@@ -549,43 +558,55 @@ def test_interrupted_store_write_leaves_a_temp_file_nobody_counts(
 # -- placement invariance (two pool workers) --------------------------------------
 
 
-def _pool_runner(tmp_path, **kwargs):
-    kwargs = dict(_TRANSPORTS["pool"], **kwargs)
-    kwargs.setdefault("cache_dir", str(tmp_path / "cache"))
-    return ParallelExperimentRunner(scale=_SCALE, **kwargs)
+@pytest.fixture()
+def pool_runner(tmp_path, monkeypatch):
+    """A factory of two-worker runners on a ``tmp_path`` cache root."""
+    force_pool(monkeypatch)
+
+    def factory(**kwargs):
+        kwargs = dict(_TRANSPORTS["pool"], **kwargs)
+        kwargs.setdefault("cache_dir", str(tmp_path / "cache"))
+        return ParallelExperimentRunner(scale=_SCALE, **kwargs)
+
+    return factory
 
 
 def _shipped_cells(runner):
     return sum(plan.pooled_jobs for plan in runner.summary.dispatches)
 
 
-@pytest.mark.parametrize("chunk", [1, None])
-def test_subprocess_fabric_matches_serial(tmp_path, serial_packed, chunk):
-    """Two pool workers match serial with one cell per chunk and with
-    cost-sized chunks."""
-    runner = _pool_runner(tmp_path, chunk=chunk)
+@pytest.mark.parametrize("programs", [1, None])
+def test_subprocess_fabric_matches_serial(pool_runner, serial_packed, programs):
+    """Two pool workers match serial on one machine's cells, halved
+    across both workers, and on the whole grid, one chunk per machine."""
+    names = _grid_names()[:programs]
+    jobs = [(name, spec) for name in names for spec in _SPECS]
+    expected = {job: serial_packed[job] for job in jobs}
+    runner = pool_runner()
     try:
-        ran = runner.prefetch(_grid_jobs())
-        assert ran == len(serial_packed)
-        _assert_matches_serial(runner, serial_packed)
+        ran = runner.prefetch(jobs)
+        assert ran == len(expected)
+        _assert_matches_serial(runner, expected)
     finally:
         runner.close()
     assert runner.summary.pool_workers == 2
-    assert _shipped_cells(runner) == len(serial_packed)
+    # One chunk per machine, and never fewer chunks than workers.
+    assert runner.summary.chunks_shipped == max(len(names), 2)
+    assert _shipped_cells(runner) == len(expected)
 
 
 def test_fabric_outcomes_book_shared_cells(tmp_path, monkeypatch):
-    """Inside one worker's chunk, cells whose policies resolve to the
-    same hint table share a kernel run; the chunk's outcomes carry that
-    home to the run summary."""
+    """Cells whose policies resolve to the same hint table run on one
+    machine, so the planner puts them in one worker's chunk and they
+    share a kernel run there; the chunk's outcomes carry that home.  A
+    pooled run shares exactly what a serial run shares."""
     specs = ("loopFT", "loopFT+procFT", "loop+loopFT", "loop+procFT+loopFT")
     grid = [(name, spec) for name in ("mcf", "gzip") for spec in specs]
-    grid_order_chunks(monkeypatch)
+    serial = ParallelExperimentRunner(scale=0.25, jobs=1)
+    serial.prefetch(grid)
+    force_pool(monkeypatch)
     runner = ParallelExperimentRunner(
-        scale=0.25,
-        cache_dir=str(tmp_path / "cache"),
-        chunk=4,
-        **_TRANSPORTS["pool"],
+        scale=0.25, cache_dir=str(tmp_path / "cache"), **_TRANSPORTS["pool"]
     )
     try:
         runner.prefetch(grid)
@@ -593,24 +614,23 @@ def test_fabric_outcomes_book_shared_cells(tmp_path, monkeypatch):
         runner.close()
     assert runner.summary.chunks_shipped == 2
     assert runner.summary.jobs_run == len(grid)
-    assert runner.summary.shared_cells == 6
-    serial = ExperimentRunner(scale=0.25)
+    assert runner.summary.shared_cells == serial.summary.shared_cells == 6
     for name, spec in grid:
         assert scheduler.pack_stats(runner.run_policy(name, spec)) == (
             scheduler.pack_stats(serial.run_policy(name, spec))
         )
 
 
-def test_warm_store_answers_without_simulating(tmp_path, serial_packed):
+def test_warm_store_answers_without_simulating(pool_runner, serial_packed):
     """A second runner against the cache root a first two-worker run
     filled simulates and ships nothing: the parent answers every cell."""
-    first = _pool_runner(tmp_path)
+    first = pool_runner()
     try:
         first.prefetch(_grid_jobs())
     finally:
         first.close()
 
-    second = _pool_runner(tmp_path)
+    second = pool_runner()
     try:
         ran = second.prefetch(_grid_jobs())
     finally:
@@ -622,7 +642,9 @@ def test_warm_store_answers_without_simulating(tmp_path, serial_packed):
     _assert_matches_serial(second, serial_packed)
 
 
-def test_parent_is_the_only_writer(tmp_path, serial_packed, monkeypatch):
+def test_parent_is_the_only_writer(
+    tmp_path, pool_runner, serial_packed, monkeypatch
+):
     """A two-worker sweep with a cache root: every entry exists and was
     written once, by the parent; workers send outcomes back and never
     store one."""
@@ -637,7 +659,7 @@ def test_parent_is_the_only_writer(tmp_path, serial_packed, monkeypatch):
     monkeypatch.setattr(ResultCache, "store", recording)
     # Fresh workers fork with the recording store in place.
     scheduler.shutdown_pool()
-    runner = _pool_runner(tmp_path)
+    runner = pool_runner()
     try:
         assert runner.prefetch(_grid_jobs()) == len(serial_packed)
     finally:
@@ -649,12 +671,13 @@ def test_parent_is_the_only_writer(tmp_path, serial_packed, monkeypatch):
     assert writers.read_text().split() == [str(os.getpid())] * len(serial_packed)
 
 
-def test_dead_worker_replans_only_unfinished_cells(tmp_path, serial_packed):
+def test_dead_worker_replans_only_unfinished_cells(pool_runner, serial_packed):
     """One worker dies after earlier chunks came back: the incident is
     counted, only the cells whose results never arrived are replanned,
     and the final grid is still byte-identical to serial."""
-    runner = _pool_runner(tmp_path, chunk=1, pool_retries=1)
-    last = len(serial_packed) - 1
+    runner = pool_runner()
+    # One chunk per machine: the last of the grid's four programs.
+    last = len(_grid_names()) - 1
     try:
         with broken_pool(fail_submits={last}, after_run=True) as plan:
             runner.prefetch(_grid_jobs())

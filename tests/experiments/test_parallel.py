@@ -24,7 +24,7 @@ from repro.experiments.runner import (
 from repro.experiments.scheduler import GridSchedule
 from repro.polyflow import PAPER_CONFIG
 from repro.workloads import clear_cache
-from tests.helpers import grid_order_chunks
+from tests.helpers import force_pool
 
 _SCALE = 0.1
 _NAMES = ("gzip", "twolf")
@@ -401,10 +401,10 @@ def test_cold_duplicate_grid_reports_shared_cells(tmp_path):
 
 
 def test_pooled_chunks_report_shared_cells(tmp_path, monkeypatch):
-    # Grid-order chunks of four keep each workload's identical cells in
+    # One chunk per machine keeps each workload's identical cells in
     # one chunk; the sharing is counted from the workers' outcomes.
-    grid_order_chunks(monkeypatch)
-    pooled = _sharing_runner(tmp_path, jobs=2, cpus=2, chunk=4, inline_threshold=1)
+    force_pool(monkeypatch)
+    pooled = _sharing_runner(tmp_path, jobs=2)
     pooled.prefetch(_SHARING_GRID)
     assert pooled.summary.chunks_shipped == 2
     assert pooled.summary.jobs_run == len(_SHARING_GRID)
@@ -419,7 +419,7 @@ def test_schedule_line_counts_the_transport_that_ran_the_chunks():
         summary = RunSummary({_cell("gzip", "loop"): Outcome(None, seconds=1.0)})
         chunks = [[_cell("gzip", "loop")], [_cell("gzip", "hammock")]]
         for workers in workers_per_dispatch:
-            summary.dispatches.append(GridSchedule([], chunks, workers, workers))
+            summary.dispatches.append(GridSchedule([], chunks, workers))
         return [line for line in summary.render().splitlines() if "schedule:" in line]
 
     assert rendered() == ["  schedule: 0 inline, 0 chunks across 0 pool workers"]
@@ -434,7 +434,7 @@ def test_merged_summaries_concatenate_their_records():
     for name, inline in (("gzip", 1), ("twolf", 0)):
         summary = RunSummary({_cell(name, "loop"): Outcome(None, seconds=1.0)})
         chunks = [[_cell(name, "loop")], [_cell(name, "hammock")]]
-        plan = GridSchedule([_cell(name, "postdoms")] * inline, chunks, 2, 2)
+        plan = GridSchedule([_cell(name, "postdoms")] * inline, chunks, 2)
         summary.dispatches.append(plan)
         summary.incidents.append(Incident(1))
         parts.append(summary)
@@ -447,15 +447,14 @@ def test_merged_summaries_concatenate_their_records():
     assert merged["pool_restarts"] == 2
 
 
-def test_broken_pool_is_restarted_and_grid_replanned(tmp_path):
+def test_broken_pool_is_restarted_and_grid_replanned(tmp_path, monkeypatch):
     from tests.faults import broken_pool
 
+    force_pool(monkeypatch, cpus=4)
     runner = ParallelExperimentRunner(
         scale=_SCALE,
         workload_names=_NAMES,
         jobs=2,
-        cpus=4,
-        inline_threshold=1,
         cache_dir=str(tmp_path / "cache"),
     )
     with broken_pool(fail_submits={0}) as plan:
@@ -470,24 +469,24 @@ def test_broken_pool_is_restarted_and_grid_replanned(tmp_path):
         ).cycles
 
 
-def test_broken_pool_raises_after_retry_budget(tmp_path):
+def test_broken_pool_raises_after_retry_budget(tmp_path, monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 
+    from repro.experiments.parallel import POOL_RETRIES
     from tests.faults import broken_pool
 
+    force_pool(monkeypatch, cpus=4)
     runner = ParallelExperimentRunner(
         scale=_SCALE,
         workload_names=_NAMES,
         jobs=2,
-        cpus=4,
-        inline_threshold=1,
         cache_dir=str(tmp_path / "cache"),
-        pool_retries=0,
     )
     with broken_pool(fail_submits=set(range(64))):
         with pytest.raises(BrokenProcessPool):
             runner.prefetch([("gzip", "postdoms"), ("twolf", "postdoms")])
-    assert runner.summary.pool_restarts == 1
+    # The first attempt and every retry each met a dead worker.
+    assert runner.summary.pool_restarts == POOL_RETRIES + 1
 
 
 def test_result_cache_len_counts_entries(tmp_path):

@@ -1,12 +1,13 @@
 """Tests for the batched grid scheduler.
 
-Covers the pure planning functions (cost ordering, chunk packing,
-inline split), the slim stat transport, and the integrated runner
-behaviour: bit-identical results across ``--jobs`` values and chunk
-sizes, warm-pool reuse across consecutive ``prefetch`` calls, and the
+Covers the pure planning functions (cost ordering, one chunk per
+machine, inline split), the slim stat transport, and the integrated
+runner behaviour: bit-identical results across ``--jobs`` values,
+warm-pool reuse across consecutive ``prefetch`` calls, and the
 inline short-circuit for cheap and cache-hit-only grids.
 
-The pool-path tests pass ``cpus=4`` so they exercise real worker
+The pool-path tests patch the scheduler's CPU count and inline
+threshold (``tests.helpers.force_pool``) so they exercise real worker
 processes even on single-core CI machines (where the scheduler would
 otherwise — correctly — short-circuit the pool).
 """
@@ -19,6 +20,7 @@ from repro.experiments.runner import SUPERSCALAR_SPEC, Cell, ExperimentRunner
 from repro.experiments.scheduler import trace_path
 from repro.polyflow import PAPER_CONFIG
 from repro.workloads import clear_cache, workload_trace_length
+from tests.helpers import force_pool
 
 _SCALE = 0.1
 _NAMES = ("gzip", "twolf")
@@ -104,61 +106,107 @@ def _jobs(costs):
     return [("job{}".format(i),) for i in range(len(costs))]
 
 
-def test_plan_chunks_orders_longest_first():
-    costs = [10, 500, 20, 400, 30]
-    chunks = scheduler.plan_chunks(_jobs(costs), costs, workers=2)
-    cost_of = dict(zip(_jobs(costs), costs))
-    chunk_costs = [sum(cost_of[job] for job in chunk) for chunk in chunks]
-    assert chunk_costs == sorted(chunk_costs, reverse=True)
-    # The most expensive cell is in the first chunk shipped.
-    assert ("job1",) in chunks[0]
+def _cells(*pairs, config=PAPER_CONFIG):
+    return [
+        Cell(name, spec, config, config.max_spawn_distance) for name, spec in pairs
+    ]
 
 
-def test_plan_chunks_is_deterministic_and_complete():
-    costs = [7, 7, 7, 100, 3, 50, 50]
-    first = scheduler.plan_chunks(_jobs(costs), costs, workers=2)
-    second = scheduler.plan_chunks(_jobs(costs), costs, workers=2)
-    assert first == second
-    flattened = [job for chunk in first for job in chunk]
-    assert sorted(flattened) == sorted(_jobs(costs))
+def _plan(cells, costs, monkeypatch, workers=2):
+    """Plan ``cells`` for ``workers`` pool workers, every cell pooled."""
+    force_pool(monkeypatch, cpus=workers)
+    return scheduler.plan_grid(cells, costs, workers)
 
 
-def test_plan_chunks_coalesces_cheap_cells():
-    # 8 equal cheap cells, 2 workers -> budget is total/8, so cells stay
-    # separate; with 1 worker budget doubles and pairs coalesce.
-    costs = [10] * 8
-    wide = scheduler.plan_chunks(_jobs(costs), costs, workers=2)
-    narrow = scheduler.plan_chunks(_jobs(costs), costs, workers=1)
-    assert len(wide) == 8
-    assert len(narrow) == 4
-    assert all(len(chunk) == 2 for chunk in narrow)
-
-
-def test_plan_chunks_respects_cap():
-    costs = [10] * 8
-    chunks = scheduler.plan_chunks(
-        _jobs(costs), costs, workers=1, max_chunk_jobs=3
+def test_plan_chunks_orders_longest_first(monkeypatch):
+    cells = _cells(
+        ("gzip", "loop"), ("mcf", "loop"), ("twolf", "loop"), ("mcf", "postdoms")
     )
-    assert max(len(chunk) for chunk in chunks) <= 3
+    costs = [10, 300, 400, 300]
+    plan = _plan(cells, costs, monkeypatch)
+    cost_of = dict(zip(cells, costs))
+    chunk_costs = [sum(cost_of[cell] for cell in chunk) for chunk in plan.chunks]
+    assert chunk_costs == [600, 400, 10]
+    # The costliest machine ships first.
+    assert plan.chunks[0] == [cells[1], cells[3]]
 
 
-def test_plan_chunks_ignores_vacuous_cap():
-    """A --chunk at or above the grid size must not collapse the grid
-    into one chunk: the cap is vacuous and the cost budget still
-    partitions the cells across workers."""
-    costs = [10] * 8
-    uncapped = scheduler.plan_chunks(_jobs(costs), costs, workers=2)
-    for cap in (len(costs), len(costs) + 1, 1000):
-        capped = scheduler.plan_chunks(
-            _jobs(costs), costs, workers=2, max_chunk_jobs=cap
-        )
-        assert capped == uncapped
-        assert len(capped) > 1
+def test_plan_chunks_is_deterministic_and_complete(monkeypatch):
+    """The chunks partition the pooled cells: each one in exactly one
+    chunk, and the same grid plans the same way twice."""
+    specs = ("postdoms", "loop", SUPERSCALAR_SPEC)
+    cells = _cells(*((name, spec) for name in ("gzip", "twolf") for spec in specs))
+    costs = [7, 7, 7, 100, 100, 100]
+    first = _plan(cells, costs, monkeypatch, workers=4)
+    second = _plan(cells, costs, monkeypatch, workers=4)
+    assert first.chunks == second.chunks
+    flattened = [cell for chunk in first.chunks for cell in chunk]
+    assert sorted(flattened) == sorted(cells)
+    assert first.inline == []
 
 
-def test_plan_chunks_empty_grid():
-    assert scheduler.plan_chunks([], [], workers=4) == []
-    assert scheduler.plan_chunks([], [], workers=4, max_chunk_jobs=2) == []
+def test_plan_chunks_empty_grid(monkeypatch):
+    """An empty grid plans no chunks without consulting the CPU count."""
+
+    def _no_cpus():
+        raise AssertionError("an empty grid must not look at the CPUs")
+
+    monkeypatch.setattr(scheduler, "usable_cpus", _no_cpus)
+    assert scheduler.plan_grid([], [], 4).chunks == []
+
+
+def test_plan_grid_keeps_one_machine_in_one_chunk(monkeypatch):
+    """Cells of one workload on one machine configuration share a
+    chunk, so they can share kernel runs; the baseline runs on its own
+    (superscalar) machine."""
+    cells = _cells(
+        ("gzip", "postdoms"),
+        ("twolf", "loop"),
+        ("gzip", "loop"),
+        ("gzip", SUPERSCALAR_SPEC),
+        ("twolf", "postdoms"),
+    )
+    plan = _plan(cells, [100] * len(cells), monkeypatch)
+    assert sorted(map(sorted, plan.chunks)) == sorted(
+        [
+            sorted([cells[0], cells[2]]),
+            sorted([cells[1], cells[4]]),
+            [cells[3]],
+        ]
+    )
+
+
+def test_plan_grid_groups_baselines_by_the_machine_they_run_on(monkeypatch):
+    """Two configurations that differ only in ``max_tasks`` restrict to
+    one superscalar machine, so their baseline cells share a chunk;
+    their PolyFlow cells run on two machines."""
+    import dataclasses
+
+    other = dataclasses.replace(PAPER_CONFIG, max_tasks=4)
+    cells = _cells(("gzip", SUPERSCALAR_SPEC), ("gzip", "loop")) + _cells(
+        ("gzip", SUPERSCALAR_SPEC), ("gzip", "loop"), config=other
+    )
+    plan = _plan(cells, [100] * len(cells), monkeypatch)
+    assert len(plan.chunks) == 3
+    assert [cells[0], cells[2]] in plan.chunks
+
+
+def test_plan_grid_halves_a_lone_machine_across_workers(monkeypatch):
+    cells = _cells(*(("gzip", spec) for spec in ("postdoms", "loop", "hammock", "loopFT")))
+    plan = _plan(cells, [100] * len(cells), monkeypatch)
+    assert plan.chunks == [cells[:2], cells[2:]]
+    assert plan.workers == 2
+
+
+def test_plan_grid_empty_grid_yields_clean_empty_plan(monkeypatch):
+    """An empty grid plans to nothing: no inline cells, no chunks, zero
+    workers (not a degenerate one-chunk plan)."""
+    force_pool(monkeypatch, cpus=4)
+    plan = scheduler.plan_grid([], [], 8)
+    assert plan.inline == []
+    assert plan.chunks == []
+    assert plan.workers == 0
+    assert plan.pooled_jobs == 0
 
 
 def test_split_inline_thresholds():
@@ -185,37 +233,16 @@ def test_split_inline_short_circuits_single_worker_and_tiny_grids():
     assert (inline, pooled) == (jobs3, [])
 
 
-def test_plan_grid_empty_grid_yields_clean_empty_plan():
-    """An empty grid plans to nothing: no inline cells, no chunks, zero
-    workers, and telemetry that says so (not a degenerate one-chunk
-    plan)."""
-    plan = scheduler.plan_grid([], [], 8, cpus=4)
-    assert plan.inline == []
-    assert plan.chunks == []
-    assert plan.workers == 0
-    assert plan.pooled_jobs == 0
-    description = plan.describe()
-    assert "0" in description
-
-
-def test_plan_grid_oversized_chunk_cap_does_not_collapse_grid():
-    jobs = _jobs([6000, 6000, 6000, 6000])
-    costs = [6000, 6000, 6000, 6000]
-    plan = scheduler.plan_grid(jobs, costs, 4, max_chunk_jobs=100, cpus=4)
-    uncapped = scheduler.plan_grid(jobs, costs, 4, cpus=4)
-    assert plan.chunks == uncapped.chunks
-    assert len(plan.chunks) > 1
-    assert plan.workers == uncapped.workers > 1
-
-
-def test_plan_grid_caps_workers_at_cpus():
-    jobs = _jobs([5000, 6000, 7000])
-    plan = scheduler.plan_grid(jobs, [5000, 6000, 7000], 8, cpus=1)
-    assert plan.chunks == [] and plan.inline == jobs and plan.workers == 0
-    plan = scheduler.plan_grid(jobs, [5000, 6000, 7000], 8, cpus=4)
+def test_plan_grid_caps_workers_at_cpus(monkeypatch):
+    cells = _cells(("gzip", "loop"), ("mcf", "loop"), ("twolf", "loop"))
+    costs = [5000, 6000, 7000]
+    monkeypatch.setattr(scheduler, "usable_cpus", lambda: 1)
+    plan = scheduler.plan_grid(cells, costs, 8)
+    assert plan.chunks == [] and plan.inline == cells and plan.workers == 0
+    monkeypatch.setattr(scheduler, "usable_cpus", lambda: 4)
+    plan = scheduler.plan_grid(cells, costs, 8)
     assert plan.pooled_jobs == 3
-    assert plan.workers <= 4
-    assert "pooled" in plan.describe()
+    assert plan.workers == 3
 
 
 # -- slim transport ---------------------------------------------------------------
@@ -235,21 +262,23 @@ def test_pack_unpack_round_trips_stats():
 # -- integrated runner behaviour --------------------------------------------------
 
 
-def test_results_bit_identical_across_jobs_and_chunks():
+def test_results_bit_identical_across_jobs_and_chunks(monkeypatch):
     serial = _grid_stats(ExperimentRunner(scale=_SCALE, workload_names=_NAMES))
-    for jobs, chunk in ((4, None), (4, 1), (2, 2)):
-        runner = _runner(jobs=jobs, chunk=chunk, cpus=4, inline_threshold=1)
-        assert _grid_stats(runner) == serial, (jobs, chunk)
-        assert runner.summary.chunks_shipped > 0, (jobs, chunk)
+    force_pool(monkeypatch, cpus=4)
+    for jobs in (4, 2):
+        runner = _runner(jobs=jobs)
+        assert _grid_stats(runner) == serial, jobs
+        assert runner.summary.chunks_shipped > 0, jobs
 
 
-def test_warm_pool_reused_across_prefetch_calls_and_runners():
+def test_warm_pool_reused_across_prefetch_calls_and_runners(monkeypatch):
+    force_pool(monkeypatch, cpus=4)
     scheduler.shutdown_pool()
     starts_before = scheduler.pool_starts()
-    runner = _runner(jobs=2, cpus=4, inline_threshold=1)
+    runner = _runner(jobs=2)
     runner.prefetch(_GRID[:3])
     runner.prefetch(_GRID)
-    second = _runner(jobs=2, cpus=4, inline_threshold=1)
+    second = _runner(jobs=2)
     second.prefetch([("twolf", "loop"), ("gzip", "hammock")])
     assert scheduler.pool_starts() == starts_before + 1
 
@@ -259,9 +288,10 @@ def test_cheap_grid_never_touches_the_pool(monkeypatch):
         raise AssertionError("cheap grids must run inline")
 
     monkeypatch.setattr(scheduler, "warm_pool", _no_pool)
+    monkeypatch.setattr(scheduler, "usable_cpus", lambda: 4)
     # scale-0.1 traces are a few thousand instructions: below the
     # default inline threshold, so even jobs=4 with 4 CPUs stays inline.
-    runner = _runner(jobs=4, cpus=4)
+    runner = _runner(jobs=4)
     ran = runner.prefetch(_GRID)
     assert ran == len(_GRID)
     assert runner.summary.inline_jobs == len(_GRID)
@@ -277,23 +307,25 @@ def test_cache_hit_only_grid_short_circuits(tmp_path, monkeypatch):
         raise AssertionError("cache-hit-only grids must not spin up a pool")
 
     monkeypatch.setattr(scheduler, "warm_pool", _no_pool)
-    replay = _runner(jobs=4, cpus=4, inline_threshold=1, cache_dir=cache_dir)
+    force_pool(monkeypatch, cpus=4)
+    replay = _runner(jobs=4, cache_dir=cache_dir)
     ran = replay.prefetch(_GRID)
     assert ran == 0
     assert replay.summary.cache_hits == len(_GRID)
     assert replay.summary.jobs_run == 0
 
 
-def test_pooled_traces_byte_identical_to_inline(tmp_path):
+def test_pooled_traces_byte_identical_to_inline(tmp_path, monkeypatch):
     serial_dir = tmp_path / "serial"
     pooled_dir = tmp_path / "pooled"
-    cases = [("gzip", "postdoms")]
+    cases = [("gzip", "postdoms"), ("gzip", "loop")]
     serial = _runner(jobs=1, trace_dir=str(serial_dir))
     serial.prefetch(cases)
-    pooled = _runner(
-        jobs=4, cpus=4, inline_threshold=1, chunk=1, trace_dir=str(pooled_dir)
-    )
+    force_pool(monkeypatch, cpus=4)
+    pooled = _runner(jobs=4, trace_dir=str(pooled_dir))
     pooled.prefetch(cases)
+    # One machine, halved across two workers.
+    assert pooled.summary.chunks_shipped == 2
     for name, spec in cases:
         cell = Cell(name, spec, PAPER_CONFIG, PAPER_CONFIG.max_spawn_distance)
         digest = cell.digest(_SCALE)
@@ -304,14 +336,15 @@ def test_pooled_traces_byte_identical_to_inline(tmp_path):
 
 
 
-def test_pool_workers_compile_block_tables_inside_cell_windows():
+def test_pool_workers_compile_block_tables_inside_cell_windows(monkeypatch):
     """Fresh pool workers prepare nothing ahead of their chunks: every
     block table a worker compiles is compiled inside a cell's counter
     window, so the pooled run books as many table lookups as the serial
     run and at least one compile per workload."""
     clear_cache()
     scheduler.shutdown_pool()
-    pooled = _runner(jobs=2, cpus=2, inline_threshold=1)
+    force_pool(monkeypatch)
+    pooled = _runner(jobs=2)
     pooled.prefetch(_GRID)
     assert pooled.summary.chunks_shipped > 0
     assert pooled.summary.inline_jobs == 0

@@ -42,7 +42,7 @@ def make_cfg(edge_list, block_count, exit_blocks, entry_index=0, name="test"):
         name: CFG name.
     """
     blocks = [
-        BasicBlock(index, [Instruction(0x1000 + 4 * index, Opcode.NOP, text="nop")])
+        BasicBlock(index, [Instruction(0x1000 + 4 * index, Opcode.NOP)])
         for index in range(block_count)
     ]
     cfg = ControlFlowGraph(blocks, entry_index, name=name)
@@ -68,14 +68,12 @@ def paper_figure1_cfg():
     )
 
 
-def grid_order_chunks(monkeypatch):
-    """Make the planner cut pooled cells into grid-order chunks of the
-    runner's ``chunk`` size, so a test decides which cells share a
-    chunk (the cost planner would split equal-cost cells apart)."""
+
+def force_pool(monkeypatch, cpus=2, inline_threshold=1):
+    """Make the planner see ``cpus`` usable CPUs and pool every cell
+    costing at least ``inline_threshold``, so a grid reaches real pool
+    workers on any machine."""
     from repro.experiments import scheduler
 
-    def plan_chunks(jobs, costs, workers, max_chunk_jobs=None):
-        size = max_chunk_jobs or 1
-        return [list(jobs[i : i + size]) for i in range(0, len(jobs), size)]
-
-    monkeypatch.setattr(scheduler, "plan_chunks", plan_chunks)
+    monkeypatch.setattr(scheduler, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(scheduler, "INLINE_COST_THRESHOLD", inline_threshold)

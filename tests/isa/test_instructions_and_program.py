@@ -109,57 +109,6 @@ def test_fall_through_pc():
     assert program.instructions[0].fall_through_pc() == program.instructions[1].pc
 
 
-_DIGEST_SOURCE = """
-.text
-main:
-    nop
-alt:
-    halt
-"""
-
-
-def test_content_digest_seeded_by_assembler_and_memoized():
-    program = assemble(_DIGEST_SOURCE)
-    # The assembler seeds the memo, so no hashing happens on access.
-    assert program._content_digest is not None
-    digest = program.content_digest()
-    assert digest == program._content_digest
-    assert program.content_digest() is digest
-    # Deterministic across assemblies of the same source.
-    assert assemble(_DIGEST_SOURCE).content_digest() == digest
-
-
-def test_content_digest_distinguishes_entry_and_bases():
-    base = assemble(_DIGEST_SOURCE)
-    assert assemble(_DIGEST_SOURCE, entry_label="alt").content_digest() != (
-        base.content_digest()
-    )
-    assert assemble(_DIGEST_SOURCE, text_base=0xA000).content_digest() != (
-        base.content_digest()
-    )
-
-
-def test_content_digest_fallback_for_directly_built_programs():
-    program = assemble(_DIGEST_SOURCE)
-    rebuilt = Program(
-        program.instructions,
-        program.symbols,
-        program.data_segments,
-        program.entry_point,
-    )
-    assert rebuilt._content_digest is None
-    digest = rebuilt.content_digest()
-    assert rebuilt._content_digest == digest
-    # The fallback is deterministic too.
-    again = Program(
-        program.instructions,
-        program.symbols,
-        program.data_segments,
-        program.entry_point,
-    )
-    assert again.content_digest() == digest
-
-
 def test_machine_state_memory_access_widths():
     from repro.sim import MachineState
 
@@ -188,7 +137,7 @@ def test_program_rejects_overlapping_data_segments():
 def test_instruction_pickle_keeps_every_slot(opcode):
     """An instruction pickles its constructor operands only, and
     loading it derives the same classification flags again."""
-    inst = Instruction(0x9010, opcode, rd=4, rs=5, rt=6, imm=-24, target=0x9000, text="x y")
+    inst = Instruction(0x9010, opcode, rd=4, rs=5, rt=6, imm=-24, target=0x9000)
     data = pickle.dumps(inst)
     assert b"is_load" not in data and b"latency_class" not in data
     loaded = pickle.loads(data)

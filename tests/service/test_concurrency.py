@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.experiments import scheduler
 from repro.experiments.runner import ExperimentRunner
 from repro.service import wire
+from tests.helpers import force_pool
 
 _SCALE = 0.1
 
@@ -37,10 +38,9 @@ def _query_wave(client):
         return [future.result() for future in futures]
 
 
-def test_concurrent_overlapping_queries(service_factory):
-    running = service_factory(
-        jobs=2, cpus=4, inline_threshold=1, window_seconds=0.05
-    )
+def test_concurrent_overlapping_queries(service_factory, monkeypatch):
+    force_pool(monkeypatch, cpus=4)
+    running = service_factory(jobs=2, window_seconds=0.05)
     client = running.client()
     responses = _query_wave(client)
 
@@ -90,12 +90,13 @@ def test_concurrent_overlapping_queries(service_factory):
     assert scheduler.pool_starts() == starts_before
 
 
-def test_admission_window_coalesces_concurrent_queries(service_factory):
+def test_admission_window_coalesces_concurrent_queries(
+    service_factory, monkeypatch
+):
     """With a generous window, the wave lands in few batches and the
     batch telemetry proves cross-query dedup happened."""
-    running = service_factory(
-        jobs=2, cpus=4, inline_threshold=1, window_seconds=0.25
-    )
+    force_pool(monkeypatch, cpus=4)
+    running = service_factory(jobs=2, window_seconds=0.25)
     client = running.client()
     _query_wave(client)
 

@@ -17,6 +17,7 @@ from repro.experiments.runner import Cell, ExperimentRunner
 from repro.polyflow import PAPER_CONFIG
 from repro.service import wire
 from tests.faults import broken_pool, corrupt_cache_entry
+from tests.helpers import force_pool
 
 _SCALE = 0.1
 _CELLS = [
@@ -33,14 +34,13 @@ def _assert_serial_identical(response, cells=_CELLS):
         assert wire.canonical_json(result["stats"]) == wire.canonical_json(truth)
 
 
-def _pooled_service(service_factory, **kwargs):
-    return service_factory(
-        jobs=2, cpus=4, inline_threshold=1, window_seconds=0.0, **kwargs
-    )
+def _pooled_service(service_factory, monkeypatch, **kwargs):
+    force_pool(monkeypatch, cpus=4)
+    return service_factory(jobs=2, window_seconds=0.0, **kwargs)
 
 
-def test_worker_death_is_retried_on_a_fresh_pool(service_factory):
-    running = _pooled_service(service_factory)
+def test_worker_death_is_retried_on_a_fresh_pool(service_factory, monkeypatch):
+    running = _pooled_service(service_factory, monkeypatch)
     client = running.client()
     with broken_pool(fail_submits={0}) as plan:
         response = client.query(_CELLS, scale=_SCALE)
@@ -60,8 +60,10 @@ def test_worker_death_is_retried_on_a_fresh_pool(service_factory):
     assert any(event["type"] == "pool_restart" for event in kinds)
 
 
-def test_persistent_worker_deaths_degrade_to_inline(service_factory):
-    running = _pooled_service(service_factory)
+def test_persistent_worker_deaths_degrade_to_inline(
+    service_factory, monkeypatch
+):
+    running = _pooled_service(service_factory, monkeypatch)
     client = running.client()
     # Kill every pool submission: the retry pool dies too, so the
     # engine must fall back to per-cell inline execution.
