@@ -10,7 +10,7 @@ paper's claims rest on.
 
 import pytest
 
-from repro.experiments import ExperimentRunner
+from repro.experiments import ParallelExperimentRunner
 from repro.workloads import clear_cache
 
 #: Workload scale for benchmark runs (full scale = 1.0).
@@ -19,6 +19,7 @@ BENCHMARK_SCALE = 0.5
 
 @pytest.fixture(scope="session")
 def runner():
-    """One shared experiment runner so figures reuse cached runs."""
+    """One shared experiment runner so figures reuse cached runs; it
+    runs cells through the sharing executor, as the figure CLI does."""
     clear_cache()
-    return ExperimentRunner(scale=BENCHMARK_SCALE)
+    return ParallelExperimentRunner(scale=BENCHMARK_SCALE)

@@ -209,8 +209,9 @@ def main(argv=None):
         "--serial",
         action="store_true",
         help="(query) skip the service and compute the same cells with "
-        "a local serial ExperimentRunner — output is byte-identical "
-        "to the service's, so the two can be diffed",
+        "a local serial ExperimentRunner, the non-sharing reference "
+        "(one simulation per cell, no kernel runs shared) — output is "
+        "byte-identical to the service's, so the two can be diffed",
     )
     parser.add_argument(
         "--query-retries",

@@ -1,18 +1,16 @@
 """Generators for every table and figure in the paper's evaluation.
 
 Each ``figureN`` function runs (or reuses) the necessary simulations via
-an :class:`~repro.experiments.runner.ExperimentRunner` and returns a
+the runner it is given (a
+:class:`~repro.experiments.parallel.ParallelExperimentRunner` in every
+production caller) and returns a
 structured result object whose ``render()`` produces the same rows or
 series the paper reports.
 """
 
 from repro.experiments import paper_data
 from repro.experiments.reporting import format_percent, format_table
-from repro.experiments.runner import (
-    REC_PRED_SPEC,
-    SUPERSCALAR_SPEC,
-    ExperimentRunner,
-)
+from repro.experiments.runner import REC_PRED_SPEC, SUPERSCALAR_SPEC
 from repro.polyflow.config import figure8_rows
 from repro.spawn import POSTDOMINATOR_CATEGORIES, static_distribution
 from repro.spawn.policies import (
@@ -194,9 +192,8 @@ class LossResult:
         )
 
 
-def figure5(runner=None):
+def figure5(runner):
     """Static distribution of control-equivalent task types."""
-    runner = runner or ExperimentRunner()
     counts = {}
     for name in runner.workload_names:
         prepared = runner.workload(name)
@@ -221,9 +218,8 @@ def _speedup_result(runner, title, specs, with_ipc=False):
     return SpeedupResult(title, specs, runner.workload_names, speedups, ipc)
 
 
-def figure9(runner=None):
+def figure9(runner):
     """Individual heuristic policies vs control-equivalent spawning."""
-    runner = runner or ExperimentRunner()
     return _speedup_result(
         runner,
         "Figure 9: individual heuristic policies (speedup % over superscalar)",
@@ -232,9 +228,8 @@ def figure9(runner=None):
     )
 
 
-def figure10(runner=None):
+def figure10(runner):
     """Heuristic combinations vs control-equivalent spawning."""
-    runner = runner or ExperimentRunner()
     return _speedup_result(
         runner,
         "Figure 10: heuristic combinations (speedup % over superscalar)",
@@ -242,9 +237,8 @@ def figure10(runner=None):
     )
 
 
-def figure11(runner=None):
+def figure11(runner):
     """Loss from excluding one postdominator category."""
-    runner = runner or ExperimentRunner()
     runner.prefetch(figure_jobs("fig11", runner))
     losses = {}
     for name in runner.workload_names:
@@ -260,9 +254,8 @@ def figure11(runner=None):
     return LossResult(runner.workload_names, losses)
 
 
-def figure12(runner=None):
+def figure12(runner):
     """Reconvergence-predictor spawning vs compiler postdominators."""
-    runner = runner or ExperimentRunner()
     return _speedup_result(
         runner,
         "Figure 12: spawning using reconvergence prediction "

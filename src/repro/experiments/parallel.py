@@ -12,8 +12,9 @@ such a grid, one or many, through one dispatch loop:
 2. **cost** the pending cells with
    :func:`~repro.experiments.scheduler.job_cost` and **plan** them once
    with :func:`~repro.experiments.scheduler.plan_grid`: cheap cells
-   inline in the parent, the rest as one chunk per machine, costliest
-   first, so a pooled run shares as many kernel runs as a serial one;
+   inline in the parent, the rest keyed by kernel run and shipped as
+   one chunk per machine, costliest first, halved only between run
+   groups, so a pooled run shares as many kernel runs as a serial one;
 3. **run** the inline cells in the parent and stream the chunks
    through the warm fork pool (``--jobs N``,
    :func:`~repro.experiments.scheduler.stream_chunks`).  Everywhere the
@@ -628,7 +629,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         death loses only the outcomes that never came back.
         """
         costs = [scheduler.job_cost(cell.workload, self.scale) for cell in pending]
-        plan = scheduler.plan_grid(pending, costs, self.jobs)
+        plan = scheduler.plan_grid(pending, costs, self.jobs, self.scale)
         self.summary.dispatches.append(plan)
         for cell, outcome in zip(plan.inline, self._run_cells(plan.inline)):
             self._book(cell, outcome, digests[cell])

@@ -14,7 +14,9 @@ fan-out and the on-disk result cache layered on top.
 
 Two values cross every layer of that stack: a :class:`Cell` names one
 grid cell (its digest addresses the cell's cache entry), and an
-:class:`Outcome` carries what running or fetching it produced.
+:class:`Outcome` carries what running or fetching it produced.  One
+function, :func:`run_key`, says from a cell alone which kernel run it
+makes; the executor and the pool planner both group cells by it.
 """
 
 import hashlib
@@ -116,31 +118,6 @@ class Outcome(NamedTuple):
     shared: bool = False
 
 
-def spawn_profile(name, scale, max_spawn_distance):
-    """The spawn profile of one workload (memoized per program).
-
-    The profile covers the union of postdominator and loop spawn
-    points, so every policy's hint table can be derived from it.  The
-    per-distance memo lives on the workload's shared
-    :class:`~repro.analysis.pipeline.ProgramAnalyses`, so worker
-    processes running several policy specs of the same workload — and
-    runners at different scales that build identical program text —
-    all share one profile.
-    """
-    return prepare_workload(name, scale).spawn_profile(max_spawn_distance)
-
-
-def clear_profile_cache():
-    """Drop all memoized spawn profiles (mainly for tests).
-
-    Profiles are memoized on the shared program analyses, so this
-    delegates to :func:`repro.workloads.clear_cache`.
-    """
-    from repro.workloads import clear_cache
-
-    clear_cache()
-
-
 def machine_config(spec, config):
     """The configuration a core for ``spec`` is built with: the
     superscalar restriction of ``config`` for the baseline spec, else
@@ -151,7 +128,51 @@ def machine_config(spec, config):
     return config
 
 
-def build_core(name, spec, scale, config, profile_distance=None, bus=None):
+class RunKey(NamedTuple):
+    """What makes a cell a distinct kernel run (see :func:`run_key`)."""
+
+    workload: str
+    machine: str
+    kind: str
+    hints: object
+
+
+def _hint_table(cell, scale):
+    """The hint table a core of ``cell`` reads: empty for the
+    superscalar baseline, ``None`` for ``rec_pred`` (its spawner builds
+    a table from the trace and the machine)."""
+    if cell.spec == SUPERSCALAR_SPEC:
+        return HintTable()
+    if cell.spec == REC_PRED_SPEC:
+        return None
+    distance = cell.profile_distance
+    if distance is None:
+        distance = cell.config.max_spawn_distance
+    prepared = prepare_workload(cell.workload, scale)
+    policy = prepared.spawn_analysis.policy(cell.spec)
+    return prepared.spawn_profile(distance).hint_table(policy)
+
+
+def run_key(cell, scale):
+    """The kernel run ``cell`` makes at ``scale``, known before any
+    core is built: cells with equal keys run the same simulation.
+
+    The key holds the workload, the fingerprint of the machine the core
+    runs on (:func:`machine_config`), the spawn-unit kind (``static``,
+    ``rec_pred`` or ``superscalar``) and the hint table the unit reads,
+    compared by contents.  A ``rec_pred`` table is a function of the
+    trace and the machine, already in the key, so it is left out.
+    """
+    spec = cell.spec
+    return RunKey(
+        cell.workload,
+        config_fingerprint(machine_config(spec, cell.config)),
+        spec if spec in (SUPERSCALAR_SPEC, REC_PRED_SPEC) else "static",
+        _hint_table(cell, scale),
+    )
+
+
+def build_core(name, spec, scale, config, profile_distance=None, bus=None, hints=None):
     """Construct the :class:`PolyFlowCore` for one (workload, policy) job.
 
     This is the single place the experiment harness turns a picklable
@@ -175,41 +196,19 @@ def build_core(name, spec, scale, config, profile_distance=None, bus=None):
             the profile fixed; this keeps those runs reproducible.
         bus: Optional :class:`~repro.obs.EventBus` carrying trace or
             metrics sinks.
+        hints: The hint table of the job's :func:`run_key`, if
+            already derived.
     """
-    spec = canonical_spec(spec)
+    cell = Cell(name, spec, config, profile_distance)
+    if hints is None:
+        hints = _hint_table(cell, scale)
     prepared = prepare_workload(name, scale)
-    if spec == SUPERSCALAR_SPEC:
-        return PolyFlowCore(
-            prepared.trace, machine_config(spec, config), HintTable(), bus=bus
-        )
-    if spec == REC_PRED_SPEC:
+    core = PolyFlowCore(prepared.trace, machine_config(cell.spec, config), hints, bus=bus)
+    if cell.spec == REC_PRED_SPEC:
         from repro.reconvergence import build_reconvergence_spawner
 
-        core = PolyFlowCore(prepared.trace, config, HintTable(), bus=bus)
         core.spawn_unit = build_reconvergence_spawner(prepared, config)
-        return core
-    if profile_distance is None:
-        profile_distance = config.max_spawn_distance
-    profile = spawn_profile(name, scale, profile_distance)
-    policy = prepared.spawn_analysis.policy(spec)
-    return PolyFlowCore(prepared.trace, config, profile.hint_table(policy), bus=bus)
-
-
-def simulation_key(name, core):
-    """What makes a built core a distinct machine.
-
-    Plain cores of one workload (at one scale) with equal keys run the
-    same simulation: the key holds the full machine configuration (so
-    ``superscalar`` and every geometry override stay apart), the spawn
-    unit's class (so ``rec_pred`` never matches a static policy) and
-    the contents of the hint table that unit reads.
-    """
-    return (
-        name,
-        config_fingerprint(core.config),
-        type(core.spawn_unit),
-        core.spawn_unit.hint_table.key(),
-    )
+    return core
 
 
 def simulate_job(name, spec, scale, config, profile_distance=None):
@@ -225,11 +224,17 @@ def simulate_job(name, spec, scale, config, profile_distance=None):
 
 
 class ExperimentRunner:
-    """Caches workload preparation and simulation runs.
+    """The non-sharing serial reference: one :func:`simulate_job` per
+    cell, memoized.
 
     Simulation outcomes live in an in-memory memo keyed by
     :class:`Cell`; the cell's digest addresses the on-disk cache of
-    :class:`~repro.experiments.parallel.ParallelExperimentRunner`.
+    :class:`~repro.experiments.parallel.ParallelExperimentRunner`,
+    which runs every cell through :func:`~repro.sim.gridbatch.run_batch`
+    and shares kernel runs by :func:`run_key`.  This runner shares
+    nothing on purpose: ``query --serial``, the service suites and the
+    e2e service checks diff the sharing paths against it, so a fault
+    in keying or sharing cannot hide in both sides of the diff.
     """
 
     def __init__(self, scale=1.0, config=PAPER_CONFIG, workload_names=WORKLOAD_NAMES):
@@ -246,16 +251,6 @@ class ExperimentRunner:
         if name not in self._workloads:
             self._workloads[name] = prepare_workload(name, self.scale)
         return self._workloads[name]
-
-    def profile(self, name):
-        """The spawn profile over the union of all spawn points."""
-        return spawn_profile(name, self.scale, self.config.max_spawn_distance)
-
-    def hint_table(self, name, spec):
-        """The hint table for one (workload, policy spec) pair."""
-        prepared = self.workload(name)
-        policy = prepared.spawn_analysis.policy(spec)
-        return self.profile(name).hint_table(policy)
 
     # -- simulation ---------------------------------------------------------------
 

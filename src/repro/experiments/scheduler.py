@@ -17,16 +17,22 @@ module replaces that with a scheduler that treats the grid as a batch:
   committed-trace length, which the content-keyed
   :class:`~repro.analysis.pipeline.AnalysisCache` has already computed
   by the time the cell is scheduled (estimating the cost of a cache
-  miss prepares the program the simulation needs anyway).
+  miss prepares the program the simulation needs anyway).  A run
+  group — the pooled cells of one
+  :func:`~repro.experiments.runner.run_key` — costs one trace, however
+  many cells share it: its later cells are charged only their key and
+  their copy.
 
-* **One chunk per machine** — pooled cells are grouped by the machine
-  they run on (workload plus the fingerprint of
-  :func:`~repro.experiments.runner.machine_config`), so every cell
-  that could share a kernel run lands in one
+* **One chunk per machine, split by run group** — only pooled cells
+  are keyed, from the cell alone and after the inline split.  Cells of
+  one key form a run group, and the groups of one machine (the key's
+  workload and machine fingerprint) form one chunk, so every cell that
+  could share a kernel run lands in one
   :func:`~repro.sim.gridbatch.run_batch` call, exactly as in a serial
   run.  Each chunk ships as *one* pickle, longest-expected-first; a
-  grid of fewer machines than workers has its costliest chunks
-  halved until every worker has one.
+  grid of fewer machines than workers has its costliest chunks halved
+  at a group boundary until every worker has one, and a chunk of one
+  group is never halved.
 
 * **Cheap-cell short-circuit** — cells whose estimated cost falls
   below :data:`INLINE_COST_THRESHOLD` run inline in the parent, so
@@ -58,8 +64,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from repro.analysis.pipeline import configure_disk_cache
-from repro.experiments.runner import machine_config
-from repro.polyflow.config import config_fingerprint
+from repro.experiments.runner import run_key
 from repro.spawn import canonical_spec
 
 #: Cells whose estimated cost (committed-trace instructions) falls
@@ -204,46 +209,41 @@ def split_inline(jobs, costs, workers, inline_threshold=INLINE_COST_THRESHOLD):
     return inline, pooled, pooled_costs
 
 
-def _machine_chunks(cells, costs, workers):
-    """One chunk per machine, costliest first (see :func:`plan_grid`);
-    each chunk keeps its cells in grid order."""
+def _machine_chunks(cells, costs, workers, scale):
+    """One chunk per machine, costliest first: a list of run groups,
+    each costed once, halved between groups while workers are idle."""
     machines = {}
     for cell, cost in zip(cells, costs):
-        machine = (
-            cell.workload,
-            config_fingerprint(machine_config(cell.spec, cell.config)),
-        )
-        machines.setdefault(machine, []).append((cost, cell))
-    chunks = list(machines.values())
+        key = run_key(cell, scale)
+        groups = machines.setdefault((key.workload, key.machine), {})
+        groups.setdefault(key, [cost, []])[1].append(cell)
+    chunks = [list(groups.values()) for groups in machines.values()]
+
+    def chunk_cost(chunk):
+        return sum(cost for cost, _ in chunk)
+
     while len(chunks) < workers:
         splittable = [index for index, chunk in enumerate(chunks) if len(chunk) > 1]
         if not splittable:
             break
-        index = max(splittable, key=lambda i: sum(cost for cost, _ in chunks[i]))
+        index = max(splittable, key=lambda i: chunk_cost(chunks[i]))
         chunk = chunks[index]
         half = len(chunk) // 2
         chunks[index : index + 1] = [chunk[:half], chunk[half:]]
-    chunks.sort(key=lambda chunk: -sum(cost for cost, _ in chunk))
-    return [[cell for _, cell in chunk] for chunk in chunks]
+    chunks.sort(key=lambda chunk: -chunk_cost(chunk))
+    return [[cell for _, group in chunk for cell in group] for chunk in chunks]
 
 
-def plan_grid(jobs, costs, jobs_requested):
-    """Plan one pending grid: inline split plus one chunk per machine.
+def plan_grid(jobs, costs, jobs_requested, scale):
+    """Plan one pending grid at ``scale``: inline split plus one chunk
+    per machine, split only between run groups (see the module notes).
 
     The worker count is capped at the process's usable CPUs, so
     ``--jobs 4`` on a one-core container degrades to the inline path
-    instead of forking workers that can only time-slice.  Cells under
-    :data:`INLINE_COST_THRESHOLD` run inline.  The pooled cells are
-    grouped by the machine they run on — the workload plus the
-    fingerprint of :func:`~repro.experiments.runner.machine_config` —
-    so every cell that could share a kernel run is in one chunk, as it
-    is in one serial :func:`~repro.sim.gridbatch.run_batch` call.
-    While there are fewer chunks than workers, the costliest chunk of
-    more than one cell is halved, so a one-machine grid still uses
-    every worker.  Chunks ship costliest first by summed
-    :func:`job_cost`.  :func:`usable_cpus` and the threshold are read
-    per call (tests patch them to force the pool); an empty grid
-    yields an empty plan without consulting either.
+    instead of forking workers that can only time-slice.
+    :func:`usable_cpus` and the threshold are read per call (tests
+    patch them to force the pool); an empty grid yields an empty plan
+    without consulting either.
     """
     if not jobs:
         return GridSchedule([], [], 0)
@@ -251,7 +251,7 @@ def plan_grid(jobs, costs, jobs_requested):
     inline, pooled, pooled_costs = split_inline(
         jobs, costs, workers, INLINE_COST_THRESHOLD
     )
-    chunks = _machine_chunks(pooled, pooled_costs, workers)
+    chunks = _machine_chunks(pooled, pooled_costs, workers, scale)
     workers = min(workers, len(chunks)) if chunks else 0
     return GridSchedule(inline, chunks, workers)
 
@@ -297,16 +297,6 @@ def warm_pool(workers):
 def pool_starts():
     """How many pools this process has created (warm-reuse telemetry)."""
     return _POOL_STARTS
-
-
-def pool_alive():
-    """Whether a warm pool currently exists (lifecycle telemetry).
-
-    The exploration service's tests use this to prove that cache-hit
-    queries never spin a pool up, and that a broken pool was actually
-    torn down before its replacement started.
-    """
-    return _POOL is not None
 
 
 def shutdown_pool():

@@ -8,14 +8,15 @@ warm-pool worker (through
 :func:`~repro.experiments.scheduler.execute_chunk`), for one cell or
 thousands, plain or instrumented.  It
 
-* **simulates each distinct machine once** — in a plain call, cells
-  whose cores have the same
-  :func:`~repro.experiments.runner.simulation_key` (workload, machine
-  configuration, spawn-unit class, hint-table contents; e.g.
+* **simulates each distinct kernel run once** — in a plain call, each
+  cell is keyed from the cell alone, before any core is built, with
+  :func:`~repro.experiments.runner.run_key` (workload, machine
+  configuration, spawn-unit kind, hint-table contents; e.g.
   ``loopFT`` and ``loopFT+procFT`` on a program without procedure
-  fall-through points) share one kernel run, and each later cell gets
-  a deep copy of the first one's stats and an outcome marked
-  ``shared``;
+  fall-through points).  Only the first cell of each run group builds
+  a core, from the hint table its key came from; every later cell
+  builds none and gets a deep copy of the first one's stats and an
+  outcome marked ``shared``;
 * **shares warm state per trace** — the post-warm cache hierarchy
   depends on the trace alone (every core builds the default
   :class:`~repro.memory.hierarchy.CacheHierarchy`, and the replay reads
@@ -31,13 +32,13 @@ thousands, plain or instrumented.  It
   ``trace_dir`` or ``bus_for`` every cell builds its own core on its
   own bus and never shares a kernel run; its trace file is closed and
   its metrics snapshot taken right after its own run;
-* **keeps one core alive at a time** — each cell's core is built, run
+* **keeps one core alive at a time** — each core is built, run
   to completion with :meth:`~repro.polyflow.core.PolyFlowCore.run` and
-  dropped before the next cell's is built;
+  dropped before the next one is built;
 * **keeps per-cell accounting exact** — wall-clock seconds and
   block-cache counter movement are measured around each cell's own
-  build and run (a cell that shares a run is charged only its own
-  ``build_core``).
+  key, build and run (a cell that shares a run is charged only its
+  key and its copy).
 
 Statistics are **byte-identical** to
 :func:`~repro.experiments.runner.simulate_job`, which builds and warms
@@ -111,24 +112,27 @@ def run_batch(jobs, scale, emit_metrics=False, trace_dir=None, bus_for=None):
     it.  Stats are identical with and without them — the sinks only
     observe.
     """
-    from repro.experiments.runner import Cell, Outcome, build_core, simulation_key
+    from repro.experiments import runner
     from repro.sim.blocks import cache_counters, counters_delta
 
     instrumented = emit_metrics or trace_dir is not None or bus_for is not None
     runs = {}
     outcomes = []
     for job in jobs:
-        name, spec, config, profile_distance = job
+        cell = runner.Cell(*job)
+        name, spec, config, profile_distance = cell
         started = time.perf_counter()
         before = cache_counters()
         metrics = twin = None
         if instrumented:
             bus, aggregator, writer = _instruments(
-                Cell(*job), scale, emit_metrics, trace_dir, bus_for
+                cell, scale, emit_metrics, trace_dir, bus_for
             )
             try:
                 stats = _run(
-                    build_core(name, spec, scale, config, profile_distance, bus=bus)
+                    runner.build_core(
+                        name, spec, scale, config, profile_distance, bus=bus
+                    )
                 )
             finally:
                 if writer is not None:
@@ -136,16 +140,18 @@ def run_batch(jobs, scale, emit_metrics=False, trace_dir=None, bus_for=None):
             if aggregator is not None:
                 metrics = aggregator.as_dict()
         else:
-            core = build_core(name, spec, scale, config, profile_distance)
-            key = simulation_key(name, core)
+            key = runner.run_key(cell, scale)
             twin = runs.get(key)
             if twin is None:
+                core = runner.build_core(
+                    name, spec, scale, config, profile_distance, hints=key.hints
+                )
                 stats = runs[key] = _run(core)
+                core = None  # one machine alive at a time
             else:
                 stats = copy.deepcopy(twin)
-            core = None  # one machine alive at a time
         outcomes.append(
-            Outcome(
+            runner.Outcome(
                 stats,
                 metrics,
                 time.perf_counter() - started,

@@ -75,6 +75,14 @@ class HintTable:
         """All entries, sorted by trigger PC."""
         return sorted(self._entries.values(), key=lambda e: e.spawn_point.trigger_pc)
 
+    def __eq__(self, other):
+        """Tables are equal when they drive identical spawns (see
+        :meth:`key`); the experiment harness keys kernel runs by them."""
+        return isinstance(other, HintTable) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
     def key(self):
         """A hashable key equal for tables that drive identical spawns.
 

@@ -115,7 +115,7 @@ def _cells(*pairs, config=PAPER_CONFIG):
 def _plan(cells, costs, monkeypatch, workers=2):
     """Plan ``cells`` for ``workers`` pool workers, every cell pooled."""
     force_pool(monkeypatch, cpus=workers)
-    return scheduler.plan_grid(cells, costs, workers)
+    return scheduler.plan_grid(cells, costs, workers, _SCALE)
 
 
 def test_plan_chunks_orders_longest_first(monkeypatch):
@@ -152,7 +152,7 @@ def test_plan_chunks_empty_grid(monkeypatch):
         raise AssertionError("an empty grid must not look at the CPUs")
 
     monkeypatch.setattr(scheduler, "usable_cpus", _no_cpus)
-    assert scheduler.plan_grid([], [], 4).chunks == []
+    assert scheduler.plan_grid([], [], 4, _SCALE).chunks == []
 
 
 def test_plan_grid_keeps_one_machine_in_one_chunk(monkeypatch):
@@ -198,11 +198,56 @@ def test_plan_grid_halves_a_lone_machine_across_workers(monkeypatch):
     assert plan.workers == 2
 
 
+#: Four mcf policies that keep the same spawn points: one run group.
+_MCF_GROUP = ("loopFT", "loopFT+procFT", "loop+loopFT", "loop+procFT+loopFT")
+
+
+def test_plan_grid_never_halves_one_run_group(monkeypatch):
+    """A machine whose cells form one run group ships whole, even with
+    a worker idle: halving it would run its kernel run twice."""
+    cells = _cells(*(("mcf", spec) for spec in _MCF_GROUP))
+    plan = _plan(cells, [100] * len(cells), monkeypatch)
+    assert plan.chunks == [cells]
+    assert plan.workers == 1
+
+
+def test_plan_grid_halves_a_machine_at_a_group_boundary(monkeypatch):
+    """A machine of two run groups halves between them, never inside
+    one; each group is costed once."""
+    specs = ("loopFT", "postdoms") + _MCF_GROUP[1:]
+    cells = _cells(*(("mcf", spec) for spec in specs))
+    plan = _plan(cells, [100] * len(cells), monkeypatch)
+    assert plan.chunks == [[cells[0]] + cells[2:], [cells[1]]]
+    assert plan.workers == 2
+
+
+def test_pooled_grid_shares_one_run_group_as_serial_does(monkeypatch):
+    """Two pool workers share the four mcf cells' one kernel run
+    exactly as ``jobs=1`` does: 3 of 4 cells shared."""
+    grid = [("mcf", spec) for spec in _MCF_GROUP]
+    serial = ParallelExperimentRunner(scale=0.25)
+    serial.prefetch(grid)
+    force_pool(monkeypatch)
+    pooled = ParallelExperimentRunner(scale=0.25, jobs=2)
+    try:
+        pooled.prefetch(grid)
+    finally:
+        pooled.close()
+    assert pooled.summary.shared_cells == serial.summary.shared_cells == 3
+    assert pooled.summary.chunks_shipped == 1
+    assert pooled.summary.jobs_run - pooled.summary.shared_cells == 1
+    for name, spec in grid:
+        assert (
+            pooled.run_policy(name, spec).as_dict()
+            == serial.run_policy(name, spec).as_dict()
+        )
+
+
 def test_plan_grid_empty_grid_yields_clean_empty_plan(monkeypatch):
     """An empty grid plans to nothing: no inline cells, no chunks, zero
     workers (not a degenerate one-chunk plan)."""
     force_pool(monkeypatch, cpus=4)
-    plan = scheduler.plan_grid([], [], 8)
+    plan = scheduler.plan_grid([], [], 8, _SCALE)
     assert plan.inline == []
     assert plan.chunks == []
     assert plan.workers == 0
@@ -237,10 +282,10 @@ def test_plan_grid_caps_workers_at_cpus(monkeypatch):
     cells = _cells(("gzip", "loop"), ("mcf", "loop"), ("twolf", "loop"))
     costs = [5000, 6000, 7000]
     monkeypatch.setattr(scheduler, "usable_cpus", lambda: 1)
-    plan = scheduler.plan_grid(cells, costs, 8)
+    plan = scheduler.plan_grid(cells, costs, 8, _SCALE)
     assert plan.chunks == [] and plan.inline == cells and plan.workers == 0
     monkeypatch.setattr(scheduler, "usable_cpus", lambda: 4)
-    plan = scheduler.plan_grid(cells, costs, 8)
+    plan = scheduler.plan_grid(cells, costs, 8, _SCALE)
     assert plan.pooled_jobs == 3
     assert plan.workers == 3
 

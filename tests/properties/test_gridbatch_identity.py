@@ -9,7 +9,7 @@ time, so no two cores of one batch are ever alive together, and it
 replays a trace's warm caches once per process.
 
 Cells whose policies resolve to the same hint table on one workload
-share a single kernel run (:func:`repro.experiments.runner.simulation_key`);
+share a single kernel run (:func:`repro.experiments.runner.run_key`);
 the SPEC pool below draws specs that collapse that way, so sharing
 cells are held to the same cell-for-cell identity, and the
 deterministic tests pin which cells may share.
@@ -116,9 +116,17 @@ def _shared(outcomes):
 
 def test_identical_machines_share_one_kernel_run(monkeypatch):
     calls = _counting(monkeypatch, "run_incremental")
+    builds = []
+    build_core = runner.build_core
+    monkeypatch.setattr(
+        runner,
+        "build_core",
+        lambda *args, **kwargs: builds.append(args) or build_core(*args, **kwargs),
+    )
     jobs = [("mcf", spec, PAPER_CONFIG, None) for spec in _MCF_GROUP]
     outcomes = gridbatch.run_batch(jobs, _SPEC_SCALE)
     assert len(calls) == 1
+    assert len(builds) == 1  # shared cells build no core
     assert _shared(outcomes) == [False, True, True, True]
     stats = [outcome[0] for outcome in outcomes]
     first = stats[0].as_dict()
