@@ -46,11 +46,23 @@ class GsharePredictor:
         """Predict then immediately train; returns the prediction.
 
         The trace-driven frontend resolves branches from the committed
-        trace, so prediction and training happen at fetch.
+        trace, so prediction and training happen at fetch.  One body
+        (the :meth:`predict` then :meth:`update` pair, inlined) because
+        the timing kernel calls it on every conditional branch.
         """
-        prediction = self.predict(pc)
-        self.update(pc, taken)
-        return prediction
+        counters = self.counters
+        history = self.history
+        index = ((pc >> 2) ^ (history << self.history_shift)) & self.index_mask
+        counter = counters[index]
+        if taken:
+            if counter < 3:
+                counters[index] = counter + 1
+            self.history = ((history << 1) | 1) & self.history_mask
+        else:
+            if counter > 0:
+                counters[index] = counter - 1
+            self.history = (history << 1) & self.history_mask
+        return counter >= 2
 
 
 class IndirectTargetPredictor:

@@ -35,6 +35,7 @@ class Cache:
         self.set_count = size // (associativity * line_size)
         self._offset_bits = line_size.bit_length() - 1
         self._set_mask = self.set_count - 1
+        self._tag_shift = self.set_count.bit_length() - 1
         # Each set is an LRU-ordered list of tags (most recent last).
         self._sets = [[] for _ in range(self.set_count)]
         self.hits = 0
@@ -72,7 +73,7 @@ class Cache:
         """Access ``address``; returns True on hit.  Fills on miss."""
         line = address >> self._offset_bits
         cache_set = self._sets[line & self._set_mask]
-        tag = line >> (self.set_count.bit_length() - 1)
+        tag = line >> self._tag_shift
         if tag in cache_set:
             cache_set.remove(tag)
             cache_set.append(tag)
@@ -88,7 +89,7 @@ class Cache:
         """Check residency without updating LRU or filling."""
         line = address >> self._offset_bits
         cache_set = self._sets[line & self._set_mask]
-        tag = line >> (self.set_count.bit_length() - 1)
+        tag = line >> self._tag_shift
         return tag in cache_set
 
     def reset_statistics(self):

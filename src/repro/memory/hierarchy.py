@@ -38,20 +38,24 @@ class CacheHierarchy:
         self.l1_miss_penalty = l1_miss_penalty
         self.l2_miss_penalty = l2_miss_penalty
 
-    def _access(self, l1, address):
-        if l1.access(address):
+    # fetch_latency and data_latency share one body, written out twice
+    # to save a call on every access the timing kernel makes.
+
+    def fetch_latency(self, pc):
+        """Latency of an instruction fetch at ``pc``."""
+        if self.l1i.access(pc):
+            return self.l1_hit_latency
+        if self.l2.access(pc):
+            return self.l1_hit_latency + self.l1_miss_penalty
+        return self.l1_hit_latency + self.l1_miss_penalty + self.l2_miss_penalty
+
+    def data_latency(self, address):
+        """Latency of a data access at ``address``."""
+        if self.l1d.access(address):
             return self.l1_hit_latency
         if self.l2.access(address):
             return self.l1_hit_latency + self.l1_miss_penalty
         return self.l1_hit_latency + self.l1_miss_penalty + self.l2_miss_penalty
-
-    def fetch_latency(self, pc):
-        """Latency of an instruction fetch at ``pc``."""
-        return self._access(self.l1i, pc)
-
-    def data_latency(self, address):
-        """Latency of a data access at ``address``."""
-        return self._access(self.l1d, address)
 
     def snapshot_sets(self):
         """Per-level LRU state (see :meth:`Cache.snapshot_sets`)."""

@@ -179,7 +179,6 @@ class PolyFlowCore:
         # run() if the spawn unit was swapped after construction — the
         # run_end overlay depends on its resolved targets.
         self._reg_consumers = None
-        self._plain_end = None
         self._run_end = None
         self._compiled_for = None
         if not config.nested_spawns:
@@ -276,7 +275,6 @@ class PolyFlowCore:
         """
         table = block_table_for(self.trace)
         self._reg_consumers = table.reg_consumers
-        self._plain_end = table.plain_end
         batch_end = table.batch_end
         spawn_unit = self.spawn_unit
         candidates = spawn_unit.spawn_candidate_indices()
@@ -772,7 +770,6 @@ class PolyFlowCore:
         predicts_dependence = self.store_sets.predicts_dependence
         gshare_update = self.gshare.predict_and_update
         indirect_update = self.indirect_predictor.predict_and_update
-        record_task_instruction = spawn_unit.record_task_instruction
         spawn_targets = spawn_unit.resolved_targets()
         suppressed = spawn_unit.suppressed_triggers_live()
         count = len(pcs)
@@ -783,9 +780,6 @@ class PolyFlowCore:
         max_tasks = config.max_tasks
         nested = config.nested_spawns
         ras = task.ras
-        spawn_trigger = (
-            task.spawn_point.trigger_pc if task.spawn_point is not None else None
-        )
 
         while budget > 0:
             index = task.fetch_index
@@ -870,8 +864,6 @@ class PolyFlowCore:
                 stats.diverted_instructions += 1
             else:
                 self._enter_scheduler(index)
-            if spawn_trigger is not None:
-                record_task_instruction(spawn_trigger, producers is not None)
 
             # Spawning: the tail task extends the task list; with the
             # nested-spawns extension (the paper's future work), a

@@ -33,16 +33,14 @@ What makes the calendar leaner than the staged engine's event dict:
   deleted entries against the scan budget; scrubbing it would let the
   scan reach deeper than the staged engine in the cycle after a
   squash.)
-* **Typed calendars.**  Completion buckets are plain trace-index lists
-  and wake-up buckets hold indices or ``(start, end)`` fetch runs, so
-  processing a bucket does no kind dispatch or tuple unpacking.
-* **Plain-run issue.**  When a fired wake-up run is the only ready work
-  and contains no loads, stores or multiplies (``plain_end`` from the
-  :class:`~repro.sim.blocks.BlockTable`), the whole run issues as one
-  batch with a single range completion on the calendar — no per-index
-  heap traffic.  Runs with memory operations take the reference path so
-  the cache-access order (and therefore LRU state and hit counters)
-  stays identical.
+* **Two invariants instead of per-instruction checks.**  The squash
+  scrub (``squash_tasks``) eagerly deletes every calendar and heap entry
+  at or past the cutoff, so every entry a stage pops belongs to a live
+  instruction in the state that filed it: a completion finds ``_EXEC``,
+  a wake-up and an issue find ``_READY``.  And every wake-up is filed at
+  ``ready_at >= earliest``, so an index leaving the ready heap is always
+  past its front-end latency.  No stage re-checks either, and both
+  calendars hold plain trace indices.
 
 :meth:`PolyFlowCore.run` selects the kernel whenever it is exact:
 ``nested_spawns`` off, no stage-hook or spawn-target override, and no
@@ -129,7 +127,6 @@ def run_event_kernel(core):
     predicts_dependence = core.store_sets.predicts_dependence
     train_violation = core.store_sets.train_violation
     spawn_unit = core.spawn_unit
-    record_task_instructions = spawn_unit.record_task_instructions
     spawn_targets = spawn_unit.resolved_targets()
     suppressed = spawn_unit.suppressed_triggers_live()
 
@@ -153,10 +150,8 @@ def run_event_kernel(core):
 
     run_end = core._run_end
     reg_consumers = core._reg_consumers
-    plain_end = core._plain_end
 
-    # The two calendars (cycle -> bucket).  Completion buckets hold
-    # trace indices; wake-up buckets hold indices or (start, end) runs.
+    # The two calendars (cycle -> bucket of trace indices).
     complete_events = {}
     ready_events = {}
     # Divert-FIFO epochs: bumped only when a *diverted* index is
@@ -175,12 +170,12 @@ def run_event_kernel(core):
     fifo_capacity_blocked = True
     completions_dirty = release_state == _DONE
 
-    run_cap = width if width > units else units
-    done_runs = [bytes([_DONE]) * size for size in range(run_cap + 1)]
+    done_byte = bytes([_DONE])
     retired_runs = [bytes([_RETIRED]) * size for size in range(width + 1)]
-    exec_runs = [bytes([_EXEC]) * size for size in range(units + 1)]
-    ready_runs = [bytes([_READY]) * size for size in range(units + 1)]
     max_cycles = core.max_cycles
+    # Only core._spawn and core._emit_task_commit read core._cycle while
+    # the kernel runs, so it is written just before those calls (and
+    # synced in the finally).
     cycle = core._cycle
     retire_ptr = core._retire_ptr
     rob_occupancy = core._rob_occupancy
@@ -284,11 +279,7 @@ def run_event_kernel(core):
         for calendar in (complete_events, ready_events):
             for at in list(calendar):
                 bucket = calendar[at]
-                kept = [
-                    entry
-                    for entry in bucket
-                    if (entry if entry.__class__ is int else entry[0]) < cutoff
-                ]
+                kept = [index for index in bucket if index < cutoff]
                 if len(kept) != len(bucket):
                     if kept:
                         calendar[at] = kept
@@ -352,7 +343,6 @@ def run_event_kernel(core):
     try:
         while retire_ptr < count:
             cycle += 1
-            core._cycle = cycle
             if cycle > max_cycles:
                 raise SimulationError(
                     "no forward progress after {} cycles (retired {}/{})".format(
@@ -363,11 +353,6 @@ def run_event_kernel(core):
             # (with the fetch watermark) by the time skip.
             active = False
             fetch_mark = fetched_total
-            # A plain wake-up run eligible for batch issue this cycle
-            # (detected while processing the wake-up calendar, issued
-            # in the issue stage so the drain sees the same scheduler
-            # occupancy as the staged engine).
-            pending_batch = None
 
             # ---- process completions -------------------------------
             bucket = complete_events.pop(cycle, None)
@@ -375,38 +360,12 @@ def run_event_kernel(core):
                 if completions_dirty:
                     fifo_dirty = True
                 for index in bucket:
-                    if index.__class__ is not int:
-                        # (start, end) completion of a plain-run batch.
-                        run_start, run_limit = index
-                        state[run_start:run_limit] = done_runs[
-                            run_limit - run_start
-                        ]
-                        for position in range(run_start, run_limit):
-                            for consumer in reg_consumers[position]:
-                                # wake_consumer, inlined (hot path).
-                                if state[consumer] == _WAIT:
-                                    pending = wait_count[consumer] - 1
-                                    wait_count[consumer] = pending
-                                    if pending == 0:
-                                        state[consumer] = _READY
-                                        ready_at = earliest[consumer]
-                                        if ready_at <= cycle:
-                                            ready_at = cycle + 1
-                                        waking = ready_events.get(ready_at)
-                                        if waking is None:
-                                            ready_events[ready_at] = [consumer]
-                                        else:
-                                            waking.append(consumer)
-                        continue
-                    if state[index] != _EXEC:
-                        continue
                     state[index] = _DONE
-                    if waiting_branches:
+                    if kinds[index]:
+                        # Only transfers wait: a mispredicted one
+                        # resumes its task's fetch.
                         waiter = waiting_branches.pop(index, None)
-                        if (
-                            waiter is not None
-                            and waiter.waiting_branch_index == index
-                        ):
+                        if waiter is not None:
                             resume = fetch_cycle[index] + mispredict_penalty
                             if resume < cycle + 1:
                                 resume = cycle + 1
@@ -430,7 +389,7 @@ def run_event_kernel(core):
                                     waking.append(consumer)
                     # Only memory dependences live in the dict, and
                     # their producers are stores.
-                    if lats[index] != LAT_STORE:
+                    if not dependents or lats[index] != LAT_STORE:
                         continue
                     consumers = dependents.pop(index, None)
                     if not consumers:
@@ -442,38 +401,8 @@ def run_event_kernel(core):
             # ---- process wake-ups ----------------------------------
             bucket = ready_events.pop(cycle, None)
             if bucket is not None:
-                for entry in bucket:
-                    if entry.__class__ is int:
-                        if state[entry] == _READY:
-                            heappush(heap, entry)
-                        continue
-                    run_start, run_limit = entry
-                    # Plain-run batch candidate: the run is the *only*
-                    # work that can become ready this cycle (sole
-                    # bucket entry, empty heap), it fits the issue
-                    # width, every position is still _READY, and it
-                    # contains no load, store or multiply — so the
-                    # per-index min-first issue order is unobservable
-                    # (no cache access, uniform 1-cycle latency) and
-                    # the whole run can issue as one batch with a
-                    # single range completion next cycle.  The issue
-                    # itself is deferred to the issue stage so retire
-                    # and the divert drain observe the same scheduler
-                    # occupancy as the staged engine.  Anything
-                    # else falls back to per-index heap scheduling.
-                    span = run_limit - run_start
-                    if (
-                        not heap
-                        and len(bucket) == 1
-                        and span <= units
-                        and plain_end[run_start] >= run_limit
-                        and state[run_start:run_limit] == ready_runs[span]
-                    ):
-                        pending_batch = entry
-                        continue
-                    for position in range(run_start, run_limit):
-                        if state[position] == _READY:
-                            heappush(heap, position)
+                for index in bucket:
+                    heappush(heap, index)
 
             # ---- retire --------------------------------------------
             if state[retire_ptr] == _DONE:
@@ -488,17 +417,11 @@ def run_event_kernel(core):
                     if head_end is not None and head_end < limit:
                         limit = head_end
                     span = limit - retire_ptr
-                    probe = state[retire_ptr:limit]
-                    if probe == done_runs[span]:
-                        committed = span
-                    else:
-                        committed = 0
-                        for value in probe:
-                            if value != _DONE:
-                                break
-                            committed += 1
-                        if committed == 0:
-                            break
+                    committed = span - len(
+                        state[retire_ptr:limit].lstrip(done_byte)
+                    )
+                    if committed == 0:
+                        break
                     state[retire_ptr : retire_ptr + committed] = retired_runs[
                         committed
                     ]
@@ -508,6 +431,7 @@ def run_event_kernel(core):
                     head.in_flight -= committed
                     if head_end is not None and retire_ptr >= head_end:
                         tasks.popleft()
+                        core._cycle = cycle
                         core._emit_task_commit(head, head_end)
                         head_popped = True
                     if committed < span:
@@ -611,42 +535,16 @@ def run_event_kernel(core):
                     fifo_dirty = active
 
             # ---- issue ---------------------------------------------
-            if pending_batch is not None:
-                # The candidate run validated during wake-up processing
-                # is still intact: retire only touches _DONE prefixes
-                # and the drain only admits *new* scheduler entries, so
-                # no stage between there and here can disturb a _READY
-                # run.  Issue it whole — the heap is necessarily empty
-                # (a detection precondition nothing since violated).
-                run_start, run_limit = pending_batch
-                span = run_limit - run_start
-                state[run_start:run_limit] = exec_runs[span]
-                sched_occupancy -= span
-                sched_used[owner[run_start]] -= span
-                complete_at = cycle + 1
-                completion = (run_start, run_limit)
-                complete_bucket = complete_events.get(complete_at)
-                if complete_bucket is None:
-                    complete_events[complete_at] = [completion]
-                else:
-                    complete_bucket.append(completion)
-                active = True
-                if fifo_capacity_blocked:
-                    fifo_dirty = True
-            elif heap:
+            if heap:
                 issued = 0
-                deferred = None
-                violated = False
+                # Most issues complete next cycle: hold that bucket
+                # (dropped again below if nothing lands in it).
+                next_cycle = cycle + 1
+                next_bucket = complete_events.get(next_cycle)
+                if next_bucket is None:
+                    next_bucket = complete_events[next_cycle] = []
                 while heap and issued < units:
                     index = heappop(heap)
-                    if state[index] != _READY:
-                        continue
-                    if earliest[index] > cycle:
-                        if deferred is None:
-                            deferred = [index]
-                        else:
-                            deferred.append(index)
-                        continue
                     lat = lats[index]
                     if lat == LAT_LOAD:
                         unsafe_producer = unsafe_mem.get(index)
@@ -658,7 +556,6 @@ def run_event_kernel(core):
                             active = True
                             fifo_dirty = True
                             fetch_wake = 0
-                            violated = True
                             # The violator (and the heap contents from
                             # younger tasks) were squashed; issue no
                             # more this cycle.
@@ -674,13 +571,20 @@ def run_event_kernel(core):
                     state[index] = _EXEC
                     sched_occupancy -= 1
                     sched_used[owner[index]] -= 1
-                    complete_at = cycle + latency
-                    complete_bucket = complete_events.get(complete_at)
-                    if complete_bucket is None:
-                        complete_events[complete_at] = [index]
+                    if latency == 1:
+                        next_bucket.append(index)
                     else:
-                        complete_bucket.append(index)
+                        complete_at = cycle + latency
+                        complete_bucket = complete_events.get(complete_at)
+                        if complete_bucket is None:
+                            complete_events[complete_at] = [index]
+                        else:
+                            complete_bucket.append(index)
                     issued += 1
+                if not next_bucket:
+                    # Still the empty bucket made above: a squash scrub
+                    # only replaces buckets that hold entries.
+                    del complete_events[next_cycle]
                 if issued:
                     active = True
                     # Issuing frees scheduler slots and quota — which
@@ -688,16 +592,6 @@ def run_event_kernel(core):
                     # on capacity, never to a producer-blocked one.
                     if fifo_capacity_blocked:
                         fifo_dirty = True
-                if deferred is not None:
-                    if violated:
-                        # The squash scrub already cleaned the heap;
-                        # only survivors may re-enter it.
-                        for index in deferred:
-                            if state[index] == _READY:
-                                heappush(heap, index)
-                    else:
-                        for index in deferred:
-                            heappush(heap, index)
 
             # ---- fetch ---------------------------------------------
             # Biased-ICount arbitration, inlined for the standard one-
@@ -780,10 +674,9 @@ def run_event_kernel(core):
                 task_id = task.task_id
                 start = task.start_index
                 ras = task.ras
-                point = task.spawn_point
-                spawn_trigger = point.trigger_pc if point is not None else None
-                burst_instructions = 0
-                burst_diverts = 0
+                # The task's scheduler count, kept local for its turn
+                # (nothing else touches it while it fetches).
+                task_sched = turn_sched = sched_used.get(task_id, 0)
 
                 while budget > 0:
                     index = task.fetch_index
@@ -829,7 +722,7 @@ def run_event_kernel(core):
                         if bound < limit:
                             limit = bound
                         if not is_head:
-                            bound = index + quota - sched_used.get(task_id, 0)
+                            bound = index + quota - task_sched
                             if bound < limit:
                                 limit = bound
                         if limit - index >= 2:
@@ -890,49 +783,18 @@ def run_event_kernel(core):
                             batched = position - bstart
                             if batched:
                                 if ready_positions is not None:
-                                    # A range entry may only cover
-                                    # positions ready *at fetch*: a
-                                    # position woken by a completion
-                                    # later the same cycle the range
-                                    # fires is _READY too, and a
-                                    # whole-batch range would sweep it
-                                    # into the heap one cycle before
-                                    # its own wake-up event — earlier
-                                    # than the staged engine
-                                    # issues it.  Mixed batches fall
-                                    # back to per-position entries.
-                                    if len(ready_positions) == batched:
-                                        entry = (bstart, position)
-                                        ready_bucket = ready_events.get(
-                                            ready_at
-                                        )
-                                        if ready_bucket is None:
-                                            ready_events[ready_at] = [entry]
-                                        else:
-                                            ready_bucket.append(entry)
+                                    ready_bucket = ready_events.get(ready_at)
+                                    if ready_bucket is None:
+                                        ready_events[ready_at] = ready_positions
                                     else:
-                                        ready_bucket = ready_events.get(
-                                            ready_at
-                                        )
-                                        if ready_bucket is None:
-                                            ready_events[ready_at] = (
-                                                ready_positions
-                                            )
-                                        else:
-                                            ready_bucket.extend(
-                                                ready_positions
-                                            )
+                                        ready_bucket.extend(ready_positions)
                                 task.fetch_index = position
                                 task.in_flight += batched
                                 rob_occupancy += batched
                                 sched_occupancy += batched
-                                sched_used[task_id] = (
-                                    sched_used.get(task_id, 0) + batched
-                                )
+                                task_sched += batched
                                 fetched_total += batched
                                 budget -= batched
-                                if spawn_trigger is not None:
-                                    burst_instructions += batched
                                 continue
                             # Zero-length batch (the very first
                             # instruction crosses tasks): fall through
@@ -972,7 +834,7 @@ def run_event_kernel(core):
                     else:
                         if sched_occupancy >= sched_cap:
                             break
-                        if not is_head and sched_used.get(task_id, 0) >= quota:
+                        if not is_head and task_sched >= quota:
                             break
 
                     # Consume the instruction.
@@ -992,9 +854,6 @@ def run_event_kernel(core):
                         divert_producer_map[index] = producers
                         fifo.append((index, divert_epoch[index]))
                         diverted_total += 1
-                        if spawn_trigger is not None:
-                            burst_instructions += 1
-                            burst_diverts += 1
                     else:
                         # Inlined scheduler entry (the closure above is
                         # the shared transcription; this is the same
@@ -1020,7 +879,7 @@ def run_event_kernel(core):
                                     dep_bucket.append(index)
                                 pending += 1
                         sched_occupancy += 1
-                        sched_used[task_id] = sched_used.get(task_id, 0) + 1
+                        task_sched += 1
                         wait_count[index] = pending
                         if pending:
                             state[index] = _WAIT
@@ -1034,8 +893,6 @@ def run_event_kernel(core):
                                 ready_events[ready_at] = [index]
                             else:
                                 ready_bucket.append(index)
-                        if spawn_trigger is not None:
-                            burst_instructions += 1
 
                     # Spawning: only the tail task spawns (the kernel
                     # never runs with nested_spawns).
@@ -1043,6 +900,7 @@ def run_event_kernel(core):
                         if task.end_index is None and task is tasks[-1]:
                             target = spawn_targets[index]
                             if target >= 0 and pc not in suppressed:
+                                core._cycle = cycle
                                 core._spawn(task, pc, target, index)
 
                     # Control flow effects on fetch.  fetch_cycle is
@@ -1087,10 +945,8 @@ def run_event_kernel(core):
                             # stream.
                             break
 
-                if burst_instructions:
-                    record_task_instructions(
-                        spawn_trigger, burst_instructions, burst_diverts
-                    )
+                if task_sched != turn_sched:
+                    sched_used[task_id] = task_sched
 
             if fetched_total != fetch_mark:
                 # Any fetch can matter to the drain: besides appending

@@ -10,6 +10,7 @@ Unit uses a trace to ensure that tasks are not spawned too far into the
 future".
 """
 
+from bisect import bisect_right
 from collections import defaultdict
 
 
@@ -21,8 +22,6 @@ class SpawnUnit:
         self.config = config
         self.spawn_counts = defaultdict(int)
         self.squash_counts = defaultdict(int)
-        self._task_instructions = defaultdict(int)
-        self._task_diverts = defaultdict(int)
         self._suppressed = set()
         # ``_candidate_indices``: ascending trace indices with a resolved
         # spawn target; the block engine cuts its straight-line runs at
@@ -32,35 +31,45 @@ class SpawnUnit:
     def _resolve_targets(self, trace):
         """For each trace index, the index where its spawn would start.
 
-        Computed in one backward pass over the trace's PC column:
         ``target_index[i] = j`` means the trigger at trace index ``i``
         spawns a task beginning at trace index ``j`` (the next dynamic
         instance of the spawn target within the distance window), or
-        -1.  Returns ``(target_index, candidates)``, ``candidates``
-        being the ascending indices with a target.
+        -1.  One pass over the trace's PC column collects the
+        occurrences of the table's trigger and spawn PCs only; each
+        trigger instance then finds its next spawn instance by
+        bisection.  Returns ``(target_index, candidates)``,
+        ``candidates`` being the ascending indices with a target.
         """
         count = len(trace)
         target_index = [-1] * count
         candidates = []
         if not len(self.hint_table):
             return target_index, candidates
-        pcs = trace.pc
-        lookup = self.hint_table.lookup
+        spawn_pc_of = {
+            entry.spawn_point.trigger_pc: entry.spawn_point.spawn_pc
+            for entry in self.hint_table
+        }
+        occurrences = {pc: [] for pc in spawn_pc_of.keys() | spawn_pc_of.values()}
+        for index, pc in enumerate(trace.pc):
+            slots = occurrences.get(pc)
+            if slots is not None:
+                slots.append(index)
         min_distance = self.config.min_spawn_distance
         max_distance = self.config.max_spawn_distance
-        last_seen = {}
-        for index in range(count - 1, -1, -1):
-            pc = pcs[index]
-            entry = lookup(pc)
-            if entry is not None:
-                target = last_seen.get(entry.spawn_point.spawn_pc, -1)
-                if target >= 0:
-                    distance = target - index
-                    if min_distance <= distance <= max_distance:
-                        target_index[index] = target
-                        candidates.append(index)
-            last_seen[pc] = index
-        candidates.reverse()
+        for trigger_pc, spawn_pc in spawn_pc_of.items():
+            targets = occurrences[spawn_pc]
+            if not targets:
+                continue
+            last = len(targets)
+            for index in occurrences[trigger_pc]:
+                position = bisect_right(targets, index)
+                if position == last:
+                    break
+                target = targets[position]
+                if min_distance <= target - index <= max_distance:
+                    target_index[index] = target
+                    candidates.append(index)
+        candidates.sort()
         return target_index, candidates
 
     def spawn_target(self, trace_index, pc):
@@ -129,34 +138,6 @@ class SpawnUnit:
             and squashes / spawns > self.config.spawn_feedback_ratio
         ):
             self._suppressed.add(trigger_pc)
-
-    def record_task_instruction(self, trigger_pc, diverted):
-        """Bookkeeping: how data-dependent a trigger's tasks are.
-
-        Purely observational (reported via :meth:`divert_fraction`);
-        suppression is driven by violation squashes, the signal the
-        paper's Synchronizing Store Sets mechanism acts on.
-        """
-        self._task_instructions[trigger_pc] += 1
-        if diverted:
-            self._task_diverts[trigger_pc] += 1
-
-    def record_task_instructions(self, trigger_pc, count, diverted):
-        """Batched :meth:`record_task_instruction`.
-
-        Counts ``count`` task instructions of which ``diverted`` went
-        through the divert queue — the event kernel's fetch loop
-        accumulates one burst's worth and flushes it in a single call.
-        """
-        self._task_instructions[trigger_pc] += count
-        self._task_diverts[trigger_pc] += diverted
-
-    def divert_fraction(self, trigger_pc):
-        """Fraction of a trigger's task instructions that diverted."""
-        total = self._task_instructions[trigger_pc]
-        if not total:
-            return 0.0
-        return self._task_diverts[trigger_pc] / total
 
     def suppressed_triggers(self):
         """Trigger PCs currently suppressed by feedback."""

@@ -9,10 +9,9 @@ block-at-a-time:
 
 * :class:`BlockTable` — per-trace-index tables for the event-calendar
   timing kernel (:mod:`repro.polyflow.event_kernel`): the maximal
-  straight-line *run* from every index (``batch_end``), the static
+  straight-line *run* from every index (``batch_end``) and the static
   register-consumer adjacency used for completion wake-up
-  (``reg_consumers``), and the maximal single-cycle ALU run from every
-  index (``plain_end``).
+  (``reg_consumers``).
 * :class:`ProgramBlocks` — per-PC straight-line blocks of pre-decoded
   operand records for the functional interpreter
   (:mod:`repro.sim.functional`), so the architectural replay loop skips
@@ -40,7 +39,7 @@ simulation reports their movement in its outcome's ``blocks``, which
 import functools
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Opcode
-from repro.sim.predecode import LAT_ALU, control_kind, latency_class
+from repro.sim.predecode import control_kind, latency_class
 
 #: L1 I-cache line size of the default
 #: :class:`~repro.memory.hierarchy.CacheHierarchy` (128-byte lines).
@@ -96,35 +95,24 @@ class BlockTable:
     order (an index consuming ``p`` through both sources appears
     twice) — the event kernel's completion wake-up walks this static
     adjacency instead of registering consumers in a dict per fetch.
-
-    ``plain_end[i]`` is the end (exclusive) of the maximal run starting
-    at ``i`` of single-cycle ALU instructions — no loads, stores or
-    multiplies, so every position completes one cycle after issue and
-    the run's next-event horizon is a constant.  The event kernel
-    (:mod:`repro.polyflow.event_kernel`) issues such a run as one batch
-    with a single range completion on its calendar; any memory or
-    long-latency operation caps the run so the cache-access order stays
-    cycle-exact.
     """
 
-    __slots__ = ("length", "batch_end", "reg_consumers", "plain_end")
+    __slots__ = ("length", "batch_end", "reg_consumers")
 
-    def __init__(self, length, batch_end, reg_consumers, plain_end):
+    def __init__(self, length, batch_end, reg_consumers):
         self.length = length
         self.batch_end = batch_end
         self.reg_consumers = reg_consumers
-        self.plain_end = plain_end
 
 
 def build_block_table(trace):
     """Compile the :class:`BlockTable` of one trace's columns (one pass
-    each for runs, adjacency, and single-cycle runs)."""
+    each for runs and adjacency)."""
     count = len(trace)
     kinds = trace.kind
     pcs = trace.pc
     dep0 = trace.dep0
     dep1 = trace.dep1
-    lats = trace.lat
 
     batch_end = [0] * count
     for index in range(count - 1, -1, -1):
@@ -159,27 +147,7 @@ def build_block_table(trace):
                 bucket.append(index)
     empty = ()
     reg_consumers = [tuple(bucket) if bucket else empty for bucket in consumer_lists]
-
-    # Maximal single-cycle-ALU runs, bounded by the superblock run so a
-    # plain run never crosses a control transfer or I-cache line (the
-    # event kernel probes plain_end only at batch starts, but the
-    # backward pass keeps it valid from any index).
-    plain_end = [0] * count
-    for index in range(count - 1, -1, -1):
-        if lats[index] != LAT_ALU or kinds[index]:
-            plain_end[index] = index
-            continue
-        following = index + 1
-        if (
-            following < count
-            and batch_end[index] > following
-            and lats[following] == LAT_ALU
-        ):
-            plain_end[index] = plain_end[following]
-        else:
-            plain_end[index] = following
-
-    return BlockTable(count, batch_end, reg_consumers, plain_end)
+    return BlockTable(count, batch_end, reg_consumers)
 
 
 def block_table_for(trace):

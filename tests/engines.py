@@ -83,8 +83,6 @@ def machine_state(core):
         "spawn_unit": (
             _nonzero(unit.spawn_counts),
             _nonzero(unit.squash_counts),
-            _nonzero(unit._task_instructions),
-            _nonzero(unit._task_diverts),
             sorted(unit._suppressed),
         ),
     }

@@ -82,15 +82,6 @@ def test_spawn_unit_feedback_suppression():
     assert unit.total_spawns() == 2
 
 
-def test_spawn_unit_divert_bookkeeping():
-    program, _, unit = _spawn_unit()
-    trigger = program.address_of("loop") + 4
-    assert unit.divert_fraction(trigger) == 0.0
-    unit.record_task_instruction(trigger, diverted=True)
-    unit.record_task_instruction(trigger, diverted=False)
-    assert unit.divert_fraction(trigger) == 0.5
-
-
 def test_store_set_predictor_learns_pairs():
     predictor = StoreSetPredictor()
     assert not predictor.predicts_dependence(0x100, 0x200)

@@ -15,6 +15,7 @@ machine state.
 
 import dataclasses
 import io
+import sys
 
 import pytest
 
@@ -145,6 +146,101 @@ def test_squash_lands_mid_skip():
     config = MachineConfig(min_spawn_distance=2, warm_caches=False)
     stats = _assert_kernel_equivalent(trace, config, hints)
     assert stats["violation_squashes"] > 0
+
+
+_STORE_FORWARD_LOOP = """
+.data
+buf: .word 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20
+.text
+    la   r9, buf
+    li   r10, 16
+loop:
+    lw   r2, 0(r9)
+    mul  r3, r2, r2
+    mul  r4, r3, r3
+    add  r5, r4, r2
+    sw   r5, 4(r9)
+    li   r11, 1
+    li   r12, 2
+    li   r13, 3
+    li   r14, 4
+    mul  r15, r11, r12
+    mul  r16, r13, r14
+    j    latch
+latch:
+    mul  r17, r10, r10
+    addi r9, r9, 4
+    addi r10, r10, -1
+    bne  r10, r0, loop
+    halt
+"""
+
+
+def _record_kernel_at_violations(core):
+    """At every violation the kernel handles, record the ready heap's
+    length and how many heap, completion and wake-up entries sit at or
+    past the squash cutoff (read from the kernel's frame just before
+    its scrub runs)."""
+    records = []
+    train_violation = core.store_sets.train_violation
+
+    def spy(store_pc, load_pc):
+        frames = {}
+        frame = sys._getframe(1)
+        while frame is not None:
+            frames.setdefault(frame.f_code.co_name, frame.f_locals)
+            frame = frame.f_back
+        kernel = frames["run_event_kernel"]
+        load_index = frames["handle_violation"]["load_index"]
+        position = core._task_position_of_index(load_index)
+        cutoff = core._tasks[position].start_index
+
+        def past(buckets):
+            return sum(index >= cutoff for bucket in buckets for index in bucket)
+
+        heap = kernel["heap"]
+        records.append(
+            (
+                len(heap),
+                past([heap]),
+                past(kernel["complete_events"].values()),
+                past(kernel["ready_events"].values()),
+            )
+        )
+        return train_violation(store_pc, load_pc)
+
+    core.store_sets.train_violation = spy
+    return records
+
+
+def test_squash_scrubs_a_deep_heap_and_both_calendars():
+    """A loop-iteration task's load overtakes the older iteration's
+    store while two functional units leave a deep ready heap and long
+    multiplies keep both calendars holding younger-task entries.  The
+    kernel pops heap and calendar entries without re-checking their
+    state, so its squash scrub must remove every one of them at or past
+    the cutoff: stats, lifecycle stream and machine state must still
+    match the staged engine."""
+    trace, config, hints = _prepare(
+        _STORE_FORWARD_LOOP, spec="loop", functional_units=2, mul_latency=8
+    )
+    records = None
+
+    def make_core(core_cls):
+        nonlocal records
+        core = core_cls(trace, config, hints)
+        if core_cls is PolyFlowCore:
+            records = _record_kernel_at_violations(core)
+        return core
+
+    kernel, staged = observe_both(make_core)
+    assert kernel == staged
+    assert kernel[0]["violation_squashes"] > 0
+    # The squash really landed on the state the scrub has to clean.
+    assert any(
+        heap > config.functional_units and heap_past and complete_past and ready_past
+        for heap, heap_past, complete_past, ready_past in records
+    ), records
 
 
 # -- engine selection -------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.sim.blocks import (
     program_blocks_for,
     reset_cache_counters,
 )
-from repro.sim.predecode import KIND_PLAIN, LAT_LOAD, LAT_MUL, LAT_STORE
+from repro.sim.predecode import KIND_PLAIN
 from repro.sim.trace import COLUMNS
 
 _LOOP = """
@@ -29,19 +29,6 @@ loop:
     bne  r1, r0, loop
     halt
 """
-
-_MEM = """
-.data
-buf: .word 1, 2, 3, 4
-.text
-    la   r1, buf
-    lw   r2, 0(r1)
-    lw   r3, 4(r1)
-    add  r4, r2, r3
-    sw   r4, 8(r1)
-    halt
-"""
-
 
 def _trace(source):
     return run_program(assemble(source))
@@ -90,37 +77,6 @@ def test_reg_consumers_matches_dependence_arrays():
             if trace.dep1[index] == producer:
                 expected.append(index)
         assert list(consumers) == sorted(expected)
-
-
-def test_plain_end_spans_single_cycle_runs_only():
-    """``plain_end[i]`` is the exclusive end of the maximal run of
-    single-cycle (non-load/store/mul) instructions starting at ``i``."""
-    trace = _trace(_MEM)
-    table = build_block_table(trace)
-    for index in range(table.length):
-        end = table.plain_end[index]
-        if trace.lat[index] in (LAT_MUL, LAT_LOAD, LAT_STORE):
-            # A long-latency or memory op caps its own run immediately.
-            assert end == index
-            continue
-        assert end > index
-        for covered in range(index, end):
-            assert trace.lat[covered] not in (LAT_MUL, LAT_LOAD, LAT_STORE)
-        assert end == table.length or trace.lat[end] in (
-            LAT_MUL,
-            LAT_LOAD,
-            LAT_STORE,
-        )
-
-
-def test_plain_end_is_suffix_consistent():
-    """Every position inside a run points at the same run end, so the
-    event kernel may probe ``plain_end`` from any batch start."""
-    table = build_block_table(_trace(_LOOP))
-    for index in range(table.length):
-        end = table.plain_end[index]
-        for inside in range(index, end):
-            assert table.plain_end[inside] == end
 
 
 # -- memoization and counters -----------------------------------------------------
