@@ -547,7 +547,7 @@ def _run_trace(arguments):
     bus = EventBus()
     writer = bus.attach(JsonlTraceWriter(events_path))
     chrome = bus.attach(ChromeTraceExporter(chrome_path))
-    metrics = bus.attach(MetricsAggregator())
+    metrics = bus.attach(MetricsAggregator(), verbose=False)
     started = time.time()
     core = build_core(name, spec, arguments.scale, PAPER_CONFIG, bus=bus)
     stats = core.run()

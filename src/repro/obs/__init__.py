@@ -42,7 +42,7 @@ Usage::
 
     bus = EventBus()
     writer = bus.attach(JsonlTraceWriter("run.jsonl"))
-    metrics = bus.attach(MetricsAggregator())
+    metrics = bus.attach(MetricsAggregator(), verbose=False)
     stats = PolyFlowCore(trace, config, hints, bus=bus).run()
     writer.close()
     print(metrics.render())

@@ -5,19 +5,17 @@ either *verbose* (the default — they also receive the high-frequency
 per-instruction events) or non-verbose (lifecycle events only, the mode
 :class:`~repro.polyflow.stats.SimStats` uses).
 
-The core checks ``bus.verbose`` once per pipeline stage and skips
-constructing per-instruction events entirely when no verbose sink is
-attached, so event dispatch is effectively free on untraced runs.
-
-``bus.verbose`` also selects the timing engine: verbose emission
-timestamps every per-instruction event with the cycle it happened in,
-so a verbose bus pins the core to the staged engine (every cycle
-visited), while a non-verbose bus permits the event-calendar kernel
-(:mod:`repro.polyflow.event_kernel`) to jump the clock over frozen
-cycles.  Lifecycle events carry cycle timestamps too, and the engine
-equivalence suites pin them byte-identical across engines — the flag
-only decides *which* cycle-exact-equivalent engine runs, never what
-any sink observes.
+The core reads ``bus.verbose`` once per run, and it is the one input
+that selects the timing engine: verbose emission timestamps every
+per-instruction event with the cycle it happened in, so a verbose bus
+runs the staged engine (every cycle visited), and every other run takes
+the event-calendar kernel (:mod:`repro.polyflow.event_kernel`), which
+jumps the clock over frozen cycles.  Attaching a verbose sink is the request for per-instruction
+events; sinks that fold lifecycle events (statistics, metrics, lifecycle
+traces) attach non-verbose and keep the kernel.  Lifecycle events carry
+cycle timestamps too, and the engine-equivalence suites pin them
+byte-identical across engines — the flag only decides *which*
+cycle-exact-equivalent engine runs, never what any sink observes.
 """
 
 #: Version of the event schema (bump on any field or kind change, and
@@ -33,9 +31,8 @@ class EventBus:
     def __init__(self):
         self._sinks = []
         #: True when at least one verbose sink is attached.  The core
-        #: reads this to guard high-frequency event construction and to
-        #: select the staged engine (the time-skip kernel never runs
-        #: under a verbose bus; see the module docstring).
+        #: runs the staged engine, which emits the per-instruction
+        #: events, exactly when this is set (see the module docstring).
         self.verbose = False
 
     def attach(self, sink, verbose=True):

@@ -6,8 +6,12 @@ commits.  Each task's work is attributed to its originating spawn
 point (the trigger PC that created it); the initial non-speculative
 task is attributed to the pseudo-origin ``"entry"``.
 
-Attach verbose (the default) so per-instruction commit events flow;
-without them only spawn/squash counts are available.
+Every counter folds a lifecycle event, so attach it non-verbose
+(``bus.attach(MetricsAggregator(), verbose=False)``) and the run keeps
+the event kernel: ``committed`` is the sum of the origin's
+``task_commit`` lengths, which is exactly the per-instruction commit
+count (task segments partition the trace, and each instruction retires
+once, under the task that owns it).
 """
 
 _ENTRY = "entry"
@@ -89,9 +93,7 @@ class MetricsAggregator:
 
     def on_event(self, event):
         kind = event.kind
-        if kind == "commit":
-            self._bucket(event.origin).committed += 1
-        elif kind == "spawn_accepted":
+        if kind == "spawn_accepted":
             # Attributed to the *deciding* trigger (event.pc), which is
             # the origin all of the new task's later events will carry.
             self._bucket(event.pc).spawns += 1
@@ -105,6 +107,7 @@ class MetricsAggregator:
             bucket = self._bucket(event.origin)
             bucket.tasks_committed += 1
             bucket.task_length_sum += event.length
+            bucket.committed += event.length
 
     # -- results ---------------------------------------------------------------
 

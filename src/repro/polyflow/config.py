@@ -80,8 +80,26 @@ class MachineConfig:
             raise ConfigurationError(
                 "cannot fetch from more tasks per cycle than can exist"
             )
-        if self.width < 1 or self.rob_entries < 1 or self.scheduler_entries < 1:
+        if (
+            self.width < 1
+            or self.rob_entries < 1
+            or self.scheduler_entries < 1
+            or self.functional_units < 1
+            or self.gshare_counters < 1
+        ):
             raise ConfigurationError("pipeline resources must be positive")
+        if self.width < self.fetch_tasks_per_cycle:
+            # Each fetching task gets width // ports slots: zero here.
+            raise ConfigurationError(
+                "width must be at least fetch_tasks_per_cycle"
+            )
+        if self.mul_latency < 1:
+            # A completion due the cycle of its issue is never processed.
+            raise ConfigurationError("mul_latency must be at least 1")
+        if self.divert_release not in ("dispatch", "complete"):
+            raise ConfigurationError(
+                "divert_release must be 'dispatch' or 'complete'"
+            )
 
 
 #: PolyFlow as evaluated in the paper (Figure 8).

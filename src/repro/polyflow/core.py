@@ -91,22 +91,6 @@ _HEAD_ROB_RESERVE = 32
 #: Scheduler entries only the head task may use.
 _HEAD_SCHED_RESERVE = 8
 
-#: The pipeline-stage methods that make up the staged reference engine.
-#: A subclass overriding any of them (tests use this to probe per-cycle
-#: invariants) opts the instance out of the event kernel, which inlines
-#: every stage, so its overrides actually run.
-_STAGE_HOOKS = (
-    "_process_events",
-    "_resolve_waiting_branch",
-    "_retire",
-    "_drain_divert_queue",
-    "_enter_scheduler",
-    "_issue",
-    "_fetch",
-    "_fetch_from_task",
-    "_schedule",
-)
-
 
 class PolyFlowCore:
     """One simulation run of the PolyFlow core over a trace."""
@@ -174,32 +158,28 @@ class PolyFlowCore:
         self._retire_ptr = 0
         self._next_task_id = 0
         self._cycle = 0
-        # Block tables of the event kernel.  Compiled eagerly
-        # (construction is off the benchmarked path), and recompiled by
-        # run() if the spawn unit was swapped after construction — the
-        # run_end overlay depends on its resolved targets.
+        # Block tables of the event kernel, compiled by run() for the
+        # spawn unit that actually runs (the reconvergence spawner is
+        # swapped in after construction).
         self._reg_consumers = None
         self._run_end = None
-        self._compiled_for = None
-        if not config.nested_spawns:
-            self._compile_blocks()
 
     # -- public API ------------------------------------------------------------
 
     def run(self):
         """Simulate the whole trace; returns the :class:`SimStats`.
 
-        Two observably identical engines back this method: the staged
-        reference loop (:meth:`_run_staged`, one method per stage) is
-        the readable specification, and the event-calendar kernel
-        (:func:`~repro.polyflow.event_kernel.run_event_kernel`) is its
-        fast transcription, which inlines every stage over the flat
-        trace columns and jumps the clock over provably frozen cycles.
-        The kernel runs whenever it is exact (see :meth:`_uses_kernel`);
-        verbose buses, ``nested_spawns`` and stage-hook or
-        ``spawn_target`` overrides run staged.  The engine-equivalence
-        tests pin that both produce identical statistics and lifecycle
-        event streams.
+        Two observably identical engines back this method, and the bus
+        alone picks one: with a verbose sink attached the staged loop
+        (:meth:`_run_staged`, one method per stage) runs, because only
+        it visits every cycle to emit the per-instruction events; every
+        other run takes the event-calendar kernel
+        (:func:`~repro.polyflow.event_kernel.run_event_kernel`), the
+        staged loop's fast transcription, which inlines every stage
+        over the flat trace columns and jumps the clock over provably
+        frozen cycles.  The staged loop is also the specification the
+        engine-equivalence tests pin the kernel to: identical
+        statistics and lifecycle event streams.
         """
         for _ in self.run_incremental():
             pass  # pragma: no cover - run_incremental never yields
@@ -247,12 +227,11 @@ class PolyFlowCore:
         initial = self._new_task(0)
         self._tasks.append(initial)
         self.bus.emit(TaskStarted(0, initial.task_id, 0, self._pcs[0], None))
-        if self._uses_kernel():
-            if self._compiled_for is not self.spawn_unit:
-                self._compile_blocks()
-            run_event_kernel(self)
-        else:
+        if self.bus.verbose:
             self._run_staged()
+        else:
+            self._compile_blocks()
+            run_event_kernel(self)
         count = len(self.trace)
         while self._tasks:
             # The tail task (and only it) is never popped by retire;
@@ -293,42 +272,13 @@ class PolyFlowCore:
                     run_end[index] = cut
                     index -= 1
             self._run_end = run_end
-        self._compiled_for = spawn_unit
-
-    def _uses_kernel(self):
-        """Whether :meth:`run` takes the event kernel (else the staged
-        engine).
-
-        The kernel is exact only without a verbose sink (verbose runs
-        emit per-instruction events during cycles the kernel skips),
-        without ``nested_spawns`` (its spawn path handles the tail task
-        alone) and without stage-hook or ``spawn_target`` overrides
-        (it inlines every stage and reads resolved spawn targets).
-        """
-        return not (
-            self.bus.verbose
-            or self.config.nested_spawns
-            or self._stage_hooks_overridden()
-        )
-
-    def _stage_hooks_overridden(self):
-        """Whether this instance overrides a stage hook or the spawn
-        unit's ``spawn_target``."""
-        unit = type(self.spawn_unit)
-        if unit.spawn_target is not SpawnUnit.spawn_target:
-            return True
-        cls = type(self)
-        if cls is PolyFlowCore:
-            return False
-        for name in _STAGE_HOOKS:
-            if getattr(cls, name) is not getattr(PolyFlowCore, name):
-                return True
-        return False
 
     def _run_staged(self):
-        """The staged reference engine: one method call per stage.
+        """The staged engine: one method call per stage, every cycle.
 
-        This is the readable specification of the cycle loop; the event
+        It runs under a verbose bus, emitting the per-instruction events
+        in the cycle they happen, and is the readable specification of
+        the cycle loop; the event
         kernel (:mod:`repro.polyflow.event_kernel`) is a fused, time-
         skipping transcription of exactly these stages.  Keep the two
         in lockstep — the equivalence suites compare their statistics
@@ -461,7 +411,6 @@ class PolyFlowCore:
         retired = 0
         width = self.config.width
         tasks = self._tasks
-        verbose = self.bus.verbose
         while retired < width and self._retire_ptr < count:
             index = self._retire_ptr
             if state[index] != _DONE:
@@ -472,16 +421,15 @@ class PolyFlowCore:
             retired += 1
             head = tasks[0]
             head.in_flight -= 1
-            if verbose:
-                self.bus.emit(
-                    InstructionCommitted(
-                        self._cycle,
-                        head.task_id,
-                        index,
-                        self._pcs[index],
-                        self._origin_of(head),
-                    )
+            self.bus.emit(
+                InstructionCommitted(
+                    self._cycle,
+                    head.task_id,
+                    index,
+                    self._pcs[index],
+                    self._origin_of(head),
                 )
+            )
             if head.end_index is not None and self._retire_ptr >= head.end_index:
                 tasks.popleft()
                 self._emit_task_commit(head, head.end_index)
@@ -736,7 +684,6 @@ class PolyFlowCore:
         config = self.config
         cycle = self._cycle
         bus = self.bus
-        verbose = bus.verbose
         stats = self.stats
         tasks = self._tasks
         spawn_unit = self.spawn_unit
@@ -770,8 +717,6 @@ class PolyFlowCore:
         predicts_dependence = self.store_sets.predicts_dependence
         gshare_update = self.gshare.predict_and_update
         indirect_update = self.indirect_predictor.predict_and_update
-        spawn_targets = spawn_unit.resolved_targets()
-        suppressed = spawn_unit.suppressed_triggers_live()
         count = len(pcs)
         start = task.start_index
         task_id = task.task_id
@@ -851,10 +796,7 @@ class PolyFlowCore:
             if unsafe_producer is not None:
                 unsafe_mem[index] = unsafe_producer
             budget -= 1
-            if verbose:
-                bus.emit(
-                    InstructionFetched(cycle, task_id, index, pc, task_origin)
-                )
+            bus.emit(InstructionFetched(cycle, task_id, index, pc, task_origin))
 
             if producers is not None:
                 state[index] = _DIVERT
@@ -868,41 +810,31 @@ class PolyFlowCore:
             # Spawning: the tail task extends the task list; with the
             # nested-spawns extension (the paper's future work), a
             # non-tail task may additionally split its own segment to
-            # spawn past an inner branch.
-            if len(tasks) < max_tasks:
-                if task.end_index is None and task is tasks[-1]:
-                    if verbose:
-                        target = spawn_unit.spawn_target(index, pc)
-                        self._emit_spawn_decision(task, index, pc, target)
-                        if target >= 0:
-                            self._spawn(task, pc, target, index)
-                    else:
-                        target = spawn_targets[index]
-                        if target >= 0 and pc not in suppressed:
-                            self._spawn(task, pc, target, index)
-                elif nested and task.end_index is not None:
-                    target = spawn_unit.spawn_target(index, pc)
-                    if 0 <= target < task.end_index:
-                        if verbose:
-                            self._emit_spawn_decision(task, index, pc, target)
-                        self._spawn_nested(task, pc, target, index)
-                    elif verbose:
-                        self._emit_spawn_decision(
-                            task, index, pc, target,
-                            rejected="outside-segment" if target >= 0 else None,
-                        )
-                elif verbose:
-                    target = spawn_unit.spawn_target(index, pc)
-                    if target >= 0:
-                        self._emit_spawn_decision(
-                            task, index, pc, target, rejected="not-tail"
-                        )
-            elif verbose:
-                target = spawn_unit.spawn_target(index, pc)
+            # spawn past an inner branch.  Every consultation is
+            # reported, including the ones the machine cannot act on.
+            target = spawn_unit.spawn_target(index, pc)
+            if len(tasks) >= max_tasks:
                 if target >= 0:
                     self._emit_spawn_decision(
                         task, index, pc, target, rejected="task-limit"
                     )
+            elif task.end_index is None and task is tasks[-1]:
+                self._emit_spawn_decision(task, index, pc, target)
+                if target >= 0:
+                    self._spawn(task, pc, target, index)
+            elif nested and task.end_index is not None:
+                if 0 <= target < task.end_index:
+                    self._emit_spawn_decision(task, index, pc, target)
+                    self._spawn_nested(task, pc, target, index)
+                else:
+                    self._emit_spawn_decision(
+                        task, index, pc, target,
+                        rejected="outside-segment" if target >= 0 else None,
+                    )
+            elif target >= 0:
+                self._emit_spawn_decision(
+                    task, index, pc, target, rejected="not-tail"
+                )
 
             # Control flow effects on fetch.
             kind = kinds[index]
@@ -935,10 +867,9 @@ class PolyFlowCore:
                     # Every non-branch transfer (calls, returns,
                     # switches, direct jumps) ends the fetch stream.
                     break
-        return budget
 
     def _emit_spawn_decision(self, task, index, pc, target, rejected=None):
-        """Verbose-only bookkeeping of one spawn-unit consultation.
+        """Report one spawn-unit consultation on the verbose bus.
 
         Emits the hint hit/miss, the spawn request when a target was
         resolved, and — when the machine could not act on it — the

@@ -42,11 +42,11 @@ What makes the calendar leaner than the staged engine's event dict:
   past its front-end latency.  No stage re-checks either, and both
   calendars hold plain trace indices.
 
-:meth:`PolyFlowCore.run` selects the kernel whenever it is exact:
-``nested_spawns`` off, no stage-hook or spawn-target override, and no
-verbose sink attached (verbose runs emit per-instruction events
-*during* skipped-over cycles).  Everything else runs on the staged
-engine; there is no switch, so the one fast engine is the one every
+:meth:`PolyFlowCore.run` runs the kernel whenever no verbose sink is
+attached: verbose runs emit per-instruction events *during* the cycles
+the kernel skips, so they take the staged engine.  Every other run —
+figures, metrics, lifecycle traces, ``nested_spawns`` cells — runs
+here; there is no switch, so the one fast engine is the one every
 benchmark and figure measures.
 """
 
@@ -129,6 +129,7 @@ def run_event_kernel(core):
     spawn_unit = core.spawn_unit
     spawn_targets = spawn_unit.resolved_targets()
     suppressed = spawn_unit.suppressed_triggers_live()
+    nested = config.nested_spawns
 
     width = config.width
     units = config.functional_units
@@ -894,14 +895,23 @@ def run_event_kernel(core):
                             else:
                                 ready_bucket.append(index)
 
-                    # Spawning: only the tail task spawns (the kernel
-                    # never runs with nested_spawns).
+                    # Spawning: the tail task extends the task list;
+                    # with nested_spawns a bounded task may split its
+                    # own segment (see the staged _fetch_from_task).
                     if len(tasks) < max_tasks:
                         if task.end_index is None and task is tasks[-1]:
                             target = spawn_targets[index]
                             if target >= 0 and pc not in suppressed:
                                 core._cycle = cycle
                                 core._spawn(task, pc, target, index)
+                        elif nested and task.end_index is not None:
+                            target = spawn_targets[index]
+                            if (
+                                0 <= target < task.end_index
+                                and pc not in suppressed
+                            ):
+                                core._cycle = cycle
+                                core._spawn_nested(task, pc, target, index)
 
                     # Control flow effects on fetch.  fetch_cycle is
                     # written only where a transfer actually waits: it
@@ -1043,6 +1053,10 @@ def run_event_kernel(core):
                     skip_ok = False
                     break
                 if skip_ok and wake is not None and wake > next_cycle:
+                    if wake > max_cycles + 1:
+                        # Land on the cycle the no-progress guard trips
+                        # in, as the staged engine does.
+                        wake = max_cycles + 1
                     occupancy_sum += (wake - next_cycle) * len(tasks)
                     cycle = wake - 1
     finally:

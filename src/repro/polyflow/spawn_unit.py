@@ -91,8 +91,8 @@ class SpawnUnit:
         ``resolved_targets()[i]`` is the start index a spawn triggered
         at trace index ``i`` would use, or -1; it is what
         :meth:`spawn_target` consults before the suppression filter.
-        The core's fetch loop indexes this directly (together with
-        :meth:`suppressed_triggers_live`) on its non-verbose fast path.
+        The event kernel's fetch loop indexes this directly (together
+        with :meth:`suppressed_triggers_live`).
         """
         return self._target_index
 

@@ -85,7 +85,9 @@ def _instruments(cell, scale, emit_metrics, trace_dir, bus_for):
     from repro.obs import LIFECYCLE_KINDS, EventBus, JsonlTraceWriter, MetricsAggregator
 
     bus = EventBus() if bus_for is None else bus_for(cell)
-    aggregator = bus.attach(MetricsAggregator()) if emit_metrics else None
+    aggregator = (
+        bus.attach(MetricsAggregator(), verbose=False) if emit_metrics else None
+    )
     writer = None
     if trace_dir is not None:
         os.makedirs(trace_dir or ".", exist_ok=True)

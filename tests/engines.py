@@ -1,10 +1,11 @@
 """Engine-equivalence helpers: the staged reference core and observers.
 
-:class:`~repro.polyflow.core.PolyFlowCore` runs the event-calendar
-kernel whenever it is exact and the staged reference engine otherwise.
-The equivalence suites pin the kernel to the staged specification by
-running the same job on a plain core and on :class:`StagedReferenceCore`
-and comparing everything either engine can make observable.
+:class:`~repro.polyflow.core.PolyFlowCore` runs the staged engine
+exactly when a verbose sink is attached and the event-calendar kernel
+otherwise.  The equivalence suites pin the kernel to the staged
+specification by running the same job on a plain core and on
+:class:`StagedReferenceCore` and comparing everything either engine can
+make observable.
 """
 
 import io
@@ -18,17 +19,26 @@ from repro.sim import run_program
 from repro.spawn import SpawnAnalysis, profile_spawn_points
 
 
+class _DiscardingSink:
+    """A verbose sink that drops every event."""
+
+    def on_event(self, event):
+        pass
+
+
 class StagedReferenceCore(PolyFlowCore):
     """Forces the staged reference engine.
 
-    Overriding any stage hook — here with a pass-through — makes
-    ``_stage_hooks_overridden`` pick ``_run_staged``, without changing
-    behaviour.  Comparing this against a plain ``PolyFlowCore`` (which
-    takes the event kernel) pins the two engines to each other.
+    Attaching a verbose sink — here one that discards every event — is
+    what selects ``_run_staged``; every other sink sees exactly what it
+    would see on the kernel.  Comparing this against a plain
+    ``PolyFlowCore`` (which takes the event kernel) pins the two
+    engines to each other.
     """
 
-    def _fetch(self):
-        PolyFlowCore._fetch(self)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bus.attach(_DiscardingSink(), verbose=True)
 
 
 def job(name, spec, scale, config):
@@ -44,16 +54,17 @@ def job(name, spec, scale, config):
     return make_core
 
 
-def program_job(program, spec):
+def program_job(program, spec, config=None):
     """A ``make_core`` for :func:`observe_both`: ``program`` under the
-    ``spec`` policy on a machine that spawns at distance 2, so small
-    generated programs still spawn."""
+    ``spec`` policy on ``config``, by default a machine that spawns at
+    distance 2, so small generated programs still spawn."""
     trace = run_program(program)
     analysis = SpawnAnalysis(build_program_cfgs(program))
     policy = analysis.policy(spec)
     profile = profile_spawn_points(trace, policy.points)
     hints = profile.hint_table(policy, min_loop_task_size=4)
-    config = MachineConfig(min_spawn_distance=2)
+    if config is None:
+        config = MachineConfig(min_spawn_distance=2)
     return lambda core_cls: core_cls(trace, config, hints)
 
 
@@ -111,6 +122,6 @@ def observe_both(make_core):
     """
     kernel_core = make_core(PolyFlowCore)
     staged_core = make_core(StagedReferenceCore)
-    assert kernel_core._uses_kernel()
-    assert not staged_core._uses_kernel()
+    assert not kernel_core.bus.verbose
+    assert staged_core.bus.verbose
     return observe(kernel_core), observe(staged_core)

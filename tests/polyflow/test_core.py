@@ -182,12 +182,27 @@ def test_superscalar_config_restricts_tasks():
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(ConfigurationError):
-        MachineConfig(max_tasks=0)
-    with pytest.raises(ConfigurationError):
-        MachineConfig(max_tasks=2, fetch_tasks_per_cycle=4)
-    with pytest.raises(ConfigurationError):
-        MachineConfig(width=0)
+    # Each geometry below either never finishes (zero fetch slots per
+    # task, no functional unit, a completion due the cycle of issue),
+    # crashes (an empty gshare table) or would silently run another
+    # machine under its own fingerprint (an unknown release mode).
+    for overrides in (
+        {"max_tasks": 0},
+        {"max_tasks": 2, "fetch_tasks_per_cycle": 4},
+        {"width": 0},
+        {"width": 1},
+        {"width": 2, "fetch_tasks_per_cycle": 3},
+        {"functional_units": 0},
+        {"mul_latency": 0},
+        {"gshare_counters": 0},
+        {"divert_release": "retire"},
+    ):
+        with pytest.raises(ConfigurationError):
+            MachineConfig(**overrides)
+    # The smallest runnable geometries stay accepted.
+    MachineConfig(width=1, fetch_tasks_per_cycle=1)
+    MachineConfig(functional_units=1, mul_latency=1, gshare_counters=1)
+    MachineConfig(divert_release="complete")
 
 
 def test_branch_mispredicts_counted():

@@ -9,6 +9,8 @@ from repro.sim import run_program
 from repro.spawn import SpawnAnalysis, profile_spawn_points
 from repro.spawn.hints import HintTable
 
+from tests.engines import StagedReferenceCore
+
 
 def _hints_for(program, trace, spec, **hint_kwargs):
     analysis = SpawnAnalysis(build_program_cfgs(program))
@@ -148,8 +150,12 @@ def test_per_task_quota_and_reserves_hold():
     profile = profile_spawn_points(prepared.trace, policy.points)
     hints = profile.hint_table(policy)
 
-    class Probe(PolyFlowCore):
+    # The probe is a stage hook, so it needs the staged engine.
+    probed = []
+
+    class Probe(StagedReferenceCore):
         def _fetch(self):
+            probed.append(self._cycle)
             assert self._rob_occupancy <= self.config.rob_entries
             assert self._sched_occupancy <= self.config.scheduler_entries
             assert self._divert_occupancy <= self.config.divert_queue_entries
@@ -158,6 +164,7 @@ def test_per_task_quota_and_reserves_hold():
 
     stats = Probe(prepared.trace, PAPER_CONFIG, hints).run()
     assert stats.retired_instructions == len(prepared.trace)
+    assert len(probed) == stats.cycles
 
 
 def test_tasks_partition_trace_in_order():
@@ -170,8 +177,11 @@ def test_tasks_partition_trace_in_order():
     profile = profile_spawn_points(prepared.trace, policy.points)
     hints = profile.hint_table(policy)
 
-    class Probe(PolyFlowCore):
+    probed = []
+
+    class Probe(StagedReferenceCore):
         def _fetch(self):
+            probed.append(self._cycle)
             tasks = list(self._tasks)
             for older, younger in zip(tasks, tasks[1:]):
                 assert older.end_index == younger.start_index
@@ -179,3 +189,4 @@ def test_tasks_partition_trace_in_order():
 
     stats = Probe(prepared.trace, PAPER_CONFIG, hints).run()
     assert stats.retired_instructions == len(prepared.trace)
+    assert len(probed) == stats.cycles

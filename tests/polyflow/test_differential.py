@@ -15,11 +15,14 @@ identical lifecycle event streams, statistics and end-of-run machine
 state for the same job.
 """
 
+import collections
+import dataclasses
+
 import pytest
 
 from repro.experiments.runner import REC_PRED_SPEC, build_core
 from repro.isa import assemble
-from repro.obs import EventBus
+from repro.obs import EventBus, MetricsAggregator
 from repro.polyflow import PAPER_CONFIG, PolyFlowCore
 from repro.sim.functional import FunctionalSimulator
 from repro.spawn.policies import (
@@ -147,6 +150,63 @@ def test_kernel_leaves_staged_engine_machine_state(name, spec):
     assert kernel[2] == staged[2]
 
 
+_NESTED_CONFIG = dataclasses.replace(PAPER_CONFIG, nested_spawns=True)
+
+
+@pytest.mark.parametrize("name", ("mcf", "twolf", "crafty"))
+def test_engines_are_equivalent_with_nested_spawns(name):
+    """The kernel's segment split (non-tail tasks spawning, the paper's
+    future work) matches the staged engine: statistics, lifecycle
+    stream and end-of-run machine state."""
+    kernel, staged = observe_both(job(name, "postdoms", _SCALE, _NESTED_CONFIG))
+    assert kernel[0]["nested_spawns"] > 0
+    assert kernel == staged
+
+
+class _CommitCounter:
+    """Verbose bus sink counting commit events per origin, keyed as
+    :meth:`MetricsAggregator.as_dict` keys its origins."""
+
+    def __init__(self):
+        self.by_origin = collections.Counter()
+
+    def on_event(self, event):
+        if event.kind == "commit":
+            origin = "entry" if event.origin is None else str(event.origin)
+            self.by_origin[origin] += 1
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [("mcf", PAPER_CONFIG), ("twolf", _NESTED_CONFIG)],
+    ids=["mcf", "twolf-nested"],
+)
+def test_kernel_metrics_commit_counts_match_staged_commit_events(name, config):
+    """A non-verbose aggregator folds ``committed`` from task-commit
+    lengths on the kernel; per origin it must equal the count of the
+    staged engine's per-instruction commit events."""
+    make_core = job(name, "postdoms", _SCALE, config)
+    kernel = make_core(PolyFlowCore)
+    aggregator = kernel.bus.attach(MetricsAggregator(), verbose=False)
+    staged = make_core(PolyFlowCore)
+    counter = staged.bus.attach(_CommitCounter())
+    assert not kernel.bus.verbose and staged.bus.verbose
+    kernel_stats = kernel.run()
+    staged_stats = staged.run()
+    assert kernel_stats.as_dict() == staged_stats.as_dict()
+    if config.nested_spawns:
+        assert kernel_stats.nested_spawns > 0
+    else:
+        assert kernel_stats.violation_squashes > 0
+    committed = {
+        origin: metrics["committed"]
+        for origin, metrics in aggregator.as_dict()["origins"].items()
+        if metrics["committed"]
+    }
+    assert committed == dict(counter.by_origin)
+    assert len(committed) > 1
+
+
 def test_event_kernel_nonverbose_stats_match_staged_spec():
     """With the default bus — no sink beyond the statistics — the
     kernel takes its quiet-skip and batched-fetch shortcuts in full;
@@ -157,13 +217,22 @@ def test_event_kernel_nonverbose_stats_match_staged_spec():
     assert kernel.as_dict() == staged.as_dict()
 
 
-def test_staged_subclass_actually_runs_staged_engine():
+def test_staged_subclass_actually_runs_staged_engine(monkeypatch):
     """Guard the guard: the reference subclass must select the staged
     engine, and a plain core must not."""
+    ran_staged = []
+    real_staged = PolyFlowCore._run_staged
+
+    def staged_spy(core):
+        ran_staged.append(type(core))
+        return real_staged(core)
+
+    monkeypatch.setattr(PolyFlowCore, "_run_staged", staged_spy)
     make_core = job("gzip", "postdoms", _SCALE, PAPER_CONFIG)
     staged = make_core(StagedReferenceCore)
     fast = make_core(PolyFlowCore)
-    assert staged._stage_hooks_overridden()
-    assert not staged._uses_kernel()
-    assert not fast._stage_hooks_overridden()
-    assert fast._uses_kernel()
+    assert staged.bus.verbose
+    assert not fast.bus.verbose
+    staged.run()
+    fast.run()
+    assert ran_staged == [StagedReferenceCore]

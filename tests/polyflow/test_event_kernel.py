@@ -23,11 +23,14 @@ import repro.polyflow.core as core_module
 
 from repro.cfg import build_program_cfgs
 from repro.errors import SimulationError
+from repro.experiments.__main__ import main as cli_main
+from repro.experiments.runner import REC_PRED_SPEC, Cell, build_core
 from repro.isa import assemble
 from repro.obs import EventBus, JsonlTraceWriter
-from repro.polyflow import MachineConfig, PolyFlowCore
-from repro.polyflow.spawn_unit import SpawnUnit
+from repro.polyflow import PAPER_CONFIG, MachineConfig, PolyFlowCore, TimelineTracer
+from repro.reconvergence.spawning import ReconvergenceSpawnUnit
 from repro.sim import run_program
+from repro.sim.gridbatch import run_batch
 from repro.spawn import SpawnAnalysis, profile_spawn_points
 
 from tests.engines import StagedReferenceCore, observe, observe_both
@@ -115,22 +118,27 @@ def test_min_latency_completions_wake_next_cycle():
 
 
 def test_zero_latency_config_fails_identically():
-    """``mul_latency=0`` (completion due the cycle of issue) deadlocks
-    the machine model — the cycle-exact engine raises its no-progress
-    guard.  The kernel's degenerate calendar entry must surface the
-    same failure rather than hanging or silently diverging, and its
-    ``finally`` sync must leave the same counters behind."""
-    trace, config, hints = _prepare(_TWIN_MULS, mul_latency=0)
-    staged = StagedReferenceCore(trace, config, hints)
-    kernel = PolyFlowCore(trace, config, hints)
-    assert kernel._uses_kernel()
-    with pytest.raises(SimulationError):
-        observe(staged)
-    with pytest.raises(SimulationError):
-        observe(kernel)
-    assert kernel._cycle == staged._cycle
-    assert kernel._retire_ptr == staged._retire_ptr
-    assert kernel.stats.as_dict() == staged.stats.as_dict()
+    """A run cut off by its cycle budget (here every budget short of
+    the full run, including ones that end inside a cold-miss skip
+    window) raises the no-progress guard on both engines.  The kernel's
+    ``finally`` sync must leave the counters the staged engine leaves:
+    the clock may not jump past the cycle the guard trips in.  (A
+    zero-cycle multiply, which used to provoke this, is now rejected by
+    ``MachineConfig``.)"""
+    cold = {"warm_caches": False}
+    for source, overrides in ((_TWIN_MULS, {}), (_DEPENDENT_LOADS, cold)):
+        trace, config, hints = _prepare(source, **overrides)
+        full = PolyFlowCore(trace, config, hints).run().cycles
+        for max_cycles in range(1, full):
+            staged = StagedReferenceCore(trace, config, hints, max_cycles=max_cycles)
+            kernel = PolyFlowCore(trace, config, hints, max_cycles=max_cycles)
+            with pytest.raises(SimulationError):
+                observe(staged)
+            with pytest.raises(SimulationError):
+                observe(kernel)
+            assert kernel._cycle == staged._cycle == max_cycles + 1
+            assert kernel._retire_ptr == staged._retire_ptr
+            assert kernel.stats.as_dict() == staged.stats.as_dict()
 
 
 def test_squash_lands_mid_skip():
@@ -289,48 +297,69 @@ def test_verbose_bus_falls_back_to_cycle_exact(monkeypatch):
     assert calls == ["staged"]
 
 
-def test_kernel_disabled_by_flag(monkeypatch):
-    """``MachineConfig.nested_spawns`` lets non-tail tasks spawn, which
-    the kernel's tail-only spawn path does not model: the flag selects
-    the staged engine."""
+def test_nested_spawns_run_on_kernel(monkeypatch):
+    """``MachineConfig.nested_spawns`` lets non-tail tasks split their
+    segment; the kernel models that split, so the flag keeps it."""
     calls = _spy_on_engines(monkeypatch)
     trace, config, hints = _prepare(_DEPENDENT_LOADS)
     _run_core(trace, dataclasses.replace(config, nested_spawns=True), hints)
-    assert calls == ["staged"]
+    assert calls == ["kernel"]
 
 
 def test_stage_hook_subclass_runs_staged(monkeypatch):
+    """A subclass probing a stage hook derives from the reference core,
+    whose verbose sink selects the staged engine."""
     calls = _spy_on_engines(monkeypatch)
     trace, config, hints = _prepare(_DEPENDENT_LOADS)
     _run_core(trace, config, hints, core_cls=StagedReferenceCore)
     assert calls == ["staged"]
 
 
-class _PassThroughSpawnUnit(SpawnUnit):
-    def spawn_target(self, trace_index, pc):
-        return SpawnUnit.spawn_target(self, trace_index, pc)
-
-
-def test_spawn_target_override_runs_staged(monkeypatch):
-    """The kernel reads pre-resolved spawn targets, so a spawn unit
-    that overrides ``spawn_target`` selects the staged engine."""
-    calls = _spy_on_engines(monkeypatch)
-    trace, config, hints = _prepare(_DEPENDENT_LOADS)
-    core = PolyFlowCore(trace, config, hints)
-    core.spawn_unit = _PassThroughSpawnUnit(trace, hints, config)
-    core.run()
-    assert calls == ["staged"]
-
-
 def test_kernel_requires_block_tables(monkeypatch):
     """The kernel runs on block tables cut at the spawn unit's
-    candidates; swapping the unit after construction (as the
-    reconvergence spawner does) recompiles them before the run."""
+    candidates; the reconvergence spawner is swapped in after
+    construction, so run() compiles them for the unit that runs."""
     calls = _spy_on_engines(monkeypatch)
-    trace, config, hints = _prepare(_DEPENDENT_LOADS)
-    core = PolyFlowCore(trace, config, hints)
-    core.spawn_unit = SpawnUnit(trace, hints, config)
-    assert core._compiled_for is not core.spawn_unit
+    core = build_core("gzip", REC_PRED_SPEC, 0.1, PAPER_CONFIG)
+    assert type(core.spawn_unit) is ReconvergenceSpawnUnit
+    assert core._run_end is None
     core.run()
     assert calls == ["kernel"]
-    assert core._compiled_for is core.spawn_unit
+    candidates = core.spawn_unit.spawn_candidate_indices()
+    assert candidates
+    assert all(core._run_end[cut] == cut for cut in candidates)
+
+
+def test_metrics_cells_run_on_kernel(monkeypatch):
+    """``--emit-metrics`` attaches its aggregator non-verbose: the
+    attribution folds lifecycle events, so the cell keeps the kernel."""
+    calls = _spy_on_engines(monkeypatch)
+    cell = Cell("gzip", "postdoms", PAPER_CONFIG, None)
+    (outcome,) = run_batch([cell], 0.1, emit_metrics=True)
+    assert calls == ["kernel"]
+    totals = outcome.metrics["totals"]
+    assert totals["committed"] == outcome.stats.retired_instructions
+
+
+def test_trace_command_runs_staged(monkeypatch, tmp_path, capsys):
+    """The ``trace`` command writes per-instruction events, so its
+    verbose JSONL sink selects the staged engine."""
+    calls = _spy_on_engines(monkeypatch)
+    status = cli_main([
+        "trace", "--workload", "gzip", "--policy", "postdoms",
+        "--scale", "0.1", "--trace-dir", str(tmp_path),
+    ])
+    assert status == 0
+    assert calls == ["staged"]
+    with open(tmp_path / "gzip.postdoms.events.jsonl") as handle:
+        assert any('"kind":"fetch"' in line for line in handle)
+
+
+def test_timeline_tracer_runs_staged(monkeypatch):
+    """The Figure 4 tracer records every fetch, so it runs staged."""
+    calls = _spy_on_engines(monkeypatch)
+    trace, config, hints = _prepare(_DEPENDENT_LOADS)
+    tracer = TimelineTracer(trace, config, hints)
+    stats = tracer.run()
+    assert calls == ["staged"]
+    assert len(tracer.fetch_events) == stats.fetched_instructions

@@ -1,11 +1,11 @@
 """Pinned statistics of ``nested_spawns`` runs.
 
 The nested-spawns extension (the paper's future work: non-tail tasks
-split their own segment) is outside what the event kernel models, so
-these runs take the staged reference engine.  Each digest below is the
-SHA-256 of the run's :func:`~repro.experiments.scheduler.pack_stats`
-payload, recorded while these cells still ran on a separate fused
-cycle loop; the staged engine must reproduce them byte for byte.
+split their own segment) runs on the event kernel like every other
+non-verbose cell.  Each digest below is the SHA-256 of the run's
+:func:`~repro.experiments.scheduler.pack_stats` payload, recorded while
+these cells still ran on a separate fused cycle loop and reproduced by
+the staged engine since; the kernel must reproduce them byte for byte.
 Every pinned cell performs at least one nested spawn.
 """
 
@@ -47,7 +47,7 @@ _PINNED = {
 @pytest.mark.parametrize("name,spec", sorted(_PINNED))
 def test_nested_spawn_stats_pinned(name, spec):
     core = build_core(name, spec, _SCALE, _NESTED_CONFIG)
-    assert not core._uses_kernel()
+    assert not core.bus.verbose  # the kernel runs it
     stats = core.run()
     assert stats.nested_spawns > 0
     digest = hashlib.sha256(repr(pack_stats(stats)).encode("utf-8")).hexdigest()

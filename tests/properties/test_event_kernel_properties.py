@@ -6,9 +6,10 @@ must be observationally identical to the staged reference engine
 stepping every cycle: same :class:`SimStats`, the same lifecycle event
 stream, event for event, and the same end-of-run machine state (cache
 LRU sets, predictor tables, spawn-unit feedback), under the
-control-equivalent policy and the squash-heavy hammock policy.  The
-kernel fetches and issues whole straight-line runs from the compiled
-block tables; the staged engine steps one instruction at a time.
+control-equivalent policy and the squash-heavy hammock policy, on the
+standard machine and on drawn edge geometries.  The kernel fetches and
+issues whole straight-line runs from the compiled block tables; the
+staged engine steps one instruction at a time.
 """
 
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from tests.helpers import examples
 from repro.polyflow import PolyFlowCore
 
 from tests.engines import StagedReferenceCore, observe_both, program_job
-from tests.strategies import random_hammock_programs, violating_programs
+from tests.strategies import edge_configs, random_hammock_programs, violating_programs
 
 
 def _assert_time_skip_transparent(program, spec):
@@ -72,3 +73,20 @@ def test_kernel_stats_match_staged_without_bus(program):
     kernel = make_core(PolyFlowCore).run()
     staged = make_core(StagedReferenceCore).run()
     assert kernel.as_dict() == staged.as_dict()
+
+
+@given(random_hammock_programs(), edge_configs())
+@settings(max_examples=examples(20), deadline=None)
+def test_engines_equivalent_on_edge_geometries(program, config):
+    """Tiny structures, a single task or unit, zero latencies, cold
+    caches and nested spawns: every observable must still match."""
+    kernel, staged = observe_both(program_job(program, "postdoms", config))
+    assert kernel == staged
+
+
+@given(violating_programs(), edge_configs())
+@settings(max_examples=examples(15), deadline=None)
+def test_engines_equivalent_on_edge_geometries_under_violations(program, config):
+    """The squash/refetch path on edge geometries."""
+    kernel, staged = observe_both(program_job(program, "hammock", config))
+    assert kernel == staged

@@ -113,6 +113,13 @@ def test_encode_config_only_carries_overrides():
             _query([{"workload": "gzip", "spec": "postdoms", "config": [1]}]),
             "config must be an object",
         ),
+        # Two fetch ports on a 1-wide machine: zero fetch slots per task.
+        (
+            _query(
+                [{"workload": "gzip", "spec": "postdoms", "config": {"width": 1}}]
+            ),
+            "invalid machine config",
+        ),
     ],
 )
 def test_decode_query_rejects(payload, message):

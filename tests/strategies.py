@@ -14,13 +14,20 @@ test_event_stream_properties, and test_analysis_cache_properties.
 Shrinking works on the drawn dial levels and the variant integer;
 programs themselves are pure functions of both.
 
+:func:`edge_configs` draws the machine geometries at the edges of what
+:class:`~repro.polyflow.MachineConfig` accepts, for the engine
+equivalence properties.
+
 :func:`damaged` is the one on-disk fault model of the cache suites:
 a byte string with one bit flipped, or cut short.
 """
 
+import dataclasses
+
 from hypothesis import strategies as st
 
 from repro.isa import assemble
+from repro.polyflow import MachineConfig
 from repro.workloads.synth import Dials, generate
 
 
@@ -87,6 +94,46 @@ def pinned_violating_program():
     )
     name = "synth-hyp/{}#pinned".format(dials.code())
     return assemble(generate(name, dials).source)
+
+
+#: ``(width, fetch_tasks_per_cycle)`` pairs: the paper's two 4-wide
+#: streams, one 1-wide stream, and three ports (generic arbitration).
+_FETCH_GEOMETRIES = ((8, 2), (1, 1), (8, 3))
+
+
+@st.composite
+def edge_configs(draw):
+    """A :class:`MachineConfig` spawning at distance 2 (so small
+    generated programs still spawn), with each edge geometry drawn on
+    or off independently: one task; width 1 with one fetch port, or
+    three ports; a ROB of 33, a scheduler of 9 and a divert queue of 1
+    (one entry beyond the head task's reserves); one functional unit;
+    zero front-end latency and mispredict penalty; a per-task
+    scheduler quota of 1; release on completion; cold caches; nested
+    spawns."""
+    width, ports = draw(st.sampled_from(_FETCH_GEOMETRIES))
+    overrides = {"width": width, "fetch_tasks_per_cycle": ports}
+    edges = {
+        "max_tasks": 1,
+        "rob_entries": 33,
+        "scheduler_entries": 9,
+        "divert_queue_entries": 1,
+        "functional_units": 1,
+        "frontend_latency": 0,
+        "mispredict_penalty": 0,
+        "scheduler_per_task_quota": 1,
+        "divert_release": "complete",
+        "warm_caches": False,
+        "nested_spawns": True,
+    }
+    for field, value in edges.items():
+        if draw(st.booleans()):
+            overrides[field] = value
+    if overrides.get("max_tasks") == 1:
+        overrides["fetch_tasks_per_cycle"] = 1
+    return dataclasses.replace(
+        MachineConfig(min_spawn_distance=2), **overrides
+    )
 
 
 @st.composite
